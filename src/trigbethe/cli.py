@@ -28,7 +28,7 @@ from .layers import (RootAmbient, boundary_strata, enumerate_layers,
                      poset_relations)
 from .linalg import det, rref
 from .nested import Chart, maximal_nested_sets
-from .roots import WEYL_ORDERS, RootSystem, root_system
+from .roots import RootSystem, root_system
 
 SCHEMA = 1
 
@@ -79,7 +79,7 @@ def _cmd_enumerate(args) -> int:
             "symmetrizers": list(rs.sym),
             "positive_roots": [list(a) for a in rs.positive_roots],
             "positive_count": len(rs.positive_roots),
-            "weyl_order": WEYL_ORDERS[rs.label],
+            "weyl_order": rs.weyl_order,
         })
         return 0
 
@@ -353,6 +353,8 @@ _CHECKS = {
 
 
 def _cmd_check(args) -> int:
+    if args.samples < 1:
+        raise ValueError(f"--samples must be positive, got {args.samples}")
     rs = root_system(args.type)
     field = _field_for(rs, args.field_order)
     names = list(_CHECKS) if args.what == "all" else [args.what]

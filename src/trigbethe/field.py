@@ -108,12 +108,19 @@ class CyclotomicField:
         vec[power] = Fraction(1)
         return self.element(vec)
 
-    def root_of_unity(self, k: int, power: int = 1) -> FieldElement:
-        """A primitive k-th root of unity, available only when k | N."""
+    def root_exponent(self, k: int, power: int = 1) -> int:
+        """e with zeta_N ** e the power-th power of a primitive k-th root of unity.
+
+        Available only when k | N.
+        """
         if k < 1 or self.order % k != 0:
             raise ValueError(f"no {k}-th root of unity in Q(zeta_{self.order});"
                              " enlarge the field order")
-        return self.zeta((self.order // k) * power)
+        return (self.order // k) * power
+
+    def root_of_unity(self, k: int, power: int = 1) -> FieldElement:
+        """A primitive k-th root of unity, available only when k | N."""
+        return self.zeta(self.root_exponent(k, power))
 
     def coerce(self, value) -> FieldElement:
         if isinstance(value, FieldElement):

@@ -169,10 +169,6 @@ def hermite_normal_form(rows: Sequence[Sequence[int]]) -> tuple[tuple[int, ...],
     return tuple(tuple(row) for row in M[:r])
 
 
-def lattice_key(rows: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
-    return hermite_normal_form(rows)
-
-
 def int_rank(rows: Sequence[Sequence[int]]) -> int:
     return len(hermite_normal_form(rows))
 

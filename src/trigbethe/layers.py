@@ -6,16 +6,30 @@ these; it is encoded by a saturated sublattice (its vanishing lattice,
 in Hermite form) together with a finite-order character of that lattice
 giving the constant values e^v takes on the layer.
 
-Enumeration walks linearly independent subsets B of positive roots,
-saturates their span, and lists the torsion characters trivial on <B>;
-a candidate is a genuine layer exactly when the roots it centralizes
-still span the lattice.  Every layer arises this way from any
-independent spanning subset of its centralized roots, so the walk is
-complete, and candidates are deduplicated by their canonical encoding.
+Every character value is a root of unity zeta_N^e of Q(zeta_N), so a
+character is kept as integer exponents mod N: chi(v) = 1 is a dot
+product mod N, and field elements are built only for the stored values
+(char_values) when a caller asks for them.
+
+Enumeration walks linearly independent subsets B of positive roots and
+recurses into every extension, but visits each lattice <B> (keyed by
+its Hermite form) once, since the layers found from B depend only on
+<B>.  A visit saturates <B> through its Smith form, decides once which
+positive roots lie in the Q-span of the saturation, and then tries each
+torsion character trivial on <B>; a candidate is a genuine layer exactly
+when the roots it centralizes still span the lattice.  Every layer
+arises this way from any independent spanning subset of its centralized
+roots, so the walk is complete, and candidates are deduplicated by their
+canonical encoding.
+
+The layer poset compares exponents the same way.  Distinct layers of
+equal codimension never contain one another, so only pairs whose
+containing layer has the smaller codimension are tested.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -70,11 +84,16 @@ class RootAmbient:
 
 @dataclass(frozen=True)
 class Layer:
-    """One layer: vanishing lattice basis (Hermite rows) plus character."""
+    """One layer: vanishing lattice basis (Hermite rows) plus character.
+
+    The character is stored as exponents: e^basis[i] takes the constant
+    value zeta_N^char_exps[i] on the layer, with N = field.order.
+    """
 
     ambient_dim: int
     basis: tuple[Coords, ...]
-    char_values: tuple[FieldElement, ...]
+    char_exps: tuple[int, ...]
+    field: CyclotomicField
     roots_pos: tuple[Coords, ...]   # positive roots constant 1 on the layer
 
     @property
@@ -85,30 +104,35 @@ class Layer:
     def dim(self) -> int:
         return self.ambient_dim - len(self.basis)
 
+    @property
+    def char_values(self) -> tuple[FieldElement, ...]:
+        return tuple(self.field.zeta(e) for e in self.char_exps)
+
+    def char_exponent(self, vec: Sequence[int]) -> int | None:
+        """e with e^vec = zeta_N^e on the layer; None if vec is outside the lattice."""
+        v = list(map(int, vec))
+        out = 0
+        for row, e in zip(self.basis, self.char_exps):
+            c = next(j for j, x in enumerate(row) if x)
+            q, r = divmod(v[c], row[c])
+            if r:
+                return None
+            if q:
+                out += q * e
+                v = [a - q * b for a, b in zip(v, row)]
+        if any(v):
+            return None
+        return out % self.field.order
+
     def char_eval(self, vec: Sequence[int]) -> FieldElement:
         """The constant value of e^vec on the layer; vec must lie in the lattice."""
-        v = list(map(int, vec))
-        field = (self.char_values[0].field if self.char_values
-                 else CyclotomicField())
-        out = field.one()
-        for row, val in zip(self.basis, self.char_values):
-            c = next(j for j, x in enumerate(row) if x)
-            if v[c] % row[c] != 0:
-                raise ValueError(f"{vec} is not in the layer lattice")
-            q = v[c] // row[c]
-            if q:
-                out = out * val ** q
-            v = [a - q * b for a, b in zip(v, row)]
-        if any(v):
+        e = self.char_exponent(vec)
+        if e is None:
             raise ValueError(f"{vec} is not in the layer lattice")
-        return out
+        return self.field.zeta(e)
 
     def contains_vector(self, vec: Sequence[int]) -> bool:
-        try:
-            self.char_eval(vec)
-            return True
-        except ValueError:
-            return False
+        return self.char_exponent(vec) is not None
 
     def sort_key(self):
         return (self.codim, self.basis,
@@ -118,60 +142,66 @@ class Layer:
 def enumerate_layers(amb: RootAmbient) -> list[Layer]:
     """All layers of the arrangement, canonically ordered."""
     field = amb.field
+    order = field.order
+    n = amb.dim
     pos = list(amb.positive_roots)
     found: dict[tuple, Layer] = {}
+    visited: set[tuple] = set()
 
     def visit(basis_rows: list[Coords]) -> None:
-        sf = smith_normal_form(basis_rows, ncols=amb.dim)
+        sf = smith_normal_form(basis_rows, ncols=n)
         k = sf.rank
-        if k != len(basis_rows):
-            return
-        sat = sf.saturation_basis()
-        hnf = hermite_normal_form(sat)
-        # characters of sat/<B>: free choice of a d_i-th root on each
-        # saturation basis vector; all are automatically trivial on <B>
-        options = []
-        for d in sf.divisors:
-            options.append([field.root_of_unity(d, j) for j in range(d)])
-        choices = [[]]
-        for opt in options:
-            choices = [c + [o] for c in choices for o in opt]
-        for vals in choices:
-            def chi(u: Sequence[int]) -> FieldElement:
-                coeffs = [sum(u[a] * sf.V[a][i] for a in range(amb.dim))
-                          for i in range(k)]
-                out = field.one()
-                for v, e in zip(vals, coeffs):
-                    if e:
-                        out = out * v ** e
-                return out
+        hnf = hermite_normal_form(sf.saturation_basis())
 
-            centralized = [a for a in pos
-                           if int_rank(sat + [list(a)]) == k and chi(a).is_one()]
+        # u = sum_i (u V)_i Vinv[i] and the saturation is spanned by
+        # Vinv[:k], so u lies in its Q-span iff (u V)_i = 0 for i >= k
+        def coords(u: Sequence[int]) -> list[int]:
+            return [sum(u[a] * sf.V[a][i] for a in range(n)) for i in range(n)]
+
+        in_span = []
+        for a in pos:
+            c = coords(a)
+            if not any(c[k:]):
+                in_span.append((a, c[:k]))
+        hnf_coords = [coords(row)[:k] for row in hnf]
+        # characters of sat/<B>: a d_i-th root of unity on each saturation
+        # basis vector Vinv[i]; all are automatically trivial on <B>
+        steps = [field.root_exponent(d) for d in sf.divisors]
+        for choice in itertools.product(*(range(d) for d in sf.divisors)):
+            exps = [s * j for s, j in zip(steps, choice)]
+
+            def chi(c: Sequence[int]) -> int:
+                return sum(e * x for e, x in zip(exps, c)) % order
+
+            centralized = [a for a, c in in_span if chi(c) == 0]
             if int_rank(centralized) != k:
                 continue
-            char_on_hnf = tuple(chi(row) for row in hnf)
-            key = (hnf, char_on_hnf)
+            char = tuple(chi(c) for c in hnf_coords)
+            key = (hnf, char)
             if key not in found:
-                found[key] = Layer(amb.dim, hnf, char_on_hnf,
+                found[key] = Layer(n, hnf, char, field,
                                    tuple(sorted(centralized,
                                                 key=lambda c: (sum(c), c))))
 
-    def extend(start: int, rows: list[Coords]) -> None:
-        visit(rows)
-        if len(rows) == amb.dim:
+    def extend(start: int, rows: list[Coords], lattice: tuple) -> None:
+        # the layers found from rows depend only on the lattice they span
+        if lattice not in visited:
+            visited.add(lattice)
+            visit(rows)
+        if len(rows) == n:
             return
         for i in range(start, len(pos)):
             cand = rows + [pos[i]]
-            if int_rank(cand) == len(cand):
-                extend(i + 1, cand)
+            cand_lattice = hermite_normal_form(cand)
+            if len(cand_lattice) == len(cand):
+                extend(i + 1, cand, cand_lattice)
 
-    extend(0, [])
+    extend(0, [], ())
     return sorted(found.values(), key=Layer.sort_key)
 
 
 def full_torus_layer(amb: RootAmbient) -> Layer:
-    return Layer(amb.dim, (), (), ())
+    return Layer(amb.dim, (), (), amb.field, ())
 
 
 def is_indecomposable(amb: RootAmbient, layer: Layer) -> bool:
@@ -209,23 +239,21 @@ def gamma_divisors(roots: Sequence[Coords], ambient_dim: int) -> list[int]:
 
 def layer_contains(big: Layer, small: Layer) -> bool:
     """Is small a subvariety of big?  Lattice containment + equal constants."""
-    for row, val in zip(big.basis, big.char_values):
-        try:
-            if not small.char_eval(row) == val:
-                return False
-        except ValueError:
-            return False
-    return True
+    if big.field is not small.field:
+        raise ValueError("layers over different fields")
+    return all(small.char_exponent(row) == e
+               for row, e in zip(big.basis, big.char_exps))
 
 
 def poset_relations(layers: Sequence[Layer]) -> list[tuple[int, int]]:
-    """Pairs (i, j) with layers[i] a proper subvariety of layers[j]."""
-    out = []
-    for i, a in enumerate(layers):
-        for j, b in enumerate(layers):
-            if i != j and layer_contains(b, a):
-                out.append((i, j))
-    return out
+    """Pairs (i, j) with layers[i] a proper subvariety of layers[j].
+
+    Distinct layers of equal codimension never contain one another, so
+    only pairs with layers[j] of smaller codimension are tested.
+    """
+    return [(i, j) for i, small in enumerate(layers)
+            for j, big in enumerate(layers)
+            if big.codim < small.codim and layer_contains(big, small)]
 
 
 def covering_relations(layers: Sequence[Layer]) -> list[tuple[int, int]]:
@@ -258,8 +286,7 @@ def point_on_layer(layer: Layer, params: Sequence[FieldElement] | None = None,
     per layer dimension); omitted parameters default to 1, giving a
     canonical representative.
     """
-    field = field or (layer.char_values[0].field if layer.char_values
-                      else CyclotomicField())
+    field = field or layer.field
     n = layer.ambient_dim
     sf = _extension_data(layer)
     r = sf.rank

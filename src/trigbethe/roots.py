@@ -9,12 +9,13 @@ matrix through the symmetrizing diagonal.
 
 from __future__ import annotations
 
+import math
 import re
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Sequence
 
-from .linalg import mat_inverse
+from .linalg import det, mat_inverse
 
 Coords = tuple[int, ...]
 IntMatrix = tuple[tuple[int, ...], ...]
@@ -200,6 +201,17 @@ class RootSystem:
                 frontier = nxt
             self._weyl = table
         return self._weyl
+
+    @property
+    def weyl_order(self) -> int:
+        """|W| = n! * det(Cartan) * the product of the highest root's coefficients.
+
+        det(Cartan) is the index of the root lattice in the weight lattice;
+        the highest root is the unique positive root of greatest height.
+        """
+        d = det([[Fraction(x) for x in row] for row in self.cartan])
+        return (math.factorial(self.rank) * int(d)
+                * math.prod(self.positive_roots[-1]))
 
     def matrix_of_word(self, word: Sequence[int]) -> IntMatrix:
         m = tuple(tuple(int(i == j) for j in range(self.rank))

@@ -29,6 +29,8 @@ def test_enumerate_roots_payload(capsys):
     assert data["positive_count"] == 4
     assert data["weyl_order"] == 8
     assert [1, 2] in data["positive_roots"]
+    data = run_json(capsys, "enumerate", "roots", "--type", "A5")
+    assert data["weyl_order"] == 720
 
 
 def test_enumerate_layers_deterministic(capsys, tmp_path):
@@ -181,6 +183,14 @@ def test_check_spec_examples(capsys):
     # the suite selector is case-insensitive
     data = run_json(capsys, "check", "typeA", "--samples", "2")
     assert [c["name"] for c in data["checks"]] == ["typea"]
+
+
+def test_check_rejects_nonpositive_samples(capsys):
+    for name, samples in [("rank", "0"), ("injectivity", "-3"), ("all", "0")]:
+        code, out, err = run(capsys, "check", name, "--samples", samples)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
 
 
 def test_check_unknown_name_rejected(capsys):

@@ -147,6 +147,9 @@ def test_poset_and_covering_relations_a2():
         assert layers[i].codim > layers[j].codim
         assert layer_contains(layers[j], layers[i])
         assert not layer_contains(layers[i], layers[j])
+    with pytest.raises(ValueError):   # exponents mod 6 and mod 12 do not compare
+        layer_contains(full_torus_layer(ambient("A2", CyclotomicField(12))),
+                       layers[-1])
 
 
 def test_full_torus_layer_is_top():
@@ -184,3 +187,84 @@ def test_layer_to_dict_shape():
         "character": ["1", "-1"],
         "roots": [[1, 0], [1, 2]],
     }
+
+
+# ----------------------------------------------------------------------
+# oracles sharing no code with the enumeration: finite-field point counts
+# and field-arithmetic containment
+
+
+def characteristic_polynomial(layers):
+    """Coefficients, by dimension, of chi(t) = sum_L mu(T, L) t^dim L."""
+    above = {i: [] for i in range(len(layers))}
+    for i, j in poset_relations(layers):
+        above[i].append(j)
+    mu = {}
+    for i in sorted(range(len(layers)), key=lambda i: layers[i].codim):
+        mu[i] = 1 if layers[i].codim == 0 else -sum(mu[j] for j in above[i])
+    coeffs = [0] * (layers[0].ambient_dim + 1)
+    for i, layer in enumerate(layers):
+        coeffs[layer.dim] += mu[i]
+    return coeffs
+
+
+def evaluate_polynomial(coeffs, t):
+    return sum(c * t ** k for k, c in enumerate(coeffs))
+
+
+def complement_count(positive_roots, rank, p=13):
+    """Points x of (F_p^*)^rank with x^alpha != 1 for every positive root."""
+    count = 0
+    for x in itertools.product(range(1, p), repeat=rank):
+        if all(_monomial(x, a, p) != 1 for a in positive_roots):
+            count += 1
+    return count
+
+
+def _monomial(x, a, p):
+    out = 1
+    for xi, ai in zip(x, a):
+        out = out * pow(xi, ai, p) % p
+    return out
+
+
+def test_characteristic_polynomial_counts_points_mod_13():
+    # 12 = 13 - 1 is divisible by every torsion order, so chi(12) counts
+    # the complement of the arrangement in (F_13^*)^n
+    for label in ["A2", "B2", "G2", "A3", "B3", "C3"]:
+        rs = root_system(label)
+        amb = ambient(label, CyclotomicField(12))
+        chi = characteristic_polynomial(enumerate_layers(amb))
+        assert evaluate_polynomial(chi, 12) == \
+            complement_count(rs.positive_roots, rs.rank)
+
+
+def test_characteristic_polynomial_rank_four():
+    pinned = {   # coefficients of t^0 .. t^4
+        "F4": [1152, -768, 208, -24, 1],
+        "B4": [192, -224, 92, -16, 1],
+        "C4": [192, -224, 92, -16, 1],
+        "D4": [48, -84, 50, -12, 1],
+        "A4": [24, -50, 35, -10, 1],
+    }
+    for label, coeffs in pinned.items():
+        amb = ambient(label, CyclotomicField(12))
+        assert characteristic_polynomial(enumerate_layers(amb)) == coeffs
+    for label in ["B4", "F4"]:
+        rs = root_system(label)
+        assert evaluate_polynomial(pinned[label], 12) == \
+            complement_count(rs.positive_roots, rs.rank)
+
+
+def test_poset_relations_match_field_containment():
+    for label in ["A1", "A2", "B2", "C2", "G2", "A3", "B3", "C3"]:
+        amb = ambient(label)
+        layers = enumerate_layers(amb)
+        expected = []
+        for i, small in enumerate(layers):
+            pt = generic_point(amb, small)
+            for j, big in enumerate(layers):
+                if i != j and all(amb.evaluate(pt, row) == val for row, val
+                                  in zip(big.basis, big.char_values)):
+                    expected.append((i, j))
+        assert sorted(poset_relations(layers)) == expected

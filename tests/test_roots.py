@@ -53,9 +53,14 @@ def test_weyl_group_orders():
     for label in ALL_TYPES:
         rs = root_system(label)
         elems = rs.weyl_elements()
-        assert len(elems) == WEYL_ORDERS[label]
+        assert len(elems) == WEYL_ORDERS[label] == rs.weyl_order
         for m, w in elems.items():
             assert rs.matrix_of_word(w) == m
+
+
+def test_weyl_order_formula_beyond_the_table():
+    rs = root_system("A5")
+    assert rs.weyl_order == len(rs.weyl_elements()) == 720
 
 
 def test_longest_word_length_matches_positive_roots():
