@@ -9,11 +9,11 @@ families over boundary charts, and verifies the structural statements
 type-A identification with rational spin models) by direct computation.
 """
 
-from .bethe import (HolonomySpace, RecoveredData, W_ACTION_DEFAULT,
-                    W_ACTION_VARIANTS, XPoint, chart_only, injectivity_pool,
-                    recover_data, sample_xpoints, subspaces_equal,
+from .bethe import (HolonomySpace, RecoveredData, XPoint, chart_only,
+                    injectivity_pool, recover_data, sample_xpoints,
                     transported_point, weyl_action_report, xpoint_from_dict)
-from .field import DEFAULT_FIELD_ORDER, CyclotomicField, FieldElement
+from .field import (DEFAULT_FIELD_ORDER, CyclotomicField, FieldElement,
+                    default_field_order)
 from .hecke import HeckeAlgebra, all_reduced_words, sample_q
 from .lattice import (SmithForm, hermite_normal_form, in_lattice, int_rank,
                       smith_normal_form)
@@ -31,6 +31,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CyclotomicField", "FieldElement", "DEFAULT_FIELD_ORDER",
+    "default_field_order",
     "RootSystem", "root_system", "cartan_matrix", "symmetrizers",
     "WEYL_ORDERS",
     "SmithForm", "smith_normal_form", "hermite_normal_form", "int_rank",
@@ -42,8 +43,7 @@ __all__ = [
     "Chart", "maximal_nested_sets", "connected_vertex_subsets", "is_nested",
     "HolonomySpace", "XPoint", "RecoveredData", "xpoint_from_dict",
     "recover_data", "sample_xpoints", "injectivity_pool", "chart_only",
-    "subspaces_equal", "transported_point", "weyl_action_report",
-    "W_ACTION_DEFAULT", "W_ACTION_VARIANTS",
+    "transported_point", "weyl_action_report",
     "HeckeAlgebra", "sample_q", "all_reduced_words",
     "Poly", "UPoly", "RatFunc", "epsilon_limit_span", "valuation_at_zero",
     "__version__",

@@ -6,10 +6,21 @@ order.  An h in the Cartan is encoded by its evaluations against the
 simple roots, so the tau block of a vector literally spells out which h
 it carries.
 
-Three candidate Weyl actions are implemented side by side.  Only the
-"equivariant" one satisfies the group law, intertwines the canonical
-shift delta, and transports Bethe spans onto Bethe spans; the selection
-is recomputed, not assumed, by weyl_action_report.
+The Weyl group acts on this space by integer matrices rho(w) (see
+HolonomySpace.rho): t_alpha goes to t_|w alpha|, and tau(h) goes to
+tau(w.h) corrected by alpha(w.h) t_alpha over the inversion set of w.
+The tables behind rho (w^{-1}, the positive-root permutation, the
+inversion set) are cached per element by RootSystem.element, so acting
+by one element never enumerates the group.  weyl_action_report checks
+exhaustively that this is a representation, that it intertwines the
+canonical shift delta, and that it carries Bethe vectors at y to Bethe
+vectors at w.y (the `check weyl` command).
+
+Points of the degenerate family (XPoint) are stored untwisted plus a
+Weyl twist; their limit subspaces are built from the tau-carrying Bethe
+generators of the ambient stratum and the chart family of the point's
+centralizer, and recover_data reads the stratum data back off an
+untwisted subspace.
 """
 
 from __future__ import annotations
@@ -18,14 +29,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .field import CyclotomicField, FieldElement
+from .field import CyclotomicField, FieldElement, default_field_order
 from .layers import RootAmbient
-from .linalg import nullspace, rank as mat_rank, rref, row_space_equal
+from .linalg import nullspace, rank as mat_rank, rref
 from .nested import Chart, maximal_nested_sets
-from .roots import Coords, IntMatrix, RootSystem
-
-W_ACTION_VARIANTS = ("untransported", "half-transported", "equivariant")
-W_ACTION_DEFAULT = "equivariant"
+from .roots import Coords, IntMatrix, RootSystem, int_mat_mul
 
 
 class HolonomySpace:
@@ -38,6 +46,7 @@ class HolonomySpace:
         self.npos = len(self.pos)
         self.dim = self.npos + rs.rank
         self._t_index = {a: i for i, a in enumerate(self.pos)}
+        self._rho: dict[IntMatrix, list[list[tuple[int, int]]]] = {}
 
     # ------------------------------------------------------------------
     # construction
@@ -65,9 +74,6 @@ class HolonomySpace:
         return [f"t({','.join(map(str, a))})" for a in self.pos] + \
                [f"tau({i + 1})" for i in range(self.rs.rank)]
 
-    def h_coords_of(self, vec: Sequence[FieldElement]) -> list[FieldElement]:
-        return list(vec[self.npos:])
-
     def alpha_of_h(self, alpha: Sequence[int], h_coords: Sequence) -> object:
         total = None
         for a, c in zip(alpha, h_coords):
@@ -87,22 +93,26 @@ class HolonomySpace:
     def casimir(self) -> list[FieldElement]:
         return self.vector({a: 1 for a in self.pos})
 
-    def bethe(self, point: Sequence[FieldElement], h_coords: Sequence,
-              roots: Iterable[Coords] | None = None) -> list[FieldElement]:
-        """tau(h) minus the weighted t-terms of a regular torus point.
+    def bethe_family(self, point: Sequence[FieldElement], hs: Iterable[Sequence]
+                     ) -> list[list[FieldElement]]:
+        """tau(h) minus the weighted t-terms of a regular torus point, per h.
 
         Weight on t_alpha is alpha(h) * u/(u-1) with u the value of
-        e^alpha at the point; the point must not centralize any of the
-        contributing roots.
+        e^alpha at the point, evaluated once for all h; the point must not
+        centralize any root.
         """
-        terms = {}
-        for a in (self.pos if roots is None else roots):
+        weights = {}
+        for a in self.pos:
             u = self._eval(point, a)
             if u.is_one():
                 raise ZeroDivisionError(f"point centralizes root {a}")
-            ah = self.alpha_of_h(a, h_coords)
-            terms[a] = -(u / (u - 1)) * ah
-        return self.vector(terms, h_coords)
+            weights[a] = -(u / (u - 1))
+        return [self.vector({a: g * self.alpha_of_h(a, h)
+                             for a, g in weights.items()}, h) for h in hs]
+
+    def bethe(self, point: Sequence[FieldElement], h_coords: Sequence
+              ) -> list[FieldElement]:
+        return self.bethe_family(point, [h_coords])[0]
 
     def gaudin(self, chi: Sequence, h_coords: Sequence,
                roots: Iterable[Coords] | None = None) -> list[FieldElement]:
@@ -118,8 +128,8 @@ class HolonomySpace:
     def bethe_subspace(self, point: Sequence[FieldElement]
                        ) -> list[list[FieldElement]]:
         n = self.rs.rank
-        basis = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-        return [self.bethe(point, h) for h in basis]
+        return self.bethe_family(
+            point, [[Fraction(int(i == j)) for j in range(n)] for i in range(n)])
 
     def gaudin_subspace(self, chi: Sequence,
                         roots: Iterable[Coords] | None = None
@@ -146,59 +156,95 @@ class HolonomySpace:
         return [sum(winv[j][i] * h_coords[j] for j in range(n))
                 for i in range(n)]
 
-    def act(self, w: IntMatrix, vec: Sequence[FieldElement],
-            variant: str = W_ACTION_DEFAULT) -> list[FieldElement]:
-        if variant not in W_ACTION_VARIANTS:
-            raise ValueError(f"unknown Weyl action variant {variant!r}")
+    def rho(self, w: IntMatrix) -> list[list[tuple[int, int]]]:
+        """The integer matrix of w on [t_alpha ..., tau_i ...], by columns.
+
+        Column k lists its nonzero (row, entry) pairs.  t_alpha goes to
+        t_|w alpha|; tau(h) goes to tau(w.h) minus alpha(w.h) t_alpha for
+        every alpha in the inversion set of w.
+        """
+        cols = self._rho.get(w)
+        if cols is not None:
+            return cols
+        n = self.rs.rank
+        cols = [[(j, 1)] for j in self.rs.element(w).perm]
+        inversions = self.rs.inversion_set(w)
+        for i in range(n):
+            h = self.h_transport(w, [int(i == j) for j in range(n)])
+            col = [(self.npos + k, c) for k, c in enumerate(h) if c]
+            for a in inversions:
+                ah = self.alpha_of_h(a, h)
+                if ah:
+                    col.append((self._t_index[a], -ah))
+            cols.append(col)
+        self._rho[w] = cols
+        return cols
+
+    def act(self, w: IntMatrix, vec: Sequence[FieldElement]) -> list[FieldElement]:
+        """rho(w) applied to vec."""
         out = self.zero()
-        for a in self.pos:
-            c = vec[self._t_index[a]]
-            if not c == 0:
-                j = self.t_index(self.rs.act(w, a))
-                out[j] = out[j] + c
-        h_old = self.h_coords_of(vec)
-        if all(c == 0 for c in h_old):
-            return out
-        h_new = h_old if variant == "untransported" \
-            else self.h_transport(w, h_old)
-        for i, c in enumerate(h_new):
-            out[self.npos + i] = out[self.npos + i] + c
-        weight_h = h_new if variant == "equivariant" else h_old
-        for a in self.rs.inversion_set(w):
-            j = self._t_index[a]
-            out[j] = out[j] - self.alpha_of_h(a, weight_h)
+        for col, c in zip(self.rho(w), vec):
+            if c == 0:
+                continue
+            for j, m in col:
+                if m == 1:
+                    out[j] = out[j] + c
+                elif m == -1:
+                    out[j] = out[j] - c
+                else:
+                    out[j] = out[j] + m * c
         return out
 
-    def act_span(self, w: IntMatrix, vecs: Sequence[Sequence[FieldElement]],
-                 variant: str = W_ACTION_DEFAULT) -> list[list[FieldElement]]:
-        return [self.act(w, v, variant) for v in vecs]
+    def act_span(self, w: IntMatrix, vecs: Sequence[Sequence[FieldElement]]
+                 ) -> list[list[FieldElement]]:
+        return [self.act(w, v) for v in vecs]
 
 
 def weyl_action_report(rs: RootSystem, field: CyclotomicField,
                        seed: int = 0) -> dict:
-    """Which action variants satisfy which structural requirements.
+    """Exhaustive checks that HolonomySpace.act is the equivariant action.
 
-    Checks, per variant: the group law on all pairs of Weyl elements,
-    transport of the canonical shift (w.delta(h) = delta(w.h)), and
-    transport of regular Bethe elements (w.B(point,h) = B(w.point,w.h)).
-    The variant passing all three is reported as selected.
+    group_law: rho(1) = 1 and rho(w s_i) = rho(w) rho(s_i) for every
+    element w and generator s_i, with rho(w) the integer matrix of act on
+    the whole basis; by induction on word length this gives
+    rho(uv) = rho(u) rho(v) for every pair.  delta_transport:
+    w.delta(h) = delta(w.h); bethe_transport: w.B(y, h) = B(w.y, w.h) at
+    one seeded regular rational point y; both for every w and every h in
+    the coordinate basis.
     """
     import random
     rng = random.Random(f"weyl-action-{rs.label}-{seed}")
     space = HolonomySpace(rs, field)
-    n = rs.rank
-    words = rs.weyl_elements()
-    elements = list(words)
-    if len(elements) ** 2 <= 4096:
-        pairs = [(w1, w2) for w1 in elements for w2 in elements]
-    else:
-        pairs = [(elements[rng.randrange(len(elements))],
-                  elements[rng.randrange(len(elements))])
-                 for _ in range(2048)]
-    h_basis = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    test_vecs = [space.vector(h_coords=h) for h in h_basis]
-    test_vecs += [space.vector({a: 1}) for a in rs.positive_roots[:2]]
+    n, dim = rs.rank, space.dim
+    elements = list(rs.weyl_elements())
 
+    def dense(cols):
+        out = [[0] * dim for _ in range(dim)]
+        for c, col in enumerate(cols):
+            for r, x in col:
+                out[c][r] = x
+        return out
+
+    def compose(a, b):
+        out = []
+        for col in b:
+            acc = [0] * dim
+            for k, m in col:
+                for r, x in a[k]:
+                    acc[r] += m * x
+            out.append(acc)
+        return out
+
+    gens = [rs.simple_reflection(i) for i in range(n)]
+    matrices = {w: dense(space.rho(w)) for w in elements}
+    identity = rs.matrix_of_word(())
+    group_law = matrices[identity] == dense([[(k, 1)] for k in range(dim)])
+    for w in elements:
+        for g in gens:
+            if compose(space.rho(w), space.rho(g)) != matrices[int_mat_mul(w, g)]:
+                group_law = False
+
+    h_basis = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
     point = None
     while point is None:
         cand = tuple(field.from_rational(Fraction(rng.randint(2, 50),
@@ -206,30 +252,22 @@ def weyl_action_report(rs: RootSystem, field: CyclotomicField,
                      for _ in range(n))
         if all(not space._eval(cand, a).is_one() for a in rs.positive_roots):
             point = cand
-
-    report: dict = {"checked_pairs": len(pairs), "variants": {}}
-    for variant in W_ACTION_VARIANTS:
-        group_law = all(
-            space.act(rs.matrix_of_word(words[w1] + words[w2]), v, variant)
-            == space.act(w1, space.act(w2, v, variant), variant)
-            for w1, w2 in pairs for v in test_vecs)
-        delta_ok = all(
-            space.act(w, space.delta(h), variant)
-            == space.delta(space.h_transport(w, h))
-            for w in elements for h in h_basis)
-        bethe_ok = all(
-            space.act(w, space.bethe(point, h), variant)
-            == space.bethe(transported_point(rs, space, w, point),
-                           space.h_transport(w, h))
-            for w in elements for h in h_basis)
-        report["variants"][variant] = {
-            "group_law": group_law,
-            "delta_transport": delta_ok,
-            "bethe_transport": bethe_ok,
-        }
-    selected = [v for v, r in report["variants"].items() if all(r.values())]
-    report["selected"] = selected[0] if len(selected) == 1 else selected
-    return report
+    deltas = [space.delta(h) for h in h_basis]
+    bethes = space.bethe_subspace(point)
+    delta_ok = bethe_ok = True
+    for w in elements:
+        moved_h = [space.h_transport(w, h) for h in h_basis]
+        delta_ok &= space.act_span(w, deltas) == [space.delta(h) for h in moved_h]
+        bethe_ok &= space.act_span(w, bethes) == space.bethe_family(
+            transported_point(rs, space, w, point), moved_h)
+    return {
+        "elements": len(elements),
+        "products": len(elements) * n,
+        "exhaustive": True,
+        "group_law": group_law,
+        "delta_transport": delta_ok,
+        "bethe_transport": bethe_ok,
+    }
 
 
 def _columns_of_inverse(rs: RootSystem, w: IntMatrix) -> list[Coords]:
@@ -344,7 +382,8 @@ class XPoint:
 def xpoint_from_dict(data: dict) -> XPoint:
     from .roots import root_system
     rs = root_system(data["type"])
-    field = CyclotomicField(int(data.get("field_order", 6)))
+    field = CyclotomicField(int(data.get("field_order",
+                                         default_field_order(rs.family))))
     word = tuple(int(i) - 1 for i in data.get("w", []))
     subset = tuple(sorted(int(i) - 1 for i in data.get("I", [])))
     if any(i < 0 or i >= rs.rank for i in subset):
@@ -546,7 +585,3 @@ def injectivity_pool(rs: RootSystem, field: CyclotomicField, seed: int,
     if len(out) < count:
         raise RuntimeError(f"could only assemble {len(out)} distinct points")
     return out
-
-
-def subspaces_equal(space: HolonomySpace, a, b) -> bool:
-    return row_space_equal(a, b)

@@ -21,7 +21,7 @@ from fractions import Fraction
 from . import spin, typea
 from .bethe import (HolonomySpace, injectivity_pool, recover_data,
                     sample_xpoints, weyl_action_report, xpoint_from_dict)
-from .field import DEFAULT_FIELD_ORDER, CyclotomicField
+from .field import DEFAULT_FIELD_ORDER, CyclotomicField, default_field_order
 from .hecke import HeckeAlgebra, sample_q
 from .layers import (RootAmbient, boundary_strata, enumerate_layers,
                      gamma_divisors, is_indecomposable, layer_to_dict,
@@ -34,9 +34,8 @@ SCHEMA = 1
 
 
 def _field_for(rs: RootSystem, explicit: int | None) -> CyclotomicField:
-    if explicit is not None:
-        return CyclotomicField(explicit)
-    return CyclotomicField(12 if rs.family == "F" else DEFAULT_FIELD_ORDER)
+    return CyclotomicField(default_field_order(rs.family)
+                           if explicit is None else explicit)
 
 
 def _emit(args, payload) -> None:
@@ -191,7 +190,8 @@ def _cmd_subspace(args) -> int:
     except (OSError, ValueError, KeyError) as exc:
         print(f"bad point description: {exc}", file=sys.stderr)
         return 2
-    rows, _ = rref(x.subspace())
+    vectors = x.subspace()
+    rows, _ = rref(vectors)
     labels = x.space.labels()
     basis = [{labels[k]: str(c) for k, c in enumerate(row) if not c == 0}
              for row in rows]
@@ -202,7 +202,7 @@ def _cmd_subspace(args) -> int:
         "basis": basis,
     }
     if not x.word:
-        rec = recover_data(x.space, x.subspace())
+        rec = recover_data(x.space, vectors)
         payload["recovered"] = {
             "centralized": [list(a) for a in rec.centralized_pos],
             "units": [{"root": list(a), "value": str(v)}
@@ -342,6 +342,18 @@ def _check_typea(args) -> dict:
             if not bad else "; ".join(bad[:4])}
 
 
+def _check_weyl(args) -> dict:
+    rs = root_system(args.type)
+    report = weyl_action_report(rs, _field_for(rs, args.field_order), args.seed)
+    failed = [k for k in ("group_law", "delta_transport", "bethe_transport")
+              if not report[k]]
+    return {"name": "weyl", "passed": not failed, **report,
+            "detail": f"group law on all {report['products']} products "
+                      f"w*s_i; delta and Bethe transport for all "
+                      f"{report['elements']} elements"
+            if not failed else f"failed: {', '.join(failed)}"}
+
+
 _CHECKS = {
     "commutativity": _check_commutativity,
     "rank": _check_rank,
@@ -349,6 +361,7 @@ _CHECKS = {
     "triangularity": _check_triangularity,
     "hecke": _check_hecke,
     "typea": _check_typea,
+    "weyl": _check_weyl,
 }
 
 
@@ -358,7 +371,6 @@ def _cmd_check(args) -> int:
     rs = root_system(args.type)
     field = _field_for(rs, args.field_order)
     names = list(_CHECKS) if args.what == "all" else [args.what]
-    action = weyl_action_report(rs, field, args.seed)
     results = [_CHECKS[name](args) for name in names]
     payload = {
         "schema": SCHEMA,
@@ -366,7 +378,6 @@ def _cmd_check(args) -> int:
         "field_order": field.order,
         "seed": args.seed,
         "samples": args.samples,
-        "w_action": action,
         "checks": results,
         "passed": all(r["passed"] for r in results),
     }

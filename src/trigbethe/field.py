@@ -16,6 +16,11 @@ Rat = Union[int, Fraction]
 DEFAULT_FIELD_ORDER = 6
 
 
+def default_field_order(family: str) -> int:
+    """Q(zeta_12) for F4, whose layers need 12th roots of unity; else the default."""
+    return 12 if family == "F" else DEFAULT_FIELD_ORDER
+
+
 def _poly_divmod(num: list[int], den: list[int]) -> tuple[list[int], list[int]]:
     # Exact division of integer polynomials, coefficients low to high.
     num = list(num)

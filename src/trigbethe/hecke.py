@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .poly import Poly
-from .roots import Coords, IntMatrix, RootSystem
+from .roots import Coords, IntMatrix, RootSystem, int_mat_mul
 
 HeckeElem = dict[IntMatrix, Poly]
 
@@ -152,7 +152,7 @@ class HeckeAlgebra:
             gen = self.rs.simple_reflection(i)
             nxt: HeckeElem = {}
             for w, poly in result.items():
-                wnext = _mat_mul_int(w, gen)
+                wnext = int_mat_mul(w, gen)
                 moved = self.apply_generator_subst(poly, i)
                 nxt[wnext] = nxt.get(wnext, Poly(self.nvars)) + moved
                 c = self.corr(poly, i)
@@ -167,7 +167,7 @@ class HeckeAlgebra:
             for w2, p2 in b.items():
                 moved = self.move_across_word(p1, self._words[w2])
                 for v, pv in moved.items():
-                    key = _mat_mul_int(w1, v)
+                    key = int_mat_mul(w1, v)
                     out[key] = out.get(key, Poly(self.nvars)) + pv * p2
         out = self._prune(out)
         for p in out.values():
@@ -256,12 +256,6 @@ class HeckeAlgebra:
         return {k: v for k, v in out.items() if v != 0}
 
 
-def _mat_mul_int(a: IntMatrix, b: IntMatrix) -> IntMatrix:
-    n = len(a)
-    return tuple(tuple(sum(a[i][k] * b[k][j] for k in range(n))
-                       for j in range(n)) for i in range(n))
-
-
 def all_reduced_words(rs: RootSystem, w: IntMatrix) -> list[tuple[int, ...]]:
     """Every shortest generator word for w (used to verify the exchange
     move is independent of the chosen word)."""
@@ -272,7 +266,7 @@ def all_reduced_words(rs: RootSystem, w: IntMatrix) -> list[tuple[int, ...]]:
     out = []
     for i in range(rs.rank):
         gen = rs.simple_reflection(i)
-        prev = _mat_mul_int(w, gen)
+        prev = int_mat_mul(w, gen)
         if len(words[prev]) == target_len - 1:
             out.extend(u + (i,) for u in all_reduced_words(rs, prev))
     return out

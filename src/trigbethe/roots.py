@@ -13,7 +13,7 @@ import math
 import re
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .linalg import det, mat_inverse
 
@@ -70,6 +70,21 @@ def symmetrizers(family: str, n: int) -> tuple[int, ...]:
     raise ValueError(f"unsupported family {family}")
 
 
+def int_mat_mul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> IntMatrix:
+    """Product of two integer matrices given as rows."""
+    cols = list(zip(*b))
+    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in cols)
+                 for row in a)
+
+
+class WeylElement(NamedTuple):
+    """Integer tables of one Weyl group element w (see RootSystem.element)."""
+
+    inverse: IntMatrix            # w^{-1} in simple-root coordinates
+    perm: tuple[int, ...]         # k -> index of |w(positive_roots[k])|
+    inversions: tuple[Coords, ...]  # positive roots a with w^{-1}(a) < 0
+
+
 _LABEL = re.compile(r"^([ABCDGF])(\d+)$")
 
 
@@ -101,7 +116,10 @@ class RootSystem:
         self.positive_roots: list[Coords] = sorted(
             (r for r in self.roots if min(r) >= 0),
             key=lambda c: (sum(c), c))
+        self._pos_index = {a: k for k, a in enumerate(self.positive_roots)}
         self._weyl: dict[IntMatrix, tuple[int, ...]] | None = None
+        self._elements: dict[IntMatrix, WeylElement] = {}
+        self._gram_tables: tuple[int, list[list[int]], list[list[int]]] | None = None
 
     # ------------------------------------------------------------------
     # pairing
@@ -116,9 +134,6 @@ class RootSystem:
     def pairing(self, beta: Sequence[int], alpha: Sequence[int]) -> Fraction:
         """<beta, alpha^vee> = 2(beta,alpha)/(alpha,alpha)."""
         return 2 * self.inner(beta, alpha) / self.norm2(alpha)
-
-    def is_long(self, alpha: Sequence[int]) -> bool:
-        return self.norm2(alpha) > 2
 
     # ------------------------------------------------------------------
     # reflections and roots
@@ -192,9 +207,7 @@ class RootSystem:
                 for w in frontier:
                     word = table[w]
                     for i, g in enumerate(self._gens):
-                        m = tuple(tuple(
-                            sum(w[r][k] * g[k][c] for k in range(self.rank))
-                            for c in range(self.rank)) for r in range(self.rank))
+                        m = int_mat_mul(w, g)
                         if m not in table:
                             table[m] = word + (i,)
                             nxt.append(m)
@@ -219,21 +232,48 @@ class RootSystem:
         for i in word:
             if not 0 <= i < self.rank:
                 raise ValueError(f"word letter {i} out of range for {self.label}")
-            g = self._gens[i]
-            m = tuple(tuple(sum(m[r][k] * g[k][c] for k in range(self.rank))
-                            for c in range(self.rank)) for r in range(self.rank))
+            m = int_mat_mul(m, self._gens[i])
         return m
 
+    def element(self, w: IntMatrix) -> WeylElement:
+        """The integer tables of one group element, cached on first use.
+
+        w preserves the Gram matrix G, so w^{-1} = G^{-1} w^T G; it is
+        computed in integers as (d G^{-1}) w^T G / d, d the common
+        denominator of G^{-1}.  The positive-root permutation and the
+        inversion set come from one pass of w over the positive roots.
+        """
+        cached = self._elements.get(w)
+        if cached is not None:
+            return cached
+        if self._gram_tables is None:
+            ginv = mat_inverse(self.gram)
+            d = math.lcm(*(x.denominator for row in ginv for x in row))
+            self._gram_tables = (d, [[int(x * d) for x in row] for row in ginv],
+                                 [[int(x) for x in row] for row in self.gram])
+        d, scaled_ginv, gram = self._gram_tables
+        inverse = int_mat_mul(int_mat_mul(scaled_ginv, tuple(zip(*w))), gram)
+        if any(x % d for row in inverse for x in row):
+            raise ValueError(f"{w} is not in the Weyl group of {self.label}")
+        perm, flipped = [], set()
+        for a in self.positive_roots:
+            image = self.act(w, a)
+            if min(image) < 0:
+                image = tuple(-c for c in image)
+                flipped.add(image)
+            perm.append(self._pos_index[image])
+        cached = WeylElement(
+            tuple(tuple(x // d for x in row) for row in inverse), tuple(perm),
+            tuple(a for a in self.positive_roots if a in flipped))
+        self._elements[w] = cached
+        return cached
+
     def inverse_matrix(self, w: IntMatrix) -> IntMatrix:
-        inv = mat_inverse([[Fraction(x) for x in row] for row in w])
-        out = tuple(tuple(int(x) for x in row) for row in inv)
-        return out
+        return self.element(w).inverse
 
     def inversion_set(self, w: IntMatrix) -> list[Coords]:
         """Positive roots sent negative by w^{-1} (i.e. in w(negatives))."""
-        winv = self.inverse_matrix(w)
-        return [a for a in self.positive_roots
-                if min(self.act(winv, a)) < 0]
+        return list(self.element(w).inversions)
 
     # ------------------------------------------------------------------
     # subsystems
@@ -249,45 +289,10 @@ class RootSystem:
                     sums.add(s)
         return sorted(pos - sums, key=lambda c: (sum(c), c))
 
-    def cartan_of_base(self, base: Sequence[Coords]) -> IntMatrix:
-        out = []
-        for a in base:
-            row = []
-            for b in base:
-                k = self.pairing(b, a)
-                assert k.denominator == 1
-                row.append(int(k))
-            out.append(tuple(row))
-        return tuple(out)
-
     def nonorthogonal_edges(self, roots: Sequence[Coords]) -> list[tuple[int, int]]:
         n = len(roots)
         return [(i, j) for i in range(n) for j in range(i + 1, n)
                 if self.inner(roots[i], roots[j]) != 0]
-
-    def connected_components(self, roots: Sequence[Coords]) -> list[list[int]]:
-        """Indices of roots grouped by non-orthogonality connectivity."""
-        n = len(roots)
-        adj: dict[int, set[int]] = {i: set() for i in range(n)}
-        for i, j in self.nonorthogonal_edges(roots):
-            adj[i].add(j)
-            adj[j].add(i)
-        seen: set[int] = set()
-        comps = []
-        for i in range(n):
-            if i in seen:
-                continue
-            stack, comp = [i], []
-            seen.add(i)
-            while stack:
-                v = stack.pop()
-                comp.append(v)
-                for u in adj[v]:
-                    if u not in seen:
-                        seen.add(u)
-                        stack.append(u)
-            comps.append(sorted(comp))
-        return comps
 
     def __repr__(self) -> str:
         return f"RootSystem({self.label})"

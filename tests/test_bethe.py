@@ -1,6 +1,7 @@
 """Holonomy vectors, Weyl action, limit points and their recovery."""
 
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 
@@ -8,9 +9,9 @@ from trigbethe.bethe import (HolonomySpace, XPoint, chart_only,
                              injectivity_pool, recover_data, sample_xpoints,
                              weyl_action_report, xpoint_from_dict)
 from trigbethe.field import CyclotomicField
-from trigbethe.linalg import rank, row_space_equal, rref
+from trigbethe.linalg import mat_inverse, rank, row_space_equal, rref
 from trigbethe.nested import Chart, maximal_nested_sets
-from trigbethe.roots import root_system
+from trigbethe.roots import RootSystem, int_mat_mul, root_system
 
 F6 = CyclotomicField(6)
 
@@ -71,16 +72,111 @@ def test_delta_and_casimir():
     assert sp.casimir() == sp.vector({a: 1 for a in sp.pos})
 
 
-def test_weyl_action_selection():
+# ----------------------------------------------------------------------
+# Reference Weyl actions, written from the Fraction inverse of w.  The
+# "equivariant" one is the reference for HolonomySpace.act; the other two
+# are wrong on purpose and serve as negative controls.
+
+
+@lru_cache(maxsize=None)
+def fraction_inverse(w):
+    inv = mat_inverse([[Fraction(x) for x in row] for row in w])
+    return tuple(tuple(int(x) for x in row) for row in inv)
+
+
+def reference_h_transport(rs, w, h):
+    winv = fraction_inverse(w)
+    n = rs.rank
+    return [sum(winv[j][i] * h[j] for j in range(n)) for i in range(n)]
+
+
+def reference_action(variant):
+    """t_alpha -> t_|w alpha|; tau(h) -> tau(h') - sum alpha(h'') t_alpha over
+    the inversion set, with (h', h'') = (w.h, w.h) when equivariant,
+    (w.h, h) half-transported, (h, h) untransported."""
+    def act(space, w, vec):
+        rs = space.rs
+        winv = fraction_inverse(w)
+        out = space.zero()
+        for a in space.pos:
+            c = vec[space.t_index(a)]
+            out[space.t_index(rs.act(w, a))] += c
+        h_old = list(vec[space.npos:])
+        h_new = reference_h_transport(rs, w, h_old)
+        h_tau = h_old if variant == "untransported" else h_new
+        h_weight = h_new if variant == "equivariant" else h_old
+        for i, c in enumerate(h_tau):
+            out[space.npos + i] += c
+        for a in space.pos:
+            if min(rs.act(winv, a)) < 0:
+                out[space.t_index(a)] -= space.alpha_of_h(a, h_weight)
+        return out
+    return act
+
+
+def action_properties(rs, act):
+    """(group law on generators, delta transport, Bethe transport) of act,
+    each over every Weyl element, on field vectors."""
+    space = HolonomySpace(rs, F6)
+    n = rs.rank
+    elements = list(rs.weyl_elements())
+    gens = [rs.simple_reflection(i) for i in range(n)]
+    basis = [[F6.from_rational(int(i == j)) for j in range(space.dim)]
+             for i in range(space.dim)]
+    group_law = all(
+        act(space, int_mat_mul(w, g), e) == act(space, w, act(space, g, e))
+        for w in elements for g in gens for e in basis)
+    h_basis = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    delta = all(
+        act(space, w, space.delta(h))
+        == space.delta(reference_h_transport(rs, w, h))
+        for w in elements for h in h_basis)
+    point = frac_point(F6, *[k + 2 for k in range(n)])
+    bethe = all(
+        act(space, w, space.bethe(point, h))
+        == space.bethe(tuple(space._eval(point, col)
+                             for col in zip(*fraction_inverse(w))),
+                       reference_h_transport(rs, w, h))
+        for w in elements for h in h_basis)
+    return group_law, delta, bethe
+
+
+def test_wrong_actions_fail_and_library_action_passes():
     for label in ["A2", "B2"]:
-        report = weyl_action_report(root_system(label), F6, seed=0)
-        assert report["selected"] == "equivariant"
-        assert all(report["variants"]["equivariant"].values())
-        for bad in ["untransported", "half-transported"]:
-            r = report["variants"][bad]
-            assert not r["group_law"]
-            assert not r["delta_transport"]
-            assert not r["bethe_transport"]
+        rs = root_system(label)
+        for variant in ["untransported", "half-transported"]:
+            assert action_properties(rs, reference_action(variant)) == \
+                (False, False, False), (label, variant)
+        assert action_properties(rs, reference_action("equivariant")) == \
+            (True, True, True)
+        assert action_properties(
+            rs, lambda space, w, vec: space.act(w, vec)) == (True, True, True)
+        report = weyl_action_report(rs, F6, seed=0)
+        assert report["group_law"] and report["delta_transport"] \
+            and report["bethe_transport"]
+        assert report["products"] == len(rs.weyl_elements()) * rs.rank
+
+
+def test_act_matches_fraction_reference_on_basis():
+    reference = reference_action("equivariant")
+    for label in ["A1", "A2", "A3", "B2", "B3", "C2", "C3", "G2"]:
+        rs = root_system(label)
+        space = HolonomySpace(rs, F6)
+        basis = [[F6.from_rational(int(i == j)) for j in range(space.dim)]
+                 for i in range(space.dim)]
+        for w in rs.weyl_elements():
+            for e in basis:
+                assert space.act(w, e) == reference(space, w, e), label
+
+
+def test_twisted_point_never_enumerates_the_group(monkeypatch):
+    def refuse(self):
+        raise AssertionError("whole Weyl group enumerated")
+    monkeypatch.setattr(RootSystem, "weyl_elements", refuse)
+    x = xpoint_from_dict({"type": "D4", "w": [2, 1, 3, 4, 2],
+                          "I": [1, 2, 3, 4], "y": ["2", "3", "5", "7"],
+                          "S": [], "t": []})
+    assert rank(x.subspace()) == 4
 
 
 def test_action_fixes_casimir_and_preserves_spans():

@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from trigbethe.bethe import xpoint_from_dict
 from trigbethe.cli import main
 
 
@@ -143,6 +144,14 @@ def test_subspace_from_stdin(capsys, monkeypatch):
     assert data["basis"] == [{"t(1)": "1", "tau(1)": "-6/7"}]
 
 
+def test_subspace_f4_defaults_to_order_twelve(capsys, monkeypatch):
+    spec = {"type": "F4", "I": [], "y": [], "S": [], "t": []}
+    assert xpoint_from_dict(spec).field.order == 12
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(spec)))
+    data = run_json(capsys, "subspace", "-")
+    assert data["input"]["field_order"] == 12
+
+
 def test_subspace_bad_inputs(capsys, tmp_path):
     f = tmp_path / "bad.json"
     f.write_text("{not json")
@@ -161,9 +170,26 @@ def test_check_single_passes(capsys):
         data = run_json(capsys, "check", what, "--type", "A2",
                         "--samples", "3")
         assert data["passed"] is True
-        assert data["w_action"]["selected"] == "equivariant"
         assert [c["name"] for c in data["checks"]] == [what]
         assert all(c["passed"] for c in data["checks"])
+
+
+def test_check_weyl_a2(capsys):
+    data = run_json(capsys, "check", "weyl", "--type", "A2")
+    assert data["passed"] is True
+    [weyl] = data["checks"]
+    assert weyl["name"] == "weyl" and weyl["passed"] is True
+    assert weyl["group_law"] and weyl["delta_transport"] \
+        and weyl["bethe_transport"]
+    assert weyl["elements"] == 6 and weyl["products"] == 12
+
+
+def test_check_weyl_d4_exhaustive(capsys):
+    data = run_json(capsys, "check", "weyl", "--type", "D4")
+    [weyl] = data["checks"]
+    assert weyl["passed"] is True
+    assert weyl["products"] == 768 == 192 * 4
+    assert weyl["exhaustive"] is True
 
 
 def test_check_all_a2(capsys):
@@ -171,7 +197,7 @@ def test_check_all_a2(capsys):
     assert data["passed"] is True
     names = [c["name"] for c in data["checks"]]
     assert names == ["commutativity", "rank", "injectivity",
-                     "triangularity", "hecke", "typea"]
+                     "triangularity", "hecke", "typea", "weyl"]
 
 
 def test_check_spec_examples(capsys):

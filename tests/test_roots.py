@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from trigbethe.linalg import mat_inverse
 from trigbethe.roots import WEYL_ORDERS, root_system
 
 ALL_TYPES = ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C3", "C4",
@@ -130,6 +131,26 @@ def test_inversion_sets_count_word_length():
             assert len(set(inv)) == len(inv)
     rs = root_system("A2")
     assert rs.inversion_set(rs.matrix_of_word(())) == []
+
+
+def test_cached_element_tables_match_fraction_oracle():
+    # the cached w^{-1} (G^{-1} w^T G in integers) against Fraction row
+    # reduction, and the cached inversion set against the sign test on
+    # w^{-1} applied to each positive root
+    for label in ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C2", "C3",
+                  "C4", "D4", "G2"]:
+        rs = root_system(label)
+        for m in rs.weyl_elements():
+            inv = mat_inverse([[Fraction(x) for x in row] for row in m])
+            assert all(x.denominator == 1 for row in inv for x in row)
+            oracle = tuple(tuple(int(x) for x in row) for row in inv)
+            assert rs.inverse_matrix(m) == oracle, label
+            assert rs.inversion_set(m) == [
+                a for a in rs.positive_roots
+                if any(sum(oracle[i][j] * a[j] for j in range(rs.rank)) < 0
+                       for i in range(rs.rank))], label
+    with pytest.raises(ValueError):
+        root_system("A2").inverse_matrix(((2, 0), (0, 1)))
 
 
 def test_base_of_recovers_simples():
