@@ -25,11 +25,11 @@ untwisted subspace.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .field import CyclotomicField, FieldElement, default_field_order
+from .field import CyclotomicField, FieldElement, char_value, default_field_order
 from .layers import RootAmbient
 from .linalg import nullspace, rank as mat_rank, rref
 from .nested import Chart, maximal_nested_sets
@@ -103,7 +103,7 @@ class HolonomySpace:
         """
         weights = {}
         for a in self.pos:
-            u = self._eval(point, a)
+            u = char_value(self.field, point, a)
             if u.is_one():
                 raise ZeroDivisionError(f"point centralizes root {a}")
             weights[a] = -(u / (u - 1))
@@ -137,14 +137,6 @@ class HolonomySpace:
         n = self.rs.rank
         basis = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
         return [self.gaudin(chi, h, roots) for h in basis]
-
-    def _eval(self, point: Sequence[FieldElement], coords: Sequence[int]
-              ) -> FieldElement:
-        out = self.field.one()
-        for y, k in zip(point, coords):
-            if k:
-                out = out * y ** k
-        return out
 
     # ------------------------------------------------------------------
     # Weyl action
@@ -250,7 +242,8 @@ def weyl_action_report(rs: RootSystem, field: CyclotomicField,
         cand = tuple(field.from_rational(Fraction(rng.randint(2, 50),
                                                   rng.randint(2, 50)))
                      for _ in range(n))
-        if all(not space._eval(cand, a).is_one() for a in rs.positive_roots):
+        if all(not char_value(field, cand, a).is_one()
+               for a in rs.positive_roots):
             point = cand
     deltas = [space.delta(h) for h in h_basis]
     bethes = space.bethe_subspace(point)
@@ -283,7 +276,8 @@ def _columns_of_inverse(rs: RootSystem, w: IntMatrix) -> list[Coords]:
 
 def transported_point(rs: RootSystem, space: HolonomySpace, w: IntMatrix,
                       point: Sequence[FieldElement]) -> tuple:
-    return tuple(space._eval(point, col) for col in _columns_of_inverse(rs, w))
+    return tuple(char_value(space.field, point, col)
+                 for col in _columns_of_inverse(rs, w))
 
 
 # ----------------------------------------------------------------------
@@ -298,7 +292,8 @@ class XPoint:
     exact torus coordinates aligned with subset; chart: maximal nested
     family on the base of the point's centralizer; tvals: chart
     coordinates (zeros mark boundary divisors); word: Weyl twist applied
-    after everything else.
+    after everything else; root_values: e^alpha at the point for every
+    root supported on subset, computed when omitted.
     """
 
     rs: RootSystem
@@ -308,12 +303,18 @@ class XPoint:
     point: tuple[FieldElement, ...]
     chart: Chart
     tvals: tuple[Fraction, ...]
+    root_values: dict[Coords, FieldElement] | None = dc_field(
+        default=None, repr=False, compare=False)
 
     def __post_init__(self):
         self.w = self.rs.matrix_of_word(self.word)
         self.space = HolonomySpace(self.rs, self.field)
         self.sub_pos = self.rs.roots_with_support_in(self.subset)
-        self.centralized = [a for a in self.sub_pos if self._eval_at(a).is_one()]
+        if self.root_values is None:
+            self.root_values = stratum_values(self.rs, self.field,
+                                              self.subset, self.point)
+        self.centralized = [a for a in self.sub_pos
+                            if self.root_values[a].is_one()]
         base = self.rs.base_of(self.centralized)
         if tuple(base) != self.chart.base:
             raise ValueError("chart base does not match the point's centralizer")
@@ -321,14 +322,6 @@ class XPoint:
             raise ValueError("one chart coordinate required per member")
         if not self.chart.is_generic(self.tvals):
             raise ValueError("chart coordinates hit a residual hypersurface")
-
-    def _eval_at(self, alpha: Coords) -> FieldElement:
-        out = self.field.one()
-        for i, idx in enumerate(self.subset):
-            k = alpha[idx]
-            if k:
-                out = out * self.point[i] ** k
-        return out
 
     # ------------------------------------------------------------------
 
@@ -348,7 +341,7 @@ class XPoint:
         for h in h_basis:
             terms = {}
             for a in outside:
-                u = self._eval_at(a)
+                u = self.root_values[a]
                 ah = space.alpha_of_h(a, h)
                 terms[a] = -(u / (u - 1)) * ah
             gens.append(space.vector(terms, h))
@@ -379,40 +372,69 @@ class XPoint:
         }
 
 
+def stratum_values(rs: RootSystem, field: CyclotomicField,
+                   subset: Sequence[int], point: Sequence[FieldElement]
+                   ) -> dict[Coords, FieldElement]:
+    """e^alpha at a point of the stratum torus, per root supported on subset."""
+    return {a: char_value(field, point, [a[i] for i in subset])
+            for a in rs.roots_with_support_in(subset)}
+
+
+def _list_of(kind: type, value, what: str) -> list:
+    # bool is an int subclass, so the entry types are compared exactly
+    if not isinstance(value, list) or any(type(v) is not kind for v in value):
+        raise ValueError(f"{what} must be a list of {kind.__name__} entries")
+    return value
+
+
+def _entries(data: dict, key: str, kind: type) -> list:
+    return _list_of(kind, data.get(key, []), repr(key))
+
+
 def xpoint_from_dict(data: dict) -> XPoint:
+    """The point a JSON description names; ValueError on malformed input.
+
+    type is a label string, field_order, w and I are integers, S is a
+    list of integer lists, and every y and t entry is an exact string
+    (y in the str() form of the field, t a rational); y entries are
+    nonzero, since a torus point has nonzero coordinates.
+    """
     from .roots import root_system
+    if not isinstance(data, dict):
+        raise ValueError("a point description is a JSON object")
+    if not isinstance(data.get("type"), str):
+        raise ValueError("'type' must be a root system label string")
     rs = root_system(data["type"])
-    field = CyclotomicField(int(data.get("field_order",
-                                         default_field_order(rs.family))))
-    word = tuple(int(i) - 1 for i in data.get("w", []))
-    subset = tuple(sorted(int(i) - 1 for i in data.get("I", [])))
+    order = data.get("field_order", default_field_order(rs.family))
+    if type(order) is not int:
+        raise ValueError("'field_order' must be an integer")
+    field = CyclotomicField(order)
+    word = tuple(i - 1 for i in _entries(data, "w", int))
+    subset = tuple(sorted(i - 1 for i in _entries(data, "I", int)))
     if any(i < 0 or i >= rs.rank for i in subset):
         raise ValueError("stratum indices out of range")
     if any(i < 0 or i >= rs.rank for i in word):
         raise ValueError("word letters out of range")
-    y = tuple(field.parse(s) for s in data.get("y", []))
+    y = tuple(field.parse(s) for s in _entries(data, "y", str))
     if len(y) != len(subset):
         raise ValueError("need one coordinate per stratum index")
+    if any(v.is_zero() for v in y):
+        raise ValueError("a torus coordinate y is zero")
     # centralizer and its base determine the chart vertex set
-    space_rs = rs
-    sub_pos = space_rs.roots_with_support_in(subset)
-
-    def eval_at(alpha):
-        out = field.one()
-        for i, idx in enumerate(subset):
-            if alpha[idx]:
-                out = out * y[i] ** alpha[idx]
-        return out
-
-    centralized = [a for a in sub_pos if eval_at(a).is_one()]
+    values = stratum_values(rs, field, subset, y)
+    centralized = [a for a, u in values.items() if u.is_one()]
     base = rs.base_of(centralized)
-    sets = [frozenset(int(v) - 1 for v in s) for s in data.get("S", [])]
+    sets = [frozenset(v - 1 for v in _list_of(int, s, "each 'S' member"))
+            for s in _entries(data, "S", list)]
     for s in sets:
         if any(v < 0 or v >= len(base) for v in s):
             raise ValueError("chart member vertex out of range")
     chart = Chart(base, centralized, sets)
-    tvals = tuple(Fraction(t) for t in data.get("t", []))
-    return XPoint(rs, field, word, subset, y, chart, tvals)
+    try:
+        tvals = tuple(Fraction(t) for t in _entries(data, "t", str))
+    except ZeroDivisionError:
+        raise ValueError("a chart coordinate t has a zero denominator") from None
+    return XPoint(rs, field, word, subset, y, chart, tvals, values)
 
 
 # ----------------------------------------------------------------------

@@ -32,6 +32,9 @@ from .roots import RootSystem, root_system
 
 SCHEMA = 1
 
+# spin-chain sizes of the type-independent checks (commutativity, typea)
+SPIN_SIZES = (2, 3)
+
 
 def _field_for(rs: RootSystem, explicit: int | None) -> CyclotomicField:
     return CyclotomicField(default_field_order(rs.family)
@@ -187,7 +190,7 @@ def _cmd_subspace(args) -> int:
             with open(args.specfile, encoding="utf-8") as fh:
                 data = json.load(fh)
         x = xpoint_from_dict(data)
-    except (OSError, ValueError, KeyError) as exc:
+    except (OSError, ValueError, KeyError, RecursionError) as exc:
         print(f"bad point description: {exc}", file=sys.stderr)
         return 2
     vectors = x.subspace()
@@ -221,7 +224,7 @@ def _check_commutativity(args) -> dict:
     field = CyclotomicField(DEFAULT_FIELD_ORDER)
     bad = []
     total = 0
-    for n in (2, 3):
+    for n in SPIN_SIZES:
         src = typea.TrigSource(n, field)
         tgt = typea.RationalTarget(n, field)
         for s in range(args.samples):
@@ -244,6 +247,7 @@ def _check_commutativity(args) -> dict:
                 if not spin.mat_equal(rep, want):
                     bad.append(f"n={n} s={s} image(k={k}) != -z_k H_k")
     return {"name": "commutativity", "passed": not bad,
+            "type_independent": True, "n": list(SPIN_SIZES),
             "detail": f"{total} spin identities exact" if not bad
             else "; ".join(bad[:4])}
 
@@ -327,7 +331,7 @@ def _check_hecke(args) -> dict:
 def _check_typea(args) -> dict:
     field = CyclotomicField(DEFAULT_FIELD_ORDER)
     bad = []
-    for n in (2, 3):
+    for n in SPIN_SIZES:
         src = typea.TrigSource(n, field)
         tgt = typea.RationalTarget(n, field)
         for s in range(args.samples):
@@ -338,6 +342,7 @@ def _check_typea(args) -> dict:
             if not typea.spans_match(src, tgt, z):
                 bad.append(f"n={n} s={s} span equality")
     return {"name": "typea", "passed": not bad,
+            "type_independent": True, "n": list(SPIN_SIZES),
             "detail": "images equal scaled rational elements; spans equal"
             if not bad else "; ".join(bad[:4])}
 

@@ -1,14 +1,28 @@
 """Exact arithmetic in the cyclotomic field Q(zeta_N).
 
-Elements are polynomials in zeta_N with rational coefficients, reduced
-modulo the N-th cyclotomic polynomial, so every element is a vector of
-phi(N) fractions.  All operations are exact; there are no floats here.
+An element is a polynomial in zeta_N of degree below phi(N), kept as
+phi(N) integer numerators over one positive integer denominator (Cohen,
+A Course in Computational Algebraic Number Theory, 4.2).  The form is
+canonical: the denominator is coprime to the numerators and zero has
+denominator 1, so equality is a tuple comparison.
+
+Each field stores, once, the integer coordinates of zeta^j reduced
+modulo the cyclotomic polynomial for every j < N.  A product is an
+integer convolution whose high powers are folded back through that
+table (exponents taken mod N); a Galois conjugate sigma_k
+(zeta -> zeta^k) is the same table read at the exponents i*k mod N, so
+the inverse x^{-1} = prod_{k != 1} sigma_k(x) / N(x) needs integer
+products and one rational division.  int and Fraction operands are used
+as they are, never lifted to field elements.  All operations are exact;
+there are no floats here.
 """
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd, lcm
 from typing import Union
 
 Rat = Union[int, Fraction]
@@ -52,6 +66,11 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     return tuple(poly)
 
 
+# one term of the str() form: sign, then "c", "c*z^k", "z^k" (c = p or p/q)
+_TERM = re.compile(r"\s*([+-])?\s*(?:(\d+(?:/\d+)?)(\s*\*\s*z(?:\^(\d+))?)?"
+                   r"|z(?:\^(\d+))?)\s*")
+
+
 class CyclotomicField:
     """The field Q(zeta_N), with zeta_N a primitive N-th root of unity.
 
@@ -72,46 +91,68 @@ class CyclotomicField:
             return
         if order < 1:
             raise ValueError("order must be positive")
-        self.order = order
         self.modulus = cyclotomic_polynomial(order)
-        self.degree = len(self.modulus) - 1
+        self.degree = phi = len(self.modulus) - 1
+        # powers[j]: nonzero (index, coefficient) pairs of zeta^j mod Phi_N
+        vec = [1] + [0] * phi
+        powers = []
+        for _ in range(order):
+            powers.append([(i, c) for i, c in enumerate(vec[:phi]) if c])
+            vec = [0] + vec[:phi]
+            top = vec[phi]
+            if top:
+                vec = [v - top * m for v, m in zip(vec, self.modulus)]
+        self._powers = powers
+        self._conjugates = [k for k in range(2, order) if gcd(k, order) == 1]
+        self._one = (1,) + (0,) * (phi - 1)
+        self.order = order
 
     def __repr__(self) -> str:
         return f"CyclotomicField({self.order})"
 
     def element(self, coeffs) -> FieldElement:
-        vec = [Fraction(c) for c in coeffs]
-        if len(vec) > self.degree:
-            vec = self._reduce(vec)
-        vec += [Fraction(0)] * (self.degree - len(vec))
-        return FieldElement(self, tuple(vec))
+        """sum_j coeffs[j] * zeta^j, for any number of rational coefficients."""
+        fracs = [Fraction(c) for c in coeffs]
+        den = lcm(*(c.denominator for c in fracs))
+        return _canonical(self, self._fold(
+            (j, c.numerator * (den // c.denominator))
+            for j, c in enumerate(fracs)), den)
 
-    def _reduce(self, vec: list[Fraction]) -> list[Fraction]:
-        vec = list(vec)
-        mod = self.modulus
-        for i in range(len(vec) - 1, self.degree - 1, -1):
-            c = vec[i]
+    def _fold(self, terms) -> list[int]:
+        """Integer coordinates of sum c * zeta^e over the (e, c) in terms."""
+        out = [0] * self.degree
+        powers, order = self._powers, self.order
+        for e, c in terms:
             if c:
-                for j in range(len(mod) - 1):
-                    vec[i - self.degree + j] -= c * mod[j]
-                vec[i] = Fraction(0)
-        return vec[: self.degree]
+                for i, p in powers[e % order]:
+                    out[i] += c * p
+        return out
+
+    def _mul_nums(self, a, b) -> list[int]:
+        # integer convolution, then high powers folded back by the table
+        phi = self.degree
+        prod = [0] * (2 * phi - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b):
+                    if y:
+                        prod[i + j] += x * y
+        return self._fold(enumerate(prod))
 
     def zero(self) -> FieldElement:
-        return self.element([])
+        return FieldElement(self, (0,) * self.degree, 1)
 
     def one(self) -> FieldElement:
-        return self.element([1])
+        return FieldElement(self, self._one, 1)
 
     def from_rational(self, q: Rat) -> FieldElement:
-        return self.element([Fraction(q)])
+        q = Fraction(q)
+        return FieldElement(self, (q.numerator,) + (0,) * (self.degree - 1),
+                            q.denominator)
 
     def zeta(self, power: int = 1) -> FieldElement:
         """zeta_N ** power, for any integer power."""
-        power %= self.order
-        vec = [Fraction(0)] * (power + 1)
-        vec[power] = Fraction(1)
-        return self.element(vec)
+        return self.element([0] * (power % self.order) + [1])
 
     def root_exponent(self, k: int, power: int = 1) -> int:
         """e with zeta_N ** e the power-th power of a primitive k-th root of unity.
@@ -137,115 +178,142 @@ class CyclotomicField:
         raise TypeError(f"cannot coerce {type(value).__name__} into {self!r}")
 
     def parse(self, text: str) -> FieldElement:
-        """Inverse of str(element); accepts forms like '1/2 - 3*z^2'."""
-        text = text.strip().replace("-", "+-")
-        total = self.zero()
-        for chunk in text.split("+"):
-            chunk = chunk.strip()
-            if not chunk:
-                continue
-            neg = chunk.startswith("-")
-            if neg:
-                chunk = chunk[1:].strip()
-            if "z" in chunk:
-                head, _, tail = chunk.partition("z")
-                head = head.rstrip("*").strip()
-                coeff = Fraction(head) if head else Fraction(1)
-                power = int(tail[1:]) if tail.startswith("^") else 1
+        """Inverse of str(element): signed terms c, c*z^k or z^k, c = p or p/q.
+
+        Anything else (a stray token, a dangling '*', an empty term, a
+        zero denominator) raises ValueError.
+        """
+        if not isinstance(text, str):
+            raise ValueError(f"field element must be a string, got {text!r}")
+        coeffs = [Fraction(0)] * self.order
+        pos = 0
+        while pos == 0 or pos < len(text):
+            m = _TERM.match(text, pos)
+            if m is None or m.end() == pos or (pos and m.group(1) is None):
+                raise ValueError(f"cannot parse field element {text!r}")
+            sign, coeff, starred, p_star, p_bare = m.groups()
+            if coeff is None:
+                c, power = Fraction(1), int(p_bare or 1)
             else:
-                coeff = Fraction(chunk)
-                power = 0
-            term = self.zeta(power) * coeff
-            total = total - term if neg else total + term
-        return total
+                p, _, q = coeff.partition("/")
+                if q and int(q) == 0:
+                    raise ValueError(f"zero denominator in {text!r}")
+                c = Fraction(int(p), int(q or 1))
+                power = int(p_star or 1) if starred else 0
+            coeffs[power % self.order] += -c if sign == "-" else c
+            pos = m.end()
+        return self.element(coeffs)
+
+
+def _canonical(field: CyclotomicField, nums, den: int) -> "FieldElement":
+    """nums/den with the common factor and the sign moved out of den."""
+    g = gcd(den, *nums)
+    if den < 0:
+        g = -g
+    if g != 1:
+        return FieldElement(field, tuple(n // g for n in nums), den // g)
+    return FieldElement(field, tuple(nums), den)
 
 
 class FieldElement:
-    """An element of Q(zeta_N); supports field arithmetic and hashing."""
+    """An element of Q(zeta_N): integer numerators `nums` over `den` > 0."""
 
-    __slots__ = ("field", "coeffs")
+    __slots__ = ("field", "nums", "den")
 
-    def __init__(self, field: CyclotomicField, coeffs: tuple[Fraction, ...]):
+    def __init__(self, field: CyclotomicField, nums: tuple[int, ...], den: int):
         self.field = field
-        self.coeffs = coeffs
+        self.nums = nums
+        self.den = den
 
-    def _lift(self, other) -> "FieldElement | None":
-        if isinstance(other, FieldElement):
-            if other.field.order != self.field.order:
-                raise ValueError("field order mismatch")
-            return other
-        if isinstance(other, (int, Fraction)):
-            return self.field.from_rational(other)
-        return None
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The coordinates in 1, zeta, ..., zeta^(phi-1) as fractions."""
+        return tuple(Fraction(n, self.den) for n in self.nums)
+
+    def _check(self, other: "FieldElement") -> None:
+        if other.field is not self.field and other.field.order != self.field.order:
+            raise ValueError("field order mismatch")
 
     def __add__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return FieldElement(self.field,
-                            tuple(a + b for a, b in zip(self.coeffs, o.coeffs)))
+        if isinstance(other, FieldElement):
+            self._check(other)
+            a, b = self.den, other.den
+            if a == b:
+                return _canonical(self.field, [x + y for x, y in
+                                               zip(self.nums, other.nums)], a)
+            return _canonical(self.field, [x * b + y * a for x, y in
+                                           zip(self.nums, other.nums)], a * b)
+        if isinstance(other, (int, Fraction)):
+            p, q = other.numerator, other.denominator
+            d = self.den
+            return _canonical(self.field, [self.nums[0] * q + p * d]
+                              + [x * q for x in self.nums[1:]], d * q)
+        return NotImplemented
 
     __radd__ = __add__
 
     def __neg__(self):
-        return FieldElement(self.field, tuple(-a for a in self.coeffs))
+        return FieldElement(self.field, tuple(-x for x in self.nums), self.den)
 
     def __sub__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return FieldElement(self.field,
-                            tuple(a - b for a, b in zip(self.coeffs, o.coeffs)))
+        if isinstance(other, FieldElement):
+            self._check(other)
+            a, b = self.den, other.den
+            if a == b:
+                return _canonical(self.field, [x - y for x, y in
+                                               zip(self.nums, other.nums)], a)
+            return _canonical(self.field, [x * b - y * a for x, y in
+                                           zip(self.nums, other.nums)], a * b)
+        if isinstance(other, (int, Fraction)):
+            return self + (-other)
+        return NotImplemented
 
     def __rsub__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return o - self
+        if isinstance(other, (int, Fraction)):
+            return -self + other
+        return NotImplemented
 
     def __mul__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        deg = self.field.degree
-        prod = [Fraction(0)] * (2 * deg - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(o.coeffs):
-                    if b:
-                        prod[i + j] += a * b
-        return FieldElement(self.field, tuple(self.field._reduce(prod)))
+        if isinstance(other, FieldElement):
+            self._check(other)
+            return _canonical(self.field,
+                              self.field._mul_nums(self.nums, other.nums),
+                              self.den * other.den)
+        if isinstance(other, (int, Fraction)):
+            p, q = other.numerator, other.denominator
+            return _canonical(self.field, [x * p for x in self.nums],
+                              self.den * q)
+        return NotImplemented
 
     __rmul__ = __mul__
 
     def inverse(self) -> "FieldElement":
+        """prod of the conjugates sigma_k(x), k != 1, over the norm N(x)."""
         if self.is_zero():
             raise ZeroDivisionError("division by zero in cyclotomic field")
-        # Extended Euclid in Q[x] against the cyclotomic modulus.
-        mod = [Fraction(c) for c in self.field.modulus]
-        r0, r1 = mod, list(self.coeffs)
-        while len(r1) > 1 and r1[-1] == 0:
-            r1.pop()
-        s0, s1 = [Fraction(0)], [Fraction(1)]
-        while True:
-            if len(r1) == 1:
-                c = r1[0]
-                return self.field.element([x / c for x in s1])
-            q, r = _rational_divmod(r0, r1)
-            s = _poly_sub(s0, _poly_mul(q, s1))
-            r0, s0, r1, s1 = r1, s1, r, s
+        field, nums = self.field, self.nums
+        if not any(nums[1:]):
+            return field.from_rational(Fraction(self.den, nums[0]))
+        prod = None
+        for k in field._conjugates:
+            # sigma_k: zeta^i -> zeta^(i*k mod N)
+            conj = field._fold((i * k, x) for i, x in enumerate(nums))
+            prod = conj if prod is None else field._mul_nums(prod, conj)
+        # nums * prod is the norm of nums: an integer in coordinate 0
+        norm = field._mul_nums(nums, prod)[0]
+        return _canonical(field, [x * self.den for x in prod], norm)
 
     def __truediv__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return self * o.inverse()
+        if isinstance(other, FieldElement):
+            return self * other.inverse()
+        if isinstance(other, (int, Fraction)):
+            return self * (1 / Fraction(other))
+        return NotImplemented
 
     def __rtruediv__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return o * self.inverse()
+        if isinstance(other, (int, Fraction)):
+            return self.inverse() * other
+        return NotImplemented
 
     def __pow__(self, exp: int):
         if exp < 0:
@@ -255,32 +323,37 @@ class FieldElement:
         while exp:
             if exp & 1:
                 out = out * base
-            base = base * base
             exp >>= 1
+            if exp:
+                base = base * base
         return out
 
     def __eq__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return self.coeffs == o.coeffs
+        if isinstance(other, FieldElement):
+            self._check(other)
+            return self.den == other.den and self.nums == other.nums
+        if isinstance(other, (int, Fraction)):
+            return (self.den == other.denominator
+                    and self.nums[0] == other.numerator
+                    and not any(self.nums[1:]))
+        return NotImplemented
 
     def __hash__(self):
-        return hash((self.field.order, self.coeffs))
+        return hash((self.field.order, self.nums, self.den))
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.nums)
 
     def is_one(self) -> bool:
-        return self == 1
+        return self.den == 1 and self.nums == self.field._one
 
     def is_rational(self) -> bool:
-        return all(c == 0 for c in self.coeffs[1:])
+        return not any(self.nums[1:])
 
     def as_rational(self) -> Fraction:
         if not self.is_rational():
             raise ValueError("element is not rational")
-        return self.coeffs[0]
+        return Fraction(self.nums[0], self.den)
 
     def __str__(self) -> str:
         parts = []
@@ -303,31 +376,11 @@ class FieldElement:
         return f"<{self} in Q(zeta_{self.field.order})>"
 
 
-def _rational_divmod(num: list[Fraction], den: list[Fraction]):
-    num = list(num)
-    q = [Fraction(0)] * max(1, len(num) - len(den) + 1)
-    for shift in range(len(num) - len(den), -1, -1):
-        c = num[shift + len(den) - 1] / den[-1]
-        q[shift] = c
-        if c:
-            for i, d in enumerate(den):
-                num[shift + i] -= c * d
-    while len(num) > 1 and num[-1] == 0:
-        num.pop()
-    return q, num
-
-
-def _poly_mul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return out
-
-
-def _poly_sub(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    n = max(len(a), len(b))
-    a = a + [Fraction(0)] * (n - len(a))
-    b = b + [Fraction(0)] * (n - len(b))
-    return [x - y for x, y in zip(a, b)]
+def char_value(field: CyclotomicField, point, coords) -> FieldElement:
+    """prod_i point[i] ** coords[i]: the character e^coords at a torus point."""
+    out = None
+    for y, k in zip(point, coords):
+        if k:
+            term = y if k == 1 else y ** k
+            out = term if out is None else out * term
+    return field.one() if out is None else out

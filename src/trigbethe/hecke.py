@@ -184,7 +184,7 @@ class HeckeAlgebra:
     # the commuting family and the degree-one correspondence
 
     def bmo(self, k: int, qvals: Sequence[Fraction],
-            weight: str = "standard", term_sign: int = 1) -> HeckeElem:
+            weight: str = "standard") -> HeckeElem:
         """Deformed degree-one family member for the k-th dual basis vector.
 
         weight picks the simple-fraction profile applied to each root
@@ -206,7 +206,7 @@ class HeckeAlgebra:
                 c = u / (u - 1)
             else:
                 raise ValueError(f"unknown weight {weight!r}")
-            coeff = self.tvar * (Fraction(term_sign) * c * ah)
+            coeff = self.tvar * (c * ah)
             refl = self.rs.reflection_in_root(a)
             out = self.add(out, {refl: coeff,
                                  self.ident: coeff * Fraction(-1)})

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .field import CyclotomicField, FieldElement
+from .field import CyclotomicField, FieldElement, char_value
 from .lattice import hermite_normal_form, int_rank, smith_normal_form
 from .roots import Coords, RootSystem
 
@@ -73,13 +73,6 @@ class RootAmbient:
     def inner(self, a: Sequence[int], b: Sequence[int]) -> Fraction:
         return sum(Fraction(a[i]) * self.gram[i][j] * b[j]
                    for i in range(self.dim) for j in range(self.dim))
-
-    def evaluate(self, point: Point, coords: Sequence[int]) -> FieldElement:
-        out = self.field.one()
-        for y, k in zip(point, coords):
-            if k:
-                out = out * y ** k
-        return out
 
 
 @dataclass(frozen=True)
@@ -295,15 +288,7 @@ def point_on_layer(layer: Layer, params: Sequence[FieldElement] | None = None,
         raise ValueError("too many parameters for layer dimension")
     params += [field.one()] * (n - r - len(params))
     basis_vals = [layer.char_eval(sf.Vinv[i]) for i in range(r)] + params
-    point = []
-    for j in range(n):
-        y = field.one()
-        for i in range(n):
-            e = sf.V[j][i]
-            if e:
-                y = y * basis_vals[i] ** e
-        point.append(y)
-    return tuple(point)
+    return tuple(char_value(field, basis_vals, sf.V[j]) for j in range(n))
 
 
 def generic_point(amb: RootAmbient, layer: Layer, seed: int = 0,
@@ -319,14 +304,15 @@ def generic_point(amb: RootAmbient, layer: Layer, seed: int = 0,
             Fraction(rng.randint(2, 97), rng.randint(2, 97)))
             for _ in range(free)]
         pt = point_on_layer(layer, params, amb.field)
-        if all(not amb.evaluate(pt, a).is_one() for a in avoid):
+        if all(not char_value(amb.field, pt, a).is_one() for a in avoid):
             return pt
     raise RuntimeError("could not find a generic point; widen the search")
 
 
 def centralizer_at_point(amb: RootAmbient, point: Point) -> list[Coords]:
     """Positive roots whose character equals 1 at the point."""
-    return [a for a in amb.positive_roots if amb.evaluate(point, a).is_one()]
+    return [a for a in amb.positive_roots
+            if char_value(amb.field, point, a).is_one()]
 
 
 # ----------------------------------------------------------------------

@@ -36,8 +36,8 @@ def rref(rows: Sequence[Sequence[S]]) -> tuple[Matrix, list[int]]:
         if pr is None:
             continue
         mat[r], mat[pr] = mat[pr], mat[r]
-        inv_head = mat[r][c]
-        mat[r] = [x / inv_head for x in mat[r]]
+        inv = 1 / mat[r][c]
+        mat[r] = [x * inv for x in mat[r]]
         for i in range(len(mat)):
             if i != r and not mat[i][c] == 0:
                 f = mat[i][c]

@@ -8,7 +8,7 @@ import pytest
 from trigbethe.bethe import (HolonomySpace, XPoint, chart_only,
                              injectivity_pool, recover_data, sample_xpoints,
                              weyl_action_report, xpoint_from_dict)
-from trigbethe.field import CyclotomicField
+from trigbethe.field import CyclotomicField, char_value
 from trigbethe.linalg import mat_inverse, rank, row_space_equal, rref
 from trigbethe.nested import Chart, maximal_nested_sets
 from trigbethe.roots import RootSystem, int_mat_mul, root_system
@@ -134,7 +134,7 @@ def action_properties(rs, act):
     point = frac_point(F6, *[k + 2 for k in range(n)])
     bethe = all(
         act(space, w, space.bethe(point, h))
-        == space.bethe(tuple(space._eval(point, col)
+        == space.bethe(tuple(char_value(F6, point, col)
                              for col in zip(*fraction_inverse(w))),
                        reference_h_transport(rs, w, h))
         for w in elements for h in h_basis)
@@ -295,7 +295,7 @@ def test_recovery_on_untwisted_samples():
         assert rec.centralized_pos == tuple(sorted(
             x.centralized, key=lambda c: (sum(c), c)))
         for a, u in rec.unit_values.items():
-            assert u == x._eval_at(a)
+            assert u == x.root_values[a]
 
 
 def test_injectivity_pool_distinct_subspaces():

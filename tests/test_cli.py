@@ -231,3 +231,111 @@ def test_field_order_flag(capsys):
                     "--field-order", "12")
     assert data["field_order"] == 12
     assert data["count"] == 5
+
+
+def run_stdin(capsys, monkeypatch, text):
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    return run(capsys, "subspace", "-")
+
+
+def assert_rejected(code, out, err, text):
+    assert code == 2, text
+    assert out == "", text
+    assert err.startswith("bad point description:"), (text, err)
+    assert err.count("\n") == 1 and "Traceback" not in err, (text, err)
+
+
+VALID_POINTS = [
+    {"type": "A2", "I": [1, 2], "y": ["2", "3"], "S": [], "t": []},
+    {"type": "A2", "I": [1], "y": ["5"], "S": [], "t": []},
+    {"type": "A2", "w": [1], "I": [1, 2], "y": ["2", "3"], "S": [], "t": []},
+    {"type": "G2", "I": [2], "y": ["1"], "S": [[1]], "t": ["1"]},
+    {"type": "B2", "I": [1, 2], "y": ["1/2 - 3*z", "z"], "S": [], "t": []},
+]
+
+
+def test_subspace_rejects_malformed_points(capsys, monkeypatch):
+    base = {"type": "A2", "I": [1, 2], "y": ["2", "3"], "S": [], "t": []}
+    for point in VALID_POINTS:
+        code, out, err = run_stdin(capsys, monkeypatch, json.dumps(point))
+        assert code == 0 and err == "", (point, err)
+    cases = [
+        {**base, "y": "23"},                    # a string is not a list
+        {**base, "y": ["2", 3]},                # numbers are not exact strings
+        {**base, "y": ["2", 0.1]},
+        {**base, "y": ["2", "0"]},              # not a torus point
+        {**base, "y": ["2", "z - z"]},
+        {**base, "y": ["2", "zz"]},
+        {**base, "y": ["2", "z junk"]},
+        {**base, "y": ["2", "2*"]},
+        {**base, "y": ["2", "1 + + z"]},
+        {**base, "y": ["2", ""]},
+        {**base, "y": ["2", "1/0"]},
+        {**VALID_POINTS[3], "t": [0.1]},
+        {**VALID_POINTS[3], "t": [1]},
+        {**VALID_POINTS[3], "t": ["1/0"]},
+        {**base, "I": ["1", "2"]},
+        {**base, "field_order": "6"},
+        {**base, "type": 2},
+        {**base, "S": "1"},
+    ]
+    texts = [json.dumps(c) for c in cases] + ["[1, 2]", '"A2"', "3", "null",
+                                              "[" * 100000]
+    for text in texts:
+        assert_rejected(*run_stdin(capsys, monkeypatch, text), text)
+
+
+def _mutate(rng, point):
+    """A copy of a valid point description made invalid in one random way."""
+    point = json.loads(json.dumps(point))
+    kind = rng.randrange(9)
+    if kind == 0:
+        return json.dumps(point)[:rng.randrange(1, len(json.dumps(point)))]
+    if kind == 1:
+        return json.dumps(rng.choice([[point], "A2", 7, None, True]))
+    if kind == 2:
+        point["y"] = "".join(point["y"]) or "1"
+    elif kind == 3:
+        bad = rng.choice([0.1, 2, None, True, ["1"], {"a": 1}])
+        point["y"].insert(rng.randrange(len(point["y"]) + 1), bad)
+    elif kind == 4:
+        junk = rng.choice(["zz", "z junk", "2*", "", " ", "1 + + z", "1/0",
+                           "z^", "*z", "2 z", "1 -", "--1", "0", "0*z",
+                           "3 - 3", "z^2^3", "1/2/3", "z*2", "x"])
+        if point["y"]:
+            point["y"][rng.randrange(len(point["y"]))] = junk
+        else:
+            point["I"], point["y"] = [1], [junk]
+    elif kind == 5:
+        bad = rng.choice([0.1, 1, None, ["1"], "1/0", "one"])
+        point["t"].insert(rng.randrange(len(point["t"]) + 1), bad)
+    elif kind == 6:
+        key = rng.choice(["w", "I"])
+        point[key] = point.get(key, []) + [rng.choice(["1", 1.0, True, None])]
+    elif kind == 7:
+        point[rng.choice(["type", "field_order"])] = rng.choice(
+            [None, 6.0, "6", [6], {}])
+    else:
+        point[rng.choice(["y", "t", "S", "I", "w"])] = rng.choice(
+            ["12", 12, {"1": 2}, [[1], "1"]])
+    return json.dumps(point)
+
+
+def test_subspace_mutation_fuzz(capsys, monkeypatch):
+    import random
+    rng = random.Random(20261018)
+    for _ in range(300):
+        text = _mutate(rng, rng.choice(VALID_POINTS))
+        assert_rejected(*run_stdin(capsys, monkeypatch, text), text)
+
+
+def test_type_independent_checks_state_coverage(capsys):
+    for label in ["A2", "G2"]:
+        data = run_json(capsys, "check", "all", "--type", label,
+                        "--samples", "1")
+        entries = {c["name"]: c for c in data["checks"]}
+        for name in ["commutativity", "typea"]:
+            assert entries[name]["type_independent"] is True
+            assert entries[name]["n"] == [2, 3]
+        for name in ["rank", "injectivity", "triangularity", "hecke", "weyl"]:
+            assert "type_independent" not in entries[name]

@@ -2,11 +2,59 @@
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
 from trigbethe.field import (DEFAULT_FIELD_ORDER, CyclotomicField,
                              cyclotomic_polynomial)
+
+
+# ----------------------------------------------------------------------
+# a test-local reference: Fraction coordinate tuples, products reduced
+# modulo the cyclotomic polynomial by long division
+
+PHI = {1: (-1, 1), 2: (1, 1), 3: (1, 1, 1), 4: (1, 0, 1), 5: (1, 1, 1, 1, 1),
+       6: (1, -1, 1), 8: (1, 0, 0, 0, 1), 12: (1, 0, -1, 0, 1)}
+ORDERS = sorted(PHI)
+
+
+def ref_reduce(vec, n):
+    mod, deg = PHI[n], len(PHI[n]) - 1
+    vec = list(vec) + [Fraction(0)] * max(0, deg - len(vec))
+    for i in range(len(vec) - 1, deg - 1, -1):
+        c = vec[i]
+        for j, m in enumerate(mod):
+            vec[i - deg + j] -= c * m
+    return tuple(vec[:deg])
+
+
+def ref_mul(a, b, n):
+    prod = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            prod[i + j] += x * y
+    return ref_reduce(prod, n)
+
+
+def ref_lift(s, n):
+    return ref_reduce([Fraction(s)], n)
+
+
+def ref_add(a, b):
+    return tuple(x + y for x, y in zip(a, b))
+
+
+def ref_neg(a):
+    return tuple(-x for x in a)
+
+
+def assert_canonical(x):
+    assert all(type(v) is int for v in x.nums) and type(x.den) is int
+    assert x.den > 0 and gcd(x.den, *x.nums) == 1
+    if x.is_zero():
+        assert x.den == 1
+    assert len(x.nums) == x.field.degree
 
 
 def test_cyclotomic_polynomials_small():
@@ -90,12 +138,15 @@ def test_int_and_fraction_mixing():
 
 
 def test_str_parse_roundtrip_random():
-    F = CyclotomicField(6)
     rng = random.Random(7)
-    for _ in range(200):
-        x = F.element([Fraction(rng.randint(-20, 20), rng.randint(1, 12))
-                       for _ in range(F.degree)])
-        assert F.parse(str(x)) == x
+    for n in ORDERS:
+        F = CyclotomicField(n)
+        for _ in range(100):
+            x = F.element([Fraction(rng.randint(-20, 20), rng.randint(1, 12))
+                           if rng.random() < 0.7 else 0
+                           for _ in range(F.degree)])
+            assert F.parse(str(x)) == x
+    F = CyclotomicField(6)
     assert F.parse("1/2 - 3*z") == F.from_rational(Fraction(1, 2)) - 3 * F.zeta()
     assert F.parse("0") == F.zero()
 
@@ -110,10 +161,16 @@ def test_pow_modulus_reduction():
 
 
 def test_cross_field_operations_rejected():
-    a = CyclotomicField(6).zeta()
-    b = CyclotomicField(12).zeta()
-    with pytest.raises((ValueError, TypeError)):
-        a + b
+    for n, m in [(6, 12), (3, 6), (4, 12), (1, 2), (5, 8)]:
+        a = CyclotomicField(n).zeta()
+        b = CyclotomicField(m).zeta()
+        for op in (lambda x, y: x + y, lambda x, y: x - y,
+                   lambda x, y: x * y, lambda x, y: x / y,
+                   lambda x, y: x == y):
+            with pytest.raises(ValueError):
+                op(a, b)
+            with pytest.raises(ValueError):
+                op(b, a)
 
 
 def test_hashable_and_equal():
@@ -121,3 +178,84 @@ def test_hashable_and_equal():
     z = F.zeta()
     assert len({z, z + 0, z * 1}) == 1
     assert {F.one(): "u"}[F.from_rational(Fraction(1))] == "u"
+
+
+def test_field_matches_fraction_reference():
+    rng = random.Random(20261018)
+    for n in ORDERS:
+        F = CyclotomicField(n)
+        deg = len(PHI[n]) - 1
+        assert F.degree == deg and F.modulus == PHI[n]
+
+        def rand_coeffs():
+            return [Fraction(rng.randint(-30, 30), rng.randint(1, 12))
+                    if rng.random() < 0.8 else Fraction(0) for _ in range(deg)]
+
+        def scalars():
+            return [rng.randint(-9, 9), Fraction(rng.randint(-9, 9),
+                                                 rng.randint(1, 9))]
+
+        one = ref_lift(1, n)
+        for _ in range(60):
+            ca, cb = rand_coeffs(), rand_coeffs()
+            a, b = F.element(ca), F.element(cb)
+            ra, rb = tuple(ca), tuple(cb)
+            for x in (a, b, a + b, a - b, a * b, -a):
+                assert_canonical(x)
+            assert (a + b).coeffs == ref_add(ra, rb)
+            assert (a - b).coeffs == ref_add(ra, ref_neg(rb))
+            assert (a * b).coeffs == ref_mul(ra, rb, n)
+            # an element of longer length reduces like the reference
+            long = rand_coeffs() + rand_coeffs() + rand_coeffs()
+            assert F.element(long).coeffs == ref_reduce(long, n)
+            for s in scalars():
+                rs = ref_lift(s, n)
+                for x in (a + s, s + a, a - s, s - a, a * s, s * a):
+                    assert_canonical(x)
+                assert (a + s).coeffs == (s + a).coeffs == ref_add(ra, rs)
+                assert (a - s).coeffs == ref_add(ra, ref_neg(rs))
+                assert (s - a).coeffs == ref_add(rs, ref_neg(ra))
+                assert (a * s).coeffs == (s * a).coeffs == ref_mul(ra, rs, n)
+                assert (a == s) == (ra == rs) and (s == a) == (ra == rs)
+                if s:
+                    assert_canonical(a / s)
+                    assert ref_mul((a / s).coeffs, rs, n) == ra
+                if not a.is_zero():
+                    assert_canonical(s / a)
+                    assert ref_mul((s / a).coeffs, ra, n) == rs
+            if b.is_zero():
+                continue
+            q = a / b
+            assert_canonical(q)
+            assert ref_mul(q.coeffs, rb, n) == ra
+            inv = b.inverse()
+            assert_canonical(inv)
+            assert b * inv == 1 and (b * inv).is_one()
+            assert ref_mul(inv.coeffs, rb, n) == one
+            k = rng.randint(1, 4)
+            power = rb
+            for _ in range(k - 1):
+                power = ref_mul(power, rb, n)
+            assert (b ** k).coeffs == power
+            assert ref_mul((b ** -k).coeffs, power, n) == one
+        assert_canonical(F.zero())
+        assert_canonical(F.element([0] * deg))
+        assert F.element([Fraction(2, 4)] + [0] * (deg - 1)) == Fraction(1, 2)
+
+
+def test_parse_rejects_malformed_text():
+    F = CyclotomicField(6)
+    for text in ["zz", "z junk", "2*", "", "  ", "1 + + z", "+", "- ",
+                 "1/0", "z^", "*z", "2 z", "z*2", "1 -", "--1", "1/2/3",
+                 "z^2^3", "0.5", "x", "1 +"]:
+        with pytest.raises(ValueError):
+            F.parse(text)
+    for value in [3, 0.1, None, ["1"]]:
+        with pytest.raises(ValueError):
+            F.parse(value)
+    # accepted spellings beyond the str() form: spacing, a leading sign,
+    # repeated and high powers (reduced mod N)
+    assert F.parse(" -z+ 2 * z ") == F.zeta()
+    assert F.parse("+3") == 3
+    assert F.parse("z^7") == F.zeta()
+    assert F.parse("z^0") == 1

@@ -20,6 +20,15 @@ def ambient(label, field=F6):
     return RootAmbient.from_root_system(root_system(label), field)
 
 
+def evaluate(pt, row):
+    """e^row at a torus point, multiplied out term by term."""
+    out = pt[0].field.one()
+    for y, k in zip(pt, row):
+        for _ in range(abs(k)):
+            out = out * y if k > 0 else out / y
+    return out
+
+
 def chars(layer):
     return tuple(str(v) for v in layer.char_values)
 
@@ -114,7 +123,7 @@ def test_point_on_layer_extends_character():
     for l in enumerate_layers(amb):
         pt = point_on_layer(l, field=amb.field)
         for row, val in zip(l.basis, l.char_values):
-            assert amb.evaluate(pt, row) == val
+            assert evaluate(pt, row) == val
 
 
 def test_char_eval_rejects_vectors_outside_lattice():
@@ -264,7 +273,7 @@ def test_poset_relations_match_field_containment():
         for i, small in enumerate(layers):
             pt = generic_point(amb, small)
             for j, big in enumerate(layers):
-                if i != j and all(amb.evaluate(pt, row) == val for row, val
+                if i != j and all(evaluate(pt, row) == val for row, val
                                   in zip(big.basis, big.char_values)):
                     expected.append((i, j))
         assert sorted(poset_relations(layers)) == expected

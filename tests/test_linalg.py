@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from trigbethe.field import CyclotomicField
+from trigbethe.poly import RatFunc
 from trigbethe.linalg import (det, express_in_rows, identity, in_row_space,
                               kron, mat_inverse, mat_mul, mat_vec, nullspace,
                               rank, rank_via_minors, row_space_equal, rref)
@@ -114,3 +115,55 @@ def test_works_over_cyclotomic_scalars():
     assert len(ns) == 1
     v = ns[0]
     assert (z * v[0] + v[1]).is_zero()
+
+
+def reference_rref(rows):
+    """Row reduction that divides the pivot row entry by entry."""
+    mat = [list(r) for r in rows]
+    pivots, r = [], 0
+    for c in range(len(mat[0]) if mat else 0):
+        pr = next((i for i in range(r, len(mat)) if not mat[i][c] == 0), None)
+        if pr is None:
+            continue
+        mat[r], mat[pr] = mat[pr], mat[r]
+        head = mat[r][c]
+        mat[r] = [x / head for x in mat[r]]
+        for i in range(len(mat)):
+            if i != r and not mat[i][c] == 0:
+                f = mat[i][c]
+                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(mat):
+            break
+    return mat[:r], pivots
+
+
+def test_rref_matches_divide_per_entry_reference():
+    rng = random.Random(16)
+    F = CyclotomicField(6)
+    eps = RatFunc.variable()
+
+    def rand_field():
+        return F.element([Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+                          for _ in range(F.degree)])
+
+    def rand_ratfunc():
+        num = Fraction(rng.randint(-4, 4)) + rng.randint(-3, 3) * eps
+        return num / (Fraction(rng.randint(1, 3)) + rng.randint(0, 2) * eps)
+
+    makers = [lambda: Fraction(rng.randint(-8, 8), rng.randint(1, 6)),
+              rand_field, rand_ratfunc]
+    for make in makers:
+        for _ in range(25):
+            m, n = rng.randint(1, 4), rng.randint(1, 5)
+            rows = [[make() if rng.random() < 0.7 else make() * 0
+                     for _ in range(n)] for _ in range(m)]
+            if m > 1 and rng.random() < 0.3:
+                rows[-1] = [x + y for x, y in zip(rows[0], rows[-2])]
+            red, piv = rref(rows)
+            want, want_piv = reference_rref(rows)
+            assert piv == want_piv
+            assert red == want
+            for row, p in zip(red, piv):
+                assert row[p] == 1
