@@ -31,9 +31,19 @@ from typing import Iterable, Sequence
 
 from .field import CyclotomicField, FieldElement, char_value, default_field_order
 from .layers import RootAmbient
-from .linalg import nullspace, rank as mat_rank, rref
+from .linalg import identity, nullspace, rank as mat_rank, rref
 from .nested import Chart, maximal_nested_sets
 from .roots import Coords, IntMatrix, RootSystem, int_mat_mul
+
+
+def bethe_weight(u):
+    """-u/(u-1): the weight of t_alpha per unit of alpha(h) where e^alpha = u.
+
+    u is a Fraction or a field element; u = 1 raises ZeroDivisionError.
+    """
+    if u == 1:
+        raise ZeroDivisionError("Bethe weight at e^alpha = 1")
+    return -(u / (u - 1))
 
 
 class HolonomySpace:
@@ -56,9 +66,6 @@ class HolonomySpace:
 
     def t_index(self, alpha: Sequence[int]) -> int:
         return self._t_index[self.rs.abs_root(alpha)]
-
-    def tau_index(self, i: int) -> int:
-        return self.npos + i
 
     def vector(self, t_terms: dict | None = None,
                h_coords: Sequence | None = None) -> list[FieldElement]:
@@ -93,32 +100,27 @@ class HolonomySpace:
     def casimir(self) -> list[FieldElement]:
         return self.vector({a: 1 for a in self.pos})
 
-    def bethe_family(self, point: Sequence[FieldElement], hs: Iterable[Sequence]
-                     ) -> list[list[FieldElement]]:
-        """tau(h) minus the weighted t-terms of a regular torus point, per h.
+    def bethe_family(self, values: dict[Coords, FieldElement],
+                     hs: Iterable[Sequence]) -> list[list[FieldElement]]:
+        """tau(h) plus alpha(h) * bethe_weight(e^alpha) t_alpha, per h.
 
-        Weight on t_alpha is alpha(h) * u/(u-1) with u the value of
-        e^alpha at the point, evaluated once for all h; the point must not
-        centralize any root.
+        values maps each root that carries a t-term to e^alpha at the
+        point; the weights are computed once for all h.  A value 1 raises
+        ZeroDivisionError.
         """
-        weights = {}
-        for a in self.pos:
-            u = char_value(self.field, point, a)
-            if u.is_one():
-                raise ZeroDivisionError(f"point centralizes root {a}")
-            weights[a] = -(u / (u - 1))
+        weights = {a: bethe_weight(u) for a, u in values.items()}
         return [self.vector({a: g * self.alpha_of_h(a, h)
                              for a, g in weights.items()}, h) for h in hs]
 
     def bethe(self, point: Sequence[FieldElement], h_coords: Sequence
               ) -> list[FieldElement]:
-        return self.bethe_family(point, [h_coords])[0]
+        values = stratum_values(self.rs, self.field, range(self.rs.rank), point)
+        return self.bethe_family(values, [h_coords])[0]
 
-    def gaudin(self, chi: Sequence, h_coords: Sequence,
-               roots: Iterable[Coords] | None = None) -> list[FieldElement]:
+    def gaudin(self, chi: Sequence, h_coords: Sequence) -> list[FieldElement]:
         """Rational family: t-coefficients alpha(h)/alpha(chi), no tau part."""
         terms = {}
-        for a in (self.pos if roots is None else roots):
+        for a in self.pos:
             achi = self.alpha_of_h(a, chi)
             if achi == 0:
                 raise ZeroDivisionError(f"direction chi vanishes on root {a}")
@@ -129,14 +131,10 @@ class HolonomySpace:
                        ) -> list[list[FieldElement]]:
         n = self.rs.rank
         return self.bethe_family(
-            point, [[Fraction(int(i == j)) for j in range(n)] for i in range(n)])
+            stratum_values(self.rs, self.field, range(n), point), identity(n))
 
-    def gaudin_subspace(self, chi: Sequence,
-                        roots: Iterable[Coords] | None = None
-                        ) -> list[list[FieldElement]]:
-        n = self.rs.rank
-        basis = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-        return [self.gaudin(chi, h, roots) for h in basis]
+    def gaudin_subspace(self, chi: Sequence) -> list[list[FieldElement]]:
+        return [self.gaudin(chi, h) for h in identity(self.rs.rank)]
 
     # ------------------------------------------------------------------
     # Weyl action
@@ -158,11 +156,10 @@ class HolonomySpace:
         cols = self._rho.get(w)
         if cols is not None:
             return cols
-        n = self.rs.rank
         cols = [[(j, 1)] for j in self.rs.element(w).perm]
         inversions = self.rs.inversion_set(w)
-        for i in range(n):
-            h = self.h_transport(w, [int(i == j) for j in range(n)])
+        for e in self.rs.identity:
+            h = self.h_transport(w, e)
             col = [(self.npos + k, c) for k, c in enumerate(h) if c]
             for a in inversions:
                 ah = self.alpha_of_h(a, h)
@@ -229,30 +226,30 @@ def weyl_action_report(rs: RootSystem, field: CyclotomicField,
 
     gens = [rs.simple_reflection(i) for i in range(n)]
     matrices = {w: dense(space.rho(w)) for w in elements}
-    identity = rs.matrix_of_word(())
-    group_law = matrices[identity] == dense([[(k, 1)] for k in range(dim)])
+    group_law = matrices[rs.identity] == dense([[(k, 1)] for k in range(dim)])
     for w in elements:
         for g in gens:
             if compose(space.rho(w), space.rho(g)) != matrices[int_mat_mul(w, g)]:
                 group_law = False
 
-    h_basis = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    point = None
-    while point is None:
-        cand = tuple(field.from_rational(Fraction(rng.randint(2, 50),
-                                                  rng.randint(2, 50)))
-                     for _ in range(n))
-        if all(not char_value(field, cand, a).is_one()
-               for a in rs.positive_roots):
-            point = cand
+    h_basis = identity(n)
+    while True:
+        point = tuple(field.from_rational(Fraction(rng.randint(2, 50),
+                                                   rng.randint(2, 50)))
+                      for _ in range(n))
+        values = stratum_values(rs, field, range(n), point)
+        if not any(u.is_one() for u in values.values()):
+            break
     deltas = [space.delta(h) for h in h_basis]
-    bethes = space.bethe_subspace(point)
+    bethes = space.bethe_family(values, h_basis)
     delta_ok = bethe_ok = True
     for w in elements:
         moved_h = [space.h_transport(w, h) for h in h_basis]
         delta_ok &= space.act_span(w, deltas) == [space.delta(h) for h in moved_h]
+        moved_values = stratum_values(rs, field, range(n),
+                                      transported_point(rs, space, w, point))
         bethe_ok &= space.act_span(w, bethes) == space.bethe_family(
-            transported_point(rs, space, w, point), moved_h)
+            moved_values, moved_h)
     return {
         "elements": len(elements),
         "products": len(elements) * n,
@@ -263,21 +260,12 @@ def weyl_action_report(rs: RootSystem, field: CyclotomicField,
     }
 
 
-def _columns_of_inverse(rs: RootSystem, w: IntMatrix) -> list[Coords]:
-    """Coordinate vectors whose point-evaluations give the w-moved point.
-
-    e^{alpha_i}(w.y) = e^{w^{-1} alpha_i}(y); column i of w^{-1} is the
-    coordinate tuple of w^{-1} alpha_i.
-    """
-    winv = rs.inverse_matrix(w)
-    n = rs.rank
-    return [tuple(winv[r][i] for r in range(n)) for i in range(n)]
-
-
 def transported_point(rs: RootSystem, space: HolonomySpace, w: IntMatrix,
                       point: Sequence[FieldElement]) -> tuple:
+    """The point w.y: e^{alpha_i}(w.y) = e^{w^{-1} alpha_i}(y), and column
+    i of w^{-1} is the coordinate tuple of w^{-1} alpha_i."""
     return tuple(char_value(space.field, point, col)
-                 for col in _columns_of_inverse(rs, w))
+                 for col in zip(*rs.inverse_matrix(w)))
 
 
 # ----------------------------------------------------------------------
@@ -328,26 +316,14 @@ class XPoint:
     def untwisted_generators(self) -> list[list[FieldElement]]:
         """tau-carrying generators for h killing the centralizer, plus the
         chart family of the centralizer; together always rank-many."""
-        space = self.space
-        n = self.rs.rank
-        gens: list[list[FieldElement]] = []
         cen_rows = [[Fraction(c) for c in a] for a in self.centralized]
-        if cen_rows:
-            h_basis = nullspace(cen_rows)
-        else:
-            h_basis = [[Fraction(int(i == j)) for j in range(n)]
-                       for i in range(n)]
-        outside = [a for a in self.sub_pos if a not in set(self.centralized)]
-        for h in h_basis:
-            terms = {}
-            for a in outside:
-                u = self.root_values[a]
-                ah = space.alpha_of_h(a, h)
-                terms[a] = -(u / (u - 1)) * ah
-            gens.append(space.vector(terms, h))
+        h_basis = nullspace(cen_rows) if cen_rows else identity(self.rs.rank)
+        cen = set(self.centralized)
+        gens = self.space.bethe_family(
+            {a: u for a, u in self.root_values.items() if a not in cen}, h_basis)
         for v in range(len(self.chart.base)):
             coeffs = self.chart.hamiltonian_coeffs(v, self.tvals)
-            gens.append(space.vector(dict(coeffs)))
+            gens.append(self.space.vector(coeffs))
         return gens
 
     def subspace(self) -> list[list[FieldElement]]:
@@ -470,13 +446,13 @@ def recover_data(space: HolonomySpace, vectors: Sequence[Sequence[FieldElement]]
             if not r[n + k] == 0:
                 support.add(a)
     cen = tuple(sorted(support, key=lambda c: (sum(c), c)))
-    cen_rows = [[Fraction(x) for x in a] for a in cen]
+    # a lies in the span of the centralizer iff every kernel vector kills it
+    kernel = nullspace([[Fraction(x) for x in a] for a in cen])
     profile: dict[Coords, FieldElement] = {}
     units: dict[Coords, FieldElement] = {}
     vanishing = []
     for k, a in enumerate(space.pos):
-        if cen_rows and mat_rank(cen_rows + [[Fraction(x) for x in a]]) == \
-                mat_rank(cen_rows):
+        if cen and not any(sum(x * y for x, y in zip(v, a)) for v in kernel):
             continue  # inside the centralizer span: no tau row sees it
         g = None
         for r in tau_rows:
@@ -537,9 +513,7 @@ def sample_xpoints(rs: RootSystem, field: CyclotomicField, seed: int,
             continue
         cen = [_to_ambient(a, subset, n) for a in layer.roots_pos]
         base = rs.base_of(cen)
-        edges = [(i, j) for i in range(len(base)) for j in range(i + 1, len(base))
-                 if rs.inner(base[i], base[j]) != 0]
-        families = maximal_nested_sets(len(base), edges)
+        families = maximal_nested_sets(len(base), rs.nonorthogonal_edges(base))
         sets = families[rng.randrange(len(families))] if families else ()
         chart = Chart(base, cen, sets)
         tvals = []

@@ -19,13 +19,13 @@ import sys
 from fractions import Fraction
 
 from . import spin, typea
-from .bethe import (HolonomySpace, injectivity_pool, recover_data,
-                    sample_xpoints, weyl_action_report, xpoint_from_dict)
+from .bethe import (injectivity_pool, recover_data, sample_xpoints,
+                    weyl_action_report, xpoint_from_dict)
 from .field import DEFAULT_FIELD_ORDER, CyclotomicField, default_field_order
 from .hecke import HeckeAlgebra, sample_q
-from .layers import (RootAmbient, boundary_strata, enumerate_layers,
-                     gamma_divisors, is_indecomposable, layer_to_dict,
-                     poset_relations)
+from .layers import (RootAmbient, boundary_strata, building_set,
+                     enumerate_layers, gamma_divisors, is_indecomposable,
+                     layer_to_dict, poset_relations)
 from .linalg import det, rref
 from .nested import Chart, maximal_nested_sets
 from .roots import RootSystem, root_system
@@ -87,9 +87,8 @@ def _cmd_enumerate(args) -> int:
 
     if args.target in ("layers", "building-set"):
         amb = RootAmbient.from_root_system(rs, field)
-        layers = enumerate_layers(amb)
-        if args.target == "building-set":
-            layers = [l for l in layers if is_indecomposable(amb, l)]
+        layers = (building_set(amb) if args.target == "building-set"
+                  else enumerate_layers(amb))
         if args.format == "dot":
             _emit(args, _layers_dot(layers))
             return 0
@@ -400,29 +399,34 @@ def build_parser() -> argparse.ArgumentParser:
                     "algebras and their limit subspaces.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def type_and_field(p):
         p.add_argument("--type", default="A2",
                        help="root system label, e.g. A2, B3, G2 (default A2)")
         p.add_argument("--field-order", type=int, default=None,
                        help="cyclotomic field order (default 6; 12 for F4)")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--samples", type=int, default=6)
+
+    def out(p):
         p.add_argument("--out", default=None, help="write output to a file")
 
     p_enum = sub.add_parser("enumerate", help="inventories as JSON or DOT")
     p_enum.add_argument("target", choices=[
         "roots", "layers", "building-set", "nested-sets", "boundary-strata"])
-    common(p_enum)
+    type_and_field(p_enum)
+    out(p_enum)
     p_enum.add_argument("--format", choices=["json", "dot"], default="json")
 
     p_sub = sub.add_parser("subspace",
                            help="limit subspace of one point description")
-    p_sub.add_argument("specfile", help="JSON file ('-' for stdin)")
-    common(p_sub)
+    p_sub.add_argument("specfile", help="JSON file ('-' for stdin); the "
+                       "type and field order come from the description")
+    out(p_sub)
 
     p_check = sub.add_parser("check", help="exact structural verifications")
     p_check.add_argument("what", choices=[*_CHECKS, "all"], type=str.lower)
-    common(p_check)
+    type_and_field(p_check)
+    p_check.add_argument("--seed", type=int, default=0)
+    p_check.add_argument("--samples", type=int, default=6)
+    out(p_check)
     return parser
 
 

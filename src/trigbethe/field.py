@@ -29,6 +29,10 @@ Rat = Union[int, Fraction]
 
 DEFAULT_FIELD_ORDER = 6
 
+# building Q(zeta_N) costs time and memory growing faster than N (about 2 s
+# at N = 5000), so orders from outside input are bounded; E8 needs N = 60
+MAX_FIELD_ORDER = 120
+
 
 def default_field_order(family: str) -> int:
     """Q(zeta_12) for F4, whose layers need 12th roots of unity; else the default."""
@@ -82,6 +86,11 @@ class CyclotomicField:
     def __new__(cls, order: int = DEFAULT_FIELD_ORDER):
         inst = cls._cache.get(order)
         if inst is None:
+            if order < 1:
+                raise ValueError("order must be positive")
+            if order > MAX_FIELD_ORDER:
+                raise ValueError(f"field order {order} exceeds the maximum "
+                                 f"{MAX_FIELD_ORDER}")
             inst = super().__new__(cls)
             cls._cache[order] = inst
         return inst
@@ -89,8 +98,6 @@ class CyclotomicField:
     def __init__(self, order: int = DEFAULT_FIELD_ORDER):
         if getattr(self, "order", None) == order:
             return
-        if order < 1:
-            raise ValueError("order must be positive")
         self.modulus = cyclotomic_polynomial(order)
         self.degree = phi = len(self.modulus) - 1
         # powers[j]: nonzero (index, coefficient) pairs of zeta^j mod Phi_N
@@ -154,19 +161,16 @@ class CyclotomicField:
         """zeta_N ** power, for any integer power."""
         return self.element([0] * (power % self.order) + [1])
 
-    def root_exponent(self, k: int, power: int = 1) -> int:
-        """e with zeta_N ** e the power-th power of a primitive k-th root of unity.
-
-        Available only when k | N.
-        """
+    def root_exponent(self, k: int) -> int:
+        """e with zeta_N ** e a primitive k-th root of unity; needs k | N."""
         if k < 1 or self.order % k != 0:
             raise ValueError(f"no {k}-th root of unity in Q(zeta_{self.order});"
                              " enlarge the field order")
-        return (self.order // k) * power
+        return self.order // k
 
-    def root_of_unity(self, k: int, power: int = 1) -> FieldElement:
+    def root_of_unity(self, k: int) -> FieldElement:
         """A primitive k-th root of unity, available only when k | N."""
-        return self.zeta(self.root_exponent(k, power))
+        return self.zeta(self.root_exponent(k))
 
     def coerce(self, value) -> FieldElement:
         if isinstance(value, FieldElement):

@@ -8,8 +8,11 @@ The defining exchange rule moves a variable across a generator:
     x_g * s_i  =  s_i * x_{s_i(g)} + t * <g against the i-th root>
 
 and products are computed by moving polynomials across reduced words.
-A degree cap guards against runaway polynomial growth; families used
-here stay within degree two.
+The commuting degree-one family (bmo, family) weights the reflection in
+each positive root by the Bethe weight u/(1-u) of bethe.bethe_weight, u
+the root's power of the torus point.  A fixed degree cap
+(HeckeAlgebra.degree_cap) guards against runaway polynomial growth;
+families used here stay within degree two.
 """
 
 from __future__ import annotations
@@ -17,8 +20,9 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
+from .bethe import bethe_weight
 from .poly import Poly
-from .roots import Coords, IntMatrix, RootSystem, int_mat_mul
+from .roots import IntMatrix, RootSystem, int_mat_mul
 
 HeckeElem = dict[IntMatrix, Poly]
 
@@ -42,15 +46,15 @@ def sample_q(rs: RootSystem, seed: int) -> tuple[Fraction, ...]:
 
 
 class HeckeAlgebra:
-    def __init__(self, rs: RootSystem, degree_cap: int = 4,
-                 relation_sign: int = 1):
+    # products whose x-degree exceeds this raise RuntimeError
+    degree_cap = 4
+
+    def __init__(self, rs: RootSystem, relation_sign: int = 1):
         self.rs = rs
         self.n = rs.rank
         self.nvars = rs.rank + 1          # x_1..x_n and the central t
-        self.degree_cap = degree_cap
         self.relation_sign = relation_sign
-        self.ident: IntMatrix = tuple(
-            tuple(int(i == j) for j in range(self.n)) for i in range(self.n))
+        self.ident: IntMatrix = rs.identity
         self.tvar = Poly.variable(self.nvars, self.n)
         self._words = rs.weyl_elements()
         # linear substitution polys: the i-th generator sends x_k to the
@@ -173,8 +177,7 @@ class HeckeAlgebra:
         for p in out.values():
             if self._x_degree(p) > self.degree_cap:
                 raise RuntimeError(
-                    f"polynomial degree exceeded the cap {self.degree_cap}; "
-                    "raise degree_cap explicitly if this is intended")
+                    f"polynomial degree exceeded the cap {self.degree_cap}")
         return out
 
     def commutator(self, a: HeckeElem, b: HeckeElem) -> HeckeElem:
@@ -183,38 +186,27 @@ class HeckeAlgebra:
     # ------------------------------------------------------------------
     # the commuting family and the degree-one correspondence
 
-    def bmo(self, k: int, qvals: Sequence[Fraction],
-            weight: str = "standard") -> HeckeElem:
+    def bmo(self, k: int, qvals: Sequence[Fraction]) -> HeckeElem:
         """Deformed degree-one family member for the k-th dual basis vector.
 
-        weight picks the simple-fraction profile applied to each root
-        power u: standard u/(1-u); inverted 1/(u-1); bethe u/(u-1).
+        Each positive root a with u = q^a contributes t * c * a_k times
+        (reflection in a minus identity), with c = bethe_weight(u) =
+        u/(1-u).
         """
         out = self.x(k)
         for a in self.rs.positive_roots:
             ah = a[k]
             if not ah:
                 continue
-            u = q_power(qvals, a)
-            if u == 1:
-                raise ZeroDivisionError(f"root power 1 at {a}")
-            if weight == "standard":
-                c = u / (1 - u)
-            elif weight == "inverted":
-                c = 1 / (u - 1)
-            elif weight == "bethe":
-                c = u / (u - 1)
-            else:
-                raise ValueError(f"unknown weight {weight!r}")
+            c = bethe_weight(q_power(qvals, a))
             coeff = self.tvar * (c * ah)
             refl = self.rs.reflection_in_root(a)
             out = self.add(out, {refl: coeff,
                                  self.ident: coeff * Fraction(-1)})
         return out
 
-    def family(self, qvals: Sequence[Fraction], weight: str = "standard"
-               ) -> list[HeckeElem]:
-        return [self.bmo(k, qvals, weight) for k in range(self.n)]
+    def family(self, qvals: Sequence[Fraction]) -> list[HeckeElem]:
+        return [self.bmo(k, qvals) for k in range(self.n)]
 
     def at_numeric_t(self, a: HeckeElem, tval: Fraction
                      ) -> dict[tuple[IntMatrix, tuple[int, ...]], Fraction]:

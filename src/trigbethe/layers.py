@@ -37,7 +37,8 @@ from typing import Iterable, Sequence
 
 from .field import CyclotomicField, FieldElement, char_value
 from .lattice import hermite_normal_form, int_rank, smith_normal_form
-from .roots import Coords, RootSystem
+from .nested import adjacency, components
+from .roots import Coords, RootSystem, nonorthogonal_edges
 
 Point = tuple[FieldElement, ...]
 
@@ -69,10 +70,6 @@ class RootAmbient:
         gram = tuple(tuple(rs.gram[i][j] for j in idx) for i in idx)
         return cls(len(idx), pos, gram, field,
                    tuple(f"a{i + 1}" for i in idx))
-
-    def inner(self, a: Sequence[int], b: Sequence[int]) -> Fraction:
-        return sum(Fraction(a[i]) * self.gram[i][j] * b[j]
-                   for i in range(self.dim) for j in range(self.dim))
 
 
 @dataclass(frozen=True)
@@ -200,24 +197,8 @@ def full_torus_layer(amb: RootAmbient) -> Layer:
 def is_indecomposable(amb: RootAmbient, layer: Layer) -> bool:
     """Nonempty centralized set whose non-orthogonality graph is connected."""
     roots = layer.roots_pos
-    if not roots:
-        return False
-    n = len(roots)
-    adj = {i: set() for i in range(n)}
-    for i in range(n):
-        for j in range(i + 1, n):
-            if amb.inner(roots[i], roots[j]) != 0:
-                adj[i].add(j)
-                adj[j].add(i)
-    seen = {0}
-    stack = [0]
-    while stack:
-        v = stack.pop()
-        for u in adj[v]:
-            if u not in seen:
-                seen.add(u)
-                stack.append(u)
-    return len(seen) == n
+    adj = adjacency(len(roots), nonorthogonal_edges(amb.gram, roots))
+    return len(components(frozenset(adj), adj)) == 1
 
 
 def building_set(amb: RootAmbient) -> list[Layer]:
@@ -271,15 +252,15 @@ def _extension_data(layer: Layer):
     return sf
 
 
-def point_on_layer(layer: Layer, params: Sequence[FieldElement] | None = None,
-                   field: CyclotomicField | None = None) -> Point:
+def point_on_layer(layer: Layer, params: Sequence[FieldElement] | None = None
+                   ) -> Point:
     """A point of the layer: character values extended by free parameters.
 
     params supplies the values on a complement basis of the lattice (one
     per layer dimension); omitted parameters default to 1, giving a
     canonical representative.
     """
-    field = field or layer.field
+    field = layer.field
     n = layer.ambient_dim
     sf = _extension_data(layer)
     r = sf.rank
@@ -291,22 +272,21 @@ def point_on_layer(layer: Layer, params: Sequence[FieldElement] | None = None,
     return tuple(char_value(field, basis_vals, sf.V[j]) for j in range(n))
 
 
-def generic_point(amb: RootAmbient, layer: Layer, seed: int = 0,
-                  max_tries: int = 64) -> Point:
+def generic_point(amb: RootAmbient, layer: Layer, seed: int = 0) -> Point:
     """A point of the layer avoiding every hypersurface it does not lie in."""
     rng = random.Random(("layer-point", seed, layer.basis,
                          tuple(str(v) for v in layer.char_values)).__repr__())
     on_layer = set(layer.roots_pos)
     avoid = [a for a in amb.positive_roots if a not in on_layer]
     free = layer.dim
-    for _ in range(max_tries):
+    for _ in range(64):
         params = [amb.field.from_rational(
             Fraction(rng.randint(2, 97), rng.randint(2, 97)))
             for _ in range(free)]
-        pt = point_on_layer(layer, params, amb.field)
+        pt = point_on_layer(layer, params)
         if all(not char_value(amb.field, pt, a).is_one() for a in avoid):
             return pt
-    raise RuntimeError("could not find a generic point; widen the search")
+    raise RuntimeError("no generic point found in 64 tries")
 
 
 def centralizer_at_point(amb: RootAmbient, point: Point) -> list[Coords]:

@@ -170,21 +170,3 @@ def kron(a: Sequence[Sequence[S]], b: Sequence[Sequence[S]]) -> Matrix:
             out.append([x * y for x in arow for y in brow])
     return out
 
-
-def rank_via_minors(a: Sequence[Sequence[S]]) -> int:
-    """Rank as the largest size of a nonvanishing square minor.
-
-    Exponential-time cross-check oracle for small matrices; independent
-    of the elimination path used by rref().
-    """
-    from itertools import combinations
-
-    m = len(a)
-    n = len(a[0]) if m else 0
-    for size in range(min(m, n), 0, -1):
-        for rows_ix in combinations(range(m), size):
-            for cols_ix in combinations(range(n), size):
-                sub = [[a[i][j] for j in cols_ix] for i in rows_ix]
-                if not det(sub) == 0:
-                    return size
-    return 0

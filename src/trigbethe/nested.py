@@ -17,7 +17,7 @@ point of the construction.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .linalg import express_in_rows
 from .roots import Coords
@@ -32,7 +32,7 @@ def _canonical_set_order(sets: Iterable[VertexSet]) -> tuple[VertexSet, ...]:
 
 def connected_vertex_subsets(nvert: int, edges: Sequence[tuple[int, int]]
                              ) -> list[VertexSet]:
-    adj = _adjacency(nvert, edges)
+    adj = adjacency(nvert, edges)
     out: set[VertexSet] = set()
     frontier = {frozenset([v]) for v in range(nvert)}
     while frontier:
@@ -49,8 +49,9 @@ def connected_vertex_subsets(nvert: int, edges: Sequence[tuple[int, int]]
     return sorted(out, key=lambda s: (len(s), tuple(sorted(s))))
 
 
-def _adjacency(nvert: int, edges: Sequence[tuple[int, int]]
-               ) -> dict[int, set[int]]:
+def adjacency(nvert: int, edges: Sequence[tuple[int, int]]
+              ) -> dict[int, set[int]]:
+    """Neighbour sets of the graph on vertices 0..nvert-1."""
     adj: dict[int, set[int]] = {v: set() for v in range(nvert)}
     for i, j in edges:
         adj[i].add(j)
@@ -58,8 +59,9 @@ def _adjacency(nvert: int, edges: Sequence[tuple[int, int]]
     return adj
 
 
-def _components(vertices: VertexSet, adj: dict[int, set[int]]
-                ) -> list[VertexSet]:
+def components(vertices: VertexSet, adj: dict[int, set[int]]
+               ) -> list[VertexSet]:
+    """Connected components of the subgraph induced on vertices."""
     seen: set[int] = set()
     comps = []
     for v in sorted(vertices):
@@ -86,10 +88,10 @@ def maximal_nested_sets(nvert: int, edges: Sequence[tuple[int, int]]
     family of C minus one vertex; disconnected pieces contribute
     independently.
     """
-    adj = _adjacency(nvert, edges)
+    adj = adjacency(nvert, edges)
 
     def on_vertices(vertices: VertexSet) -> list[frozenset[VertexSet]]:
-        comps = _components(vertices, adj)
+        comps = components(vertices, adj)
         per_comp: list[list[frozenset[VertexSet]]] = []
         for comp in comps:
             variants: list[frozenset[VertexSet]] = []
@@ -112,10 +114,10 @@ def maximal_nested_sets(nvert: int, edges: Sequence[tuple[int, int]]
 def is_nested(nvert: int, edges: Sequence[tuple[int, int]],
               family: Iterable[VertexSet]) -> bool:
     """Brute-force nestedness predicate, used as an independent check."""
-    adj = _adjacency(nvert, edges)
+    adj = adjacency(nvert, edges)
     fam = [frozenset(s) for s in family]
     for s in fam:
-        if not s or _components(s, adj) != [s]:
+        if not s or components(s, adj) != [s]:
             return False
     for i, a in enumerate(fam):
         for b in fam[i + 1:]:
@@ -127,7 +129,7 @@ def is_nested(nvert: int, edges: Sequence[tuple[int, int]],
         for combo in combinations(fam, k):
             if all(not (a & b) for a, b in combinations(combo, 2)):
                 union = frozenset().union(*combo)
-                if _components(union, adj) == [union]:
+                if components(union, adj) == [union]:
                     return False
     return True
 

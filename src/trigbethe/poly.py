@@ -115,14 +115,6 @@ class Poly:
             total = total + term
         return total
 
-    def apply_to_exponents(self, fn) -> "Poly":
-        """Rebuild with each exponent tuple mapped through fn (same arity)."""
-        out: dict = {}
-        for e, c in self.terms.items():
-            e2 = tuple(fn(e))
-            out[e2] = out.get(e2, 0) + c
-        return Poly(self.nvars, out)
-
     def render(self, names: Sequence[str] | None = None) -> str:
         names = names or [f"x{i}" for i in range(self.nvars)]
         if not self.terms:
@@ -374,8 +366,7 @@ def _eps_power(one, k: int) -> RatFunc:
     return out
 
 
-def epsilon_limit_span(rows: Sequence[Sequence[RatFunc]],
-                       max_steps: int = 10_000) -> list[list]:
+def epsilon_limit_span(rows: Sequence[Sequence[RatFunc]]) -> list[list]:
     """Limit at 0 of the row space of a matrix over rational functions.
 
     Each row is scaled by a power of the variable until it is regular and
@@ -393,7 +384,7 @@ def epsilon_limit_span(rows: Sequence[Sequence[RatFunc]],
     sample = next(c for r in work for c in r if not c.is_zero())
     one = _scalar_one(sample.num.coeffs[_ord_at_zero(sample.num)])
 
-    for _ in range(max_steps):
+    for _ in range(10_000):
         for i, row in enumerate(work):
             v = min(valuation_at_zero(c) for c in row if not c.is_zero())
             if v:
@@ -415,4 +406,4 @@ def epsilon_limit_span(rows: Sequence[Sequence[RatFunc]],
             work[idx] = combined
         if not work:
             return []
-    raise RuntimeError("limit computation did not stabilize")
+    raise RuntimeError("limit computation did not stabilize in 10000 steps")

@@ -70,6 +70,20 @@ def symmetrizers(family: str, n: int) -> tuple[int, ...]:
     raise ValueError(f"unsupported family {family}")
 
 
+def gram_inner(gram: Sequence[Sequence[Fraction]], a: Sequence[int],
+               b: Sequence[int]) -> Fraction:
+    """(a, b) for the symmetric pairing whose Gram matrix is gram."""
+    return sum(x * g * y for x, row in zip(a, gram) for g, y in zip(row, b))
+
+
+def nonorthogonal_edges(gram: Sequence[Sequence[Fraction]],
+                        roots: Sequence[Coords]) -> list[tuple[int, int]]:
+    """Pairs i < j of roots with (roots[i], roots[j]) != 0."""
+    n = len(roots)
+    return [(i, j) for i in range(n) for j in range(i + 1, n)
+            if gram_inner(gram, roots[i], roots[j]) != 0]
+
+
 def int_mat_mul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> IntMatrix:
     """Product of two integer matrices given as rows."""
     cols = list(zip(*b))
@@ -110,6 +124,7 @@ class RootSystem:
             for i in range(n)]
         self.simple_roots: list[Coords] = [
             tuple(int(i == j) for j in range(n)) for i in range(n)]
+        self.identity: IntMatrix = tuple(self.simple_roots)
         self._gens = [self.simple_reflection(i) for i in range(n)]
         self.roots: list[Coords] = self._close_roots()
         self.root_set = frozenset(self.roots)
@@ -125,8 +140,7 @@ class RootSystem:
     # pairing
 
     def inner(self, a: Sequence[int], b: Sequence[int]) -> Fraction:
-        return sum(Fraction(a[i]) * self.gram[i][j] * b[j]
-                   for i in range(self.rank) for j in range(self.rank))
+        return gram_inner(self.gram, a, b)
 
     def norm2(self, a: Sequence[int]) -> Fraction:
         return self.inner(a, a)
@@ -198,10 +212,8 @@ class RootSystem:
     def weyl_elements(self) -> dict[IntMatrix, tuple[int, ...]]:
         """Every group element, mapped to one shortest word in the generators."""
         if self._weyl is None:
-            ident = tuple(tuple(int(i == j) for j in range(self.rank))
-                          for i in range(self.rank))
-            table: dict[IntMatrix, tuple[int, ...]] = {ident: ()}
-            frontier = [ident]
+            table: dict[IntMatrix, tuple[int, ...]] = {self.identity: ()}
+            frontier = [self.identity]
             while frontier:
                 nxt = []
                 for w in frontier:
@@ -227,8 +239,7 @@ class RootSystem:
                 * math.prod(self.positive_roots[-1]))
 
     def matrix_of_word(self, word: Sequence[int]) -> IntMatrix:
-        m = tuple(tuple(int(i == j) for j in range(self.rank))
-                  for i in range(self.rank))
+        m = self.identity
         for i in word:
             if not 0 <= i < self.rank:
                 raise ValueError(f"word letter {i} out of range for {self.label}")
@@ -290,9 +301,7 @@ class RootSystem:
         return sorted(pos - sums, key=lambda c: (sum(c), c))
 
     def nonorthogonal_edges(self, roots: Sequence[Coords]) -> list[tuple[int, int]]:
-        n = len(roots)
-        return [(i, j) for i in range(n) for j in range(i + 1, n)
-                if self.inner(roots[i], roots[j]) != 0]
+        return nonorthogonal_edges(self.gram, roots)
 
     def __repr__(self) -> str:
         return f"RootSystem({self.label})"

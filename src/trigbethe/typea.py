@@ -17,6 +17,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Sequence
 
+from .bethe import bethe_weight
 from .field import CyclotomicField, FieldElement
 from .linalg import row_space_equal
 
@@ -57,10 +58,10 @@ class TrigSource:
         return [self.field.zero() for _ in range(self.dim)]
 
     def bethe(self, z: Sequence[FieldElement], k: int) -> list[FieldElement]:
-        """tau_k minus weighted pairs at the torus point (z_1..z_n).
+        """tau_k plus Bethe-weighted pairs at the torus point (z_1..z_n).
 
-        Pair (i,j) evaluates to z_i/z_j; its weight on the k-th element
-        is (h_i - h_j applied to e_k) times u/(u-1).
+        Pair (i,j) evaluates to u = z_i/z_j; its coefficient in the k-th
+        element is (h_i - h_j applied to e_k) times bethe_weight(u).
         """
         if not 1 <= k <= self.n:
             raise ValueError("index out of range")
@@ -71,9 +72,7 @@ class TrigSource:
             if sign == 0:
                 continue
             u = z[i - 1] / z[j - 1]
-            if u.is_one():
-                raise ZeroDivisionError(f"coincident coordinates at pair {(i, j)}")
-            vec[self._index[(i, j)]] = -self.field.coerce(sign) * (u / (u - 1))
+            vec[self._index[(i, j)]] = self.field.coerce(bethe_weight(u) * sign)
         return vec
 
     def tau(self, k: int) -> list[FieldElement]:

@@ -50,7 +50,7 @@ def test_criterion_01_hecke_family_commutes():
         rs = root_system(label)
         alg = HeckeAlgebra(rs)
         for seed in range(20):
-            fam = alg.family(sample_q(rs, seed), "standard")
+            fam = alg.family(sample_q(rs, seed))
             for i in range(len(fam)):
                 for j in range(i + 1, len(fam)):
                     checked += 1

@@ -2,10 +2,11 @@
 
 from fractions import Fraction
 from functools import lru_cache
+from pathlib import Path
 
 import pytest
 
-from trigbethe.bethe import (HolonomySpace, XPoint, chart_only,
+from trigbethe.bethe import (HolonomySpace, XPoint, bethe_weight, chart_only,
                              injectivity_pool, recover_data, sample_xpoints,
                              weyl_action_report, xpoint_from_dict)
 from trigbethe.field import CyclotomicField, char_value
@@ -316,3 +317,26 @@ def test_twisted_point_subspace_matches_acted_span():
         m = rs.matrix_of_word(word)
         assert row_space_equal(x.subspace(),
                                sp.act_span(m, x0.subspace()))
+
+
+def test_bethe_weight_values():
+    assert bethe_weight(Fraction(2)) == -2
+    assert bethe_weight(Fraction(3)) == Fraction(3, -2) == 3 / (1 - Fraction(3))
+    z = F6.zeta()
+    assert bethe_weight(z) == -(z / (z - 1))
+    assert bethe_weight(F6.from_rational(5)) == Fraction(-5, 4)
+    for one in (Fraction(1), F6.one()):
+        with pytest.raises(ZeroDivisionError):
+            bethe_weight(one)
+
+
+def test_readme_library_example_runs():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(
+        encoding="utf-8")
+    section = readme.split("## Library example", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    names: dict = {}
+    exec(code, names)
+    rs = names["rs"]
+    assert len(names["family"]) == len(names["rational"]) == rs.rank
+    assert rank(names["family"]) == rank(names["rational"]) == rs.rank

@@ -100,6 +100,25 @@ def test_bad_type_is_usage_error(capsys):
     code, out, err = run(capsys, "enumerate", "roots", "--type", "E8")
     assert code == 2
     assert "error:" in err
+    # an unbounded field order is refused before the field is built
+    code, out, err = run(capsys, "enumerate", "roots", "--field-order", "20000")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_each_verb_takes_only_the_options_it_reads(capsys):
+    removed = [["subspace", "-", "--type", "B2"],
+               ["subspace", "-", "--field-order", "12"],
+               ["subspace", "-", "--seed", "1"],
+               ["subspace", "-", "--samples", "3"],
+               ["enumerate", "roots", "--seed", "1"],
+               ["enumerate", "roots", "--samples", "3"],
+               ["check", "rank", "--format", "dot"]]
+    for argv in removed:
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv
+        assert capsys.readouterr().out == ""
 
 
 def test_subspace_interior(capsys, tmp_path):
@@ -276,6 +295,7 @@ def test_subspace_rejects_malformed_points(capsys, monkeypatch):
         {**VALID_POINTS[3], "t": ["1/0"]},
         {**base, "I": ["1", "2"]},
         {**base, "field_order": "6"},
+        {**base, "field_order": 20000},         # beyond the bounded order
         {**base, "type": 2},
         {**base, "S": "1"},
     ]

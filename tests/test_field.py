@@ -6,8 +6,8 @@ from math import gcd
 
 import pytest
 
-from trigbethe.field import (DEFAULT_FIELD_ORDER, CyclotomicField,
-                             cyclotomic_polynomial)
+from trigbethe.field import (DEFAULT_FIELD_ORDER, MAX_FIELD_ORDER,
+                             CyclotomicField, cyclotomic_polynomial)
 
 
 # ----------------------------------------------------------------------
@@ -70,6 +70,14 @@ def test_field_is_interned():
     assert CyclotomicField(6) is CyclotomicField(6)
     assert CyclotomicField(6) is not CyclotomicField(12)
     assert isinstance(CyclotomicField(6), CyclotomicField)
+
+
+def test_field_order_is_bounded():
+    assert CyclotomicField(MAX_FIELD_ORDER).order == MAX_FIELD_ORDER
+    for order in (0, -3, MAX_FIELD_ORDER + 1, 20000):
+        with pytest.raises(ValueError):
+            CyclotomicField(order)
+    assert 20000 not in CyclotomicField._cache
 
 
 def test_default_order_six_identities():

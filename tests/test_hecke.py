@@ -13,6 +13,31 @@ from trigbethe.poly import Poly
 from trigbethe.roots import root_system
 
 
+# coefficient profiles c(u) of the root power u = q^a.  The library family
+# uses "standard", which is bethe.bethe_weight; "inverted" and "bethe" (the
+# profile of the holonomy image) are negative and comparison controls.
+PROFILES = {
+    "standard": lambda u: u / (1 - u),
+    "inverted": lambda u: 1 / (u - 1),
+    "bethe": lambda u: u / (u - 1),
+}
+
+
+def profile_family(alg, qvals, weight):
+    """The degree-one family with coefficient PROFILES[weight](u) on the
+    reflection in each positive root, built independently of bmo."""
+    fam = []
+    for k in range(alg.n):
+        out = alg.x(k)
+        for a in alg.rs.positive_roots:
+            if a[k]:
+                coeff = alg.tvar * (PROFILES[weight](q_power(qvals, a)) * a[k])
+                out = alg.add(out, {alg.rs.reflection_in_root(a): coeff,
+                                    alg.ident: coeff * Fraction(-1)})
+        fam.append(out)
+    return fam
+
+
 def test_defining_relation_elementwise():
     rs = root_system("B2")
     alg = HeckeAlgebra(rs)
@@ -83,8 +108,8 @@ def test_standard_and_inverted_families_commute():
         alg = HeckeAlgebra(rs)
         for seed in (0, 1):
             q = sample_q(rs, seed)
-            for weight in ("standard", "inverted"):
-                fam = alg.family(q, weight)
+            assert profile_family(alg, q, "standard") == alg.family(q)
+            for fam in (alg.family(q), profile_family(alg, q, "inverted")):
                 for i in range(len(fam)):
                     for j in range(i + 1, len(fam)):
                         assert alg.is_zero(alg.commutator(fam[i], fam[j]))
@@ -94,7 +119,7 @@ def test_bethe_weight_family_does_not_commute():
     rs = root_system("A2")
     alg = HeckeAlgebra(rs)
     q = sample_q(rs, 0)
-    fam = alg.family(q, "bethe")
+    fam = profile_family(alg, q, "bethe")
     assert not alg.is_zero(alg.commutator(fam[0], fam[1]))
 
 
@@ -102,22 +127,21 @@ def test_flipped_relation_sign_breaks_commutativity():
     rs = root_system("A2")
     alg = HeckeAlgebra(rs, relation_sign=-1)
     q = sample_q(rs, 0)
-    fam = alg.family(q, "standard")
+    fam = alg.family(q)
     assert not alg.is_zero(alg.commutator(fam[0], fam[1]))
 
 
-def test_unknown_weight_and_singular_q():
+def test_singular_q_rejected():
     rs = root_system("A2")
     alg = HeckeAlgebra(rs)
-    with pytest.raises(ValueError):
-        alg.bmo(0, (Fraction(2), Fraction(3)), weight="mystery")
     with pytest.raises(ZeroDivisionError):
         alg.bmo(0, (Fraction(1), Fraction(3)))
 
 
 def test_degree_cap_guard():
     rs = root_system("A1")
-    alg = HeckeAlgebra(rs, degree_cap=3)
+    alg = HeckeAlgebra(rs)
+    alg.degree_cap = 3
     acc = alg.one()
     with pytest.raises(RuntimeError):
         for _ in range(5):
@@ -155,8 +179,9 @@ def test_holonomy_image_matches_bethe_weight_span():
         space = HolonomySpace(rs, field)
         imgs = [alg.holonomy_image(space, v, tval)
                 for v in space.bethe_subspace(point)]
-        bethe = [alg.at_numeric_t(el, tval) for el in alg.family(q, "bethe")]
-        std = [alg.at_numeric_t(el, tval) for el in alg.family(q, "standard")]
+        bethe = [alg.at_numeric_t(el, tval)
+                 for el in profile_family(alg, q, "bethe")]
+        std = [alg.at_numeric_t(el, tval) for el in alg.family(q)]
         rows_img, rows_bethe = split_spans(alg, imgs, bethe)
         assert row_space_equal(rows_img, rows_bethe)
         rows_img2, rows_std = split_spans(alg, imgs, std)
@@ -171,7 +196,7 @@ def test_commutator_rank_control():
     rs = root_system("A2")
     alg = HeckeAlgebra(rs, relation_sign=-1)
     q = sample_q(rs, 0)
-    fam = alg.family(q, "standard")
+    fam = alg.family(q)
     comm = alg.commutator(fam[0], fam[1])
     flat = alg.at_numeric_t(comm, Fraction(7))
     assert len(flat) >= 2

@@ -121,7 +121,7 @@ def test_generic_point_realizes_exact_centralizer():
 def test_point_on_layer_extends_character():
     amb = ambient("B2")
     for l in enumerate_layers(amb):
-        pt = point_on_layer(l, field=amb.field)
+        pt = point_on_layer(l)
         for row, val in zip(l.basis, l.char_values):
             assert evaluate(pt, row) == val
 
