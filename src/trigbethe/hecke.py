@@ -7,12 +7,19 @@ The defining exchange rule moves a variable across a generator:
 
     x_g * s_i  =  s_i * x_{s_i(g)} + t * <g against the i-th root>
 
-and products are computed by moving polynomials across reduced words.
-The commuting degree-one family (bmo, family) weights the reflection in
-each positive root by the Bethe weight u/(1-u) of bethe.bethe_weight, u
-the root's power of the torus point.  A fixed degree cap
-(HeckeAlgebra.degree_cap) guards against runaway polynomial growth;
-families used here stay within degree two.
+and products are computed by moving polynomials across reduced words,
+found from right descents (HeckeAlgebra.word_of), so no product
+enumerates the Weyl group.  The commuting degree-one family (bmo,
+family) weights the reflection in each positive root by the Bethe
+weight u/(1-u) of bethe.bethe_weight, u the root's power of the torus
+point.  Its commutators are checked for every q at once:
+commutator_table writes [Q_i, Q_j] as a polynomial in indeterminate
+weights c_a, from the products [x_k, s_a] and s_a s_b, and
+exact_commutator_check substitutes c_a = u_a/(1-u_a), clears the
+denominators and tests each coefficient as a polynomial in q
+(cleared_numerator).  A fixed degree cap (HeckeAlgebra.degree_cap)
+guards against runaway polynomial growth; families used here stay
+within degree two.
 """
 
 from __future__ import annotations
@@ -25,6 +32,10 @@ from .poly import Poly
 from .roots import IntMatrix, RootSystem, int_mat_mul
 
 HeckeElem = dict[IntMatrix, Poly]
+# {(group element, exponent of x_1..x_n, t): {c-monomial: rational}}, a
+# c-monomial being the sorted tuple of its positive-root indices
+CommutatorTable = dict[tuple[IntMatrix, tuple[int, ...]],
+                       dict[tuple[int, ...], Fraction]]
 
 
 def q_power(qvals: Sequence[Fraction], alpha: Sequence[int]) -> Fraction:
@@ -56,7 +67,10 @@ class HeckeAlgebra:
         self.relation_sign = relation_sign
         self.ident: IntMatrix = rs.identity
         self.tvar = Poly.variable(self.nvars, self.n)
-        self._words = rs.weyl_elements()
+        # reduced words, filled on demand by word_of
+        self._words: dict[IntMatrix, tuple[int, ...]] = {self.ident: ()}
+        # [x_k, s_a] per (k, positive-root index), see x_reflection_commutator
+        self._x_comms: dict[tuple[int, int], HeckeElem] = {}
         # linear substitution polys: the i-th generator sends x_k to the
         # combination read off the k-th row of its root-side matrix
         self._subst: list[list[Poly]] = []
@@ -165,11 +179,29 @@ class HeckeAlgebra:
             result = self._prune(nxt)
         return result
 
+    def word_of(self, w: IntMatrix) -> tuple[int, ...]:
+        """A reduced word of w, from right descents: if w sends the i-th
+        simple root negative, word(w) = word(w s_i) + (i,).  Cached per
+        element; the group is never enumerated."""
+        path = []
+        while w not in self._words:
+            i = next((i for i in range(self.n) if any(row[i] < 0 for row in w)),
+                     None)
+            if i is None:
+                raise ValueError(f"{w} is not in the Weyl group of {self.rs.label}")
+            path.append((w, i))
+            w = int_mat_mul(w, self.rs.simple_reflection(i))
+        word = self._words[w]
+        for v, i in reversed(path):
+            word = word + (i,)
+            self._words[v] = word
+        return word
+
     def multiply(self, a: HeckeElem, b: HeckeElem) -> HeckeElem:
         out: HeckeElem = {}
         for w1, p1 in a.items():
             for w2, p2 in b.items():
-                moved = self.move_across_word(p1, self._words[w2])
+                moved = self.move_across_word(p1, self.word_of(w2))
                 for v, pv in moved.items():
                     key = int_mat_mul(w1, v)
                     out[key] = out.get(key, Poly(self.nvars)) + pv * p2
@@ -207,6 +239,61 @@ class HeckeAlgebra:
 
     def family(self, qvals: Sequence[Fraction]) -> list[HeckeElem]:
         return [self.bmo(k, qvals) for k in range(self.n)]
+
+    # ------------------------------------------------------------------
+    # the family's commutators for indeterminate weights
+
+    def x_reflection_commutator(self, k: int, b: int) -> HeckeElem:
+        """[x_k, s_b] in normal form, s_b the reflection in the b-th
+        positive root; computed once per algebra."""
+        key = (k, b)
+        if key not in self._x_comms:
+            refl = self.rs.reflection_in_root(self.rs.positive_roots[b])
+            self._x_comms[key] = self.commutator(self.x(k), self.group(refl))
+        return self._x_comms[key]
+
+    def commutator_table(self, i: int, j: int) -> CommutatorTable:
+        """[Q_i, Q_j] of the family with each weight c_a an indeterminate.
+
+        Q_k = x_k + t sum_a a_k c_a (s_a - 1) with t central, so
+            [Q_i, Q_j] = t sum_b c_b (b_j [x_i, s_b] - b_i [x_j, s_b])
+                         + t^2 sum_{a<b} d_ab c_a c_b (s_a s_b - s_b s_a),
+        d_ab = a_i b_j - a_j b_i; the second sum is
+        t^2 sum_{a,b} d_ab c_a c_b (s_a - 1)(s_b - 1) with the terms of
+        (a, b) and (b, a) combined.  Zero coefficients are dropped.
+        """
+        pos = self.rs.positive_roots
+        table: CommutatorTable = {}
+
+        def bump(w, e, mono, val):
+            entry = table.setdefault((w, e), {})
+            entry[mono] = entry.get(mono, 0) + val
+
+        for b, beta in enumerate(pos):
+            for k, weight in ((i, beta[j]), (j, -beta[i])):
+                if not weight:
+                    continue
+                for w, p in self.x_reflection_commutator(k, b).items():
+                    for e, c in p.terms.items():
+                        bump(w, e[:self.n] + (e[self.n] + 1,), (b,), weight * c)
+        refl = [self.rs.reflection_in_root(a) for a in pos]
+        t2 = (0,) * self.n + (2,)
+        for a, alpha in enumerate(pos):
+            for b in range(a + 1, len(pos)):
+                d = alpha[i] * pos[b][j] - alpha[j] * pos[b][i]
+                if not d:
+                    continue
+                ab = int_mat_mul(refl[a], refl[b])
+                ba = int_mat_mul(refl[b], refl[a])
+                if ab != ba:
+                    bump(ab, t2, (a, b), Fraction(d))
+                    bump(ba, t2, (a, b), Fraction(-d))
+        out: CommutatorTable = {}
+        for key, coeff in table.items():
+            coeff = {m: v for m, v in coeff.items() if v}
+            if coeff:
+                out[key] = coeff
+        return out
 
     def at_numeric_t(self, a: HeckeElem, tval: Fraction
                      ) -> dict[tuple[IntMatrix, tuple[int, ...]], Fraction]:
@@ -246,6 +333,46 @@ class HeckeAlgebra:
             e[i] = 1
             bump((self.ident, tuple(e)), -cf / Fraction(tval))
         return {k: v for k, v in out.items() if v != 0}
+
+
+def cleared_numerator(rs: RootSystem, coeff: dict[tuple[int, ...], Fraction]
+                      ) -> Poly:
+    """A commutator-table coefficient as a polynomial in q.
+
+    Each c_a becomes the Bethe weight u_a/(1 - u_a) of u_a = q^a, and the
+    result is multiplied by prod (1 - u_g) over the roots g that occur in
+    coeff.  The coefficient vanishes at every q off the arrangement
+    exactly when this polynomial is zero.
+    """
+    involved = sorted({b for mono in coeff for b in mono})
+    one = Poly.constant(rs.rank, Fraction(1))
+    u = {b: Poly(rs.rank, {rs.positive_roots[b]: Fraction(1)}) for b in involved}
+    out = Poly(rs.rank)
+    for mono, val in coeff.items():
+        term = Poly.constant(rs.rank, val)
+        for b in involved:
+            term = term * (u[b] if b in mono else one - u[b])
+        out = out + term
+    return out
+
+
+def exact_commutator_check(alg: HeckeAlgebra, first_only: bool = False
+                           ) -> tuple[int, list[tuple[int, int, IntMatrix]]]:
+    """Test every coefficient of every [Q_i, Q_j], i < j, as a polynomial in q.
+
+    Returns the number of coefficients tested and the (i, j, group element)
+    of each one that is not zero for all q; first_only stops at the first.
+    """
+    tested, bad = 0, []
+    for i in range(alg.n):
+        for j in range(i + 1, alg.n):
+            for (w, _), coeff in alg.commutator_table(i, j).items():
+                tested += 1
+                if not cleared_numerator(alg.rs, coeff).is_zero():
+                    bad.append((i, j, w))
+                    if first_only:
+                        return tested, bad
+    return tested, bad
 
 
 def all_reduced_words(rs: RootSystem, w: IntMatrix) -> list[tuple[int, ...]]:

@@ -161,12 +161,3 @@ def det(a: Sequence[Sequence[S]]) -> S:
 def identity(n: int) -> Matrix:
     return [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
 
-
-def kron(a: Sequence[Sequence[S]], b: Sequence[Sequence[S]]) -> Matrix:
-    """Kronecker product, blocks of b scaled by entries of a."""
-    out: Matrix = []
-    for arow in a:
-        for brow in b:
-            out.append([x * y for x in arow for y in brow])
-    return out
-

@@ -3,50 +3,89 @@
 Pair generators act through the quadratic tensor Omega = e(x)f + f(x)e +
 (1/2) h(x)h, which equals swap minus half the identity; the marked-index
 generators act through a free 2x2 twist matrix corrected by lowering
-terms.  Everything is exact matrix algebra over Fraction (or any scalar
-obeying the same protocol).
+terms.  An operator on the n-site chain is sparse: a list of 2^n rows,
+each a dict {column: nonzero entry}, slot 1 the most significant bit of
+an index.  Single-site factors (E, F, H, ID2, the twist) are dense 2x2
+row lists, and place() builds their sparse Kronecker product.
+Everything is exact over Fraction (or any scalar obeying the same
+protocol).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import reduce
 from typing import Sequence
 
-from .linalg import kron, mat_mul
+Mat = list[dict]      # sparse rows {column: nonzero entry}
+Local = list[list]    # a dense 2x2 single-site factor
 
-Mat = list[list]
-
-E: Mat = [[Fraction(0), Fraction(1)], [Fraction(0), Fraction(0)]]
-F: Mat = [[Fraction(0), Fraction(0)], [Fraction(1), Fraction(0)]]
-H: Mat = [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(-1)]]
-ID2: Mat = [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)]]
+E: Local = [[Fraction(0), Fraction(1)], [Fraction(0), Fraction(0)]]
+F: Local = [[Fraction(0), Fraction(0)], [Fraction(1), Fraction(0)]]
+H: Local = [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(-1)]]
+ID2: Local = [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)]]
 
 
 def mat_add(a: Mat, b: Mat) -> Mat:
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def mat_sub(a: Mat, b: Mat) -> Mat:
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+    out = []
+    for ra, rb in zip(a, b):
+        row = dict(ra)
+        for c, v in rb.items():
+            if c not in row:
+                row[c] = v
+            else:
+                s = row[c] + v
+                if s == 0:
+                    del row[c]
+                else:
+                    row[c] = s
+        out.append(row)
+    return out
 
 
 def mat_scale(a: Mat, s) -> Mat:
-    return [[s * x for x in row] for row in a]
+    if s == 0:
+        return zero_matrix(len(a))
+    return [{c: s * v for c, v in row.items()} for row in a]
+
+
+def mat_sub(a: Mat, b: Mat) -> Mat:
+    return mat_add(a, mat_scale(b, Fraction(-1)))
+
+
+def mat_mul(a: Mat, b: Mat) -> Mat:
+    out = []
+    for row in a:
+        acc: dict = {}
+        for k, x in row.items():
+            for c, y in b[k].items():
+                acc[c] = acc[c] + x * y if c in acc else x * y
+        out.append({c: v for c, v in acc.items() if not v == 0})
+    return out
 
 
 def mat_equal(a: Mat, b: Mat) -> bool:
-    return all(x == y for ra, rb in zip(a, b) for x, y in zip(ra, rb))
+    return len(a) == len(b) and all(ra == rb for ra, rb in zip(a, b))
 
 
 def zero_matrix(size: int) -> Mat:
-    return [[Fraction(0)] * size for _ in range(size)]
+    return [{} for _ in range(size)]
 
 
-def place(factors: dict[int, Mat], n: int) -> Mat:
+def place(factors: dict[int, Local], n: int) -> Mat:
     """Kronecker product over n slots (1-based), identity where omitted."""
-    mats = [factors.get(slot, ID2) for slot in range(1, n + 1)]
-    return reduce(kron, mats) if mats else [[Fraction(1)]]
+    out: Mat = [{0: Fraction(1)}]
+    for slot in range(1, n + 1):
+        f = factors.get(slot)
+        nxt = []
+        for row in out:
+            for fr in (0, 1):
+                if f is None:
+                    nxt.append({2 * c + fr: v for c, v in row.items()})
+                    continue
+                nxt.append({2 * c + fc: v * f[fr][fc] for c, v in row.items()
+                            for fc in (0, 1) if not f[fr][fc] == 0})
+        out = nxt
+    return out
 
 
 def casimir_pair(i: int, j: int, n: int) -> Mat:
@@ -67,11 +106,11 @@ def raising_pair(i: int, j: int, n: int) -> Mat:
     return place({i: E, j: F}, n)
 
 
-def twist_at(theta: Mat, i: int, n: int) -> Mat:
+def twist_at(theta: Local, i: int, n: int) -> Mat:
     return place({i: theta}, n)
 
 
-def trig_hamiltonian(theta: Mat, z: Sequence, k: int, n: int) -> Mat:
+def trig_hamiltonian(theta: Local, z: Sequence, k: int, n: int) -> Mat:
     """The k-th trigonometric element: twist over z_k, Casimir simple
     fractions, minus lowering terms over z_k."""
     zk = z[k - 1]
@@ -88,7 +127,7 @@ def trig_hamiltonian(theta: Mat, z: Sequence, k: int, n: int) -> Mat:
 
 
 def represent_pair_vector(pairs: Sequence[tuple[int, int]],
-                          coeffs: Sequence, theta: Mat, n: int) -> Mat:
+                          coeffs: Sequence, theta: Local, n: int) -> Mat:
     """Matrix of a pair-generator vector on indices {0..n}.
 
     Pairs within {1..n} act by the Casimir tensor; a pair {0,i} acts by
@@ -114,4 +153,4 @@ def commutator(a: Mat, b: Mat) -> Mat:
 
 
 def commute(a: Mat, b: Mat) -> bool:
-    return all(x == 0 for row in commutator(a, b) for x in row)
+    return not any(commutator(a, b))

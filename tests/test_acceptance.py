@@ -1,4 +1,5 @@
-"""Acceptance gate: ten structural criteria, each one test, exact arithmetic.
+"""Acceptance gate: ten structural criteria, each one test (criterion 01
+also has an exact-in-q companion), exact arithmetic.
 
 Every criterion prints one [PASS]/[FAIL] line (visible with -s or -rP and
 in the verbose per-test report).  Tolerances are exact equality unless a
@@ -13,7 +14,7 @@ from fractions import Fraction
 from trigbethe.bethe import (HolonomySpace, XPoint, chart_only,
                              injectivity_pool, sample_xpoints)
 from trigbethe.field import CyclotomicField, char_value
-from trigbethe.hecke import HeckeAlgebra, sample_q
+from trigbethe.hecke import HeckeAlgebra, exact_commutator_check, sample_q
 from trigbethe.lattice import int_rank, smith_normal_form
 from trigbethe.layers import (RootAmbient, enumerate_layers, gamma_divisors,
                               generic_point, is_indecomposable)
@@ -59,6 +60,27 @@ def test_criterion_01_hecke_family_commutes():
     elapsed = time.time() - t0
     record(1, "symbolic family commutativity", ok and elapsed < 120,
            f"{checked} commutators exactly zero in {elapsed:.1f}s")
+
+
+def test_criterion_01_hecke_family_commutes_for_every_q():
+    # companion of criterion 01: every commutator coefficient vanishes as
+    # a polynomial in q, on every type; the sign-flipped rule does not
+    t0 = time.time()
+    tested = 0
+    ok = True
+    for label in ALL_TYPES:
+        rs = root_system(label)
+        count, bad = exact_commutator_check(HeckeAlgebra(rs))
+        tested += count
+        ok = ok and not bad
+        if rs.rank >= 2:
+            _, flipped = exact_commutator_check(
+                HeckeAlgebra(rs, relation_sign=-1), first_only=True)
+            ok = ok and bool(flipped)
+    elapsed = time.time() - t0
+    record(1, "family commutativity exact in q", ok,
+           f"{tested} coefficients vanish identically on {len(ALL_TYPES)} "
+           f"types in {elapsed:.1f}s")
 
 
 def test_criterion_02_spin_chain_commutes_with_scaled_identity():

@@ -359,3 +359,35 @@ def test_type_independent_checks_state_coverage(capsys):
             assert entries[name]["n"] == [2, 3]
         for name in ["rank", "injectivity", "triangularity", "hecke", "weyl"]:
             assert "type_independent" not in entries[name]
+
+
+def test_check_hecke_rank_one_is_vacuous(capsys):
+    data = run_json(capsys, "check", "hecke", "--type", "A1")
+    [hecke] = data["checks"]
+    assert hecke["passed"] is True and hecke["pairs"] == 0
+    assert hecke["coefficients"] == 0
+    assert "vacuous" in hecke["detail"] and "not run" in hecke["detail"]
+
+
+def test_check_hecke_ignores_seed_and_samples(capsys):
+    base = run_json(capsys, "check", "hecke", "--type", "B3")["checks"]
+    other = run_json(capsys, "check", "hecke", "--type", "B3", "--seed", "5",
+                     "--samples", "1")["checks"]
+    assert base == other
+    [hecke] = base
+    assert hecke["passed"] is True and hecke["exhaustive"] is True
+    assert hecke["pairs"] == 3 and hecke["coefficients"] > 0
+
+
+def test_check_entries_state_coverage(capsys):
+    data = run_json(capsys, "check", "all", "--type", "B2", "--samples", "3")
+    entries = {c["name"]: c for c in data["checks"]}
+    for name in ["rank", "injectivity"]:
+        assert entries[name]["exhaustive"] is False
+        assert entries[name]["points"] > 0
+    assert entries["rank"]["points"] == 3
+    assert entries["triangularity"]["exhaustive"] is True
+    assert entries["triangularity"]["charts"] == 2
+    assert entries["hecke"]["exhaustive"] is True
+    assert entries["hecke"]["pairs"] == 1
+    assert entries["weyl"]["exhaustive"] is True

@@ -1,16 +1,20 @@
 """Deformed operator algebra: exchange rule, commuting family, images."""
 
+import json
+import random
 from fractions import Fraction
 
 import pytest
 
 from trigbethe.bethe import HolonomySpace
+from trigbethe.cli import main
 from trigbethe.field import CyclotomicField
-from trigbethe.hecke import (HeckeAlgebra, all_reduced_words, q_power,
-                             sample_q, span_vectors)
+from trigbethe.hecke import (HeckeAlgebra, all_reduced_words,
+                             cleared_numerator, q_power, sample_q,
+                             span_vectors)
 from trigbethe.linalg import rank, row_space_equal
 from trigbethe.poly import Poly
-from trigbethe.roots import root_system
+from trigbethe.roots import RootSystem, root_system
 
 
 # coefficient profiles c(u) of the root power u = q^a.  The library family
@@ -23,19 +27,26 @@ PROFILES = {
 }
 
 
-def profile_family(alg, qvals, weight):
-    """The degree-one family with coefficient PROFILES[weight](u) on the
-    reflection in each positive root, built independently of bmo."""
+def weighted_family(alg, weights):
+    """x_k + t * sum_a a_k c_a (s_a - 1) for the weights c_a, one per
+    positive root, built independently of bmo."""
     fam = []
     for k in range(alg.n):
         out = alg.x(k)
-        for a in alg.rs.positive_roots:
+        for a, c in zip(alg.rs.positive_roots, weights):
             if a[k]:
-                coeff = alg.tvar * (PROFILES[weight](q_power(qvals, a)) * a[k])
+                coeff = alg.tvar * (c * a[k])
                 out = alg.add(out, {alg.rs.reflection_in_root(a): coeff,
                                     alg.ident: coeff * Fraction(-1)})
         fam.append(out)
     return fam
+
+
+def profile_family(alg, qvals, weight):
+    """The degree-one family with coefficient PROFILES[weight](u) on the
+    reflection in each positive root."""
+    return weighted_family(alg, [PROFILES[weight](q_power(qvals, a))
+                                 for a in alg.rs.positive_roots])
 
 
 def test_defining_relation_elementwise():
@@ -200,3 +211,78 @@ def test_commutator_rank_control():
     comm = alg.commutator(fam[0], fam[1])
     flat = alg.at_numeric_t(comm, Fraction(7))
     assert len(flat) >= 2
+
+
+def evaluate_table(alg, table, weights):
+    """The commutator table with each c_a replaced by weights[a]."""
+    out = {}
+    for (w, e), coeff in table.items():
+        val = Fraction(0)
+        for mono, v in coeff.items():
+            for b in mono:
+                v = v * weights[b]
+            val += v
+        out[w] = out.get(w, Poly(alg.nvars)) + Poly(alg.nvars, {e: val})
+    return out
+
+
+def test_commutator_table_matches_normal_form_products():
+    # oracle: the table at arbitrary rational weights equals the
+    # normal-form commutator of the family built from the same weights
+    rng = random.Random(20261018)
+    for label in ["A2", "B2", "G2", "A3"]:
+        rs = root_system(label)
+        for sign in (1, -1):
+            alg = HeckeAlgebra(rs, relation_sign=sign)
+            for _ in range(2):
+                weights = [Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+                           for _ in rs.positive_roots]
+                fam = weighted_family(alg, weights)
+                for i in range(rs.rank):
+                    for j in range(i + 1, rs.rank):
+                        want = alg.commutator(fam[i], fam[j])
+                        assert not alg.is_zero(want)
+                        got = evaluate_table(alg, alg.commutator_table(i, j),
+                                             weights)
+                        assert alg.is_zero(alg.sub(got, want)), (label, sign)
+
+
+def test_cleared_numerator_fixture():
+    # A2, roots a = (0,1), b = (1,0), a + b: c_a c_b = c_{a+b}(1 + c_a + c_b)
+    # for c = u/(1-u); dropping any one term leaves a non-zero polynomial
+    rs = root_system("A2")
+    assert rs.positive_roots == [(0, 1), (1, 0), (1, 1)]
+    identity = {(0, 1): Fraction(1), (2,): Fraction(-1), (0, 2): Fraction(-1),
+                (1, 2): Fraction(-1)}
+    assert cleared_numerator(rs, identity).is_zero()
+    for mono in identity:
+        rest = {m: v for m, v in identity.items() if m != mono}
+        assert not cleared_numerator(rs, rest).is_zero()
+    # c_a alone: u_a
+    assert cleared_numerator(rs, {(0,): Fraction(3)}) == \
+        Poly(2, {(0, 1): Fraction(3)})
+
+
+def test_word_of_is_reduced():
+    rs = root_system("B3")
+    alg = HeckeAlgebra(rs)
+    for w, word in rs.weyl_elements().items():
+        found = alg.word_of(w)
+        assert len(found) == len(word)
+        assert rs.matrix_of_word(found) == w
+    with pytest.raises(ValueError):
+        alg.word_of(((1, 1, 0), (0, 1, 0), (0, 0, 1)))
+
+
+def test_hecke_never_enumerates_the_group(monkeypatch, capsys):
+    def refuse(self):
+        raise AssertionError("whole Weyl group enumerated")
+    monkeypatch.setattr(RootSystem, "weyl_elements", refuse)
+    assert main(["check", "hecke", "--type", "F4"]) == 0
+    assert json.loads(capsys.readouterr().out)["passed"] is True
+    rs = root_system("D4")
+    alg = HeckeAlgebra(rs)
+    w0 = tuple(tuple(-x for x in row) for row in rs.identity)  # longest element
+    assert len(alg.word_of(w0)) == len(rs.positive_roots) == 12
+    prod = alg.multiply(alg.x(1), alg.group(w0))
+    assert w0 in prod and len(prod) > 1

@@ -9,7 +9,7 @@ import pytest
 from trigbethe.field import CyclotomicField
 from trigbethe.poly import RatFunc
 from trigbethe.linalg import (det, express_in_rows, identity, in_row_space,
-                              kron, mat_inverse, mat_mul, mat_vec, nullspace,
+                              mat_inverse, mat_mul, mat_vec, nullspace,
                               rank, row_space_equal, rref)
 
 
@@ -111,14 +111,6 @@ def test_det_multiplicative():
         a = rand_matrix(rng, n, n)
         b = rand_matrix(rng, n, n)
         assert det(mat_mul(a, b)) == det([r[:] for r in a]) * det([r[:] for r in b])
-
-
-def test_kron_shape_and_values():
-    a = [[Fraction(1), Fraction(2)], [Fraction(0), Fraction(1)]]
-    b = [[Fraction(3)]]
-    assert kron(a, b) == [[Fraction(3), Fraction(6)], [Fraction(0), Fraction(3)]]
-    c = kron(a, a)
-    assert len(c) == 4 and c[0][3] == Fraction(4)
 
 
 def test_works_over_cyclotomic_scalars():

@@ -1,17 +1,131 @@
-"""Spin-chain matrices: Casimir tensor, commuting trig elements."""
+"""Spin-chain matrices: Casimir tensor, commuting trig elements.
+
+The library's operators are sparse rows; a dense Kronecker-product
+reference, kept here, checks them entry by entry.
+"""
 
 import random
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 
 from trigbethe.field import CyclotomicField
-from trigbethe.spin import (ID2, casimir_pair, commutator, commute,
+from trigbethe.linalg import mat_mul
+from trigbethe import spin
+from trigbethe.spin import (E, F, H, ID2, casimir_pair, commutator, commute,
                             lowering_pair, mat_equal, mat_scale, mat_sub,
                             place, raising_pair, represent_pair_vector,
                             trig_hamiltonian, twist_at, zero_matrix)
 from trigbethe.typea import (RationalTarget, TrigSource, marked_points,
                              reindex_map, sample_z)
+
+
+# ----------------------------------------------------------------------
+# dense reference: full row lists and Kronecker products
+
+
+def kron(a, b):
+    """Kronecker product, blocks of b scaled by entries of a."""
+    return [[x * y for x in arow for y in brow] for arow in a for brow in b]
+
+
+def dense_add(a, b, s=1):
+    return [[x + s * y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+
+
+def dense_scale(a, s):
+    return [[s * x for x in row] for row in a]
+
+
+def dense_place(factors, n):
+    mats = [factors.get(slot, ID2) for slot in range(1, n + 1)]
+    return reduce(kron, mats) if mats else [[Fraction(1)]]
+
+
+def dense_casimir_pair(i, j, n):
+    out = dense_add(dense_place({i: E, j: F}, n), dense_place({i: F, j: E}, n))
+    return dense_add(out, dense_place({i: H, j: H}, n), Fraction(1, 2))
+
+
+def dense_lowering_pair(i, j, n):
+    return dense_place({i: F, j: E}, n)
+
+
+def dense_trig_hamiltonian(theta, z, k, n):
+    zk = z[k - 1]
+    out = dense_scale(dense_place({k: theta}, n), 1 / zk)
+    for j in range(1, n + 1):
+        if j != k:
+            out = dense_add(out, dense_casimir_pair(k, j, n), 1 / (zk - z[j - 1]))
+            out = dense_add(out, dense_lowering_pair(k, j, n), -1 / zk)
+    return out
+
+
+def dense_represent_pair_vector(pairs, coeffs, theta, n):
+    out = [[Fraction(0)] * 2 ** n for _ in range(2 ** n)]
+    for (i, j), c in zip(pairs, coeffs):
+        if i == 0:
+            block = dense_place({j: theta}, n)
+            for l in range(1, n + 1):
+                if l != j:
+                    block = dense_add(block, dense_lowering_pair(j, l, n), -1)
+        else:
+            block = dense_casimir_pair(i, j, n)
+        out = dense_add(out, block, c)
+    return out
+
+
+def to_dense(m):
+    return [[row.get(c, 0) for c in range(len(m))] for row in m]
+
+
+def test_kron_shape_and_values():
+    a = [[Fraction(1), Fraction(2)], [Fraction(0), Fraction(1)]]
+    b = [[Fraction(3)]]
+    assert kron(a, b) == [[Fraction(3), Fraction(6)], [Fraction(0), Fraction(3)]]
+    c = kron(a, a)
+    assert len(c) == 4 and c[0][3] == Fraction(4)
+
+
+def test_sparse_operators_match_dense_reference():
+    field = CyclotomicField(6)
+    rng = random.Random(20261018)
+    for n in (1, 2, 3, 4):
+        z = sample_z(field, n, n)
+        theta = [[Fraction(rng.randint(-9, 9)), Fraction(rng.randint(-9, 9))],
+                 [Fraction(rng.randint(-9, 9)), Fraction(rng.randint(-9, 9))]]
+        local = {1: theta, n: E} if n > 1 else {1: theta}
+        assert to_dense(place(local, n)) == dense_place(local, n)
+        for slot in range(1, n + 1):
+            assert to_dense(twist_at(theta, slot, n)) == \
+                dense_place({slot: theta}, n)
+            assert to_dense(trig_hamiltonian(theta, z, slot, n)) == \
+                dense_trig_hamiltonian(theta, z, slot, n)
+            for other in range(1, n + 1):
+                if other != slot:
+                    assert to_dense(casimir_pair(slot, other, n)) == \
+                        dense_casimir_pair(slot, other, n)
+                    assert to_dense(lowering_pair(slot, other, n)) == \
+                        dense_lowering_pair(slot, other, n)
+        pairs = [(i, j) for i in range(n + 1) for j in range(i + 1, n + 1)]
+        coeffs = [field.from_rational(Fraction(rng.randint(-5, 5),
+                                               rng.randint(1, 5)))
+                  for _ in pairs]
+        assert to_dense(represent_pair_vector(pairs, coeffs, theta, n)) == \
+            dense_represent_pair_vector(pairs, coeffs, theta, n)
+
+
+def test_sparse_product_matches_dense_product():
+    rng = random.Random(7)
+    for n in (1, 2, 3):
+        a = [[Fraction(rng.randint(-2, 2)) for _ in range(2 ** n)]
+             for _ in range(2 ** n)]
+        b = [[Fraction(rng.randint(-2, 2)) for _ in range(2 ** n)]
+             for _ in range(2 ** n)]
+        sparse = [[{c: x for c, x in enumerate(row) if x} for row in m]
+                  for m in (a, b)]
+        assert to_dense(spin.mat_mul(*sparse)) == mat_mul(a, b)
 
 
 def swap_matrix():
@@ -32,7 +146,7 @@ def test_casimir_is_swap_minus_half():
 def test_casimir_on_highest_vector():
     omega = casimir_pair(1, 2, 2)
     vplus = [Fraction(1), Fraction(0), Fraction(0), Fraction(0)]
-    out = [sum(omega[r][c] * vplus[c] for c in range(4)) for r in range(4)]
+    out = [sum(x * vplus[c] for c, x in row.items()) for row in omega]
     assert out == [Fraction(1, 2), 0, 0, 0]
 
 
@@ -41,7 +155,7 @@ def test_lowering_raising_slots():
     high = raising_pair(1, 2, 2)
     # f in slot 1, e in slot 2: sends v+(x)v- to v-(x)v+
     src = [Fraction(0), Fraction(1), Fraction(0), Fraction(0)]
-    out = [sum(low[r][c] * src[c] for c in range(4)) for r in range(4)]
+    out = [sum(x * src[c] for c, x in row.items()) for row in low]
     assert out == [0, 0, Fraction(1), 0]
     assert mat_equal(high, lowering_pair(2, 1, 2))
 
@@ -75,7 +189,7 @@ def test_commutator_detects_noncommuting():
     a = place({1: [[Fraction(0), Fraction(1)], [Fraction(0), Fraction(0)]]}, 1)
     b = place({1: [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(-1)]]}, 1)
     assert not commute(a, b)
-    assert any(x != 0 for row in commutator(a, b) for x in row)
+    assert any(x != 0 for row in commutator(a, b) for x in row.values())
 
 
 def test_represented_image_is_scaled_hamiltonian():
