@@ -129,9 +129,9 @@ class HolonomySpace:
 
     def bethe_subspace(self, point: Sequence[FieldElement]
                        ) -> list[list[FieldElement]]:
-        n = self.rs.rank
         return self.bethe_family(
-            stratum_values(self.rs, self.field, range(n), point), identity(n))
+            stratum_values(self.rs, self.field, range(self.rs.rank), point),
+            self.rs.identity)
 
     def gaudin_subspace(self, chi: Sequence) -> list[list[FieldElement]]:
         return [self.gaudin(chi, h) for h in identity(self.rs.rank)]
@@ -232,7 +232,7 @@ def weyl_action_report(rs: RootSystem, field: CyclotomicField,
             if compose(space.rho(w), space.rho(g)) != matrices[int_mat_mul(w, g)]:
                 group_law = False
 
-    h_basis = identity(n)
+    h_basis = rs.identity
     while True:
         point = tuple(field.from_rational(Fraction(rng.randint(2, 50),
                                                    rng.randint(2, 50)))

@@ -1,18 +1,17 @@
 """Integer lattice computations: Smith and Hermite normal forms.
 
 Lattices are row spans of integer matrices inside Z^n.  Smith form
-provides saturations and torsion quotients (with tracked unimodular
-transforms); row-style Hermite form provides a canonical basis used to
-deduplicate lattices.
+provides saturations and torsion quotients.  It tracks its unimodular
+transforms U and V, and V^{-1} alongside them: every column operation
+applied to V is matched by the inverse row operation on V^{-1}, so the
+whole computation stays in integers.  Row-style Hermite form provides a
+canonical basis used to deduplicate lattices.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
-
-from .linalg import mat_inverse
 
 IntRows = list[list[int]]
 
@@ -53,6 +52,7 @@ def smith_normal_form(rows: Sequence[Sequence[int]], ncols: int | None = None
         raise ValueError("column count mismatch")
     U = _identity(m)
     V = _identity(n)
+    Vinv = _identity(n)  # kept equal to V^{-1}: M @ E pairs with E^{-1} @ Vinv
 
     def row_op(i, j, q):  # row_i -= q * row_j
         M[i] = [a - q * b for a, b in zip(M[i], M[j])]
@@ -63,6 +63,7 @@ def smith_normal_form(rows: Sequence[Sequence[int]], ncols: int | None = None
             M[r][i] -= q * M[r][j]
         for r in range(n):
             V[r][i] -= q * V[r][j]
+        Vinv[j] = [a + q * b for a, b in zip(Vinv[j], Vinv[i])]
 
     def row_swap(i, j):
         M[i], M[j] = M[j], M[i]
@@ -73,6 +74,7 @@ def smith_normal_form(rows: Sequence[Sequence[int]], ncols: int | None = None
             M[r][i], M[r][j] = M[r][j], M[r][i]
         for r in range(n):
             V[r][i], V[r][j] = V[r][j], V[r][i]
+        Vinv[i], Vinv[j] = Vinv[j], Vinv[i]
 
     def row_negate(i):
         M[i] = [-a for a in M[i]]
@@ -121,11 +123,6 @@ def smith_normal_form(rows: Sequence[Sequence[int]], ncols: int | None = None
         t += 1
 
     divisors = [M[k][k] for k in range(min(m, n)) if M[k][k] != 0]
-    if n:
-        vinv = mat_inverse([[Fraction(x) for x in row] for row in V])
-        Vinv = [[int(x) for x in row] for row in vinv]
-    else:
-        Vinv = []
     return SmithForm(divisors, U, V, Vinv, (m, n))
 
 

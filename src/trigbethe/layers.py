@@ -11,20 +11,24 @@ character is kept as integer exponents mod N: chi(v) = 1 is a dot
 product mod N, and field elements are built only for the stored values
 (char_values) when a caller asks for them.
 
-Enumeration walks linearly independent subsets B of positive roots and
-recurses into every extension, but visits each lattice <B> (keyed by
-its Hermite form) once, since the layers found from B depend only on
-<B>.  A visit saturates <B> through its Smith form, decides once which
-positive roots lie in the Q-span of the saturation, and then tries each
-torsion character trivial on <B>; a candidate is a genuine layer exactly
+Enumeration visits every lattice <B> spanned by a linearly independent
+set B of positive roots, each exactly once.  The lattices are grown
+breadth-first by rank: the rank-(k+1) lattices are the Hermite forms of
+L + <a> for a rank-k lattice L and a positive root a outside the Q-span
+of L, deduplicated by that Hermite form.  A visit saturates L through
+its Smith form, decides once which positive roots lie in the Q-span of
+the saturation (those are skipped when L is grown), and then tries each
+torsion character trivial on L; a candidate is a genuine layer exactly
 when the roots it centralizes still span the lattice.  Every layer
-arises this way from any independent spanning subset of its centralized
-roots, so the walk is complete, and candidates are deduplicated by their
-canonical encoding.
+arises this way from the lattice of any independent spanning subset of
+its centralized roots, so the walk is complete, and candidates are
+deduplicated by their canonical encoding.
 
 The layer poset compares exponents the same way.  Distinct layers of
 equal codimension never contain one another, so only pairs whose
-containing layer has the smaller codimension are tested.
+containing layer has the smaller codimension are tested, and only when
+every root centralized by the containing layer is centralized by the
+other (a necessary condition, tested on integer bitmasks).
 """
 
 from __future__ import annotations
@@ -49,7 +53,7 @@ class RootAmbient:
 
     dim: int
     positive_roots: tuple[Coords, ...]
-    gram: tuple[tuple[Fraction, ...], ...]
+    gram: tuple[tuple[int, ...], ...]
     field: CyclotomicField
     axis_names: tuple[str, ...]
 
@@ -136,10 +140,11 @@ def enumerate_layers(amb: RootAmbient) -> list[Layer]:
     n = amb.dim
     pos = list(amb.positive_roots)
     found: dict[tuple, Layer] = {}
-    visited: set[tuple] = set()
 
-    def visit(basis_rows: list[Coords]) -> None:
-        sf = smith_normal_form(basis_rows, ncols=n)
+    def visit(lattice: tuple[Coords, ...]) -> set[Coords]:
+        """Record the layers of one lattice; return the positive roots in
+        its Q-span."""
+        sf = smith_normal_form(lattice, ncols=n)
         k = sf.rank
         hnf = hermite_normal_form(sf.saturation_basis())
 
@@ -154,8 +159,8 @@ def enumerate_layers(amb: RootAmbient) -> list[Layer]:
             if not any(c[k:]):
                 in_span.append((a, c[:k]))
         hnf_coords = [coords(row)[:k] for row in hnf]
-        # characters of sat/<B>: a d_i-th root of unity on each saturation
-        # basis vector Vinv[i]; all are automatically trivial on <B>
+        # characters of sat/L: a d_i-th root of unity on each saturation
+        # basis vector Vinv[i]; all are automatically trivial on L
         steps = [field.root_exponent(d) for d in sf.divisors]
         for choice in itertools.product(*(range(d) for d in sf.divisors)):
             exps = [s * j for s, j in zip(steps, choice)]
@@ -172,21 +177,22 @@ def enumerate_layers(amb: RootAmbient) -> list[Layer]:
                 found[key] = Layer(n, hnf, char, field,
                                    tuple(sorted(centralized,
                                                 key=lambda c: (sum(c), c))))
+        return {a for a, _ in in_span}
 
-    def extend(start: int, rows: list[Coords], lattice: tuple) -> None:
-        # the layers found from rows depend only on the lattice they span
-        if lattice not in visited:
-            visited.add(lattice)
-            visit(rows)
-        if len(rows) == n:
-            return
-        for i in range(start, len(pos)):
-            cand = rows + [pos[i]]
-            cand_lattice = hermite_normal_form(cand)
-            if len(cand_lattice) == len(cand):
-                extend(i + 1, cand, cand_lattice)
-
-    extend(0, [], ())
+    seen: set[tuple[Coords, ...]] = {()}
+    frontier: list[tuple[Coords, ...]] = [()]
+    while frontier:
+        grown = []
+        for lattice in frontier:
+            spanned = visit(lattice)
+            for a in pos:
+                if a in spanned:
+                    continue
+                cand = hermite_normal_form(lattice + (a,))
+                if cand not in seen:
+                    seen.add(cand)
+                    grown.append(cand)
+        frontier = grown
     return sorted(found.values(), key=Layer.sort_key)
 
 
@@ -223,11 +229,17 @@ def poset_relations(layers: Sequence[Layer]) -> list[tuple[int, int]]:
     """Pairs (i, j) with layers[i] a proper subvariety of layers[j].
 
     Distinct layers of equal codimension never contain one another, so
-    only pairs with layers[j] of smaller codimension are tested.
+    only pairs with layers[j] of smaller codimension are tested.  A root
+    with e^alpha = 1 on layers[j] has e^alpha = 1 on any layer inside it,
+    so layer_contains runs only on pairs whose root sets are nested.
     """
+    bit: dict[Coords, int] = {}
+    masks = [sum(1 << bit.setdefault(a, len(bit)) for a in l.roots_pos)
+             for l in layers]
     return [(i, j) for i, small in enumerate(layers)
             for j, big in enumerate(layers)
-            if big.codim < small.codim and layer_contains(big, small)]
+            if big.codim < small.codim and not masks[j] & ~masks[i]
+            and layer_contains(big, small)]
 
 
 def covering_relations(layers: Sequence[Layer]) -> list[tuple[int, int]]:

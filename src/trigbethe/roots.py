@@ -4,7 +4,8 @@ Roots are integer coordinate tuples in the simple-root basis; a root is
 positive exactly when all coordinates are nonnegative.  Supported types:
 A(n>=1), B(n>=2), C(n>=2), D(n>=4), G2, F4.  Short roots are normalized
 to squared length 2; the symmetric pairing is recovered from the Cartan
-matrix through the symmetrizing diagonal.
+matrix through the symmetrizing diagonal, so its Gram matrix is integral
+and every pairing is computed in integers.
 """
 
 from __future__ import annotations
@@ -70,13 +71,13 @@ def symmetrizers(family: str, n: int) -> tuple[int, ...]:
     raise ValueError(f"unsupported family {family}")
 
 
-def gram_inner(gram: Sequence[Sequence[Fraction]], a: Sequence[int],
-               b: Sequence[int]) -> Fraction:
+def gram_inner(gram: Sequence[Sequence[int]], a: Sequence[int],
+               b: Sequence[int]) -> int:
     """(a, b) for the symmetric pairing whose Gram matrix is gram."""
     return sum(x * g * y for x, row in zip(a, gram) for g, y in zip(row, b))
 
 
-def nonorthogonal_edges(gram: Sequence[Sequence[Fraction]],
+def nonorthogonal_edges(gram: Sequence[Sequence[int]],
                         roots: Sequence[Coords]) -> list[tuple[int, int]]:
     """Pairs i < j of roots with (roots[i], roots[j]) != 0."""
     n = len(roots)
@@ -119,8 +120,8 @@ class RootSystem:
         self.label = f"{family}{n}"
         self.cartan = cartan_matrix(family, n)
         self.sym = symmetrizers(family, n)
-        self.gram: list[list[Fraction]] = [
-            [Fraction(self.sym[i] * self.cartan[i][j]) for j in range(n)]
+        self.gram: list[list[int]] = [
+            [self.sym[i] * self.cartan[i][j] for j in range(n)]
             for i in range(n)]
         self.simple_roots: list[Coords] = [
             tuple(int(i == j) for j in range(n)) for i in range(n)]
@@ -134,20 +135,23 @@ class RootSystem:
         self._pos_index = {a: k for k, a in enumerate(self.positive_roots)}
         self._weyl: dict[IntMatrix, tuple[int, ...]] | None = None
         self._elements: dict[IntMatrix, WeylElement] = {}
-        self._gram_tables: tuple[int, list[list[int]], list[list[int]]] | None = None
+        self._scaled_ginv: tuple[int, list[list[int]]] | None = None
 
     # ------------------------------------------------------------------
     # pairing
 
-    def inner(self, a: Sequence[int], b: Sequence[int]) -> Fraction:
+    def inner(self, a: Sequence[int], b: Sequence[int]) -> int:
         return gram_inner(self.gram, a, b)
 
-    def norm2(self, a: Sequence[int]) -> Fraction:
+    def norm2(self, a: Sequence[int]) -> int:
         return self.inner(a, a)
 
-    def pairing(self, beta: Sequence[int], alpha: Sequence[int]) -> Fraction:
-        """<beta, alpha^vee> = 2(beta,alpha)/(alpha,alpha)."""
-        return 2 * self.inner(beta, alpha) / self.norm2(alpha)
+    def pairing(self, beta: Sequence[int], alpha: Sequence[int]) -> int:
+        """<beta, alpha^vee> = 2(beta,alpha)/(alpha,alpha), an exact integer."""
+        k, r = divmod(2 * self.inner(beta, alpha), self.norm2(alpha))
+        if r:
+            raise ValueError(f"<{tuple(beta)}, {tuple(alpha)}^vee> is not an integer")
+        return k
 
     # ------------------------------------------------------------------
     # reflections and roots
@@ -163,8 +167,7 @@ class RootSystem:
         cols = []
         for j in range(n):
             k = self.pairing(self.simple_roots[j], alpha)
-            assert k.denominator == 1
-            cols.append([int(i == j) - int(k) * alpha[i] for i in range(n)])
+            cols.append([int(i == j) - k * alpha[i] for i in range(n)])
         return tuple(tuple(cols[j][i] for j in range(n)) for i in range(n))
 
     def act(self, w: IntMatrix, coords: Sequence[int]) -> Coords:
@@ -173,8 +176,7 @@ class RootSystem:
 
     def reflect(self, beta: Sequence[int], alpha: Sequence[int]) -> Coords:
         k = self.pairing(beta, alpha)
-        assert k.denominator == 1
-        return tuple(beta[i] - int(k) * alpha[i] for i in range(self.rank))
+        return tuple(beta[i] - k * alpha[i] for i in range(self.rank))
 
     def _close_roots(self) -> list[Coords]:
         seen: set[Coords] = set(self.simple_roots)
@@ -257,13 +259,12 @@ class RootSystem:
         cached = self._elements.get(w)
         if cached is not None:
             return cached
-        if self._gram_tables is None:
-            ginv = mat_inverse(self.gram)
+        if self._scaled_ginv is None:
+            ginv = mat_inverse([[Fraction(x) for x in row] for row in self.gram])
             d = math.lcm(*(x.denominator for row in ginv for x in row))
-            self._gram_tables = (d, [[int(x * d) for x in row] for row in ginv],
-                                 [[int(x) for x in row] for row in self.gram])
-        d, scaled_ginv, gram = self._gram_tables
-        inverse = int_mat_mul(int_mat_mul(scaled_ginv, tuple(zip(*w))), gram)
+            self._scaled_ginv = (d, [[int(x * d) for x in row] for row in ginv])
+        d, scaled_ginv = self._scaled_ginv
+        inverse = int_mat_mul(int_mat_mul(scaled_ginv, tuple(zip(*w))), self.gram)
         if any(x % d for row in inverse for x in row):
             raise ValueError(f"{w} is not in the Weyl group of {self.label}")
         perm, flipped = [], set()
@@ -272,6 +273,8 @@ class RootSystem:
             if min(image) < 0:
                 image = tuple(-c for c in image)
                 flipped.add(image)
+            if image not in self._pos_index:
+                raise ValueError(f"{w} is not in the Weyl group of {self.label}")
             perm.append(self._pos_index[image])
         cached = WeylElement(
             tuple(tuple(x // d for x in row) for row in inverse), tuple(perm),

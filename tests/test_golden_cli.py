@@ -30,6 +30,11 @@ ENUMERATE = [
     ["enumerate", "boundary-strata", "--type", "G2"],
     ["enumerate", "building-set", "--type", "B2"],
     ["enumerate", "layers", "--type", "G2", "--format", "dot"],
+    # the benchmark's census requests
+    ["enumerate", "layers", "--type", "B4", "--format", "dot"],
+    ["enumerate", "boundary-strata", "--type", "C4"],
+    ["enumerate", "building-set", "--type", "D4"],
+    ["enumerate", "layers", "--type", "A4"],
 ]
 
 

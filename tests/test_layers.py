@@ -5,12 +5,13 @@ import itertools
 import pytest
 
 from trigbethe.field import CyclotomicField
-from trigbethe.layers import (RootAmbient, boundary_strata, building_set,
-                              centralizer_at_point, covering_relations,
-                              enumerate_layers, full_torus_layer,
-                              gamma_divisors, generic_point, is_indecomposable,
-                              layer_contains, layer_to_dict, point_on_layer,
-                              poset_relations)
+from trigbethe.lattice import hermite_normal_form, int_rank, smith_normal_form
+from trigbethe.layers import (Layer, RootAmbient, boundary_strata,
+                              building_set, centralizer_at_point,
+                              covering_relations, enumerate_layers,
+                              full_torus_layer, gamma_divisors, generic_point,
+                              is_indecomposable, layer_contains, layer_to_dict,
+                              point_on_layer, poset_relations)
 from trigbethe.roots import root_system
 
 F6 = CyclotomicField(6)
@@ -91,7 +92,6 @@ def test_codim2_layers_match_torus_point_scan():
     # every codimension-2 layer of a rank-2 arrangement is a single torus
     # point whose centralizer has full rank; scan mu_12 x mu_12 directly
     f12 = CyclotomicField(12)
-    from trigbethe.lattice import int_rank
     for label in ["A2", "B2", "G2"]:
         amb = ambient(label, f12)
         enumerated = set()
@@ -277,3 +277,74 @@ def test_poset_relations_match_field_containment():
                                   in zip(big.basis, big.char_values)):
                     expected.append((i, j))
         assert sorted(poset_relations(layers)) == expected
+
+
+# ----------------------------------------------------------------------
+# reference enumeration: the walk over every increasing independent
+# subset of positive roots (visiting each lattice it spans once, keyed by
+# the subset's Hermite form), and the unfiltered all-pairs poset scan
+
+
+def subset_walk_layers(amb):
+    field, order, n = amb.field, amb.field.order, amb.dim
+    pos = list(amb.positive_roots)
+    found = {}
+
+    def visit(rows):
+        sf = smith_normal_form(rows, ncols=n)
+        k = sf.rank
+        hnf = hermite_normal_form(sf.saturation_basis())
+
+        def coords(u):
+            return [sum(u[a] * sf.V[a][i] for a in range(n)) for i in range(n)]
+
+        in_span = [(a, coords(a)[:k]) for a in pos if not any(coords(a)[k:])]
+        hnf_coords = [coords(row)[:k] for row in hnf]
+        steps = [field.root_exponent(d) for d in sf.divisors]
+        for choice in itertools.product(*(range(d) for d in sf.divisors)):
+            exps = [s * j for s, j in zip(steps, choice)]
+
+            def chi(c):
+                return sum(e * x for e, x in zip(exps, c)) % order
+
+            centralized = [a for a, c in in_span if chi(c) == 0]
+            if int_rank(centralized) == k:
+                found.setdefault((hnf, tuple(chi(c) for c in hnf_coords)),
+                                 tuple(sorted(centralized,
+                                              key=lambda c: (sum(c), c))))
+
+    visited = set()
+
+    def extend(start, rows, lattice):
+        if lattice not in visited:
+            visited.add(lattice)
+            visit(rows)
+        for i in range(start, len(pos)):
+            cand = rows + [pos[i]]
+            cand_lattice = hermite_normal_form(cand)
+            if len(cand_lattice) == len(cand):
+                extend(i + 1, cand, cand_lattice)
+
+    extend(0, [], ())
+    layers = [Layer(n, hnf, char, field, roots)
+              for (hnf, char), roots in found.items()]
+    return sorted(layers, key=Layer.sort_key)
+
+
+@pytest.mark.parametrize("label,order", [
+    ("A2", 6), ("A3", 6), ("A4", 6), ("B2", 6), ("B3", 6), ("B4", 6),
+    ("C3", 6), ("C4", 6), ("D4", 6), ("G2", 6), ("F4", 12)])
+def test_lattice_walk_matches_subset_walk(label, order):
+    amb = ambient(label, CyclotomicField(order))
+    got = [(l.basis, l.char_exps, l.roots_pos) for l in enumerate_layers(amb)]
+    want = [(l.basis, l.char_exps, l.roots_pos) for l in subset_walk_layers(amb)]
+    assert got == want
+
+
+@pytest.mark.parametrize("label", ["G2", "B3", "C3", "A4", "D4", "B4"])
+def test_poset_relations_match_all_pairs_scan(label):
+    layers = enumerate_layers(ambient(label))
+    scan = [(i, j) for i, small in enumerate(layers)
+            for j, big in enumerate(layers)
+            if i != j and layer_contains(big, small)]
+    assert poset_relations(layers) == scan

@@ -112,14 +112,41 @@ def test_inner_product_weyl_invariant():
 
 
 def test_pairing_integrality_and_lengths():
+    # integer Gram, pairings and reflections, against the Fraction pairing
+    # built here from the symmetrized Cartan matrix
     for label in ALL_TYPES:
         rs = root_system(label)
+        n = rs.rank
+        gram = [[Fraction(rs.sym[i] * rs.cartan[i][j]) for j in range(n)]
+                for i in range(n)]
+
+        def inner(a, b):
+            return sum(a[i] * gram[i][j] * b[j]
+                       for i in range(n) for j in range(n))
+
+        assert all(type(x) is int for row in rs.gram for x in row)
         norms = {rs.norm2(a) for a in rs.positive_roots}
-        assert Fraction(2) in norms and len(norms) <= 2
+        assert 2 in norms and len(norms) <= 2
         for a in rs.positive_roots:
-            for b in rs.positive_roots:
+            m = rs.reflection_in_root(a)
+            assert all(type(x) is int for row in m for x in row)
+            for b in rs.roots:
+                assert type(rs.inner(b, a)) is int
+                assert rs.inner(b, a) == inner(b, a)
                 p = rs.pairing(b, a)
-                assert p.denominator == 1
+                assert type(p) is int and p == 2 * inner(b, a) / inner(a, a)
+                image = rs.reflect(b, a)
+                assert all(type(x) is int for x in image)
+                assert image == rs.act(m, b)
+        # integer matrices outside W: a scalar, and for rank >= 2 a shear
+        outside = [tuple(tuple(2 * int(i == j) for j in range(n))
+                         for i in range(n))]
+        if n >= 2:
+            outside.append(tuple(tuple(int(i == j or (i, j) == (0, 1))
+                                       for j in range(n)) for i in range(n)))
+        for w in outside:
+            with pytest.raises(ValueError):
+                rs.element(w)
 
 
 def test_inversion_sets_count_word_length():
