@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from .field import CyclotomicField, FieldElement, char_value, default_field_order
@@ -69,12 +70,14 @@ class HolonomySpace:
 
     def vector(self, t_terms: dict | None = None,
                h_coords: Sequence | None = None) -> list[FieldElement]:
+        """sum c t_alpha over t_terms (each root once, read up to sign)
+        plus tau(h) for h_coords."""
         v = self.zero()
         for alpha, c in (t_terms or {}).items():
-            v[self.t_index(alpha)] = v[self.t_index(alpha)] + self.field.coerce(c)
+            v[self.t_index(alpha)] = self.field.coerce(c)
         if h_coords is not None:
             for i, c in enumerate(h_coords):
-                v[self.npos + i] = v[self.npos + i] + self.field.coerce(c)
+                v[self.npos + i] = self.field.coerce(c)
         return v
 
     def labels(self) -> list[str]:
@@ -316,8 +319,8 @@ class XPoint:
     def untwisted_generators(self) -> list[list[FieldElement]]:
         """tau-carrying generators for h killing the centralizer, plus the
         chart family of the centralizer; together always rank-many."""
-        cen_rows = [[Fraction(c) for c in a] for a in self.centralized]
-        h_basis = nullspace(cen_rows) if cen_rows else identity(self.rs.rank)
+        h_basis = (integer_kernel(self.centralized) if self.centralized
+                   else self.rs.identity)
         cen = set(self.centralized)
         gens = self.space.bethe_family(
             {a: u for a, u in self.root_values.items() if a not in cen}, h_basis)
@@ -327,7 +330,8 @@ class XPoint:
         return gens
 
     def subspace(self) -> list[list[FieldElement]]:
-        return self.space.act_span(self.w, self.untwisted_generators())
+        gens = self.untwisted_generators()
+        return self.space.act_span(self.w, gens) if self.word else gens
 
     def signature(self) -> tuple:
         return (self.word, self.subset,
@@ -356,6 +360,18 @@ def stratum_values(rs: RootSystem, field: CyclotomicField,
             for a in rs.roots_with_support_in(subset)}
 
 
+def integer_kernel(rows: Sequence[Sequence[int]]) -> list[Coords]:
+    """Primitive integer vectors spanning the kernel {h : row(h) = 0} of
+    integer rows, one per vector of the rational nullspace basis."""
+    out = []
+    for v in nullspace([[Fraction(x) for x in r] for r in rows]):
+        d = lcm(*(x.denominator for x in v))
+        ints = [x.numerator * (d // x.denominator) for x in v]
+        g = gcd(*ints)
+        out.append(tuple(x // g for x in ints))
+    return out
+
+
 def _list_of(kind: type, value, what: str) -> list:
     # bool is an int subclass, so the entry types are compared exactly
     if not isinstance(value, list) or any(type(v) is not kind for v in value):
@@ -373,7 +389,8 @@ def xpoint_from_dict(data: dict) -> XPoint:
     type is a label string, field_order, w and I are integers, S is a
     list of integer lists, and every y and t entry is an exact string
     (y in the str() form of the field, t a rational); y entries are
-    nonzero, since a torus point has nonzero coordinates.
+    nonzero, since a torus point has nonzero coordinates.  I entries are
+    distinct and y[k] is the coordinate of I[k], in the order given.
     """
     from .roots import root_system
     if not isinstance(data, dict):
@@ -386,14 +403,20 @@ def xpoint_from_dict(data: dict) -> XPoint:
         raise ValueError("'field_order' must be an integer")
     field = CyclotomicField(order)
     word = tuple(i - 1 for i in _entries(data, "w", int))
-    subset = tuple(sorted(i - 1 for i in _entries(data, "I", int)))
-    if any(i < 0 or i >= rs.rank for i in subset):
+    indices = [i - 1 for i in _entries(data, "I", int)]
+    if any(i < 0 or i >= rs.rank for i in indices):
         raise ValueError("stratum indices out of range")
+    if len(set(indices)) != len(indices):
+        raise ValueError("stratum indices repeat")
     if any(i < 0 or i >= rs.rank for i in word):
         raise ValueError("word letters out of range")
-    y = tuple(field.parse(s) for s in _entries(data, "y", str))
-    if len(y) != len(subset):
+    coords = [field.parse(s) for s in _entries(data, "y", str)]
+    if len(coords) != len(indices):
         raise ValueError("need one coordinate per stratum index")
+    # y[k] belongs to I[k]: sort the pairs, not the indices alone
+    pairs = sorted(zip(indices, coords), key=lambda p: p[0])
+    subset = tuple(i for i, _ in pairs)
+    y = tuple(v for _, v in pairs)
     if any(v.is_zero() for v in y):
         raise ValueError("a torus coordinate y is zero")
     # centralizer and its base determine the chart vertex set
@@ -447,7 +470,7 @@ def recover_data(space: HolonomySpace, vectors: Sequence[Sequence[FieldElement]]
                 support.add(a)
     cen = tuple(sorted(support, key=lambda c: (sum(c), c)))
     # a lies in the span of the centralizer iff every kernel vector kills it
-    kernel = nullspace([[Fraction(x) for x in a] for a in cen])
+    kernel = integer_kernel(cen)
     profile: dict[Coords, FieldElement] = {}
     units: dict[Coords, FieldElement] = {}
     vanishing = []

@@ -13,6 +13,7 @@ usage or bad input data.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -389,7 +390,10 @@ def _cmd_check(args) -> int:
 # ----------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing reads it and
+    fills a fresh Namespace per call, so in-process callers share it."""
     parser = argparse.ArgumentParser(
         prog="trigbethe",
         description="Exact commuting families on root-system holonomy "

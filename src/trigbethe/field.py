@@ -177,7 +177,9 @@ class CyclotomicField:
             if value.field.order != self.order:
                 raise ValueError("field order mismatch")
             return value
-        if isinstance(value, (int, Fraction)):
+        if isinstance(value, int):
+            return FieldElement(self, (int(value),) + (0,) * (self.degree - 1), 1)
+        if isinstance(value, Fraction):
             return self.from_rational(value)
         raise TypeError(f"cannot coerce {type(value).__name__} into {self!r}")
 
@@ -189,7 +191,9 @@ class CyclotomicField:
         """
         if not isinstance(text, str):
             raise ValueError(f"field element must be a string, got {text!r}")
-        coeffs = [Fraction(0)] * self.order
+        # integer numerators of the coefficients of zeta^0 .. zeta^(N-1)
+        # over one common denominator
+        nums, den = [0] * self.order, 1
         pos = 0
         while pos == 0 or pos < len(text):
             m = _TERM.match(text, pos)
@@ -197,16 +201,20 @@ class CyclotomicField:
                 raise ValueError(f"cannot parse field element {text!r}")
             sign, coeff, starred, p_star, p_bare = m.groups()
             if coeff is None:
-                c, power = Fraction(1), int(p_bare or 1)
+                p, q, power = 1, 1, int(p_bare or 1)
             else:
                 p, _, q = coeff.partition("/")
-                if q and int(q) == 0:
+                p, q = int(p), int(q or 1)
+                if q == 0:
                     raise ValueError(f"zero denominator in {text!r}")
-                c = Fraction(int(p), int(q or 1))
                 power = int(p_star or 1) if starred else 0
-            coeffs[power % self.order] += -c if sign == "-" else c
+            if den % q:
+                scale = q // gcd(den, q)
+                nums = [x * scale for x in nums]
+                den *= scale
+            nums[power % self.order] += (-p if sign == "-" else p) * (den // q)
             pos = m.end()
-        return self.element(coeffs)
+        return _canonical(self, self._fold(enumerate(nums)), den)
 
 
 def _canonical(field: CyclotomicField, nums, den: int) -> "FieldElement":
@@ -297,7 +305,8 @@ class FieldElement:
             raise ZeroDivisionError("division by zero in cyclotomic field")
         field, nums = self.field, self.nums
         if not any(nums[1:]):
-            return field.from_rational(Fraction(self.den, nums[0]))
+            return _canonical(field, (self.den,) + (0,) * (field.degree - 1),
+                              nums[0])
         prod = None
         for k in field._conjugates:
             # sigma_k: zeta^i -> zeta^(i*k mod N)
@@ -361,19 +370,21 @@ class FieldElement:
 
     def __str__(self) -> str:
         parts = []
-        for i, c in enumerate(self.coeffs):
-            if c == 0:
+        den = self.den
+        for i, n in enumerate(self.nums):
+            if not n:
                 continue
+            g = gcd(n, den)
+            mag = abs(n) // g if den == g else f"{abs(n) // g}/{den // g}"
             if i == 0:
-                parts.append(str(c))
+                parts.append(f"-{mag}" if n < 0 else str(mag))
                 continue
-            mag = abs(c)
             var = "z" if i == 1 else f"z^{i}"
             body = var if mag == 1 else f"{mag}*{var}"
             if not parts:
-                parts.append(body if c > 0 else f"-{body}")
+                parts.append(body if n > 0 else f"-{body}")
             else:
-                parts.append(f"+ {body}" if c > 0 else f"- {body}")
+                parts.append(f"+ {body}" if n > 0 else f"- {body}")
         return " ".join(parts) if parts else "0"
 
     def __repr__(self) -> str:

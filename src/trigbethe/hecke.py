@@ -8,7 +8,7 @@ The defining exchange rule moves a variable across a generator:
     x_g * s_i  =  s_i * x_{s_i(g)} + t * <g against the i-th root>
 
 and products are computed by moving polynomials across reduced words,
-found from right descents (HeckeAlgebra.word_of), so no product
+found from right descents (RootSystem.word_of), so no product
 enumerates the Weyl group.  The commuting degree-one family (bmo,
 family) weights the reflection in each positive root by the Bethe
 weight u/(1-u) of bethe.bethe_weight, u the root's power of the torus
@@ -67,8 +67,6 @@ class HeckeAlgebra:
         self.relation_sign = relation_sign
         self.ident: IntMatrix = rs.identity
         self.tvar = Poly.variable(self.nvars, self.n)
-        # reduced words, filled on demand by word_of
-        self._words: dict[IntMatrix, tuple[int, ...]] = {self.ident: ()}
         # [x_k, s_a] per (k, positive-root index), see x_reflection_commutator
         self._x_comms: dict[tuple[int, int], HeckeElem] = {}
         # linear substitution polys: the i-th generator sends x_k to the
@@ -180,22 +178,8 @@ class HeckeAlgebra:
         return result
 
     def word_of(self, w: IntMatrix) -> tuple[int, ...]:
-        """A reduced word of w, from right descents: if w sends the i-th
-        simple root negative, word(w) = word(w s_i) + (i,).  Cached per
-        element; the group is never enumerated."""
-        path = []
-        while w not in self._words:
-            i = next((i for i in range(self.n) if any(row[i] < 0 for row in w)),
-                     None)
-            if i is None:
-                raise ValueError(f"{w} is not in the Weyl group of {self.rs.label}")
-            path.append((w, i))
-            w = int_mat_mul(w, self.rs.simple_reflection(i))
-        word = self._words[w]
-        for v, i in reversed(path):
-            word = word + (i,)
-            self._words[v] = word
-        return word
+        """A reduced word of w (RootSystem.word_of)."""
+        return self.rs.word_of(w)
 
     def multiply(self, a: HeckeElem, b: HeckeElem) -> HeckeElem:
         out: HeckeElem = {}

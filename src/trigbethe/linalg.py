@@ -23,7 +23,9 @@ def rref(rows: Sequence[Sequence[S]]) -> tuple[Matrix, list[int]]:
     """Reduced row echelon form with unit pivots; returns (rows, pivot cols).
 
     Zero rows are dropped, so the result is a canonical basis of the row
-    space (two spans are equal iff their rrefs are identical).
+    space (two spans are equal iff their rrefs are identical).  The pivot
+    row is zero left of its pivot, so it is scaled, and eliminated with,
+    only over its nonzero columns; rows are updated in place.
     """
     mat = _copy(rows)
     if not mat:
@@ -36,12 +38,16 @@ def rref(rows: Sequence[Sequence[S]]) -> tuple[Matrix, list[int]]:
         if pr is None:
             continue
         mat[r], mat[pr] = mat[pr], mat[r]
-        inv = 1 / mat[r][c]
-        mat[r] = [x * inv for x in mat[r]]
-        for i in range(len(mat)):
-            if i != r and not mat[i][c] == 0:
-                f = mat[i][c]
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
+        prow = mat[r]
+        inv = 1 / prow[c]
+        support = [j for j in range(c, ncols) if not prow[j] == 0]
+        for j in support:
+            prow[j] = prow[j] * inv
+        for i, row in enumerate(mat):
+            if i != r and not row[c] == 0:
+                f = row[c]
+                for j in support:
+                    row[j] = row[j] - f * prow[j]
         pivots.append(c)
         r += 1
         if r == len(mat):

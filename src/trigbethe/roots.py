@@ -134,6 +134,8 @@ class RootSystem:
             key=lambda c: (sum(c), c))
         self._pos_index = {a: k for k, a in enumerate(self.positive_roots)}
         self._weyl: dict[IntMatrix, tuple[int, ...]] | None = None
+        # reduced words, filled on demand by word_of
+        self._words: dict[IntMatrix, tuple[int, ...]] = {self.identity: ()}
         self._elements: dict[IntMatrix, WeylElement] = {}
         self._scaled_ginv: tuple[int, list[list[int]]] | None = None
 
@@ -248,10 +250,34 @@ class RootSystem:
             m = int_mat_mul(m, self._gens[i])
         return m
 
+    def word_of(self, w: IntMatrix) -> tuple[int, ...]:
+        """A reduced word of w, from right descents: if w sends the i-th
+        simple root negative, word(w) = word(w s_i) + (i,).  Cached per
+        element; the group is never enumerated.
+
+        Each step shortens an element of W by one, so w is in W exactly
+        when the reduction reaches the identity within |positive roots|
+        steps; otherwise ValueError.
+        """
+        start, path = w, []
+        while w not in self._words:
+            i = next((i for i in range(self.rank) if any(row[i] < 0 for row in w)),
+                     None)
+            if i is None or len(path) == len(self.positive_roots):
+                raise ValueError(f"{start} is not in the Weyl group of {self.label}")
+            path.append((w, i))
+            w = int_mat_mul(w, self._gens[i])
+        word = self._words[w]
+        for v, i in reversed(path):
+            word = word + (i,)
+            self._words[v] = word
+        return word
+
     def element(self, w: IntMatrix) -> WeylElement:
         """The integer tables of one group element, cached on first use.
 
-        w preserves the Gram matrix G, so w^{-1} = G^{-1} w^T G; it is
+        Membership in W is decided by word_of; ValueError outside W.  w
+        preserves the Gram matrix G, so w^{-1} = G^{-1} w^T G; it is
         computed in integers as (d G^{-1}) w^T G / d, d the common
         denominator of G^{-1}.  The positive-root permutation and the
         inversion set come from one pass of w over the positive roots.
@@ -259,22 +285,19 @@ class RootSystem:
         cached = self._elements.get(w)
         if cached is not None:
             return cached
+        self.word_of(w)
         if self._scaled_ginv is None:
             ginv = mat_inverse([[Fraction(x) for x in row] for row in self.gram])
             d = math.lcm(*(x.denominator for row in ginv for x in row))
             self._scaled_ginv = (d, [[int(x * d) for x in row] for row in ginv])
         d, scaled_ginv = self._scaled_ginv
         inverse = int_mat_mul(int_mat_mul(scaled_ginv, tuple(zip(*w))), self.gram)
-        if any(x % d for row in inverse for x in row):
-            raise ValueError(f"{w} is not in the Weyl group of {self.label}")
         perm, flipped = [], set()
         for a in self.positive_roots:
             image = self.act(w, a)
             if min(image) < 0:
                 image = tuple(-c for c in image)
                 flipped.add(image)
-            if image not in self._pos_index:
-                raise ValueError(f"{w} is not in the Weyl group of {self.label}")
             perm.append(self._pos_index[image])
         cached = WeylElement(
             tuple(tuple(x // d for x in row) for row in inverse), tuple(perm),

@@ -305,6 +305,33 @@ def test_subspace_rejects_malformed_points(capsys, monkeypatch):
         assert_rejected(*run_stdin(capsys, monkeypatch, text), text)
 
 
+def test_subspace_pairs_y_with_i_in_the_order_given(capsys, monkeypatch):
+    # y[k] is the coordinate of I[k]: I = [2, 1] with y = [2, 3] is the
+    # point e^{alpha_1} = 3, e^{alpha_2} = 2
+    swapped = {"type": "A2", "I": [2, 1], "y": ["2", "3"], "S": [], "t": []}
+    ordered = {"type": "A2", "I": [1, 2], "y": ["3", "2"], "S": [], "t": []}
+    x = xpoint_from_dict(swapped)
+    assert x.subset == (0, 1) and [str(v) for v in x.point] == ["3", "2"]
+    assert x.signature() == xpoint_from_dict(ordered).signature()
+    code, out, err = run_stdin(capsys, monkeypatch, json.dumps(swapped))
+    assert code == 0 and err == ""
+    assert (code, out, err) == run_stdin(capsys, monkeypatch,
+                                         json.dumps(ordered))
+    data = json.loads(out)
+    assert data["input"]["I"] == [1, 2] and data["input"]["y"] == ["3", "2"]
+    units = {tuple(u["root"]): u["value"] for u in data["recovered"]["units"]}
+    assert units[(1, 0)] == "3" and units[(0, 1)] == "2"
+
+
+def test_subspace_rejects_repeated_stratum_index(capsys, monkeypatch):
+    for point in [{"type": "A2", "I": [1, 1], "y": ["2", "3"]},
+                  {"type": "A3", "I": [3, 1, 3], "y": ["2", "3", "5"]}]:
+        text = json.dumps(point)
+        code, out, err = run_stdin(capsys, monkeypatch, text)
+        assert_rejected(code, out, err, text)
+        assert "repeat" in err
+
+
 def _mutate(rng, point):
     """A copy of a valid point description made invalid in one random way."""
     point = json.loads(json.dumps(point))
@@ -391,3 +418,44 @@ def test_check_entries_state_coverage(capsys):
     assert entries["hecke"]["exhaustive"] is True
     assert entries["hecke"]["pairs"] == 1
     assert entries["weyl"]["exhaustive"] is True
+
+
+def test_parser_is_built_once_and_reused(capsys, monkeypatch):
+    # one parser serves a whole sequence of requests, an argparse error
+    # included: each gets the output, and the Namespace, of a parser built
+    # fresh for it
+    from trigbethe import cli
+    requests = [
+        (["check", "all", "--type", "A2", "--samples", "2"], None),
+        (["subspace", "-"], json.dumps(VALID_POINTS[2])),
+        (["check", "mystery"], None),
+        (["subspace", "-"], json.dumps(VALID_POINTS[4])),
+    ]
+    seen = []
+    for name in ("_cmd_check", "_cmd_subspace"):
+        def record(args, _cmd=getattr(cli, name)):
+            seen.append(dict(vars(args)))
+            return _cmd(args)
+        monkeypatch.setattr(cli, name, record)
+
+    def serve(argv, stdin):
+        if stdin is not None:
+            monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    assert cli.build_parser() is cli.build_parser()
+    shared = [serve(argv, stdin) for argv, stdin in requests]
+    shared_args, seen[:] = list(seen), []
+    assert [code for code, _, _ in shared] == [0, 0, 2, 0]
+    fresh = []
+    for argv, stdin in requests:
+        cli.build_parser.cache_clear()
+        fresh.append(serve(argv, stdin))
+    assert shared == fresh
+    assert shared_args == seen and len(seen) == 3
+    assert "seed" not in seen[1] and "what" not in seen[1]

@@ -159,6 +159,61 @@ def test_str_parse_roundtrip_random():
     assert F.parse("0") == F.zero()
 
 
+def fraction_str(x):
+    """str() of a field element rendered from its Fraction coordinates."""
+    parts = []
+    for i, c in enumerate(x.coeffs):
+        if c == 0:
+            continue
+        if i == 0:
+            parts.append(str(c))
+            continue
+        mag = abs(c)
+        var = "z" if i == 1 else f"z^{i}"
+        body = var if mag == 1 else f"{mag}*{var}"
+        if not parts:
+            parts.append(body if c > 0 else f"-{body}")
+        else:
+            parts.append(f"+ {body}" if c > 0 else f"- {body}")
+    return " ".join(parts) if parts else "0"
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 6, 12])
+def test_str_and_parse_match_fraction_oracle(n):
+    # str() from integer numerators against the Fraction rendering; parse()
+    # of random term lists (repeated and wrapped powers, unreduced p/q)
+    # against element() of the Fraction sums
+    rng = random.Random(f"str-{n}")
+    F = CyclotomicField(n)
+
+    def coeff():
+        return rng.choice([1, -1, Fraction(rng.randint(-40, 40),
+                                           rng.choice([1, 2, 3, 4, 6, 35]))])
+
+    for _ in range(150):
+        x = F.element([coeff() if rng.random() < 0.7 else 0
+                       for _ in range(F.degree)])
+        assert str(x) == fraction_str(x)
+        assert F.parse(str(x)) == x
+        assert_canonical(F.parse(str(x)))
+        sums = [Fraction(0)] * n
+        text = []
+        for k in range(rng.randint(1, 6)):
+            p, q = rng.randint(0, 30), rng.choice([1, 2, 4, 6, 9, 10])
+            power = rng.randint(0, 2 * n)
+            sign = rng.choice("+-")
+            sums[power % n] += Fraction(p, q) * (-1 if sign == "-" else 1)
+            term = f"{p}/{q}*z^{power}" if power else f"{p}/{q}"
+            text.append(term if k == 0 and sign == "+" else f"{sign} {term}")
+        parsed = F.parse(" ".join(text))
+        assert parsed == F.element(sums)
+        assert_canonical(parsed)
+    for k in range(-6, 7):
+        assert F.coerce(k) == F.from_rational(Fraction(k))
+        assert_canonical(F.coerce(k))
+        assert str(F.coerce(k)) == str(k)
+
+
 def test_pow_modulus_reduction():
     # z^2 reduces to z - 1 at order 6: coefficients stay in degree < 2
     F = CyclotomicField(6)

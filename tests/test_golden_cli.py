@@ -2,9 +2,10 @@
 
 perfbench/data/reference.json holds, for a frozen pool of point
 descriptions, the sha256 of each `subspace` stdout, and the digests of a
-few small `enumerate` requests.  Replaying the first point of every pool
-group and those requests through the CLI keeps "byte-identical output"
-a tier-1 check.  The reference file is only read.
+few small `enumerate` requests.  Replaying the first four points of
+every pool group (so more than one twisted, boundary and torsion draw
+per configuration) and those requests through the CLI keeps
+"byte-identical output" a tier-1 check.  The reference file is only read.
 """
 
 import hashlib
@@ -19,11 +20,12 @@ from trigbethe.cli import main
 REFERENCE = json.loads((Path(__file__).resolve().parents[1] / "perfbench"
                         / "data" / "reference.json").read_text(encoding="utf-8"))
 
-# the first pool entry of each group, in pool order
-_FIRST: dict[str, dict] = {}
+# the first PER_GROUP pool entries of each group, in pool order
+PER_GROUP = 4
+_GROUPS: dict[str, list] = {}
 for _entry in REFERENCE["pool"]:
-    _FIRST.setdefault(_entry["group"], _entry)
-FIRST_OF_GROUP = list(_FIRST.values())
+    _GROUPS.setdefault(_entry["group"], []).append(_entry)
+GOLDEN_POINTS = [e for entries in _GROUPS.values() for e in entries[:PER_GROUP]]
 
 ENUMERATE = [
     ["enumerate", "layers", "--type", "A2"],
@@ -44,11 +46,18 @@ def stdout_digest(capsys, argv) -> str:
 
 
 def test_pool_has_one_entry_per_group():
-    assert len(FIRST_OF_GROUP) == 32
-    assert len({e["group"] for e in FIRST_OF_GROUP}) == 32
+    assert len(GOLDEN_POINTS) == 32 * PER_GROUP
+    assert len({e["group"] for e in GOLDEN_POINTS}) == 32
+    assert len({e["spec"] for e in GOLDEN_POINTS}) == 32 * PER_GROUP
 
 
-@pytest.mark.parametrize("entry", FIRST_OF_GROUP, ids=lambda e: e["group"])
+def _entry_id(entry) -> str:
+    # the first entry keeps the bare group name as its id
+    k = _GROUPS[entry["group"]].index(entry)
+    return entry["group"] if k == 0 else f"{entry['group']}-{k}"
+
+
+@pytest.mark.parametrize("entry", GOLDEN_POINTS, ids=_entry_id)
 def test_subspace_output_matches_reference(entry, capsys, monkeypatch):
     monkeypatch.setattr("sys.stdin", io.StringIO(entry["spec"]))
     assert stdout_digest(capsys, ["subspace", "-"]) == entry["sha256"]

@@ -177,3 +177,68 @@ def test_rref_matches_divide_per_entry_reference():
             assert red == want
             for row, p in zip(red, piv):
                 assert row[p] == 1
+
+
+def dense_rref(rows):
+    """Row reduction that scales and eliminates across every column."""
+    mat = [list(r) for r in rows]
+    if not mat:
+        return [], []
+    ncols = len(mat[0])
+    pivots, r = [], 0
+    for c in range(ncols):
+        pr = next((i for i in range(r, len(mat)) if not mat[i][c] == 0), None)
+        if pr is None:
+            continue
+        mat[r], mat[pr] = mat[pr], mat[r]
+        inv = 1 / mat[r][c]
+        mat[r] = [x * inv for x in mat[r]]
+        for i in range(len(mat)):
+            if i != r and not mat[i][c] == 0:
+                f = mat[i][c]
+                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(mat):
+            break
+    return mat[:r], pivots
+
+
+@pytest.mark.parametrize("scalar", ["fraction", "zeta6", "zeta12", "ratfunc"])
+def test_rref_matches_dense_oracle(scalar):
+    # sparse pivot rows against the dense elimination, including zero rows,
+    # rank-deficient, wide and sparse matrices
+    rng = random.Random(f"rref-{scalar}")
+    eps = RatFunc.variable()
+    fields = {"zeta6": CyclotomicField(6), "zeta12": CyclotomicField(12)}
+
+    def make():
+        if scalar in fields:
+            F = fields[scalar]
+            return F.element([Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+                              if rng.random() < 0.6 else 0
+                              for _ in range(F.degree)])
+        if scalar == "ratfunc":
+            num = Fraction(rng.randint(-4, 4)) + rng.randint(-3, 3) * eps
+            return num / (Fraction(rng.randint(1, 3)) + rng.randint(0, 2) * eps)
+        return Fraction(rng.randint(-8, 8), rng.randint(1, 6))
+
+    # rational-function entries grow in degree with each elimination step
+    max_rows = 3 if scalar == "ratfunc" else 5
+    for trial in range(40):
+        m, n = rng.randint(1, max_rows), rng.randint(1, 9)
+        density = rng.choice([0.2, 0.5, 0.9])
+        rows = [[make() if rng.random() < density else make() * 0
+                 for _ in range(n)] for _ in range(m)]
+        if trial % 4 == 0:
+            rows[rng.randrange(m)] = [make() * 0 for _ in range(n)]
+        if m > 2 and trial % 3 == 0:
+            c = make()
+            rows[-1] = [x + c * y for x, y in zip(rows[0], rows[1])]
+        red, piv = rref(rows)
+        want, want_piv = dense_rref(rows)
+        assert piv == want_piv
+        assert red == want
+        assert [[type(x) for x in row] for row in red] == \
+            [[type(x) for x in row] for row in want]
+    assert rref([]) == dense_rref([]) == ([], [])

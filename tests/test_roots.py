@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from trigbethe.linalg import mat_inverse
-from trigbethe.roots import WEYL_ORDERS, root_system
+from trigbethe.roots import WEYL_ORDERS, RootSystem, root_system
 
 ALL_TYPES = ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C3", "C4",
              "D4", "G2", "F4"]
@@ -178,6 +178,38 @@ def test_cached_element_tables_match_fraction_oracle():
                        for i in range(rs.rank))], label
     with pytest.raises(ValueError):
         root_system("A2").inverse_matrix(((2, 0), (0, 1)))
+
+
+def test_element_decides_weyl_membership():
+    # -I lies in W exactly when w0 = -I: in B2 and G2, not in A2 or A3,
+    # where -I is w0 times the diagram flip.  Fresh instances, so no
+    # cached word or table decides the answer.
+    for family, n, minus_identity_in_w in [("A", 2, False), ("B", 2, True),
+                                           ("G", 2, True), ("A", 3, False)]:
+        rs = RootSystem(family, n)
+        minus = tuple(tuple(-x for x in row) for row in rs.identity)
+        flip = tuple(reversed(rs.identity))
+        if minus_identity_in_w:
+            assert len(rs.word_of(minus)) == len(rs.positive_roots)
+            assert rs.element(minus).inversions == tuple(rs.positive_roots)
+        else:
+            for w in (minus, flip):
+                with pytest.raises(ValueError, match="not in the Weyl group"):
+                    rs.element(w)
+        for w in rs.weyl_elements():
+            word = rs.word_of(w)
+            assert rs.matrix_of_word(word) == w
+            assert len(word) == len(rs.element(w).inversions)
+        assert len(rs.weyl_elements()) == WEYL_ORDERS[rs.label]
+        if not minus_identity_in_w:
+            with pytest.raises(ValueError):
+                rs.element(minus)
+    # the descent reduction of this matrix never ends; word_of stops it
+    # after |positive roots| steps
+    rs = RootSystem("A", 2)
+    for call in (rs.word_of, rs.element):
+        with pytest.raises(ValueError, match="not in the Weyl group"):
+            call(((-2, -2), (-2, 1)))
 
 
 def test_base_of_recovers_simples():
