@@ -11,7 +11,7 @@ type-A identification with rational spin models) by direct computation.
 
 from .bethe import (HolonomySpace, RecoveredData, XPoint, chart_only,
                     injectivity_pool, recover_data, sample_xpoints,
-                    transported_point, weyl_action_report, xpoint_from_dict)
+                    weyl_action_report, xpoint_from_dict)
 from .field import (DEFAULT_FIELD_ORDER, CyclotomicField, FieldElement,
                     default_field_order)
 from .hecke import HeckeAlgebra, all_reduced_words, sample_q
@@ -43,7 +43,7 @@ __all__ = [
     "Chart", "maximal_nested_sets", "connected_vertex_subsets", "is_nested",
     "HolonomySpace", "XPoint", "RecoveredData", "xpoint_from_dict",
     "recover_data", "sample_xpoints", "injectivity_pool", "chart_only",
-    "transported_point", "weyl_action_report",
+    "weyl_action_report",
     "HeckeAlgebra", "sample_q", "all_reduced_words",
     "Poly", "UPoly", "RatFunc", "epsilon_limit_span", "valuation_at_zero",
     "__version__",

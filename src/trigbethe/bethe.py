@@ -11,10 +11,11 @@ HolonomySpace.rho): t_alpha goes to t_|w alpha|, and tau(h) goes to
 tau(w.h) corrected by alpha(w.h) t_alpha over the inversion set of w.
 The tables behind rho (w^{-1}, the positive-root permutation, the
 inversion set) are cached per element by RootSystem.element, so acting
-by one element never enumerates the group.  weyl_action_report checks
-exhaustively that this is a representation, that it intertwines the
-canonical shift delta, and that it carries Bethe vectors at y to Bethe
-vectors at w.y (the `check weyl` command).
+by one element never enumerates the group.  weyl_action_report checks,
+from the Coxeter presentation and the generators alone, that this is a
+representation, that it intertwines the canonical shift delta, and that
+it carries Bethe vectors at y to Bethe vectors at w.y for every y (the
+`check weyl` command).
 
 Points of the degenerate family (XPoint) are stored untwisted plus a
 Weyl twist; their limit subspaces are built from the tau-carrying Bethe
@@ -27,6 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
+from functools import cache
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
@@ -34,6 +36,7 @@ from .field import CyclotomicField, FieldElement, char_value, default_field_orde
 from .layers import RootAmbient
 from .linalg import identity, nullspace, rank as mat_rank, rref
 from .nested import Chart, maximal_nested_sets
+from .poly import Poly, RatFunc
 from .roots import Coords, IntMatrix, RootSystem, int_mat_mul
 
 
@@ -93,12 +96,6 @@ class HolonomySpace:
 
     # ------------------------------------------------------------------
     # distinguished elements
-
-    def delta(self, h_coords: Sequence) -> list[FieldElement]:
-        half = Fraction(1, 2)
-        terms = {a: -half * self.alpha_of_h(a, [Fraction(c) for c in h_coords])
-                 for a in self.pos}
-        return self.vector(terms, h_coords)
 
     def casimir(self) -> list[FieldElement]:
         return self.vector({a: 1 for a in self.pos})
@@ -193,82 +190,135 @@ class HolonomySpace:
 
 
 def weyl_action_report(rs: RootSystem, field: CyclotomicField,
-                       seed: int = 0) -> dict:
-    """Exhaustive checks that HolonomySpace.act is the equivariant action.
+                       seed: int = 0, samples: int = 6) -> dict:
+    """Checks that HolonomySpace.act is the equivariant action, from the
+    Coxeter presentation of W (Humphreys, Reflection Groups and Coxeter
+    Groups, 1.9).
 
-    group_law: rho(1) = 1 and rho(w s_i) = rho(w) rho(s_i) for every
-    element w and generator s_i, with rho(w) the integer matrix of act on
-    the whole basis; by induction on word length this gives
-    rho(uv) = rho(u) rho(v) for every pair.  delta_transport:
-    w.delta(h) = delta(w.h); bethe_transport: w.B(y, h) = B(w.y, w.h) at
-    one seeded regular rational point y; both for every w and every h in
-    the coordinate basis.
+    group_law: rho(s_i)^2 = 1 and (rho(s_i) rho(s_j))^{m_ij} = 1 on the
+    integer generator matrices, so s_i -> rho(s_i) extends to a
+    representation of all of W.  delta_transport: s_i.delta(h) =
+    delta(s_i.h), and bethe_transport: s_i.B(y, h) = B(s_i.y, s_i.h) at a
+    symbolic point y, both for every generator and every h in the
+    coordinate basis; by induction on length they hold for every w.
+    twist_formula: the inversion-set matrix rho(w) equals the product of
+    the generator matrices along word_of(w), for the longest element and
+    `samples` seeded random twists.  control: the same generator checks
+    on rho(s_1) with its correction term sign-flipped must fail.
     """
     import random
-    rng = random.Random(f"weyl-action-{rs.label}-{seed}")
+    rng = random.Random(f"weyl-twists-{rs.label}-{seed}")
     space = HolonomySpace(rs, field)
-    n, dim = rs.rank, space.dim
-    elements = list(rs.weyl_elements())
-
-    def dense(cols):
-        out = [[0] * dim for _ in range(dim)]
-        for c, col in enumerate(cols):
-            for r, x in col:
-                out[c][r] = x
-        return out
-
-    def compose(a, b):
-        out = []
-        for col in b:
-            acc = [0] * dim
-            for k, m in col:
-                for r, x in a[k]:
-                    acc[r] += m * x
-            out.append(acc)
-        return out
-
-    gens = [rs.simple_reflection(i) for i in range(n)]
-    matrices = {w: dense(space.rho(w)) for w in elements}
-    group_law = matrices[rs.identity] == dense([[(k, 1)] for k in range(dim)])
-    for w in elements:
-        for g in gens:
-            if compose(space.rho(w), space.rho(g)) != matrices[int_mat_mul(w, g)]:
-                group_law = False
-
-    h_basis = rs.identity
-    while True:
-        point = tuple(field.from_rational(Fraction(rng.randint(2, 50),
-                                                   rng.randint(2, 50)))
-                      for _ in range(n))
-        values = stratum_values(rs, field, range(n), point)
-        if not any(u.is_one() for u in values.values()):
-            break
-    deltas = [space.delta(h) for h in h_basis]
-    bethes = space.bethe_family(values, h_basis)
-    delta_ok = bethe_ok = True
-    for w in elements:
-        moved_h = [space.h_transport(w, h) for h in h_basis]
-        delta_ok &= space.act_span(w, deltas) == [space.delta(h) for h in moved_h]
-        moved_values = stratum_values(rs, field, range(n),
-                                      transported_point(rs, space, w, point))
-        bethe_ok &= space.act_span(w, bethes) == space.bethe_family(
-            moved_values, moved_h)
+    n = rs.rank
+    gens = [[dict(col) for col in space.rho(rs.simple_reflection(i))]
+            for i in range(n)]
+    twists = [rs.longest_element()]
+    for _ in range(samples):
+        word = [rng.randrange(n) for _ in range(rng.randint(0, 2 * space.npos))]
+        twists.append(rs.matrix_of_word(word))
+    twist_ok = all(
+        [dict(col) for col in space.rho(w)]
+        == _word_product(gens, rs.word_of(w), space.dim) for w in twists)
+    flipped = [dict(col) for col in gens[0]]
+    for c in range(space.npos, space.dim):
+        flipped[c] = {r: -x if r < space.npos else x
+                      for r, x in flipped[c].items()}
+    control = _generator_checks(space, [flipped] + gens[1:])
     return {
-        "elements": len(elements),
-        "products": len(elements) * n,
+        "elements": rs.weyl_order,
+        "products": rs.weyl_order * n,
+        "relations": n * (n + 1) // 2,
+        "twists": len(twists),
         "exhaustive": True,
-        "group_law": group_law,
-        "delta_transport": delta_ok,
-        "bethe_transport": bethe_ok,
+        **_generator_checks(space, gens),
+        "twist_formula": twist_ok,
+        "control": not all(control.values()),
     }
 
 
-def transported_point(rs: RootSystem, space: HolonomySpace, w: IntMatrix,
-                      point: Sequence[FieldElement]) -> tuple:
-    """The point w.y: e^{alpha_i}(w.y) = e^{w^{-1} alpha_i}(y), and column
-    i of w^{-1} is the coordinate tuple of w^{-1} alpha_i."""
-    return tuple(char_value(space.field, point, col)
-                 for col in zip(*rs.inverse_matrix(w)))
+# integer matrices on the holonomy space, stored as columns {row: entry}
+SparseColumns = list[dict[int, int]]
+
+
+def _compose(a: SparseColumns, b: SparseColumns) -> SparseColumns:
+    """The product a b."""
+    out = []
+    for col in b:
+        acc: dict[int, int] = {}
+        for k, m in col.items():
+            for r, x in a[k].items():
+                acc[r] = acc.get(r, 0) + m * x
+        out.append({r: x for r, x in acc.items() if x})
+    return out
+
+
+def _apply(a: SparseColumns, vec: Sequence) -> list:
+    out = [0] * len(a)
+    for col, c in zip(a, vec):
+        for r, m in col.items():
+            out[r] = out[r] + m * c
+    return out
+
+
+def _word_product(gens: Sequence[SparseColumns], word: Sequence[int],
+                  dim: int) -> SparseColumns:
+    out = [{k: 1} for k in range(dim)]
+    for i in word:
+        out = _compose(out, gens[i])
+    return out
+
+
+def _generator_checks(space: HolonomySpace, gens: Sequence[SparseColumns]
+                      ) -> dict[str, bool]:
+    """group_law, delta_transport and bethe_transport of candidate
+    generator matrices gens[i] for s_i (see weyl_action_report).
+
+    Delta is checked doubled, 2 delta(h) = 2 tau(h) - sum alpha(h) t_alpha,
+    so every entry is an integer.  For Bethe transport the weight
+    bethe_weight(e^delta) of each positive root delta is an indeterminate
+    W_delta; a negative root -delta carries -1 - W_delta, which is the
+    identity bethe_weight(u) + bethe_weight(1/u) = -1, checked over Q(u)
+    by _weight_inversion_holds.  Both sides are then integer linear forms
+    in 1 and the W_delta, equal exactly when their coefficients are.
+    """
+    rs, npos, n = space.rs, space.npos, space.rs.rank
+    unit = [{k: 1} for k in range(space.dim)]
+    group_law = all(
+        _word_product(gens, (i, j) * rs.coxeter_order(i, j), space.dim) == unit
+        for i in range(n) for j in range(i, n))
+
+    def doubled_delta(h):
+        return [-space.alpha_of_h(a, h) for a in space.pos] + [2 * c for c in h]
+
+    weights = [Poly.variable(npos, k) for k in range(npos)]
+
+    def weight(root):
+        w = weights[space.t_index(root)]
+        return w if min(root) >= 0 else -1 - w
+
+    delta_ok, bethe_ok = True, _weight_inversion_holds()
+    for i, g in enumerate(gens):
+        s = rs.simple_reflection(i)
+        sinv = rs.inverse_matrix(s)
+        for h in rs.identity:
+            sh = space.h_transport(s, h)
+            delta_ok &= _apply(g, doubled_delta(h)) == doubled_delta(sh)
+            symbolic = [space.alpha_of_h(a, h) * x
+                        for a, x in zip(space.pos, weights)] + list(h)
+            # B(s.y, s.h): e^gamma(s.y) = e^{s^-1 gamma}(y), so t_gamma
+            # carries gamma(s.h) times the weight of s^-1 gamma
+            moved = [space.alpha_of_h(c, sh) * weight(rs.act(sinv, c))
+                     for c in space.pos] + list(sh)
+            bethe_ok &= _apply(g, symbolic) == moved
+    return {"group_law": group_law, "delta_transport": delta_ok,
+            "bethe_transport": bethe_ok}
+
+
+@cache
+def _weight_inversion_holds() -> bool:
+    """bethe_weight(u) + bethe_weight(1/u) = -1 in Q(u), u an indeterminate."""
+    u = RatFunc.variable()
+    return bethe_weight(u) + bethe_weight(1 / u) == -1
 
 
 # ----------------------------------------------------------------------

@@ -17,6 +17,7 @@ import functools
 import json
 import random
 import sys
+import time
 from fractions import Fraction
 
 from . import spin, typea
@@ -221,6 +222,10 @@ def _cmd_subspace(args) -> int:
 
 
 def _check_commutativity(args) -> dict:
+    """Spin-chain identities on integer operators: z is rational and theta
+    integral, so each H_k and each represented image is a rational
+    combination of the chain's constant operators, and both identities
+    are tested on integer_combination()s."""
     field = CyclotomicField(DEFAULT_FIELD_ORDER)
     bad = []
     total = 0
@@ -230,10 +235,12 @@ def _check_commutativity(args) -> dict:
         for s in range(args.samples):
             rng = random.Random(f"spin-check-{n}-{args.seed}-{s}")
             z = typea.sample_z(field, n, args.seed * 1009 + s)
+            zq = [v.as_rational() for v in z]
             a, b = rng.randint(-9, 9), rng.randint(-9, 9)
-            theta = [[Fraction(a), Fraction(0)], [Fraction(0), Fraction(b)]]
-            hams = [spin.trig_hamiltonian(theta, z, k, n)
-                    for k in range(1, n + 1)]
+            theta = [[a, 0], [0, b]]
+            terms = [spin.hamiltonian_terms(theta, zq, k, n)
+                     for k in range(1, n + 1)]
+            hams = [spin.integer_combination(t, n) for t in terms]
             for i in range(n):
                 for j in range(i + 1, n):
                     total += 1
@@ -242,9 +249,11 @@ def _check_commutativity(args) -> dict:
             for k in range(1, n + 1):
                 total += 1
                 img = typea.reindex_map(src, tgt, src.bethe(z, k))
-                rep = spin.represent_pair_vector(tgt.pairs, img, theta, n)
-                want = spin.mat_scale(hams[k - 1], -z[k - 1])
-                if not spin.mat_equal(rep, want):
+                rep = spin.pair_vector_terms(
+                    tgt.pairs, [c.as_rational() for c in img], theta, n)
+                # image == -z_k H_k, i.e. image + z_k H_k == 0
+                scaled = [(zq[k - 1] * c, key) for c, key in terms[k - 1]]
+                if any(spin.integer_combination(rep + scaled, n)):
                     bad.append(f"n={n} s={s} image(k={k}) != -z_k H_k")
     return {"name": "commutativity", "passed": not bad,
             "type_independent": True, "n": list(SPIN_SIZES),
@@ -346,13 +355,18 @@ def _check_typea(args) -> dict:
 
 def _check_weyl(args) -> dict:
     rs = root_system(args.type)
-    report = weyl_action_report(rs, _field_for(rs, args.field_order), args.seed)
-    failed = [k for k in ("group_law", "delta_transport", "bethe_transport")
-              if not report[k]]
+    report = weyl_action_report(rs, _field_for(rs, args.field_order),
+                                args.seed, args.samples)
+    failed = [k for k in ("group_law", "delta_transport", "bethe_transport",
+                          "twist_formula", "control") if not report[k]]
     return {"name": "weyl", "passed": not failed, **report,
-            "detail": f"group law on all {report['products']} products "
-                      f"w*s_i; delta and Bethe transport for all "
-                      f"{report['elements']} elements"
+            "detail": f"{report['relations']} Coxeter relations hold, so "
+                      f"rho is a representation of all {report['elements']} "
+                      "elements; delta and Bethe transport (at a symbolic "
+                      "point) on every generator; rho(w) from inversion sets "
+                      "equals the generator product on the longest element "
+                      f"and {report['twists'] - 1} sampled twists; sign "
+                      "control detects the flip"
             if not failed else f"failed: {', '.join(failed)}"}
 
 
@@ -373,7 +387,11 @@ def _cmd_check(args) -> int:
     rs = root_system(args.type)
     field = _field_for(rs, args.field_order)
     names = list(_CHECKS) if args.what == "all" else [args.what]
-    results = [_CHECKS[name](args) for name in names]
+    results, seconds = [], {}
+    for name in names:
+        start = time.perf_counter()
+        results.append(_CHECKS[name](args))
+        seconds[name] = round(time.perf_counter() - start, 6)
     payload = {
         "schema": SCHEMA,
         "type": rs.label,
@@ -384,6 +402,8 @@ def _cmd_check(args) -> int:
         "passed": all(r["passed"] for r in results),
     }
     _emit(args, payload)
+    if args.stats:
+        print(json.dumps({"check_seconds": seconds}), file=sys.stderr)
     return 0 if payload["passed"] else 1
 
 
@@ -427,6 +447,9 @@ def build_parser() -> argparse.ArgumentParser:
     type_and_field(p_check)
     p_check.add_argument("--seed", type=int, default=0)
     p_check.add_argument("--samples", type=int, default=6)
+    p_check.add_argument("--stats", action="store_true",
+                         help="write the wall seconds of each check as one "
+                              "JSON line to stderr")
     out(p_check)
     return parser
 

@@ -362,15 +362,14 @@ def exact_commutator_check(alg: HeckeAlgebra, first_only: bool = False
 def all_reduced_words(rs: RootSystem, w: IntMatrix) -> list[tuple[int, ...]]:
     """Every shortest generator word for w (used to verify the exchange
     move is independent of the chosen word)."""
-    words = rs.weyl_elements()
-    target_len = len(words[w])
+    target_len = len(rs.word_of(w))
     if target_len == 0:
         return [()]
     out = []
     for i in range(rs.rank):
         gen = rs.simple_reflection(i)
         prev = int_mat_mul(w, gen)
-        if len(words[prev]) == target_len - 1:
+        if len(rs.word_of(prev)) == target_len - 1:
             out.extend(u + (i,) for u in all_reduced_words(rs, prev))
     return out
 

@@ -243,13 +243,11 @@ def poset_relations(layers: Sequence[Layer]) -> list[tuple[int, int]]:
 
 
 def covering_relations(layers: Sequence[Layer]) -> list[tuple[int, int]]:
-    rel = set(poset_relations(layers))
-    covers = []
-    for (i, j) in rel:
-        if not any((i, k) in rel and (k, j) in rel
-                   for k in range(len(layers))):
-            covers.append((i, j))
-    return covers
+    """The covers among poset_relations, in its order.  The layer poset is
+    ranked by codimension (Moci, Trans. AMS 2012), so (i, j) is a cover
+    exactly when the codimensions differ by one."""
+    return [(i, j) for i, j in poset_relations(layers)
+            if layers[i].codim - layers[j].codim == 1]
 
 
 # ----------------------------------------------------------------------

@@ -1,8 +1,10 @@
 """Exact linear algebra over any field-like scalar type.
 
 Works with Fraction, cyclotomic field elements, and rational functions:
-anything supporting +, -, *, / and == 0 exactly.  Matrices are lists of
-row lists; nothing here ever touches floating point.
+anything supporting +, -, *, / and == 0 exactly.  Plain int entries are
+accepted too: an int pivot is inverted as a Fraction, so results are
+exact.  Matrices are lists of row lists; nothing here ever touches
+floating point.
 """
 
 from __future__ import annotations
@@ -17,6 +19,11 @@ Matrix = list[list[S]]
 
 def _copy(rows: Sequence[Sequence[S]]) -> Matrix:
     return [list(r) for r in rows]
+
+
+def _inverse(x: S) -> S:
+    """1/x, as a Fraction when x is an int (1/int would be a float)."""
+    return Fraction(1, x) if isinstance(x, int) else 1 / x
 
 
 def rref(rows: Sequence[Sequence[S]]) -> tuple[Matrix, list[int]]:
@@ -39,7 +46,7 @@ def rref(rows: Sequence[Sequence[S]]) -> tuple[Matrix, list[int]]:
             continue
         mat[r], mat[pr] = mat[pr], mat[r]
         prow = mat[r]
-        inv = 1 / prow[c]
+        inv = _inverse(prow[c])
         support = [j for j in range(c, ncols) if not prow[j] == 0]
         for j in support:
             prow[j] = prow[j] * inv
@@ -111,7 +118,7 @@ def nullspace(rows: Sequence[Sequence[S]]) -> Matrix:
 def _unit_like(sample: S) -> S:
     if sample == 0:
         raise ValueError("need a nonzero sample to build a unit")
-    return sample / sample
+    return Fraction(1) if isinstance(sample, int) else sample / sample
 
 
 def mat_mul(a: Sequence[Sequence[S]], b: Sequence[Sequence[S]]) -> Matrix:
@@ -157,9 +164,10 @@ def det(a: Sequence[Sequence[S]]) -> S:
             sign_flip = not sign_flip
         piv = mat[c][c]
         result = piv if result is None else result * piv
+        inv = _inverse(piv)
         for i in range(c + 1, n):
             if not mat[i][c] == 0:
-                f = mat[i][c] / piv
+                f = mat[i][c] * inv
                 mat[i] = [a_ - f * b_ for a_, b_ in zip(mat[i], mat[c])]
     return -result if sign_flip else result
 

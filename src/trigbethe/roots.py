@@ -231,6 +231,24 @@ class RootSystem:
             self._weyl = table
         return self._weyl
 
+    def coxeter_order(self, i: int, j: int) -> int:
+        """m_ij, the order of s_i s_j: 1 if i = j, else 2, 3, 4, 6 for
+        a_ij a_ji = 0, 1, 2, 3."""
+        if i == j:
+            return 1
+        return (2, 3, 4, 6)[self.cartan[i][j] * self.cartan[j][i]]
+
+    def longest_element(self) -> IntMatrix:
+        """w_0, built up by right multiplication with s_i while w alpha_i
+        (column i of w) is positive, i.e. while that lengthens w."""
+        w = self.identity
+        while True:
+            i = next((i for i in range(self.rank)
+                      if all(row[i] >= 0 for row in w)), None)
+            if i is None:
+                return w
+            w = int_mat_mul(w, self._gens[i])
+
     @property
     def weyl_order(self) -> int:
         """|W| = n! * det(Cartan) * the product of the highest root's coefficients.

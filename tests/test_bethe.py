@@ -65,9 +65,17 @@ def test_gaudin_fixture():
         sp.gaudin([Fraction(1), Fraction(-1)], [Fraction(1), Fraction(0)])
 
 
+def delta(space, h_coords):
+    """The canonical shift tau(h) - (1/2) sum alpha(h) t_alpha."""
+    half = Fraction(1, 2)
+    terms = {a: -half * space.alpha_of_h(a, [Fraction(c) for c in h_coords])
+             for a in space.pos}
+    return space.vector(terms, h_coords)
+
+
 def test_delta_and_casimir():
     sp = space_of("A2")
-    d = sp.delta([Fraction(1), Fraction(0)])
+    d = delta(sp, [Fraction(1), Fraction(0)])
     assert d == sp.vector({(1, 0): Fraction(-1, 2), (1, 1): Fraction(-1, 2)},
                           [1, 0])
     assert sp.casimir() == sp.vector({a: 1 for a in sp.pos})
@@ -128,9 +136,9 @@ def action_properties(rs, act):
         act(space, int_mat_mul(w, g), e) == act(space, w, act(space, g, e))
         for w in elements for g in gens for e in basis)
     h_basis = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    delta = all(
-        act(space, w, space.delta(h))
-        == space.delta(reference_h_transport(rs, w, h))
+    delta_ok = all(
+        act(space, w, delta(space, h))
+        == delta(space, reference_h_transport(rs, w, h))
         for w in elements for h in h_basis)
     point = frac_point(F6, *[k + 2 for k in range(n)])
     bethe = all(
@@ -139,7 +147,7 @@ def action_properties(rs, act):
                              for col in zip(*fraction_inverse(w))),
                        reference_h_transport(rs, w, h))
         for w in elements for h in h_basis)
-    return group_law, delta, bethe
+    return group_law, delta_ok, bethe
 
 
 def test_wrong_actions_fail_and_library_action_passes():
@@ -168,6 +176,145 @@ def test_act_matches_fraction_reference_on_basis():
         for w in rs.weyl_elements():
             for e in basis:
                 assert space.act(w, e) == reference(space, w, e), label
+
+
+# ----------------------------------------------------------------------
+# The whole-group sweep: the oracle for the Coxeter-presentation check
+# weyl_action_report.  It visits every element of W on sparse integer
+# matrices, with w^-1 from Fraction inverses; delta is doubled and the
+# Bethe vectors at one rational point are scaled by the common
+# denominator of the Bethe weights of all roots, so every entry is an
+# integer.
+
+
+def whole_group_oracle(rs, seed=0):
+    """group_law: rho(1) = 1 and rho(w s_i) = rho(w) rho(s_i) for every w
+    and i; twist_formula: rho(w) is the product of the rho(s_i) along
+    word_of(w) for every w; delta_transport and bethe_transport:
+    w.delta(h) = delta(w.h) and w.B(y, h) = B(w.y, w.h) for every w and
+    every h in the coordinate basis, at one seeded regular point y."""
+    import random
+    from math import lcm
+    rng = random.Random(f"weyl-oracle-{rs.label}-{seed}")
+    space = HolonomySpace(rs, F6)
+    n, dim = rs.rank, space.dim
+    cols = {w: [dict(col) for col in space.rho(w)] for w in rs.weyl_elements()}
+
+    def compose(a, b):
+        out = []
+        for col in b:
+            acc = {}
+            for k, m in col.items():
+                for r, x in a[k].items():
+                    acc[r] = acc.get(r, 0) + m * x
+            out.append({r: x for r, x in acc.items() if x})
+        return out
+
+    def apply(a, vec):
+        out = [0] * dim
+        for col, c in zip(a, vec):
+            for r, m in col.items():
+                out[r] += m * c
+        return out
+
+    gens = [rs.simple_reflection(i) for i in range(n)]
+    unit = [{k: 1} for k in range(dim)]
+    group_law = cols[rs.identity] == unit and all(
+        compose(cols[w], cols[g]) == cols[int_mat_mul(w, g)]
+        for w in cols for g in gens)
+    # word_of(w) = word_of(w s_i) + (i,): one product per element
+    products = {rs.identity: unit}
+    for w in sorted(cols, key=lambda w: len(rs.word_of(w))):
+        if w != rs.identity:
+            i = rs.word_of(w)[-1]
+            products[w] = compose(products[int_mat_mul(w, gens[i])], cols[gens[i]])
+    twist_formula = products == cols
+
+    def char(point, coords):
+        out = Fraction(1)
+        for y, k in zip(point, coords):
+            out *= y ** k
+        return out
+
+    while True:
+        point = [Fraction(rng.randint(2, 50), rng.randint(2, 50)) for _ in range(n)]
+        if all(char(point, a) != 1 for a in space.pos):
+            break
+    weights = {r: bethe_weight(char(point, r)) for r in rs.roots}
+    scale = lcm(*(g.denominator for g in weights.values()))
+    scaled = {r: int(g * scale) for r, g in weights.items()}
+
+    def bethe_vector(root_of, h):
+        # scale * B: root_of(gamma) is the root whose weight sits on t_gamma
+        return [space.alpha_of_h(a, h) * scaled[root_of(a)]
+                for a in space.pos] + [scale * c for c in h]
+
+    def doubled_delta(h):
+        return [-space.alpha_of_h(a, h) for a in space.pos] + [2 * c for c in h]
+
+    h_basis = [[int(i == j) for j in range(n)] for i in range(n)]
+    delta_ok = bethe_ok = True
+    for w, m in cols.items():
+        winv = fraction_inverse(w)
+        # e^gamma(w.y) = e^{w^-1 gamma}(y)
+        pulled = {a: rs.act(winv, a) for a in space.pos}
+        for h in h_basis:
+            wh = reference_h_transport(rs, w, h)
+            delta_ok &= apply(m, doubled_delta(h)) == doubled_delta(wh)
+            bethe_ok &= apply(m, bethe_vector(lambda a: a, h)) \
+                == bethe_vector(pulled.__getitem__, wh)
+    return {"group_law": group_law, "twist_formula": twist_formula,
+            "delta_transport": delta_ok, "bethe_transport": bethe_ok}
+
+
+RANK_AT_MOST_4 = ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C2", "C3", "C4",
+                  "D4", "G2", "F4"]
+
+
+@pytest.mark.parametrize("label", RANK_AT_MOST_4)
+def test_weyl_report_matches_whole_group_oracle(label):
+    rs = root_system(label)
+    oracle = whole_group_oracle(rs)
+    report = weyl_action_report(rs, F6, seed=0)
+    assert oracle == {k: report[k] for k in oracle}
+    assert all(oracle.values()) and report["control"] is True
+    assert report["elements"] == len(rs.weyl_elements())
+    assert report["relations"] == rs.rank * (rs.rank + 1) // 2
+
+
+@pytest.mark.parametrize("label", ["A1", "A2", "B2", "G2", "A3"])
+def test_weyl_report_and_oracle_reject_a_flipped_generator(label, monkeypatch):
+    # rho(s_1) with its correction term sign-flipped: the oracle and the
+    # Coxeter-presentation check both fail, delta and Bethe transport both
+    rs = root_system(label)
+    s1 = rs.simple_reflection(0)
+    rho = HolonomySpace.rho
+
+    def flipped(self, w):
+        cols = rho(self, w)
+        if w != s1:
+            return cols
+        return cols[:self.npos] + [[(r, -x if r < self.npos else x)
+                                    for r, x in col]
+                                   for col in cols[self.npos:]]
+
+    monkeypatch.setattr(HolonomySpace, "rho", flipped)
+    oracle = whole_group_oracle(rs)
+    report = weyl_action_report(rs, F6, seed=0)
+    assert not oracle["delta_transport"] and not oracle["bethe_transport"]
+    assert not report["delta_transport"] and not report["bethe_transport"]
+
+
+def test_weyl_report_never_enumerates_the_group(monkeypatch):
+    def refuse(self):
+        raise AssertionError("whole Weyl group enumerated")
+    monkeypatch.setattr(RootSystem, "weyl_elements", refuse)
+    for label in ["D4", "F4", "B5"]:
+        report = weyl_action_report(root_system(label), F6, seed=3, samples=4)
+        assert report["twists"] == 5
+        assert all(report[k] for k in ("group_law", "twist_formula",
+                                       "delta_transport", "bethe_transport",
+                                       "control"))
 
 
 def test_twisted_point_never_enumerates_the_group(monkeypatch):

@@ -211,6 +211,34 @@ def test_check_weyl_d4_exhaustive(capsys):
     assert weyl["exhaustive"] is True
 
 
+def test_check_weyl_states_presentation_coverage(capsys):
+    for label, relations in [("A1", 1), ("G2", 3), ("F4", 10), ("B5", 15)]:
+        data = run_json(capsys, "check", "weyl", "--type", label,
+                        "--samples", "3")
+        [weyl] = data["checks"]
+        assert weyl["passed"] is True and weyl["exhaustive"] is True
+        assert weyl["relations"] == relations and weyl["twists"] == 4
+        assert weyl["twist_formula"] is True and weyl["control"] is True
+        assert "Coxeter relations" in weyl["detail"]
+
+
+def test_check_stats_leaves_stdout_and_exit_code_alone(capsys):
+    for argv in (["check", "all", "--type", "B2", "--samples", "2"],
+                 ["check", "weyl", "--type", "G2"],
+                 ["check", "injectivity", "--type", "G2"]):
+        code, out, err = run(capsys, *argv)
+        code_s, out_s, err_s = run(capsys, *argv, "--stats")
+        assert (code_s, out_s) == (code, out) and err == ""
+        [line] = err_s.splitlines()
+        seconds = json.loads(line)["check_seconds"]
+        assert list(seconds) == [c["name"] for c in json.loads(out)["checks"]]
+        assert all(isinstance(v, float) and v >= 0 for v in seconds.values())
+    # declared on check only
+    with pytest.raises(SystemExit) as exc:
+        main(["enumerate", "roots", "--stats"])
+    assert exc.value.code == 2
+
+
 def test_check_all_a2(capsys):
     data = run_json(capsys, "check", "all", "--type", "A2", "--samples", "2")
     assert data["passed"] is True

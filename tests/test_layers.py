@@ -348,3 +348,23 @@ def test_poset_relations_match_all_pairs_scan(label):
             for j, big in enumerate(layers)
             if i != j and layer_contains(big, small)]
     assert poset_relations(layers) == scan
+
+
+def covers_by_intermediates(layers):
+    """Covers by definition: relations with no layer strictly between."""
+    rel = set(poset_relations(layers))
+    return {(i, j) for i, j in rel
+            if not any((i, k) in rel and (k, j) in rel
+                       for k in range(len(layers)))}
+
+
+@pytest.mark.parametrize("label", ["A2", "B2", "G2", "A3", "B3", "C3", "A4",
+                                   "D4", "B4"])
+def test_covering_relations_match_definition(label):
+    # the poset is ranked by codimension, so covers are the relations
+    # whose codimensions differ by one; kept in poset_relations order
+    layers = enumerate_layers(ambient(label))
+    rel = poset_relations(layers)
+    cov = covering_relations(layers)
+    assert set(cov) == covers_by_intermediates(layers)
+    assert cov == [p for p in rel if p in set(cov)]

@@ -242,3 +242,29 @@ def test_rref_matches_dense_oracle(scalar):
         assert [[type(x) for x in row] for row in red] == \
             [[type(x) for x in row] for row in want]
     assert rref([]) == dense_rref([]) == ([], [])
+
+
+def _no_floats(value):
+    if isinstance(value, list):
+        return all(_no_floats(v) for v in value)
+    return not isinstance(value, float)
+
+
+def test_int_input_stays_exact():
+    # an int pivot is inverted as a Fraction: plain int matrices give the
+    # same results as their Fraction copies, and never a float
+    rng = random.Random(5)
+    cases = [[[3, 1], [1, 1]], [[3, 1, 1]], [[2, 4, 6], [1, 2, 4]]]
+    cases += [[[rng.randint(-7, 7) for _ in range(n)] for _ in range(n)]
+              for n in (2, 3, 4) for _ in range(5)]
+    for ints in cases:
+        fracs = [[Fraction(x) for x in row] for row in ints]
+        assert rref(ints) == rref(fracs) and _no_floats(rref(ints)[0])
+        assert nullspace(ints) == nullspace(fracs)
+        assert _no_floats(nullspace(ints))
+        assert det(ints) == det(fracs) and not isinstance(det(ints), float)
+        if len(ints) == len(ints[0]) and det(fracs) != 0:
+            assert mat_inverse(ints) == mat_inverse(fracs)
+            assert _no_floats(mat_inverse(ints))
+    assert rref([[3, 1], [1, 1]])[0] == [[1, 0], [0, 1]]
+    assert nullspace([[3, 1, 1]])[0] == [Fraction(-1, 3), 1, 0]

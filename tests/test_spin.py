@@ -4,9 +4,11 @@ The library's operators are sparse rows; a dense Kronecker-product
 reference, kept here, checks them entry by entry.
 """
 
+import json
 import random
 from fractions import Fraction
 from functools import reduce
+from math import lcm
 
 import pytest
 
@@ -229,3 +231,56 @@ def test_twist_at_places_single_slot():
     theta = [[Fraction(2), Fraction(0)], [Fraction(0), Fraction(5)]]
     m = twist_at(theta, 2, 2)
     assert m[0][0] == 2 and m[1][1] == 5 and m[2][2] == 2 and m[3][3] == 5
+
+
+def test_chain_operators_match_dense_reference():
+    # the constant integer operators, and H_k assembled from them with
+    # cleared denominators, entry by entry against Kronecker products
+    units = {(a, b): [[int((r, c) == (a, b)) for c in (0, 1)] for r in (0, 1)]
+             for a in (0, 1) for b in (0, 1)}
+    field = CyclotomicField(6)
+    rng = random.Random(4)
+    for n in (2, 3):
+        ops = spin.chain_operators(n)
+        assert spin.chain_operators(n) is ops
+        assert all(isinstance(x, int) for op in ops.values()
+                   for row in op for x in row.values())
+        for i in range(1, n + 1):
+            for (a, b), unit in units.items():
+                assert to_dense(ops["unit", i, a, b]) == dense_place({i: unit}, n)
+            for j in range(1, n + 1):
+                if j != i:
+                    assert to_dense(ops["lower", i, j]) == \
+                        dense_lowering_pair(i, j, n)
+                if j > i:
+                    assert to_dense(ops["omega2", i, j]) == \
+                        dense_scale(dense_casimir_pair(i, j, n), 2)
+        for seed in range(3):
+            z = [v.as_rational() for v in sample_z(field, n, seed)]
+            theta = [[rng.randint(-9, 9), 0], [0, rng.randint(-9, 9)]]
+            for k in range(1, n + 1):
+                terms = spin.hamiltonian_terms(theta, z, k, n)
+                scale = lcm(*(c.denominator for c, _ in terms))
+                assert to_dense(spin.integer_combination(terms, n)) == \
+                    dense_scale(dense_trig_hamiltonian(theta, z, k, n), scale)
+                assert to_dense(trig_hamiltonian(theta, z, k, n)) == \
+                    dense_trig_hamiltonian(theta, z, k, n)
+
+
+def test_commutativity_check_detects_flipped_lowering_sign(capsys,
+                                                           monkeypatch):
+    from trigbethe.cli import main
+    terms = spin.hamiltonian_terms
+
+    def flipped(theta, z, k, n):
+        return [(-c if key[0] == "lower" else c, key)
+                for c, key in terms(theta, z, k, n)]
+
+    assert main(["check", "commutativity"]) == 0
+    assert json.loads(capsys.readouterr().out)["passed"] is True
+    monkeypatch.setattr(spin, "hamiltonian_terms", flipped)
+    assert main(["check", "commutativity"]) == 1
+    data = json.loads(capsys.readouterr().out)
+    assert data["passed"] is False
+    [entry] = data["checks"]
+    assert entry["passed"] is False and "-z_k H_k" in entry["detail"]
