@@ -505,7 +505,10 @@ def recover_data(space: HolonomySpace, vectors: Sequence[Sequence[FieldElement]]
     Row reduce with tau columns leading: tau-free rows reveal the
     centralizer (their t-support), tau-carrying rows reveal the weight
     u/(u-1) on every root not spanned by the centralizer; weight 0 marks
-    roots killed at the boundary of the ambient stratum.
+    roots killed at the boundary of the ambient stratum.  Every vector
+    built from an integer h has a rational tau block, so each reduced
+    tau row's block is read once as h/d with h integral and alpha(h) is
+    an integer dot product (an irrational tau block raises ValueError).
     """
     n = space.rs.rank
     perm = list(range(space.npos, space.npos + n)) + list(range(space.npos))
@@ -521,6 +524,12 @@ def recover_data(space: HolonomySpace, vectors: Sequence[Sequence[FieldElement]]
     cen = tuple(sorted(support, key=lambda c: (sum(c), c)))
     # a lies in the span of the centralizer iff every kernel vector kills it
     kernel = integer_kernel(cen)
+    scaled_h = []
+    for r in tau_rows:
+        block = [c.as_rational() for c in r[:n]]
+        d = lcm(*(c.denominator for c in block))
+        scaled_h.append((tuple(c.numerator * (d // c.denominator)
+                               for c in block), d))
     profile: dict[Coords, FieldElement] = {}
     units: dict[Coords, FieldElement] = {}
     vanishing = []
@@ -528,18 +537,18 @@ def recover_data(space: HolonomySpace, vectors: Sequence[Sequence[FieldElement]]
         if cen and not any(sum(x * y for x, y in zip(v, a)) for v in kernel):
             continue  # inside the centralizer span: no tau row sees it
         g = None
-        for r in tau_rows:
-            ah = space.alpha_of_h(a, r[:n])
-            if ah == 0:
+        for r, (h, d) in zip(tau_rows, scaled_h):
+            ah = sum(x * y for x, y in zip(a, h))   # d * alpha(block)
+            if not ah:
                 continue
-            cand = -r[n + k] / ah
+            cand = r[n + k] * Fraction(-d, ah)
             if g is None:
                 g = cand
             elif not g == cand:
                 raise ValueError(f"inconsistent weight profile at root {a}")
         if g is None:
             continue
-        profile[a] = space.field.coerce(g)
+        profile[a] = g
         if profile[a].is_zero():
             vanishing.append(a)
         else:

@@ -342,10 +342,9 @@ def _check_typea(args) -> dict:
         tgt = typea.RationalTarget(n, field)
         for s in range(args.samples):
             z = typea.sample_z(field, n, args.seed * 577 + s)
-            for k in range(1, n + 1):
-                if not typea.image_matches_scaled_gaudin(src, tgt, z, k):
-                    bad.append(f"n={n} s={s} k={k} scaled identity")
-            if not typea.spans_match(src, tgt, z):
+            scaled_bad, spans_ok = typea.check_sample(src, tgt, z)
+            bad += [f"n={n} s={s} k={k} scaled identity" for k in scaled_bad]
+            if not spans_ok:
                 bad.append(f"n={n} s={s} span equality")
     return {"name": "typea", "passed": not bad,
             "type_independent": True, "n": list(SPIN_SIZES),

@@ -9,7 +9,13 @@ The defining exchange rule moves a variable across a generator:
 
 and products are computed by moving polynomials across reduced words,
 found from right descents (RootSystem.word_of), so no product
-enumerates the Weyl group.  The commuting degree-one family (bmo,
+enumerates the Weyl group.  Moving a polynomial across s_i substitutes
+x_k by the k-th row of s_i's matrix; the image of each monomial under
+that substitution is expanded once and kept in a table on the algebra
+(monomial_image), so no table outlives its HeckeAlgebra.  Coefficients
+are ints throughout the normal forms and the commutator table;
+Fractions enter only with a sampled q (bmo, family) or a numeric t
+(at_numeric_t, holonomy_image).  The commuting degree-one family (bmo,
 family) weights the reflection in each positive root by the Bethe
 weight u/(1-u) of bethe.bethe_weight, u the root's power of the torus
 point.  Its commutators are checked for every q at once:
@@ -32,10 +38,10 @@ from .poly import Poly
 from .roots import IntMatrix, RootSystem, int_mat_mul
 
 HeckeElem = dict[IntMatrix, Poly]
-# {(group element, exponent of x_1..x_n, t): {c-monomial: rational}}, a
+# {(group element, exponent of x_1..x_n, t): {c-monomial: integer}}, a
 # c-monomial being the sorted tuple of its positive-root indices
 CommutatorTable = dict[tuple[IntMatrix, tuple[int, ...]],
-                       dict[tuple[int, ...], Fraction]]
+                       dict[tuple[int, ...], int]]
 
 
 def q_power(qvals: Sequence[Fraction], alpha: Sequence[int]) -> Fraction:
@@ -69,6 +75,9 @@ class HeckeAlgebra:
         self.tvar = Poly.variable(self.nvars, self.n)
         # [x_k, s_a] per (k, positive-root index), see x_reflection_commutator
         self._x_comms: dict[tuple[int, int], HeckeElem] = {}
+        # (generator index, exponent) -> image of that monomial, filled
+        # on first use by monomial_image
+        self._images: dict[tuple[int, tuple[int, ...]], Poly] = {}
         # linear substitution polys: the i-th generator sends x_k to the
         # combination read off the k-th row of its root-side matrix
         self._subst: list[list[Poly]] = []
@@ -79,7 +88,7 @@ class HeckeAlgebra:
                 p = Poly(self.nvars)
                 for j in range(self.n):
                     if m[k][j]:
-                        p = p + Poly.variable(self.nvars, j, Fraction(m[k][j]))
+                        p = p + Poly.variable(self.nvars, j, m[k][j])
                 row.append(p)
             self._subst.append(row)
 
@@ -90,13 +99,13 @@ class HeckeAlgebra:
         return {}
 
     def one(self) -> HeckeElem:
-        return {self.ident: Poly.constant(self.nvars, Fraction(1))}
+        return {self.ident: Poly.constant(self.nvars, 1)}
 
     def x(self, k: int) -> HeckeElem:
         return {self.ident: Poly.variable(self.nvars, k)}
 
     def group(self, w: IntMatrix) -> HeckeElem:
-        return {w: Poly.constant(self.nvars, Fraction(1))}
+        return {w: Poly.constant(self.nvars, 1)}
 
     def scale(self, a: HeckeElem, s) -> HeckeElem:
         return self._prune({w: p * s for w, p in a.items()})
@@ -108,7 +117,7 @@ class HeckeAlgebra:
         return self._prune(out)
 
     def sub(self, a: HeckeElem, b: HeckeElem) -> HeckeElem:
-        return self.add(a, self.scale(b, Fraction(-1)))
+        return self.add(a, self.scale(b, -1))
 
     def is_zero(self, a: HeckeElem) -> bool:
         return all(p.is_zero() for p in a.values())
@@ -122,18 +131,28 @@ class HeckeAlgebra:
     # ------------------------------------------------------------------
     # the exchange move
 
-    def apply_generator_subst(self, p: Poly, i: int) -> Poly:
-        """x_k -> row-k combination for the i-th generator; t untouched."""
-        out = Poly(self.nvars)
-        for e, c in p.terms.items():
-            term = Poly.constant(self.nvars, c)
+    def monomial_image(self, i: int, e: tuple[int, ...]) -> Poly:
+        """The monomial with exponent e after x_k -> row-k combination
+        for the i-th generator, t untouched; expanded once per algebra."""
+        key = (i, e)
+        img = self._images.get(key)
+        if img is None:
+            img = Poly.constant(self.nvars, 1)
             for k in range(self.n):
                 if e[k]:
-                    term = term * self._subst[i][k] ** e[k]
+                    img = img * self._subst[i][k] ** e[k]
             if e[self.n]:
-                term = term * self.tvar ** e[self.n]
-            out = out + term
-        return out
+                img = img * self.tvar ** e[self.n]
+            self._images[key] = img
+        return img
+
+    def apply_generator_subst(self, p: Poly, i: int) -> Poly:
+        """x_k -> row-k combination for the i-th generator; t untouched."""
+        out: dict = {}
+        for e, c in p.terms.items():
+            for e2, c2 in self.monomial_image(i, e).terms.items():
+                out[e2] = out.get(e2, 0) + c * c2
+        return Poly(self.nvars, out)
 
     def _corr_monomial(self, e: tuple[int, ...], i: int) -> Poly:
         """Correction term of one monomial against the i-th generator."""
@@ -143,7 +162,7 @@ class HeckeAlgebra:
         rest = list(e)
         rest[k] -= 1
         rest_e = tuple(rest)
-        rest_poly = Poly(self.nvars, {rest_e: Fraction(1)})
+        rest_poly = Poly(self.nvars, {rest_e: 1})
         out = Poly(self.nvars)
         if k == i:
             out = out + self.apply_generator_subst(rest_poly, i)
@@ -163,7 +182,7 @@ class HeckeAlgebra:
     def move_across_word(self, p: Poly, word: Sequence[int]) -> HeckeElem:
         """Normal form of p * (product of generators along the word)."""
         result: HeckeElem = {self.ident: p}
-        sign = Fraction(self.relation_sign)
+        sign = self.relation_sign
         for i in word:
             gen = self.rs.simple_reflection(i)
             nxt: HeckeElem = {}
@@ -217,8 +236,7 @@ class HeckeAlgebra:
             c = bethe_weight(q_power(qvals, a))
             coeff = self.tvar * (c * ah)
             refl = self.rs.reflection_in_root(a)
-            out = self.add(out, {refl: coeff,
-                                 self.ident: coeff * Fraction(-1)})
+            out = self.add(out, {refl: coeff, self.ident: -coeff})
         return out
 
     def family(self, qvals: Sequence[Fraction]) -> list[HeckeElem]:
@@ -270,8 +288,8 @@ class HeckeAlgebra:
                 ab = int_mat_mul(refl[a], refl[b])
                 ba = int_mat_mul(refl[b], refl[a])
                 if ab != ba:
-                    bump(ab, t2, (a, b), Fraction(d))
-                    bump(ba, t2, (a, b), Fraction(-d))
+                    bump(ab, t2, (a, b), d)
+                    bump(ba, t2, (a, b), -d)
         out: CommutatorTable = {}
         for key, coeff in table.items():
             coeff = {m: v for m, v in coeff.items() if v}
@@ -319,7 +337,7 @@ class HeckeAlgebra:
         return {k: v for k, v in out.items() if v != 0}
 
 
-def cleared_numerator(rs: RootSystem, coeff: dict[tuple[int, ...], Fraction]
+def cleared_numerator(rs: RootSystem, coeff: dict[tuple[int, ...], int]
                       ) -> Poly:
     """A commutator-table coefficient as a polynomial in q.
 
@@ -329,8 +347,8 @@ def cleared_numerator(rs: RootSystem, coeff: dict[tuple[int, ...], Fraction]
     exactly when this polynomial is zero.
     """
     involved = sorted({b for mono in coeff for b in mono})
-    one = Poly.constant(rs.rank, Fraction(1))
-    u = {b: Poly(rs.rank, {rs.positive_roots[b]: Fraction(1)}) for b in involved}
+    one = Poly.constant(rs.rank, 1)
+    u = {b: Poly(rs.rank, {rs.positive_roots[b]: 1}) for b in involved}
     out = Poly(rs.rank)
     for mono, val in coeff.items():
         term = Poly.constant(rs.rank, val)

@@ -1,9 +1,12 @@
 """Exact multivariate polynomials and univariate rational functions.
 
-Coefficients may be Fraction or cyclotomic field elements; both support
-the arithmetic protocol these classes rely on.  Rational functions are
-kept normalized (monic denominator, common factors cancelled) so that
-equality is structural.
+Coefficients may be int, Fraction or cyclotomic field elements; all
+support the arithmetic protocol these classes rely on.  Poly never
+converts a coefficient: variables, constants and powers built from ints
+keep int coefficients, so the Hecke normal forms and the symbolic
+transports, which only add and multiply, run on plain integers.
+Rational functions are kept normalized (monic denominator, common
+factors cancelled) so that equality is structural.
 """
 
 from __future__ import annotations
@@ -29,8 +32,7 @@ class Poly:
     def variable(cls, nvars: int, i: int, coeff=1) -> "Poly":
         e = [0] * nvars
         e[i] = 1
-        return cls(nvars, {tuple(e): coeff if not isinstance(coeff, int)
-                           else Fraction(coeff)})
+        return cls(nvars, {tuple(e): coeff})
 
     def _lift(self, other) -> "Poly | None":
         if isinstance(other, Poly):
@@ -81,13 +83,16 @@ class Poly:
     __rmul__ = __mul__
 
     def __pow__(self, exp: int):
-        out = Poly.constant(self.nvars, Fraction(1))
+        if exp < 0:
+            raise ValueError(f"negative power {exp} of a polynomial")
+        out = Poly.constant(self.nvars, 1)
         base = self
         while exp:
             if exp & 1:
                 out = out * base
-            base = base * base
             exp >>= 1
+            if exp:
+                base = base * base
         return out
 
     def __eq__(self, other):

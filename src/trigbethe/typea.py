@@ -128,24 +128,30 @@ def marked_points(field: CyclotomicField, z: Sequence[FieldElement]) -> list:
     return [field.zero()] + [field.coerce(v) for v in z]
 
 
-def image_matches_scaled_gaudin(source: TrigSource, target: RationalTarget,
-                                z: Sequence[FieldElement], k: int) -> bool:
-    """The pinned identity: image of the k-th trig element equals
-    -z_k times the k-th rational element at (0, z)."""
-    img = reindex_map(source, target, source.bethe(z, k))
-    expected = target.gaudin(marked_points(source.field, z), k)
-    zk = source.field.coerce(z[k - 1])
-    expected = [-(zk * c) for c in expected]
-    return img == expected
+def check_sample(source: TrigSource, target: RationalTarget,
+                 z: Sequence[FieldElement]) -> tuple[list[int], bool]:
+    """Both pinned identities at the torus point z, on one set of vectors.
+
+    Returns the k (1..n) for which the image of the k-th trig element is
+    not -z_k times the k-th rational element at (0, z), and whether the
+    image of the whole trig span equals the rational span at (0, z).
+    """
+    imgs = [reindex_map(source, target, source.bethe(z, k))
+            for k in range(1, source.n + 1)]
+    # gspan[k] is the rational element at index k of {0..n}
+    gspan = target.gaudin_span(marked_points(source.field, z))
+    bad = []
+    for k, img in enumerate(imgs, start=1):
+        zk = source.field.coerce(z[k - 1])
+        if img != [-(zk * c) for c in gspan[k]]:
+            bad.append(k)
+    return bad, row_space_equal(imgs, gspan)
 
 
 def spans_match(source: TrigSource, target: RationalTarget,
                 z: Sequence[FieldElement]) -> bool:
     """Image of the whole trig span equals the rational span at (0, z)."""
-    imgs = [reindex_map(source, target, source.bethe(z, k))
-            for k in range(1, source.n + 1)]
-    gspan = target.gaudin_span(marked_points(source.field, z))
-    return row_space_equal(imgs, gspan)
+    return check_sample(source, target, z)[1]
 
 
 def sample_z(field: CyclotomicField, n: int, seed: int) -> tuple:

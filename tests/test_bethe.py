@@ -375,6 +375,16 @@ def test_boundary_point_recovery():
     assert rec.vanishing == ((0, 1), (1, 1))
 
 
+def test_recovery_rejects_an_inconsistent_weight_profile():
+    # both tau rows see the root (1, 1) with alpha(h) = 1, but read
+    # different weights off its t-coefficient
+    space = HolonomySpace(root_system("A2"), F6)
+    vectors = [space.vector({(1, 1): -1}, (1, 0)),
+               space.vector({(1, 1): -2}, (0, 1))]
+    with pytest.raises(ValueError, match="inconsistent weight profile"):
+        recover_data(space, vectors)
+
+
 def test_torsion_point_subspace():
     # the order-2 point of the short-long rank-2 system: centralizer is
     # spanned by the two long roots, so the subspace is chart-only

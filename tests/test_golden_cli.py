@@ -1,4 +1,4 @@
-"""Golden CLI outputs: stdout digests recorded in the benchmark reference.
+"""Golden CLI outputs: stdout digests of fixed requests.
 
 perfbench/data/reference.json holds, for a frozen pool of point
 descriptions, the sha256 of each `subspace` stdout, and the digests of a
@@ -6,6 +6,8 @@ few small `enumerate` requests.  Replaying the first four points of
 every pool group (so more than one twisted, boundary and torsion draw
 per configuration) and those requests through the CLI keeps
 "byte-identical output" a tier-1 check.  The reference file is only read.
+The `check` digests and exit codes below are literals, recorded before
+the Hecke normal forms moved to integer coefficients.
 """
 
 import hashlib
@@ -40,9 +42,40 @@ ENUMERATE = [
 ]
 
 
-def stdout_digest(capsys, argv) -> str:
-    assert main(argv) == 0
-    return hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
+# argv -> (exit code, stdout sha256); `check all` on A2 at seed 14 exits 1
+# on the known injectivity collision
+CHECK = {
+    "check all --type A2 --seed 1":
+        (0, "3b28bdf1b9aa7521719aa73418a65e5205405a89926035a535972056433a3576"),
+    "check all --type A2 --seed 2":
+        (0, "ead3216ad2b7baf9a6949dd2aa6ead21ac30ee12af0cfea4f7d709ee915c5ab3"),
+    "check all --type B2 --seed 1":
+        (0, "5c742a26b6c30e893aa1fffc783965388f0c709409cf7c44761a136e270090ff"),
+    "check all --type B2 --seed 2":
+        (0, "5b13a48c7cef4592518e940a22149eee47eab02d12a33d8183d11dd38b9d8451"),
+    "check all --type G2 --seed 1":
+        (0, "7db29609c982a06077629fb73122e649b62cf910d7f62d201a050f63c50a9b6f"),
+    "check all --type G2 --seed 2":
+        (0, "432dbbf854367114d9274f23ab3548d3f09092b139ad287f63654a77ce6500d2"),
+    "check all --type A3 --seed 1":
+        (0, "677cef9b1ef163eb730cc7e6b5adcccee3982fb6d0ef0edb610df115bc16a086"),
+    "check all --type A3 --seed 2":
+        (0, "682b981bacbcf4987feb02f0beb7dc83ca4a814793fbc4e3d02cecf1d34acfb8"),
+    "check all --type A2 --seed 14":
+        (1, "3e061c29ba935ae974b7c7591cbdc25de5bb29b20e76789f772e1e9186b9921b"),
+    "check hecke --type B3":
+        (0, "b1633a34491586167801ea6ce46353ca760b75fbcd92f9c0d14897090d39d580"),
+    "check hecke --type C3":
+        (0, "0709309970dc9aeed7f1362723f9c177e73281550ab0abe89b220ba117dd8a35"),
+    "check hecke --type D4":
+        (0, "5eca6f50917072403004fa6163acd3d720cc04d69197178521386aea8a5a2f10"),
+}
+
+
+def run(capsys, argv) -> tuple[int, str]:
+    code = main(argv)
+    out = capsys.readouterr().out
+    return code, hashlib.sha256(out.encode("utf-8")).hexdigest()
 
 
 def test_pool_has_one_entry_per_group():
@@ -60,9 +93,14 @@ def _entry_id(entry) -> str:
 @pytest.mark.parametrize("entry", GOLDEN_POINTS, ids=_entry_id)
 def test_subspace_output_matches_reference(entry, capsys, monkeypatch):
     monkeypatch.setattr("sys.stdin", io.StringIO(entry["spec"]))
-    assert stdout_digest(capsys, ["subspace", "-"]) == entry["sha256"]
+    assert run(capsys, ["subspace", "-"]) == (0, entry["sha256"])
 
 
 @pytest.mark.parametrize("argv", ENUMERATE, ids=" ".join)
 def test_enumerate_output_matches_reference(argv, capsys):
-    assert stdout_digest(capsys, argv) == REFERENCE["census"][" ".join(argv)]
+    assert run(capsys, argv) == (0, REFERENCE["census"][" ".join(argv)])
+
+
+@pytest.mark.parametrize("request_line", CHECK)
+def test_check_output_matches_golden(request_line, capsys):
+    assert run(capsys, request_line.split()) == CHECK[request_line]

@@ -263,6 +263,52 @@ def test_cleared_numerator_fixture():
         Poly(2, {(0, 1): Fraction(3)})
 
 
+def test_integer_path_has_int_coefficients():
+    # the normal forms and the commutator table only add and multiply
+    # integers; a Fraction here means a stray conversion came back
+    def all_int(poly):
+        return all(type(c) is int for c in poly.terms.values())
+
+    for label in ["A1", "A2", "B2", "G2", "A3", "B3", "C3"]:
+        rs = root_system(label)
+        alg = HeckeAlgebra(rs)
+        for k in range(rs.rank):
+            for b in range(len(rs.positive_roots)):
+                comm = alg.x_reflection_commutator(k, b)
+                assert all(all_int(p) for p in comm.values()), (label, k, b)
+        for i in range(rs.rank):
+            for j in range(i + 1, rs.rank):
+                for coeff in alg.commutator_table(i, j).values():
+                    assert all(type(v) is int for v in coeff.values()), label
+                    assert all_int(cleared_numerator(rs, coeff)), label
+
+
+def test_monomial_image_matches_direct_substitution():
+    # oracle: x_k -> sum_j m[k][j] x_j built from the reflection matrix,
+    # applied to the monomial by repeated multiplication (Poly.evaluate)
+    rng = random.Random(20261018)
+    for label in ["A2", "B2", "G2", "A3"]:
+        rs = root_system(label)
+        n = rs.rank
+        for sign in (1, -1):
+            alg = HeckeAlgebra(rs, relation_sign=sign)
+            for i in range(n):
+                m = rs.simple_reflection(i)
+                values = [sum((Poly.variable(n + 1, j, m[k][j])
+                               for j in range(n)), Poly(n + 1))
+                          for k in range(n)] + [alg.tvar]
+                for _ in range(6):
+                    e = tuple(rng.randint(0, 3) for _ in range(n)) + \
+                        (rng.randint(0, 2),)
+                    want = Poly(n + 1, {e: 1}).evaluate(values)
+                    assert alg.monomial_image(i, e) == want, (label, i, e)
+                    assert alg.monomial_image(i, e) is alg.monomial_image(i, e)
+                terms = {tuple(rng.randint(0, 2) for _ in range(n + 1)):
+                         rng.randint(-5, 5) for _ in range(4)}
+                p = Poly(n + 1, terms)
+                assert alg.apply_generator_subst(p, i) == p.evaluate(values)
+
+
 def test_word_of_is_reduced():
     rs = root_system("B3")
     alg = HeckeAlgebra(rs)

@@ -20,6 +20,17 @@ def test_poly_expand_square():
     assert p.total_degree() == 2
 
 
+def test_poly_power_keeps_int_coefficients_and_rejects_negative():
+    x = Poly.variable(2, 0)
+    y = Poly.variable(2, 1, 2)
+    p = (x - y) ** 3
+    assert p.terms == {(3, 0): 1, (2, 1): -6, (1, 2): 12, (0, 3): -8}
+    assert all(type(c) is int for c in p.terms.values())
+    assert x ** 0 == Poly.constant(2, 1)
+    with pytest.raises(ValueError):
+        x ** -1
+
+
 def test_poly_scalar_lifting_and_zero_pruning():
     x = Poly.variable(1, 0)
     assert (x - x).is_zero()

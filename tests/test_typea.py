@@ -5,9 +5,9 @@ from fractions import Fraction
 import pytest
 
 from trigbethe.field import CyclotomicField
-from trigbethe.typea import (RationalTarget, TrigSource,
-                             image_matches_scaled_gaudin, marked_points,
-                             reindex_map, sample_z, spans_match)
+from trigbethe.typea import (RationalTarget, TrigSource, check_sample,
+                             marked_points, reindex_map, sample_z,
+                             spans_match)
 
 F6 = CyclotomicField(6)
 
@@ -25,7 +25,7 @@ def test_reindex_n1():
     tgt.add_pair(vec, 0, 1, -1)
     assert img == vec
     z = fracs(F6, 7)
-    assert image_matches_scaled_gaudin(src, tgt, z, 1)
+    assert check_sample(src, tgt, z) == ([], True)
 
 
 def test_reindex_fixture_n2():
@@ -55,8 +55,7 @@ def test_identity_all_indices_n2_n3():
         tgt = RationalTarget(n, F6)
         for seed in range(6):
             z = sample_z(F6, n, seed)
-            for k in range(1, n + 1):
-                assert image_matches_scaled_gaudin(src, tgt, z, k)
+            assert check_sample(src, tgt, z) == ([], True)
             assert spans_match(src, tgt, z)
 
 
@@ -68,6 +67,20 @@ def test_identity_fails_without_marked_point_scaling():
     g1 = tgt.gaudin(marked_points(F6, z), 1)
     assert img != g1                       # unscaled comparison is false
     assert img != [z[0] * c for c in g1]   # positive scaling is false too
+
+
+def test_check_sample_names_the_failing_index():
+    class Shifted(TrigSource):
+        # the third element loses its tau entry, so neither identity holds
+        def bethe(self, z, k):
+            vec = super().bethe(z, k)
+            if k == 3:
+                vec[len(self.pairs) + 2] = self.field.zero()
+            return vec
+
+    src = Shifted(3, F6)
+    tgt = RationalTarget(3, F6)
+    assert check_sample(src, tgt, sample_z(F6, 3, 0)) == ([3], False)
 
 
 def test_bethe_coincident_coordinates_rejected():
