@@ -21,7 +21,9 @@ Points of the degenerate family (XPoint) are stored untwisted plus a
 Weyl twist; their limit subspaces are built from the tau-carrying Bethe
 generators of the ambient stratum and the chart family of the point's
 centralizer, and recover_data reads the stratum data back off an
-untwisted subspace.
+untwisted subspace.  The checks sample points from a PointStream, one
+seeded sequence drawn on demand, so that one request builds and
+row-reduces each sampled point once.
 """
 
 from __future__ import annotations
@@ -560,39 +562,86 @@ def recover_data(space: HolonomySpace, vectors: Sequence[Sequence[FieldElement]]
 # sampling helpers used by checks and the CLI
 
 
-def sample_xpoints(rs: RootSystem, field: CyclotomicField, seed: int,
-                   count: int) -> list[XPoint]:
-    """A deterministic pool of pairwise-distinct normalized points.
+class PointStream:
+    """The seeded stream of sampled points of one type, field and seed.
 
-    Covers the stratum inventory: the open stratum, smaller ambient
-    strata, torsion layers, boundary chart coordinates, and Weyl twists.
-    Chart coordinates are normalized so every maximal member carries 1.
+    Every draw reads one rng, random.Random(f"xpoints-{label}-{seed}"), in
+    the same way, and a draw that gives a new valid point appends it, so
+    the stream is one fixed sequence of pairwise-distinct points.  It is
+    drawn on demand: point(k, max_attempts) draws only until the k-th
+    point exists or max_attempts draws are spent, and a caller that asks
+    for fewer points sees a prefix of what a caller asking for more sees.
+    The draws cover the stratum inventory: the open stratum, smaller
+    ambient strata, torsion layers, boundary chart coordinates, and Weyl
+    twists.  Chart coordinates are normalized so every maximal member
+    carries 1.
+
+    reduced(x) row-reduces a point's subspace once.  built counts the
+    XPoints constructed (a repeat of an earlier point included) and
+    reductions the subspaces row-reduced.
     """
-    import random
-    from .layers import enumerate_layers, generic_point
 
-    rng = random.Random(f"xpoints-{rs.label}-{seed}")
-    n = rs.rank
-    words = sorted(rs.weyl_elements().values(), key=lambda w: (len(w), w))
-    out: list[XPoint] = []
-    seen: set[tuple] = set()
-    subsets = [tuple(i for i in range(n) if m >> i & 1) for m in range(1 << n)]
-    subsets.sort(key=lambda s: -len(s))
-    layer_cache: dict[tuple[int, ...], list] = {}
-    attempts = 0
-    while len(out) < count and attempts < count * 40:
-        attempts += 1
+    def __init__(self, rs: RootSystem, field: CyclotomicField, seed: int):
+        import random
+        self.rs, self.field, self.seed = rs, field, seed
+        self.points: list[XPoint] = []
+        self.attempts = 0
+        self.built = 0
+        self._rng = random.Random(f"xpoints-{rs.label}-{seed}")
+        self._drawn_at: list[int] = []     # attempts spent when points[k] came
+        self._index: dict[int, int] = {}   # id(points[k]) -> k
+        self._rows: dict[int, list[list[FieldElement]]] = {}
+        self._seen: set[tuple] = set()
+        n = rs.rank
+        self._subsets = sorted(
+            (tuple(i for i in range(n) if m >> i & 1) for m in range(1 << n)),
+            key=lambda s: -len(s))
+        self._words: list[tuple[int, ...]] | None = None
+        # per subset: the restricted ambient and its layers
+        self._layers: dict[tuple[int, ...], tuple[RootAmbient, list]] = {}
+
+    @property
+    def reductions(self) -> int:
+        return len(self._rows)
+
+    def point(self, k: int, max_attempts: int) -> XPoint | None:
+        """The k-th point (from 0), or None when the stream does not reach
+        it within max_attempts draws."""
+        while len(self.points) <= k and self.attempts < max_attempts:
+            self._draw()
+        if k < len(self.points) and self._drawn_at[k] <= max_attempts:
+            return self.points[k]
+        return None
+
+    def reduced(self, x: XPoint) -> list[list[FieldElement]]:
+        """The rref rows of x.subspace() for a point x of this stream,
+        row-reduced on first use only."""
+        k = self._index[id(x)]
+        rows = self._rows.get(k)
+        if rows is None:
+            rows = self._rows[k] = rref(x.subspace())[0]
+        return rows
+
+    def _draw(self) -> None:
+        from .layers import enumerate_layers, generic_point
+
+        rs, rng, n = self.rs, self._rng, self.rs.rank
+        self.attempts += 1
+        if self._words is None:
+            self._words = sorted(rs.weyl_elements().values(),
+                                 key=lambda w: (len(w), w))
+        subsets = self._subsets
         subset = subsets[rng.randrange(len(subsets))] if rng.random() < 0.5 \
             else tuple(range(n))
-        amb = RootAmbient.restricted(rs, subset, field)
-        if subset not in layer_cache:
-            layer_cache[subset] = enumerate_layers(amb)
-        layers = layer_cache[subset]
+        if subset not in self._layers:
+            amb = RootAmbient.restricted(rs, subset, self.field)
+            self._layers[subset] = (amb, enumerate_layers(amb))
+        amb, layers = self._layers[subset]
         layer = layers[rng.randrange(len(layers))]
         try:
             y = generic_point(amb, layer, seed=rng.randrange(10 ** 6))
         except RuntimeError:
-            continue
+            return
         cen = [_to_ambient(a, subset, n) for a in layer.roots_pos]
         base = rs.base_of(cen)
         families = maximal_nested_sets(len(base), rs.nonorthogonal_edges(base))
@@ -609,20 +658,52 @@ def sample_xpoints(rs: RootSystem, field: CyclotomicField, seed: int,
             else:
                 tvals.append(Fraction(rng.randint(1, 40), rng.randint(1, 40)))
         if not chart.is_generic(tvals):
-            continue
+            return
+        words = self._words
         word = words[rng.randrange(len(words))] if rng.random() < 0.4 else ()
         try:
-            x = XPoint(rs, field, word, subset, y, chart, tuple(tvals))
+            x = XPoint(rs, self.field, word, subset, y, chart, tuple(tvals))
         except ValueError:
-            continue
+            return
+        self.built += 1
         sig = x.signature()
-        if sig in seen:
-            continue
-        seen.add(sig)
+        if sig in self._seen:
+            return
+        self._seen.add(sig)
+        self._index[id(x)] = len(self.points)
+        self.points.append(x)
+        self._drawn_at.append(self.attempts)
+
+
+def sample_xpoints(rs: RootSystem, field: CyclotomicField, seed: int,
+                   count: int, stream: PointStream | None = None
+                   ) -> list[XPoint]:
+    """The first count points of the PointStream of (rs, field, seed):
+    a deterministic pool of pairwise-distinct normalized points, and a
+    prefix of sample_xpoints(rs, field, seed, m) for every m > count.
+
+    RuntimeError when the first count points take more than count * 40
+    draws.  stream, when given, is that stream, shared with other callers
+    in one request; otherwise a fresh one is drawn.
+    """
+    stream = _stream_for(rs, field, seed, stream)
+    out: list[XPoint] = []
+    for k in range(count):
+        x = stream.point(k, count * 40)
+        if x is None:
+            raise RuntimeError(f"could only sample {k} points")
         out.append(x)
-    if len(out) < count:
-        raise RuntimeError(f"could only sample {len(out)} points")
     return out
+
+
+def _stream_for(rs: RootSystem, field: CyclotomicField, seed: int,
+                stream: PointStream | None) -> PointStream:
+    if stream is None:
+        return PointStream(rs, field, seed)
+    if (stream.rs, stream.field, stream.seed) != (rs, field, seed):
+        raise ValueError("the point stream belongs to another type, field "
+                         "or seed")
+    return stream
 
 
 def _to_ambient(coords: Sequence[int], subset: Sequence[int], n: int) -> Coords:
@@ -640,14 +721,25 @@ def chart_only(x: XPoint) -> bool:
 
 
 def injectivity_pool(rs: RootSystem, field: CyclotomicField, seed: int,
-                     count: int) -> list[XPoint]:
-    """Pool for distinctness checks.  Points whose subspace provably
-    ignores the torus coordinate are deduped by their visible data (twist,
-    centralizer, chart) instead of by the coordinate itself."""
-    pts = sample_xpoints(rs, field, seed, count * 3)
+                     count: int, stream: PointStream | None = None
+                     ) -> list[XPoint]:
+    """Pool for distinctness checks, read from the first 3 * count points
+    of the PointStream of (rs, field, seed) (stream, when given) and drawn
+    only as far as it needs.  Points whose subspace provably ignores the
+    torus coordinate are deduped by their visible data (twist,
+    centralizer, chart) instead of by the coordinate itself.
+
+    RuntimeError when fewer than count points are distinct, or when the
+    stream runs out of its 3 * count * 40 draws before the pool is full.
+    """
+    stream = _stream_for(rs, field, seed, stream)
+    budget = count * 3
     out: list[XPoint] = []
     seen: set[tuple] = set()
-    for x in pts:
+    for k in range(budget):
+        x = stream.point(k, budget * 40)
+        if x is None:
+            raise RuntimeError(f"could only sample {k} points")
         if chart_only(x):
             key = ("chart-only", x.word, tuple(x.centralized),
                    tuple(tuple(sorted(s)) for s in x.chart.sets),

@@ -21,13 +21,13 @@ import time
 from fractions import Fraction
 
 from . import spin, typea
-from .bethe import (injectivity_pool, recover_data, sample_xpoints,
-                    weyl_action_report, xpoint_from_dict)
+from .bethe import (PointStream, injectivity_pool, recover_data,
+                    sample_xpoints, weyl_action_report, xpoint_from_dict)
 from .field import DEFAULT_FIELD_ORDER, CyclotomicField, default_field_order
 from .hecke import HeckeAlgebra, exact_commutator_check
-from .layers import (RootAmbient, boundary_strata, building_set,
-                     enumerate_layers, gamma_divisors, is_indecomposable,
-                     layer_to_dict, poset_relations)
+from .layers import (RootAmbient, boundary_ambients, boundary_strata,
+                     building_set, enumerate_layers, gamma_divisors,
+                     is_indecomposable, layer_to_dict, poset_relations)
 from .linalg import det, rref
 from .nested import Chart, maximal_nested_sets
 from .roots import RootSystem, root_system
@@ -122,11 +122,10 @@ def _cmd_enumerate(args) -> int:
         return 0
 
     if args.target == "boundary-strata":
-        strata = boundary_strata(rs, field)
+        ambients = boundary_ambients(rs, field)
         out = []
-        for subset, layer in strata:
-            amb = RootAmbient.restricted(rs, subset, field)
-            entry = _layer_entry(amb, layer)
+        for subset, layer in boundary_strata(rs, field, ambients):
+            entry = _layer_entry(ambients[subset], layer)
             entry["I"] = [i + 1 for i in subset]
             out.append(entry)
         _emit(args, {
@@ -221,7 +220,7 @@ def _cmd_subspace(args) -> int:
 # check
 
 
-def _check_commutativity(args) -> dict:
+def _check_commutativity(args, stream: PointStream) -> dict:
     """Spin-chain identities on integer operators: z is rational and theta
     integral, so each H_k and each represented image is a rational
     combination of the chain's constant operators, and both identities
@@ -261,11 +260,10 @@ def _check_commutativity(args) -> dict:
             else "; ".join(bad[:4])}
 
 
-def _check_rank(args) -> dict:
-    rs = root_system(args.type)
-    field = _field_for(rs, args.field_order)
-    pts = sample_xpoints(rs, field, args.seed, args.samples)
-    dims = [len(rref(x.subspace())[0]) for x in pts]
+def _check_rank(args, stream: PointStream) -> dict:
+    rs = stream.rs
+    pts = sample_xpoints(rs, stream.field, args.seed, args.samples, stream)
+    dims = [len(stream.reduced(x)) for x in pts]
     bad = [d for d in dims if d != rs.rank]
     return {"name": "rank", "passed": not bad, "points": len(pts),
             "exhaustive": False,
@@ -273,15 +271,13 @@ def _check_rank(args) -> dict:
             if not bad else f"dimensions {sorted(set(dims))}, want {rs.rank}"}
 
 
-def _check_injectivity(args) -> dict:
-    rs = root_system(args.type)
-    field = _field_for(rs, args.field_order)
-    pts = injectivity_pool(rs, field, args.seed, args.samples)
+def _check_injectivity(args, stream: PointStream) -> dict:
+    pts = injectivity_pool(stream.rs, stream.field, args.seed, args.samples,
+                           stream)
     seen: dict[tuple, int] = {}
     collisions = []
     for i, x in enumerate(pts):
-        rows, _ = rref(x.subspace())
-        key = tuple(tuple(str(c) for c in row) for row in rows)
+        key = tuple(tuple(str(c) for c in row) for row in stream.reduced(x))
         if key in seen:
             collisions.append((seen[key], i))
         else:
@@ -292,7 +288,7 @@ def _check_injectivity(args) -> dict:
             if not collisions else f"collisions at {collisions[:4]}"}
 
 
-def _check_triangularity(args) -> dict:
+def _check_triangularity(args, stream: PointStream) -> dict:
     rs = root_system(args.type)
     base = list(rs.simple_roots)
     edges = rs.nonorthogonal_edges(base)
@@ -313,7 +309,7 @@ def _check_triangularity(args) -> dict:
             if not bad else f"{len(bad)} charts fail"}
 
 
-def _check_hecke(args) -> dict:
+def _check_hecke(args, stream: PointStream) -> dict:
     rs = root_system(args.type)
     pairs = rs.rank * (rs.rank - 1) // 2
     entry = {"name": "hecke", "exhaustive": True, "pairs": pairs}
@@ -334,7 +330,7 @@ def _check_hecke(args) -> dict:
             if not failures else "; ".join(failures[:4])}
 
 
-def _check_typea(args) -> dict:
+def _check_typea(args, stream: PointStream) -> dict:
     field = CyclotomicField(DEFAULT_FIELD_ORDER)
     bad = []
     for n in SPIN_SIZES:
@@ -352,7 +348,7 @@ def _check_typea(args) -> dict:
             if not bad else "; ".join(bad[:4])}
 
 
-def _check_weyl(args) -> dict:
+def _check_weyl(args, stream: PointStream) -> dict:
     rs = root_system(args.type)
     report = weyl_action_report(rs, _field_for(rs, args.field_order),
                                 args.seed, args.samples)
@@ -369,6 +365,7 @@ def _check_weyl(args) -> dict:
             if not failed else f"failed: {', '.join(failed)}"}
 
 
+# each check reads the parsed arguments and the request's PointStream
 _CHECKS = {
     "commutativity": _check_commutativity,
     "rank": _check_rank,
@@ -386,10 +383,12 @@ def _cmd_check(args) -> int:
     rs = root_system(args.type)
     field = _field_for(rs, args.field_order)
     names = list(_CHECKS) if args.what == "all" else [args.what]
+    # one point stream per request: rank and injectivity read its prefix
+    stream = PointStream(rs, field, args.seed)
     results, seconds = [], {}
     for name in names:
         start = time.perf_counter()
-        results.append(_CHECKS[name](args))
+        results.append(_CHECKS[name](args, stream))
         seconds[name] = round(time.perf_counter() - start, 6)
     payload = {
         "schema": SCHEMA,
@@ -402,7 +401,8 @@ def _cmd_check(args) -> int:
     }
     _emit(args, payload)
     if args.stats:
-        print(json.dumps({"check_seconds": seconds}), file=sys.stderr)
+        print(json.dumps({"check_seconds": seconds, "points": stream.built,
+                          "reductions": stream.reductions}), file=sys.stderr)
     return 0 if payload["passed"] else 1
 
 
@@ -447,8 +447,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--seed", type=int, default=0)
     p_check.add_argument("--samples", type=int, default=6)
     p_check.add_argument("--stats", action="store_true",
-                         help="write the wall seconds of each check as one "
-                              "JSON line to stderr")
+                         help="write the wall seconds of each check, the "
+                              "points sampled and the subspaces row-reduced "
+                              "as one JSON line to stderr")
     out(p_check)
     return parser
 

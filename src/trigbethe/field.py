@@ -158,8 +158,11 @@ class CyclotomicField:
                             q.denominator)
 
     def zeta(self, power: int = 1) -> FieldElement:
-        """zeta_N ** power, for any integer power."""
-        return self.element([0] * (power % self.order) + [1])
+        """zeta_N ** power, for any integer power, read off the power table."""
+        nums = [0] * self.degree
+        for i, c in self._powers[power % self.order]:
+            nums[i] = c
+        return FieldElement(self, tuple(nums), 1)
 
     def root_exponent(self, k: int) -> int:
         """e with zeta_N ** e a primitive k-th root of unity; needs k | N."""

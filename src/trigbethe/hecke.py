@@ -9,13 +9,14 @@ The defining exchange rule moves a variable across a generator:
 
 and products are computed by moving polynomials across reduced words,
 found from right descents (RootSystem.word_of), so no product
-enumerates the Weyl group.  Moving a polynomial across s_i substitutes
-x_k by the k-th row of s_i's matrix; the image of each monomial under
-that substitution is expanded once and kept in a table on the algebra
-(monomial_image), so no table outlives its HeckeAlgebra.  Coefficients
-are ints throughout the normal forms and the commutator table;
-Fractions enter only with a sampled q (bmo, family) or a numeric t
-(at_numeric_t, holonomy_image).  The commuting degree-one family (bmo,
+enumerates the Weyl group; the group part steps from w to w s_i by a
+column update (RootSystem.times_generator).  Moving a polynomial across
+s_i substitutes x_k by the k-th row of s_i's matrix; the image of each
+monomial under that substitution is expanded once and kept in a table
+on the algebra (monomial_image), so no table outlives its HeckeAlgebra.
+Coefficients are ints throughout the normal forms and the commutator
+table; Fractions enter only with a sampled q (bmo, family) or a numeric
+t (at_numeric_t, holonomy_image).  The commuting degree-one family (bmo,
 family) weights the reflection in each positive root by the Bethe
 weight u/(1-u) of bethe.bethe_weight, u the root's power of the torus
 point.  Its commutators are checked for every q at once:
@@ -184,10 +185,9 @@ class HeckeAlgebra:
         result: HeckeElem = {self.ident: p}
         sign = self.relation_sign
         for i in word:
-            gen = self.rs.simple_reflection(i)
             nxt: HeckeElem = {}
             for w, poly in result.items():
-                wnext = int_mat_mul(w, gen)
+                wnext = self.rs.times_generator(w, i)
                 moved = self.apply_generator_subst(poly, i)
                 nxt[wnext] = nxt.get(wnext, Poly(self.nvars)) + moved
                 c = self.corr(poly, i)
@@ -385,8 +385,7 @@ def all_reduced_words(rs: RootSystem, w: IntMatrix) -> list[tuple[int, ...]]:
         return [()]
     out = []
     for i in range(rs.rank):
-        gen = rs.simple_reflection(i)
-        prev = int_mat_mul(w, gen)
+        prev = rs.times_generator(w, i)
         if len(rs.word_of(prev)) == target_len - 1:
             out.extend(u + (i,) for u in all_reduced_words(rs, prev))
     return out

@@ -5,7 +5,11 @@ provides saturations and torsion quotients.  It tracks its unimodular
 transforms U and V, and V^{-1} alongside them: every column operation
 applied to V is matched by the inverse row operation on V^{-1}, so the
 whole computation stays in integers.  Row-style Hermite form provides a
-canonical basis used to deduplicate lattices.
+canonical basis used to deduplicate lattices.  hermite_insert adds one
+vector to a lattice already in Hermite form: it clears the vector with
+one gcd step per pivot column it meets, makes the rest a new row, and
+re-reduces above the pivots, so growing a lattice by one root costs one
+pass over its rows rather than a Hermite form from scratch.
 """
 
 from __future__ import annotations
@@ -164,6 +168,72 @@ def hermite_normal_form(rows: Sequence[Sequence[int]]) -> tuple[tuple[int, ...],
             if r == len(M):
                 break
     return tuple(tuple(row) for row in M[:r])
+
+
+def hermite_insert(hnf: Sequence[Sequence[int]], vec: Sequence[int]
+                   ) -> tuple[tuple[int, ...], ...]:
+    """hermite_normal_form(hnf + (vec,)) for hnf already in Hermite form.
+
+    vec is cleared column by column, one step per pivot column where it
+    is nonzero: a multiple of the pivot row is subtracted when the pivot
+    p divides the entry x, and otherwise the pivot row and vec are
+    replaced by the unimodular combination g = s row + t vec and
+    (p/g) vec - (x/g) row, from the extended gcd g = s p + t x (Cohen,
+    A Course in Computational Algebraic Number Theory, 2.4).  At the
+    first nonzero entry outside the pivot columns, what is left of vec
+    becomes a new row.  Entries above the pivots are then reduced again
+    from the first changed row on.
+    """
+    rows = list(map(tuple, hnf))
+    pivots, c = [], 0
+    for row in rows:  # echelon form: pivot columns increase
+        while not row[c]:
+            c += 1
+        pivots.append(c)
+    v = list(map(int, vec))
+    changed = len(rows)
+    r = 0
+    for c in range(len(v)):
+        while r < len(rows) and pivots[r] < c:
+            r += 1
+        x = v[c]
+        if not x:
+            continue
+        if r == len(rows) or pivots[r] != c:
+            rows.insert(r, v if x > 0 else [-b for b in v])
+            pivots.insert(r, c)
+            changed = min(changed, r)
+            break
+        row = rows[r]
+        p = row[c]
+        q, rem = divmod(x, p)
+        if rem:
+            g, s, t = _extended_gcd(p, x)
+            rows[r] = [s * a + t * b for a, b in zip(row, v)]
+            v = [(p // g) * b - (x // g) * a for a, b in zip(row, v)]
+            changed = min(changed, r)
+        else:
+            v = [b - q * a for a, b in zip(row, v)]
+    for k in range(changed, len(rows)):  # entries above a pivot into [0, pivot)
+        row, c = rows[k], pivots[k]
+        for i in range(k):
+            q = rows[i][c] // row[c]
+            if q:
+                rows[i] = [a - q * b for a, b in zip(rows[i], row)]
+    return tuple(map(tuple, rows))
+
+
+def _extended_gcd(a: int, b: int) -> tuple[int, int, int]:
+    """(g, s, t) with g = gcd(a, b) > 0 and s a + t b = g."""
+    s0, s1, t0, t1 = 1, 0, 0, 1
+    while b:
+        q, rem = divmod(a, b)
+        a, b = b, rem
+        s0, s1 = s1, s0 - q * s1
+        t0, t1 = t1, t0 - q * t1
+    if a < 0:
+        return -a, -s0, -t0
+    return a, s0, t0
 
 
 def int_rank(rows: Sequence[Sequence[int]]) -> int:

@@ -15,11 +15,16 @@ Enumeration visits every lattice <B> spanned by a linearly independent
 set B of positive roots, each exactly once.  The lattices are grown
 breadth-first by rank: the rank-(k+1) lattices are the Hermite forms of
 L + <a> for a rank-k lattice L and a positive root a outside the Q-span
-of L, deduplicated by that Hermite form.  A visit saturates L through
-its Smith form, decides once which positive roots lie in the Q-span of
-the saturation (those are skipped when L is grown), and then tries each
+of L, deduplicated by that Hermite form.  Each is obtained by inserting
+a into the Hermite form of L (lattice.hermite_insert), never by
+recomputing the form of L + <a>.  A visit saturates L through its Smith
+form, decides once which positive roots lie in the Q-span of the
+saturation (a root's coordinates are its dot products with the columns
+of V; those roots are skipped when L is grown), and then tries each
 torsion character trivial on L; a candidate is a genuine layer exactly
-when the roots it centralizes still span the lattice.  Every layer
+when the roots it centralizes still span the lattice.  The trivial
+character passes without a rank test: it centralizes every root in the
+span, L's generators among them, so they have rank k.  Every layer
 arises this way from the lattice of any independent spanning subset of
 its centralized roots, so the walk is complete, and candidates are
 deduplicated by their canonical encoding.
@@ -40,7 +45,8 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .field import CyclotomicField, FieldElement, char_value
-from .lattice import hermite_normal_form, int_rank, smith_normal_form
+from .lattice import (hermite_insert, hermite_normal_form, int_rank,
+                      smith_normal_form)
 from .nested import adjacency, components
 from .roots import Coords, RootSystem, nonorthogonal_edges
 
@@ -149,18 +155,22 @@ def enumerate_layers(amb: RootAmbient) -> list[Layer]:
         hnf = hermite_normal_form(sf.saturation_basis())
 
         # u = sum_i (u V)_i Vinv[i] and the saturation is spanned by
-        # Vinv[:k], so u lies in its Q-span iff (u V)_i = 0 for i >= k
-        def coords(u: Sequence[int]) -> list[int]:
-            return [sum(u[a] * sf.V[a][i] for a in range(n)) for i in range(n)]
+        # Vinv[:k], so u lies in its Q-span iff (u V)_i = 0 for i >= k;
+        # (u V)_i is u dotted with column i of V
+        vcols = list(zip(*sf.V))
+        head, tail = vcols[:k], vcols[k:]
 
-        in_span = []
-        for a in pos:
-            c = coords(a)
-            if not any(c[k:]):
-                in_span.append((a, c[:k]))
-        hnf_coords = [coords(row)[:k] for row in hnf]
+        def coords(u: Sequence[int]) -> list[int]:
+            return [sum(x * y for x, y in zip(u, col)) for col in head]
+
+        in_span = [(a, coords(a)) for a in pos
+                   if not any(sum(x * y for x, y in zip(a, col))
+                              for col in tail)]
+        hnf_coords = [coords(row) for row in hnf]
         # characters of sat/L: a d_i-th root of unity on each saturation
-        # basis vector Vinv[i]; all are automatically trivial on L
+        # basis vector Vinv[i]; all are automatically trivial on L.  The
+        # trivial character (choice all 0) centralizes all of in_span,
+        # which holds L's generators, so it passes the rank test unasked
         steps = [field.root_exponent(d) for d in sf.divisors]
         for choice in itertools.product(*(range(d) for d in sf.divisors)):
             exps = [s * j for s, j in zip(steps, choice)]
@@ -169,7 +179,7 @@ def enumerate_layers(amb: RootAmbient) -> list[Layer]:
                 return sum(e * x for e, x in zip(exps, c)) % order
 
             centralized = [a for a, c in in_span if chi(c) == 0]
-            if int_rank(centralized) != k:
+            if any(choice) and int_rank(centralized) != k:
                 continue
             char = tuple(chi(c) for c in hnf_coords)
             key = (hnf, char)
@@ -188,7 +198,7 @@ def enumerate_layers(amb: RootAmbient) -> list[Layer]:
             for a in pos:
                 if a in spanned:
                     continue
-                cand = hermite_normal_form(lattice + (a,))
+                cand = hermite_insert(lattice, a)
                 if cand not in seen:
                     seen.add(cand)
                     grown.append(cand)
@@ -236,9 +246,10 @@ def poset_relations(layers: Sequence[Layer]) -> list[tuple[int, int]]:
     bit: dict[Coords, int] = {}
     masks = [sum(1 << bit.setdefault(a, len(bit)) for a in l.roots_pos)
              for l in layers]
+    codims = [l.codim for l in layers]
     return [(i, j) for i, small in enumerate(layers)
             for j, big in enumerate(layers)
-            if big.codim < small.codim and not masks[j] & ~masks[i]
+            if codims[j] < codims[i] and not masks[j] & ~masks[i]
             and layer_contains(big, small)]
 
 
@@ -310,15 +321,25 @@ def centralizer_at_point(amb: RootAmbient, point: Point) -> list[Coords]:
 # subset of the simple roots, each contributing its own layers
 
 
-def boundary_strata(rs: RootSystem, field: CyclotomicField
-                    ) -> list[tuple[tuple[int, ...], Layer]]:
-    out: list[tuple[tuple[int, ...], Layer]] = []
+def boundary_ambients(rs: RootSystem, field: CyclotomicField
+                      ) -> dict[tuple[int, ...], RootAmbient]:
+    """The sub-arrangement of every subset of the simple roots, by subset."""
     n = rs.rank
-    for mask in range(1 << n):
-        subset = tuple(i for i in range(n) if mask >> i & 1)
-        amb = RootAmbient.restricted(rs, subset, field)
-        for layer in enumerate_layers(amb):
-            out.append((subset, layer))
+    subsets = (tuple(i for i in range(n) if mask >> i & 1)
+               for mask in range(1 << n))
+    return {s: RootAmbient.restricted(rs, s, field) for s in subsets}
+
+
+def boundary_strata(rs: RootSystem, field: CyclotomicField,
+                    ambients: dict[tuple[int, ...], RootAmbient] | None = None
+                    ) -> list[tuple[tuple[int, ...], Layer]]:
+    """(subset, layer) for every layer of every sub-arrangement, ordered by
+    subset size, subset and layer.  ambients is boundary_ambients(rs,
+    field), built here when the caller has not built it already."""
+    if ambients is None:
+        ambients = boundary_ambients(rs, field)
+    out = [(subset, layer) for subset, amb in ambients.items()
+           for layer in enumerate_layers(amb)]
     return sorted(out, key=lambda p: (len(p[0]), p[0], p[1].sort_key()))
 
 

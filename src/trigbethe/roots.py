@@ -213,6 +213,18 @@ class RootSystem:
     # ------------------------------------------------------------------
     # Weyl group
 
+    def times_generator(self, w: IntMatrix, i: int) -> IntMatrix:
+        """w s_i, by a column update: s_i alpha_j = alpha_j - a_ij alpha_i,
+        so column j of w s_i is col_j(w) - a_ij col_i(w).  Only column i
+        and the columns of its Dynkin neighbours change, and a row of w
+        with a zero in column i is kept as it is."""
+        a = self.cartan[i]
+        out = []
+        for row in w:
+            r = row[i]
+            out.append(tuple(x - c * r for x, c in zip(row, a)) if r else row)
+        return tuple(out)
+
     def weyl_elements(self) -> dict[IntMatrix, tuple[int, ...]]:
         """Every group element, mapped to one shortest word in the generators."""
         if self._weyl is None:
@@ -222,8 +234,8 @@ class RootSystem:
                 nxt = []
                 for w in frontier:
                     word = table[w]
-                    for i, g in enumerate(self._gens):
-                        m = int_mat_mul(w, g)
+                    for i in range(self.rank):
+                        m = self.times_generator(w, i)
                         if m not in table:
                             table[m] = word + (i,)
                             nxt.append(m)
@@ -247,7 +259,7 @@ class RootSystem:
                       if all(row[i] >= 0 for row in w)), None)
             if i is None:
                 return w
-            w = int_mat_mul(w, self._gens[i])
+            w = self.times_generator(w, i)
 
     @property
     def weyl_order(self) -> int:
@@ -265,7 +277,7 @@ class RootSystem:
         for i in word:
             if not 0 <= i < self.rank:
                 raise ValueError(f"word letter {i} out of range for {self.label}")
-            m = int_mat_mul(m, self._gens[i])
+            m = self.times_generator(m, i)
         return m
 
     def word_of(self, w: IntMatrix) -> tuple[int, ...]:
@@ -284,7 +296,7 @@ class RootSystem:
             if i is None or len(path) == len(self.positive_roots):
                 raise ValueError(f"{start} is not in the Weyl group of {self.label}")
             path.append((w, i))
-            w = int_mat_mul(w, self._gens[i])
+            w = self.times_generator(w, i)
         word = self._words[w]
         for v, i in reversed(path):
             word = word + (i,)

@@ -6,9 +6,10 @@ from pathlib import Path
 
 import pytest
 
-from trigbethe.bethe import (HolonomySpace, XPoint, bethe_weight, chart_only,
-                             injectivity_pool, recover_data, sample_xpoints,
-                             weyl_action_report, xpoint_from_dict)
+from trigbethe.bethe import (HolonomySpace, PointStream, XPoint, bethe_weight,
+                             chart_only, injectivity_pool, recover_data,
+                             sample_xpoints, weyl_action_report,
+                             xpoint_from_dict)
 from trigbethe.field import CyclotomicField, char_value
 from trigbethe.linalg import mat_inverse, rank, row_space_equal, rref
 from trigbethe.nested import Chart, maximal_nested_sets
@@ -462,6 +463,82 @@ def test_injectivity_pool_distinct_subspaces():
     assert len(pool) == 10
     reduced = [str(rref([list(v) for v in x.subspace()])[0]) for x in pool]
     assert len(set(reduced)) == 10
+
+
+def _sampled_then_deduped(rs, field, seed, count):
+    """injectivity_pool as first written, the oracle for the lazy pool:
+    sample 3 * count points, then dedup them."""
+    out, seen = [], set()
+    for x in sample_xpoints(rs, field, seed, count * 3):
+        if chart_only(x):
+            key = ("chart-only", x.word, tuple(x.centralized),
+                   tuple(tuple(sorted(s)) for s in x.chart.sets),
+                   tuple(str(t) for t in x.tvals))
+        else:
+            key = x.signature()
+        if key in seen:
+            continue
+        seen.add(key)
+        out.append(x)
+        if len(out) == count:
+            break
+    assert len(out) == count
+    return out
+
+
+def test_injectivity_pool_matches_sample_then_dedup():
+    for label in ["A1", "A2", "B2", "G2", "A3"]:
+        rs = root_system(label)
+        for seed in range(6):
+            for count in (2, 6):
+                pool = injectivity_pool(rs, F6, seed, count)
+                want = _sampled_then_deduped(rs, F6, seed, count)
+                assert [x.signature() for x in pool] == \
+                    [x.signature() for x in want]
+
+
+def test_sample_xpoints_is_a_prefix_of_longer_samples():
+    for label in ["A2", "B2", "G2", "A3"]:
+        rs = root_system(label)
+        for seed in (0, 1, 14):
+            long = [x.signature() for x in sample_xpoints(rs, F6, seed, 18)]
+            for count in (1, 6, 12):
+                assert [x.signature() for x in
+                        sample_xpoints(rs, F6, seed, count)] == long[:count]
+
+
+def test_point_stream_is_shared_and_drawn_on_demand():
+    rs = root_system("B2")
+    stream = PointStream(rs, F6, 1)
+    assert stream.attempts == stream.built == stream.reductions == 0
+    pts = sample_xpoints(rs, F6, 1, 6, stream)
+    assert pts == stream.points
+    pool = injectivity_pool(rs, F6, 1, 6, stream)
+    # the pool reads the same point objects and draws no more than it needs
+    assert all(any(x is y for y in stream.points) for x in pool)
+    assert len(stream.points) == 6
+    rows = stream.reduced(pts[0])
+    assert stream.reduced(pts[0]) is rows and stream.reductions == 1
+    assert rows == rref(pts[0].subspace())[0]
+    with pytest.raises(KeyError):
+        stream.reduced(sample_xpoints(rs, F6, 1, 1)[0])
+    with pytest.raises(ValueError):
+        sample_xpoints(rs, F6, 2, 6, stream)
+
+
+def test_sampling_budgets_are_per_call(monkeypatch):
+    # no draw ever gives a point: each call spends exactly its own budget
+    def no_point(*args, **kwargs):
+        raise RuntimeError("no generic point")
+    monkeypatch.setattr("trigbethe.layers.generic_point", no_point)
+    rs = root_system("A2")
+    stream = PointStream(rs, F6, 0)
+    with pytest.raises(RuntimeError, match="could only sample 0 points"):
+        sample_xpoints(rs, F6, 0, 5, stream)
+    assert stream.attempts == 5 * 40
+    with pytest.raises(RuntimeError, match="could only sample 0 points"):
+        injectivity_pool(rs, F6, 0, 5, stream)
+    assert stream.attempts == 3 * 5 * 40 and stream.built == 0
 
 
 def test_twisted_point_subspace_matches_acted_span():

@@ -239,6 +239,51 @@ def test_check_stats_leaves_stdout_and_exit_code_alone(capsys):
     assert exc.value.code == 2
 
 
+def test_check_stats_counts_points_and_reductions(capsys):
+    # one point stream per request: check all samples 6 points once and
+    # row-reduces each once; A2 seed 2 draws one point twice
+    for argv, counts in [
+            (["check", "all", "--type", "A2", "--seed", "1"], (6, 6)),
+            (["check", "all", "--type", "B2", "--seed", "1"], (6, 6)),
+            (["check", "all", "--type", "A2", "--seed", "2"], (7, 6)),
+            (["check", "injectivity", "--type", "B2", "--seed", "1"], (6, 6)),
+            (["check", "weyl", "--type", "B2"], (0, 0))]:
+        code, out, err = run(capsys, *argv)
+        code_s, out_s, err_s = run(capsys, *argv, "--stats")
+        assert (code_s, out_s) == (code, out) and err == ""
+        stats = json.loads(err_s)
+        assert (stats["points"], stats["reductions"]) == counts
+
+
+def test_check_all_shares_its_points_with_the_single_checks(capsys):
+    for label in ["A2", "B2", "G2", "A3"]:
+        for seed in range(10):
+            common = ["--type", label, "--seed", str(seed)]
+            _, out, _ = run(capsys, "check", "all", *common)
+            entries = {c["name"]: c for c in json.loads(out)["checks"]}
+            for name in ("rank", "injectivity"):
+                _, single, _ = run(capsys, "check", name, *common)
+                assert json.loads(single)["checks"] == [entries[name]]
+
+
+def test_check_all_reduces_each_point_once(capsys, monkeypatch):
+    from trigbethe.bethe import XPoint
+    calls: dict[int, int] = {}
+    subspace = XPoint.subspace
+
+    def counted(self):
+        calls[id(self)] = calls.get(id(self), 0) + 1
+        return subspace(self)
+
+    monkeypatch.setattr(XPoint, "subspace", counted)
+    for label in ["A2", "G2", "A3"]:
+        calls.clear()
+        _, _, err = run(capsys, "check", "all", "--type", label, "--seed", "1",
+                        "--stats")
+        assert len(calls) == json.loads(err)["reductions"] == 6
+        assert set(calls.values()) == {1}
+
+
 def test_check_all_a2(capsys):
     data = run_json(capsys, "check", "all", "--type", "A2", "--samples", "2")
     assert data["passed"] is True

@@ -7,7 +7,10 @@ every pool group (so more than one twisted, boundary and torsion draw
 per configuration) and those requests through the CLI keeps
 "byte-identical output" a tier-1 check.  The reference file is only read.
 The `check` digests and exit codes below are literals, recorded before
-the Hecke normal forms moved to integer coefficients.
+the Hecke normal forms moved to integer coefficients; the standalone
+`rank`/`injectivity` digests, `check all` on B3 and the B4 boundary
+strata were recorded before sampling moved to one point stream per
+request and the layer walk to Hermite insertion.
 """
 
 import hashlib
@@ -69,6 +72,27 @@ CHECK = {
         (0, "0709309970dc9aeed7f1362723f9c177e73281550ab0abe89b220ba117dd8a35"),
     "check hecke --type D4":
         (0, "5eca6f50917072403004fa6163acd3d720cc04d69197178521386aea8a5a2f10"),
+    # standalone rank and injectivity, each drawing its own points
+    "check rank --type A2 --seed 3":
+        (0, "ca2272fa2299cd0384ff56b8b68b7bdb289b331baffd4ebbcf7fdc2444fa15ab"),
+    "check injectivity --type A2 --seed 3":
+        (0, "cddc76cc06021dae2d3897d18f87a91bb33f2a26b52bc8ed387333dba24e2fc0"),
+    "check rank --type G2 --seed 3":
+        (0, "1a68b18f1b5a9115a3aec3260f47cf253040cf759383cb0eca2ecfdbacc47ca7"),
+    "check injectivity --type G2 --seed 3":
+        (0, "833cbad32cf28ab0305ebeb5e9a85c20db73b32cc117f9c8179c1e5208f218cb"),
+    "check rank --type B3 --seed 3":
+        (0, "3e67c6ed548d501796855575a45844fad211bb988efa61f1aae4288f067eca3c"),
+    "check injectivity --type B3 --seed 3":
+        (0, "47588e5e352ecd333f04e9a3978864ccebbe38ec7b89fc9beec9a5ffbeaf5d18"),
+    "check all --type B3 --seed 1":
+        (0, "c419419bbb06fc517f68de4e487af99133baaa849f6d0828df23d65982e857de"),
+}
+
+# argv -> stdout sha256 of census requests outside the reference file
+ENUMERATE_LITERAL = {
+    "enumerate boundary-strata --type B4":
+        "9013612df9885e1c38dbfc6c6c8ddb1bd9f0e707f8aeb1682be9c7e4e0a1207e",
 }
 
 
@@ -104,3 +128,9 @@ def test_enumerate_output_matches_reference(argv, capsys):
 @pytest.mark.parametrize("request_line", CHECK)
 def test_check_output_matches_golden(request_line, capsys):
     assert run(capsys, request_line.split()) == CHECK[request_line]
+
+
+@pytest.mark.parametrize("request_line", ENUMERATE_LITERAL)
+def test_enumerate_output_matches_golden(request_line, capsys):
+    assert run(capsys, request_line.split()) == \
+        (0, ENUMERATE_LITERAL[request_line])

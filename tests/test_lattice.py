@@ -3,8 +3,9 @@
 import random
 from fractions import Fraction
 
-from trigbethe.lattice import (hermite_normal_form, in_lattice, int_rank,
-                               smith_normal_form)
+from trigbethe.lattice import (hermite_insert, hermite_normal_form,
+                               in_lattice, int_rank, smith_normal_form)
+from trigbethe.roots import root_system
 from trigbethe.linalg import det, mat_mul, rank
 
 
@@ -121,3 +122,45 @@ def test_int_rank():
     assert int_rank([[1, 2], [2, 4]]) == 1
     assert int_rank([[1, 0], [0, 1]]) == 2
     assert int_rank([]) == 0
+
+
+def test_hermite_insert_matches_full_form_on_root_lattices():
+    # the layer walk's step: a Hermite form of roots plus one more root
+    rng = random.Random(16)
+    for label in ["B6", "F4", "G2"]:
+        rs = root_system(label)
+        pos = rs.positive_roots
+        for _ in range(400):
+            rows = hermite_normal_form(rng.sample(pos, rng.randint(0, rs.rank)))
+            a = rng.choice(pos)
+            assert hermite_insert(rows, a) == hermite_normal_form(rows + (a,))
+
+
+def test_hermite_insert_matches_full_form_on_integer_vectors():
+    rng = random.Random(17)
+    for _ in range(1500):
+        n = rng.randint(1, 5)
+        rows = hermite_normal_form(rand_int_matrix(rng, rng.randint(0, 4), n))
+        kind = rng.randrange(4)
+        if kind == 0:
+            v = [0] * n
+        elif kind == 1:  # already in the lattice
+            v = [sum(rng.randint(-3, 3) * r[j] for r in rows) for j in range(n)]
+        else:
+            v = [rng.randint(-12, 12) for _ in range(n)]
+        assert hermite_insert(rows, v) == hermite_normal_form(list(rows) + [v])
+
+
+def test_hermite_insert_cases():
+    h = hermite_normal_form([[2, 4, 0], [0, 0, 3]])
+    # the zero vector and a lattice vector leave the form alone
+    assert hermite_insert(h, [0, 0, 0]) == h
+    assert hermite_insert(h, [2, 4, -3]) == h
+    assert hermite_insert((), [0, 0]) == ()
+    # a non-unit pivot meets an entry it does not divide: one gcd step
+    assert hermite_insert(((4, 1),), (6, 0)) == hermite_normal_form(
+        [[4, 1], [6, 0]])
+    assert hermite_insert(((4, 1),), (6, 0)) == ((2, 2), (0, 3))
+    # a negative leading entry becomes a positive pivot
+    assert hermite_insert(((0, 1),), (-3, 5)) == ((3, 0), (0, 1))
+    assert hermite_insert((), (0, -2, 7)) == ((0, 2, -7),)

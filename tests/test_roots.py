@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from trigbethe.linalg import mat_inverse
-from trigbethe.roots import WEYL_ORDERS, RootSystem, root_system
+from trigbethe.roots import WEYL_ORDERS, RootSystem, int_mat_mul, root_system
 
 ALL_TYPES = ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C3", "C4",
              "D4", "G2", "F4"]
@@ -245,3 +245,22 @@ def test_unknown_label_rejected():
     for bad in ["E6", "A0", "B1", "D3", "G3", "zzz"]:
         with pytest.raises(ValueError):
             root_system(bad)
+
+
+def test_times_generator_is_the_matrix_product():
+    # W is enumerated here by full matrix products, independently of
+    # weyl_elements (which steps by times_generator), and the column
+    # update is compared with the product on every element and generator
+    for label in ["A3", "B3", "G2", "F4"]:
+        rs = root_system(label)
+        gens = [rs.simple_reflection(i) for i in range(rs.rank)]
+        group, frontier = {rs.identity}, [rs.identity]
+        while frontier:
+            frontier = [m for m in {int_mat_mul(w, g) for w in frontier
+                                    for g in gens} if m not in group]
+            group.update(frontier)
+        assert len(group) == WEYL_ORDERS[label]
+        for w in group:
+            for i, g in enumerate(gens):
+                assert rs.times_generator(w, i) == int_mat_mul(w, g)
+        assert set(rs.weyl_elements()) == group
