@@ -597,7 +597,9 @@ class PointStream:
             (tuple(i for i in range(n) if m >> i & 1) for m in range(1 << n)),
             key=lambda s: -len(s))
         self._words: list[tuple[int, ...]] | None = None
-        # per subset: the restricted ambient and its layers
+        # the full arrangement's layers and subset_layers of them, from
+        # one walk; per subset drawn: the restricted ambient and its layers
+        self._walk: tuple[list, dict[tuple[int, ...], list[int]]] | None = None
         self._layers: dict[tuple[int, ...], tuple[RootAmbient, list]] = {}
 
     @property
@@ -622,8 +624,25 @@ class PointStream:
             rows = self._rows[k] = rref(x.subspace())[0]
         return rows
 
+    def sub_arrangement(self, subset: tuple[int, ...]
+                        ) -> tuple[RootAmbient, list]:
+        """The ambient and the layers of the sub-arrangement on a subset of
+        the simple roots, read from one walk of the full arrangement."""
+        from .layers import enumerate_layers, restrict, subset_layers
+
+        if subset not in self._layers:
+            if self._walk is None:
+                layers = enumerate_layers(
+                    RootAmbient.from_root_system(self.rs, self.field))
+                self._walk = layers, subset_layers(layers)
+            layers, by_subset = self._walk
+            self._layers[subset] = (
+                RootAmbient.restricted(self.rs, subset, self.field),
+                [restrict(layers[k], subset) for k in by_subset[subset]])
+        return self._layers[subset]
+
     def _draw(self) -> None:
-        from .layers import enumerate_layers, generic_point
+        from .layers import generic_point
 
         rs, rng, n = self.rs, self._rng, self.rs.rank
         self.attempts += 1
@@ -633,10 +652,7 @@ class PointStream:
         subsets = self._subsets
         subset = subsets[rng.randrange(len(subsets))] if rng.random() < 0.5 \
             else tuple(range(n))
-        if subset not in self._layers:
-            amb = RootAmbient.restricted(rs, subset, self.field)
-            self._layers[subset] = (amb, enumerate_layers(amb))
-        amb, layers = self._layers[subset]
+        amb, layers = self.sub_arrangement(subset)
         layer = layers[rng.randrange(len(layers))]
         try:
             y = generic_point(amb, layer, seed=rng.randrange(10 ** 6))

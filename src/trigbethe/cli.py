@@ -18,6 +18,7 @@ import json
 import random
 import sys
 import time
+from collections import Counter
 from fractions import Fraction
 
 from . import spin, typea
@@ -25,9 +26,9 @@ from .bethe import (PointStream, injectivity_pool, recover_data,
                     sample_xpoints, weyl_action_report, xpoint_from_dict)
 from .field import DEFAULT_FIELD_ORDER, CyclotomicField, default_field_order
 from .hecke import HeckeAlgebra, exact_commutator_check
-from .layers import (RootAmbient, boundary_ambients, boundary_strata,
-                     building_set, enumerate_layers, gamma_divisors,
-                     is_indecomposable, layer_to_dict, poset_relations)
+from .layers import (RootAmbient, building_set, enumerate_layers,
+                     gamma_divisors, is_indecomposable, layer_to_dict,
+                     poset_relations, restrict, subset_layers)
 from .linalg import det, rref
 from .nested import Chart, maximal_nested_sets
 from .roots import RootSystem, root_system
@@ -44,22 +45,28 @@ def _field_for(rs: RootSystem, explicit: int | None) -> CyclotomicField:
 
 
 def _emit(args, payload) -> None:
+    """Write the payload to stdout or --out; an --out that cannot be
+    written is bad usage (exit 2), reported through main."""
     if isinstance(payload, str):
         text = payload
     else:
         text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ValueError(f"cannot write {args.out}: "
+                             f"{exc.strerror or exc}") from exc
     else:
         sys.stdout.write(text)
 
 
-def _layer_entry(amb: RootAmbient, layer) -> dict:
-    entry = layer_to_dict(layer)
-    entry["gamma"] = gamma_divisors(layer.roots_pos, amb.dim)
-    entry["indecomposable"] = is_indecomposable(amb, layer)
-    return entry
+def _layer_facts(amb: RootAmbient, layer) -> dict:
+    """The entries of a layer that dropping coordinates outside its
+    lattice's support leaves unchanged."""
+    return {"gamma": gamma_divisors(layer.roots_pos, amb.dim),
+            "indecomposable": is_indecomposable(amb, layer)}
 
 
 # ----------------------------------------------------------------------
@@ -73,9 +80,19 @@ def _cmd_enumerate(args) -> int:
         print("dot output is only available for layers and nested-sets",
               file=sys.stderr)
         return 2
+    stats = Counter(walks=0, lattices=0, inserts=0, layers=0)
+    _emit(args, _enumeration(args, rs, field, stats))
+    if args.stats:
+        print(json.dumps(stats, sort_keys=True), file=sys.stderr)
+    return 0
 
+
+def _enumeration(args, rs: RootSystem, field: CyclotomicField,
+                 stats: Counter):
+    """The payload of one enumerate request; the layer walk and the poset
+    add their counts to stats."""
     if args.target == "roots":
-        _emit(args, {
+        return {
             "schema": SCHEMA,
             "type": rs.label,
             "rank": rs.rank,
@@ -84,33 +101,15 @@ def _cmd_enumerate(args) -> int:
             "positive_roots": [list(a) for a in rs.positive_roots],
             "positive_count": len(rs.positive_roots),
             "weyl_order": rs.weyl_order,
-        })
-        return 0
-
-    if args.target in ("layers", "building-set"):
-        amb = RootAmbient.from_root_system(rs, field)
-        layers = (building_set(amb) if args.target == "building-set"
-                  else enumerate_layers(amb))
-        if args.format == "dot":
-            _emit(args, _layers_dot(layers))
-            return 0
-        _emit(args, {
-            "schema": SCHEMA,
-            "type": rs.label,
-            "field_order": field.order,
-            "count": len(layers),
-            "layers": [_layer_entry(amb, l) for l in layers],
-        })
-        return 0
+        }
 
     if args.target == "nested-sets":
         base = list(rs.simple_roots)
         edges = rs.nonorthogonal_edges(base)
         families = maximal_nested_sets(rs.rank, edges)
         if args.format == "dot":
-            _emit(args, _nested_dot(families))
-            return 0
-        _emit(args, {
+            return _nested_dot(families)
+        return {
             "schema": SCHEMA,
             "type": rs.label,
             "vertices": rs.rank,
@@ -118,34 +117,44 @@ def _cmd_enumerate(args) -> int:
             "count": len(families),
             "families": [[[v + 1 for v in sorted(s)] for s in fam]
                          for fam in (_ordered_family(f) for f in families)],
-        })
-        return 0
+        }
 
+    amb = RootAmbient.from_root_system(rs, field)
     if args.target == "boundary-strata":
-        ambients = boundary_ambients(rs, field)
-        out = []
-        for subset, layer in boundary_strata(rs, field, ambients):
-            entry = _layer_entry(ambients[subset], layer)
-            entry["I"] = [i + 1 for i in subset]
-            out.append(entry)
-        _emit(args, {
+        # one walk of the full arrangement: every sub-arrangement's layers
+        # are read from it, and gamma and indecomposability computed once
+        layers = enumerate_layers(amb, stats)
+        facts = [_layer_facts(amb, l) for l in layers]
+        strata = [{**layer_to_dict(restrict(layers[k], subset)), **facts[k],
+                   "I": [i + 1 for i in subset]}
+                  for subset, ks in subset_layers(layers).items()
+                  for k in ks]
+        return {
             "schema": SCHEMA,
             "type": rs.label,
             "field_order": field.order,
-            "count": len(out),
-            "strata": out,
-        })
-        return 0
-
-    print(f"unknown enumeration target {args.target!r}", file=sys.stderr)
-    return 2
+            "count": len(strata),
+            "strata": strata,
+        }
+    layers = (building_set(amb, stats) if args.target == "building-set"
+              else enumerate_layers(amb, stats))
+    if args.format == "dot":
+        return _layers_dot(layers, stats)
+    return {
+        "schema": SCHEMA,
+        "type": rs.label,
+        "field_order": field.order,
+        "count": len(layers),
+        "layers": [{**layer_to_dict(l), **_layer_facts(amb, l)}
+                   for l in layers],
+    }
 
 
 def _ordered_family(fam) -> list:
     return sorted(fam, key=lambda s: (len(s), tuple(sorted(s))))
 
 
-def _layers_dot(layers) -> str:
+def _layers_dot(layers, stats: Counter) -> str:
     lines = ["digraph layers {", "  rankdir=BT;"]
     for i, l in enumerate(layers):
         basis = "; ".join(",".join(map(str, r)) for r in l.basis) or "torus"
@@ -154,7 +163,7 @@ def _layers_dot(layers) -> str:
         if chars:
             label += f"\\nchi = {chars}"
         lines.append(f'  L{i} [label="{label}"];')
-    for i, j in sorted(poset_relations(layers)):
+    for i, j in sorted(poset_relations(layers, stats)):
         lines.append(f"  L{i} -> L{j};")
     lines.append("}")
     return "\n".join(lines) + "\n"
@@ -434,6 +443,9 @@ def build_parser() -> argparse.ArgumentParser:
     type_and_field(p_enum)
     out(p_enum)
     p_enum.add_argument("--format", choices=["json", "dot"], default="json")
+    p_enum.add_argument("--stats", action="store_true",
+                        help="write the layer walk's and the poset's work "
+                             "counters as one JSON line to stderr")
 
     p_sub = sub.add_parser("subspace",
                            help="limit subspace of one point description")

@@ -18,30 +18,36 @@ L + <a> for a rank-k lattice L and a positive root a outside the Q-span
 of L, deduplicated by that Hermite form.  Each is obtained by inserting
 a into the Hermite form of L (lattice.hermite_insert), never by
 recomputing the form of L + <a>.  A visit saturates L through its Smith
-form, decides once which positive roots lie in the Q-span of the
-saturation (a root's coordinates are its dot products with the columns
-of V; those roots are skipped when L is grown), and then tries each
-torsion character trivial on L; a candidate is a genuine layer exactly
-when the roots it centralizes still span the lattice.  The trivial
-character passes without a rank test: it centralizes every root in the
-span, L's generators among them, so they have rank k.  Every layer
-arises this way from the lattice of any independent spanning subset of
-its centralized roots, so the walk is complete, and candidates are
-deduplicated by their canonical encoding.
+form U L V = diag(d), reads every positive root's coordinates u V (one
+vector addition each, from a lower root), decides which roots lie in the
+Q-span of the saturation, and then tries each torsion character trivial
+on L; a candidate is a genuine layer exactly when the roots it
+centralizes still span the lattice.  The trivial character passes
+without a rank test: it centralizes every root in the span, L's
+generators among them, so they have rank k.  Every layer arises this way
+from the lattice of any independent spanning subset of its centralized
+roots, so the walk is complete, and candidates are deduplicated by their
+canonical encoding.
 
-The layer poset compares exponents the same way.  Distinct layers of
-equal codimension never contain one another, so only pairs whose
-containing layer has the smaller codimension are tested, and only when
-every root centralized by the containing layer is centralized by the
-other (a necessary condition, tested on integer bitmasks).
+- One walk, every sub-arrangement: Z^I is a coordinate summand, so the
+  layers on T_I are the layers whose lattice is supported on I, with the
+  other coordinates dropped (subset_layers, restrict).
+- One insertion per class: L + <a> = L + <a'> iff a and a' have the same
+  image in Z^n/L up to sign, the subgroup they generate being infinite
+  cyclic, so one root of each class is inserted.
+- Poset shortcut: a layer whose lattice is spanned by its own roots
+  contains every layer centralizing those roots, so layer_contains runs
+  only on candidates whose lattice is not.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add, mod, mul
 from typing import Iterable, Sequence
 
 from .field import CyclotomicField, FieldElement, char_value
@@ -139,70 +145,106 @@ class Layer:
                 tuple(cv.coeffs for cv in self.char_values))
 
 
-def enumerate_layers(amb: RootAmbient) -> list[Layer]:
-    """All layers of the arrangement, canonically ordered."""
+def _root_chain(pos: Sequence[Coords], n: int
+                ) -> list[tuple[Coords, Coords, int]]:
+    """(a, b, i) for every positive root a, by height: a = b + e_i with b
+    zero or a positive root listed earlier."""
+    chain, seen = [], {(0,) * n}
+    for a in sorted(pos, key=sum):
+        b, i = next((b, i) for i, x in enumerate(a)
+                    if (b := a[:i] + (x - 1,) + a[i + 1:]) in seen)
+        chain.append((a, b, i))
+        seen.add(a)
+    return chain
+
+
+def enumerate_layers(amb: RootAmbient, stats: Counter | None = None
+                     ) -> list[Layer]:
+    """All layers of the arrangement, canonically ordered.
+
+    stats, when given, gains the walk's counts: walks (1), lattices
+    visited, inserts (Hermite insertions made) and layers found.
+    """
     field = amb.field
     order = field.order
     n = amb.dim
     pos = list(amb.positive_roots)
+    chain = _root_chain(pos, n)
     found: dict[tuple, Layer] = {}
 
-    def visit(lattice: tuple[Coords, ...]) -> set[Coords]:
-        """Record the layers of one lattice; return the positive roots in
-        its Q-span."""
+    def visit(lattice: tuple[Coords, ...]) -> list[Coords]:
+        """Record the layers of one lattice; return one positive root of
+        each class of Z^n/L, up to sign, met outside its Q-span."""
         sf = smith_normal_form(lattice, ncols=n)
         k = sf.rank
-        hnf = hermite_normal_form(sf.saturation_basis())
+        divisors = sf.divisors
+        # a saturated L is its own saturation, and already in Hermite form
+        hnf = hermite_normal_form(sf.saturation_basis()) \
+            if sf.torsion_divisors() else lattice
+
+        # u V by one vector addition per root: e_i V is row i of V
+        image: dict[Coords, list[int]] = {(0,) * n: [0] * n}
+        for a, b, i in chain:
+            image[a] = list(map(add, image[b], sf.V[i]))
 
         # u = sum_i (u V)_i Vinv[i] and the saturation is spanned by
-        # Vinv[:k], so u lies in its Q-span iff (u V)_i = 0 for i >= k;
-        # (u V)_i is u dotted with column i of V
-        vcols = list(zip(*sf.V))
-        head, tail = vcols[:k], vcols[k:]
-
-        def coords(u: Sequence[int]) -> list[int]:
-            return [sum(x * y for x, y in zip(u, col)) for col in head]
-
-        in_span = [(a, coords(a)) for a in pos
-                   if not any(sum(x * y for x, y in zip(a, col))
-                              for col in tail)]
-        hnf_coords = [coords(row) for row in hnf]
+        # Vinv[:k], so u lies in its Q-span iff (u V)_i = 0 for i >= k.
+        # Outside it, the class of u in Z^n/L is (u V)_i mod d_i for i < k
+        # and (u V)_i for i >= k; it is read up to sign, the first nonzero
+        # tail entry made positive
+        in_span = []
+        classes: dict[tuple, Coords] = {}
+        for a in pos:
+            uv = image[a]
+            lead = next(filter(None, uv[k:]), 0)
+            if not lead:
+                in_span.append((a, uv[:k]))
+                continue
+            if lead < 0:
+                uv = [-x for x in uv]
+            classes.setdefault((*map(mod, uv, divisors), *uv[k:]), a)
+        vcols = list(zip(*sf.V))[:k]
+        hnf_coords = [[sum(map(mul, row, col)) for col in vcols]
+                      for row in hnf]
         # characters of sat/L: a d_i-th root of unity on each saturation
-        # basis vector Vinv[i]; all are automatically trivial on L.  The
-        # trivial character (choice all 0) centralizes all of in_span,
+        # basis vector Vinv[i]; all are automatically trivial on L.  A
+        # character already recorded on this saturation is that layer.
+        # The trivial character (choice all 0) centralizes all of in_span,
         # which holds L's generators, so it passes the rank test unasked
-        steps = [field.root_exponent(d) for d in sf.divisors]
-        for choice in itertools.product(*(range(d) for d in sf.divisors)):
+        steps = [field.root_exponent(d) for d in divisors]
+        for choice in itertools.product(*(range(d) for d in divisors)):
             exps = [s * j for s, j in zip(steps, choice)]
 
             def chi(c: Sequence[int]) -> int:
-                return sum(e * x for e, x in zip(exps, c)) % order
+                return sum(map(mul, exps, c)) % order
 
+            key = (hnf, tuple(chi(c) for c in hnf_coords))
+            if key in found:
+                continue
             centralized = [a for a, c in in_span if chi(c) == 0]
             if any(choice) and int_rank(centralized) != k:
                 continue
-            char = tuple(chi(c) for c in hnf_coords)
-            key = (hnf, char)
-            if key not in found:
-                found[key] = Layer(n, hnf, char, field,
-                                   tuple(sorted(centralized,
-                                                key=lambda c: (sum(c), c))))
-        return {a for a, _ in in_span}
+            found[key] = Layer(n, hnf, key[1], field,
+                               tuple(sorted(centralized,
+                                            key=lambda c: (sum(c), c))))
+        return list(classes.values())
 
     seen: set[tuple[Coords, ...]] = {()}
     frontier: list[tuple[Coords, ...]] = [()]
+    inserts = 0
     while frontier:
         grown = []
         for lattice in frontier:
-            spanned = visit(lattice)
-            for a in pos:
-                if a in spanned:
-                    continue
+            for a in visit(lattice):
+                inserts += 1
                 cand = hermite_insert(lattice, a)
                 if cand not in seen:
                     seen.add(cand)
                     grown.append(cand)
         frontier = grown
+    if stats is not None:
+        stats.update(walks=1, lattices=len(seen), inserts=inserts,
+                     layers=len(found))
     return sorted(found.values(), key=Layer.sort_key)
 
 
@@ -217,8 +259,11 @@ def is_indecomposable(amb: RootAmbient, layer: Layer) -> bool:
     return len(components(frozenset(adj), adj)) == 1
 
 
-def building_set(amb: RootAmbient) -> list[Layer]:
-    return [l for l in enumerate_layers(amb) if is_indecomposable(amb, l)]
+def building_set(amb: RootAmbient, stats: Counter | None = None
+                 ) -> list[Layer]:
+    """The indecomposable layers; stats as for enumerate_layers."""
+    return [l for l in enumerate_layers(amb, stats)
+            if is_indecomposable(amb, l)]
 
 
 def gamma_divisors(roots: Sequence[Coords], ambient_dim: int) -> list[int]:
@@ -235,22 +280,51 @@ def layer_contains(big: Layer, small: Layer) -> bool:
                for row, e in zip(big.basis, big.char_exps))
 
 
-def poset_relations(layers: Sequence[Layer]) -> list[tuple[int, int]]:
+def poset_relations(layers: Sequence[Layer], stats: Counter | None = None
+                    ) -> list[tuple[int, int]]:
     """Pairs (i, j) with layers[i] a proper subvariety of layers[j].
 
-    Distinct layers of equal codimension never contain one another, so
-    only pairs with layers[j] of smaller codimension are tested.  A root
-    with e^alpha = 1 on layers[j] has e^alpha = 1 on any layer inside it,
-    so layer_contains runs only on pairs whose root sets are nested.
+    Distinct layers of equal codimension never contain one another, and a
+    root with e^alpha = 1 on layers[j] has e^alpha = 1 on any layer inside
+    it, so the candidates j for layers[i] are the layers of smaller
+    codimension holding no root outside layers[i]'s; they are read from
+    bitsets over the layers.  layer_contains runs only on candidates
+    whose lattice is not spanned by their own roots: when it is, every
+    lattice vector is an integer sum of roots that are 1 on both layers,
+    so root-set inclusion already forces containment.  stats, when
+    given, gains poset_candidates, contains_tests and relations.
     """
-    bit: dict[Coords, int] = {}
-    masks = [sum(1 << bit.setdefault(a, len(bit)) for a in l.roots_pos)
-             for l in layers]
-    codims = [l.codim for l in layers]
-    return [(i, j) for i, small in enumerate(layers)
-            for j, big in enumerate(layers)
-            if codims[j] < codims[i] and not masks[j] & ~masks[i]
-            and layer_contains(big, small)]
+    holders: dict[Coords, int] = {}      # root -> bitset of layers holding it
+    for j, l in enumerate(layers):
+        for a in l.roots_pos:
+            holders[a] = holders.get(a, 0) | 1 << j
+    # codim c -> bitset of the layers of smaller codimension
+    below = {c: sum(1 << j for j, l in enumerate(layers) if l.codim < c)
+             for c in {l.codim for l in layers}}
+    spanned: dict[int, bool] = {}
+    out, candidates, tests = [], 0, 0
+    for i, small in enumerate(layers):
+        on_small = set(small.roots_pos)
+        cand = below[small.codim]
+        for a, mask in holders.items():
+            if a not in on_small:
+                cand &= ~mask
+        bits = format(cand, "b")[::-1]
+        j = bits.find("1")
+        while j >= 0:
+            candidates += 1
+            big = layers[j]
+            if j not in spanned:
+                spanned[j] = hermite_normal_form(big.roots_pos) == big.basis
+            if not spanned[j]:
+                tests += 1
+            if spanned[j] or layer_contains(big, small):
+                out.append((i, j))
+            j = bits.find("1", j + 1)
+    if stats is not None:
+        stats.update(poset_candidates=candidates, contains_tests=tests,
+                     relations=len(out))
+    return out
 
 
 def covering_relations(layers: Sequence[Layer]) -> list[tuple[int, int]]:
@@ -318,29 +392,49 @@ def centralizer_at_point(amb: RootAmbient, point: Point) -> list[Coords]:
 
 # ----------------------------------------------------------------------
 # boundary strata of the compactified picture: one sub-arrangement per
-# subset of the simple roots, each contributing its own layers
+# subset of the simple roots, each contributing its own layers.  Z^I is a
+# coordinate summand of Z^n, so the layers of the sub-arrangement on I
+# are the layers of the full arrangement whose lattice is supported on I,
+# with the other coordinates dropped: saturation, roots in the span and
+# character do not change, and dropping all-zero columns keeps the order
 
 
-def boundary_ambients(rs: RootSystem, field: CyclotomicField
-                      ) -> dict[tuple[int, ...], RootAmbient]:
-    """The sub-arrangement of every subset of the simple roots, by subset."""
-    n = rs.rank
-    subsets = (tuple(i for i in range(n) if mask >> i & 1)
-               for mask in range(1 << n))
-    return {s: RootAmbient.restricted(rs, s, field) for s in subsets}
+def subset_layers(layers: Sequence[Layer]
+                  ) -> dict[tuple[int, ...], list[int]]:
+    """For every subset I of the coordinates, ordered by size and then I,
+    the indices, ascending, of the layers whose lattice is supported on I.
+    layers is the enumeration of a full arrangement; restrict(layers[k],
+    I) for these k is the enumeration of its sub-arrangement on I."""
+    n = layers[0].ambient_dim
+    by_mask: list[list[int]] = [[] for _ in range(1 << n)]
+    for k, layer in enumerate(layers):
+        support = sum(1 << j for j in range(n)
+                      if any(row[j] for row in layer.basis))
+        mask = support
+        while mask < 1 << n:                 # the supersets of support
+            by_mask[mask].append(k)
+            mask = (mask + 1) | support
+    subsets = {tuple(j for j in range(n) if mask >> j & 1): ks
+               for mask, ks in enumerate(by_mask)}
+    return {s: subsets[s] for s in sorted(subsets, key=lambda s: (len(s), s))}
 
 
-def boundary_strata(rs: RootSystem, field: CyclotomicField,
-                    ambients: dict[tuple[int, ...], RootAmbient] | None = None
+def restrict(layer: Layer, subset: Sequence[int]) -> Layer:
+    """The layer of the sub-arrangement on the coordinates subset that a
+    layer whose lattice is supported on subset is."""
+    def drop(v: Coords) -> Coords:
+        return tuple(v[j] for j in subset)
+    return Layer(len(subset), tuple(map(drop, layer.basis)), layer.char_exps,
+                 layer.field, tuple(map(drop, layer.roots_pos)))
+
+
+def boundary_strata(rs: RootSystem, field: CyclotomicField
                     ) -> list[tuple[tuple[int, ...], Layer]]:
     """(subset, layer) for every layer of every sub-arrangement, ordered by
-    subset size, subset and layer.  ambients is boundary_ambients(rs,
-    field), built here when the caller has not built it already."""
-    if ambients is None:
-        ambients = boundary_ambients(rs, field)
-    out = [(subset, layer) for subset, amb in ambients.items()
-           for layer in enumerate_layers(amb)]
-    return sorted(out, key=lambda p: (len(p[0]), p[0], p[1].sort_key()))
+    subset size, subset and layer, from one walk of the full arrangement."""
+    layers = enumerate_layers(RootAmbient.from_root_system(rs, field))
+    return [(s, restrict(layers[k], s))
+            for s, ks in subset_layers(layers).items() for k in ks]
 
 
 def layer_to_dict(layer: Layer) -> dict:

@@ -90,6 +90,45 @@ def test_dot_output(capsys):
     assert out.count("subgraph") == 5
 
 
+def test_enumerate_stats_leave_stdout_and_exit_code_alone(capsys):
+    # one walk per request; the counts are those of the lattice walk
+    # (lattices visited, Hermite insertions, layers) and of the poset
+    pinned = [
+        (["enumerate", "layers", "--type", "A2"],
+         {"walks": 1, "lattices": 5, "inserts": 6, "layers": 5}),
+        (["enumerate", "layers", "--type", "B2"],
+         {"walks": 1, "lattices": 7, "inserts": 10, "layers": 7}),
+        (["enumerate", "layers", "--type", "B4", "--format", "dot"],
+         {"walks": 1, "lattices": 164, "inserts": 648, "layers": 161,
+          "poset_candidates": 1456, "contains_tests": 192,
+          "relations": 1380}),
+        (["enumerate", "boundary-strata", "--type", "C4"], {"walks": 1}),
+        (["enumerate", "building-set", "--type", "B2"], {"walks": 1}),
+        (["enumerate", "roots", "--type", "B2"], {"walks": 0}),
+    ]
+    for argv, counts in pinned:
+        code, out, err = run(capsys, *argv)
+        code_s, out_s, err_s = run(capsys, *argv, "--stats")
+        assert code == 0 and (code_s, out_s) == (code, out) and err == ""
+        [line] = err_s.splitlines()
+        stats = json.loads(line)
+        assert {k: stats[k] for k in counts} == counts, argv
+
+
+def test_out_to_unwritable_path_is_usage_error(capsys, tmp_path):
+    spec = tmp_path / "point.json"
+    spec.write_text(json.dumps({"type": "A2", "I": [1, 2], "y": ["2", "3"],
+                                "S": [], "t": []}))
+    for target in (str(tmp_path / "missing" / "x.json"), str(tmp_path)):
+        for argv in (["enumerate", "layers", "--type", "A2"],
+                     ["subspace", str(spec)],
+                     ["check", "triangularity", "--type", "A2"]):
+            code, out, err = run(capsys, *argv, "--out", target)
+            assert (code, out) == (2, ""), argv
+            assert err.startswith(f"error: cannot write {target}: ")
+            assert err.count("\n") == 1
+
+
 def test_dot_rejected_for_other_targets(capsys):
     code, out, err = run(capsys, "enumerate", "roots", "--format", "dot")
     assert code == 2
@@ -233,9 +272,9 @@ def test_check_stats_leaves_stdout_and_exit_code_alone(capsys):
         seconds = json.loads(line)["check_seconds"]
         assert list(seconds) == [c["name"] for c in json.loads(out)["checks"]]
         assert all(isinstance(v, float) and v >= 0 for v in seconds.values())
-    # declared on check only
+    # declared on check and enumerate only
     with pytest.raises(SystemExit) as exc:
-        main(["enumerate", "roots", "--stats"])
+        main(["subspace", "-", "--stats"])
     assert exc.value.code == 2
 
 

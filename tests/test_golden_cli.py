@@ -10,7 +10,10 @@ The `check` digests and exit codes below are literals, recorded before
 the Hecke normal forms moved to integer coefficients; the standalone
 `rank`/`injectivity` digests, `check all` on B3 and the B4 boundary
 strata were recorded before sampling moved to one point stream per
-request and the layer walk to Hermite insertion.
+request and the layer walk to Hermite insertion; the B3 and F4 boundary
+strata and the C4 and F4 layer posets before the boundary strata were
+read from one walk of the full arrangement, the walk inserted one root
+per class of Z^n/L and the poset read its candidates from an index.
 """
 
 import hashlib
@@ -93,6 +96,14 @@ CHECK = {
 ENUMERATE_LITERAL = {
     "enumerate boundary-strata --type B4":
         "9013612df9885e1c38dbfc6c6c8ddb1bd9f0e707f8aeb1682be9c7e4e0a1207e",
+    "enumerate boundary-strata --type B3":
+        "db05f6640318b00d478244faab71ba582312e0b24b66a162a5003cddfab0e208",
+    "enumerate boundary-strata --type F4":
+        "c6c114c00b928d4a0f25cbd3a31a97587ed57f1d0f519b0e0629735ffb373263",
+    "enumerate layers --type C4 --format dot":
+        "c24ff7a059710a378ea09f3f2ea9a6ec937f9ea050bcaf153c0a61cdeb0aa505",
+    "enumerate layers --type F4 --format dot":
+        "b16d1c897aa11f2233d8ffd6577e636ccbc01a0e85dd4bce2fe00ea993e43f73",
 }
 
 

@@ -1,9 +1,13 @@
 """Toric arrangement layers: censuses, torsion, poset, points, strata."""
 
+import functools
 import itertools
+from collections import Counter
 
 import pytest
 
+from trigbethe import layers as layers_module
+from trigbethe.bethe import PointStream
 from trigbethe.field import CyclotomicField
 from trigbethe.lattice import hermite_normal_form, int_rank, smith_normal_form
 from trigbethe.layers import (Layer, RootAmbient, boundary_strata,
@@ -341,7 +345,7 @@ def test_lattice_walk_matches_subset_walk(label, order):
     assert got == want
 
 
-@pytest.mark.parametrize("label", ["G2", "B3", "C3", "A4", "D4", "B4"])
+@pytest.mark.parametrize("label", ["G2", "B3", "C3", "A4", "D4", "B4", "C4"])
 def test_poset_relations_match_all_pairs_scan(label):
     layers = enumerate_layers(ambient(label))
     scan = [(i, j) for i, small in enumerate(layers)
@@ -368,3 +372,96 @@ def test_covering_relations_match_definition(label):
     cov = covering_relations(layers)
     assert set(cov) == covers_by_intermediates(layers)
     assert cov == [p for p in rel if p in set(cov)]
+
+
+@pytest.mark.parametrize("label,order", [("G2", 6), ("B4", 6), ("C4", 6),
+                                         ("F4", 12)])
+def test_layers_spanned_by_their_roots_contain_every_candidate(label, order):
+    # the premise of the poset shortcut: when a layer's lattice is spanned
+    # by its own roots, every layer of larger codimension centralizing
+    # those roots lies inside it
+    layers = enumerate_layers(ambient(label, CyclotomicField(order)))
+    shortcuts = 0
+    for big in layers:
+        if hermite_normal_form(big.roots_pos) != big.basis:
+            continue
+        for small in layers:
+            if big.codim < small.codim and \
+                    set(big.roots_pos) <= set(small.roots_pos):
+                shortcuts += 1
+                assert layer_contains(big, small)
+    assert shortcuts
+
+
+# ----------------------------------------------------------------------
+# one walk for every sub-arrangement: the per-subset walks as oracle
+
+
+STRATA_TYPES = [("A2", 6), ("B2", 6), ("G2", 6), ("A3", 6), ("B3", 6),
+                ("C3", 6), ("B4", 6), ("C4", 6), ("D4", 6), ("F4", 12)]
+
+
+@functools.cache
+def per_subset_walks(label, order):
+    """subset -> enumerate_layers of its own restricted ambient."""
+    rs, field = root_system(label), CyclotomicField(order)
+    subsets = sorted((tuple(i for i in range(rs.rank) if m >> i & 1)
+                      for m in range(1 << rs.rank)),
+                     key=lambda s: (len(s), s))
+    return {s: enumerate_layers(RootAmbient.restricted(rs, s, field))
+            for s in subsets}
+
+
+@pytest.mark.parametrize("label,order", STRATA_TYPES)
+def test_boundary_strata_match_per_subset_walks(label, order):
+    got = boundary_strata(root_system(label), CyclotomicField(order))
+    want = [(s, l) for s, ls in per_subset_walks(label, order).items()
+            for l in ls]
+    assert got == want
+
+
+@pytest.mark.parametrize("label,order", STRATA_TYPES)
+def test_point_stream_subsets_match_per_subset_walks(label, order):
+    field = CyclotomicField(order)
+    stream = PointStream(root_system(label), field, seed=0)
+    for subset, want in per_subset_walks(label, order).items():
+        amb, got = stream.sub_arrangement(subset)
+        assert amb == RootAmbient.restricted(root_system(label), subset,
+                                             field)
+        assert got == want
+
+
+def all_roots_growth(amb):
+    """Every lattice spanned by independent positive roots, grown by
+    every positive root outside the span, each Hermite form from scratch."""
+    pos = list(amb.positive_roots)
+    seen, frontier = {()}, [()]
+    while frontier:
+        grown = []
+        for lattice in frontier:
+            for a in pos:
+                cand = hermite_normal_form(lattice + (a,))
+                if len(cand) > len(lattice) and cand not in seen:
+                    seen.add(cand)
+                    grown.append(cand)
+        frontier = grown
+    return seen
+
+
+@pytest.mark.parametrize("label,order", [("B4", 6), ("F4", 12)])
+def test_walk_visits_the_all_roots_growth(label, order, monkeypatch):
+    # one Hermite insertion per class of Z^n/L loses no lattice: each
+    # visit starts with one Smith form of the lattice visited
+    visited = []
+
+    def recording_smith(rows, ncols=None):
+        visited.append(tuple(rows))
+        return smith_normal_form(rows, ncols)
+
+    monkeypatch.setattr(layers_module, "smith_normal_form", recording_smith)
+    amb = ambient(label, CyclotomicField(order))
+    stats = Counter()
+    enumerate_layers(amb, stats)
+    want = all_roots_growth(amb)
+    assert len(visited) == len(set(visited)) == stats["lattices"]
+    assert set(visited) == want
