@@ -15,8 +15,8 @@ from .bethe import (HolonomySpace, RecoveredData, XPoint, chart_only,
 from .field import (DEFAULT_FIELD_ORDER, CyclotomicField, FieldElement,
                     default_field_order)
 from .hecke import HeckeAlgebra, all_reduced_words, sample_q
-from .lattice import (SmithForm, hermite_normal_form, in_lattice, int_rank,
-                      smith_normal_form)
+from .lattice import (SmithForm, hermite_coordinates, hermite_normal_form,
+                      int_rank, smith_normal_form)
 from .layers import (Layer, RootAmbient, boundary_strata, building_set,
                      covering_relations, enumerate_layers, gamma_divisors,
                      generic_point, is_indecomposable, layer_contains,
@@ -35,7 +35,7 @@ __all__ = [
     "RootSystem", "root_system", "cartan_matrix", "symmetrizers",
     "WEYL_ORDERS",
     "SmithForm", "smith_normal_form", "hermite_normal_form", "int_rank",
-    "in_lattice",
+    "hermite_coordinates",
     "RootAmbient", "Layer", "enumerate_layers", "building_set",
     "boundary_strata", "generic_point", "point_on_layer", "gamma_divisors",
     "is_indecomposable", "layer_contains", "poset_relations",

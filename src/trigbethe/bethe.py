@@ -39,7 +39,7 @@ from .layers import RootAmbient
 from .linalg import identity, nullspace, rank as mat_rank, rref
 from .nested import Chart, maximal_nested_sets
 from .poly import Poly, RatFunc
-from .roots import Coords, IntMatrix, RootSystem, int_mat_mul
+from .roots import Coords, IntMatrix, RootSystem
 
 
 def bethe_weight(u):
@@ -98,9 +98,6 @@ class HolonomySpace:
 
     # ------------------------------------------------------------------
     # distinguished elements
-
-    def casimir(self) -> list[FieldElement]:
-        return self.vector({a: 1 for a in self.pos})
 
     def bethe_family(self, values: dict[Coords, FieldElement],
                      hs: Iterable[Sequence]) -> list[list[FieldElement]]:
@@ -691,18 +688,14 @@ class PointStream:
         self._drawn_at.append(self.attempts)
 
 
-def sample_xpoints(rs: RootSystem, field: CyclotomicField, seed: int,
-                   count: int, stream: PointStream | None = None
-                   ) -> list[XPoint]:
-    """The first count points of the PointStream of (rs, field, seed):
-    a deterministic pool of pairwise-distinct normalized points, and a
-    prefix of sample_xpoints(rs, field, seed, m) for every m > count.
+def sample_xpoints(stream: PointStream, count: int) -> list[XPoint]:
+    """The first count points of a PointStream: a deterministic pool of
+    pairwise-distinct normalized points, and a prefix of
+    sample_xpoints(stream, m) for every m > count.
 
     RuntimeError when the first count points take more than count * 40
-    draws.  stream, when given, is that stream, shared with other callers
-    in one request; otherwise a fresh one is drawn.
+    draws.
     """
-    stream = _stream_for(rs, field, seed, stream)
     out: list[XPoint] = []
     for k in range(count):
         x = stream.point(k, count * 40)
@@ -710,16 +703,6 @@ def sample_xpoints(rs: RootSystem, field: CyclotomicField, seed: int,
             raise RuntimeError(f"could only sample {k} points")
         out.append(x)
     return out
-
-
-def _stream_for(rs: RootSystem, field: CyclotomicField, seed: int,
-                stream: PointStream | None) -> PointStream:
-    if stream is None:
-        return PointStream(rs, field, seed)
-    if (stream.rs, stream.field, stream.seed) != (rs, field, seed):
-        raise ValueError("the point stream belongs to another type, field "
-                         "or seed")
-    return stream
 
 
 def _to_ambient(coords: Sequence[int], subset: Sequence[int], n: int) -> Coords:
@@ -736,19 +719,16 @@ def chart_only(x: XPoint) -> bool:
     return bool(rows) and mat_rank(rows) == x.rs.rank
 
 
-def injectivity_pool(rs: RootSystem, field: CyclotomicField, seed: int,
-                     count: int, stream: PointStream | None = None
-                     ) -> list[XPoint]:
+def injectivity_pool(stream: PointStream, count: int) -> list[XPoint]:
     """Pool for distinctness checks, read from the first 3 * count points
-    of the PointStream of (rs, field, seed) (stream, when given) and drawn
-    only as far as it needs.  Points whose subspace provably ignores the
-    torus coordinate are deduped by their visible data (twist,
-    centralizer, chart) instead of by the coordinate itself.
+    of a PointStream and drawn only as far as it needs.  Points whose
+    subspace provably ignores the torus coordinate are deduped by their
+    visible data (twist, centralizer, chart) instead of by the coordinate
+    itself.
 
     RuntimeError when fewer than count points are distinct, or when the
     stream runs out of its 3 * count * 40 draws before the pool is full.
     """
-    stream = _stream_for(rs, field, seed, stream)
     budget = count * 3
     out: list[XPoint] = []
     seen: set[tuple] = set()

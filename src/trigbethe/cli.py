@@ -271,7 +271,7 @@ def _check_commutativity(args, stream: PointStream) -> dict:
 
 def _check_rank(args, stream: PointStream) -> dict:
     rs = stream.rs
-    pts = sample_xpoints(rs, stream.field, args.seed, args.samples, stream)
+    pts = sample_xpoints(stream, args.samples)
     dims = [len(stream.reduced(x)) for x in pts]
     bad = [d for d in dims if d != rs.rank]
     return {"name": "rank", "passed": not bad, "points": len(pts),
@@ -281,8 +281,7 @@ def _check_rank(args, stream: PointStream) -> dict:
 
 
 def _check_injectivity(args, stream: PointStream) -> dict:
-    pts = injectivity_pool(stream.rs, stream.field, args.seed, args.samples,
-                           stream)
+    pts = injectivity_pool(stream, args.samples)
     seen: dict[tuple, int] = {}
     collisions = []
     for i, x in enumerate(pts):
@@ -298,7 +297,7 @@ def _check_injectivity(args, stream: PointStream) -> dict:
 
 
 def _check_triangularity(args, stream: PointStream) -> dict:
-    rs = root_system(args.type)
+    rs = stream.rs
     base = list(rs.simple_roots)
     edges = rs.nonorthogonal_edges(base)
     families = maximal_nested_sets(rs.rank, edges)
@@ -319,7 +318,7 @@ def _check_triangularity(args, stream: PointStream) -> dict:
 
 
 def _check_hecke(args, stream: PointStream) -> dict:
-    rs = root_system(args.type)
+    rs = stream.rs
     pairs = rs.rank * (rs.rank - 1) // 2
     entry = {"name": "hecke", "exhaustive": True, "pairs": pairs}
     if not pairs:
@@ -358,9 +357,8 @@ def _check_typea(args, stream: PointStream) -> dict:
 
 
 def _check_weyl(args, stream: PointStream) -> dict:
-    rs = root_system(args.type)
-    report = weyl_action_report(rs, _field_for(rs, args.field_order),
-                                args.seed, args.samples)
+    report = weyl_action_report(stream.rs, stream.field, args.seed,
+                                args.samples)
     failed = [k for k in ("group_law", "delta_transport", "bethe_transport",
                           "twist_formula", "control") if not report[k]]
     return {"name": "weyl", "passed": not failed, **report,

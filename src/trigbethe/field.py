@@ -171,10 +171,6 @@ class CyclotomicField:
                              " enlarge the field order")
         return self.order // k
 
-    def root_of_unity(self, k: int) -> FieldElement:
-        """A primitive k-th root of unity, available only when k | N."""
-        return self.zeta(self.root_exponent(k))
-
     def coerce(self, value) -> FieldElement:
         if isinstance(value, FieldElement):
             if value.field.order != self.order:

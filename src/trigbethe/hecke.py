@@ -196,15 +196,11 @@ class HeckeAlgebra:
             result = self._prune(nxt)
         return result
 
-    def word_of(self, w: IntMatrix) -> tuple[int, ...]:
-        """A reduced word of w (RootSystem.word_of)."""
-        return self.rs.word_of(w)
-
     def multiply(self, a: HeckeElem, b: HeckeElem) -> HeckeElem:
         out: HeckeElem = {}
         for w1, p1 in a.items():
             for w2, p2 in b.items():
-                moved = self.move_across_word(p1, self.word_of(w2))
+                moved = self.move_across_word(p1, self.rs.word_of(w2))
                 for v, pv in moved.items():
                     key = int_mat_mul(w1, v)
                     out[key] = out.get(key, Poly(self.nvars)) + pv * p2
@@ -390,9 +386,3 @@ def all_reduced_words(rs: RootSystem, w: IntMatrix) -> list[tuple[int, ...]]:
             out.extend(u + (i,) for u in all_reduced_words(rs, prev))
     return out
 
-
-def span_vectors(keyed: Sequence[dict]) -> list[list[Fraction]]:
-    """Dense rational rows over the union of all keys, for span tests."""
-    keys = sorted({k for d in keyed for k in d},
-                  key=lambda kv: (kv[0], kv[1]))
-    return [[d.get(k, Fraction(0)) for k in keys] for d in keyed]

@@ -5,16 +5,19 @@ provides saturations and torsion quotients.  It tracks its unimodular
 transforms U and V, and V^{-1} alongside them: every column operation
 applied to V is matched by the inverse row operation on V^{-1}, so the
 whole computation stays in integers.  Row-style Hermite form provides a
-canonical basis used to deduplicate lattices.  hermite_insert adds one
-vector to a lattice already in Hermite form: it clears the vector with
-one gcd step per pivot column it meets, makes the rest a new row, and
-re-reduces above the pivots, so growing a lattice by one root costs one
-pass over its rows rather than a Hermite form from scratch.
+canonical basis used to deduplicate lattices.  It is built by insertion
+only: hermite_insert adds one vector to a lattice already in Hermite
+form, clearing the vector with one gcd step per pivot column it meets,
+making the rest a new row and re-reducing above the pivots, so growing a
+lattice by one root costs one pass over its rows, and hermite_normal_form
+inserts its rows one at a time.  hermite_coordinates reads a vector's
+coefficients in a Hermite basis in one pass over the pivots.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from typing import Sequence
 
 IntRows = list[list[int]]
@@ -134,45 +137,15 @@ def hermite_normal_form(rows: Sequence[Sequence[int]]) -> tuple[tuple[int, ...],
     """Canonical row-style Hermite form; zero rows dropped.
 
     Two integer matrices generate the same row lattice iff their Hermite
-    forms coincide, so this output can be used as a dictionary key.
+    forms coincide, so this output can be used as a dictionary key.  The
+    rows are inserted one at a time, starting from the empty form.
     """
-    M = [list(map(int, r)) for r in rows if any(r)]
-    if not M:
-        return ()
-    n = len(M[0])
-    r = 0
-    for c in range(n):
-        while True:
-            nz = [i for i in range(r, len(M)) if M[i][c]]
-            if not nz:
-                break
-            piv = min(nz, key=lambda i: abs(M[i][c]))
-            M[r], M[piv] = M[piv], M[r]
-            clean = True
-            for i in range(r + 1, len(M)):
-                if M[i][c]:
-                    q = M[i][c] // M[r][c]
-                    M[i] = [a - q * b for a, b in zip(M[i], M[r])]
-                    if M[i][c]:
-                        clean = False
-            if clean:
-                break
-        if r < len(M) and M[r][c]:
-            if M[r][c] < 0:
-                M[r] = [-a for a in M[r]]
-            for i in range(r):  # entries above a pivot reduced into [0, pivot)
-                q = M[i][c] // M[r][c]
-                if q:
-                    M[i] = [a - q * b for a, b in zip(M[i], M[r])]
-            r += 1
-            if r == len(M):
-                break
-    return tuple(tuple(row) for row in M[:r])
+    return reduce(hermite_insert, rows, ())
 
 
 def hermite_insert(hnf: Sequence[Sequence[int]], vec: Sequence[int]
                    ) -> tuple[tuple[int, ...], ...]:
-    """hermite_normal_form(hnf + (vec,)) for hnf already in Hermite form.
+    """The Hermite form of the lattice of hnf and vec, hnf in Hermite form.
 
     vec is cleared column by column, one step per pivot column where it
     is nonzero: a multiple of the pivot row is subtracted when the pivot
@@ -240,15 +213,30 @@ def int_rank(rows: Sequence[Sequence[int]]) -> int:
     return len(hermite_normal_form(rows))
 
 
-def in_lattice(vec: Sequence[int], rows: Sequence[Sequence[int]]) -> bool:
-    """Is vec an integer combination of the rows?"""
-    hnf = hermite_normal_form(rows)
+def hermite_coordinates(hnf: Sequence[Sequence[int]], vec: Sequence[int]
+                        ) -> list[int] | None:
+    """The integer coefficients of vec in the rows of a Hermite form, or
+    None when vec is not in their lattice.
+
+    The pivots are walked once, left to right: at each pivot the
+    coefficient is what is left of vec there divided by the pivot, and
+    what is left of vec must vanish in every column without a pivot.
+    """
     v = list(map(int, vec))
+    coords = []
+    c = 0
     for row in hnf:
-        c = next((j for j, x in enumerate(row) if x), None)
-        if c is None:
-            continue
-        if v[c] % row[c] == 0:
-            q = v[c] // row[c]
+        while not row[c]:
+            if v[c]:
+                return None
+            c += 1
+        q, rem = divmod(v[c], row[c])
+        if rem:
+            return None
+        if q:
             v = [a - q * b for a, b in zip(v, row)]
-    return not any(v)
+        coords.append(q)
+        c += 1
+    if any(v[c:]):
+        return None
+    return coords

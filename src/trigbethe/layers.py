@@ -51,8 +51,8 @@ from operator import add, mod, mul
 from typing import Iterable, Sequence
 
 from .field import CyclotomicField, FieldElement, char_value
-from .lattice import (hermite_insert, hermite_normal_form, int_rank,
-                      smith_normal_form)
+from .lattice import (hermite_coordinates, hermite_insert,
+                      hermite_normal_form, int_rank, smith_normal_form)
 from .nested import adjacency, components
 from .roots import Coords, RootSystem, nonorthogonal_edges
 
@@ -116,19 +116,10 @@ class Layer:
 
     def char_exponent(self, vec: Sequence[int]) -> int | None:
         """e with e^vec = zeta_N^e on the layer; None if vec is outside the lattice."""
-        v = list(map(int, vec))
-        out = 0
-        for row, e in zip(self.basis, self.char_exps):
-            c = next(j for j, x in enumerate(row) if x)
-            q, r = divmod(v[c], row[c])
-            if r:
-                return None
-            if q:
-                out += q * e
-                v = [a - q * b for a, b in zip(v, row)]
-        if any(v):
+        coords = hermite_coordinates(self.basis, vec)
+        if coords is None:
             return None
-        return out % self.field.order
+        return sum(map(mul, coords, self.char_exps)) % self.field.order
 
     def char_eval(self, vec: Sequence[int]) -> FieldElement:
         """The constant value of e^vec on the layer; vec must lie in the lattice."""
@@ -137,12 +128,9 @@ class Layer:
             raise ValueError(f"{vec} is not in the layer lattice")
         return self.field.zeta(e)
 
-    def contains_vector(self, vec: Sequence[int]) -> bool:
-        return self.char_exponent(vec) is not None
-
     def sort_key(self):
         return (self.codim, self.basis,
-                tuple(cv.coeffs for cv in self.char_values))
+                tuple(self.field.zeta(e).nums for e in self.char_exps))
 
 
 def _root_chain(pos: Sequence[Coords], n: int
@@ -246,10 +234,6 @@ def enumerate_layers(amb: RootAmbient, stats: Counter | None = None
         stats.update(walks=1, lattices=len(seen), inserts=inserts,
                      layers=len(found))
     return sorted(found.values(), key=Layer.sort_key)
-
-
-def full_torus_layer(amb: RootAmbient) -> Layer:
-    return Layer(amb.dim, (), (), amb.field, ())
 
 
 def is_indecomposable(amb: RootAmbient, layer: Layer) -> bool:
@@ -382,12 +366,6 @@ def generic_point(amb: RootAmbient, layer: Layer, seed: int = 0) -> Point:
         if all(not char_value(amb.field, pt, a).is_one() for a in avoid):
             return pt
     raise RuntimeError("no generic point found in 64 tries")
-
-
-def centralizer_at_point(amb: RootAmbient, point: Point) -> list[Coords]:
-    """Positive roots whose character equals 1 at the point."""
-    return [a for a in amb.positive_roots
-            if char_value(amb.field, point, a).is_one()]
 
 
 # ----------------------------------------------------------------------

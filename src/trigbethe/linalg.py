@@ -72,12 +72,6 @@ def row_space_equal(a: Sequence[Sequence[S]], b: Sequence[Sequence[S]]) -> bool:
     return ra == rb
 
 
-def in_row_space(vec: Sequence[S], rows: Sequence[Sequence[S]]) -> bool:
-    base, _ = rref(rows)
-    joined, _ = rref(list(base) + [list(vec)])
-    return len(joined) == len(base)
-
-
 def express_in_rows(vec: Sequence[S], rows: Sequence[Sequence[S]]):
     """Coefficients c with sum(c_i * rows[i]) == vec, or None if outside."""
     if not rows:
@@ -124,10 +118,6 @@ def _unit_like(sample: S) -> S:
 def mat_mul(a: Sequence[Sequence[S]], b: Sequence[Sequence[S]]) -> Matrix:
     bt = list(zip(*b))
     return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
-
-
-def mat_vec(a: Sequence[Sequence[S]], v: Sequence[S]) -> list[S]:
-    return [sum(x * y for x, y in zip(row, v)) for row in a]
 
 
 def mat_inverse(a: Sequence[Sequence[S]]) -> Matrix:

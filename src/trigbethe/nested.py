@@ -198,19 +198,8 @@ class Chart:
         return [k for k, q in enumerate(self.sets)
                 if lo_set <= q and q < hi_set]
 
-    def members_above(self, k: int) -> list[int]:
-        return [j for j, q in enumerate(self.sets) if self.sets[k] <= q]
-
     # ------------------------------------------------------------------
     # evaluation at a coordinate tuple (aligned with self.sets)
-
-    def base_value(self, v: int, tvals: Sequence) -> object:
-        """Evaluation of the base root adapted at vertex v on the chart point."""
-        k = self.member_index_of_vertex(v)
-        out = None
-        for j in self.members_above(k):
-            out = tvals[j] if out is None else out * tvals[j]
-        return out
 
     def r_value(self, root: Coords, tvals: Sequence) -> object:
         """Residual factor of the root's evaluation after the common chain.

@@ -107,9 +107,6 @@ class Poly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def total_degree(self) -> int:
-        return max((sum(e) for e in self.terms), default=0)
-
     def evaluate(self, values: Sequence) -> object:
         total = 0
         for e, c in self.terms.items():

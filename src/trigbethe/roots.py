@@ -176,10 +176,6 @@ class RootSystem:
         return tuple(sum(w[i][j] * coords[j] for j in range(self.rank))
                      for i in range(self.rank))
 
-    def reflect(self, beta: Sequence[int], alpha: Sequence[int]) -> Coords:
-        k = self.pairing(beta, alpha)
-        return tuple(beta[i] - k * alpha[i] for i in range(self.rank))
-
     def _close_roots(self) -> list[Coords]:
         seen: set[Coords] = set(self.simple_roots)
         frontier = list(seen)

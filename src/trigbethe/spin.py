@@ -56,10 +56,6 @@ def mat_scale(a: Mat, s) -> Mat:
     return [{c: s * v for c, v in row.items()} for row in a]
 
 
-def mat_sub(a: Mat, b: Mat) -> Mat:
-    return mat_add(a, mat_scale(b, -1))
-
-
 def mat_mul(a: Mat, b: Mat) -> Mat:
     out = []
     for row in a:
@@ -96,11 +92,6 @@ def place(factors: dict[int, Local], n: int) -> Mat:
     return out
 
 
-def casimir_pair(i: int, j: int, n: int) -> Mat:
-    """Omega acting in slots i and j; symmetric in its two slots."""
-    return combination([(HALF, ("omega2", min(i, j), max(i, j)))], n)
-
-
 def lowering_pair(i: int, j: int, n: int) -> Mat:
     """Lowering part: f in the first-named slot, e in the second."""
     return place({i: F, j: E}, n)
@@ -108,10 +99,6 @@ def lowering_pair(i: int, j: int, n: int) -> Mat:
 
 def raising_pair(i: int, j: int, n: int) -> Mat:
     return place({i: E, j: F}, n)
-
-
-def twist_at(theta: Local, i: int, n: int) -> Mat:
-    return place({i: theta}, n)
 
 
 # ----------------------------------------------------------------------
@@ -207,17 +194,6 @@ def pair_vector_terms(pairs: Sequence[tuple[int, int]], coeffs: Sequence,
         else:
             terms.append((c * HALF, ("omega2", i, j)))
     return terms
-
-
-def represent_pair_vector(pairs: Sequence[tuple[int, int]],
-                          coeffs: Sequence, theta: Local, n: int) -> Mat:
-    """Matrix of a pair-generator vector on indices {0..n} (see
-    pair_vector_terms)."""
-    return combination(pair_vector_terms(pairs, coeffs, theta, n), n)
-
-
-def commutator(a: Mat, b: Mat) -> Mat:
-    return mat_sub(mat_mul(a, b), mat_mul(b, a))
 
 
 def commute(a: Mat, b: Mat) -> bool:

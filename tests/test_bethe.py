@@ -79,7 +79,9 @@ def test_delta_and_casimir():
     d = delta(sp, [Fraction(1), Fraction(0)])
     assert d == sp.vector({(1, 0): Fraction(-1, 2), (1, 1): Fraction(-1, 2)},
                           [1, 0])
-    assert sp.casimir() == sp.vector({a: 1 for a in sp.pos})
+    # the Casimir: 1 on every t_alpha, 0 on every tau
+    casimir = sp.vector({a: 1 for a in sp.pos})
+    assert casimir == [F6.one()] * len(sp.pos) + [F6.zero()] * 2
 
 
 # ----------------------------------------------------------------------
@@ -331,7 +333,7 @@ def test_twisted_point_never_enumerates_the_group(monkeypatch):
 def test_action_fixes_casimir_and_preserves_spans():
     rs = root_system("B2")
     sp = HolonomySpace(rs, F6)
-    c = sp.casimir()
+    c = sp.vector({a: 1 for a in sp.pos})
     for m in rs.weyl_elements():
         assert sp.act(m, c) == c
 
@@ -418,7 +420,7 @@ def test_xpoint_validation_errors():
 
 def test_dict_roundtrip():
     rs = root_system("B2")
-    for x in sample_xpoints(rs, F6, seed=4, count=8):
+    for x in sample_xpoints(PointStream(rs, F6, 4), 8):
         x2 = xpoint_from_dict(x.to_dict())
         assert x2.signature() == x.signature()
         assert row_space_equal(x2.subspace(), x.subspace())
@@ -430,8 +432,8 @@ def test_dict_roundtrip():
 
 def test_sampler_deterministic_and_distinct():
     rs = root_system("A2")
-    a = sample_xpoints(rs, F6, seed=7, count=10)
-    b = sample_xpoints(rs, F6, seed=7, count=10)
+    a = sample_xpoints(PointStream(rs, F6, 7), 10)
+    b = sample_xpoints(PointStream(rs, F6, 7), 10)
     assert [x.signature() for x in a] == [x.signature() for x in b]
     assert len({x.signature() for x in a}) == 10
     covered = {len(x.subset) for x in a}
@@ -441,13 +443,13 @@ def test_sampler_deterministic_and_distinct():
 def test_subspace_dimension_always_rank():
     for label in ["A2", "B2", "G2"]:
         rs = root_system(label)
-        for x in sample_xpoints(rs, F6, seed=1, count=12):
+        for x in sample_xpoints(PointStream(rs, F6, 1), 12):
             assert rank(x.subspace()) == rs.rank
 
 
 def test_recovery_on_untwisted_samples():
     rs = root_system("A2")
-    for x in sample_xpoints(rs, F6, seed=2, count=12):
+    for x in sample_xpoints(PointStream(rs, F6, 2), 12):
         if x.word:
             continue
         rec = recover_data(x.space, x.subspace())
@@ -459,7 +461,7 @@ def test_recovery_on_untwisted_samples():
 
 def test_injectivity_pool_distinct_subspaces():
     rs = root_system("A2")
-    pool = injectivity_pool(rs, F6, seed=0, count=10)
+    pool = injectivity_pool(PointStream(rs, F6, 0), 10)
     assert len(pool) == 10
     reduced = [str(rref([list(v) for v in x.subspace()])[0]) for x in pool]
     assert len(set(reduced)) == 10
@@ -469,7 +471,7 @@ def _sampled_then_deduped(rs, field, seed, count):
     """injectivity_pool as first written, the oracle for the lazy pool:
     sample 3 * count points, then dedup them."""
     out, seen = [], set()
-    for x in sample_xpoints(rs, field, seed, count * 3):
+    for x in sample_xpoints(PointStream(rs, field, seed), count * 3):
         if chart_only(x):
             key = ("chart-only", x.word, tuple(x.centralized),
                    tuple(tuple(sorted(s)) for s in x.chart.sets),
@@ -491,7 +493,7 @@ def test_injectivity_pool_matches_sample_then_dedup():
         rs = root_system(label)
         for seed in range(6):
             for count in (2, 6):
-                pool = injectivity_pool(rs, F6, seed, count)
+                pool = injectivity_pool(PointStream(rs, F6, seed), count)
                 want = _sampled_then_deduped(rs, F6, seed, count)
                 assert [x.signature() for x in pool] == \
                     [x.signature() for x in want]
@@ -501,19 +503,21 @@ def test_sample_xpoints_is_a_prefix_of_longer_samples():
     for label in ["A2", "B2", "G2", "A3"]:
         rs = root_system(label)
         for seed in (0, 1, 14):
-            long = [x.signature() for x in sample_xpoints(rs, F6, seed, 18)]
+            long = [x.signature()
+                    for x in sample_xpoints(PointStream(rs, F6, seed), 18)]
             for count in (1, 6, 12):
+                stream = PointStream(rs, F6, seed)
                 assert [x.signature() for x in
-                        sample_xpoints(rs, F6, seed, count)] == long[:count]
+                        sample_xpoints(stream, count)] == long[:count]
 
 
 def test_point_stream_is_shared_and_drawn_on_demand():
     rs = root_system("B2")
     stream = PointStream(rs, F6, 1)
     assert stream.attempts == stream.built == stream.reductions == 0
-    pts = sample_xpoints(rs, F6, 1, 6, stream)
+    pts = sample_xpoints(stream, 6)
     assert pts == stream.points
-    pool = injectivity_pool(rs, F6, 1, 6, stream)
+    pool = injectivity_pool(stream, 6)
     # the pool reads the same point objects and draws no more than it needs
     assert all(any(x is y for y in stream.points) for x in pool)
     assert len(stream.points) == 6
@@ -521,9 +525,7 @@ def test_point_stream_is_shared_and_drawn_on_demand():
     assert stream.reduced(pts[0]) is rows and stream.reductions == 1
     assert rows == rref(pts[0].subspace())[0]
     with pytest.raises(KeyError):
-        stream.reduced(sample_xpoints(rs, F6, 1, 1)[0])
-    with pytest.raises(ValueError):
-        sample_xpoints(rs, F6, 2, 6, stream)
+        stream.reduced(sample_xpoints(PointStream(rs, F6, 1), 1)[0])
 
 
 def test_sampling_budgets_are_per_call(monkeypatch):
@@ -534,10 +536,10 @@ def test_sampling_budgets_are_per_call(monkeypatch):
     rs = root_system("A2")
     stream = PointStream(rs, F6, 0)
     with pytest.raises(RuntimeError, match="could only sample 0 points"):
-        sample_xpoints(rs, F6, 0, 5, stream)
+        sample_xpoints(stream, 5)
     assert stream.attempts == 5 * 40
     with pytest.raises(RuntimeError, match="could only sample 0 points"):
-        injectivity_pool(rs, F6, 0, 5, stream)
+        injectivity_pool(stream, 5)
     assert stream.attempts == 3 * 5 * 40 and stream.built == 0
 
 

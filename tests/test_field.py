@@ -94,14 +94,14 @@ def test_default_order_six_identities():
 def test_roots_of_unity_by_divisor():
     F = CyclotomicField(6)
     for k in (1, 2, 3, 6):
-        w = F.root_of_unity(k)
+        w = F.zeta(F.root_exponent(k))
         assert (w ** k).is_one()
         for j in range(1, k):
             assert not (w ** j).is_one()
     with pytest.raises(ValueError, match="enlarge the field order"):
-        F.root_of_unity(4)
+        F.root_exponent(4)
     F12 = CyclotomicField(12)
-    assert (F12.root_of_unity(4) ** 4).is_one()
+    assert (F12.zeta(F12.root_exponent(4)) ** 4).is_one()
 
 
 def test_field_axioms_random():

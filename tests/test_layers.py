@@ -2,18 +2,18 @@
 
 import functools
 import itertools
+import random
 from collections import Counter
 
 import pytest
 
 from trigbethe import layers as layers_module
 from trigbethe.bethe import PointStream
-from trigbethe.field import CyclotomicField
+from trigbethe.field import CyclotomicField, char_value
 from trigbethe.lattice import hermite_normal_form, int_rank, smith_normal_form
 from trigbethe.layers import (Layer, RootAmbient, boundary_strata,
-                              building_set, centralizer_at_point,
-                              covering_relations, enumerate_layers,
-                              full_torus_layer, gamma_divisors, generic_point,
+                              building_set, covering_relations,
+                              enumerate_layers, gamma_divisors, generic_point,
                               is_indecomposable, layer_contains, layer_to_dict,
                               point_on_layer, poset_relations)
 from trigbethe.roots import root_system
@@ -36,6 +36,16 @@ def evaluate(pt, row):
 
 def chars(layer):
     return tuple(str(v) for v in layer.char_values)
+
+
+def centralizer(amb, pt):
+    """Positive roots whose character equals 1 at the point."""
+    return [a for a in amb.positive_roots
+            if char_value(amb.field, pt, a).is_one()]
+
+
+def full_torus(amb):
+    return Layer(amb.dim, (), (), amb.field, ())
 
 
 def test_layer_census_counts():
@@ -107,7 +117,7 @@ def test_codim2_layers_match_torus_point_scan():
         scanned = set()
         for i, j in itertools.product(range(12), repeat=2):
             y = (f12.zeta(i), f12.zeta(j))
-            cent = centralizer_at_point(amb, y)
+            cent = centralizer(amb, y)
             if int_rank(cent) == 2:
                 scanned.add((str(y[0]), str(y[1])))
         assert enumerated == scanned
@@ -118,7 +128,7 @@ def test_generic_point_realizes_exact_centralizer():
         amb = ambient(label)
         for l in enumerate_layers(amb):
             pt = generic_point(amb, l, seed=3)
-            assert tuple(sorted(centralizer_at_point(amb, pt))) == \
+            assert tuple(sorted(centralizer(amb, pt))) == \
                 tuple(sorted(l.roots_pos))
 
 
@@ -140,11 +150,55 @@ def test_char_eval_rejects_vectors_outside_lattice():
     line = [l for l in enumerate_layers(amb) if l.codim == 1][0]
     off = None
     for v in [(1, 0), (0, 1)]:
-        if not line.contains_vector(v):
+        if line.char_exponent(v) is None:
             off = v
     assert off is not None
     with pytest.raises(ValueError):
         line.char_eval(off)
+
+
+def scanning_char_exponent(layer, vec):
+    """Layer.char_exponent as first written, the oracle for the one-pass
+    hermite_coordinates: each basis row's pivot is found again by a scan."""
+    v = list(map(int, vec))
+    out = 0
+    for row, e in zip(layer.basis, layer.char_exps):
+        c = next(j for j, x in enumerate(row) if x)
+        q, r = divmod(v[c], row[c])
+        if r:
+            return None
+        if q:
+            out += q * e
+            v = [a - q * b for a, b in zip(v, row)]
+    if any(v):
+        return None
+    return out % layer.field.order
+
+
+@pytest.mark.parametrize("label,order", [("B4", 6), ("F4", 12)])
+def test_char_exponent_matches_pivot_scan(label, order):
+    amb = ambient(label, CyclotomicField(order))
+    outcomes = Counter()
+    for layer in enumerate_layers(amb):
+        for a in amb.positive_roots:
+            e = layer.char_exponent(a)
+            assert e == scanning_char_exponent(layer, a)
+            outcomes[e is None] += 1
+    assert outcomes[True] and outcomes[False]
+
+
+@pytest.mark.parametrize("label,order", [("B4", 6), ("F4", 12), ("B5", 6)])
+def test_sort_key_orders_as_fraction_coefficients(label, order):
+    # every zeta power has denominator 1, so its integer numerators order
+    # the layers as its Fraction coefficients do
+    def fraction_key(l):
+        return (l.codim, l.basis, tuple(cv.coeffs for cv in l.char_values))
+
+    layers = enumerate_layers(ambient(label, CyclotomicField(order)))
+    shuffled = list(layers)
+    random.Random(order).shuffle(shuffled)
+    assert sorted(shuffled, key=fraction_key) == layers
+    assert sorted(shuffled, key=Layer.sort_key) == layers
 
 
 def test_poset_and_covering_relations_a2():
@@ -161,14 +215,14 @@ def test_poset_and_covering_relations_a2():
         assert layer_contains(layers[j], layers[i])
         assert not layer_contains(layers[i], layers[j])
     with pytest.raises(ValueError):   # exponents mod 6 and mod 12 do not compare
-        layer_contains(full_torus_layer(ambient("A2", CyclotomicField(12))),
+        layer_contains(full_torus(ambient("A2", CyclotomicField(12))),
                        layers[-1])
 
 
 def test_full_torus_layer_is_top():
     amb = ambient("A2")
     layers = enumerate_layers(amb)
-    top = full_torus_layer(amb)
+    top = full_torus(amb)
     assert top in layers
     assert top.codim == 0 and top.dim == 2
     assert not is_indecomposable(amb, top)

