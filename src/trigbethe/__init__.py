@@ -17,12 +17,10 @@ from .field import (DEFAULT_FIELD_ORDER, CyclotomicField, FieldElement,
 from .hecke import HeckeAlgebra, all_reduced_words, sample_q
 from .lattice import (SmithForm, hermite_coordinates, hermite_normal_form,
                       int_rank, smith_normal_form)
-from .layers import (Layer, RootAmbient, boundary_strata, building_set,
-                     covering_relations, enumerate_layers, gamma_divisors,
-                     generic_point, is_indecomposable, layer_contains,
-                     point_on_layer, poset_relations)
-from .nested import Chart, connected_vertex_subsets, is_nested, \
-    maximal_nested_sets
+from .layers import (Layer, RootAmbient, building_set, enumerate_layers,
+                     gamma_divisors, generic_point, is_indecomposable,
+                     layer_contains, point_on_layer, poset_relations)
+from .nested import Chart, maximal_nested_sets
 from .poly import Poly, RatFunc, UPoly, epsilon_limit_span, valuation_at_zero
 from .roots import WEYL_ORDERS, RootSystem, cartan_matrix, root_system, \
     symmetrizers
@@ -37,10 +35,9 @@ __all__ = [
     "SmithForm", "smith_normal_form", "hermite_normal_form", "int_rank",
     "hermite_coordinates",
     "RootAmbient", "Layer", "enumerate_layers", "building_set",
-    "boundary_strata", "generic_point", "point_on_layer", "gamma_divisors",
+    "generic_point", "point_on_layer", "gamma_divisors",
     "is_indecomposable", "layer_contains", "poset_relations",
-    "covering_relations",
-    "Chart", "maximal_nested_sets", "connected_vertex_subsets", "is_nested",
+    "Chart", "maximal_nested_sets",
     "HolonomySpace", "XPoint", "RecoveredData", "xpoint_from_dict",
     "recover_data", "sample_xpoints", "injectivity_pool", "chart_only",
     "weyl_action_report",

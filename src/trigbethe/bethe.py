@@ -20,22 +20,25 @@ it carries Bethe vectors at y to Bethe vectors at w.y for every y (the
 Points of the degenerate family (XPoint) are stored untwisted plus a
 Weyl twist; their limit subspaces are built from the tau-carrying Bethe
 generators of the ambient stratum and the chart family of the point's
-centralizer, and recover_data reads the stratum data back off an
-untwisted subspace.  The checks sample points from a PointStream, one
-seeded sequence drawn on demand, so that one request builds and
-row-reduces each sampled point once.
+centralizer.  The build multiplies only where a value needs it: e^alpha
+is one product per root along the height chain (stratum_values), and
+a generator carries no t-term where alpha(h) = 0.  recover_data reads
+the stratum data back off an untwisted subspace.  The checks sample
+points from a PointStream, one seeded sequence drawn on demand, so that
+one request builds and row-reduces each sampled point once.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from functools import cache
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
-from .field import CyclotomicField, FieldElement, char_value, default_field_order
-from .layers import RootAmbient
+from .field import CyclotomicField, FieldElement, default_field_order
+from .layers import RootAmbient, root_chain
 from .linalg import identity, nullspace, rank as mat_rank, rref
 from .nested import Chart, maximal_nested_sets
 from .poly import Poly, RatFunc
@@ -68,7 +71,7 @@ class HolonomySpace:
     # construction
 
     def zero(self) -> list[FieldElement]:
-        return [self.field.zero() for _ in range(self.dim)]
+        return [self.field.zero()] * self.dim
 
     def t_index(self, alpha: Sequence[int]) -> int:
         return self._t_index[self.rs.abs_root(alpha)]
@@ -104,16 +107,17 @@ class HolonomySpace:
         """tau(h) plus alpha(h) * bethe_weight(e^alpha) t_alpha, per h.
 
         values maps each root that carries a t-term to e^alpha at the
-        point; the weights are computed once for all h.  A value 1 raises
-        ZeroDivisionError.
+        point; the weights are computed once for all h, and a root with
+        alpha(h) = 0 gets no term.  A value 1 raises ZeroDivisionError.
         """
         weights = {a: bethe_weight(u) for a, u in values.items()}
-        return [self.vector({a: g * self.alpha_of_h(a, h)
-                             for a, g in weights.items()}, h) for h in hs]
+        return [self.vector({a: g * ah for a, g in weights.items()
+                             if (ah := self.alpha_of_h(a, h)) != 0}, h)
+                for h in hs]
 
     def bethe(self, point: Sequence[FieldElement], h_coords: Sequence
               ) -> list[FieldElement]:
-        values = stratum_values(self.rs, self.field, range(self.rs.rank), point)
+        values = stratum_values(self.rs, range(self.rs.rank), point)
         return self.bethe_family(values, [h_coords])[0]
 
     def gaudin(self, chi: Sequence, h_coords: Sequence) -> list[FieldElement]:
@@ -129,7 +133,7 @@ class HolonomySpace:
     def bethe_subspace(self, point: Sequence[FieldElement]
                        ) -> list[list[FieldElement]]:
         return self.bethe_family(
-            stratum_values(self.rs, self.field, range(self.rs.rank), point),
+            stratum_values(self.rs, range(self.rs.rank), point),
             self.rs.identity)
 
     def gaudin_subspace(self, chi: Sequence) -> list[list[FieldElement]]:
@@ -351,8 +355,8 @@ class XPoint:
         self.space = HolonomySpace(self.rs, self.field)
         self.sub_pos = self.rs.roots_with_support_in(self.subset)
         if self.root_values is None:
-            self.root_values = stratum_values(self.rs, self.field,
-                                              self.subset, self.point)
+            self.root_values = stratum_values(self.rs, self.subset,
+                                              self.point)
         self.centralized = [a for a in self.sub_pos
                             if self.root_values[a].is_one()]
         base = self.rs.base_of(self.centralized)
@@ -401,12 +405,20 @@ class XPoint:
         }
 
 
-def stratum_values(rs: RootSystem, field: CyclotomicField,
-                   subset: Sequence[int], point: Sequence[FieldElement]
+def stratum_values(rs: RootSystem, subset: Sequence[int],
+                   point: Sequence[FieldElement]
                    ) -> dict[Coords, FieldElement]:
-    """e^alpha at a point of the stratum torus, per root supported on subset."""
-    return {a: char_value(field, point, [a[i] for i in subset])
-            for a in rs.roots_with_support_in(subset)}
+    """e^alpha at a point of the stratum torus, per root supported on subset.
+
+    point[k] is e^{alpha_i} for i = subset[k].  Along the height chain
+    a = b + alpha_i, e^a = e^b * e^{alpha_i}: one product per root of
+    height two or more.
+    """
+    coord = dict(zip(subset, point))
+    values: dict[Coords, FieldElement] = {}
+    for a, b, i in root_chain(rs.roots_with_support_in(subset), rs.rank):
+        values[a] = values[b] * coord[i] if b in values else coord[i]
+    return values
 
 
 def integer_kernel(rows: Sequence[Sequence[int]]) -> list[Coords]:
@@ -432,14 +444,19 @@ def _entries(data: dict, key: str, kind: type) -> list:
     return _list_of(kind, data.get(key, []), repr(key))
 
 
+# a chart coordinate as str(Fraction) writes it: p or p/q, optional sign
+_RATIONAL = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
+
+
 def xpoint_from_dict(data: dict) -> XPoint:
     """The point a JSON description names; ValueError on malformed input.
 
     type is a label string, field_order, w and I are integers, S is a
-    list of integer lists, and every y and t entry is an exact string
-    (y in the str() form of the field, t a rational); y entries are
-    nonzero, since a torus point has nonzero coordinates.  I entries are
-    distinct and y[k] is the coordinate of I[k], in the order given.
+    list of integer lists, and every y and t entry is an exact string: y
+    in the str() form of the field, t as str(Fraction) writes it, p or
+    p/q in decimal digits with an optional sign.  y entries are nonzero,
+    since a torus point has nonzero coordinates.  I entries are distinct
+    and y[k] is the coordinate of I[k], in the order given.
     """
     from .roots import root_system
     if not isinstance(data, dict):
@@ -469,7 +486,7 @@ def xpoint_from_dict(data: dict) -> XPoint:
     if any(v.is_zero() for v in y):
         raise ValueError("a torus coordinate y is zero")
     # centralizer and its base determine the chart vertex set
-    values = stratum_values(rs, field, subset, y)
+    values = stratum_values(rs, subset, y)
     centralized = [a for a, u in values.items() if u.is_one()]
     base = rs.base_of(centralized)
     sets = [frozenset(v - 1 for v in _list_of(int, s, "each 'S' member"))
@@ -478,8 +495,12 @@ def xpoint_from_dict(data: dict) -> XPoint:
         if any(v < 0 or v >= len(base) for v in s):
             raise ValueError("chart member vertex out of range")
     chart = Chart(base, centralized, sets)
+    texts = _entries(data, "t", str)
+    if not all(_RATIONAL.fullmatch(t) for t in texts):
+        raise ValueError("each chart coordinate t reads p or p/q, with an "
+                         "optional sign and decimal digits only")
     try:
-        tvals = tuple(Fraction(t) for t in _entries(data, "t", str))
+        tvals = tuple(Fraction(t) for t in texts)
     except ZeroDivisionError:
         raise ValueError("a chart coordinate t has a zero denominator") from None
     return XPoint(rs, field, word, subset, y, chart, tvals, values)
@@ -511,7 +532,7 @@ def recover_data(space: HolonomySpace, vectors: Sequence[Sequence[FieldElement]]
     """
     n = space.rs.rank
     perm = list(range(space.npos, space.npos + n)) + list(range(space.npos))
-    rows = [[space.field.coerce(v[j]) for j in perm] for v in vectors]
+    rows = [[v[j] for j in perm] for v in vectors]
     red, pivots = rref(rows)
     t_rows = [r for r, p in zip(red, pivots) if p >= n]
     tau_rows = [r for r, p in zip(red, pivots) if p < n]

@@ -20,12 +20,14 @@ import sys
 import time
 from collections import Counter
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 from . import spin, typea
 from .bethe import (PointStream, injectivity_pool, recover_data,
                     sample_xpoints, weyl_action_report, xpoint_from_dict)
 from .field import DEFAULT_FIELD_ORDER, CyclotomicField, default_field_order
 from .hecke import HeckeAlgebra, exact_commutator_check
+from .lattice import hermite_normal_form
 from .layers import (RootAmbient, building_set, enumerate_layers,
                      gamma_divisors, is_indecomposable, layer_to_dict,
                      poset_relations, restrict, subset_layers)
@@ -50,7 +52,10 @@ def _emit(args, payload) -> None:
     if isinstance(payload, str):
         text = payload
     else:
-        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        out: list[str] = []
+        _write_json(payload, "\n", out)
+        out.append("\n")
+        text = "".join(out)
     if args.out:
         try:
             with open(args.out, "w", encoding="utf-8") as fh:
@@ -62,10 +67,41 @@ def _emit(args, payload) -> None:
         sys.stdout.write(text)
 
 
+def _write_json(obj, newline: str, out: list[str]) -> None:
+    """Append json.dumps(obj, indent=2, sort_keys=True) to out, newline
+    being a line break plus the current indent; dict keys are strings,
+    lists and tuples both arrays.  json.dumps, pure Python on 3.11 when
+    it indents, is left only scalars other than strings and ints."""
+    if isinstance(obj, str):
+        out.append(encode_basestring_ascii(obj))
+    elif isinstance(obj, (dict, list, tuple)):
+        keyed = isinstance(obj, dict)
+        inner = newline + "  "
+        sep = ("{" if keyed else "[") + inner
+        for item in sorted(obj) if keyed else obj:
+            if keyed:
+                out.append(sep + encode_basestring_ascii(item) + ": ")
+                item = obj[item]
+            else:
+                out.append(sep)
+            _write_json(item, inner, out)
+            sep = "," + inner
+        out.append(newline + ("}" if keyed else "]") if obj
+                   else "{}" if keyed else "[]")
+    elif obj.__class__ is int:
+        out.append(int.__repr__(obj))
+    else:
+        out.append(json.dumps(obj))   # bool, None, float, or json's TypeError
+
+
 def _layer_facts(amb: RootAmbient, layer) -> dict:
     """The entries of a layer that dropping coordinates outside its
-    lattice's support leaves unchanged."""
-    return {"gamma": gamma_divisors(layer.roots_pos, amb.dim),
+    lattice's support leaves unchanged.  The layer's basis spans a
+    saturated lattice, so when the roots span it too gamma is empty and
+    the Smith form is not needed."""
+    roots = layer.roots_pos
+    return {"gamma": [] if hermite_normal_form(roots) == layer.basis
+            else gamma_divisors(roots, amb.dim),
             "indecomposable": is_indecomposable(amb, layer)}
 
 
@@ -192,6 +228,7 @@ def _nested_dot(families) -> str:
 
 
 def _cmd_subspace(args) -> int:
+    start = time.perf_counter()
     try:
         if args.specfile == "-":
             data = json.load(sys.stdin)
@@ -202,8 +239,13 @@ def _cmd_subspace(args) -> int:
     except (OSError, ValueError, KeyError, RecursionError) as exc:
         print(f"bad point description: {exc}", file=sys.stderr)
         return 2
+    parsed = time.perf_counter()
     vectors = x.subspace()
+    built = time.perf_counter()
     rows, _ = rref(vectors)
+    reduced = time.perf_counter()
+    rec = None if x.word else recover_data(x.space, vectors)
+    recovered = time.perf_counter()
     labels = x.space.labels()
     basis = [{labels[k]: str(c) for k, c in enumerate(row) if not c == 0}
              for row in rows]
@@ -213,8 +255,7 @@ def _cmd_subspace(args) -> int:
         "dimension": len(rows),
         "basis": basis,
     }
-    if not x.word:
-        rec = recover_data(x.space, vectors)
+    if rec is not None:
         payload["recovered"] = {
             "centralized": [list(a) for a in rec.centralized_pos],
             "units": [{"root": list(a), "value": str(v)}
@@ -222,6 +263,13 @@ def _cmd_subspace(args) -> int:
             "vanishing": [list(a) for a in rec.vanishing],
         }
     _emit(args, payload)
+    if args.stats:
+        marks = [start, parsed, built, reduced, recovered, time.perf_counter()]
+        seconds = {stage: round(b - a, 6) for stage, a, b in zip(
+            ("parse", "build", "reduce", "recover", "emit"), marks, marks[1:])}
+        print(json.dumps({"seconds": seconds, "generators": len(vectors),
+                          "basis_entries": sum(map(len, basis))},
+                         sort_keys=True), file=sys.stderr)
     return 0
 
 
@@ -450,6 +498,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_sub.add_argument("specfile", help="JSON file ('-' for stdin); the "
                        "type and field order come from the description")
     out(p_sub)
+    p_sub.add_argument("--stats", action="store_true",
+                       help="write the wall seconds of parse, build, reduce, "
+                            "recover and emit, the generators built and the "
+                            "nonzero basis entries as one JSON line to stderr")
 
     p_check = sub.add_parser("check", help="exact structural verifications")
     p_check.add_argument("what", choices=[*_CHECKS, "all"], type=str.lower)

@@ -7,14 +7,16 @@ canonical: the denominator is coprime to the numerators and zero has
 denominator 1, so equality is a tuple comparison.
 
 Each field stores, once, the integer coordinates of zeta^j reduced
-modulo the cyclotomic polynomial for every j < N.  A product is an
-integer convolution whose high powers are folded back through that
-table (exponents taken mod N); a Galois conjugate sigma_k
-(zeta -> zeta^k) is the same table read at the exponents i*k mod N, so
-the inverse x^{-1} = prod_{k != 1} sigma_k(x) / N(x) needs integer
-products and one rational division.  int and Fraction operands are used
-as they are, never lifted to field elements.  All operations are exact;
-there are no floats here.
+modulo the cyclotomic polynomial for every j < N, and from them a
+bilinear product table: for each coordinate k, the (i, j, c) with
+zeta^i * zeta^j contributing c * zeta^k.  A product is one pass over
+that table or, when an operand is rational, a scaling of the other's
+numerators.  A Galois conjugate sigma_k (zeta -> zeta^k) is the power
+table read at the exponents i*k mod N, so the inverse
+x^{-1} = prod_{k != 1} sigma_k(x) / N(x) needs integer products and one
+rational division.  int and Fraction operands are used as they are,
+never lifted to field elements.  All operations are exact; there are
+no floats here.
 """
 
 from __future__ import annotations
@@ -110,8 +112,16 @@ class CyclotomicField:
             if top:
                 vec = [v - top * m for v, m in zip(vec, self.modulus)]
         self._powers = powers
+        # table[k]: the (i, j, c) with zeta^i * zeta^j contributing c * zeta^k
+        table: list[list[tuple[int, int, int]]] = [[] for _ in range(phi)]
+        for i in range(phi):
+            for j in range(phi):
+                for k, c in powers[(i + j) % order]:
+                    table[k].append((i, j, c))
+        self._table = table
         self._conjugates = [k for k in range(2, order) if gcd(k, order) == 1]
         self._one = (1,) + (0,) * (phi - 1)
+        self._zero = FieldElement(self, (0,) * phi, 1)
         self.order = order
 
     def __repr__(self) -> str:
@@ -136,18 +146,18 @@ class CyclotomicField:
         return out
 
     def _mul_nums(self, a, b) -> list[int]:
-        # integer convolution, then high powers folded back by the table
-        phi = self.degree
-        prod = [0] * (2 * phi - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    if y:
-                        prod[i + j] += x * y
-        return self._fold(enumerate(prod))
+        """Integer coordinates of the product of numerator tuples a and b."""
+        out = []
+        for terms in self._table:
+            s = 0
+            for i, j, c in terms:
+                s += c * a[i] * b[j]
+            out.append(s)
+        return out
 
     def zero(self) -> FieldElement:
-        return FieldElement(self, (0,) * self.degree, 1)
+        """The field's zero; elements are immutable, so it is shared."""
+        return self._zero
 
     def one(self) -> FieldElement:
         return FieldElement(self, self._one, 1)
@@ -287,9 +297,15 @@ class FieldElement:
     def __mul__(self, other):
         if isinstance(other, FieldElement):
             self._check(other)
-            return _canonical(self.field,
-                              self.field._mul_nums(self.nums, other.nums),
-                              self.den * other.den)
+            a, b = self.nums, other.nums
+            # a rational operand scales the other's numerators
+            if not any(b[1:]):
+                nums = [x * b[0] for x in a]
+            elif not any(a[1:]):
+                nums = [a[0] * y for y in b]
+            else:
+                nums = self.field._mul_nums(a, b)
+            return _canonical(self.field, nums, self.den * other.den)
         if isinstance(other, (int, Fraction)):
             p, q = other.numerator, other.denominator
             return _canonical(self.field, [x * p for x in self.nums],
@@ -312,7 +328,7 @@ class FieldElement:
             conj = field._fold((i * k, x) for i, x in enumerate(nums))
             prod = conj if prod is None else field._mul_nums(prod, conj)
         # nums * prod is the norm of nums: an integer in coordinate 0
-        norm = field._mul_nums(nums, prod)[0]
+        norm = sum(c * nums[i] * prod[j] for i, j, c in field._table[0])
         return _canonical(field, [x * self.den for x in prod], norm)
 
     def __truediv__(self, other):
@@ -324,7 +340,7 @@ class FieldElement:
 
     def __rtruediv__(self, other):
         if isinstance(other, (int, Fraction)):
-            return self.inverse() * other
+            return self.inverse() if other == 1 else self.inverse() * other
         return NotImplemented
 
     def __pow__(self, exp: int):
@@ -341,6 +357,9 @@ class FieldElement:
         return out
 
     def __eq__(self, other):
+        if other.__class__ is int:
+            nums = self.nums
+            return self.den == 1 and nums[0] == other and not any(nums[1:])
         if isinstance(other, FieldElement):
             self._check(other)
             return self.den == other.den and self.nums == other.nums

@@ -133,8 +133,8 @@ class Layer:
                 tuple(self.field.zeta(e).nums for e in self.char_exps))
 
 
-def _root_chain(pos: Sequence[Coords], n: int
-                ) -> list[tuple[Coords, Coords, int]]:
+def root_chain(pos: Sequence[Coords], n: int
+               ) -> list[tuple[Coords, Coords, int]]:
     """(a, b, i) for every positive root a, by height: a = b + e_i with b
     zero or a positive root listed earlier."""
     chain, seen = [], {(0,) * n}
@@ -157,7 +157,7 @@ def enumerate_layers(amb: RootAmbient, stats: Counter | None = None
     order = field.order
     n = amb.dim
     pos = list(amb.positive_roots)
-    chain = _root_chain(pos, n)
+    chain = root_chain(pos, n)
     found: dict[tuple, Layer] = {}
 
     def visit(lattice: tuple[Coords, ...]) -> list[Coords]:
@@ -311,14 +311,6 @@ def poset_relations(layers: Sequence[Layer], stats: Counter | None = None
     return out
 
 
-def covering_relations(layers: Sequence[Layer]) -> list[tuple[int, int]]:
-    """The covers among poset_relations, in its order.  The layer poset is
-    ranked by codimension (Moci, Trans. AMS 2012), so (i, j) is a cover
-    exactly when the codimensions differ by one."""
-    return [(i, j) for i, j in poset_relations(layers)
-            if layers[i].codim - layers[j].codim == 1]
-
-
 # ----------------------------------------------------------------------
 # points on layers
 
@@ -404,15 +396,6 @@ def restrict(layer: Layer, subset: Sequence[int]) -> Layer:
         return tuple(v[j] for j in subset)
     return Layer(len(subset), tuple(map(drop, layer.basis)), layer.char_exps,
                  layer.field, tuple(map(drop, layer.roots_pos)))
-
-
-def boundary_strata(rs: RootSystem, field: CyclotomicField
-                    ) -> list[tuple[tuple[int, ...], Layer]]:
-    """(subset, layer) for every layer of every sub-arrangement, ordered by
-    subset size, subset and layer, from one walk of the full arrangement."""
-    layers = enumerate_layers(RootAmbient.from_root_system(rs, field))
-    return [(s, restrict(layers[k], s))
-            for s, ks in subset_layers(layers).items() for k in ks]
 
 
 def layer_to_dict(layer: Layer) -> dict:

@@ -31,8 +31,9 @@ def rref(rows: Sequence[Sequence[S]]) -> tuple[Matrix, list[int]]:
 
     Zero rows are dropped, so the result is a canonical basis of the row
     space (two spans are equal iff their rrefs are identical).  The pivot
-    row is zero left of its pivot, so it is scaled, and eliminated with,
-    only over its nonzero columns; rows are updated in place.
+    row is zero left of its pivot, so it is scaled (unless its pivot is
+    already 1), and eliminated with, only over its nonzero columns; rows
+    are updated in place.
     """
     mat = _copy(rows)
     if not mat:
@@ -46,10 +47,11 @@ def rref(rows: Sequence[Sequence[S]]) -> tuple[Matrix, list[int]]:
             continue
         mat[r], mat[pr] = mat[pr], mat[r]
         prow = mat[r]
-        inv = _inverse(prow[c])
         support = [j for j in range(c, ncols) if not prow[j] == 0]
-        for j in support:
-            prow[j] = prow[j] * inv
+        if not prow[c] == 1:
+            inv = _inverse(prow[c])
+            for j in support:
+                prow[j] = prow[j] * inv
         for i, row in enumerate(mat):
             if i != r and not row[c] == 0:
                 f = row[c]
@@ -70,23 +72,6 @@ def row_space_equal(a: Sequence[Sequence[S]], b: Sequence[Sequence[S]]) -> bool:
     ra, _ = rref(a)
     rb, _ = rref(b)
     return ra == rb
-
-
-def express_in_rows(vec: Sequence[S], rows: Sequence[Sequence[S]]):
-    """Coefficients c with sum(c_i * rows[i]) == vec, or None if outside."""
-    if not rows:
-        return None if any(not x == 0 for x in vec) else []
-    # Solve rows^T c = vec by eliminating on the augmented transpose.
-    m, n = len(rows), len(rows[0])
-    aug = [[rows[i][j] for i in range(m)] + [vec[j]] for j in range(n)]
-    red, pivots = rref(aug)
-    coeffs = [None] * m
-    for row, p in zip(red, pivots):
-        if p == m:
-            return None  # vec is outside the row space
-        coeffs[p] = row[m]
-    zero = vec[0] - vec[0] if n else Fraction(0)
-    return [zero if c is None else c for c in coeffs]
 
 
 def nullspace(rows: Sequence[Sequence[S]]) -> Matrix:

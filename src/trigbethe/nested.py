@@ -11,7 +11,10 @@ A chart is such a family with one coordinate per member.  The base root
 attached to a member evaluates on the chart point as the product of the
 coordinates of all members above it; ratios of such evaluations stay
 polynomial at the boundary where coordinates vanish, which is the whole
-point of the construction.
+point of the construction.  A chart fixes, when it is built, all that
+its evaluations read apart from the coordinates: each root's integer
+coordinates in the base (along its height chain), its minimal member
+and the member chains.
 """
 
 from __future__ import annotations
@@ -19,7 +22,6 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .linalg import express_in_rows
 from .roots import Coords
 
 VertexSet = frozenset[int]
@@ -28,25 +30,6 @@ VertexSet = frozenset[int]
 def _canonical_set_order(sets: Iterable[VertexSet]) -> tuple[VertexSet, ...]:
     # by (size, sorted members): a linear extension of inclusion
     return tuple(sorted(sets, key=lambda s: (len(s), tuple(sorted(s)))))
-
-
-def connected_vertex_subsets(nvert: int, edges: Sequence[tuple[int, int]]
-                             ) -> list[VertexSet]:
-    adj = adjacency(nvert, edges)
-    out: set[VertexSet] = set()
-    frontier = {frozenset([v]) for v in range(nvert)}
-    while frontier:
-        out |= frontier
-        nxt = set()
-        for s in frontier:
-            for v in s:
-                for u in adj[v]:
-                    if u not in s:
-                        t = s | {u}
-                        if t not in out:
-                            nxt.add(t)
-        frontier = nxt
-    return sorted(out, key=lambda s: (len(s), tuple(sorted(s))))
 
 
 def adjacency(nvert: int, edges: Sequence[tuple[int, int]]
@@ -111,29 +94,6 @@ def maximal_nested_sets(nvert: int, edges: Sequence[tuple[int, int]]
     return canon
 
 
-def is_nested(nvert: int, edges: Sequence[tuple[int, int]],
-              family: Iterable[VertexSet]) -> bool:
-    """Brute-force nestedness predicate, used as an independent check."""
-    adj = adjacency(nvert, edges)
-    fam = [frozenset(s) for s in family]
-    for s in fam:
-        if not s or components(s, adj) != [s]:
-            return False
-    for i, a in enumerate(fam):
-        for b in fam[i + 1:]:
-            if not (a <= b or b <= a or not (a & b)):
-                return False
-    # no antichain of >=2 disjoint members with connected union
-    from itertools import combinations
-    for k in range(2, len(fam) + 1):
-        for combo in combinations(fam, k):
-            if all(not (a & b) for a, b in combinations(combo, 2)):
-                union = frozenset().union(*combo)
-                if components(union, adj) == [union]:
-                    return False
-    return True
-
-
 class Chart:
     """One maximal nested family on a base, with evaluation machinery.
 
@@ -146,7 +106,7 @@ class Chart:
     def __init__(self, base: Sequence[Coords], pos_roots: Sequence[Coords],
                  sets: Iterable[VertexSet]):
         self.base = tuple(base)
-        self.pos_roots = tuple(pos_roots)
+        self.pos_roots = tuple(tuple(r) for r in pos_roots)
         self.sets = _canonical_set_order(frozenset(s) for s in sets)
         if len(self.sets) != len(self.base):
             raise ValueError("family size must match base size")
@@ -161,42 +121,38 @@ class Chart:
                 raise ValueError(f"member {sorted(p)} misses {missing}; "
                                  "family is not maximal nested")
             self.adapted.append(missing[0])
-        self.base_coords: dict[Coords, tuple[int, ...]] = {}
-        rows = [list(map(Fraction, b)) for b in self.base]
-        for r in self.pos_roots:
-            sol = express_in_rows(list(map(Fraction, r)), rows)
-            if sol is None or any(c.denominator != 1 for c in sol):
+        # (v, k) -> the members Q with (member of vertex v) <= Q < sets[k]
+        self._chains = {(v, k): [q for q, big in enumerate(self.sets)
+                                 if self.sets[lo] <= big < top]
+                        for lo, v in enumerate(self.adapted)
+                        for k, top in enumerate(self.sets)}
+        # by height, a root outside the base is a lower one plus a base root
+        m = len(self.base)
+        known = {b: tuple(int(i == j) for i in range(m))
+                 for j, b in enumerate(self.base)}
+        for r in sorted(self.pos_roots, key=sum):
+            if r in known:
+                continue
+            for j, b in enumerate(self.base):
+                prev = known.get(tuple(x - y for x, y in zip(r, b)))
+                if prev is not None:
+                    known[r] = prev[:j] + (prev[j] + 1,) + prev[j + 1:]
+                    break
+            else:
                 raise ValueError(f"{r} is not an integer combination of the base")
-            self.base_coords[tuple(r)] = tuple(int(c) for c in sol)
-        for r in self.pos_roots:
-            self.a_index(r)  # every support must sit inside some member
-
-    # ------------------------------------------------------------------
-
-    def support_set(self, root: Coords) -> VertexSet:
-        return frozenset(j for j, c in enumerate(self.base_coords[tuple(root)])
-                         if c)
-
-    def a_index(self, root: Coords) -> int:
-        """Index (into sets) of the minimal member containing the support."""
-        supp = self.support_set(root)
-        best = None
-        for k, p in enumerate(self.sets):
-            if supp <= p and (best is None or p < self.sets[best]):
-                best = k
-        if best is None:
-            raise ValueError(f"no member contains the support of {root}")
-        return best
-
-    def member_index_of_vertex(self, v: int) -> int:
-        """Index of the member whose adapted (missing) vertex is v."""
-        return self.adapted.index(v)
-
-    def chain_between(self, lo: int, hi: int) -> list[int]:
-        """Members Q with sets[lo] <= Q < sets[hi] (a chain in the family)."""
-        lo_set, hi_set = self.sets[lo], self.sets[hi]
-        return [k for k, q in enumerate(self.sets)
-                if lo_set <= q and q < hi_set]
+        self.base_coords = {r: known[r] for r in self.pos_roots}
+        # A(root) is the first member, in canonical order, holding its
+        # support; each nonzero coordinate c at v reads the chain (v, A)
+        self._a_index: dict[Coords, int] = {}
+        self._terms: dict[Coords, list[tuple[int, list[int]]]] = {}
+        for r, coords in self.base_coords.items():
+            supp = {v for v, c in enumerate(coords) if c}
+            ai = next((k for k, p in enumerate(self.sets) if supp <= p), None)
+            if ai is None:
+                raise ValueError(f"no member contains the support of {r}")
+            self._a_index[r] = ai
+            self._terms[r] = [(c, self._chains[v, ai])
+                              for v, c in enumerate(coords) if c]
 
     # ------------------------------------------------------------------
     # evaluation at a coordinate tuple (aligned with self.sets)
@@ -207,15 +163,10 @@ class Chart:
         The root evaluates to r * prod(t_Q : Q >= A(root)); genericity of
         the chart point means every residual factor is nonzero.
         """
-        coords = self.base_coords[tuple(root)]
-        ai = self.a_index(root)
         total = None
-        for j, c in enumerate(coords):
-            if not c:
-                continue
-            k = self.member_index_of_vertex(j)
+        for c, chain in self._terms[tuple(root)]:
             term = Fraction(c)
-            for q in self.chain_between(k, ai):
+            for q in chain:
                 term = term * tvals[q]
             total = term if total is None else total + term
         return total
@@ -229,15 +180,11 @@ class Chart:
         Defined whenever vertex v lies in the support of the root; stays
         finite as boundary coordinates vanish.
         """
-        k = self.member_index_of_vertex(v)
-        ai = self.a_index(root)
-        if not self.sets[k] <= self.sets[ai]:
+        ai = self._a_index[tuple(root)]
+        if not self.sets[self.adapted.index(v)] <= self.sets[ai]:
             raise ValueError("ratio undefined: members are not comparable")
-        beta = self.base[v]
-        num = self.r_value(beta, tvals)
-        den = self.r_value(root, tvals)
-        out = num / den
-        for q in self.chain_between(k, ai):
+        out = self.r_value(self.base[v], tvals) / self.r_value(root, tvals)
+        for q in self._chains[v, ai]:
             out = out * tvals[q]
         return out
 
@@ -247,12 +194,8 @@ class Chart:
         weight = ratio(v, root) * (coefficient of the v-th base root in
         root); roots not involving v drop out.
         """
-        out: dict[Coords, object] = {}
-        for r in self.pos_roots:
-            c = self.base_coords[tuple(r)][v]
-            if c:
-                out[tuple(r)] = self.ratio(v, r, tvals) * c
-        return out
+        return {r: self.ratio(v, r, tvals) * coords[v]
+                for r, coords in self.base_coords.items() if coords[v]}
 
     def chain_matrix(self) -> list[list[int]]:
         """0/1 incidence of (adapted base root i, member j): sets[j] >= A(beta_i).

@@ -33,7 +33,7 @@ class PairSpace:
         self.dim = len(self.pairs)
 
     def zero(self) -> list[FieldElement]:
-        return [self.field.zero() for _ in range(self.dim)]
+        return [self.field.zero()] * self.dim
 
     def add_pair(self, vec, i: int, j: int, coeff) -> None:
         p = (i, j) if i < j else (j, i)
@@ -55,7 +55,7 @@ class TrigSource:
         self.dim = len(self.pairs) + n
 
     def zero(self) -> list[FieldElement]:
-        return [self.field.zero() for _ in range(self.dim)]
+        return [self.field.zero()] * self.dim
 
     def bethe(self, z: Sequence[FieldElement], k: int) -> list[FieldElement]:
         """tau_k plus Bethe-weighted pairs at the torus point (z_1..z_n).

@@ -20,8 +20,7 @@ from trigbethe.lattice import int_rank, smith_normal_form
 from trigbethe.layers import (RootAmbient, enumerate_layers, gamma_divisors,
                               generic_point, is_indecomposable)
 from trigbethe.linalg import det, mat_mul, rank, row_space_equal, rref
-from trigbethe.nested import Chart, connected_vertex_subsets, is_nested, \
-    maximal_nested_sets
+from trigbethe.nested import Chart, maximal_nested_sets
 from trigbethe.poly import RatFunc, epsilon_limit_span
 from trigbethe.roots import root_system
 from trigbethe import spin, typea
@@ -286,7 +285,7 @@ def test_criterion_08_chart_families_extend_gaudin():
                     # the base root adapted at v is the product of t_Q
                     # over the members Q containing v's member
                     chi = [prod(t for q, t in zip(chart.sets, tvals)
-                                if chart.sets[chart.member_index_of_vertex(v)]
+                                if chart.sets[chart.adapted.index(v)]
                                 <= q)
                            for v in range(rs.rank)]
                     for v in range(rs.rank):
@@ -347,7 +346,8 @@ def test_criterion_09_degeneration_limits():
            "identity fiber; order-2 torsion point; boundary stratum")
 
 
-def test_criterion_10_infrastructure_oracles():
+def test_criterion_10_infrastructure_oracles(is_nested,
+                                             connected_vertex_subsets):
     rng = random.Random(20260814)
     ok = True
     for _ in range(500):

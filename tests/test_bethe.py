@@ -8,8 +8,8 @@ import pytest
 
 from trigbethe.bethe import (HolonomySpace, PointStream, XPoint, bethe_weight,
                              chart_only, injectivity_pool, recover_data,
-                             sample_xpoints, weyl_action_report,
-                             xpoint_from_dict)
+                             sample_xpoints, stratum_values,
+                             weyl_action_report, xpoint_from_dict)
 from trigbethe.field import CyclotomicField, char_value
 from trigbethe.linalg import mat_inverse, rank, row_space_equal, rref
 from trigbethe.nested import Chart, maximal_nested_sets
@@ -576,3 +576,34 @@ def test_readme_library_example_runs():
     rs = names["rs"]
     assert len(names["family"]) == len(names["rational"]) == rs.rank
     assert rank(names["family"]) == rank(names["rational"]) == rs.rank
+
+
+# every type up to rank 4 (C2 is B2 with the other labelling)
+RANK_FOUR_TYPES = ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C2", "C3", "C4",
+                   "D4", "G2", "F4"]
+
+
+@pytest.mark.parametrize("label", RANK_FOUR_TYPES)
+def test_stratum_values_match_char_value(label):
+    # one product per root along the height chain against one character
+    # evaluation per root, on every subset of the simple roots, at points
+    # mixing roots of unity, rationals and dense field elements
+    import random
+    rs = root_system(label)
+    field = CyclotomicField(12)
+    rng = random.Random(f"stratum-values-{label}")
+    n = rs.rank
+    for mask in range(1 << n):
+        subset = tuple(i for i in range(n) if mask >> i & 1)
+        point = tuple(rng.choice([
+            field.zeta(rng.randrange(12)),
+            field.from_rational(Fraction(rng.randint(1, 9),
+                                         rng.randint(1, 9))),
+            field.element([rng.randint(-3, 3) or 1 for _ in range(4)])])
+            for _ in subset)
+        values = stratum_values(rs, subset, point)
+        roots = rs.roots_with_support_in(subset)
+        assert list(values) == roots
+        for a in roots:
+            coords = [a[i] for i in subset]
+            assert values[a] == char_value(field, point, coords)

@@ -272,9 +272,9 @@ def test_check_stats_leaves_stdout_and_exit_code_alone(capsys):
         seconds = json.loads(line)["check_seconds"]
         assert list(seconds) == [c["name"] for c in json.loads(out)["checks"]]
         assert all(isinstance(v, float) and v >= 0 for v in seconds.values())
-    # declared on check and enumerate only
+    # declared on each verb, not on the program
     with pytest.raises(SystemExit) as exc:
-        main(["subspace", "-", "--stats"])
+        main(["--stats", "check", "all"])
     assert exc.value.code == 2
 
 
@@ -405,6 +405,7 @@ def test_subspace_rejects_malformed_points(capsys, monkeypatch):
         {**VALID_POINTS[3], "t": [0.1]},
         {**VALID_POINTS[3], "t": [1]},
         {**VALID_POINTS[3], "t": ["1/0"]},
+        {**VALID_POINTS[3], "t": ["1" + "0" * 5000]},  # beyond int parsing
         {**base, "I": ["1", "2"]},
         {**base, "field_order": "6"},
         {**base, "field_order": 20000},         # beyond the bounded order
@@ -415,6 +416,86 @@ def test_subspace_rejects_malformed_points(capsys, monkeypatch):
                                               "[" * 100000]
     for text in texts:
         assert_rejected(*run_stdin(capsys, monkeypatch, text), text)
+
+
+def test_subspace_t_grammar_is_what_str_fraction_writes(capsys, monkeypatch):
+    # accepted: [+-]p and [+-]p/q in decimal digits; every other form is
+    # refused by the grammar itself, before any number is built
+    point = {"type": "A2", "I": [1, 2], "y": ["1", "1"], "S": [[1], [1, 2]]}
+    for t in ["3", "+3", "-3", "6/4", "-6/4", "007"]:
+        code, out, err = run_stdin(capsys, monkeypatch,
+                                   json.dumps({**point, "t": [t, "1"]}))
+        assert code == 0 and err == "", (t, err)
+    for t in ["1e10000000", "1e5000", "1.5", "1_0", " 1", "1 ", "1 / 2",
+              "+-1", "1/-2", "0x1", "inf", "1/2/3", "", "\u0663"]:
+        text = json.dumps({**point, "t": [t, "1"]})
+        code, out, err = run_stdin(capsys, monkeypatch, text)
+        assert_rejected(code, out, err, text)
+        assert "chart coordinate t" in err, (t, err)
+
+
+def test_subspace_stats_leave_stdout_and_exit_code_alone(capsys, monkeypatch):
+    # generators: the tau-carrying Bethe vectors plus the chart family
+    # (always the rank); basis_entries: the nonzero entries of the
+    # reduced basis that stdout prints
+    for point, generators, entries in [(VALID_POINTS[0], 2, 6),
+                                       (VALID_POINTS[4], 2, 8),
+                                       (VALID_POINTS[3], 2, 2)]:
+        text = json.dumps(point)
+        code, out, err = run_stdin(capsys, monkeypatch, text)
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        code_s, out_s, err_s = run(capsys, "subspace", "-", "--stats")
+        assert code == 0 and (code_s, out_s) == (code, out) and err == ""
+        [line] = err_s.splitlines()
+        stats = json.loads(line)
+        assert (stats["generators"], stats["basis_entries"]) == \
+            (generators, entries), point
+        assert entries == sum(len(row) for row in json.loads(out)["basis"])
+        assert list(stats["seconds"]) == ["build", "emit", "parse",
+                                          "recover", "reduce"]
+        assert all(isinstance(v, float) and v >= 0
+                   for v in stats["seconds"].values())
+    # a rejected point prints its one error line and no stats
+    monkeypatch.setattr("sys.stdin", io.StringIO("[]"))
+    assert_rejected(*run(capsys, "subspace", "-", "--stats"), "[]")
+
+
+def test_json_writer_matches_json_dumps():
+    from trigbethe.cli import _write_json
+    cases = [
+        {}, [], (), {"a": {}}, {"a": []}, [[], {}, ()], [[[]]], {"e": [{}]},
+        (1, (2, 3), [4, (5,)]), {"t": ("x", ("y",))},
+        True, False, None, [True, False, None], {"b": True, "n": None},
+        0, -1, -(10 ** 40), 10 ** 40, [0, -7, 2 ** 64],
+        "", "plain", "caf\u00e9", "\u03b6_12", "\U0001d54f", "quote\"back\\",
+        "tab\tnew\nline\x00", {"\u00e9": "\u00e9", "a": "z^2"},
+        {"b": 1, "a": 2, "B": 3, "_": [1, {"z": [], "y": {}}]},
+        [1.5, -0.0, 1e300], {"k": 2.0},
+    ]
+    for obj in cases:
+        out: list[str] = []
+        _write_json(obj, "\n", out)
+        assert "".join(out) == json.dumps(obj, indent=2, sort_keys=True), obj
+
+
+@pytest.mark.parametrize("label", ["B4", "C4", "D4", "A4", "F4", "G2", "B5"])
+def test_layer_gamma_certificate_matches_smith_form(label):
+    # gamma is skipped as empty when the roots' Hermite form is the
+    # layer's (saturated) basis; the Smith form decides every layer here
+    from trigbethe.cli import _layer_facts
+    from trigbethe.field import CyclotomicField, default_field_order
+    from trigbethe.layers import RootAmbient, enumerate_layers, gamma_divisors
+    from trigbethe.roots import root_system
+    rs = root_system(label)
+    amb = RootAmbient.from_root_system(
+        rs, CyclotomicField(default_field_order(rs.family)))
+    torsion = 0
+    for layer in enumerate_layers(amb):
+        gamma = gamma_divisors(layer.roots_pos, amb.dim)
+        assert _layer_facts(amb, layer)["gamma"] == gamma, layer
+        torsion += bool(gamma)
+    # non-empty gamma occurs, so the Smith branch is exercised
+    assert torsion > 0 or label in ("A4", "G2")
 
 
 def test_subspace_pairs_y_with_i_in_the_order_given(capsys, monkeypatch):
@@ -466,7 +547,8 @@ def _mutate(rng, point):
         else:
             point["I"], point["y"] = [1], [junk]
     elif kind == 5:
-        bad = rng.choice([0.1, 1, None, ["1"], "1/0", "one"])
+        bad = rng.choice([0.1, 1, None, ["1"], "1/0", "one", "1e10000000",
+                          "1e5000", "2.5", "1_000", " 3", "3 ", "-0x1"])
         point["t"].insert(rng.randrange(len(point["t"]) + 1), bad)
     elif kind == 6:
         key = rng.choice(["w", "I"])

@@ -322,3 +322,54 @@ def test_parse_rejects_malformed_text():
     assert F.parse("+3") == 3
     assert F.parse("z^7") == F.zeta()
     assert F.parse("z^0") == 1
+
+
+def schoolbook_product(a, b, modulus):
+    """The product of integer coordinate tuples a and b: their full
+    convolution, then long division by the monic polynomial modulus."""
+    prod = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            prod[i + j] += x * y
+    deg = len(modulus) - 1
+    for i in range(len(prod) - 1, deg - 1, -1):
+        c = prod[i]
+        for j, m in enumerate(modulus):
+            prod[i - deg + j] -= c * m
+    return prod[:deg] + [0] * (deg - len(prod))
+
+
+def test_product_table_matches_schoolbook_product():
+    # every order up to 60 (E8 needs 60): dense and sparse operands,
+    # rational operands on either side, and the inverse, whose norm reads
+    # only the constant row of the table
+    rng = random.Random(20261019)
+    for n in range(1, 61):
+        F = CyclotomicField(n)
+        mod = cyclotomic_polynomial(n)
+        deg = len(mod) - 1
+
+        def operand(nums):
+            # nums over a random denominator, and the element it names
+            den = rng.randint(1, 9)
+            return nums, den, F.element([Fraction(x, den) for x in nums])
+
+        def rand_nums(density):
+            return [rng.randint(-40, 40) if rng.random() < density else 0
+                    for _ in range(deg)]
+
+        for density in (1.0, 0.5, 0.2):
+            a, b = operand(rand_nums(density)), operand(rand_nums(density))
+            r = operand([rng.randint(-40, 40)] + [0] * (deg - 1))
+            assert r[2].is_rational()
+            for (xn, xd, x), (yn, yd, y) in [(a, b), (b, a), (a, r), (r, a),
+                                             (r, r)]:
+                prod = x * y
+                assert_canonical(prod)
+                want = schoolbook_product(xn, yn, mod)
+                assert prod.coeffs == tuple(Fraction(v, xd * yd)
+                                            for v in want), n
+        # one inverse per order: at a prime order near 60 it multiplies
+        # more than 50 dense conjugates
+        if not a[2].is_zero():
+            assert (a[2] * a[2].inverse()).is_one(), n

@@ -2,10 +2,13 @@
 
 perfbench/data/reference.json holds, for a frozen pool of point
 descriptions, the sha256 of each `subspace` stdout, and the digests of a
-few small `enumerate` requests.  Replaying the first four points of
-every pool group (so more than one twisted, boundary and torsion draw
-per configuration) and those requests through the CLI keeps
-"byte-identical output" a tier-1 check.  The reference file is only read.
+few small `enumerate` requests.  Replaying the whole pool (one looping
+test; the first four points of every group also run one test each, so a
+failure names its group) and those requests through the CLI keeps
+"byte-identical output" a tier-1 check on every point the benchmark can
+draw.  Every payload written on the way is also written by
+json.dumps(..., indent=2, sort_keys=True), the oracle of the CLI's JSON
+writer.  The reference file is only read.
 The `check` digests and exit codes below are literals, recorded before
 the Hecke normal forms moved to integer coefficients; the standalone
 `rank`/`injectivity` digests, `check all` on B3 and the B4 boundary
@@ -23,6 +26,7 @@ from pathlib import Path
 
 import pytest
 
+from trigbethe import cli
 from trigbethe.cli import main
 
 REFERENCE = json.loads((Path(__file__).resolve().parents[1] / "perfbench"
@@ -107,6 +111,22 @@ ENUMERATE_LITERAL = {
 }
 
 
+@pytest.fixture(autouse=True)
+def writer_oracle(monkeypatch):
+    """Check each payload the CLI emits against json.dumps, then emit it."""
+    emit = cli._emit
+
+    def checked(args, payload):
+        if not isinstance(payload, str):
+            out: list[str] = []
+            cli._write_json(payload, "\n", out)
+            assert "".join(out) == json.dumps(payload, indent=2,
+                                              sort_keys=True)
+        emit(args, payload)
+
+    monkeypatch.setattr(cli, "_emit", checked)
+
+
 def run(capsys, argv) -> tuple[int, str]:
     code = main(argv)
     out = capsys.readouterr().out
@@ -129,6 +149,16 @@ def _entry_id(entry) -> str:
 def test_subspace_output_matches_reference(entry, capsys, monkeypatch):
     monkeypatch.setattr("sys.stdin", io.StringIO(entry["spec"]))
     assert run(capsys, ["subspace", "-"]) == (0, entry["sha256"])
+
+
+def test_whole_pool_matches_reference(capsys, monkeypatch):
+    assert len(REFERENCE["pool"]) == 1280
+    wrong = []
+    for entry in REFERENCE["pool"]:
+        monkeypatch.setattr("sys.stdin", io.StringIO(entry["spec"]))
+        if run(capsys, ["subspace", "-"]) != (0, entry["sha256"]):
+            wrong.append(entry["spec"])
+    assert not wrong, (len(wrong), wrong[:3])
 
 
 @pytest.mark.parametrize("argv", ENUMERATE, ids=" ".join)

@@ -11,11 +11,11 @@ from trigbethe import layers as layers_module
 from trigbethe.bethe import PointStream
 from trigbethe.field import CyclotomicField, char_value
 from trigbethe.lattice import hermite_normal_form, int_rank, smith_normal_form
-from trigbethe.layers import (Layer, RootAmbient, boundary_strata,
-                              building_set, covering_relations,
+from trigbethe.layers import (Layer, RootAmbient, building_set,
                               enumerate_layers, gamma_divisors, generic_point,
                               is_indecomposable, layer_contains, layer_to_dict,
-                              point_on_layer, poset_relations)
+                              point_on_layer, poset_relations, restrict,
+                              subset_layers)
 from trigbethe.roots import root_system
 
 F6 = CyclotomicField(6)
@@ -46,6 +46,22 @@ def centralizer(amb, pt):
 
 def full_torus(amb):
     return Layer(amb.dim, (), (), amb.field, ())
+
+
+def covering_relations(layers):
+    """The covers among poset_relations, in its order: the layer poset is
+    ranked by codimension (Moci, Trans. AMS 2012), so (i, j) is a cover
+    exactly when the codimensions differ by one."""
+    return [(i, j) for i, j in poset_relations(layers)
+            if layers[i].codim - layers[j].codim == 1]
+
+
+def boundary_strata(rs, field):
+    """(subset, layer) for every layer of every sub-arrangement, ordered by
+    subset size, subset and layer, from one walk of the full arrangement."""
+    layers = enumerate_layers(RootAmbient.from_root_system(rs, field))
+    return [(s, restrict(layers[k], s))
+            for s, ks in subset_layers(layers).items() for k in ks]
 
 
 def test_layer_census_counts():

@@ -6,8 +6,9 @@ from math import prod
 
 import pytest
 
-from trigbethe.nested import (Chart, connected_vertex_subsets, is_nested,
-                              maximal_nested_sets)
+from trigbethe.bethe import PointStream
+from trigbethe.field import CyclotomicField, default_field_order
+from trigbethe.nested import Chart, maximal_nested_sets
 from trigbethe.roots import root_system
 
 PATH2 = [(0, 1)]
@@ -27,7 +28,7 @@ def test_maximal_family_counts():
         [(frozenset({0}), frozenset({1}))]
 
 
-def test_families_are_nested_and_sized():
+def test_families_are_nested_and_sized(is_nested):
     for nvert, edges in [(3, PATH3), (4, PATH4), (4, STAR4)]:
         for fam in maximal_nested_sets(nvert, edges):
             assert len(fam) == nvert
@@ -35,7 +36,8 @@ def test_families_are_nested_and_sized():
             assert frozenset(range(nvert)) not in fam or True
 
 
-def test_maximal_families_admit_no_extension():
+def test_maximal_families_admit_no_extension(is_nested,
+                                             connected_vertex_subsets):
     nvert, edges = 3, PATH3
     all_conn = connected_vertex_subsets(nvert, edges)
     for fam in maximal_nested_sets(nvert, edges):
@@ -46,7 +48,8 @@ def test_maximal_families_admit_no_extension():
             assert not is_nested(nvert, edges, list(members | {frozenset(extra)}))
 
 
-def test_is_nested_brute_force_consistency():
+def test_is_nested_brute_force_consistency(is_nested,
+                                           connected_vertex_subsets):
     # rank <= 3: families produced by the recursive enumeration are exactly
     # the maximal ones among all nested families of full size
     for nvert, edges in [(2, PATH2), (3, PATH3)]:
@@ -58,7 +61,7 @@ def test_is_nested_brute_force_consistency():
         assert full == set(maximal_nested_sets(nvert, edges))
 
 
-def test_is_nested_rejections():
+def test_is_nested_rejections(is_nested):
     assert not is_nested(3, PATH3, [frozenset({0, 2})])       # disconnected
     assert not is_nested(3, PATH3, [frozenset()])             # empty member
     assert not is_nested(3, PATH3, [frozenset({0, 1}), frozenset({1, 2})])
@@ -103,7 +106,7 @@ def test_chain_matrices_unitriangular():
 def base_value(chart, v, tvals):
     """Evaluation of the base root adapted at vertex v on the chart point:
     the product of t_Q over the members Q containing v's member."""
-    member = chart.sets[chart.member_index_of_vertex(v)]
+    member = chart.sets[chart.adapted.index(v)]
     return prod(t for q, t in zip(chart.sets, tvals) if member <= q)
 
 
@@ -150,3 +153,35 @@ def test_chart_rejects_roots_outside_base_lattice():
         Chart([(2, 0), (0, 1)], [(1, 0)], [{0}, {0, 1}])
     with pytest.raises(ValueError):
         Chart([(1, 0)], [(0, 1)], [{0}])
+
+
+def assert_base_coords_solve(chart, express_in_rows):
+    rows = [list(map(Fraction, b)) for b in chart.base]
+    assert list(chart.base_coords) == list(chart.pos_roots)
+    for r, coords in chart.base_coords.items():
+        assert all(type(c) is int for c in coords)
+        assert express_in_rows(list(map(Fraction, r)), rows) == list(coords)
+
+
+@pytest.mark.parametrize("label", ["A2", "B2", "G2", "A3", "B3", "C3", "A4",
+                                   "B4", "C4", "D4", "F4"])
+def test_base_coords_match_row_reduction(label, express_in_rows):
+    # the height-chain coordinates against one Fraction row reduction per
+    # root: on every chart of the triangularity check (the simple roots
+    # of the type) and on the chart of every point of a sampled stream
+    # (the base of a centralizer, inside any member of the family)
+    rs = root_system(label)
+    edges = rs.nonorthogonal_edges(rs.simple_roots)
+    for fam in maximal_nested_sets(rs.rank, edges):
+        chart = Chart(rs.simple_roots, rs.positive_roots, fam)
+        assert_base_coords_solve(chart, express_in_rows)
+    field = CyclotomicField(default_field_order(rs.family))
+    stream = PointStream(rs, field, 3)
+    charts = 0
+    for k in range(12):
+        x = stream.point(k, 400)
+        if x is None:
+            break
+        charts += bool(x.chart.base)
+        assert_base_coords_solve(x.chart, express_in_rows)
+    assert charts > 0
