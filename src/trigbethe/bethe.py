@@ -20,9 +20,10 @@ it carries Bethe vectors at y to Bethe vectors at w.y for every y (the
 Points of the degenerate family (XPoint) are stored untwisted plus a
 Weyl twist; their limit subspaces are built from the tau-carrying Bethe
 generators of the ambient stratum and the chart family of the point's
-centralizer.  The build multiplies only where a value needs it: e^alpha
-is one product per root along the height chain (stratum_values), and
-a generator carries no t-term where alpha(h) = 0.  recover_data reads
+centralizer.  XPoint.at builds one from its description (w, I, y, S, t)
+with e^alpha (one product per root along the height chain), the
+centralizer, its base and the chart each computed once, and a generator
+carries no t-term where alpha(h) = 0.  recover_data reads
 the stratum data back off an untwisted subspace.  The checks sample
 points from a PointStream, one seeded sequence drawn on demand, so that
 one request builds and row-reduces each sampled point once.
@@ -330,14 +331,14 @@ def _weight_inversion_holds() -> bool:
 
 @dataclass
 class XPoint:
-    """A point of the degenerate family, stored untwisted plus a twist.
+    """A point (w, I, y, S, t) of the degenerate family, stored untwisted
+    plus a twist; built by XPoint.at, or by a PointStream draw.
 
-    subset: simple-root indices cut out by the ambient stratum; point:
-    exact torus coordinates aligned with subset; chart: maximal nested
-    family on the base of the point's centralizer; tvals: chart
-    coordinates (zeros mark boundary divisors); word: Weyl twist applied
-    after everything else; root_values: e^alpha at the point for every
-    root supported on subset, computed when omitted.
+    word: Weyl twist applied after everything else; subset: simple-root
+    indices cut out by the ambient stratum; point: torus coordinates
+    aligned with subset; chart: maximal nested family on the base of the
+    centralizer; tvals: chart coordinates (zeros mark boundary divisors);
+    root_values, centralized: as centralizer() returns them.
     """
 
     rs: RootSystem
@@ -347,25 +348,30 @@ class XPoint:
     point: tuple[FieldElement, ...]
     chart: Chart
     tvals: tuple[Fraction, ...]
-    root_values: dict[Coords, FieldElement] | None = dc_field(
-        default=None, repr=False, compare=False)
+    root_values: dict[Coords, FieldElement] = dc_field(repr=False,
+                                                       compare=False)
+    centralized: list[Coords] = dc_field(repr=False, compare=False)
 
     def __post_init__(self):
         self.w = self.rs.matrix_of_word(self.word)
         self.space = HolonomySpace(self.rs, self.field)
-        self.sub_pos = self.rs.roots_with_support_in(self.subset)
-        if self.root_values is None:
-            self.root_values = stratum_values(self.rs, self.subset,
-                                              self.point)
-        self.centralized = [a for a in self.sub_pos
-                            if self.root_values[a].is_one()]
-        base = self.rs.base_of(self.centralized)
-        if tuple(base) != self.chart.base:
-            raise ValueError("chart base does not match the point's centralizer")
-        if len(self.tvals) != len(self.chart.sets):
+
+    @classmethod
+    def at(cls, rs: RootSystem, field: CyclotomicField, word, subset, point,
+           sets: Sequence[Iterable[int]], tvals: Sequence[Fraction]) -> XPoint:
+        """The point (w, I, y, S, t), indices from 0; ValueError unless S is
+        a maximal nested family on the vertices of the centralizer's base
+        and t is generic, one coordinate per member in canonical order."""
+        values, centralized, base = centralizer(rs, subset, point)
+        if any(v < 0 or v >= len(base) for s in sets for v in s):
+            raise ValueError("chart member vertex out of range")
+        chart = Chart(base, centralized, sets)
+        if len(tvals) != len(chart.sets):
             raise ValueError("one chart coordinate required per member")
-        if not self.chart.is_generic(self.tvals):
+        if not chart.is_generic(tvals):
             raise ValueError("chart coordinates hit a residual hypersurface")
+        return cls(rs, field, tuple(word), tuple(subset), tuple(point), chart,
+                   tuple(tvals), values, centralized)
 
     # ------------------------------------------------------------------
 
@@ -419,6 +425,18 @@ def stratum_values(rs: RootSystem, subset: Sequence[int],
     for a, b, i in root_chain(rs.roots_with_support_in(subset), rs.rank):
         values[a] = values[b] * coord[i] if b in values else coord[i]
     return values
+
+
+def centralizer(rs: RootSystem, subset: Sequence[int],
+                point: Sequence[FieldElement]
+                ) -> tuple[dict[Coords, FieldElement], list[Coords], list[Coords]]:
+    """(e^alpha per root supported on subset, the centralized roots, their
+    base) at a point of the stratum torus: the roots with e^alpha = 1, in
+    positive-root order, and the simple system of the subsystem they form.
+    """
+    values = stratum_values(rs, subset, point)
+    centralized = [a for a, u in values.items() if u.is_one()]
+    return values, centralized, rs.base_of(centralized)
 
 
 def integer_kernel(rows: Sequence[Sequence[int]]) -> list[Coords]:
@@ -485,16 +503,8 @@ def xpoint_from_dict(data: dict) -> XPoint:
     y = tuple(v for _, v in pairs)
     if any(v.is_zero() for v in y):
         raise ValueError("a torus coordinate y is zero")
-    # centralizer and its base determine the chart vertex set
-    values = stratum_values(rs, subset, y)
-    centralized = [a for a, u in values.items() if u.is_one()]
-    base = rs.base_of(centralized)
-    sets = [frozenset(v - 1 for v in _list_of(int, s, "each 'S' member"))
+    sets = [[v - 1 for v in _list_of(int, s, "each 'S' member")]
             for s in _entries(data, "S", list)]
-    for s in sets:
-        if any(v < 0 or v >= len(base) for v in s):
-            raise ValueError("chart member vertex out of range")
-    chart = Chart(base, centralized, sets)
     texts = _entries(data, "t", str)
     if not all(_RATIONAL.fullmatch(t) for t in texts):
         raise ValueError("each chart coordinate t reads p or p/q, with an "
@@ -503,7 +513,7 @@ def xpoint_from_dict(data: dict) -> XPoint:
         tvals = tuple(Fraction(t) for t in texts)
     except ZeroDivisionError:
         raise ValueError("a chart coordinate t has a zero denominator") from None
-    return XPoint(rs, field, word, subset, y, chart, tvals, values)
+    return XPoint.at(rs, field, word, subset, y, sets, tvals)
 
 
 # ----------------------------------------------------------------------
@@ -676,29 +686,22 @@ class PointStream:
             y = generic_point(amb, layer, seed=rng.randrange(10 ** 6))
         except RuntimeError:
             return
-        cen = [_to_ambient(a, subset, n) for a in layer.roots_pos]
-        base = rs.base_of(cen)
+        values, cen, base = centralizer(rs, subset, y)
         families = maximal_nested_sets(len(base), rs.nonorthogonal_edges(base))
         sets = families[rng.randrange(len(families))] if families else ()
         chart = Chart(base, cen, sets)
-        tvals = []
         tops = [s for s in chart.sets
                 if not any(s < q for q in chart.sets)]
-        for s in chart.sets:
-            if s in tops:
-                tvals.append(Fraction(1))
-            elif rng.random() < 0.35:
-                tvals.append(Fraction(0))
-            else:
-                tvals.append(Fraction(rng.randint(1, 40), rng.randint(1, 40)))
+        tvals = tuple(Fraction(1) if s in tops
+                      else Fraction(0) if rng.random() < 0.35
+                      else Fraction(rng.randint(1, 40), rng.randint(1, 40))
+                      for s in chart.sets)
         if not chart.is_generic(tvals):
             return
         words = self._words
         word = words[rng.randrange(len(words))] if rng.random() < 0.4 else ()
-        try:
-            x = XPoint(rs, self.field, word, subset, y, chart, tuple(tvals))
-        except ValueError:
-            return
+        # the draws make XPoint.at's checks, genericity before the twist
+        x = XPoint(rs, self.field, word, subset, y, chart, tvals, values, cen)
         self.built += 1
         sig = x.signature()
         if sig in self._seen:
@@ -724,13 +727,6 @@ def sample_xpoints(stream: PointStream, count: int) -> list[XPoint]:
             raise RuntimeError(f"could only sample {k} points")
         out.append(x)
     return out
-
-
-def _to_ambient(coords: Sequence[int], subset: Sequence[int], n: int) -> Coords:
-    full = [0] * n
-    for c, idx in zip(coords, subset):
-        full[idx] = c
-    return tuple(full)
 
 
 def chart_only(x: XPoint) -> bool:

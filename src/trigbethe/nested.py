@@ -100,7 +100,9 @@ class Chart:
     base: ordered base roots (ambient coordinates); pos_roots: the
     positive roots they generate; sets: the family members, canonically
     ordered; coordinates are supplied per call as a list aligned with
-    sets.
+    sets.  The coordinate of a maximal member is never read: each value
+    is a ratio of roots under one maximal member, which all carry its
+    coordinate as a factor, so it cancels (the fiber is projective).
     """
 
     def __init__(self, base: Sequence[Coords], pos_roots: Sequence[Coords],

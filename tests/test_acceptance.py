@@ -217,9 +217,10 @@ def _g2_omega_pair():
                  for j in range(i + 1, len(base))
                  if rs.inner(base[i], base[j]) != 0]
         fam = maximal_nested_sets(len(base), edges)[0]
-        chart = Chart(base, cen, fam)
-        out.append(XPoint(rs, F6, (), (0, 1), y, chart,
-                          (Fraction(1), Fraction(1))))
+        x = XPoint.at(rs, F6, (), (0, 1), y, fam, (Fraction(1), Fraction(1)))
+        # the centralizer read off y is the layer's root set
+        assert x.centralized == cen and x.chart.base == tuple(base)
+        out.append(x)
     return out
 
 
@@ -339,8 +340,7 @@ def test_criterion_09_degeneration_limits():
 
     lim3 = epsilon_limit_span(_bethe_rows_on_path(
         rs, [RatFunc.from_scalar(Fraction(5)), eps * three]))
-    x = XPoint(rs, F6, (), (0,), (F6.from_rational(Fraction(5)),),
-               Chart([], [], []), ())
+    x = XPoint.at(rs, F6, (), (0,), (F6.from_rational(Fraction(5)),), [], ())
     ok = ok and row_space_equal(lim3, x.subspace())
     record(9, "symbolic paths converge to limit subspaces", ok,
            "identity fiber; order-2 torsion point; boundary stratum")

@@ -1,18 +1,22 @@
 """Holonomy vectors, Weyl action, limit points and their recovery."""
 
+import io
+import json
 from fractions import Fraction
 from functools import lru_cache
 from pathlib import Path
 
 import pytest
 
+from trigbethe import cli
 from trigbethe.bethe import (HolonomySpace, PointStream, XPoint, bethe_weight,
-                             chart_only, injectivity_pool, recover_data,
-                             sample_xpoints, stratum_values,
+                             centralizer, chart_only, injectivity_pool,
+                             recover_data, sample_xpoints, stratum_values,
                              weyl_action_report, xpoint_from_dict)
 from trigbethe.field import CyclotomicField, char_value
+from trigbethe.layers import generic_point
 from trigbethe.linalg import mat_inverse, rank, row_space_equal, rref
-from trigbethe.nested import Chart, maximal_nested_sets
+from trigbethe.nested import maximal_nested_sets
 from trigbethe.roots import RootSystem, int_mat_mul, root_system
 
 F6 = CyclotomicField(6)
@@ -343,8 +347,7 @@ def interior_xpoint(label, *vals):
     n = rs.rank
     subset = tuple(range(n))
     y = frac_point(F6, *vals)
-    chart = Chart([], [], [])
-    return XPoint(rs, F6, (), subset, y, chart, ())
+    return XPoint.at(rs, F6, (), subset, y, [], ())
 
 
 def test_interior_point_equals_bethe_subspace():
@@ -368,8 +371,7 @@ def test_boundary_point_recovery():
     # support outside it acquire weight zero
     rs = root_system("A2")
     y = frac_point(F6, 5)
-    chart = Chart([], [], [])
-    x = XPoint(rs, F6, (), (0,), y, chart, ())
+    x = XPoint.at(rs, F6, (), (0,), y, [], ())
     sub = x.subspace()
     assert rank(sub) == 2
     rec = recover_data(x.space, sub)
@@ -396,10 +398,10 @@ def test_torsion_point_subspace():
     cen = [a for a in rs.positive_roots
            if (y[0] ** a[0] * y[1] ** a[1]).is_one()]
     assert cen == [(1, 0), (1, 2)]
-    base = rs.base_of(cen)
     fam = maximal_nested_sets(2, [])  # orthogonal base: no edges
-    chart = Chart(base, cen, fam[0])
-    x = XPoint(rs, F6, (), (0, 1), y, chart, (Fraction(1), Fraction(1)))
+    x = XPoint.at(rs, F6, (), (0, 1), y, fam[0], (Fraction(1), Fraction(1)))
+    assert x.centralized == cen
+    assert x.chart.base == tuple(rs.base_of(cen))
     assert chart_only(x)
     sub = x.subspace()
     assert rank(sub) == 2
@@ -409,13 +411,23 @@ def test_torsion_point_subspace():
 
 def test_xpoint_validation_errors():
     rs = root_system("A2")
-    with pytest.raises(ValueError):
-        # chart base must match the centralizer base
-        XPoint(rs, F6, (), (0, 1), (F6.one(), F6.one()),
-               Chart([], [], []), ())
+    with pytest.raises(ValueError, match="family size"):
+        # the centralizer at y = (1, 1) is all of A2, so S needs two
+        # members, one per vertex of its base: an empty S has the wrong size
+        XPoint.at(rs, F6, (), (0, 1), (F6.one(), F6.one()), [], ())
     x = interior_xpoint("A2", 2, 3)
     with pytest.raises(ValueError):
-        XPoint(rs, F6, (9,), (0, 1), x.point, Chart([], [], []), ())
+        XPoint.at(rs, F6, (9,), (0, 1), x.point, [], ())
+    with pytest.raises(ValueError, match="vertex out of range"):
+        # a trivial centralizer has an empty base
+        XPoint.at(rs, F6, (), (0, 1), x.point, [{0}, {0, 1}], ())
+    one = (F6.one(), F6.one())
+    with pytest.raises(ValueError, match="one chart coordinate"):
+        XPoint.at(rs, F6, (), (0, 1), one, [{0}, {0, 1}], (Fraction(1),))
+    with pytest.raises(ValueError, match="residual hypersurface"):
+        # the residual factor of alpha_1 + alpha_2 is t_{1} + 1
+        XPoint.at(rs, F6, (), (0, 1), one, [{0}, {0, 1}],
+                  (Fraction(-1), Fraction(1)))
 
 
 def test_dict_roundtrip():
@@ -549,7 +561,7 @@ def test_twisted_point_subspace_matches_acted_span():
     y = frac_point(F6, 2, 3)
     x0 = interior_xpoint("A2", 2, 3)
     for word in [(0,), (1,), (0, 1)]:
-        x = XPoint(rs, F6, word, (0, 1), y, Chart([], [], []), ())
+        x = XPoint.at(rs, F6, word, (0, 1), y, [], ())
         m = rs.matrix_of_word(word)
         assert row_space_equal(x.subspace(),
                                sp.act_span(m, x0.subspace()))
@@ -576,6 +588,78 @@ def test_readme_library_example_runs():
     rs = names["rs"]
     assert len(names["family"]) == len(names["rational"]) == rs.rank
     assert rank(names["family"]) == rank(names["rational"]) == rs.rank
+
+
+def test_readme_point_description_runs(capsys, monkeypatch):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(
+        encoding="utf-8")
+    section = readme.split("### Point descriptions", 1)[1]
+    spec = section.split("```json\n", 1)[1].split("```", 1)[0]
+    assert set(json.loads(spec)) == {"type", "field_order", "w", "I", "y",
+                                     "S", "t"}
+    monkeypatch.setattr("sys.stdin", io.StringIO(spec))
+    assert cli.main(["subspace", "-"]) == 0
+    assert json.loads(capsys.readouterr().out)["dimension"] == 2
+
+
+CENTRALIZER_CASES = [(label, 6) for label in
+                     ["A2", "B2", "G2", "A3", "B3", "C3", "D4"]] + \
+    [("G2", 12), ("B3", 12)]
+
+
+@pytest.mark.parametrize("label,order", CENTRALIZER_CASES)
+def test_centralizer_at_a_generic_point_is_the_layer_roots(label, order):
+    # the point stream reads the centralizer off a generic point of a
+    # layer; it must be the layer's own root set, in ambient coordinates
+    rs = root_system(label)
+    stream = PointStream(rs, CyclotomicField(order), 0)
+    n = rs.rank
+    points = 0
+    for mask in range(1 << n):
+        subset = tuple(i for i in range(n) if mask >> i & 1)
+        amb, layers = stream.sub_arrangement(subset)
+        for layer in layers:
+            want = []
+            for a in layer.roots_pos:
+                full = [0] * n
+                for c, i in zip(a, subset):
+                    full[i] = c
+                want.append(tuple(full))
+            for seed in (0, 1):
+                y = generic_point(amb, layer, seed=seed)
+                _, cen, base = centralizer(rs, subset, y)
+                assert cen == want, (subset, layer.basis, seed)
+                assert base == rs.base_of(want)
+                points += 1
+    assert points > 0
+
+
+@pytest.mark.parametrize("label", ["A2", "B3", "G2"])
+def test_top_chart_coordinate_is_never_read(label):
+    # every root under a maximal member carries its coordinate as a common
+    # factor and the chart reads only ratios, so it cancels
+    rs = root_system(label)
+    tried = 0
+    for x in sample_xpoints(PointStream(rs, F6, 3), 16):
+        sets = x.chart.sets
+        tops = {k for k, s in enumerate(sets) if not any(s < q for q in sets)}
+        for top in (Fraction(0), Fraction(5), Fraction(-7, 3)):
+            tvals = [top if k in tops else t for k, t in enumerate(x.tvals)]
+            moved = XPoint.at(rs, F6, x.word, x.subset, x.point, sets, tvals)
+            assert moved.subspace() == x.subspace()
+            tried += bool(tops)
+    assert tried > 0
+
+
+def test_top_chart_coordinate_leaves_the_cli_basis_alone(capsys, monkeypatch):
+    outs = []
+    for t in (["1", "1"], ["1", "5"], ["1", "0"]):
+        spec = {"type": "A2", "I": [1, 2], "y": ["1", "1"],
+                "S": [[1], [1, 2]], "t": t}
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(spec)))
+        assert cli.main(["subspace", "-"]) == 0
+        outs.append(json.loads(capsys.readouterr().out)["basis"])
+    assert outs[0] == outs[1] == outs[2]
 
 
 # every type up to rank 4 (C2 is B2 with the other labelling)

@@ -22,12 +22,15 @@ per class of Z^n/L and the poset read its candidates from an index.
 import hashlib
 import io
 import json
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from trigbethe import cli
+from trigbethe import bethe, cli
 from trigbethe.cli import main
+from trigbethe.nested import Chart, maximal_nested_sets
+from trigbethe.roots import RootSystem, root_system
 
 REFERENCE = json.loads((Path(__file__).resolve().parents[1] / "perfbench"
                         / "data" / "reference.json").read_text(encoding="utf-8"))
@@ -159,6 +162,59 @@ def test_whole_pool_matches_reference(capsys, monkeypatch):
         if run(capsys, ["subspace", "-"]) != (0, entry["sha256"]):
             wrong.append(entry["spec"])
     assert not wrong, (len(wrong), wrong[:3])
+
+
+def _count_point_work(monkeypatch) -> Counter:
+    """Count the calls that build a point: e^alpha, the centralizer base,
+    the chart and its genericity test."""
+    counts: Counter = Counter()
+
+    def counting(owner, name):
+        original = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            counts[name] += 1
+            return original(*args, **kwargs)
+        monkeypatch.setattr(owner, name, counted)
+
+    counting(RootSystem, "base_of")
+    counting(bethe, "stratum_values")
+    counting(Chart, "__init__")
+    counting(Chart, "is_generic")
+    return counts
+
+
+def test_each_point_is_built_once(capsys, monkeypatch):
+    counts = _count_point_work(monkeypatch)
+    entries = REFERENCE["pool"][::107]
+    assert len(entries) == 12
+    for entry in entries:
+        monkeypatch.setattr("sys.stdin", io.StringIO(entry["spec"]))
+        assert run(capsys, ["subspace", "-"]) == (0, entry["sha256"])
+    assert counts == {name: 12 for name in
+                      ("base_of", "stratum_values", "__init__", "is_generic")}
+
+    streams: list[bethe.PointStream] = []
+    init = bethe.PointStream.__init__
+
+    def recorded(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        streams.append(self)
+    monkeypatch.setattr(bethe.PointStream, "__init__", recorded)
+    for label in ("A2", "B2", "G2", "A3"):
+        counts.clear()
+        streams.clear()
+        assert main(["check", "all", "--type", label, "--seed", "1"]) == 0
+        capsys.readouterr()
+        built = sum(s.built for s in streams)
+        assert built > 0
+        # check triangularity builds one chart per maximal nested set of
+        # the simple roots, and no point
+        rs = root_system(label)
+        charts = len(maximal_nested_sets(
+            rs.rank, rs.nonorthogonal_edges(rs.simple_roots)))
+        assert counts == {"base_of": built, "stratum_values": built,
+                          "__init__": built + charts, "is_generic": built}
 
 
 @pytest.mark.parametrize("argv", ENUMERATE, ids=" ".join)
