@@ -35,13 +35,14 @@ import re
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from functools import cache
-from math import gcd, lcm
-from typing import Iterable, Sequence
+from math import lcm
+from typing import Collection, Iterable, Sequence
 
 from .field import CyclotomicField, FieldElement, default_field_order
+from .lattice import smith_normal_form
 from .layers import RootAmbient, root_chain
-from .linalg import identity, nullspace, rank as mat_rank, rref
-from .nested import Chart, maximal_nested_sets
+from .linalg import identity, rank as mat_rank, rref
+from .nested import Chart, adjacency, is_nested, maximal_nested_sets
 from .poly import Poly, RatFunc
 from .roots import Coords, IntMatrix, RootSystem
 
@@ -56,6 +57,10 @@ def bethe_weight(u):
     return -(u / (u - 1))
 
 
+# integer matrices on the holonomy space, stored as columns {row: entry}
+SparseColumns = list[dict[int, int]]
+
+
 class HolonomySpace:
     """Exact vectors over the basis [t_alpha ..., tau_1 ... tau_n]."""
 
@@ -66,7 +71,7 @@ class HolonomySpace:
         self.npos = len(self.pos)
         self.dim = self.npos + rs.rank
         self._t_index = {a: i for i, a in enumerate(self.pos)}
-        self._rho: dict[IntMatrix, list[list[tuple[int, int]]]] = {}
+        self._rho: dict[IntMatrix, SparseColumns] = {}
 
     # ------------------------------------------------------------------
     # construction
@@ -150,43 +155,32 @@ class HolonomySpace:
         return [sum(winv[j][i] * h_coords[j] for j in range(n))
                 for i in range(n)]
 
-    def rho(self, w: IntMatrix) -> list[list[tuple[int, int]]]:
-        """The integer matrix of w on [t_alpha ..., tau_i ...], by columns.
+    def rho(self, w: IntMatrix) -> SparseColumns:
+        """The integer matrix of w on [t_alpha ..., tau_i ...], by columns,
+        each column {row: entry} over its nonzero entries.
 
-        Column k lists its nonzero (row, entry) pairs.  t_alpha goes to
-        t_|w alpha|; tau(h) goes to tau(w.h) minus alpha(w.h) t_alpha for
-        every alpha in the inversion set of w.
+        t_alpha goes to t_|w alpha|; tau(h) goes to tau(w.h) minus
+        alpha(w.h) t_alpha for every alpha in the inversion set of w.
         """
         cols = self._rho.get(w)
         if cols is not None:
             return cols
-        cols = [[(j, 1)] for j in self.rs.element(w).perm]
+        cols = [{j: 1} for j in self.rs.element(w).perm]
         inversions = self.rs.inversion_set(w)
         for e in self.rs.identity:
             h = self.h_transport(w, e)
-            col = [(self.npos + k, c) for k, c in enumerate(h) if c]
+            col = {self.npos + k: c for k, c in enumerate(h) if c}
             for a in inversions:
                 ah = self.alpha_of_h(a, h)
                 if ah:
-                    col.append((self._t_index[a], -ah))
+                    col[self._t_index[a]] = -ah
             cols.append(col)
         self._rho[w] = cols
         return cols
 
     def act(self, w: IntMatrix, vec: Sequence[FieldElement]) -> list[FieldElement]:
         """rho(w) applied to vec."""
-        out = self.zero()
-        for col, c in zip(self.rho(w), vec):
-            if c == 0:
-                continue
-            for j, m in col:
-                if m == 1:
-                    out[j] = out[j] + c
-                elif m == -1:
-                    out[j] = out[j] - c
-                else:
-                    out[j] = out[j] + m * c
-        return out
+        return _apply(self.rho(w), vec, self.field.zero())
 
     def act_span(self, w: IntMatrix, vecs: Sequence[Sequence[FieldElement]]
                  ) -> list[list[FieldElement]]:
@@ -214,16 +208,14 @@ def weyl_action_report(rs: RootSystem, field: CyclotomicField,
     rng = random.Random(f"weyl-twists-{rs.label}-{seed}")
     space = HolonomySpace(rs, field)
     n = rs.rank
-    gens = [[dict(col) for col in space.rho(rs.simple_reflection(i))]
-            for i in range(n)]
+    gens = [space.rho(rs.simple_reflection(i)) for i in range(n)]
     twists = [rs.longest_element()]
     for _ in range(samples):
         word = [rng.randrange(n) for _ in range(rng.randint(0, 2 * space.npos))]
         twists.append(rs.matrix_of_word(word))
-    twist_ok = all(
-        [dict(col) for col in space.rho(w)]
-        == _word_product(gens, rs.word_of(w), space.dim) for w in twists)
-    flipped = [dict(col) for col in gens[0]]
+    twist_ok = all(space.rho(w) == _word_product(gens, rs.word_of(w), space.dim)
+                   for w in twists)
+    flipped = list(gens[0])
     for c in range(space.npos, space.dim):
         flipped[c] = {r: -x if r < space.npos else x
                       for r, x in flipped[c].items()}
@@ -240,10 +232,6 @@ def weyl_action_report(rs: RootSystem, field: CyclotomicField,
     }
 
 
-# integer matrices on the holonomy space, stored as columns {row: entry}
-SparseColumns = list[dict[int, int]]
-
-
 def _compose(a: SparseColumns, b: SparseColumns) -> SparseColumns:
     """The product a b."""
     out = []
@@ -256,11 +244,21 @@ def _compose(a: SparseColumns, b: SparseColumns) -> SparseColumns:
     return out
 
 
-def _apply(a: SparseColumns, vec: Sequence) -> list:
-    out = [0] * len(a)
+def _apply(a: SparseColumns, vec: Sequence, zero) -> list:
+    """a applied to vec, every entry starting from zero; an entry 0 of vec
+    is skipped, and a matrix entry 1 or -1 adds or subtracts without a
+    product."""
+    out = [zero] * len(a)
     for col, c in zip(a, vec):
+        if c == 0:
+            continue
         for r, m in col.items():
-            out[r] = out[r] + m * c
+            if m == 1:
+                out[r] = out[r] + c
+            elif m == -1:
+                out[r] = out[r] - c
+            else:
+                out[r] = out[r] + m * c
     return out
 
 
@@ -306,14 +304,14 @@ def _generator_checks(space: HolonomySpace, gens: Sequence[SparseColumns]
         sinv = rs.inverse_matrix(s)
         for h in rs.identity:
             sh = space.h_transport(s, h)
-            delta_ok &= _apply(g, doubled_delta(h)) == doubled_delta(sh)
+            delta_ok &= _apply(g, doubled_delta(h), 0) == doubled_delta(sh)
             symbolic = [space.alpha_of_h(a, h) * x
                         for a, x in zip(space.pos, weights)] + list(h)
             # B(s.y, s.h): e^gamma(s.y) = e^{s^-1 gamma}(y), so t_gamma
             # carries gamma(s.h) times the weight of s^-1 gamma
             moved = [space.alpha_of_h(c, sh) * weight(rs.act(sinv, c))
                      for c in space.pos] + list(sh)
-            bethe_ok &= _apply(g, symbolic) == moved
+            bethe_ok &= _apply(g, symbolic, 0) == moved
     return {"group_law": group_law, "delta_transport": delta_ok,
             "bethe_transport": bethe_ok}
 
@@ -358,28 +356,43 @@ class XPoint:
 
     @classmethod
     def at(cls, rs: RootSystem, field: CyclotomicField, word, subset, point,
-           sets: Sequence[Iterable[int]], tvals: Sequence[Fraction]) -> XPoint:
-        """The point (w, I, y, S, t), indices from 0; ValueError unless S is
-        a maximal nested family on the vertices of the centralizer's base
-        and t is generic, one coordinate per member in canonical order."""
+           sets: Sequence[Collection[int]], tvals: Sequence[Fraction]
+           ) -> XPoint:
+        """The point (w, I, y, S, t), indices from 0, tvals[k] the chart
+        coordinate of sets[k]; ValueError unless S is a maximal nested
+        family on the vertices of the centralizer's base, with no vertex or
+        member repeated, and t is generic."""
         values, centralized, base = centralizer(rs, subset, point)
         if any(v < 0 or v >= len(base) for s in sets for v in s):
             raise ValueError("chart member vertex out of range")
-        chart = Chart(base, centralized, sets)
-        if len(tvals) != len(chart.sets):
+        members = [frozenset(s) for s in sets]
+        if any(len(m) != len(s) for m, s in zip(members, sets)):
+            raise ValueError("a vertex repeats within a chart member")
+        if len(set(members)) != len(members):
+            raise ValueError("a chart member repeats")
+        if len(tvals) != len(members):
             raise ValueError("one chart coordinate required per member")
+        chart = Chart(base, centralized, members)
+        adj = adjacency(len(base), rs.nonorthogonal_edges(base))
+        if not is_nested(chart.sets, adj):
+            raise ValueError("S is not a maximal nested set: members must be "
+                             "connected, nested or disjoint, and disjoint "
+                             "members not adjacent")
+        # the chart lists its members in canonical order; t follows them
+        by_member = dict(zip(members, tvals))
+        tvals = tuple(by_member[s] for s in chart.sets)
         if not chart.is_generic(tvals):
             raise ValueError("chart coordinates hit a residual hypersurface")
         return cls(rs, field, tuple(word), tuple(subset), tuple(point), chart,
-                   tuple(tvals), values, centralized)
+                   tvals, values, centralized)
 
     # ------------------------------------------------------------------
 
     def untwisted_generators(self) -> list[list[FieldElement]]:
         """tau-carrying generators for h killing the centralizer, plus the
         chart family of the centralizer; together always rank-many."""
-        h_basis = (integer_kernel(self.centralized) if self.centralized
-                   else self.rs.identity)
+        h_basis = (integer_kernel(self.centralized, self.rs.rank)
+                   if self.centralized else self.rs.identity)
         cen = set(self.centralized)
         gens = self.space.bethe_family(
             {a: u for a, u in self.root_values.items() if a not in cen}, h_basis)
@@ -439,16 +452,12 @@ def centralizer(rs: RootSystem, subset: Sequence[int],
     return values, centralized, rs.base_of(centralized)
 
 
-def integer_kernel(rows: Sequence[Sequence[int]]) -> list[Coords]:
-    """Primitive integer vectors spanning the kernel {h : row(h) = 0} of
-    integer rows, one per vector of the rational nullspace basis."""
-    out = []
-    for v in nullspace([[Fraction(x) for x in r] for r in rows]):
-        d = lcm(*(x.denominator for x in v))
-        ints = [x.numerator * (d // x.denominator) for x in v]
-        g = gcd(*ints)
-        out.append(tuple(x // g for x in ints))
-    return out
+def integer_kernel(rows: Sequence[Sequence[int]], n: int) -> list[Coords]:
+    """A basis of the lattice {h in Z^n : row(h) = 0} of integer rows: the
+    columns of the Smith form's V past its rank (U M V = D, so M kills
+    them; V is unimodular, so they are primitive and span the lattice)."""
+    sf = smith_normal_form(rows, ncols=n)
+    return [tuple(row[j] for row in sf.V) for j in range(sf.rank, n)]
 
 
 def _list_of(kind: type, value, what: str) -> list:
@@ -474,7 +483,8 @@ def xpoint_from_dict(data: dict) -> XPoint:
     in the str() form of the field, t as str(Fraction) writes it, p or
     p/q in decimal digits with an optional sign.  y entries are nonzero,
     since a torus point has nonzero coordinates.  I entries are distinct
-    and y[k] is the coordinate of I[k], in the order given.
+    and y[k] is the coordinate of I[k], in the order given; likewise t[k]
+    is the coordinate of S[k].
     """
     from .roots import root_system
     if not isinstance(data, dict):
@@ -553,7 +563,7 @@ def recover_data(space: HolonomySpace, vectors: Sequence[Sequence[FieldElement]]
                 support.add(a)
     cen = tuple(sorted(support, key=lambda c: (sum(c), c)))
     # a lies in the span of the centralizer iff every kernel vector kills it
-    kernel = integer_kernel(cen)
+    kernel = integer_kernel(cen, n)
     scaled_h = []
     for r in tau_rows:
         block = [c.as_rational() for c in r[:n]]

@@ -25,7 +25,7 @@ from json.encoder import encode_basestring_ascii
 from . import spin, typea
 from .bethe import (PointStream, injectivity_pool, recover_data,
                     sample_xpoints, weyl_action_report, xpoint_from_dict)
-from .field import DEFAULT_FIELD_ORDER, CyclotomicField, default_field_order
+from .field import CyclotomicField, default_field_order
 from .hecke import HeckeAlgebra, exact_commutator_check
 from .lattice import hermite_normal_form
 from .layers import (RootAmbient, building_set, enumerate_layers,
@@ -152,7 +152,7 @@ def _enumeration(args, rs: RootSystem, field: CyclotomicField,
             "edges": [[i + 1, j + 1] for i, j in edges],
             "count": len(families),
             "families": [[[v + 1 for v in sorted(s)] for s in fam]
-                         for fam in (_ordered_family(f) for f in families)],
+                         for fam in families],
         }
 
     amb = RootAmbient.from_root_system(rs, field)
@@ -186,10 +186,6 @@ def _enumeration(args, rs: RootSystem, field: CyclotomicField,
     }
 
 
-def _ordered_family(fam) -> list:
-    return sorted(fam, key=lambda s: (len(s), tuple(sorted(s))))
-
-
 def _layers_dot(layers, stats: Counter) -> str:
     lines = ["digraph layers {", "  rankdir=BT;"]
     for i, l in enumerate(layers):
@@ -208,15 +204,14 @@ def _layers_dot(layers, stats: Counter) -> str:
 def _nested_dot(families) -> str:
     lines = ["digraph nested {", "  rankdir=BT;"]
     for f, fam in enumerate(families):
-        ordered = _ordered_family(fam)
         lines.append(f"  subgraph cluster_{f} {{")
         lines.append(f'    label="family {f + 1}";')
-        for k, s in enumerate(ordered):
+        for k, s in enumerate(fam):
             text = "{" + ",".join(str(v + 1) for v in sorted(s)) + "}"
             lines.append(f'    N{f}_{k} [label="{text}"];')
-        for k, s in enumerate(ordered):
-            for m, t in enumerate(ordered):
-                if s < t and not any(s < u < t for u in ordered):
+        for k, s in enumerate(fam):
+            for m, t in enumerate(fam):
+                if s < t and not any(s < u < t for u in fam):
                     lines.append(f"    N{f}_{k} -> N{f}_{m};")
         lines.append("  }")
     lines.append("}")
@@ -282,19 +277,17 @@ def _check_commutativity(args, stream: PointStream) -> dict:
     integral, so each H_k and each represented image is a rational
     combination of the chain's constant operators, and both identities
     are tested on integer_combination()s."""
-    field = CyclotomicField(DEFAULT_FIELD_ORDER)
     bad = []
     total = 0
     for n in SPIN_SIZES:
-        src = typea.TrigSource(n, field)
-        tgt = typea.RationalTarget(n, field)
+        src = typea.TrigSource(n)
+        tgt = typea.RationalTarget(n)
         for s in range(args.samples):
             rng = random.Random(f"spin-check-{n}-{args.seed}-{s}")
-            z = typea.sample_z(field, n, args.seed * 1009 + s)
-            zq = [v.as_rational() for v in z]
+            z = typea.sample_z(n, args.seed * 1009 + s)
             a, b = rng.randint(-9, 9), rng.randint(-9, 9)
             theta = [[a, 0], [0, b]]
-            terms = [spin.hamiltonian_terms(theta, zq, k, n)
+            terms = [spin.hamiltonian_terms(theta, z, k, n)
                      for k in range(1, n + 1)]
             hams = [spin.integer_combination(t, n) for t in terms]
             for i in range(n):
@@ -305,10 +298,9 @@ def _check_commutativity(args, stream: PointStream) -> dict:
             for k in range(1, n + 1):
                 total += 1
                 img = typea.reindex_map(src, tgt, src.bethe(z, k))
-                rep = spin.pair_vector_terms(
-                    tgt.pairs, [c.as_rational() for c in img], theta, n)
+                rep = spin.pair_vector_terms(tgt.pairs, img, theta, n)
                 # image == -z_k H_k, i.e. image + z_k H_k == 0
-                scaled = [(zq[k - 1] * c, key) for c, key in terms[k - 1]]
+                scaled = [(z[k - 1] * c, key) for c, key in terms[k - 1]]
                 if any(spin.integer_combination(rep + scaled, n)):
                     bad.append(f"n={n} s={s} image(k={k}) != -z_k H_k")
     return {"name": "commutativity", "passed": not bad,
@@ -387,13 +379,12 @@ def _check_hecke(args, stream: PointStream) -> dict:
 
 
 def _check_typea(args, stream: PointStream) -> dict:
-    field = CyclotomicField(DEFAULT_FIELD_ORDER)
     bad = []
     for n in SPIN_SIZES:
-        src = typea.TrigSource(n, field)
-        tgt = typea.RationalTarget(n, field)
+        src = typea.TrigSource(n)
+        tgt = typea.RationalTarget(n)
         for s in range(args.samples):
-            z = typea.sample_z(field, n, args.seed * 577 + s)
+            z = typea.sample_z(n, args.seed * 577 + s)
             scaled_bad, spans_ok = typea.check_sample(src, tgt, z)
             bad += [f"n={n} s={s} k={k} scaled identity" for k in scaled_bad]
             if not spans_ok:

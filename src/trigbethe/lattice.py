@@ -35,7 +35,6 @@ class SmithForm:
     U: IntRows                   # m x m
     V: IntRows                   # n x n
     Vinv: IntRows                # n x n, integer inverse of V
-    shape: tuple[int, int]
 
     @property
     def rank(self) -> int:
@@ -130,7 +129,7 @@ def smith_normal_form(rows: Sequence[Sequence[int]], ncols: int | None = None
         t += 1
 
     divisors = [M[k][k] for k in range(min(m, n)) if M[k][k] != 0]
-    return SmithForm(divisors, U, V, Vinv, (m, n))
+    return SmithForm(divisors, U, V, Vinv)
 
 
 def hermite_normal_form(rows: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:

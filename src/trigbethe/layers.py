@@ -67,14 +67,12 @@ class RootAmbient:
     positive_roots: tuple[Coords, ...]
     gram: tuple[tuple[int, ...], ...]
     field: CyclotomicField
-    axis_names: tuple[str, ...]
 
     @classmethod
     def from_root_system(cls, rs: RootSystem, field: CyclotomicField
                          ) -> "RootAmbient":
         return cls(rs.rank, tuple(rs.positive_roots),
-                   tuple(tuple(row) for row in rs.gram), field,
-                   tuple(f"a{i + 1}" for i in range(rs.rank)))
+                   tuple(tuple(row) for row in rs.gram), field)
 
     @classmethod
     def restricted(cls, rs: RootSystem, subset: Iterable[int],
@@ -84,8 +82,7 @@ class RootAmbient:
         pos = tuple(tuple(r[i] for i in idx)
                     for r in rs.roots_with_support_in(idx))
         gram = tuple(tuple(rs.gram[i][j] for j in idx) for i in idx)
-        return cls(len(idx), pos, gram, field,
-                   tuple(f"a{i + 1}" for i in idx))
+        return cls(len(idx), pos, gram, field)
 
 
 @dataclass(frozen=True)

@@ -63,6 +63,25 @@ def components(vertices: VertexSet, adj: dict[int, set[int]]
     return comps
 
 
+def is_nested(sets: Sequence[VertexSet], adj: dict[int, set[int]]) -> bool:
+    """Whether the vertex sets form a nested family: each is connected, any
+    two are nested or disjoint, and no edge joins two disjoint ones.
+
+    With as many members as vertices this is exactly maximality: such a
+    family is one of maximal_nested_sets.  One pass over the pairs.
+    """
+    for k, p in enumerate(sets):
+        if len(components(p, adj)) != 1:
+            return False
+        for q in sets[:k]:
+            if p & q:
+                if not (p <= q or q <= p):
+                    return False
+            elif any(adj[v] & q for v in p):
+                return False
+    return True
+
+
 def maximal_nested_sets(nvert: int, edges: Sequence[tuple[int, int]]
                         ) -> list[tuple[VertexSet, ...]]:
     """All maximal nested families, each in canonical order.

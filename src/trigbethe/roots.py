@@ -5,18 +5,17 @@ positive exactly when all coordinates are nonnegative.  Supported types:
 A(n>=1), B(n>=2), C(n>=2), D(n>=4), G2, F4.  Short roots are normalized
 to squared length 2; the symmetric pairing is recovered from the Cartan
 matrix through the symmetrizing diagonal, so its Gram matrix is integral
-and every pairing is computed in integers.
+and every pairing is computed in integers, like everything else here.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, NamedTuple, Sequence
 
-from .linalg import det, mat_inverse
+from .lattice import smith_normal_form
 
 Coords = tuple[int, ...]
 IntMatrix = tuple[tuple[int, ...], ...]
@@ -137,7 +136,6 @@ class RootSystem:
         # reduced words, filled on demand by word_of
         self._words: dict[IntMatrix, tuple[int, ...]] = {self.identity: ()}
         self._elements: dict[IntMatrix, WeylElement] = {}
-        self._scaled_ginv: tuple[int, list[list[int]]] | None = None
 
     # ------------------------------------------------------------------
     # pairing
@@ -261,11 +259,12 @@ class RootSystem:
     def weyl_order(self) -> int:
         """|W| = n! * det(Cartan) * the product of the highest root's coefficients.
 
-        det(Cartan) is the index of the root lattice in the weight lattice;
-        the highest root is the unique positive root of greatest height.
+        det(Cartan) is the index of the root lattice in the weight lattice,
+        the product of the Cartan matrix's elementary divisors; the highest
+        root is the unique positive root of greatest height.
         """
-        d = det([[Fraction(x) for x in row] for row in self.cartan])
-        return (math.factorial(self.rank) * int(d)
+        return (math.factorial(self.rank)
+                * math.prod(smith_normal_form(self.cartan).divisors)
                 * math.prod(self.positive_roots[-1]))
 
     def matrix_of_word(self, word: Sequence[int]) -> IntMatrix:
@@ -302,22 +301,16 @@ class RootSystem:
     def element(self, w: IntMatrix) -> WeylElement:
         """The integer tables of one group element, cached on first use.
 
-        Membership in W is decided by word_of; ValueError outside W.  w
-        preserves the Gram matrix G, so w^{-1} = G^{-1} w^T G; it is
-        computed in integers as (d G^{-1}) w^T G / d, d the common
-        denominator of G^{-1}.  The positive-root permutation and the
-        inversion set come from one pass of w over the positive roots.
+        Membership in W is decided by word_of; ValueError outside W.  A
+        word s_{i_1} ... s_{i_k} of w gives w^{-1} = s_{i_k} ... s_{i_1},
+        the matrix of the reversed word, in integers.  The positive-root
+        permutation and the inversion set come from one pass of w over the
+        positive roots.
         """
         cached = self._elements.get(w)
         if cached is not None:
             return cached
-        self.word_of(w)
-        if self._scaled_ginv is None:
-            ginv = mat_inverse([[Fraction(x) for x in row] for row in self.gram])
-            d = math.lcm(*(x.denominator for row in ginv for x in row))
-            self._scaled_ginv = (d, [[int(x * d) for x in row] for row in ginv])
-        d, scaled_ginv = self._scaled_ginv
-        inverse = int_mat_mul(int_mat_mul(scaled_ginv, tuple(zip(*w))), self.gram)
+        inverse = self.matrix_of_word(self.word_of(w)[::-1])
         perm, flipped = [], set()
         for a in self.positive_roots:
             image = self.act(w, a)
@@ -325,9 +318,8 @@ class RootSystem:
                 image = tuple(-c for c in image)
                 flipped.add(image)
             perm.append(self._pos_index[image])
-        cached = WeylElement(
-            tuple(tuple(x // d for x in row) for row in inverse), tuple(perm),
-            tuple(a for a in self.positive_roots if a in flipped))
+        cached = WeylElement(inverse, tuple(perm), tuple(
+            a for a in self.positive_roots if a in flipped))
         self._elements[w] = cached
         return cached
 

@@ -3,12 +3,13 @@ general-linear flavor onto the rational family with one extra marked
 point at the origin.
 
 Source: pair generators t_{ij} (1 <= i < j <= n) plus tau_1..tau_n; a
-torus point is a tuple (z_1..z_n) of distinct nonzero scalars, the pair
-(i,j) evaluating to z_i/z_j.  Target: pure pair generators t_{ij} on
-indices {0..n}.  The map fixes pairs and sends tau_k to minus the sum of
-all pairs {c,k} with c < k (a Jucys-Murphy-style element).  Under it the
-k-th trigonometric element at (z) matches -z_k times the k-th rational
-element at (0, z_1..z_n), exactly.
+torus point is a tuple (z_1..z_n) of distinct nonzero rationals (int or
+Fraction), the pair (i,j) evaluating to z_i/z_j.  Target: pure pair
+generators t_{ij} on indices {0..n}.  The map fixes pairs and sends tau_k
+to minus the sum of all pairs {c,k} with c < k (a Jucys-Murphy-style
+element).  Under it the k-th trigonometric element at (z) matches -z_k
+times the k-th rational element at (0, z_1..z_n), exactly.  All of it is
+rational, so every vector is a list of Fractions, for int input too.
 """
 
 from __future__ import annotations
@@ -18,27 +19,25 @@ from itertools import combinations
 from typing import Sequence
 
 from .bethe import bethe_weight
-from .field import CyclotomicField, FieldElement
 from .linalg import row_space_equal
 
 
 class PairSpace:
     """Vectors over pair generators t_{ij}, i<j over a fixed index set."""
 
-    def __init__(self, indices: Sequence[int], field: CyclotomicField):
+    def __init__(self, indices: Sequence[int]):
         self.indices = tuple(indices)
-        self.field = field
         self.pairs = [tuple(p) for p in combinations(self.indices, 2)]
         self._index = {p: k for k, p in enumerate(self.pairs)}
         self.dim = len(self.pairs)
 
-    def zero(self) -> list[FieldElement]:
-        return [self.field.zero()] * self.dim
+    def zero(self) -> list[Fraction]:
+        return [Fraction(0)] * self.dim
 
     def add_pair(self, vec, i: int, j: int, coeff) -> None:
         p = (i, j) if i < j else (j, i)
         k = self._index[p]
-        vec[k] = vec[k] + self.field.coerce(coeff)
+        vec[k] = vec[k] + coeff
 
     def labels(self) -> list[str]:
         return [f"t({i},{j})" for i, j in self.pairs]
@@ -47,17 +46,16 @@ class PairSpace:
 class TrigSource:
     """The n-point trigonometric side: pairs on {1..n} plus tau block."""
 
-    def __init__(self, n: int, field: CyclotomicField):
+    def __init__(self, n: int):
         self.n = n
-        self.field = field
         self.pairs = [tuple(p) for p in combinations(range(1, n + 1), 2)]
         self._index = {p: k for k, p in enumerate(self.pairs)}
         self.dim = len(self.pairs) + n
 
-    def zero(self) -> list[FieldElement]:
-        return [self.field.zero()] * self.dim
+    def zero(self) -> list[Fraction]:
+        return [Fraction(0)] * self.dim
 
-    def bethe(self, z: Sequence[FieldElement], k: int) -> list[FieldElement]:
+    def bethe(self, z: Sequence, k: int) -> list[Fraction]:
         """tau_k plus Bethe-weighted pairs at the torus point (z_1..z_n).
 
         Pair (i,j) evaluates to u = z_i/z_j; its coefficient in the k-th
@@ -66,29 +64,29 @@ class TrigSource:
         if not 1 <= k <= self.n:
             raise ValueError("index out of range")
         vec = self.zero()
-        vec[len(self.pairs) + k - 1] = self.field.one()
+        vec[len(self.pairs) + k - 1] = Fraction(1)
         for (i, j) in self.pairs:
             sign = (1 if i == k else 0) - (1 if j == k else 0)
             if sign == 0:
                 continue
-            u = z[i - 1] / z[j - 1]
-            vec[self._index[(i, j)]] = self.field.coerce(bethe_weight(u) * sign)
+            u = Fraction(z[i - 1]) / z[j - 1]
+            vec[self._index[(i, j)]] = bethe_weight(u) * sign
         return vec
 
-    def tau(self, k: int) -> list[FieldElement]:
+    def tau(self, k: int) -> list[Fraction]:
         vec = self.zero()
-        vec[len(self.pairs) + k - 1] = self.field.one()
+        vec[len(self.pairs) + k - 1] = Fraction(1)
         return vec
 
 
 class RationalTarget(PairSpace):
     """Pairs over {0..n}; the marked index 0 plays the extra point."""
 
-    def __init__(self, n: int, field: CyclotomicField):
-        super().__init__(range(0, n + 1), field)
+    def __init__(self, n: int):
+        super().__init__(range(0, n + 1))
         self.n = n
 
-    def gaudin(self, points: Sequence, k: int) -> list[FieldElement]:
+    def gaudin(self, points: Sequence, k: int) -> list[Fraction]:
         """Rational element at index k: sum of pairs {k,j}/(p_k - p_j)."""
         vec = self.zero()
         pk = points[k]
@@ -98,15 +96,15 @@ class RationalTarget(PairSpace):
             d = pk - points[j]
             if d == 0:
                 raise ZeroDivisionError("rational points must be distinct")
-            self.add_pair(vec, k, j, 1 / d)
+            self.add_pair(vec, k, j, Fraction(1) / d)
         return vec
 
-    def gaudin_span(self, points: Sequence) -> list[list[FieldElement]]:
+    def gaudin_span(self, points: Sequence) -> list[list[Fraction]]:
         return [self.gaudin(points, k) for k in self.indices]
 
 
 def reindex_map(source: TrigSource, target: RationalTarget,
-                vec: Sequence[FieldElement]) -> list[FieldElement]:
+                vec: Sequence[Fraction]) -> list[Fraction]:
     """Apply the correspondence: pairs fixed, tau_k to -(sum of {c,k}, c<k)."""
     if source.n != target.n:
         raise ValueError("source and target sizes differ")
@@ -123,13 +121,13 @@ def reindex_map(source: TrigSource, target: RationalTarget,
     return out
 
 
-def marked_points(field: CyclotomicField, z: Sequence[FieldElement]) -> list:
-    """(0, z_1..z_n) as exact scalars for the rational side."""
-    return [field.zero()] + [field.coerce(v) for v in z]
+def marked_points(z: Sequence) -> list[Fraction]:
+    """(0, z_1..z_n) as Fractions for the rational side."""
+    return [Fraction(0)] + [Fraction(v) for v in z]
 
 
 def check_sample(source: TrigSource, target: RationalTarget,
-                 z: Sequence[FieldElement]) -> tuple[list[int], bool]:
+                 z: Sequence) -> tuple[list[int], bool]:
     """Both pinned identities at the torus point z, on one set of vectors.
 
     Returns the k (1..n) for which the image of the k-th trig element is
@@ -139,26 +137,26 @@ def check_sample(source: TrigSource, target: RationalTarget,
     imgs = [reindex_map(source, target, source.bethe(z, k))
             for k in range(1, source.n + 1)]
     # gspan[k] is the rational element at index k of {0..n}
-    gspan = target.gaudin_span(marked_points(source.field, z))
+    gspan = target.gaudin_span(marked_points(z))
     bad = []
     for k, img in enumerate(imgs, start=1):
-        zk = source.field.coerce(z[k - 1])
+        zk = z[k - 1]
         if img != [-(zk * c) for c in gspan[k]]:
             bad.append(k)
     return bad, row_space_equal(imgs, gspan)
 
 
 def spans_match(source: TrigSource, target: RationalTarget,
-                z: Sequence[FieldElement]) -> bool:
+                z: Sequence) -> bool:
     """Image of the whole trig span equals the rational span at (0, z)."""
     return check_sample(source, target, z)[1]
 
 
-def sample_z(field: CyclotomicField, n: int, seed: int) -> tuple:
+def sample_z(n: int, seed: int) -> tuple[Fraction, ...]:
     import random
     rng = random.Random(f"typea-z-{n}-{seed}")
     while True:
         z = [Fraction(rng.randint(1, 200), rng.randint(1, 200))
              for _ in range(n)]
         if len({*z}) == n and all(v != 0 for v in z):
-            return tuple(field.from_rational(v) for v in z)
+            return tuple(z)

@@ -85,11 +85,11 @@ def test_criterion_01_hecke_family_commutes_for_every_q():
 def test_criterion_02_spin_chain_commutes_with_scaled_identity():
     ok = True
     for n in (2, 3):
-        src = typea.TrigSource(n, F6)
-        tgt = typea.RationalTarget(n, F6)
+        src = typea.TrigSource(n)
+        tgt = typea.RationalTarget(n)
         for seed in range(20):
             rng = random.Random(f"accept-spin-{n}-{seed}")
-            z = typea.sample_z(F6, n, seed)
+            z = typea.sample_z(n, seed)
             theta = [[F6.coerce(rng.randint(-9, 9)), F6.zero()],
                      [F6.zero(), F6.coerce(rng.randint(-9, 9))]]
             hams = [spin.trig_hamiltonian(theta, z, k, n)
@@ -164,10 +164,10 @@ def test_criterion_03_rank_is_system_rank_everywhere():
 def test_criterion_04_type_a_identification():
     ok = True
     for n in (2, 3):
-        src = typea.TrigSource(n, F6)
-        tgt = typea.RationalTarget(n, F6)
+        src = typea.TrigSource(n)
+        tgt = typea.RationalTarget(n)
         for seed in range(10):
-            z = typea.sample_z(F6, n, seed)
+            z = typea.sample_z(n, seed)
             ok = ok and typea.spans_match(src, tgt, z)
     record(4, "reindexed span equals rational span", ok,
            "n=2,3 x 10 seeds, RREF-equal")

@@ -1,9 +1,11 @@
 """Holonomy vectors, Weyl action, limit points and their recovery."""
 
 import io
+import itertools
 import json
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd
 from pathlib import Path
 
 import pytest
@@ -11,11 +13,13 @@ import pytest
 from trigbethe import cli
 from trigbethe.bethe import (HolonomySpace, PointStream, XPoint, bethe_weight,
                              centralizer, chart_only, injectivity_pool,
-                             recover_data, sample_xpoints, stratum_values,
-                             weyl_action_report, xpoint_from_dict)
-from trigbethe.field import CyclotomicField, char_value
-from trigbethe.layers import generic_point
-from trigbethe.linalg import mat_inverse, rank, row_space_equal, rref
+                             integer_kernel, recover_data, sample_xpoints,
+                             stratum_values, weyl_action_report,
+                             xpoint_from_dict)
+from trigbethe.field import CyclotomicField, char_value, default_field_order
+from trigbethe.layers import RootAmbient, enumerate_layers, generic_point
+from trigbethe.linalg import (mat_inverse, nullspace, rank, row_space_equal,
+                              rref)
 from trigbethe.nested import maximal_nested_sets
 from trigbethe.roots import RootSystem, int_mat_mul, root_system
 
@@ -205,7 +209,7 @@ def whole_group_oracle(rs, seed=0):
     rng = random.Random(f"weyl-oracle-{rs.label}-{seed}")
     space = HolonomySpace(rs, F6)
     n, dim = rs.rank, space.dim
-    cols = {w: [dict(col) for col in space.rho(w)] for w in rs.weyl_elements()}
+    cols = {w: space.rho(w) for w in rs.weyl_elements()}
 
     def compose(a, b):
         out = []
@@ -301,8 +305,8 @@ def test_weyl_report_and_oracle_reject_a_flipped_generator(label, monkeypatch):
         cols = rho(self, w)
         if w != s1:
             return cols
-        return cols[:self.npos] + [[(r, -x if r < self.npos else x)
-                                    for r, x in col]
+        return cols[:self.npos] + [{r: -x if r < self.npos else x
+                                    for r, x in col.items()}
                                    for col in cols[self.npos:]]
 
     monkeypatch.setattr(HolonomySpace, "rho", flipped)
@@ -691,3 +695,51 @@ def test_stratum_values_match_char_value(label):
         for a in roots:
             coords = [a[i] for i in subset]
             assert values[a] == char_value(field, point, coords)
+
+
+@pytest.mark.parametrize("label", ["A3", "B3", "C3", "D4", "G2", "F4"])
+def test_integer_kernel_matches_fraction_nullspace(label):
+    # on the centralized roots of every layer: n - rank primitive integer
+    # vectors spanning the kernel that Fraction row reduction finds
+    rs = root_system(label)
+    n = rs.rank
+    amb = RootAmbient.from_root_system(
+        rs, CyclotomicField(default_field_order(rs.family)))
+    seen = set()
+    for layer in enumerate_layers(amb):
+        rows = layer.roots_pos
+        if rows in seen:
+            continue
+        seen.add(rows)
+        kernel = integer_kernel(rows, n)
+        oracle = nullspace([[Fraction(x) for x in r] for r in rows]) if rows \
+            else [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+        assert len(kernel) == n - rank([[Fraction(x) for x in r] for r in rows])
+        assert all(type(x) is int for v in kernel for x in v)
+        assert all(gcd(*v) == 1 for v in kernel)
+        assert all(sum(x * y for x, y in zip(r, v)) == 0
+                   for r in rows for v in kernel)
+        assert row_space_equal([[Fraction(x) for x in v] for v in kernel],
+                               oracle)
+    assert len(seen) > 1
+
+
+@pytest.mark.parametrize("label", ["A3", "B3", "C3"])
+def test_xpoint_accepts_exactly_the_maximal_nested_sets(label):
+    # at y = 1 the centralizer is everything and its base the simple
+    # roots; with positive t every residual factor is positive, so only
+    # the shape of S decides, over all families of 3 distinct members
+    rs = root_system(label)
+    one = (F6.one(),) * 3
+    maximal = {frozenset(f) for f in
+               maximal_nested_sets(3, rs.nonorthogonal_edges(rs.simple_roots))}
+    subsets = [frozenset(c) for r in (1, 2, 3)
+               for c in itertools.combinations(range(3), r)]
+    tvals = (Fraction(2), Fraction(3), Fraction(1))
+    for fam in itertools.combinations(subsets, 3):
+        try:
+            XPoint.at(rs, F6, (), (0, 1, 2), one, fam, tvals)
+            accepted = True
+        except ValueError:
+            accepted = False
+        assert accepted == (frozenset(fam) in maximal), fam

@@ -434,6 +434,46 @@ def test_subspace_t_grammar_is_what_str_fraction_writes(capsys, monkeypatch):
         assert "chart coordinate t" in err, (t, err)
 
 
+def test_subspace_t_pairs_with_s_as_listed(capsys, monkeypatch):
+    # t = 0 on {1} and t = 1 on {1,2}, listed in both orders: one point,
+    # one basis, and the echo pairs each t with its member
+    point = {"type": "A2", "I": [1, 2], "y": ["1", "1"]}
+    outs = []
+    for s, t in [([[1], [1, 2]], ["0", "1"]), ([[1, 2], [1]], ["1", "0"])]:
+        code, out, err = run_stdin(capsys, monkeypatch,
+                                   json.dumps({**point, "S": s, "t": t}))
+        assert code == 0 and err == "", err
+        outs.append(out)
+    assert outs[0] == outs[1]
+    data = json.loads(outs[1])
+    assert data["input"]["S"] == [[1], [1, 2]]
+    assert data["input"]["t"] == ["0", "1"]
+    assert data["basis"] == [{"t(0,1)": "1"},
+                             {"t(1,0)": "1", "t(1,1)": "1"}]
+
+
+def test_subspace_rejects_s_that_is_not_maximal_nested(capsys, monkeypatch):
+    # on A3 at y = (1, 1, 1) the base is the simple roots; each S below
+    # has three members and passes the chart's one-missing-vertex rule
+    a3 = {"type": "A3", "I": [1, 2, 3], "y": ["1", "1", "1"],
+          "t": ["2", "3", "1"]}
+    a2 = {"type": "A2", "I": [1, 2], "y": ["1", "1"], "t": ["2", "1"]}
+    cases = [
+        ({**a3, "S": [[1], [2], [1, 2, 3]]}, "maximal nested"),  # adjacent
+        ({**a3, "S": [[1], [1, 3], [1, 2, 3]]}, "maximal nested"),  # {1,3}
+        ({**a2, "S": [[1, 1], [1, 2]]}, "vertex repeats"),
+        ({**a2, "S": [[1], [1]]}, "member repeats"),
+    ]
+    for point, reason in cases:
+        text = json.dumps(point)
+        code, out, err = run_stdin(capsys, monkeypatch, text)
+        assert_rejected(code, out, err, text)
+        assert reason in err, (text, err)
+    code, out, err = run_stdin(
+        capsys, monkeypatch, json.dumps({**a3, "S": [[1], [3], [1, 2, 3]]}))
+    assert code == 0 and json.loads(out)["dimension"] == 3, err
+
+
 def test_subspace_stats_leave_stdout_and_exit_code_alone(capsys, monkeypatch):
     # generators: the tau-carrying Bethe vectors plus the chart family
     # (always the rank); basis_entries: the nonzero entries of the

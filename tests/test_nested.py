@@ -8,7 +8,7 @@ import pytest
 
 from trigbethe.bethe import PointStream
 from trigbethe.field import CyclotomicField, default_field_order
-from trigbethe.nested import Chart, maximal_nested_sets
+from trigbethe.nested import Chart, adjacency, is_nested, maximal_nested_sets
 from trigbethe.roots import root_system
 
 PATH2 = [(0, 1)]
@@ -185,3 +185,23 @@ def test_base_coords_match_row_reduction(label, express_in_rows):
         charts += bool(x.chart.base)
         assert_base_coords_solve(x.chart, express_in_rows)
     assert charts > 0
+
+
+@pytest.mark.parametrize("nvert", [1, 2, 3, 4])
+def test_is_nested_is_maximality_on_every_small_graph(nvert):
+    # every graph on nvert vertices, every family of nvert distinct
+    # nonempty vertex sets: the pairwise rule holds exactly on the families
+    # maximal_nested_sets lists (87,360 families on 4 vertices)
+    pairs = list(itertools.combinations(range(nvert), 2))
+    subsets = [frozenset(c) for r in range(1, nvert + 1)
+               for c in itertools.combinations(range(nvert), r)]
+    for mask in range(1 << len(pairs)):
+        edges = [p for k, p in enumerate(pairs) if mask >> k & 1]
+        adj = adjacency(nvert, edges)
+        maximal = {frozenset(f) for f in maximal_nested_sets(nvert, edges)}
+        hits = 0
+        for fam in itertools.combinations(subsets, nvert):
+            nested = is_nested(fam, adj)
+            assert nested == (frozenset(fam) in maximal), (edges, fam)
+            hits += nested
+        assert hits == len(maximal)

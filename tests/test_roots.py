@@ -162,11 +162,11 @@ def test_inversion_sets_count_word_length():
 
 
 def test_cached_element_tables_match_fraction_oracle():
-    # the cached w^{-1} (G^{-1} w^T G in integers) against Fraction row
-    # reduction, and the cached inversion set against the sign test on
+    # the cached w^{-1} (the matrix of the reversed word) against Fraction
+    # row reduction, and the cached inversion set against the sign test on
     # w^{-1} applied to each positive root
     for label in ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C2", "C3",
-                  "C4", "D4", "G2"]:
+                  "C4", "D4", "G2", "F4"]:
         rs = root_system(label)
         for m in rs.weyl_elements():
             inv = mat_inverse([[Fraction(x) for x in row] for row in m])

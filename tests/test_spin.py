@@ -94,7 +94,7 @@ def test_sparse_operators_match_dense_reference():
     field = CyclotomicField(6)
     rng = random.Random(20261018)
     for n in (1, 2, 3, 4):
-        z = sample_z(field, n, n)
+        z = sample_z(n, n)
         theta = [[Fraction(rng.randint(-9, 9)), Fraction(rng.randint(-9, 9))],
                  [Fraction(rng.randint(-9, 9)), Fraction(rng.randint(-9, 9))]]
         local = {1: theta, n: E} if n > 1 else {1: theta}
@@ -205,10 +205,10 @@ def test_represented_image_is_scaled_hamiltonian():
     field = CyclotomicField(6)
     rng = random.Random(99)
     for n in (2, 3):
-        src = TrigSource(n, field)
-        tgt = RationalTarget(n, field)
+        src = TrigSource(n)
+        tgt = RationalTarget(n)
         for seed in (0, 1):
-            z = sample_z(field, n, seed)
+            z = sample_z(n, seed)
             theta = [[field.coerce(Fraction(rng.randint(-9, 9))), field.zero()],
                      [field.zero(), field.coerce(Fraction(rng.randint(-9, 9)))]]
             for k in range(1, n + 1):
@@ -222,9 +222,9 @@ def test_represented_image_is_scaled_hamiltonian():
 
 def test_represented_gaudin_elements_commute():
     field = CyclotomicField(6)
-    tgt = RationalTarget(3, field)
-    z = sample_z(field, 3, 5)
-    pts = marked_points(field, z)
+    tgt = RationalTarget(3)
+    z = sample_z(3, 5)
+    pts = marked_points(z)
     theta = [[field.coerce(4), field.zero()], [field.zero(), field.coerce(-7)]]
     mats = [combination(pair_vector_terms(tgt.pairs, tgt.gaudin(pts, k),
                                           theta, 3), 3)
@@ -245,7 +245,6 @@ def test_chain_operators_match_dense_reference():
     # cleared denominators, entry by entry against Kronecker products
     units = {(a, b): [[int((r, c) == (a, b)) for c in (0, 1)] for r in (0, 1)]
              for a in (0, 1) for b in (0, 1)}
-    field = CyclotomicField(6)
     rng = random.Random(4)
     for n in (2, 3):
         ops = spin.chain_operators(n)
@@ -263,7 +262,7 @@ def test_chain_operators_match_dense_reference():
                     assert to_dense(ops["omega2", i, j]) == \
                         dense_scale(dense_casimir_pair(i, j, n), 2)
         for seed in range(3):
-            z = [v.as_rational() for v in sample_z(field, n, seed)]
+            z = list(sample_z(n, seed))
             theta = [[rng.randint(-9, 9), 0], [0, rng.randint(-9, 9)]]
             for k in range(1, n + 1):
                 terms = spin.hamiltonian_terms(theta, z, k, n)
