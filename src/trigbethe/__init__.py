@@ -14,16 +14,15 @@ from .bethe import (HolonomySpace, RecoveredData, XPoint, chart_only,
                     weyl_action_report, xpoint_from_dict)
 from .field import (DEFAULT_FIELD_ORDER, CyclotomicField, FieldElement,
                     default_field_order)
-from .hecke import HeckeAlgebra, all_reduced_words, sample_q
+from .hecke import HeckeAlgebra
 from .lattice import (SmithForm, hermite_coordinates, hermite_normal_form,
                       int_rank, smith_normal_form)
 from .layers import (Layer, RootAmbient, building_set, enumerate_layers,
                      gamma_divisors, generic_point, is_indecomposable,
                      layer_contains, point_on_layer, poset_relations)
 from .nested import Chart, maximal_nested_sets
-from .poly import Poly, RatFunc, UPoly, epsilon_limit_span, valuation_at_zero
-from .roots import WEYL_ORDERS, RootSystem, cartan_matrix, root_system, \
-    symmetrizers
+from .poly import Poly
+from .roots import RootSystem, cartan_matrix, root_system, symmetrizers
 
 __version__ = "0.1.0"
 
@@ -31,7 +30,6 @@ __all__ = [
     "CyclotomicField", "FieldElement", "DEFAULT_FIELD_ORDER",
     "default_field_order",
     "RootSystem", "root_system", "cartan_matrix", "symmetrizers",
-    "WEYL_ORDERS",
     "SmithForm", "smith_normal_form", "hermite_normal_form", "int_rank",
     "hermite_coordinates",
     "RootAmbient", "Layer", "enumerate_layers", "building_set",
@@ -41,7 +39,7 @@ __all__ = [
     "HolonomySpace", "XPoint", "RecoveredData", "xpoint_from_dict",
     "recover_data", "sample_xpoints", "injectivity_pool", "chart_only",
     "weyl_action_report",
-    "HeckeAlgebra", "sample_q", "all_reduced_words",
-    "Poly", "UPoly", "RatFunc", "epsilon_limit_span", "valuation_at_zero",
+    "HeckeAlgebra",
+    "Poly",
     "__version__",
 ]

@@ -41,10 +41,11 @@ from typing import Collection, Iterable, Sequence
 from .field import CyclotomicField, FieldElement, default_field_order
 from .lattice import smith_normal_form
 from .layers import RootAmbient, root_chain
-from .linalg import identity, rank as mat_rank, rref
+from .linalg import rank as mat_rank, rref
 from .nested import Chart, adjacency, is_nested, maximal_nested_sets
-from .poly import Poly, RatFunc
+from .poly import Poly
 from .roots import Coords, IntMatrix, RootSystem
+from .spin import mat_mul
 
 
 def bethe_weight(u):
@@ -120,30 +121,6 @@ class HolonomySpace:
         return [self.vector({a: g * ah for a, g in weights.items()
                              if (ah := self.alpha_of_h(a, h)) != 0}, h)
                 for h in hs]
-
-    def bethe(self, point: Sequence[FieldElement], h_coords: Sequence
-              ) -> list[FieldElement]:
-        values = stratum_values(self.rs, range(self.rs.rank), point)
-        return self.bethe_family(values, [h_coords])[0]
-
-    def gaudin(self, chi: Sequence, h_coords: Sequence) -> list[FieldElement]:
-        """Rational family: t-coefficients alpha(h)/alpha(chi), no tau part."""
-        terms = {}
-        for a in self.pos:
-            achi = self.alpha_of_h(a, chi)
-            if achi == 0:
-                raise ZeroDivisionError(f"direction chi vanishes on root {a}")
-            terms[a] = self.alpha_of_h(a, h_coords) / achi
-        return self.vector(terms)
-
-    def bethe_subspace(self, point: Sequence[FieldElement]
-                       ) -> list[list[FieldElement]]:
-        return self.bethe_family(
-            stratum_values(self.rs, range(self.rs.rank), point),
-            self.rs.identity)
-
-    def gaudin_subspace(self, chi: Sequence) -> list[list[FieldElement]]:
-        return [self.gaudin(chi, h) for h in identity(self.rs.rank)]
 
     # ------------------------------------------------------------------
     # Weyl action
@@ -232,18 +209,6 @@ def weyl_action_report(rs: RootSystem, field: CyclotomicField,
     }
 
 
-def _compose(a: SparseColumns, b: SparseColumns) -> SparseColumns:
-    """The product a b."""
-    out = []
-    for col in b:
-        acc: dict[int, int] = {}
-        for k, m in col.items():
-            for r, x in a[k].items():
-                acc[r] = acc.get(r, 0) + m * x
-        out.append({r: x for r, x in acc.items() if x})
-    return out
-
-
 def _apply(a: SparseColumns, vec: Sequence, zero) -> list:
     """a applied to vec, every entry starting from zero; an entry 0 of vec
     is skipped, and a matrix entry 1 or -1 adds or subtracts without a
@@ -264,9 +229,11 @@ def _apply(a: SparseColumns, vec: Sequence, zero) -> list:
 
 def _word_product(gens: Sequence[SparseColumns], word: Sequence[int],
                   dim: int) -> SparseColumns:
+    """The product of the generators along the word.  By columns, a b is
+    the sparse row product mat_mul(b, a)."""
     out = [{k: 1} for k in range(dim)]
     for i in word:
-        out = _compose(out, gens[i])
+        out = mat_mul(gens[i], out)
     return out
 
 
@@ -279,8 +246,8 @@ def _generator_checks(space: HolonomySpace, gens: Sequence[SparseColumns]
     so every entry is an integer.  For Bethe transport the weight
     bethe_weight(e^delta) of each positive root delta is an indeterminate
     W_delta; a negative root -delta carries -1 - W_delta, which is the
-    identity bethe_weight(u) + bethe_weight(1/u) = -1, checked over Q(u)
-    by _weight_inversion_holds.  Both sides are then integer linear forms
+    identity bethe_weight(u) + bethe_weight(1/u) = -1, proved by
+    _weight_inversion_holds.  Both sides are then integer linear forms
     in 1 and the W_delta, equal exactly when their coefficients are.
     """
     rs, npos, n = space.rs, space.npos, space.rs.rank
@@ -318,9 +285,16 @@ def _generator_checks(space: HolonomySpace, gens: Sequence[SparseColumns]
 
 @cache
 def _weight_inversion_holds() -> bool:
-    """bethe_weight(u) + bethe_weight(1/u) = -1 in Q(u), u an indeterminate."""
-    u = RatFunc.variable()
-    return bethe_weight(u) + bethe_weight(1 / u) == -1
+    """bethe_weight(u) + bethe_weight(1/u) = -1 for u an indeterminate.
+
+    Each weight is a ratio of polynomials of degree at most 1 in u, so
+    over the common denominator of the two weights the difference of the
+    sides has a numerator of degree at most 2.  It vanishes identically
+    exactly when it vanishes at three distinct rationals away from the
+    poles u = 0 and u = 1.
+    """
+    return all(bethe_weight(u) + bethe_weight(1 / u) == -1
+               for u in (Fraction(2), Fraction(3), Fraction(5)))
 
 
 # ----------------------------------------------------------------------
@@ -372,6 +346,10 @@ class XPoint:
             raise ValueError("a chart member repeats")
         if len(tvals) != len(members):
             raise ValueError("one chart coordinate required per member")
+        if len(members) != len(base):
+            k = len(base)
+            raise ValueError(f"S must list {k} member{'s' * (k != 1)}, one per "
+                             f"root of the centralizer's base, not {len(members)}")
         chart = Chart(base, centralized, members)
         adj = adjacency(len(base), rs.nonorthogonal_edges(base))
         if not is_nested(chart.sets, adj):

@@ -27,7 +27,6 @@ from .bethe import (PointStream, injectivity_pool, recover_data,
                     sample_xpoints, weyl_action_report, xpoint_from_dict)
 from .field import CyclotomicField, default_field_order
 from .hecke import HeckeAlgebra, exact_commutator_check
-from .lattice import hermite_normal_form
 from .layers import (RootAmbient, building_set, enumerate_layers,
                      gamma_divisors, is_indecomposable, layer_to_dict,
                      poset_relations, restrict, subset_layers)
@@ -94,15 +93,14 @@ def _write_json(obj, newline: str, out: list[str]) -> None:
         out.append(json.dumps(obj))   # bool, None, float, or json's TypeError
 
 
-def _layer_facts(amb: RootAmbient, layer) -> dict:
+def _layer_facts(amb: RootAmbient, layer, indecomposable: bool) -> dict:
     """The entries of a layer that dropping coordinates outside its
     lattice's support leaves unchanged.  The layer's basis spans a
     saturated lattice, so when the roots span it too gamma is empty and
     the Smith form is not needed."""
-    roots = layer.roots_pos
-    return {"gamma": [] if hermite_normal_form(roots) == layer.basis
-            else gamma_divisors(roots, amb.dim),
-            "indecomposable": is_indecomposable(amb, layer)}
+    return {"gamma": [] if layer.roots_span_lattice
+            else gamma_divisors(layer.roots_pos, amb.dim),
+            "indecomposable": indecomposable}
 
 
 # ----------------------------------------------------------------------
@@ -160,7 +158,8 @@ def _enumeration(args, rs: RootSystem, field: CyclotomicField,
         # one walk of the full arrangement: every sub-arrangement's layers
         # are read from it, and gamma and indecomposability computed once
         layers = enumerate_layers(amb, stats)
-        facts = [_layer_facts(amb, l) for l in layers]
+        facts = [_layer_facts(amb, l, is_indecomposable(amb, l))
+                 for l in layers]
         strata = [{**layer_to_dict(restrict(layers[k], subset)), **facts[k],
                    "I": [i + 1 for i in subset]}
                   for subset, ks in subset_layers(layers).items()
@@ -172,8 +171,9 @@ def _enumeration(args, rs: RootSystem, field: CyclotomicField,
             "count": len(strata),
             "strata": strata,
         }
-    layers = (building_set(amb, stats) if args.target == "building-set"
-              else enumerate_layers(amb, stats))
+    # the building set is the indecomposable layers, so it is not asked twice
+    chosen = args.target == "building-set"
+    layers = building_set(amb, stats) if chosen else enumerate_layers(amb, stats)
     if args.format == "dot":
         return _layers_dot(layers, stats)
     return {
@@ -181,8 +181,8 @@ def _enumeration(args, rs: RootSystem, field: CyclotomicField,
         "type": rs.label,
         "field_order": field.order,
         "count": len(layers),
-        "layers": [{**layer_to_dict(l), **_layer_facts(amb, l)}
-                   for l in layers],
+        "layers": [{**layer_to_dict(l), **_layer_facts(
+            amb, l, chosen or is_indecomposable(amb, l))} for l in layers],
     }
 
 

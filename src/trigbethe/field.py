@@ -177,8 +177,9 @@ class CyclotomicField:
     def root_exponent(self, k: int) -> int:
         """e with zeta_N ** e a primitive k-th root of unity; needs k | N."""
         if k < 1 or self.order % k != 0:
-            raise ValueError(f"no {k}-th root of unity in Q(zeta_{self.order});"
-                             " enlarge the field order")
+            raise ValueError(f"Q(zeta_{self.order}) has no primitive root of "
+                             f"unity of order {k}; enlarge the field order "
+                             f"to a multiple of {k}")
         return self.order // k
 
     def coerce(self, value) -> FieldElement:

@@ -15,8 +15,8 @@ s_i substitutes x_k by the k-th row of s_i's matrix; the image of each
 monomial under that substitution is expanded once and kept in a table
 on the algebra (monomial_image), so no table outlives its HeckeAlgebra.
 Coefficients are ints throughout the normal forms and the commutator
-table; Fractions enter only with a sampled q (bmo, family) or a numeric
-t (at_numeric_t, holonomy_image).  The commuting degree-one family (bmo,
+table; Fractions enter only with a given q (bmo, family) or a numeric
+t (holonomy_image).  The commuting degree-one family (bmo,
 family) weights the reflection in each positive root by the Bethe
 weight u/(1-u) of bethe.bethe_weight, u the root's power of the torus
 point.  Its commutators are checked for every q at once:
@@ -52,17 +52,6 @@ def q_power(qvals: Sequence[Fraction], alpha: Sequence[int]) -> Fraction:
     return out
 
 
-def sample_q(rs: RootSystem, seed: int) -> tuple[Fraction, ...]:
-    """Seeded torus point with no root power equal to 1."""
-    import random
-    rng = random.Random(f"hecke-q-{rs.label}-{seed}")
-    while True:
-        q = tuple(Fraction(rng.randint(2, 60), rng.randint(2, 60))
-                  for _ in range(rs.rank))
-        if all(q_power(q, a) != 1 for a in rs.positive_roots):
-            return q
-
-
 class HeckeAlgebra:
     # products whose x-degree exceeds this raise RuntimeError
     degree_cap = 4
@@ -96,12 +85,6 @@ class HeckeAlgebra:
     # ------------------------------------------------------------------
     # basic elements
 
-    def zero(self) -> HeckeElem:
-        return {}
-
-    def one(self) -> HeckeElem:
-        return {self.ident: Poly.constant(self.nvars, 1)}
-
     def x(self, k: int) -> HeckeElem:
         return {self.ident: Poly.variable(self.nvars, k)}
 
@@ -119,9 +102,6 @@ class HeckeAlgebra:
 
     def sub(self, a: HeckeElem, b: HeckeElem) -> HeckeElem:
         return self.add(a, self.scale(b, -1))
-
-    def is_zero(self, a: HeckeElem) -> bool:
-        return all(p.is_zero() for p in a.values())
 
     def _prune(self, a: HeckeElem) -> HeckeElem:
         return {w: p for w, p in a.items() if not p.is_zero()}
@@ -293,17 +273,6 @@ class HeckeAlgebra:
                 out[key] = coeff
         return out
 
-    def at_numeric_t(self, a: HeckeElem, tval: Fraction
-                     ) -> dict[tuple[IntMatrix, tuple[int, ...]], Fraction]:
-        """Flatten to exact coordinates over (group element, x-monomial)."""
-        out: dict[tuple[IntMatrix, tuple[int, ...]], Fraction] = {}
-        for w, p in a.items():
-            for e, c in p.terms.items():
-                key = (w, e[:self.n])
-                val = Fraction(c) * Fraction(tval) ** e[self.n]
-                out[key] = out.get(key, Fraction(0)) + val
-        return {k: v for k, v in out.items() if v != 0}
-
     def holonomy_image(self, space, vec, tval: Fraction
                        ) -> dict[tuple[IntMatrix, tuple[int, ...]], Fraction]:
         """Degree-one correspondence at numeric t: each t_alpha becomes
@@ -371,18 +340,3 @@ def exact_commutator_check(alg: HeckeAlgebra, first_only: bool = False
                     if first_only:
                         return tested, bad
     return tested, bad
-
-
-def all_reduced_words(rs: RootSystem, w: IntMatrix) -> list[tuple[int, ...]]:
-    """Every shortest generator word for w (used to verify the exchange
-    move is independent of the chosen word)."""
-    target_len = len(rs.word_of(w))
-    if target_len == 0:
-        return [()]
-    out = []
-    for i in range(rs.rank):
-        prev = rs.times_generator(w, i)
-        if len(rs.word_of(prev)) == target_len - 1:
-            out.extend(u + (i,) for u in all_reduced_words(rs, prev))
-    return out
-

@@ -47,14 +47,15 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from operator import add, mod, mul
 from typing import Iterable, Sequence
 
 from .field import CyclotomicField, FieldElement, char_value
 from .lattice import (hermite_coordinates, hermite_insert,
                       hermite_normal_form, int_rank, smith_normal_form)
-from .nested import adjacency, components
-from .roots import Coords, RootSystem, nonorthogonal_edges
+from .nested import components
+from .roots import Coords, RootSystem, gram_inner
 
 Point = tuple[FieldElement, ...]
 
@@ -84,6 +85,15 @@ class RootAmbient:
         gram = tuple(tuple(rs.gram[i][j] for j in idx) for i in idx)
         return cls(len(idx), pos, gram, field)
 
+    @cached_property
+    def neighbours(self) -> dict[Coords, set[Coords]]:
+        """The non-orthogonality graph of the positive roots, built once:
+        each root's neighbours are the other roots it pairs nontrivially
+        with."""
+        pos = self.positive_roots
+        return {a: {b for b in pos if b != a and gram_inner(self.gram, a, b)}
+                for a in pos}
+
 
 @dataclass(frozen=True)
 class Layer:
@@ -110,6 +120,21 @@ class Layer:
     @property
     def char_values(self) -> tuple[FieldElement, ...]:
         return tuple(self.field.zeta(e) for e in self.char_exps)
+
+    @cached_property
+    def roots_span_lattice(self) -> bool:
+        """Whether the layer's roots span its lattice, computed once.
+
+        The roots lie in the saturated lattice the basis spans, so their
+        Hermite form, folded root by root, cannot change once it equals
+        the basis; the fold stops there.
+        """
+        hnf: tuple[Coords, ...] = ()
+        for a in self.roots_pos:
+            if hnf == self.basis:
+                break
+            hnf = hermite_insert(hnf, a)
+        return hnf == self.basis
 
     def char_exponent(self, vec: Sequence[int]) -> int | None:
         """e with e^vec = zeta_N^e on the layer; None if vec is outside the lattice."""
@@ -235,9 +260,7 @@ def enumerate_layers(amb: RootAmbient, stats: Counter | None = None
 
 def is_indecomposable(amb: RootAmbient, layer: Layer) -> bool:
     """Nonempty centralized set whose non-orthogonality graph is connected."""
-    roots = layer.roots_pos
-    adj = adjacency(len(roots), nonorthogonal_edges(amb.gram, roots))
-    return len(components(frozenset(adj), adj)) == 1
+    return len(components(frozenset(layer.roots_pos), amb.neighbours)) == 1
 
 
 def building_set(amb: RootAmbient, stats: Counter | None = None
@@ -272,8 +295,9 @@ def poset_relations(layers: Sequence[Layer], stats: Counter | None = None
     bitsets over the layers.  layer_contains runs only on candidates
     whose lattice is not spanned by their own roots: when it is, every
     lattice vector is an integer sum of roots that are 1 on both layers,
-    so root-set inclusion already forces containment.  stats, when
-    given, gains poset_candidates, contains_tests and relations.
+    so root-set inclusion already forces containment (roots_span_lattice,
+    computed once per layer).  stats, when given, gains poset_candidates,
+    contains_tests and relations.
     """
     holders: dict[Coords, int] = {}      # root -> bitset of layers holding it
     for j, l in enumerate(layers):
@@ -282,7 +306,6 @@ def poset_relations(layers: Sequence[Layer], stats: Counter | None = None
     # codim c -> bitset of the layers of smaller codimension
     below = {c: sum(1 << j for j, l in enumerate(layers) if l.codim < c)
              for c in {l.codim for l in layers}}
-    spanned: dict[int, bool] = {}
     out, candidates, tests = [], 0, 0
     for i, small in enumerate(layers):
         on_small = set(small.roots_pos)
@@ -295,11 +318,10 @@ def poset_relations(layers: Sequence[Layer], stats: Counter | None = None
         while j >= 0:
             candidates += 1
             big = layers[j]
-            if j not in spanned:
-                spanned[j] = hermite_normal_form(big.roots_pos) == big.basis
-            if not spanned[j]:
+            spanned = big.roots_span_lattice
+            if not spanned:
                 tests += 1
-            if spanned[j] or layer_contains(big, small):
+            if spanned or layer_contains(big, small):
                 out.append((i, j))
             j = bits.find("1", j + 1)
     if stats is not None:

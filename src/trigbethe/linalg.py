@@ -100,11 +100,6 @@ def _unit_like(sample: S) -> S:
     return Fraction(1) if isinstance(sample, int) else sample / sample
 
 
-def mat_mul(a: Sequence[Sequence[S]], b: Sequence[Sequence[S]]) -> Matrix:
-    bt = list(zip(*b))
-    return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
-
-
 def mat_inverse(a: Sequence[Sequence[S]]) -> Matrix:
     """Inverse of a square matrix; ValueError if singular."""
     n = len(a)
@@ -145,8 +140,3 @@ def det(a: Sequence[Sequence[S]]) -> S:
                 f = mat[i][c] * inv
                 mat[i] = [a_ - f * b_ for a_, b_ in zip(mat[i], mat[c])]
     return -result if sign_flip else result
-
-
-def identity(n: int) -> Matrix:
-    return [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-

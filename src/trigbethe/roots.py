@@ -349,11 +349,3 @@ class RootSystem:
 
     def __repr__(self) -> str:
         return f"RootSystem({self.label})"
-
-
-WEYL_ORDERS = {
-    "A1": 2, "A2": 6, "A3": 24, "A4": 120,
-    "B2": 8, "B3": 48, "B4": 384,
-    "C2": 8, "C3": 48, "C4": 384,
-    "D4": 192, "G2": 12, "F4": 1152,
-}

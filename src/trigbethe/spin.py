@@ -5,7 +5,7 @@ Pair generators act through the quadratic tensor Omega = e(x)f + f(x)e +
 generators act through a free 2x2 twist matrix corrected by lowering
 terms.  An operator on the n-site chain is sparse: a list of 2^n rows,
 each a dict {column: nonzero entry}, slot 1 the most significant bit of
-an index.  Single-site factors (E, F, H, ID2, the twist) are dense 2x2
+an index.  Single-site factors (E, F, H, the twist) are dense 2x2
 row lists, and place() builds their sparse Kronecker product.
 
 Every operator the checks use is a combination of a few constant integer
@@ -30,7 +30,6 @@ Local = list[list]    # a dense 2x2 single-site factor
 E: Local = [[0, 1], [0, 0]]
 F: Local = [[0, 0], [1, 0]]
 H: Local = [[1, 0], [0, -1]]
-ID2: Local = [[1, 0], [0, 1]]
 
 
 def mat_add(a: Mat, b: Mat) -> Mat:
@@ -57,6 +56,9 @@ def mat_scale(a: Mat, s) -> Mat:
 
 
 def mat_mul(a: Mat, b: Mat) -> Mat:
+    """The product a b of sparse matrices stored as {index: entry} rows:
+    the package's one sparse product (bethe's rho(w), stored by columns,
+    multiplies with it too)."""
     out = []
     for row in a:
         acc: dict = {}

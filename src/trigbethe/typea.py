@@ -39,9 +39,6 @@ class PairSpace:
         k = self._index[p]
         vec[k] = vec[k] + coeff
 
-    def labels(self) -> list[str]:
-        return [f"t({i},{j})" for i, j in self.pairs]
-
 
 class TrigSource:
     """The n-point trigonometric side: pairs on {1..n} plus tau block."""
@@ -71,11 +68,6 @@ class TrigSource:
                 continue
             u = Fraction(z[i - 1]) / z[j - 1]
             vec[self._index[(i, j)]] = bethe_weight(u) * sign
-        return vec
-
-    def tau(self, k: int) -> list[Fraction]:
-        vec = self.zero()
-        vec[len(self.pairs) + k - 1] = Fraction(1)
         return vec
 
 

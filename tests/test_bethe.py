@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from trigbethe import cli
+from trigbethe import bethe as bethe_module, cli
 from trigbethe.bethe import (HolonomySpace, PointStream, XPoint, bethe_weight,
                              centralizer, chart_only, injectivity_pool,
                              integer_kernel, recover_data, sample_xpoints,
@@ -22,6 +22,8 @@ from trigbethe.linalg import (mat_inverse, nullspace, rank, row_space_equal,
                               rref)
 from trigbethe.nested import maximal_nested_sets
 from trigbethe.roots import RootSystem, int_mat_mul, root_system
+
+from oracles import RatFunc, bethe_rows, gaudin
 
 F6 = CyclotomicField(6)
 
@@ -45,15 +47,15 @@ def test_vector_layout_and_labels():
 def test_bethe_fixture_rank_one():
     sp = space_of("A1")
     # weight at u: -u/(u-1) on the only root
-    v = sp.bethe(frac_point(F6, 2), [Fraction(1)])
+    v = bethe_rows(sp, frac_point(F6, 2), [[Fraction(1)]])[0]
     assert v == sp.vector({(1,): -2}, [1])
-    v = sp.bethe(frac_point(F6, -1), [Fraction(1)])
+    v = bethe_rows(sp, frac_point(F6, -1), [[Fraction(1)]])[0]
     assert v == sp.vector({(1,): Fraction(-1, 2)}, [1])
 
 
 def test_bethe_fixture_a2():
     sp = space_of("A2")
-    v = sp.bethe(frac_point(F6, 2, 3), [Fraction(1), Fraction(1)])
+    v = bethe_rows(sp, frac_point(F6, 2, 3), [[Fraction(1), Fraction(1)]])[0]
     assert v == sp.vector({(1, 0): -2, (0, 1): Fraction(-3, 2),
                            (1, 1): Fraction(-12, 5)}, [1, 1])
     # alpha(h) = 2 on the highest root for h = (1,1); u = 6, u/(u-1) = 6/5
@@ -63,15 +65,15 @@ def test_bethe_fixture_a2():
 def test_bethe_rejects_centralizing_point():
     sp = space_of("A2")
     with pytest.raises(ZeroDivisionError):
-        sp.bethe(frac_point(F6, 1, 3), [Fraction(1), Fraction(0)])
+        bethe_rows(sp, frac_point(F6, 1, 3), [[Fraction(1), Fraction(0)]])
 
 
 def test_gaudin_fixture():
     sp = space_of("A2")
-    g = sp.gaudin([Fraction(1), Fraction(1)], [Fraction(1), Fraction(0)])
+    g = gaudin(sp, [Fraction(1), Fraction(1)], [Fraction(1), Fraction(0)])
     assert g == sp.vector({(1, 0): 1, (1, 1): Fraction(1, 2)})
     with pytest.raises(ZeroDivisionError):
-        sp.gaudin([Fraction(1), Fraction(-1)], [Fraction(1), Fraction(0)])
+        gaudin(sp, [Fraction(1), Fraction(-1)], [Fraction(1), Fraction(0)])
 
 
 def delta(space, h_coords):
@@ -153,10 +155,10 @@ def action_properties(rs, act):
         for w in elements for h in h_basis)
     point = frac_point(F6, *[k + 2 for k in range(n)])
     bethe = all(
-        act(space, w, space.bethe(point, h))
-        == space.bethe(tuple(char_value(F6, point, col)
-                             for col in zip(*fraction_inverse(w))),
-                       reference_h_transport(rs, w, h))
+        act(space, w, bethe_rows(space, point, [h])[0])
+        == bethe_rows(space, tuple(char_value(F6, point, col)
+                                   for col in zip(*fraction_inverse(w))),
+                      [reference_h_transport(rs, w, h)])[0]
         for w in elements for h in h_basis)
     return group_law, delta_ok, bethe
 
@@ -357,7 +359,7 @@ def interior_xpoint(label, *vals):
 def test_interior_point_equals_bethe_subspace():
     x = interior_xpoint("A2", 2, 3)
     sp = x.space
-    assert row_space_equal(x.subspace(), sp.bethe_subspace(x.point))
+    assert row_space_equal(x.subspace(), bethe_rows(sp, x.point, sp.rs.identity))
     assert not chart_only(x)
 
 
@@ -415,7 +417,8 @@ def test_torsion_point_subspace():
 
 def test_xpoint_validation_errors():
     rs = root_system("A2")
-    with pytest.raises(ValueError, match="family size"):
+    with pytest.raises(ValueError, match="S must list 2 members, one per "
+                       "root of the centralizer's base, not 0"):
         # the centralizer at y = (1, 1) is all of A2, so S needs two
         # members, one per vertex of its base: an empty S has the wrong size
         XPoint.at(rs, F6, (), (0, 1), (F6.one(), F6.one()), [], ())
@@ -580,6 +583,21 @@ def test_bethe_weight_values():
     for one in (Fraction(1), F6.one()):
         with pytest.raises(ZeroDivisionError):
             bethe_weight(one)
+
+
+def test_weight_inversion_proof_at_three_points(monkeypatch):
+    # the three-point check, the same identity over Q(u) with the
+    # rational-function oracle, and a wrong weight that both reject
+    u = RatFunc.variable()
+    assert bethe_module._weight_inversion_holds()
+    assert bethe_weight(u) + bethe_weight(1 / u) == -1
+
+    def wrong(v):
+        return v / (v - 1)
+
+    assert not wrong(u) + wrong(1 / u) == -1
+    monkeypatch.setattr(bethe_module, "bethe_weight", wrong)
+    assert not bethe_module._weight_inversion_holds.__wrapped__()
 
 
 def test_readme_library_example_runs():

@@ -357,6 +357,22 @@ def test_check_unknown_name_rejected(capsys):
     capsys.readouterr()
 
 
+def test_exit_2_messages_name_the_fault_in_the_input(capsys, monkeypatch):
+    # e^{alpha_1 + alpha_2} = 2 * 1/2 = 1 puts one root in the
+    # centralizer's base, so S needs one member and lists none
+    text = json.dumps({"type": "A2", "I": [1, 2], "y": ["2", "1/2"]})
+    code, out, err = run_stdin(capsys, monkeypatch, text)
+    assert_rejected(code, out, err, text)
+    assert err == ("bad point description: S must list 1 member, one per "
+                   "root of the centralizer's base, not 0\n")
+    # G2 has layers of order 3, and 3 does not divide 4
+    code, out, err = run(capsys, "enumerate", "layers", "--type", "G2",
+                         "--field-order", "4")
+    assert (code, out) == (2, "")
+    assert err == ("error: Q(zeta_4) has no primitive root of unity of order "
+                   "3; enlarge the field order to a multiple of 3\n")
+
+
 def test_field_order_flag(capsys):
     data = run_json(capsys, "enumerate", "layers", "--type", "A2",
                     "--field-order", "12")
@@ -532,7 +548,7 @@ def test_layer_gamma_certificate_matches_smith_form(label):
     torsion = 0
     for layer in enumerate_layers(amb):
         gamma = gamma_divisors(layer.roots_pos, amb.dim)
-        assert _layer_facts(amb, layer)["gamma"] == gamma, layer
+        assert _layer_facts(amb, layer, False)["gamma"] == gamma, layer
         torsion += bool(gamma)
     # non-empty gamma occurs, so the Smith branch is exercised
     assert torsion > 0 or label in ("A4", "G2")

@@ -16,7 +16,8 @@ from trigbethe.layers import (Layer, RootAmbient, building_set,
                               is_indecomposable, layer_contains, layer_to_dict,
                               point_on_layer, poset_relations, restrict,
                               subset_layers)
-from trigbethe.roots import root_system
+from trigbethe.nested import adjacency, components
+from trigbethe.roots import nonorthogonal_edges, root_system
 
 F6 = CyclotomicField(6)
 
@@ -461,6 +462,35 @@ def test_layers_spanned_by_their_roots_contain_every_candidate(label, order):
                 shortcuts += 1
                 assert layer_contains(big, small)
     assert shortcuts
+
+
+FACT_TYPES = [("A2", 6), ("A3", 6), ("A4", 6), ("B2", 6), ("B3", 6),
+              ("B4", 6), ("C3", 6), ("C4", 6), ("D4", 6), ("G2", 6),
+              ("F4", 12)]
+
+
+@pytest.mark.parametrize("label,order", FACT_TYPES)
+def test_layer_facts_match_their_direct_expressions(label, order):
+    # roots_span_lattice stops its Hermite fold early and is_indecomposable
+    # reads one root graph per ambient: both against the whole fold and the
+    # per-layer graph of every pair of the layer's roots
+    amb = ambient(label, CyclotomicField(order))
+    layers = enumerate_layers(amb)
+    spanned = indecomposable = 0
+    for layer in layers:
+        roots = layer.roots_pos
+        want = hermite_normal_form(roots) == layer.basis
+        assert layer.roots_span_lattice == want, layer
+        adj = adjacency(len(roots), nonorthogonal_edges(amb.gram, roots))
+        connected = len(components(frozenset(adj), adj)) == 1
+        assert is_indecomposable(amb, layer) == connected, layer
+        spanned += want
+        indecomposable += connected
+    assert amb.neighbours is amb.neighbours
+    # both answers occur (beyond type A for the lattice), so neither
+    # assertion holds vacuously
+    assert 0 < indecomposable < len(layers) and 0 < spanned
+    assert label in ("A2", "A3", "A4") or spanned < len(layers)
 
 
 # ----------------------------------------------------------------------

@@ -7,9 +7,10 @@ from itertools import combinations
 import pytest
 
 from trigbethe.field import CyclotomicField
-from trigbethe.poly import RatFunc
-from trigbethe.linalg import (det, identity, mat_inverse, mat_mul, nullspace,
-                              rank, row_space_equal, rref)
+from trigbethe.linalg import (det, mat_inverse, nullspace, rank,
+                              row_space_equal, rref)
+
+from oracles import RatFunc, mat_mul
 
 
 def rand_matrix(rng, rows, cols, den=6):
@@ -99,7 +100,8 @@ def test_mat_inverse_and_det():
             if det([r[:] for r in a]) != 0:
                 break
         inv = mat_inverse(a)
-        assert mat_mul(a, inv) == identity(n)
+        assert mat_mul(a, inv) == [[int(i == j) for j in range(n)]
+                                   for i in range(n)]
     with pytest.raises(ValueError):
         mat_inverse([[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]])
 

@@ -6,7 +6,15 @@ from fractions import Fraction
 import pytest
 
 from trigbethe.linalg import mat_inverse
-from trigbethe.roots import WEYL_ORDERS, RootSystem, int_mat_mul, root_system
+from trigbethe.roots import RootSystem, int_mat_mul, root_system
+
+# |W| per type (Bourbaki, Groupes et algebres de Lie IV-VI, planches)
+WEYL_ORDERS = {
+    "A1": 2, "A2": 6, "A3": 24, "A4": 120,
+    "B2": 8, "B3": 48, "B4": 384,
+    "C2": 8, "C3": 48, "C4": 384,
+    "D4": 192, "G2": 12, "F4": 1152,
+}
 
 ALL_TYPES = ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C3", "C4",
              "D4", "G2", "F4"]
