@@ -34,17 +34,16 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
-from functools import cache
 from math import lcm
 from typing import Collection, Iterable, Sequence
 
 from .field import CyclotomicField, FieldElement, default_field_order
 from .lattice import smith_normal_form
-from .layers import RootAmbient, root_chain
+from .layers import RootAmbient
 from .linalg import rank as mat_rank, rref
 from .nested import Chart, adjacency, is_nested, maximal_nested_sets
 from .poly import Poly
-from .roots import Coords, IntMatrix, RootSystem
+from .roots import Coords, IntMatrix, RootSystem, chain_values, root_chain
 from .spin import mat_mul
 
 
@@ -283,7 +282,6 @@ def _generator_checks(space: HolonomySpace, gens: Sequence[SparseColumns]
             "bethe_transport": bethe_ok}
 
 
-@cache
 def _weight_inversion_holds() -> bool:
     """bethe_weight(u) + bethe_weight(1/u) = -1 for u an indeterminate.
 
@@ -405,17 +403,11 @@ class XPoint:
 def stratum_values(rs: RootSystem, subset: Sequence[int],
                    point: Sequence[FieldElement]
                    ) -> dict[Coords, FieldElement]:
-    """e^alpha at a point of the stratum torus, per root supported on subset.
-
-    point[k] is e^{alpha_i} for i = subset[k].  Along the height chain
-    a = b + alpha_i, e^a = e^b * e^{alpha_i}: one product per root of
-    height two or more.
-    """
-    coord = dict(zip(subset, point))
-    values: dict[Coords, FieldElement] = {}
-    for a, b, i in root_chain(rs.roots_with_support_in(subset), rs.rank):
-        values[a] = values[b] * coord[i] if b in values else coord[i]
-    return values
+    """e^alpha at a point of the stratum torus, per root supported on subset,
+    where point[k] is e^{alpha_i} for i = subset[k]: one product per root
+    of height two or more, along the height chain."""
+    return chain_values(root_chain(rs.roots_with_support_in(subset),
+                                   rs.simple_roots), dict(zip(subset, point)))
 
 
 def centralizer(rs: RootSystem, subset: Sequence[int],
@@ -540,8 +532,6 @@ def recover_data(space: HolonomySpace, vectors: Sequence[Sequence[FieldElement]]
             if not r[n + k] == 0:
                 support.add(a)
     cen = tuple(sorted(support, key=lambda c: (sum(c), c)))
-    # a lies in the span of the centralizer iff every kernel vector kills it
-    kernel = integer_kernel(cen, n)
     scaled_h = []
     for r in tau_rows:
         block = [c.as_rational() for c in r[:n]]
@@ -552,8 +542,8 @@ def recover_data(space: HolonomySpace, vectors: Sequence[Sequence[FieldElement]]
     units: dict[Coords, FieldElement] = {}
     vanishing = []
     for k, a in enumerate(space.pos):
-        if cen and not any(sum(x * y for x, y in zip(v, a)) for v in kernel):
-            continue  # inside the centralizer span: no tau row sees it
+        # alpha(h) = 0 on every tau row exactly when a lies in the span of
+        # the centralizer; such a root gets no weight
         g = None
         for r, (h, d) in zip(tau_rows, scaled_h):
             ah = sum(x * y for x, y in zip(a, h))   # d * alpha(block)
@@ -663,8 +653,8 @@ class PointStream:
         rs, rng, n = self.rs, self._rng, self.rs.rank
         self.attempts += 1
         if self._words is None:
-            self._words = sorted(rs.weyl_elements().values(),
-                                 key=lambda w: (len(w), w))
+            # already in shortlex order: the table is built breadth first
+            self._words = list(rs.weyl_elements().values())
         subsets = self._subsets
         subset = subsets[rng.randrange(len(subsets))] if rng.random() < 0.5 \
             else tuple(range(n))
@@ -676,7 +666,7 @@ class PointStream:
             return
         values, cen, base = centralizer(rs, subset, y)
         families = maximal_nested_sets(len(base), rs.nonorthogonal_edges(base))
-        sets = families[rng.randrange(len(families))] if families else ()
+        sets = families[rng.randrange(len(families))]
         chart = Chart(base, cen, sets)
         tops = [s for s in chart.sets
                 if not any(s < q for q in chart.sets)]

@@ -55,7 +55,7 @@ from .field import CyclotomicField, FieldElement, char_value
 from .lattice import (hermite_coordinates, hermite_insert,
                       hermite_normal_form, int_rank, smith_normal_form)
 from .nested import components
-from .roots import Coords, RootSystem, gram_inner
+from .roots import Coords, RootSystem, chain_values, gram_inner, root_chain
 
 Point = tuple[FieldElement, ...]
 
@@ -93,6 +93,13 @@ class RootAmbient:
         pos = self.positive_roots
         return {a: {b for b in pos if b != a and gram_inner(self.gram, a, b)}
                 for a in pos}
+
+    @cached_property
+    def chain(self) -> list[tuple[Coords, Coords, int]]:
+        """The positive roots' height chain over the coordinate vectors."""
+        n = self.dim
+        return list(root_chain(self.positive_roots, [
+            tuple(int(i == j) for j in range(n)) for i in range(n)]))
 
 
 @dataclass(frozen=True)
@@ -155,19 +162,6 @@ class Layer:
                 tuple(self.field.zeta(e).nums for e in self.char_exps))
 
 
-def root_chain(pos: Sequence[Coords], n: int
-               ) -> list[tuple[Coords, Coords, int]]:
-    """(a, b, i) for every positive root a, by height: a = b + e_i with b
-    zero or a positive root listed earlier."""
-    chain, seen = [], {(0,) * n}
-    for a in sorted(pos, key=sum):
-        b, i = next((b, i) for i, x in enumerate(a)
-                    if (b := a[:i] + (x - 1,) + a[i + 1:]) in seen)
-        chain.append((a, b, i))
-        seen.add(a)
-    return chain
-
-
 def enumerate_layers(amb: RootAmbient, stats: Counter | None = None
                      ) -> list[Layer]:
     """All layers of the arrangement, canonically ordered.
@@ -179,7 +173,6 @@ def enumerate_layers(amb: RootAmbient, stats: Counter | None = None
     order = field.order
     n = amb.dim
     pos = list(amb.positive_roots)
-    chain = root_chain(pos, n)
     found: dict[tuple, Layer] = {}
 
     def visit(lattice: tuple[Coords, ...]) -> list[Coords]:
@@ -194,7 +187,7 @@ def enumerate_layers(amb: RootAmbient, stats: Counter | None = None
 
         # u V by one vector addition per root: e_i V is row i of V
         image: dict[Coords, list[int]] = {(0,) * n: [0] * n}
-        for a, b, i in chain:
+        for a, b, i in amb.chain:
             image[a] = list(map(add, image[b], sf.V[i]))
 
         # u = sum_i (u V)_i Vinv[i] and the saturation is spanned by
@@ -374,7 +367,8 @@ def generic_point(amb: RootAmbient, layer: Layer, seed: int = 0) -> Point:
             Fraction(rng.randint(2, 97), rng.randint(2, 97)))
             for _ in range(free)]
         pt = point_on_layer(layer, params)
-        if all(not char_value(amb.field, pt, a).is_one() for a in avoid):
+        values = chain_values(amb.chain, pt)
+        if all(not values[a].is_one() for a in avoid):
             return pt
     raise RuntimeError("no generic point found in 64 tries")
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .roots import Coords
+from .roots import Coords, root_chain
 
 VertexSet = frozenset[int]
 
@@ -147,20 +147,11 @@ class Chart:
                                  if self.sets[lo] <= big < top]
                         for lo, v in enumerate(self.adapted)
                         for k, top in enumerate(self.sets)}
-        # by height, a root outside the base is a lower one plus a base root
-        m = len(self.base)
-        known = {b: tuple(int(i == j) for i in range(m))
-                 for j, b in enumerate(self.base)}
-        for r in sorted(self.pos_roots, key=sum):
-            if r in known:
-                continue
-            for j, b in enumerate(self.base):
-                prev = known.get(tuple(x - y for x, y in zip(r, b)))
-                if prev is not None:
-                    known[r] = prev[:j] + (prev[j] + 1,) + prev[j + 1:]
-                    break
-            else:
-                raise ValueError(f"{r} is not an integer combination of the base")
+        # along the height chain a = b + base[j]: a's coordinates are b's + e_j
+        known: dict[Coords, Coords] = {}
+        for a, b, j in root_chain(self.pos_roots, self.base):
+            c = known.get(b, (0,) * len(self.base))
+            known[a] = c[:j] + (c[j] + 1,) + c[j + 1:]
         self.base_coords = {r: known[r] for r in self.pos_roots}
         # A(root) is the first member, in canonical order, holding its
         # support; each nonzero coordinate c at v reads the chain (v, A)

@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 import re
 from functools import lru_cache
+from operator import sub
 from typing import Iterable, NamedTuple, Sequence
 
 from .lattice import smith_normal_form
@@ -89,6 +90,32 @@ def int_mat_mul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> IntMa
     cols = list(zip(*b))
     return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in cols)
                  for row in a)
+
+
+def root_chain(roots: Iterable[Coords], basis: Sequence[Coords]):
+    """Yield (a, b, j) for every root a, by height: a = b + basis[j] with
+    b zero or a root yielded earlier.  ValueError for a root no chain
+    reaches, such as one outside the lattice of the basis."""
+    seen: set[Coords] = set()
+    for a in sorted(roots, key=sum):
+        for j, e in enumerate(basis):
+            b = tuple(map(sub, a, e))
+            if b in seen or not any(b):
+                break
+        else:
+            raise ValueError(f"{a} is not an integer combination of the base")
+        seen.add(a)
+        yield a, b, j
+
+
+def chain_values(chain, base_values) -> dict:
+    """{a: e^a} along a root chain, from base_values[j] = e^{basis[j]}:
+    e^a = e^b * e^{basis[j]}, one product per root off the basis."""
+    values: dict = {}
+    for a, b, j in chain:
+        values[a] = values[b] * base_values[j] if b in values \
+            else base_values[j]
+    return values
 
 
 class WeylElement(NamedTuple):

@@ -4,17 +4,20 @@ Pair generators act through the quadratic tensor Omega = e(x)f + f(x)e +
 (1/2) h(x)h, which equals swap minus half the identity; the marked-index
 generators act through a free 2x2 twist matrix corrected by lowering
 terms.  An operator on the n-site chain is sparse: a list of 2^n rows,
-each a dict {column: nonzero entry}, slot 1 the most significant bit of
-an index.  Single-site factors (E, F, H, the twist) are dense 2x2
-row lists, and place() builds their sparse Kronecker product.
+each a dict {column: nonzero entry}; slot k of a basis index r is its
+bit n - k, so slot 1 is the most significant.
 
-Every operator the checks use is a combination of a few constant integer
-operators of the chain (chain_operators: 2 Omega_ij, the lowering pairs,
-the matrix units of one slot), built once per chain size.  combination()
-assembles one over any exact scalars (Fraction, field elements);
-integer_combination() clears rational coefficients by their lcm, so
-commutators and equalities of rational operators become integer sparse
-products.  Nothing here touches floating point.
+Every operator the checks use is a combination of constant integer
+operators of the chain (chain_operators), built once per chain size from
+what each does to a basis index r: the unit E_ab of slot k sends r with
+bit a there to r with bit b there; the lowering pair (f in slot i, e in
+slot j) sends r with bits 1, 0 at slots i, j to r with both flipped; and
+2 Omega_ij = 2 swap - 1 fixes r where the two bits agree and sends it to
+2 swap(r) - r where they differ.  combination() assembles an operator
+over any exact scalars (Fraction, field elements); integer_combination()
+clears rational coefficients by their lcm, so commutators of rational
+operators become integer sparse products.  Nothing here touches floating
+point.
 """
 
 from __future__ import annotations
@@ -25,34 +28,7 @@ from math import lcm
 from typing import Sequence
 
 Mat = list[dict]      # sparse rows {column: nonzero entry}
-Local = list[list]    # a dense 2x2 single-site factor
-
-E: Local = [[0, 1], [0, 0]]
-F: Local = [[0, 0], [1, 0]]
-H: Local = [[1, 0], [0, -1]]
-
-
-def mat_add(a: Mat, b: Mat) -> Mat:
-    out = []
-    for ra, rb in zip(a, b):
-        row = dict(ra)
-        for c, v in rb.items():
-            if c not in row:
-                row[c] = v
-            else:
-                s = row[c] + v
-                if s == 0:
-                    del row[c]
-                else:
-                    row[c] = s
-        out.append(row)
-    return out
-
-
-def mat_scale(a: Mat, s) -> Mat:
-    if s == 0:
-        return zero_matrix(len(a))
-    return [{c: s * v for c, v in row.items()} for row in a]
+Local = list[list]    # a dense 2x2 twist of one slot
 
 
 def mat_mul(a: Mat, b: Mat) -> Mat:
@@ -69,46 +45,11 @@ def mat_mul(a: Mat, b: Mat) -> Mat:
     return out
 
 
-def mat_equal(a: Mat, b: Mat) -> bool:
-    return len(a) == len(b) and all(ra == rb for ra, rb in zip(a, b))
-
-
-def zero_matrix(size: int) -> Mat:
-    return [{} for _ in range(size)]
-
-
-def place(factors: dict[int, Local], n: int) -> Mat:
-    """Kronecker product over n slots (1-based), identity where omitted."""
-    out: Mat = [{0: 1}]
-    for slot in range(1, n + 1):
-        f = factors.get(slot)
-        nxt = []
-        for row in out:
-            for fr in (0, 1):
-                if f is None:
-                    nxt.append({2 * c + fr: v for c, v in row.items()})
-                    continue
-                nxt.append({2 * c + fc: v * f[fr][fc] for c, v in row.items()
-                            for fc in (0, 1) if not f[fr][fc] == 0})
-        out = nxt
-    return out
-
-
-def lowering_pair(i: int, j: int, n: int) -> Mat:
-    """Lowering part: f in the first-named slot, e in the second."""
-    return place({i: F, j: E}, n)
-
-
-def raising_pair(i: int, j: int, n: int) -> Mat:
-    return place({i: E, j: F}, n)
-
-
 # ----------------------------------------------------------------------
 # operators as combinations of constant integer operators
 
 HALF = Fraction(1, 2)
-_UNITS = {(a, b): [[int((r, c) == (a, b)) for c in (0, 1)] for r in (0, 1)]
-          for a in (0, 1) for b in (0, 1)}
+_UNITS = [(a, b) for a in (0, 1) for b in (0, 1)]
 
 
 @cache
@@ -117,20 +58,24 @@ def chain_operators(n: int) -> dict[tuple, Mat]:
 
     ("omega2", i, j), i < j: 2 Omega in slots i and j; ("lower", i, j),
     i != j: f in slot i, e in slot j; ("unit", k, a, b): the matrix unit
-    E_ab in slot k.
+    E_ab in slot k.  Row r of each is read off the bits of r.
     """
+    rows = range(2 ** n)
     ops: dict[tuple, Mat] = {}
     for i in range(1, n + 1):
+        bi = 1 << (n - i)
         for a, b in _UNITS:
-            ops["unit", i, a, b] = place({i: _UNITS[a, b]}, n)
+            ops["unit", i, a, b] = [{r ^ bi * (a ^ b): 1} if (r & bi) == bi * a
+                                    else {} for r in rows]
         for j in range(1, n + 1):
+            bj = 1 << (n - j)
             if j != i:
-                ops["lower", i, j] = lowering_pair(i, j, n)
+                ops["lower", i, j] = [{r ^ bi ^ bj: 1} if r & bi and not r & bj
+                                      else {} for r in rows]
             if j > i:
-                ops["omega2", i, j] = mat_add(
-                    mat_scale(mat_add(raising_pair(i, j, n),
-                                      lowering_pair(i, j, n)), 2),
-                    place({i: H, j: H}, n))
+                ops["omega2", i, j] = [{r: 1} if bool(r & bi) == bool(r & bj)
+                                       else {r ^ bi ^ bj: 2, r: -1}
+                                       for r in rows]
     return ops
 
 
@@ -199,4 +144,4 @@ def pair_vector_terms(pairs: Sequence[tuple[int, int]], coeffs: Sequence,
 
 
 def commute(a: Mat, b: Mat) -> bool:
-    return mat_equal(mat_mul(a, b), mat_mul(b, a))
+    return mat_mul(a, b) == mat_mul(b, a)

@@ -40,17 +40,13 @@ class PairSpace:
         vec[k] = vec[k] + coeff
 
 
-class TrigSource:
-    """The n-point trigonometric side: pairs on {1..n} plus tau block."""
+class TrigSource(PairSpace):
+    """The n-point trigonometric side: pairs on {1..n}, then a tau block."""
 
     def __init__(self, n: int):
+        super().__init__(range(1, n + 1))
         self.n = n
-        self.pairs = [tuple(p) for p in combinations(range(1, n + 1), 2)]
-        self._index = {p: k for k, p in enumerate(self.pairs)}
-        self.dim = len(self.pairs) + n
-
-    def zero(self) -> list[Fraction]:
-        return [Fraction(0)] * self.dim
+        self.dim += n
 
     def bethe(self, z: Sequence, k: int) -> list[Fraction]:
         """tau_k plus Bethe-weighted pairs at the torus point (z_1..z_n).
@@ -67,7 +63,7 @@ class TrigSource:
             if sign == 0:
                 continue
             u = Fraction(z[i - 1]) / z[j - 1]
-            vec[self._index[(i, j)]] = bethe_weight(u) * sign
+            self.add_pair(vec, i, j, bethe_weight(u) * sign)
         return vec
 
 

@@ -16,7 +16,9 @@ strata were recorded before sampling moved to one point stream per
 request and the layer walk to Hermite insertion; the B3 and F4 boundary
 strata and the C4 and F4 layer posets before the boundary strata were
 read from one walk of the full arrangement, the walk inserted one root
-per class of Z^n/L and the poset read its candidates from an index.
+per class of Z^n/L and the poset read its candidates from an index; the
+standalone `commutativity` and `typea` digests before the spin-chain
+operators were built from their action on basis indices.
 """
 
 import hashlib
@@ -97,6 +99,55 @@ CHECK = {
         (0, "47588e5e352ecd333f04e9a3978864ccebbe38ec7b89fc9beec9a5ffbeaf5d18"),
     "check all --type B3 --seed 1":
         (0, "c419419bbb06fc517f68de4e487af99133baaa849f6d0828df23d65982e857de"),
+    # standalone spin-chain and type-A checks at several sample counts
+    "check commutativity --seed 0 --samples 1":
+        (0, "cd01a3dde2cf9c015ef955a173571745629cad5f136b0201aa059fd9bf21d5ad"),
+    "check commutativity --seed 0 --samples 3":
+        (0, "f2c6a2b8a38ba25054720e3e304baaf9ccd395c67eaa2cb03fbc736512d07b46"),
+    "check commutativity --seed 0 --samples 9":
+        (0, "55d78fba718494e389344c4c99529380fcc06851fd860272b3a03584ceef7c02"),
+    "check commutativity --seed 1 --samples 1":
+        (0, "e9f6bf9e11eb4d0bbaedecc7175b198daeacc04cead0e929a26a3f7f8eabdb89"),
+    "check commutativity --seed 1 --samples 3":
+        (0, "7d044f748ac2ccea1091fe5d024bb0cd8afdb0879042c1816f11074261d21787"),
+    "check commutativity --seed 1 --samples 9":
+        (0, "8ec1fe68355be6aa1c8a94ebec52dc10072657030f6c156ee57d50fa1f9306ab"),
+    "check commutativity --seed 2 --samples 1":
+        (0, "9c04d8afcf66540ffae9321c3d099555eec02dff0fc83454649431238ce55b93"),
+    "check commutativity --seed 2 --samples 3":
+        (0, "b7f932d7be5331174e255481eff441b6e03858c64563b778cac42a443c42cde1"),
+    "check commutativity --seed 2 --samples 9":
+        (0, "bcf36e26d05078e283ac817459fbc1e7c4115b31288e9775db15b13666f83471"),
+    "check commutativity --seed 3 --samples 1":
+        (0, "e097a8d792db4ac86ea45a23d40936358531ddfd821a84d99ab75d9b15226a0f"),
+    "check commutativity --seed 3 --samples 3":
+        (0, "52e7cf71e2167ae2491d30cfb224c538e49f0e1b05cb5ba2bf2bd300c00d110b"),
+    "check commutativity --seed 3 --samples 9":
+        (0, "84085ccfb415f4f18e7cd02169f647ad0521e06ad18fcf7960dffc184ef517db"),
+    "check typea --seed 0 --samples 1":
+        (0, "31751dacec28760c1764a75be37cdc40d560dafbb4dda57ffcc4332ce2d3932e"),
+    "check typea --seed 0 --samples 3":
+        (0, "15d3a2e41877337079bb4e53a125818df9174b370881c758cf9f318473bf45ff"),
+    "check typea --seed 0 --samples 9":
+        (0, "9690ce6622fd839828ce067347a65026fcad6f5167bbee5b01cbac724e9ece4d"),
+    "check typea --seed 1 --samples 1":
+        (0, "c374abd4926a6ecfed44981440bda2bb34656b903c3721e2b2e794712c173d8d"),
+    "check typea --seed 1 --samples 3":
+        (0, "91ff8c3aee749bdad0ea1cb5c35689947d00568b2f2303647032dbde6dc8d461"),
+    "check typea --seed 1 --samples 9":
+        (0, "c5ed8ce88f6cab7faf6c8c1b62aa993dc8100d1b050b9135cfb512bb799a8d82"),
+    "check typea --seed 2 --samples 1":
+        (0, "08dea7edeede3340251bdb8c588b87dac5e4cbe0d8cf690b123288b6245543a0"),
+    "check typea --seed 2 --samples 3":
+        (0, "9bad018fbc6af8ff80a4688324f454fcc5aac24ebbfae08d7003ff1822726faf"),
+    "check typea --seed 2 --samples 9":
+        (0, "f30eb17ae0e3c61f241978546d56ea2aa3a0f26f2b5dd417ca8c0b6d58b39425"),
+    "check typea --seed 3 --samples 1":
+        (0, "dbd338e72bc3dae0b160a56003d68c0e32016910c2cc9d336d0cf74c2ec1aac2"),
+    "check typea --seed 3 --samples 3":
+        (0, "35873cc21d705fabeb01f80b9e578cbf12d6de00da4aa0f146d6a6baad822e43"),
+    "check typea --seed 3 --samples 9":
+        (0, "3bea978e1f1f3276248200fd5d2919df01ae6802aa6ba41dfe2663c080dcfb81"),
 }
 
 # argv -> stdout sha256 of census requests outside the reference file

@@ -1,12 +1,14 @@
 """Root systems: Cartan data, Weyl groups, reflections, inversion sets."""
 
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
 
 from trigbethe.linalg import mat_inverse
-from trigbethe.roots import RootSystem, int_mat_mul, root_system
+from trigbethe.roots import (RootSystem, chain_values, int_mat_mul,
+                             root_chain, root_system)
 
 # |W| per type (Bourbaki, Groupes et algebres de Lie IV-VI, planches)
 WEYL_ORDERS = {
@@ -65,6 +67,41 @@ def test_weyl_group_orders():
         assert len(elems) == WEYL_ORDERS[label] == rs.weyl_order
         for m, w in elems.items():
             assert rs.matrix_of_word(w) == m
+
+
+@pytest.mark.parametrize("label", ALL_TYPES + ["A5", "B5", "D5"])
+def test_weyl_table_lists_words_in_shortlex_order(label):
+    # the breadth-first table is already in the order the point stream
+    # draws its twists from
+    words = list(root_system(label).weyl_elements().values())
+    assert words == sorted(words, key=lambda w: (len(w), w))
+
+
+def test_root_chain_steps_along_the_basis():
+    for label in ALL_TYPES:
+        rs = root_system(label)
+        # over the simple roots, and over the base of the long roots
+        long = [a for a in rs.positive_roots
+                if rs.norm2(a) == max(map(rs.norm2, rs.positive_roots))]
+        for roots, basis in ((rs.positive_roots, rs.simple_roots),
+                             (long, rs.base_of(long))):
+            chain = list(root_chain(roots, basis))
+            assert sorted(a for a, _, _ in chain) == sorted(roots)
+            earlier = set()
+            for a, b, j in chain:
+                assert a == tuple(x + y for x, y in zip(b, basis[j]))
+                assert b in earlier or not any(b)
+                earlier.add(a)
+        # e^a along the chain, with e^{alpha_i} the i-th prime
+        primes = [2, 3, 5, 7][:rs.rank]
+        values = chain_values(root_chain(rs.positive_roots, rs.simple_roots),
+                              primes)
+        assert values == {a: math.prod(map(pow, primes, a))
+                          for a in rs.positive_roots}
+    with pytest.raises(ValueError, match="not an integer combination"):
+        list(root_chain([(1, 0)], [(2, 0), (0, 1)]))
+    with pytest.raises(ValueError, match="not an integer combination"):
+        list(root_chain([(1, 1)], [(1, 0)]))
 
 
 def test_weyl_order_formula_beyond_the_table():

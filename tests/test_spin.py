@@ -1,7 +1,8 @@
 """Spin-chain matrices: Casimir tensor, commuting trig elements.
 
-The library's operators are sparse rows; a dense Kronecker-product
-reference, kept here, checks them entry by entry.
+The library builds its sparse operators from their action on basis
+indices; a dense Kronecker-product reference over the single-site
+factors E, F, H, kept here, checks them entry by entry.
 """
 
 import json
@@ -14,16 +15,17 @@ import pytest
 
 from trigbethe.field import CyclotomicField
 from trigbethe import spin
-from trigbethe.spin import (E, F, H, HALF, combination, commute,
-                            lowering_pair, mat_add, mat_equal, mat_scale,
-                            pair_vector_terms, place, raising_pair,
-                            trig_hamiltonian, zero_matrix)
+from trigbethe.spin import (HALF, combination, commute, pair_vector_terms,
+                            trig_hamiltonian)
 from trigbethe.typea import (RationalTarget, TrigSource, marked_points,
                              reindex_map, sample_z)
 
 from oracles import mat_mul
 
 ID2 = [[1, 0], [0, 1]]
+E = [[0, 1], [0, 0]]
+F = [[0, 0], [1, 0]]
+H = [[1, 0], [0, -1]]
 
 
 # ----------------------------------------------------------------------
@@ -85,6 +87,10 @@ def to_dense(m):
     return [[row.get(c, 0) for c in range(len(m))] for row in m]
 
 
+def to_sparse(m):
+    return [{c: x for c, x in enumerate(row) if x} for row in m]
+
+
 def test_kron_shape_and_values():
     a = [[Fraction(1), Fraction(2)], [Fraction(0), Fraction(1)]]
     b = [[Fraction(3)]]
@@ -100,10 +106,10 @@ def test_sparse_operators_match_dense_reference():
         z = sample_z(n, n)
         theta = [[Fraction(rng.randint(-9, 9)), Fraction(rng.randint(-9, 9))],
                  [Fraction(rng.randint(-9, 9)), Fraction(rng.randint(-9, 9))]]
-        local = {1: theta, n: E} if n > 1 else {1: theta}
-        assert to_dense(place(local, n)) == dense_place(local, n)
         for slot in range(1, n + 1):
-            assert to_dense(place({slot: theta}, n)) == \
+            twist = [(theta[a][b], ("unit", slot, a, b))
+                     for a in (0, 1) for b in (0, 1)]
+            assert to_dense(combination(twist, n)) == \
                 dense_place({slot: theta}, n)
             assert to_dense(trig_hamiltonian(theta, z, slot, n)) == \
                 dense_trig_hamiltonian(theta, z, slot, n)
@@ -112,7 +118,8 @@ def test_sparse_operators_match_dense_reference():
                     omega = ("omega2", *sorted((slot, other)))
                     assert to_dense(combination([(HALF, omega)], n)) == \
                         dense_casimir_pair(slot, other, n)
-                    assert to_dense(lowering_pair(slot, other, n)) == \
+                    lower = ("lower", slot, other)
+                    assert to_dense(combination([(1, lower)], n)) == \
                         dense_lowering_pair(slot, other, n)
         pairs = [(i, j) for i in range(n + 1) for j in range(i + 1, n + 1)]
         coeffs = [field.from_rational(Fraction(rng.randint(-5, 5),
@@ -130,26 +137,22 @@ def test_sparse_product_matches_dense_product():
              for _ in range(2 ** n)]
         b = [[Fraction(rng.randint(-2, 2)) for _ in range(2 ** n)]
              for _ in range(2 ** n)]
-        sparse = [[{c: x for c, x in enumerate(row) if x} for row in m]
-                  for m in (a, b)]
-        assert to_dense(spin.mat_mul(*sparse)) == mat_mul(a, b)
+        assert to_dense(spin.mat_mul(to_sparse(a), to_sparse(b))) == \
+            mat_mul(a, b)
 
 
 def swap_matrix():
-    m = zero_matrix(4)
     basis = [(0, 0), (0, 1), (1, 0), (1, 1)]
-    for k, (a, b) in enumerate(basis):
-        m[basis.index((b, a))][k] = Fraction(1)
-    return m
+    return [{basis.index((b, a)): 1} for a, b in basis]
 
 
 def test_casimir_is_swap_minus_half():
     omega = combination([(HALF, ("omega2", 1, 2))], 2)
     swap = swap_matrix()
-    expected = mat_add(swap, mat_scale(place({}, 2), Fraction(-1, 2)))
-    assert mat_equal(omega, expected)
+    assert to_dense(omega) == dense_add(to_dense(swap), dense_place({}, 2),
+                                        Fraction(-1, 2))
     # symmetric in its two slots: the swap conjugates it to itself
-    assert mat_equal(spin.mat_mul(spin.mat_mul(swap, omega), swap), omega)
+    assert spin.mat_mul(spin.mat_mul(swap, omega), swap) == omega
 
 
 def test_casimir_on_highest_vector():
@@ -160,13 +163,14 @@ def test_casimir_on_highest_vector():
 
 
 def test_lowering_raising_slots():
-    low = lowering_pair(1, 2, 2)
-    high = raising_pair(1, 2, 2)
+    ops = spin.chain_operators(2)
+    low, high = ops["lower", 1, 2], ops["lower", 2, 1]
     # f in slot 1, e in slot 2: sends v+(x)v- to v-(x)v+
     src = [Fraction(0), Fraction(1), Fraction(0), Fraction(0)]
     out = [sum(x * src[c] for c, x in row.items()) for row in low]
     assert out == [0, 0, Fraction(1), 0]
-    assert mat_equal(high, lowering_pair(2, 1, 2))
+    # the reversed pair is the raising pair: e in slot 1, f in slot 2
+    assert to_dense(high) == dense_place({1: E, 2: F}, 2)
 
 
 def rand_theta(rng):
@@ -195,11 +199,12 @@ def test_trig_elements_need_distinct_coordinates():
 
 
 def test_commutator_detects_noncommuting():
-    a = place({1: [[Fraction(0), Fraction(1)], [Fraction(0), Fraction(0)]]}, 1)
-    b = place({1: [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(-1)]]}, 1)
+    a, b = to_sparse(E), to_sparse(H)
     assert not commute(a, b)
-    comm = mat_add(spin.mat_mul(a, b), mat_scale(spin.mat_mul(b, a), -1))
-    assert any(x != 0 for row in comm for x in row.values())
+    assert commute(a, a) and commute(b, to_sparse(ID2))
+    comm = dense_add(to_dense(spin.mat_mul(a, b)),
+                     to_dense(spin.mat_mul(b, a)), -1)
+    assert any(x != 0 for row in comm for x in row)
 
 
 def test_represented_image_is_scaled_hamiltonian():
@@ -219,8 +224,9 @@ def test_represented_image_is_scaled_hamiltonian():
                 rep = combination(
                     pair_vector_terms(tgt.pairs, img, theta, n), n)
                 ham = trig_hamiltonian(theta, z, k, n)
-                want = mat_scale(ham, -z[k - 1])
-                assert mat_equal(rep, want)
+                want = [{c: -z[k - 1] * x for c, x in row.items()}
+                        for row in ham]
+                assert rep == want
 
 
 def test_represented_gaudin_elements_commute():
@@ -239,7 +245,8 @@ def test_represented_gaudin_elements_commute():
 
 def test_twist_at_places_single_slot():
     theta = [[Fraction(2), Fraction(0)], [Fraction(0), Fraction(5)]]
-    m = place({2: theta}, 2)
+    m = combination([(theta[a][b], ("unit", 2, a, b))
+                     for a in (0, 1) for b in (0, 1)], 2)
     assert m[0][0] == 2 and m[1][1] == 5 and m[2][2] == 2 and m[3][3] == 5
 
 
@@ -249,9 +256,10 @@ def test_chain_operators_match_dense_reference():
     units = {(a, b): [[int((r, c) == (a, b)) for c in (0, 1)] for r in (0, 1)]
              for a in (0, 1) for b in (0, 1)}
     rng = random.Random(4)
-    for n in (2, 3):
+    for n in (1, 2, 3, 4, 5):
         ops = spin.chain_operators(n)
         assert spin.chain_operators(n) is ops
+        assert len(ops) == 4 * n + n * (n - 1) + n * (n - 1) // 2
         assert all(isinstance(x, int) for op in ops.values()
                    for row in op for x in row.values())
         for i in range(1, n + 1):
