@@ -3,17 +3,23 @@
 Elements are dicts {Weyl matrix: polynomial}, read as sum of w * p_w(x)
 with the group element on the left.  The polynomial ring has one x per
 simple root plus a central deformation variable t (the last variable).
-The defining exchange rule moves a variable across a generator:
+The defining relation moves a variable across a generator,
 
-    x_g * s_i  =  s_i * x_{s_i(g)} + t * <g against the i-th root>
+    x_g * s_i  =  s_i * x_{g s_i} + sign * t * g_i,
 
-and products are computed by moving polynomials across reduced words,
-found from right descents (RootSystem.word_of), so no product
-enumerates the Weyl group; the group part steps from w to w s_i by a
-column update (RootSystem.times_generator).  Moving a polynomial across
-s_i substitutes x_k by the k-th row of s_i's matrix; the image of each
-monomial under that substitution is expanded once and kept in a table
-on the algebra (monomial_image), so no table outlives its HeckeAlgebra.
+g a row of coefficients and relation_sign the sign (+1 in the algebra
+itself; -1 is the control of check hecke).  By induction along a
+reduced word it gives one closed exchange formula for any Weyl element v:
+
+    x_k * v  =  v * x_{row k of v} + sign * t * sum_b b_k * s_b v,
+
+b over the inversion set of v (the positive roots sent negative by
+v^{-1}, RootSystem.inversion_set, the tables that HolonomySpace.rho
+reads too) and s_b from one reflection table per algebra.  x_times
+applies it term by term; move_across_word starts each monomial of p at
+w, the matrix of the word, and lets its x factors enter from the left;
+multiply moves p_1 across a reduced word of w_2 (RootSystem.word_of,
+from right descents), so no product enumerates the Weyl group.
 Coefficients are ints throughout the normal forms and the commutator
 table; Fractions enter only with a given q (bmo, family) or a numeric
 t (holonomy_image).  The commuting degree-one family (bmo,
@@ -63,24 +69,13 @@ class HeckeAlgebra:
         self.relation_sign = relation_sign
         self.ident: IntMatrix = rs.identity
         self.tvar = Poly.variable(self.nvars, self.n)
+        # exponent of x_j, j < n
+        self._units = [tuple(int(i == j) for i in range(self.nvars))
+                       for j in range(self.n)]
         # [x_k, s_a] per (k, positive-root index), see x_reflection_commutator
         self._x_comms: dict[tuple[int, int], HeckeElem] = {}
-        # (generator index, exponent) -> image of that monomial, filled
-        # on first use by monomial_image
-        self._images: dict[tuple[int, tuple[int, ...]], Poly] = {}
-        # linear substitution polys: the i-th generator sends x_k to the
-        # combination read off the k-th row of its root-side matrix
-        self._subst: list[list[Poly]] = []
-        for i in range(self.n):
-            m = rs.simple_reflection(i)
-            row = []
-            for k in range(self.n):
-                p = Poly(self.nvars)
-                for j in range(self.n):
-                    if m[k][j]:
-                        p = p + Poly.variable(self.nvars, j, m[k][j])
-                row.append(p)
-            self._subst.append(row)
+        self._reflections = {a: rs.reflection_in_root(a)
+                             for a in rs.positive_roots}
 
     # ------------------------------------------------------------------
     # basic elements
@@ -112,69 +107,41 @@ class HeckeAlgebra:
     # ------------------------------------------------------------------
     # the exchange move
 
-    def monomial_image(self, i: int, e: tuple[int, ...]) -> Poly:
-        """The monomial with exponent e after x_k -> row-k combination
-        for the i-th generator, t untouched; expanded once per algebra."""
-        key = (i, e)
-        img = self._images.get(key)
-        if img is None:
-            img = Poly.constant(self.nvars, 1)
-            for k in range(self.n):
-                if e[k]:
-                    img = img * self._subst[i][k] ** e[k]
-            if e[self.n]:
-                img = img * self.tvar ** e[self.n]
-            self._images[key] = img
-        return img
+    def reflection(self, beta: Sequence[int]) -> IntMatrix:
+        """s_beta for a positive root beta, from one table per algebra."""
+        return self._reflections[tuple(beta)]
 
-    def apply_generator_subst(self, p: Poly, i: int) -> Poly:
-        """x_k -> row-k combination for the i-th generator; t untouched."""
-        out: dict = {}
-        for e, c in p.terms.items():
-            for e2, c2 in self.monomial_image(i, e).terms.items():
-                out[e2] = out.get(e2, 0) + c * c2
-        return Poly(self.nvars, out)
-
-    def _corr_monomial(self, e: tuple[int, ...], i: int) -> Poly:
-        """Correction term of one monomial against the i-th generator."""
-        k = next((k for k in range(self.n) if e[k]), None)
-        if k is None:
-            return Poly(self.nvars)
-        rest = list(e)
-        rest[k] -= 1
-        rest_e = tuple(rest)
-        rest_poly = Poly(self.nvars, {rest_e: 1})
-        out = Poly(self.nvars)
-        if k == i:
-            out = out + self.apply_generator_subst(rest_poly, i)
-        tail = self._corr_monomial(rest_e, i)
-        if not tail.is_zero():
-            out = out + Poly.variable(self.nvars, k) * tail
-        return out
-
-    def corr(self, p: Poly, i: int) -> Poly:
-        out = Poly(self.nvars)
-        for e, c in p.terms.items():
-            piece = self._corr_monomial(e, i)
-            if not piece.is_zero():
-                out = out + piece * c
-        return out
+    def x_times(self, k: int, a: HeckeElem) -> HeckeElem:
+        """x_k * a in normal form, by the exchange formula: for each term
+        v * q of a, x_k v = v x_{row k of v} + sign t sum_b b_k s_b v over
+        the inversion set of v."""
+        out: HeckeElem = {}
+        zero = Poly(self.nvars)
+        for v, q in a.items():
+            moved = Poly(self.nvars, {self._units[j]: c
+                                      for j, c in enumerate(v[k]) if c}) * q
+            out[v] = out.get(v, zero) + moved
+            tq = self.tvar * q * self.relation_sign
+            for beta in self.rs.inversion_set(v):
+                if beta[k]:
+                    u = int_mat_mul(self.reflection(beta), v)
+                    out[u] = out.get(u, zero) + tq * beta[k]
+        return self._prune(out)
 
     def move_across_word(self, p: Poly, word: Sequence[int]) -> HeckeElem:
-        """Normal form of p * (product of generators along the word)."""
-        result: HeckeElem = {self.ident: p}
-        sign = self.relation_sign
-        for i in word:
-            nxt: HeckeElem = {}
-            for w, poly in result.items():
-                wnext = self.rs.times_generator(w, i)
-                moved = self.apply_generator_subst(poly, i)
-                nxt[wnext] = nxt.get(wnext, Poly(self.nvars)) + moved
-                c = self.corr(poly, i)
-                if not c.is_zero():
-                    nxt[w] = nxt.get(w, Poly(self.nvars)) + self.tvar * c * sign
-            result = self._prune(nxt)
-        return result
+        """Normal form of p * (product of generators along the word): each
+        monomial starts as w times its t-power and coefficient, and its
+        x factors enter from the left by x_times."""
+        w = self.rs.matrix_of_word(word)
+        out: HeckeElem = {}
+        for e, c in p.terms.items():
+            term = {w: Poly(self.nvars, {(0,) * self.n + e[self.n:]: c})}
+            for k in range(self.n):
+                for _ in range(e[k]):
+                    term = self.x_times(k, term)
+            for v, q in term.items():
+                out[v] = out.get(v, Poly(self.nvars)) + q
+        return self._prune(out)
 
     def multiply(self, a: HeckeElem, b: HeckeElem) -> HeckeElem:
         out: HeckeElem = {}
@@ -211,8 +178,7 @@ class HeckeAlgebra:
                 continue
             c = bethe_weight(q_power(qvals, a))
             coeff = self.tvar * (c * ah)
-            refl = self.rs.reflection_in_root(a)
-            out = self.add(out, {refl: coeff, self.ident: -coeff})
+            out = self.add(out, {self.reflection(a): coeff, self.ident: -coeff})
         return out
 
     def family(self, qvals: Sequence[Fraction]) -> list[HeckeElem]:
@@ -226,7 +192,7 @@ class HeckeAlgebra:
         positive root; computed once per algebra."""
         key = (k, b)
         if key not in self._x_comms:
-            refl = self.rs.reflection_in_root(self.rs.positive_roots[b])
+            refl = self.reflection(self.rs.positive_roots[b])
             self._x_comms[key] = self.commutator(self.x(k), self.group(refl))
         return self._x_comms[key]
 
@@ -254,7 +220,7 @@ class HeckeAlgebra:
                 for w, p in self.x_reflection_commutator(k, b).items():
                     for e, c in p.terms.items():
                         bump(w, e[:self.n] + (e[self.n] + 1,), (b,), weight * c)
-        refl = [self.rs.reflection_in_root(a) for a in pos]
+        refl = [self.reflection(a) for a in pos]
         t2 = (0,) * self.n + (2,)
         for a, alpha in enumerate(pos):
             for b in range(a + 1, len(pos)):
@@ -288,8 +254,7 @@ class HeckeAlgebra:
             if c == 0:
                 continue
             cf = c.as_rational() if hasattr(c, "as_rational") else Fraction(c)
-            refl = self.rs.reflection_in_root(a)
-            bump((refl, zero_e), cf)
+            bump((self.reflection(a), zero_e), cf)
             bump((self.ident, zero_e), -cf)
         for i in range(self.n):
             c = vec[space.npos + i]

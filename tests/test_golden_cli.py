@@ -18,7 +18,9 @@ strata and the C4 and F4 layer posets before the boundary strata were
 read from one walk of the full arrangement, the walk inserted one root
 per class of Z^n/L and the poset read its candidates from an index; the
 standalone `commutativity` and `typea` digests before the spin-chain
-operators were built from their action on basis indices.
+operators were built from their action on basis indices; the
+standalone `hecke` digests on A1, A2, A4, B2, B4, C4, G2 and F4 before
+the normal form was read off one exchange formula.
 """
 
 import hashlib
@@ -84,6 +86,23 @@ CHECK = {
         (0, "0709309970dc9aeed7f1362723f9c177e73281550ab0abe89b220ba117dd8a35"),
     "check hecke --type D4":
         (0, "5eca6f50917072403004fa6163acd3d720cc04d69197178521386aea8a5a2f10"),
+    # standalone hecke on further types
+    "check hecke --type A1":
+        (0, "9e757ec810f18cca0a2503e5bbec4e0f835156bc8b1cb1c4d66171060aa5c634"),
+    "check hecke --type A2":
+        (0, "5887b6ad3e414de2a80e53b21c4023297c7be58ea6dbdc1566643c4ac49ced53"),
+    "check hecke --type A4":
+        (0, "738e822ba5b226c365300269fa05f8688ceb86eda06342b29af17572d3b8b942"),
+    "check hecke --type B2":
+        (0, "548a3ea93cc64b6482797fd00061f8b45321d09eab29c3061adb4907a9c6b53d"),
+    "check hecke --type B4":
+        (0, "ff7aa93964920476493a52e26bebf86dd00548084cca979f39cabaf5ad19f0ba"),
+    "check hecke --type C4":
+        (0, "2ef9f8844e86631c6a9b6a779921f9e5c075d2bff508450d95becca858da3345"),
+    "check hecke --type G2":
+        (0, "f0af413e8c3308d5ae4f30697db5eaacec647b65c70002e6acf015404a4c7219"),
+    "check hecke --type F4":
+        (0, "75a59bf6bc53c722feb780c95a475121572f353589aea7f041d0f38ff1bdb04d"),
     # standalone rank and injectivity, each drawing its own points
     "check rank --type A2 --seed 3":
         (0, "ca2272fa2299cd0384ff56b8b68b7bdb289b331baffd4ebbcf7fdc2444fa15ab"),

@@ -12,9 +12,9 @@ from trigbethe.field import CyclotomicField
 from trigbethe.hecke import HeckeAlgebra, cleared_numerator, q_power
 from trigbethe.linalg import rank, row_space_equal
 from trigbethe.poly import Poly
-from trigbethe.roots import RootSystem, root_system
+from trigbethe.roots import RootSystem, int_mat_mul, root_system
 
-from oracles import bethe_rows, evaluate, hecke_is_zero, sample_q
+from oracles import bethe_rows, hecke_is_zero, sample_q
 
 
 # coefficient profiles c(u) of the root power u = q^a.  The library family
@@ -316,30 +316,84 @@ def test_integer_path_has_int_coefficients():
                     assert all_int(cleared_numerator(rs, coeff)), label
 
 
-def test_monomial_image_matches_direct_substitution():
-    # oracle: x_k -> sum_j m[k][j] x_j built from the reflection matrix,
-    # applied to the monomial by repeated multiplication (Poly.evaluate)
-    rng = random.Random(20261018)
-    for label in ["A2", "B2", "G2", "A3"]:
+def folded_exchange(alg, k, word):
+    """x_k * w for w the product of generators along the word, folded
+    from the defining relation x_g s_i = s_i x_{g M_i} + t sign g_i,
+    M_i the matrix of s_i and g a row of coefficients: the oracle of
+    x_times."""
+    rs, n = alg.rs, alg.n
+    g = [int(j == k) for j in range(n)]
+    u = rs.identity
+    consts = {}  # group element -> integer coefficient of t
+    for i in word:
+        m = rs.simple_reflection(i)
+        shifted = {}
+        for z, c in consts.items():
+            zs = int_mat_mul(z, m)
+            shifted[zs] = shifted.get(zs, 0) + c
+        shifted[u] = shifted.get(u, 0) + alg.relation_sign * g[i]
+        consts = shifted
+        g = [sum(g[l] * m[l][j] for l in range(n)) for j in range(n)]
+        u = int_mat_mul(u, m)
+    out = {u: sum((Poly.variable(alg.nvars, j, c) for j, c in enumerate(g)),
+                  Poly(alg.nvars))}
+    for z, c in consts.items():
+        out = alg.add(out, {z: alg.tvar * c})
+    return out
+
+
+EXCHANGE_TYPES = ["A1", "A2", "B2", "G2", "A3", "B3"]
+
+
+@pytest.mark.parametrize("sign", (1, -1))
+@pytest.mark.parametrize("label", EXCHANGE_TYPES)
+def test_x_times_matches_folded_relation(label, sign):
+    rs = root_system(label)
+    alg = HeckeAlgebra(rs, relation_sign=sign)
+    for v, word in rs.weyl_elements().items():
+        for k in range(rs.rank):
+            got = alg.x_times(k, alg.group(v))
+            assert hecke_is_zero(alg.sub(got, folded_exchange(alg, k, word))), \
+                (label, sign, word, k)
+
+
+@pytest.mark.parametrize("sign", (1, -1))
+@pytest.mark.parametrize("label", EXCHANGE_TYPES)
+def test_x_times_commute(label, sign):
+    rs = root_system(label)
+    alg = HeckeAlgebra(rs, relation_sign=sign)
+    for v in rs.weyl_elements():
+        for j in range(rs.rank):
+            for k in range(j + 1, rs.rank):
+                jk = alg.x_times(j, alg.x_times(k, alg.group(v)))
+                kj = alg.x_times(k, alg.x_times(j, alg.group(v)))
+                assert hecke_is_zero(alg.sub(jk, kj)), (label, sign, v, j, k)
+
+
+def test_results_hold_no_zero_polynomial():
+    rng = random.Random(20261019)
+    for label in ["A1", "A2", "B2", "G2", "A3"]:
         rs = root_system(label)
         n = rs.rank
+        words = list(rs.weyl_elements().values())
         for sign in (1, -1):
             alg = HeckeAlgebra(rs, relation_sign=sign)
-            for i in range(n):
-                m = rs.simple_reflection(i)
-                values = [sum((Poly.variable(n + 1, j, m[k][j])
-                               for j in range(n)), Poly(n + 1))
-                          for k in range(n)] + [alg.tvar]
-                for _ in range(6):
-                    e = tuple(rng.randint(0, 3) for _ in range(n)) + \
-                        (rng.randint(0, 2),)
-                    want = evaluate(Poly(n + 1, {e: 1}), values)
-                    assert alg.monomial_image(i, e) == want, (label, i, e)
-                    assert alg.monomial_image(i, e) is alg.monomial_image(i, e)
-                terms = {tuple(rng.randint(0, 2) for _ in range(n + 1)):
-                         rng.randint(-5, 5) for _ in range(4)}
+            assert alg.move_across_word(Poly(n + 1), ()) == {}
+            assert alg.multiply({}, alg.x(0)) == {}
+            for _ in range(8):
+                terms = {}
+                for _ in range(3):  # x-degree at most 2, so a * a fits the cap
+                    e = [0] * n + [rng.randint(0, 1)]
+                    for _ in range(rng.randint(0, 2)):
+                        e[rng.randrange(n)] += 1
+                    terms[tuple(e)] = rng.randint(-3, 3)
                 p = Poly(n + 1, terms)
-                assert alg.apply_generator_subst(p, i) == evaluate(p, values)
+                word = rng.choice(words)
+                moved = alg.move_across_word(p, word)
+                assert all(not q.is_zero() for q in moved.values())
+                a = {rs.matrix_of_word(word): p}
+                for prod in (alg.multiply(a, a), alg.commutator(a, alg.x(0))):
+                    assert all(not q.is_zero() for q in prod.values())
 
 
 def test_word_of_is_reduced():
