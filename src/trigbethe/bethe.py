@@ -35,6 +35,7 @@ import re
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from math import lcm
+from operator import mul
 from typing import Collection, Iterable, Sequence
 
 from .field import CyclotomicField, FieldElement, default_field_order
@@ -99,11 +100,8 @@ class HolonomySpace:
                [f"tau({i + 1})" for i in range(self.rs.rank)]
 
     def alpha_of_h(self, alpha: Sequence[int], h_coords: Sequence) -> object:
-        total = None
-        for a, c in zip(alpha, h_coords):
-            term = c * a
-            total = term if total is None else total + term
-        return total
+        """alpha(h) for integer or Fraction coordinates h."""
+        return sum(map(mul, alpha, h_coords))
 
     # ------------------------------------------------------------------
     # distinguished elements
@@ -367,8 +365,7 @@ class XPoint:
     def untwisted_generators(self) -> list[list[FieldElement]]:
         """tau-carrying generators for h killing the centralizer, plus the
         chart family of the centralizer; together always rank-many."""
-        h_basis = (integer_kernel(self.centralized, self.rs.rank)
-                   if self.centralized else self.rs.identity)
+        h_basis = integer_kernel(self.centralized, self.rs.rank)
         cen = set(self.centralized)
         gens = self.space.bethe_family(
             {a: u for a, u in self.root_values.items() if a not in cen}, h_basis)
@@ -526,12 +523,9 @@ def recover_data(space: HolonomySpace, vectors: Sequence[Sequence[FieldElement]]
     red, pivots = rref(rows)
     t_rows = [r for r, p in zip(red, pivots) if p >= n]
     tau_rows = [r for r, p in zip(red, pivots) if p < n]
-    support: set[Coords] = set()
-    for r in t_rows:
-        for k, a in enumerate(space.pos):
-            if not r[n + k] == 0:
-                support.add(a)
-    cen = tuple(sorted(support, key=lambda c: (sum(c), c)))
+    # the t-support of the tau-free rows, in positive-root order
+    cen = tuple(a for k, a in enumerate(space.pos)
+                if any(not r[n + k] == 0 for r in t_rows))
     scaled_h = []
     for r in tau_rows:
         block = [c.as_rational() for c in r[:n]]
@@ -546,7 +540,7 @@ def recover_data(space: HolonomySpace, vectors: Sequence[Sequence[FieldElement]]
         # the centralizer; such a root gets no weight
         g = None
         for r, (h, d) in zip(tau_rows, scaled_h):
-            ah = sum(x * y for x, y in zip(a, h))   # d * alpha(block)
+            ah = space.alpha_of_h(a, h)   # d * alpha(block)
             if not ah:
                 continue
             cand = r[n + k] * Fraction(-d, ah)

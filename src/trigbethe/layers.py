@@ -62,7 +62,9 @@ Point = tuple[FieldElement, ...]
 
 @dataclass(frozen=True)
 class RootAmbient:
-    """Positive roots with their pairing, living in a fixed torus Z^m."""
+    """Positive roots with their pairing, living in a fixed torus Z^m; the
+    roots are in positive-root order (height, then coordinates), which
+    both constructors inherit from RootSystem.positive_roots."""
 
     dim: int
     positive_roots: tuple[Coords, ...]
@@ -114,7 +116,8 @@ class Layer:
     basis: tuple[Coords, ...]
     char_exps: tuple[int, ...]
     field: CyclotomicField
-    roots_pos: tuple[Coords, ...]   # positive roots constant 1 on the layer
+    roots_pos: tuple[Coords, ...]   # positive roots constant 1 on the layer,
+                                    # in the ambient's order
 
     @property
     def codim(self) -> int:
@@ -227,9 +230,7 @@ def enumerate_layers(amb: RootAmbient, stats: Counter | None = None
             centralized = [a for a, c in in_span if chi(c) == 0]
             if any(choice) and int_rank(centralized) != k:
                 continue
-            found[key] = Layer(n, hnf, key[1], field,
-                               tuple(sorted(centralized,
-                                            key=lambda c: (sum(c), c))))
+            found[key] = Layer(n, hnf, key[1], field, tuple(centralized))
         return list(classes.values())
 
     seen: set[tuple[Coords, ...]] = {()}

@@ -115,28 +115,3 @@ def mat_inverse(a: Sequence[Sequence[S]]) -> Matrix:
         raise ValueError("singular matrix")
     return [row[n:] for row in red[:n]]
 
-
-def det(a: Sequence[Sequence[S]]) -> S:
-    """Determinant by exact fraction-free-style elimination with division."""
-    mat = _copy(a)
-    n = len(mat)
-    if n == 0:
-        return Fraction(1)
-    sign_flip = False
-    result = None
-    for c in range(n):
-        pr = next((i for i in range(c, n) if not mat[i][c] == 0), None)
-        if pr is None:
-            x = mat[0][0]
-            return x - x  # structural zero of the right scalar type
-        if pr != c:
-            mat[c], mat[pr] = mat[pr], mat[c]
-            sign_flip = not sign_flip
-        piv = mat[c][c]
-        result = piv if result is None else result * piv
-        inv = _inverse(piv)
-        for i in range(c + 1, n):
-            if not mat[i][c] == 0:
-                f = mat[i][c] * inv
-                mat[i] = [a_ - f * b_ for a_, b_ in zip(mat[i], mat[c])]
-    return -result if sign_flip else result

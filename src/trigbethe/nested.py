@@ -11,15 +11,18 @@ A chart is such a family with one coordinate per member.  The base root
 attached to a member evaluates on the chart point as the product of the
 coordinates of all members above it; ratios of such evaluations stay
 polynomial at the boundary where coordinates vanish, which is the whole
-point of the construction.  A chart fixes, when it is built, all that
-its evaluations read apart from the coordinates: each root's integer
-coordinates in the base (along its height chain), its minimal member
-and the member chains.
+point of the construction.  Every root r evaluates to the common factor
+prod(t_Q : Q >= A(r)), A(r) its minimal member, times a residual r(t):
+the sum over the vertices v of its support of one term, its coefficient
+at v times t_Q over the members between v's member M(v) and A(r).  A
+chart fixes these terms when it is built, reading each root's integer
+coordinates in the base along its height chain.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import prod
 from typing import Iterable, Sequence
 
 from .roots import Coords, root_chain
@@ -100,8 +103,6 @@ def maximal_nested_sets(nvert: int, edges: Sequence[tuple[int, int]]
             for v in sorted(comp):
                 for sub in on_vertices(comp - {v}):
                     variants.append(sub | {comp})
-            if not variants:  # empty only when comp itself is empty
-                variants = [frozenset()]
             per_comp.append(variants)
         out = [frozenset()]
         for variants in per_comp:
@@ -142,72 +143,61 @@ class Chart:
                 raise ValueError(f"member {sorted(p)} misses {missing}; "
                                  "family is not maximal nested")
             self.adapted.append(missing[0])
-        # (v, k) -> the members Q with (member of vertex v) <= Q < sets[k]
-        self._chains = {(v, k): [q for q, big in enumerate(self.sets)
-                                 if self.sets[lo] <= big < top]
-                        for lo, v in enumerate(self.adapted)
-                        for k, top in enumerate(self.sets)}
+        member = {v: self.sets[k] for k, v in enumerate(self.adapted)}
         # along the height chain a = b + base[j]: a's coordinates are b's + e_j
         known: dict[Coords, Coords] = {}
         for a, b, j in root_chain(self.pos_roots, self.base):
             c = known.get(b, (0,) * len(self.base))
             known[a] = c[:j] + (c[j] + 1,) + c[j + 1:]
         self.base_coords = {r: known[r] for r in self.pos_roots}
-        # A(root) is the first member, in canonical order, holding its
-        # support; each nonzero coordinate c at v reads the chain (v, A)
-        self._a_index: dict[Coords, int] = {}
-        self._terms: dict[Coords, list[tuple[int, list[int]]]] = {}
+        # A(r), the first member in canonical order holding the support of
+        # r, is the smallest; r's term at a vertex v of its support is its
+        # coefficient c_v times t_Q over the members M(v) <= Q < A(r)
+        self._terms: dict[Coords, dict[int, tuple[int, list[int]]]] = {}
         for r, coords in self.base_coords.items():
             supp = {v for v, c in enumerate(coords) if c}
-            ai = next((k for k, p in enumerate(self.sets) if supp <= p), None)
-            if ai is None:
+            top = next((p for p in self.sets if supp <= p), None)
+            if top is None:
                 raise ValueError(f"no member contains the support of {r}")
-            self._a_index[r] = ai
-            self._terms[r] = [(c, self._chains[v, ai])
-                              for v, c in enumerate(coords) if c]
+            self._terms[r] = {
+                v: (c, [q for q, p in enumerate(self.sets)
+                        if member[v] <= p < top])
+                for v, c in enumerate(coords) if c}
 
     # ------------------------------------------------------------------
     # evaluation at a coordinate tuple (aligned with self.sets)
 
+    @staticmethod
+    def _term(term: tuple[int, list[int]], tvals: Sequence) -> object:
+        c, chain = term
+        return prod((tvals[q] for q in chain), start=Fraction(c))
+
     def r_value(self, root: Coords, tvals: Sequence) -> object:
-        """Residual factor of the root's evaluation after the common chain.
+        """Residual factor of the root's evaluation after the common chain:
+        the sum of its terms.
 
         The root evaluates to r * prod(t_Q : Q >= A(root)); genericity of
         the chart point means every residual factor is nonzero.
         """
-        total = None
-        for c, chain in self._terms[tuple(root)]:
-            term = Fraction(c)
-            for q in chain:
-                term = term * tvals[q]
-            total = term if total is None else total + term
-        return total
+        return sum(self._term(term, tvals)
+                   for term in self._terms[tuple(root)].values())
 
     def is_generic(self, tvals: Sequence) -> bool:
         return all(not self.r_value(r, tvals) == 0 for r in self.pos_roots)
 
-    def ratio(self, v: int, root: Coords, tvals: Sequence) -> object:
-        """Bounded ratio (base root at v) / root on the chart point.
-
-        Defined whenever vertex v lies in the support of the root; stays
-        finite as boundary coordinates vanish.
-        """
-        ai = self._a_index[tuple(root)]
-        if not self.sets[self.adapted.index(v)] <= self.sets[ai]:
-            raise ValueError("ratio undefined: members are not comparable")
-        out = self.r_value(self.base[v], tvals) / self.r_value(root, tvals)
-        for q in self._chains[v, ai]:
-            out = out * tvals[q]
-        return out
-
     def hamiltonian_coeffs(self, v: int, tvals: Sequence) -> dict[Coords, object]:
-        """Coefficients {root: weight} of the chart family member at vertex v.
+        """Coefficients {root: weight} of the chart family member at vertex v:
+        each root's term at v over its residual; roots not involving v drop
+        out.
 
-        weight = ratio(v, root) * (coefficient of the v-th base root in
-        root); roots not involving v drop out.
+        The weight is (base root at v) / root times the root's coefficient
+        at v.  The base root at v has the residual 1, since its minimal
+        member is M(v), so the common factors cancel down to the chain
+        M(v) <= Q < A(root), and the weight stays finite as boundary
+        coordinates vanish.
         """
-        return {r: self.ratio(v, r, tvals) * coords[v]
-                for r, coords in self.base_coords.items() if coords[v]}
+        return {r: self._term(terms[v], tvals) / self.r_value(r, tvals)
+                for r, terms in self._terms.items() if v in terms}
 
     def chain_matrix(self) -> list[list[int]]:
         """0/1 incidence of (adapted base root i, member j): sets[j] >= A(beta_i).

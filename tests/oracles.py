@@ -6,7 +6,8 @@
   they obey the scalar protocol of trigbethe.linalg, so matrices of them
   row-reduce exactly.  valuation_at_zero and epsilon_limit_span take the
   exact limit at 0 of a row span along a symbolic path.
-- mat_mul: the dense matrix product; evaluate: a Poly at a point.
+- mat_mul: the dense matrix product; det: the determinant, by
+  elimination; evaluate: a Poly at a point.
 - sample_q: a seeded torus point off the arrangement, for the Hecke
   family; hecke_is_zero: whether a Hecke element is zero.
 - bethe_rows and gaudin: the Bethe family of a holonomy space at an
@@ -30,6 +31,33 @@ from trigbethe.roots import RootSystem
 def mat_mul(a, b):
     bt = list(zip(*b))
     return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
+
+
+def det(a: Sequence[Sequence]) -> object:
+    """Determinant by exact elimination with division; an int pivot is
+    inverted as a Fraction, so an integer matrix gives an exact result."""
+    mat = [list(r) for r in a]
+    n = len(mat)
+    if n == 0:
+        return Fraction(1)
+    sign_flip = False
+    result = None
+    for c in range(n):
+        pr = next((i for i in range(c, n) if not mat[i][c] == 0), None)
+        if pr is None:
+            x = mat[0][0]
+            return x - x  # structural zero of the right scalar type
+        if pr != c:
+            mat[c], mat[pr] = mat[pr], mat[c]
+            sign_flip = not sign_flip
+        piv = mat[c][c]
+        result = piv if result is None else result * piv
+        inv = Fraction(1, piv) if isinstance(piv, int) else 1 / piv
+        for i in range(c + 1, n):
+            if not mat[i][c] == 0:
+                f = mat[i][c] * inv
+                mat[i] = [a_ - f * b_ for a_, b_ in zip(mat[i], mat[c])]
+    return -result if sign_flip else result
 
 
 def evaluate(p: Poly, values: Sequence):

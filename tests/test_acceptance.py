@@ -19,12 +19,12 @@ from trigbethe.hecke import HeckeAlgebra, exact_commutator_check
 from trigbethe.lattice import int_rank, smith_normal_form
 from trigbethe.layers import (RootAmbient, enumerate_layers, gamma_divisors,
                               generic_point, is_indecomposable)
-from trigbethe.linalg import det, rank, row_space_equal, rref
+from trigbethe.linalg import rank, row_space_equal, rref
 from trigbethe.nested import Chart, maximal_nested_sets
 from trigbethe.roots import root_system
 from trigbethe import spin, typea
 
-from oracles import (RatFunc, bethe_rows, epsilon_limit_span, gaudin,
+from oracles import (RatFunc, bethe_rows, det, epsilon_limit_span, gaudin,
                      hecke_is_zero, mat_mul, sample_q)
 
 F6 = CyclotomicField(6)

@@ -5,8 +5,10 @@ import json
 
 import pytest
 
+from trigbethe import cli, spin, typea
 from trigbethe.bethe import xpoint_from_dict
 from trigbethe.cli import main
+from trigbethe.nested import Chart
 
 
 def run(capsys, *argv):
@@ -342,6 +344,68 @@ def test_check_spec_examples(capsys):
     assert [c["name"] for c in data["checks"]] == ["typea"]
 
 
+def run_failing_check(capsys, *argv):
+    """A check request that must report a failure: exit 1, nothing on
+    stderr, "passed": false overall and on its one check; its detail."""
+    code, out, err = run(capsys, "check", *argv)
+    assert (code, err) == (1, "")
+    data = json.loads(out)
+    [check] = data["checks"]
+    assert data["passed"] is False and check["passed"] is False
+    return check["detail"]
+
+
+def test_check_triangularity_reports_a_matrix_that_is_not_unitriangular(
+        capsys, monkeypatch):
+    # transposed, each of the 5 chain matrices of A3 has a 1 below the
+    # diagonal
+    chain_matrix = Chart.chain_matrix
+    monkeypatch.setattr(Chart, "chain_matrix",
+                        lambda self: [list(c) for c in zip(*chain_matrix(self))])
+    detail = run_failing_check(capsys, "triangularity", "--type", "A3")
+    assert detail == "5 charts fail"
+
+
+def test_check_commutativity_reports_each_identity(capsys, monkeypatch):
+    with monkeypatch.context() as m:
+        m.setattr(spin, "commute", lambda a, b: False)
+        detail = run_failing_check(capsys, "commutativity", "--samples", "1")
+    assert detail.split("; ") == ["n=2 s=0 [H1,H2] != 0",
+                                  "n=3 s=0 [H1,H2] != 0",
+                                  "n=3 s=0 [H1,H3] != 0",
+                                  "n=3 s=0 [H2,H3] != 0"]
+    monkeypatch.setattr(typea, "reindex_map",
+                        lambda source, target, vec: target.zero())
+    detail = run_failing_check(capsys, "commutativity", "--samples", "1")
+    assert detail.split("; ") == ["n=2 s=0 image(k=1) != -z_k H_k",
+                                  "n=2 s=0 image(k=2) != -z_k H_k",
+                                  "n=3 s=0 image(k=1) != -z_k H_k",
+                                  "n=3 s=0 image(k=2) != -z_k H_k"]
+
+
+def test_check_hecke_reports_a_sign_control_that_commutes(capsys,
+                                                           monkeypatch):
+    # the flipped algebra's commutators made to look zero
+    check = cli.exact_commutator_check
+
+    def blind_to_the_flip(alg, first_only=False):
+        tested, bad = check(alg, first_only)
+        return (tested, []) if alg.relation_sign == -1 else (tested, bad)
+    monkeypatch.setattr(cli, "exact_commutator_check", blind_to_the_flip)
+    detail = run_failing_check(capsys, "hecke", "--type", "A2")
+    assert detail == "sign-flipped exchange rule still commutes"
+
+
+def test_check_typea_reports_scaled_identity_and_span(capsys, monkeypatch):
+    monkeypatch.setattr(typea, "reindex_map",
+                        lambda source, target, vec: target.zero())
+    detail = run_failing_check(capsys, "typea", "--samples", "1")
+    assert detail.split("; ") == ["n=2 s=0 k=1 scaled identity",
+                                  "n=2 s=0 k=2 scaled identity",
+                                  "n=2 s=0 span equality",
+                                  "n=3 s=0 k=1 scaled identity"]
+
+
 def test_check_rejects_nonpositive_samples(capsys):
     for name, samples in [("rank", "0"), ("injectivity", "-3"), ("all", "0")]:
         code, out, err = run(capsys, "check", name, "--samples", samples)
@@ -674,7 +738,6 @@ def test_parser_is_built_once_and_reused(capsys, monkeypatch):
     # one parser serves a whole sequence of requests, an argparse error
     # included: each gets the output, and the Namespace, of a parser built
     # fresh for it
-    from trigbethe import cli
     requests = [
         (["check", "all", "--type", "A2", "--samples", "2"], None),
         (["subspace", "-"], json.dumps(VALID_POINTS[2])),

@@ -9,9 +9,9 @@ from trigbethe.lattice import (hermite_coordinates, hermite_insert,
                                smith_normal_form)
 from trigbethe.layers import RootAmbient, enumerate_layers
 from trigbethe.roots import root_system
-from trigbethe.linalg import det, rank
+from trigbethe.linalg import rank
 
-from oracles import mat_mul
+from oracles import det, mat_mul
 
 
 def batch_hermite_form(rows):

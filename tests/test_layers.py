@@ -512,6 +512,24 @@ def per_subset_walks(label, order):
             for s in subsets}
 
 
+@pytest.mark.parametrize("label,order",
+                         [("A1", 6), *STRATA_TYPES, ("A4", 6)])
+def test_layer_roots_in_positive_root_order(label, order):
+    # height, then coordinates: on every sub-arrangement the ambient lists
+    # its roots in that order, and each layer keeps it for its own
+    def key(c):
+        return sum(c), c
+
+    rs, field = root_system(label), CyclotomicField(order)
+    for subset, layers in per_subset_walks(label, order).items():
+        pos = RootAmbient.restricted(rs, subset, field).positive_roots
+        assert list(pos) == sorted(pos, key=key)
+        for layer in layers:
+            assert list(layer.roots_pos) == sorted(layer.roots_pos, key=key)
+        # the layer through 1 holds every root
+        assert pos in [layer.roots_pos for layer in layers]
+
+
 @pytest.mark.parametrize("label,order", STRATA_TYPES)
 def test_boundary_strata_match_per_subset_walks(label, order):
     got = boundary_strata(root_system(label), CyclotomicField(order))

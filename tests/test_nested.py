@@ -9,12 +9,17 @@ import pytest
 from trigbethe.bethe import PointStream
 from trigbethe.field import CyclotomicField, default_field_order
 from trigbethe.nested import Chart, adjacency, is_nested, maximal_nested_sets
+from trigbethe.poly import Poly
 from trigbethe.roots import root_system
+
+from oracles import det
 
 PATH2 = [(0, 1)]
 PATH3 = [(0, 1), (1, 2)]
 PATH4 = [(0, 1), (1, 2), (2, 3)]
 STAR4 = [(0, 1), (1, 2), (1, 3)]
+TYPES = ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C3", "C4", "D4", "G2",
+         "F4"]
 
 
 def test_maximal_family_counts():
@@ -23,6 +28,7 @@ def test_maximal_family_counts():
     assert len(maximal_nested_sets(4, PATH4)) == 14
     assert len(maximal_nested_sets(4, STAR4)) == 16
     assert len(maximal_nested_sets(1, [])) == 1
+    assert maximal_nested_sets(0, []) == [()]
     # two disconnected vertices: singletons only, a single family
     assert maximal_nested_sets(2, []) == \
         [(frozenset({0}), frozenset({1}))]
@@ -91,7 +97,7 @@ def test_chain_matrix_fixture():
 
 
 def test_chain_matrices_unitriangular():
-    for label in ["A3", "B3", "D4", "G2"]:
+    for label in TYPES:
         rs = root_system(label)
         edges = rs.nonorthogonal_edges(rs.simple_roots)
         for fam in maximal_nested_sets(rs.rank, edges):
@@ -101,6 +107,7 @@ def test_chain_matrices_unitriangular():
                 assert m[i][i] == 1
                 for j in range(i):
                     assert m[i][j] == 0
+            assert det([[Fraction(x) for x in row] for row in m]) == 1
 
 
 def base_value(chart, v, tvals):
@@ -139,13 +146,45 @@ def test_hamiltonian_fixture_boundary():
     assert h1 == {(0, 1): Fraction(1), (1, 1): Fraction(1)}
 
 
-def test_ratio_bounded_at_boundary():
-    chart = a2_chart([{0}, {0, 1}])
-    # ratio of the inner base root against the long root stays finite at t0=0
-    val = chart.ratio(0, (1, 1), (Fraction(0), Fraction(5)))
-    assert val == 0
-    with pytest.raises(ValueError):
-        chart.ratio(1, (1, 0), (Fraction(1), Fraction(1)))
+def charts_of(label):
+    """Every chart on the simple roots of the type, and the chart of each
+    of the first points of a sampled stream (the base of a centralizer)."""
+    rs = root_system(label)
+    edges = rs.nonorthogonal_edges(rs.simple_roots)
+    charts = [Chart(rs.simple_roots, rs.positive_roots, fam)
+              for fam in maximal_nested_sets(rs.rank, edges)]
+    stream = PointStream(rs, CyclotomicField(default_field_order(rs.family)),
+                         3)
+    for k in range(12):
+        x = stream.point(k, 400)
+        if x is None:
+            break
+        if x.chart.base:
+            charts.append(x.chart)
+    return charts
+
+
+@pytest.mark.parametrize("label", TYPES)
+def test_residuals_factor_each_root(label):
+    # with one indeterminate per member: each base root has the residual
+    # 1, and each root, evaluated base root by base root, is its residual
+    # times t_Q over the members Q holding its minimal member A(r)
+    for chart in charts_of(label):
+        m = len(chart.sets)
+        t = [Poly.variable(m, q) for q in range(m)]
+        for b in chart.base:
+            assert chart.r_value(b, t) == 1
+        for r, coords in chart.base_coords.items():
+            supp = {v for v, c in enumerate(coords) if c}
+            top = min((p for p in chart.sets if supp <= p), key=len)
+            # members holding a common vertex are nested, so each
+            # vertex's member lies in A(r)
+            assert all(chart.sets[chart.adapted.index(v)] <= top
+                       for v in supp)
+            common = prod(tq for q, tq in zip(chart.sets, t) if top <= q)
+            direct = sum(c * base_value(chart, v, t)
+                         for v, c in enumerate(coords) if c)
+            assert direct == chart.r_value(r, t) * common
 
 
 def test_chart_rejects_roots_outside_base_lattice():
@@ -171,20 +210,11 @@ def test_base_coords_match_row_reduction(label, express_in_rows):
     # of the type) and on the chart of every point of a sampled stream
     # (the base of a centralizer, inside any member of the family)
     rs = root_system(label)
-    edges = rs.nonorthogonal_edges(rs.simple_roots)
-    for fam in maximal_nested_sets(rs.rank, edges):
-        chart = Chart(rs.simple_roots, rs.positive_roots, fam)
+    charts = charts_of(label)
+    for chart in charts:
         assert_base_coords_solve(chart, express_in_rows)
-    field = CyclotomicField(default_field_order(rs.family))
-    stream = PointStream(rs, field, 3)
-    charts = 0
-    for k in range(12):
-        x = stream.point(k, 400)
-        if x is None:
-            break
-        charts += bool(x.chart.base)
-        assert_base_coords_solve(x.chart, express_in_rows)
-    assert charts > 0
+    assert len(charts) > len(maximal_nested_sets(
+        rs.rank, rs.nonorthogonal_edges(rs.simple_roots)))
 
 
 @pytest.mark.parametrize("nvert", [1, 2, 3, 4])
