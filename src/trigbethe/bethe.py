@@ -668,11 +668,10 @@ class PointStream:
                       else Fraction(0) if rng.random() < 0.35
                       else Fraction(rng.randint(1, 40), rng.randint(1, 40))
                       for s in chart.sets)
-        if not chart.is_generic(tvals):
-            return
+        # generic: at t >= 0 the term of A(r)'s missing vertex is c_v >= 1
         words = self._words
         word = words[rng.randrange(len(words))] if rng.random() < 0.4 else ()
-        # the draws make XPoint.at's checks, genericity before the twist
+        # the draws make XPoint.at's checks
         x = XPoint(rs, self.field, word, subset, y, chart, tvals, values, cen)
         self.built += 1
         sig = x.signature()

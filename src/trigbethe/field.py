@@ -16,7 +16,8 @@ table read at the exponents i*k mod N, so the inverse
 x^{-1} = prod_{k != 1} sigma_k(x) / N(x) needs integer products and one
 rational division.  int and Fraction operands are used as they are,
 never lifted to field elements.  All operations are exact; there are
-no floats here.
+no floats here.  Elements are unhashable: a rational one equals its
+int or Fraction, whose hash it cannot match.
 """
 
 from __future__ import annotations
@@ -369,9 +370,6 @@ class FieldElement:
                     and self.nums[0] == other.numerator
                     and not any(self.nums[1:]))
         return NotImplemented
-
-    def __hash__(self):
-        return hash((self.field.order, self.nums, self.den))
 
     def is_zero(self) -> bool:
         return not any(self.nums)

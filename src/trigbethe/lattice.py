@@ -2,16 +2,18 @@
 
 Lattices are row spans of integer matrices inside Z^n.  Smith form
 provides saturations and torsion quotients.  It tracks its unimodular
-transforms U and V, and V^{-1} alongside them: every column operation
+column transform V, and V^{-1} alongside it: every column operation
 applied to V is matched by the inverse row operation on V^{-1}, so the
-whole computation stays in integers.  Row-style Hermite form provides a
-canonical basis used to deduplicate lattices.  It is built by insertion
-only: hermite_insert adds one vector to a lattice already in Hermite
-form, clearing the vector with one gcd step per pivot column it meets,
-making the rest a new row and re-reducing above the pivots, so growing a
-lattice by one root costs one pass over its rows, and hermite_normal_form
-inserts its rows one at a time.  hermite_coordinates reads a vector's
-coefficients in a Hermite basis in one pass over the pivots.
+whole computation stays in integers.  The row transform U is not kept:
+saturations, torsion and coordinates u V all read V alone.  Row-style
+Hermite form provides a canonical basis used to deduplicate lattices.
+It is built by insertion only: hermite_insert adds one vector to a
+lattice already in Hermite form, clearing the vector with one gcd step
+per pivot column it meets, making the rest a new row and re-reducing
+above the pivots, so growing a lattice by one root costs one pass over
+its rows, and hermite_normal_form inserts its rows one at a time.
+hermite_coordinates reads a vector's coefficients in a Hermite basis in
+one pass over the pivots.
 """
 
 from __future__ import annotations
@@ -29,10 +31,10 @@ def _identity(n: int) -> IntRows:
 
 @dataclass
 class SmithForm:
-    """U @ M @ V = diag(divisors) padded with zeros; U, V unimodular."""
+    """U @ M @ V = diag(divisors) padded with zeros, for a unimodular U
+    that is not kept; V unimodular."""
 
     divisors: list[int]          # nonzero diagonal entries, d1 | d2 | ...
-    U: IntRows                   # m x m
     V: IntRows                   # n x n
     Vinv: IntRows                # n x n, integer inverse of V
 
@@ -56,13 +58,11 @@ def smith_normal_form(rows: Sequence[Sequence[int]], ncols: int | None = None
     n = len(M[0]) if M else (ncols if ncols is not None else 0)
     if ncols is not None and n != ncols:
         raise ValueError("column count mismatch")
-    U = _identity(m)
     V = _identity(n)
     Vinv = _identity(n)  # kept equal to V^{-1}: M @ E pairs with E^{-1} @ Vinv
 
     def row_op(i, j, q):  # row_i -= q * row_j
         M[i] = [a - q * b for a, b in zip(M[i], M[j])]
-        U[i] = [a - q * b for a, b in zip(U[i], U[j])]
 
     def col_op(i, j, q):  # col_i -= q * col_j
         for r in range(m):
@@ -73,7 +73,6 @@ def smith_normal_form(rows: Sequence[Sequence[int]], ncols: int | None = None
 
     def row_swap(i, j):
         M[i], M[j] = M[j], M[i]
-        U[i], U[j] = U[j], U[i]
 
     def col_swap(i, j):
         for r in range(m):
@@ -84,7 +83,6 @@ def smith_normal_form(rows: Sequence[Sequence[int]], ncols: int | None = None
 
     def row_negate(i):
         M[i] = [-a for a in M[i]]
-        U[i] = [-a for a in U[i]]
 
     t = 0
     while t < min(m, n):
@@ -129,7 +127,7 @@ def smith_normal_form(rows: Sequence[Sequence[int]], ncols: int | None = None
         t += 1
 
     divisors = [M[k][k] for k in range(min(m, n)) if M[k][k] != 0]
-    return SmithForm(divisors, U, V, Vinv)
+    return SmithForm(divisors, V, Vinv)
 
 
 def hermite_normal_form(rows: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:

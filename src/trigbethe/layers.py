@@ -20,14 +20,14 @@ a into the Hermite form of L (lattice.hermite_insert), never by
 recomputing the form of L + <a>.  A visit saturates L through its Smith
 form U L V = diag(d), reads every positive root's coordinates u V (one
 vector addition each, from a lower root), decides which roots lie in the
-Q-span of the saturation, and then tries each torsion character trivial
-on L; a candidate is a genuine layer exactly when the roots it
-centralizes still span the lattice.  The trivial character passes
-without a rank test: it centralizes every root in the span, L's
-generators among them, so they have rank k.  Every layer arises this way
-from the lattice of any independent spanning subset of its centralized
-roots, so the walk is complete, and candidates are deduplicated by their
-canonical encoding.
+Q-span of the saturation, and then records each character of sat(L)/L
+as a layer.  No candidate needs a rank test: a character of sat(L)/L is
+trivial on L (for u in L, d_i divides (u V)_i), L is generated by the
+positive roots inserted to build it, and those lie in the span, so the
+roots a candidate centralizes hold L's generators and have rank k.
+Every layer arises this way from the lattice of any independent spanning
+subset of its centralized roots, so the walk is complete, and candidates
+are deduplicated by their canonical encoding.
 
 - One walk, every sub-arrangement: Z^I is a coordinate summand, so the
   layers on T_I are the layers whose lattice is supported on I, with the
@@ -53,7 +53,7 @@ from typing import Iterable, Sequence
 
 from .field import CyclotomicField, FieldElement, char_value
 from .lattice import (hermite_coordinates, hermite_insert,
-                      hermite_normal_form, int_rank, smith_normal_form)
+                      hermite_normal_form, smith_normal_form)
 from .nested import components
 from .roots import Coords, RootSystem, chain_values, gram_inner, root_chain
 
@@ -213,10 +213,8 @@ def enumerate_layers(amb: RootAmbient, stats: Counter | None = None
         hnf_coords = [[sum(map(mul, row, col)) for col in vcols]
                       for row in hnf]
         # characters of sat/L: a d_i-th root of unity on each saturation
-        # basis vector Vinv[i]; all are automatically trivial on L.  A
-        # character already recorded on this saturation is that layer.
-        # The trivial character (choice all 0) centralizes all of in_span,
-        # which holds L's generators, so it passes the rank test unasked
+        # basis vector Vinv[i], each a layer (see above).  A character
+        # already recorded on this saturation is that layer
         steps = [field.root_exponent(d) for d in divisors]
         for choice in itertools.product(*(range(d) for d in divisors)):
             exps = [s * j for s, j in zip(steps, choice)]
@@ -227,10 +225,8 @@ def enumerate_layers(amb: RootAmbient, stats: Counter | None = None
             key = (hnf, tuple(chi(c) for c in hnf_coords))
             if key in found:
                 continue
-            centralized = [a for a, c in in_span if chi(c) == 0]
-            if any(choice) and int_rank(centralized) != k:
-                continue
-            found[key] = Layer(n, hnf, key[1], field, tuple(centralized))
+            found[key] = Layer(n, hnf, key[1], field, tuple(
+                a for a, c in in_span if chi(c) == 0))
         return list(classes.values())
 
     seen: set[tuple[Coords, ...]] = {()}

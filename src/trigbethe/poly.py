@@ -2,15 +2,15 @@
 
 Coefficients may be int, Fraction or cyclotomic field elements; all
 support the arithmetic protocol Poly relies on.  Poly never converts a
-coefficient: variables, constants and powers built from ints keep int
-coefficients, so the Hecke normal forms and the symbolic transports,
-which only add and multiply, run on plain integers.
+coefficient: variables, constants and their sums and products built
+from ints keep int coefficients, so the Hecke normal forms and the
+symbolic transports, which only add and multiply, run on plain integers.
+There is no power operator, and no hash, as a constant equals its value.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Sequence
 
 
 class Poly:
@@ -80,46 +80,14 @@ class Poly:
 
     __rmul__ = __mul__
 
-    def __pow__(self, exp: int):
-        if exp < 0:
-            raise ValueError(f"negative power {exp} of a polynomial")
-        out = Poly.constant(self.nvars, 1)
-        base = self
-        while exp:
-            if exp & 1:
-                out = out * base
-            exp >>= 1
-            if exp:
-                base = base * base
-        return out
-
     def __eq__(self, other):
         o = self._lift(other)
         if o is None:
             return NotImplemented
         return self.terms == o.terms
 
-    def __hash__(self):
-        return hash((self.nvars, frozenset(self.terms.items())))
-
     def is_zero(self) -> bool:
         return not self.terms
 
-    def render(self, names: Sequence[str] | None = None) -> str:
-        names = names or [f"x{i}" for i in range(self.nvars)]
-        if not self.terms:
-            return "0"
-        bits = []
-        for e in sorted(self.terms, key=lambda t: (sum(t), t)):
-            c = self.terms[e]
-            mono = "*".join(
-                names[i] if k == 1 else f"{names[i]}^{k}"
-                for i, k in enumerate(e) if k)
-            if mono:
-                bits.append(f"({c})*{mono}")
-            else:
-                bits.append(f"({c})")
-        return " + ".join(bits)
-
     def __repr__(self) -> str:
-        return f"Poly({self.render()})"
+        return f"Poly({self.terms})"

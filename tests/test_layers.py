@@ -416,6 +416,17 @@ def test_lattice_walk_matches_subset_walk(label, order):
     assert got == want
 
 
+@pytest.mark.parametrize("label,order", [
+    ("A1", 6), ("A2", 6), ("A3", 6), ("A4", 6), ("B2", 6), ("B3", 6),
+    ("B4", 6), ("C3", 6), ("C4", 6), ("D4", 6), ("G2", 6), ("F4", 12)])
+def test_every_candidate_centralizes_a_spanning_set(label, order):
+    # the walk records every character of sat(L)/L without a rank test:
+    # each is trivial on L, whose generators are roots in the span, so the
+    # roots it centralizes have the lattice's rank
+    for layer in enumerate_layers(ambient(label, CyclotomicField(order))):
+        assert int_rank(layer.roots_pos) == layer.codim, layer
+
+
 @pytest.mark.parametrize("label", ["G2", "B3", "C3", "A4", "D4", "B4", "C4"])
 def test_poset_relations_match_all_pairs_scan(label):
     layers = enumerate_layers(ambient(label))

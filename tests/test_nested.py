@@ -1,6 +1,7 @@
 """Nested families on diagrams and the chart evaluation machinery."""
 
 import itertools
+import random
 from fractions import Fraction
 from math import prod
 
@@ -185,6 +186,48 @@ def test_residuals_factor_each_root(label):
             direct = sum(c * base_value(chart, v, t)
                          for v, c in enumerate(coords) if c)
             assert direct == chart.r_value(r, t) * common
+
+
+def missing_vertex_coefficient(chart, coords):
+    """The coefficient of the root at the vertex of its minimal member A(r)
+    that no smaller member covers."""
+    supp = {v for v, c in enumerate(coords) if c}
+    top = min((p for p in chart.sets if supp <= p), key=len)
+    covered = set().union(*(q for q in chart.sets if q < top))
+    [v] = top - covered
+    return coords[v]
+
+
+@pytest.mark.parametrize("label", TYPES)
+def test_residuals_at_nonnegative_t_are_at_least_one(label):
+    # why a drawn chart point needs no genericity test: a residual is a
+    # sum of terms c_v * prod t_Q with every c_v >= 1, and the term of
+    # A(r)'s missing vertex has an empty chain, so at t >= 0 it is >= 1
+    rng = random.Random(f"residuals-{label}")
+    for chart in charts_of(label):
+        zero = [Fraction(0)] * len(chart.sets)
+        for r, coords in chart.base_coords.items():
+            c = missing_vertex_coefficient(chart, coords)
+            assert c >= 1 and chart.r_value(r, zero) == c
+        for _ in range(4):
+            tvals = [Fraction(1) if not any(s < q for q in chart.sets)
+                     else Fraction(0) if rng.random() < 0.35
+                     else Fraction(rng.randint(1, 40), rng.randint(1, 40))
+                     for s in chart.sets]
+            assert all(chart.r_value(r, tvals) >= 1 for r in chart.pos_roots)
+    # and the stream draws exactly such points: t >= 0, tops at 1
+    rs = root_system(label)
+    stream = PointStream(rs, CyclotomicField(default_field_order(rs.family)),
+                         0)
+    for k in range(12):
+        x = stream.point(k, 400)
+        if x is None:
+            break
+        sets = x.chart.sets
+        assert all(t >= 0 for t in x.tvals)
+        assert all(t == 1 for s, t in zip(sets, x.tvals)
+                   if not any(s < q for q in sets))
+        assert all(x.chart.r_value(r, x.tvals) >= 1 for r in x.chart.pos_roots)
 
 
 def test_chart_rejects_roots_outside_base_lattice():

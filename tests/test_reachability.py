@@ -26,6 +26,7 @@ ALLOWED = {
     "linalg.nullspace": "item 1",
     "linalg._unit_like": "item 1",
     "field.CyclotomicField.element": "item 1",
+    "lattice.int_rank": "item 1",
     # item 9: the degree-one quantum side is their caller, or they move
     "hecke.HeckeAlgebra.holonomy_image": "item 9",
     "hecke.HeckeAlgebra.bmo": "item 9",

@@ -1,18 +1,24 @@
-"""The benchmark's tracer must find every program name it wraps.
+"""The benchmark must find every program name it reads.
 
 perfbench/tracer.py wraps functions and methods named in its TARGETS,
-and its self-test expects some of them at particular import sites.  A
+and its self-test expects some of them at particular import sites.  The
+verify workload judges a check all payload wrong when a check named in
+perfbench/data/reference.json's check_names is missing from it.  A
 change that deletes or renames one of those names fails here, instead
-of crashing a traced benchmark run.
+of crashing a traced benchmark run or failing every verify request.
 """
 
 import importlib
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
 
-_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+from trigbethe import cli
+
+_BENCH = Path(__file__).resolve().parents[1] / "perfbench"
+_PATH = _BENCH / "tracer.py"
 _SPEC = importlib.util.spec_from_file_location("perfbench_tracer", _PATH)
 tracer = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(tracer)
@@ -46,3 +52,19 @@ def test_import_site_exists(site):
     source_module, source_name = IMPORT_SITES[site]
     bound = getattr(importlib.import_module(module), name)
     assert bound is getattr(importlib.import_module(source_module), source_name)
+
+
+CHECK_NAMES = json.loads((_BENCH / "data" / "reference.json")
+                         .read_text(encoding="utf-8"))["check_names"]
+
+
+@pytest.mark.parametrize("name", CHECK_NAMES)
+def test_reference_check_name_is_a_cli_check(name):
+    assert name in cli._CHECKS
+
+
+def test_check_all_payload_names_every_reference_check(capsys):
+    # what workloads.judge reads: the names of the payload's entries
+    cli.main(["check", "all", "--type", "A2"])
+    payload = json.loads(capsys.readouterr().out)
+    assert set(CHECK_NAMES) <= {c["name"] for c in payload["checks"]}
