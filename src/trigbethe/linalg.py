@@ -68,12 +68,6 @@ def rank(rows: Sequence[Sequence[S]]) -> int:
     return len(rref(rows)[0])
 
 
-def row_space_equal(a: Sequence[Sequence[S]], b: Sequence[Sequence[S]]) -> bool:
-    ra, _ = rref(a)
-    rb, _ = rref(b)
-    return ra == rb
-
-
 def nullspace(rows: Sequence[Sequence[S]]) -> Matrix:
     """Basis of the right kernel {v : rows @ v = 0}."""
     if not rows:

@@ -3,23 +3,36 @@ general-linear flavor onto the rational family with one extra marked
 point at the origin.
 
 Source: pair generators t_{ij} (1 <= i < j <= n) plus tau_1..tau_n; a
-torus point is a tuple (z_1..z_n) of distinct nonzero rationals (int or
-Fraction), the pair (i,j) evaluating to z_i/z_j.  Target: pure pair
-generators t_{ij} on indices {0..n}.  The map fixes pairs and sends tau_k
-to minus the sum of all pairs {c,k} with c < k (a Jucys-Murphy-style
-element).  Under it the k-th trigonometric element at (z) matches -z_k
-times the k-th rational element at (0, z_1..z_n), exactly.  All of it is
-rational, so every vector is a list of Fractions, for int input too.
+torus point is a tuple (z_1..z_n) of distinct nonzero rationals, the
+pair (i,j) evaluating to z_i/z_j.  Target: pure pair generators t_{ij}
+on indices {0..n}.  The map fixes pairs and sends tau_k to minus the sum
+of all pairs {c,k} with c < k (a Jucys-Murphy-style element).  Under it
+the k-th trigonometric element at (z) matches -z_k times the k-th
+rational element at (0, z_1..z_n), exactly, and the image of the whole
+trigonometric span is the rational span.
+
+Both identities are homogeneous of degree 0 in z: the trigonometric
+element depends only on the ratios z_i/z_j, z_k times the rational
+element at (0, z) is unchanged when z is scaled, and span equality does
+not depend on scale.  So a sample z is replaced by the integer point
+x = D z, D the lcm of its denominators (integer_point), and every
+vector by an integer multiple of itself: the k-th trigonometric element
+by P_k = prod_{j != k} (x_k - x_j), the rational element at index k of
+points p by prod_{j != k} (p_k - p_j) (scale).  At p = (0, x) that
+scale is x_k P_k, so the first identity reads image_k = -(scaled
+rational element k), entry by entry in integers.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
+from math import lcm, prod
 from typing import Sequence
 
 from .bethe import bethe_weight
-from .linalg import row_space_equal
+from .lattice import hermite_normal_form
 
 
 class PairSpace:
@@ -31,8 +44,8 @@ class PairSpace:
         self._index = {p: k for k, p in enumerate(self.pairs)}
         self.dim = len(self.pairs)
 
-    def zero(self) -> list[Fraction]:
-        return [Fraction(0)] * self.dim
+    def zero(self) -> list[int]:
+        return [0] * self.dim
 
     def add_pair(self, vec, i: int, j: int, coeff) -> None:
         p = (i, j) if i < j else (j, i)
@@ -48,22 +61,29 @@ class TrigSource(PairSpace):
         self.n = n
         self.dim += n
 
-    def bethe(self, z: Sequence, k: int) -> list[Fraction]:
-        """tau_k plus Bethe-weighted pairs at the torus point (z_1..z_n).
+    def bethe(self, x: Sequence[int], k: int) -> list[int]:
+        """P_k (tau_k plus Bethe-weighted pairs) at the integer point x,
+        P_k = prod_{j != k} (x_k - x_j).
 
-        Pair (i,j) evaluates to u = z_i/z_j; its coefficient in the k-th
-        element is (h_i - h_j applied to e_k) times bethe_weight(u).
+        Pair (i,j) evaluates to u = x_i/x_j; its coefficient in the k-th
+        element is (h_i - h_j applied to e_k) times bethe_weight(u), whose
+        denominator divides x_i - x_j and so P_k.
         """
         if not 1 <= k <= self.n:
             raise ValueError("index out of range")
+        xk = x[k - 1]
+        scale = prod(xk - x[j - 1] for j in self.indices if j != k)
+        if scale == 0:
+            raise ZeroDivisionError("coordinates must be pairwise distinct")
         vec = self.zero()
-        vec[len(self.pairs) + k - 1] = Fraction(1)
+        vec[len(self.pairs) + k - 1] = scale
         for (i, j) in self.pairs:
             sign = (1 if i == k else 0) - (1 if j == k else 0)
             if sign == 0:
                 continue
-            u = Fraction(z[i - 1]) / z[j - 1]
-            self.add_pair(vec, i, j, bethe_weight(u) * sign)
+            w = bethe_weight(Fraction(x[i - 1], x[j - 1]))
+            self.add_pair(vec, i, j,
+                          sign * w.numerator * (scale // w.denominator))
         return vec
 
 
@@ -74,25 +94,29 @@ class RationalTarget(PairSpace):
         super().__init__(range(0, n + 1))
         self.n = n
 
-    def gaudin(self, points: Sequence, k: int) -> list[Fraction]:
-        """Rational element at index k: sum of pairs {k,j}/(p_k - p_j)."""
+    def scale(self, points: Sequence, k: int):
+        """prod_{j != k} (p_k - p_j), the factor gaudin multiplies by."""
+        return prod(points[k] - points[j] for j in self.indices if j != k)
+
+    def gaudin(self, points: Sequence, k: int) -> list:
+        """Rational element at index k, the sum of pairs {k,j}/(p_k - p_j),
+        times scale(points, k): pair {k,j} gets the product of the other
+        differences p_k - p_l."""
+        diffs = {j: points[k] - points[j] for j in self.indices if j != k}
+        if not all(diffs.values()):
+            raise ZeroDivisionError("rational points must be distinct")
         vec = self.zero()
-        pk = points[k]
-        for j in self.indices:
-            if j == k:
-                continue
-            d = pk - points[j]
-            if d == 0:
-                raise ZeroDivisionError("rational points must be distinct")
-            self.add_pair(vec, k, j, Fraction(1) / d)
+        for j in diffs:
+            self.add_pair(vec, k, j, prod(d for l, d in diffs.items()
+                                          if l != j))
         return vec
 
-    def gaudin_span(self, points: Sequence) -> list[list[Fraction]]:
+    def gaudin_span(self, points: Sequence) -> list[list]:
         return [self.gaudin(points, k) for k in self.indices]
 
 
 def reindex_map(source: TrigSource, target: RationalTarget,
-                vec: Sequence[Fraction]) -> list[Fraction]:
+                vec: Sequence) -> list:
     """Apply the correspondence: pairs fixed, tau_k to -(sum of {c,k}, c<k)."""
     if source.n != target.n:
         raise ValueError("source and target sizes differ")
@@ -109,35 +133,74 @@ def reindex_map(source: TrigSource, target: RationalTarget,
     return out
 
 
-def marked_points(z: Sequence) -> list[Fraction]:
-    """(0, z_1..z_n) as Fractions for the rational side."""
-    return [Fraction(0)] + [Fraction(v) for v in z]
+def integer_point(z: Sequence) -> tuple[int, ...]:
+    """D z for D the lcm of the denominators of z (ints or Fractions): an
+    integer point with the ratios of z."""
+    d = lcm(*(v.denominator for v in z))
+    return tuple(v.numerator * (d // v.denominator) for v in z)
 
 
-def check_sample(source: TrigSource, target: RationalTarget,
-                 z: Sequence) -> tuple[list[int], bool]:
-    """Both pinned identities at the torus point z, on one set of vectors.
+def marked_points(z: Sequence) -> list:
+    """(0, z_1..z_n), the points of the rational side."""
+    return [0, *z]
+
+
+def check_sample(source: TrigSource, target: RationalTarget, z: Sequence,
+                 tally: Counter | None = None) -> tuple[list[int], bool]:
+    """Both pinned identities at the torus point z, on one set of integer
+    vectors at integer_point(z).
 
     Returns the k (1..n) for which the image of the k-th trig element is
     not -z_k times the k-th rational element at (0, z), and whether the
     image of the whole trig span equals the rational span at (0, z).
+    tally counts how the span equality was settled (see spans_match).
     """
-    imgs = [reindex_map(source, target, source.bethe(z, k))
+    x = integer_point(z)
+    imgs = [reindex_map(source, target, source.bethe(x, k))
             for k in range(1, source.n + 1)]
-    # gspan[k] is the rational element at index k of {0..n}
-    gspan = target.gaudin_span(marked_points(z))
-    bad = []
-    for k, img in enumerate(imgs, start=1):
-        zk = z[k - 1]
-        if img != [-(zk * c) for c in gspan[k]]:
-            bad.append(k)
-    return bad, row_space_equal(imgs, gspan)
+    points = marked_points(x)
+    # gspan[k] is the scaled rational element at index k of {0..n}
+    gspan = target.gaudin_span(points)
+    bad = [k for k, img in enumerate(imgs, start=1)
+           if img != [-c for c in gspan[k]]]
+    scales = [target.scale(points, k) for k in target.indices]
+    return bad, spans_match(imgs, gspan, scales, not bad,
+                            Counter() if tally is None else tally)
 
 
-def spans_match(source: TrigSource, target: RationalTarget,
-                z: Sequence) -> bool:
-    """Image of the whole trig span equals the rational span at (0, z)."""
-    return check_sample(source, target, z)[1]
+def spans_match(images: list[list[int]], elements: list[list[int]],
+                scales: Sequence[int], identities: bool,
+                tally: Counter) -> bool:
+    """Whether the images span what the elements span, the elements being
+    the rational elements at every index 0..n, each times its scale.
+
+    The certificate: every identity holds (identities), so images[k-1]
+    is -elements[k] and the images span elements[1:]; and the rational
+    elements sum to zero, so elements[0] lies in that span too.  When it
+    does not apply, the integer ranks of the images, the elements and of
+    both together decide.  tally counts span_certified or span_fallback.
+    """
+    if identities and sums_to_zero(elements, scales):
+        tally["span_certified"] += 1
+        return True
+    tally["span_fallback"] += 1
+    both = len(hermite_normal_form(images + elements))
+    return len(hermite_normal_form(images)) == both == \
+        len(hermite_normal_form(elements))
+
+
+def sums_to_zero(vectors: Sequence[Sequence[int]],
+                 scales: Sequence[int]) -> bool:
+    """Whether sum_k vectors[k] / scales[k] is zero, in integers: the
+    fractions of each coordinate are added over a common denominator."""
+    for column in zip(*vectors):
+        num, den = 0, 1
+        for c, s in zip(column, scales):
+            if c:
+                num, den = num * s + c * den, den * s
+        if num:
+            return False
+    return True
 
 
 def sample_z(n: int, seed: int) -> tuple[Fraction, ...]:

@@ -7,19 +7,30 @@
   row-reduce exactly.  valuation_at_zero and epsilon_limit_span take the
   exact limit at 0 of a row span along a symbolic path.
 - mat_mul: the dense matrix product; det: the determinant, by
-  elimination; batch_hermite_form: the Hermite form of a whole integer
+  elimination; row_space_equal: equal row spaces, by comparing rrefs; batch_hermite_form: the Hermite form of a whole integer
   matrix, column by column; evaluate: a Poly at a point.
 - sample_q: a seeded torus point off the arrangement, for the Hecke
   family; hecke_is_zero: whether a Hecke element is zero.
 - bethe_rows and gaudin: the Bethe family of a holonomy space at an
   interior torus point, read through bethe_family, and the rational
   Gaudin family.
+- The spin chain and the type-A identities over Q, the reference of the
+  integer checks: dense chain operators from Kronecker products of the
+  one-site matrices (dense_place, dense_casimir_pair, ...), the k-th
+  trigonometric element and a represented pair vector as rational
+  (coefficient, operator key) terms, dense_integer_combination (rational
+  terms with cleared denominators),
+  and the per-sample verdicts of check commutativity (spin_failures) and
+  check typea (typea_verdicts) at a rational point.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import cache
+from itertools import combinations
+from math import lcm
 from typing import Sequence
 
 from trigbethe.bethe import HolonomySpace, stratum_values
@@ -32,6 +43,10 @@ from trigbethe.roots import RootSystem
 def mat_mul(a, b):
     bt = list(zip(*b))
     return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
+
+
+def row_space_equal(a: Sequence[Sequence], b: Sequence[Sequence]) -> bool:
+    return rref(a)[0] == rref(b)[0]
 
 
 def det(a: Sequence[Sequence]) -> object:
@@ -412,3 +427,187 @@ def epsilon_limit_span(rows: Sequence[Sequence[RatFunc]]) -> list[list]:
         if not work:
             return []
     raise RuntimeError("limit computation did not stabilize in 10000 steps")
+
+
+# ----------------------------------------------------------------------
+# the spin chain and the type-A identities over Q
+
+HALF = Fraction(1, 2)
+ID2 = [[1, 0], [0, 1]]
+E = [[0, 1], [0, 0]]
+F = [[0, 0], [1, 0]]
+H = [[1, 0], [0, -1]]
+_UNITS = [(a, b) for a in (0, 1) for b in (0, 1)]
+
+
+def kron(a, b):
+    """Kronecker product, blocks of b scaled by entries of a."""
+    return [[x * y for x in arow for y in brow] for arow in a for brow in b]
+
+
+def dense_add(a, b, s=1):
+    return [[x + s * y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+
+
+def dense_scale(a, s):
+    return [[s * x for x in row] for row in a]
+
+
+def dense_place(factors, n):
+    """The tensor product of factors[slot] (the identity elsewhere)."""
+    mats = [factors.get(slot, ID2) for slot in range(1, n + 1)]
+    mat = mats[0]
+    for m in mats[1:]:
+        mat = kron(mat, m)
+    return mat if mats else [[Fraction(1)]]
+
+
+def dense_casimir_pair(i, j, n):
+    out = dense_add(dense_place({i: E, j: F}, n), dense_place({i: F, j: E}, n))
+    return dense_add(out, dense_place({i: H, j: H}, n), HALF)
+
+
+def dense_lowering_pair(i, j, n):
+    return dense_place({i: F, j: E}, n)
+
+
+def dense_trig_hamiltonian(theta, z, k, n):
+    """The k-th trigonometric element at z, unscaled."""
+    zk = Fraction(z[k - 1])
+    out = dense_scale(dense_place({k: theta}, n), 1 / zk)
+    for j in range(1, n + 1):
+        if j != k:
+            out = dense_add(out, dense_casimir_pair(k, j, n),
+                            1 / (zk - z[j - 1]))
+            out = dense_add(out, dense_lowering_pair(k, j, n), -1 / zk)
+    return out
+
+
+def dense_represent_pair_vector(pairs, coeffs, theta, n):
+    out = [[Fraction(0)] * 2 ** n for _ in range(2 ** n)]
+    for (i, j), c in zip(pairs, coeffs):
+        if i == 0:
+            block = dense_place({j: theta}, n)
+            for l in range(1, n + 1):
+                if l != j:
+                    block = dense_add(block, dense_lowering_pair(j, l, n), -1)
+        else:
+            block = dense_casimir_pair(i, j, n)
+        out = dense_add(out, block, c)
+    return out
+
+
+@cache
+def dense_chain_operator(key: tuple, n: int) -> tuple[tuple[int, ...], ...]:
+    """A constant operator of spin.chain_operators, from Kronecker
+    products: ("unit", k, a, b), ("lower", i, j) or ("omega2", i, j)."""
+    if key[0] == "unit":
+        _, k, a, b = key
+        unit = [[int((r, c) == (a, b)) for c in (0, 1)] for r in (0, 1)]
+        mat = dense_place({k: unit}, n)
+    elif key[0] == "lower":
+        mat = dense_lowering_pair(key[1], key[2], n)
+    else:
+        mat = dense_scale(dense_casimir_pair(key[1], key[2], n), 2)
+    return tuple(tuple(int(x) for x in row) for row in mat)
+
+
+def hamiltonian_terms(theta, z, k, n):
+    """The k-th trigonometric element at the rational point z as
+    (coefficient, operator key) terms: the twist at slot k over z_k,
+    Casimir simple fractions, minus lowering terms over z_k."""
+    zk = Fraction(z[k - 1])
+    terms = [(theta[a][b] / zk, ("unit", k, a, b)) for a, b in _UNITS]
+    for j in range(1, n + 1):
+        if j != k:
+            terms.append((HALF / (zk - z[j - 1]),
+                          ("omega2", min(j, k), max(j, k))))
+            terms.append((-1 / zk, ("lower", k, j)))
+    return terms
+
+
+def pair_vector_terms(pairs, coeffs, theta, n):
+    """A pair-generator vector on {0..n}, represented on the chain, as
+    rational (coefficient, operator key) terms."""
+    terms = []
+    for (i, j), c in zip(pairs, coeffs):
+        if c == 0:
+            continue
+        if i == 0:
+            terms += [(c * theta[a][b], ("unit", j, a, b)) for a, b in _UNITS]
+            terms += [(-c, ("lower", j, l)) for l in range(1, n + 1) if l != j]
+        else:
+            terms.append((c * HALF, ("omega2", i, j)))
+    return terms
+
+
+def dense_integer_combination(terms, n):
+    """sum c * dense_chain_operator(key, n) over rational terms, times the
+    lcm of their denominators: an integer matrix, zero exactly when the
+    combination is."""
+    d = lcm(*(Fraction(c).denominator for c, _ in terms))
+    out = [[0] * 2 ** n for _ in range(2 ** n)]
+    for c, key in terms:
+        ci = int(c * d)
+        if ci:
+            out = dense_add(out, dense_chain_operator(key, n), ci)
+    return out
+
+
+def _bethe_image(z, k):
+    """The reindexed k-th trigonometric element at z over Q, as
+    {pair of {0..n}: coefficient}: tau_k sent to -(sum of {c,k}, c < k),
+    pair {i,j} weighted -u/(u-1), u = z_i/z_j, signed by the side of k."""
+    out = {(c, k): Fraction(-1) for c in range(k)}
+    for j in range(1, len(z) + 1):
+        if j != k:
+            i_, j_ = min(j, k), max(j, k)
+            u = Fraction(z[i_ - 1]) / z[j_ - 1]
+            weight = -u / (u - 1)
+            out[i_, j_] = out.get((i_, j_), 0) + (weight if i_ == k
+                                                  else -weight)
+    return out
+
+
+def _rational_element(points, k):
+    """sum of pairs {k,j}/(p_k - p_j) as {pair: coefficient}."""
+    return {(min(j, k), max(j, k)): 1 / Fraction(points[k] - points[j])
+            for j in range(len(points)) if j != k}
+
+
+def spin_failures(z, theta):
+    """The failing identities of check commutativity at the rational point
+    z, in its wording: [H_i, H_j] = 0 and image + z_k H_k = 0, on dense
+    integer operators."""
+    n = len(z)
+    pairs = list(combinations(range(n + 1), 2))
+    hams = [dense_integer_combination(hamiltonian_terms(theta, z, k, n), n)
+            for k in range(1, n + 1)]
+    failed = [f"[H{i + 1},H{j + 1}] != 0"
+              for i, j in combinations(range(n), 2)
+              if mat_mul(hams[i], hams[j]) != mat_mul(hams[j], hams[i])]
+    for k in range(1, n + 1):
+        image = _bethe_image(z, k)
+        terms = pair_vector_terms(pairs, [image.get(p, 0) for p in pairs],
+                                  theta, n)
+        terms += [(z[k - 1] * c, key)
+                  for c, key in hamiltonian_terms(theta, z, k, n)]
+        if any(any(row) for row in dense_integer_combination(terms, n)):
+            failed.append(f"image(k={k}) != -z_k H_k")
+    return failed
+
+
+def typea_verdicts(z):
+    """check typea at the rational point z over Q: the k whose image is
+    not -z_k times the rational element k at (0, z), and whether the
+    images span what the rational elements at every index span."""
+    n = len(z)
+    pairs = list(combinations(range(n + 1), 2))
+    points = [0, *z]
+    images = [[_bethe_image(z, k).get(p, 0) for p in pairs]
+              for k in range(1, n + 1)]
+    elements = [[_rational_element(points, k).get(p, 0) for p in pairs]
+                for k in range(n + 1)]
+    bad = [k for k in range(1, n + 1)
+           if images[k - 1] != [-z[k - 1] * c for c in elements[k]]]
+    return bad, row_space_equal(images, elements)

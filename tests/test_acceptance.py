@@ -19,14 +19,14 @@ from trigbethe.hecke import HeckeAlgebra, exact_commutator_check
 from trigbethe.lattice import int_rank, smith_normal_form
 from trigbethe.layers import (RootAmbient, enumerate_layers, gamma_divisors,
                               generic_point, is_indecomposable)
-from trigbethe.linalg import rank, row_space_equal, rref
+from trigbethe.linalg import rank, rref
 from trigbethe.nested import Chart, maximal_nested_sets
 from trigbethe.roots import root_system
 from trigbethe import spin, typea
 
 from oracles import (RatFunc, batch_hermite_form, bethe_rows, det,
                      epsilon_limit_span, gaudin, hecke_is_zero, mat_mul,
-                     sample_q)
+                     row_space_equal, sample_q, typea_verdicts)
 
 F6 = CyclotomicField(6)
 ALL_TYPES = ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C3", "C4",
@@ -91,24 +91,28 @@ def test_criterion_01_hecke_family_commutes_for_every_q():
 
 
 def test_criterion_02_spin_chain_commutes_with_scaled_identity():
+    # at the integer point x of each sample, H_k scaled by
+    # 2 x_k prod_{j != k} (x_k - x_j) and the image by prod_{j != k}
+    # (x_k - x_j), so image = -x_k H_k reads: twice the represented image
+    # is minus the scaled H_k
     ok = True
     for n in (2, 3):
         src = typea.TrigSource(n)
         tgt = typea.RationalTarget(n)
         for seed in range(20):
             rng = random.Random(f"accept-spin-{n}-{seed}")
-            z = typea.sample_z(n, seed)
+            x = typea.integer_point(typea.sample_z(n, seed))
             theta = [[F6.coerce(rng.randint(-9, 9)), F6.zero()],
                      [F6.zero(), F6.coerce(rng.randint(-9, 9))]]
-            hams = [spin.trig_hamiltonian(theta, z, k, n)
+            hams = [spin.trig_hamiltonian(theta, x, k, n)
                     for k in range(1, n + 1)]
             for a, b in itertools.combinations(hams, 2):
                 ok = ok and spin.commute(a, b)
             for k in range(1, n + 1):
-                img = typea.reindex_map(src, tgt, src.bethe(z, k))
+                img = typea.reindex_map(src, tgt, src.bethe(x, k))
                 rep = spin.combination(
                     spin.pair_vector_terms(tgt.pairs, img, theta, n), n)
-                want = [{c: -z[k - 1] * x for c, x in row.items()}
+                want = [{c: -v for c, v in row.items()}
                         for row in hams[k - 1]]
                 ok = ok and rep == want
     record(2, "spin commutativity and -z_k scaling", ok,
@@ -177,9 +181,10 @@ def test_criterion_04_type_a_identification():
         tgt = typea.RationalTarget(n)
         for seed in range(10):
             z = typea.sample_z(n, seed)
-            ok = ok and typea.spans_match(src, tgt, z)
+            ok = ok and typea.check_sample(src, tgt, z) == ([], True) \
+                == typea_verdicts(z)
     record(4, "reindexed span equals rational span", ok,
-           "n=2,3 x 10 seeds, RREF-equal")
+           "n=2,3 x 10 seeds, in integers and RREF-equal over Q")
 
 
 def test_criterion_05_torsion_component_fixtures():

@@ -18,12 +18,11 @@ from trigbethe.bethe import (HolonomySpace, PointStream, XPoint, bethe_weight,
                              xpoint_from_dict)
 from trigbethe.field import CyclotomicField, char_value, default_field_order
 from trigbethe.layers import RootAmbient, enumerate_layers, generic_point
-from trigbethe.linalg import (mat_inverse, nullspace, rank, row_space_equal,
-                              rref)
+from trigbethe.linalg import mat_inverse, nullspace, rank, rref
 from trigbethe.nested import maximal_nested_sets
 from trigbethe.roots import RootSystem, int_mat_mul, root_system
 
-from oracles import RatFunc, bethe_rows, gaudin
+from oracles import RatFunc, bethe_rows, gaudin, row_space_equal
 
 F6 = CyclotomicField(6)
 

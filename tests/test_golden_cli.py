@@ -20,7 +20,9 @@ per class of Z^n/L and the poset read its candidates from an index; the
 standalone `commutativity` and `typea` digests before the spin-chain
 operators were built from their action on basis indices; the
 standalone `hecke` digests on A1, A2, A4, B2, B4, C4, G2 and F4 before
-the normal form was read off one exchange formula.
+the normal form was read off one exchange formula; the `commutativity`
+and `typea` digests on B2, G2 and F4 and `check all --samples 1` on A2
+before those two checks moved from rational to integer arithmetic.
 """
 
 import hashlib
@@ -167,6 +169,58 @@ CHECK = {
         (0, "35873cc21d705fabeb01f80b9e578cbf12d6de00da4aa0f146d6a6baad822e43"),
     "check typea --seed 3 --samples 9":
         (0, "3bea978e1f1f3276248200fd5d2919df01ae6802aa6ba41dfe2663c080dcfb81"),
+    # the type-independent checks on further types, and check all at
+    # one sample
+    "check commutativity --type B2 --seed 0":
+        (0, "787977f6e59bc2cbb3d86186e071dceb9bf6fbce9372c3b4d22ca0c4255c2d0e"),
+    "check commutativity --type B2 --seed 1":
+        (0, "b429160075d74c0005f4f4143bc9bdea32f0724f7fe8788056bda01ca7d525db"),
+    "check commutativity --type B2 --seed 2":
+        (0, "0ff847cf8bae4a45a7ae370dc37bc1b2975cb4820ba4e986d74606f3babfabfa"),
+    "check commutativity --type B2 --seed 3":
+        (0, "ca4a2ebb1383f5509974297c39bfc3ff59b6c7cf4521eb46721e21d09e4cfbe1"),
+    "check commutativity --type G2 --seed 0":
+        (0, "3688fd21e854f55e46a07fd0af6606b582d397904c2f67dc4030afbd8046f6bc"),
+    "check commutativity --type G2 --seed 1":
+        (0, "0c8d2816d4fc1264d6e1a5472697e1f002d68062ca1de17ace27bf7c912c320f"),
+    "check commutativity --type G2 --seed 2":
+        (0, "135b6b3c877c5f5798b937bc02087b58928e3775ed4ae23882efa14b0c7b781f"),
+    "check commutativity --type G2 --seed 3":
+        (0, "4038859d451972d12ed468c3053622ce222b07000dc123ee2a3d79d6e9a12f82"),
+    "check commutativity --type F4 --seed 0":
+        (0, "018337ae21cb5f9454014a5846dd9cebe08729d8497cc87d50bfe14c8dd20fa6"),
+    "check commutativity --type F4 --seed 1":
+        (0, "4ad37f6767c2fc907f32cbf3b09f7bd1a6fc48933b85ce7b846607c8a418f721"),
+    "check commutativity --type F4 --seed 2":
+        (0, "6fa5ba882aa17e82d2b5b22f7b1560cf3656eb0981c4f0c55dcf0136093b373a"),
+    "check commutativity --type F4 --seed 3":
+        (0, "90c582b1d6c84df4b60e9a18f1b833a01715b2fc7066419a709e59aa3027b7a0"),
+    "check typea --type B2 --seed 0":
+        (0, "ec244c455ff9270e6830efc5c655e2a69b3f6150ab94dc392786198388f0d7d6"),
+    "check typea --type B2 --seed 1":
+        (0, "3582e7f95e141707e5369a57cf2b65bb0aa780b2fb04e36fe1ebbbb6edd3caf6"),
+    "check typea --type B2 --seed 2":
+        (0, "9c332d21e8047d5bebe22f9e77401d5d7aac6128ce3146c73dc27c6c1bc22523"),
+    "check typea --type B2 --seed 3":
+        (0, "f0419d33b9a9d2f49457c3ee794aaeba5b288d10d25c6a0ea22fe18ddf05005e"),
+    "check typea --type G2 --seed 0":
+        (0, "a37942e0849c90c6c873e551f563b7de72a3d539860f985114f561444ee17112"),
+    "check typea --type G2 --seed 1":
+        (0, "c8edba3e0fc28b3df9b04118cd7f8fa46e21e2f86aaabee21a9a45c65811d13e"),
+    "check typea --type G2 --seed 2":
+        (0, "2ba11f1a14b0292bf368002bab9d0d32135a449efcc0c2c00f29aeebc3794f45"),
+    "check typea --type G2 --seed 3":
+        (0, "d891bed6cf434b0e3abb4f61be85cf31c594260023965c5e5d508a24bd55e42b"),
+    "check typea --type F4 --seed 0":
+        (0, "906fe8e44f009186257fd937136db646b6bbb51487058d9e737255e0e5c2ad79"),
+    "check typea --type F4 --seed 1":
+        (0, "642520a6d4c55f750538f37f79a772289415c13c2e62a71961dc3e76e0ba99d5"),
+    "check typea --type F4 --seed 2":
+        (0, "d0a2b38ed5a6306ad380b0d4ba576c2267ca10b8fb3e8a5485e2fce055ce3f5a"),
+    "check typea --type F4 --seed 3":
+        (0, "bb45a471d843c5c9c1b33307028a747da2b2593ae97b61247064a979595d49a2"),
+    "check all --type A2 --samples 1":
+        (0, "573f157b5ef5025c39a734556cb98bb906dbca10f15508acc16b46ac27a4991e"),
 }
 
 # argv -> stdout sha256 of census requests outside the reference file
@@ -296,6 +350,17 @@ def test_enumerate_output_matches_reference(argv, capsys):
 @pytest.mark.parametrize("request_line", CHECK)
 def test_check_output_matches_golden(request_line, capsys):
     assert run(capsys, request_line.split()) == CHECK[request_line]
+
+
+def test_type_independent_payloads_do_not_depend_on_type(capsys):
+    for name in ("commutativity", "typea"):
+        for seed in range(4):
+            entries = []
+            for label in ("A2", "B2", "G2", "F4"):
+                assert main(["check", name, "--type", label,
+                             "--seed", str(seed)]) == 0
+                entries.append(json.loads(capsys.readouterr().out)["checks"])
+            assert all(e == entries[0] for e in entries), (name, seed)
 
 
 @pytest.mark.parametrize("request_line", ENUMERATE_LITERAL)

@@ -10,11 +10,11 @@ from trigbethe.bethe import HolonomySpace
 from trigbethe.cli import main
 from trigbethe.field import CyclotomicField
 from trigbethe.hecke import HeckeAlgebra, cleared_numerator, q_power
-from trigbethe.linalg import rank, row_space_equal
+from trigbethe.linalg import rank
 from trigbethe.poly import Poly
 from trigbethe.roots import RootSystem, int_mat_mul, root_system
 
-from oracles import bethe_rows, hecke_is_zero, sample_q
+from oracles import bethe_rows, hecke_is_zero, row_space_equal, sample_q
 
 
 # coefficient profiles c(u) of the root power u = q^a.  The library family

@@ -5,11 +5,10 @@ from fractions import Fraction
 import pytest
 
 from trigbethe.field import CyclotomicField
-from trigbethe.linalg import row_space_equal
 from trigbethe.poly import Poly
 
 from oracles import (RatFunc, UPoly, epsilon_limit_span, evaluate,
-                     valuation_at_zero)
+                     row_space_equal, valuation_at_zero)
 
 
 def test_poly_expand_square():

@@ -20,8 +20,6 @@ PACKAGE = Path(__file__).resolve().parents[1] / "src" / "trigbethe"
 # unreachable on purpose: definition -> the ROADMAP item that decides it
 ALLOWED = {
     # item 1: perfbench/tracer.py wraps these names
-    "spin.trig_hamiltonian": "item 1",
-    "typea.spans_match": "item 1",
     "linalg.mat_inverse": "item 1",
     "linalg.nullspace": "item 1",
     "linalg._unit_like": "item 1",

@@ -1,86 +1,35 @@
 """Spin-chain matrices: Casimir tensor, commuting trig elements.
 
 The library builds its sparse operators from their action on basis
-indices; a dense Kronecker-product reference over the single-site
-factors E, F, H, kept here, checks them entry by entry.
+indices, and scales each to integer coefficients; a dense
+Kronecker-product reference over the single-site factors E, F, H
+(tests/oracles.py) checks them entry by entry.
 """
 
 import json
 import random
 from fractions import Fraction
-from functools import reduce
-from math import lcm
+from math import prod
 
 import pytest
 
 from trigbethe.field import CyclotomicField
 from trigbethe import spin
-from trigbethe.spin import (HALF, combination, commute, pair_vector_terms,
+from trigbethe.spin import (cancels, combination, commute, pair_vector_terms,
                             trig_hamiltonian)
-from trigbethe.typea import (RationalTarget, TrigSource, marked_points,
-                             reindex_map, sample_z)
+from trigbethe.typea import (RationalTarget, TrigSource, integer_point,
+                             marked_points, reindex_map, sample_z)
 
-from oracles import mat_mul
-
-ID2 = [[1, 0], [0, 1]]
-E = [[0, 1], [0, 0]]
-F = [[0, 0], [1, 0]]
-H = [[1, 0], [0, -1]]
+from oracles import (E, F, H, HALF, ID2, dense_add, dense_casimir_pair,
+                     dense_chain_operator, dense_lowering_pair, dense_place,
+                     dense_represent_pair_vector, dense_scale,
+                     dense_trig_hamiltonian, kron, mat_mul)
 
 
-# ----------------------------------------------------------------------
-# dense reference: full row lists and Kronecker products
-
-
-def kron(a, b):
-    """Kronecker product, blocks of b scaled by entries of a."""
-    return [[x * y for x in arow for y in brow] for arow in a for brow in b]
-
-
-def dense_add(a, b, s=1):
-    return [[x + s * y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def dense_scale(a, s):
-    return [[s * x for x in row] for row in a]
-
-
-def dense_place(factors, n):
-    mats = [factors.get(slot, ID2) for slot in range(1, n + 1)]
-    return reduce(kron, mats) if mats else [[Fraction(1)]]
-
-
-def dense_casimir_pair(i, j, n):
-    out = dense_add(dense_place({i: E, j: F}, n), dense_place({i: F, j: E}, n))
-    return dense_add(out, dense_place({i: H, j: H}, n), Fraction(1, 2))
-
-
-def dense_lowering_pair(i, j, n):
-    return dense_place({i: F, j: E}, n)
-
-
-def dense_trig_hamiltonian(theta, z, k, n):
-    zk = z[k - 1]
-    out = dense_scale(dense_place({k: theta}, n), 1 / zk)
-    for j in range(1, n + 1):
-        if j != k:
-            out = dense_add(out, dense_casimir_pair(k, j, n), 1 / (zk - z[j - 1]))
-            out = dense_add(out, dense_lowering_pair(k, j, n), -1 / zk)
-    return out
-
-
-def dense_represent_pair_vector(pairs, coeffs, theta, n):
-    out = [[Fraction(0)] * 2 ** n for _ in range(2 ** n)]
-    for (i, j), c in zip(pairs, coeffs):
-        if i == 0:
-            block = dense_place({j: theta}, n)
-            for l in range(1, n + 1):
-                if l != j:
-                    block = dense_add(block, dense_lowering_pair(j, l, n), -1)
-        else:
-            block = dense_casimir_pair(i, j, n)
-        out = dense_add(out, block, c)
-    return out
+def scale_of(z, k):
+    """2 z_k prod_{j != k} (z_k - z_j), the factor of the k-th element."""
+    return 2 * z[k - 1] * prod(z[k - 1] - v for j, v in enumerate(z, 1)
+                               if j != k)
 
 
 def to_dense(m):
@@ -112,7 +61,8 @@ def test_sparse_operators_match_dense_reference():
             assert to_dense(combination(twist, n)) == \
                 dense_place({slot: theta}, n)
             assert to_dense(trig_hamiltonian(theta, z, slot, n)) == \
-                dense_trig_hamiltonian(theta, z, slot, n)
+                dense_scale(dense_trig_hamiltonian(theta, z, slot, n),
+                            scale_of(z, slot))
             for other in range(1, n + 1):
                 if other != slot:
                     omega = ("omega2", *sorted((slot, other)))
@@ -126,8 +76,8 @@ def test_sparse_operators_match_dense_reference():
                                                rng.randint(1, 5)))
                   for _ in pairs]
         terms = pair_vector_terms(pairs, coeffs, theta, n)
-        assert to_dense(combination(terms, n)) == \
-            dense_represent_pair_vector(pairs, coeffs, theta, n)
+        assert to_dense(combination(terms, n)) == dense_scale(
+            dense_represent_pair_vector(pairs, coeffs, theta, n), 2)
 
 
 def test_sparse_product_matches_dense_product():
@@ -163,8 +113,8 @@ def test_casimir_on_highest_vector():
 
 
 def test_lowering_raising_slots():
-    ops = spin.chain_operators(2)
-    low, high = ops["lower", 1, 2], ops["lower", 2, 1]
+    low = combination([(1, ("lower", 1, 2))], 2)
+    high = combination([(1, ("lower", 2, 1))], 2)
     # f in slot 1, e in slot 2: sends v+(x)v- to v-(x)v+
     src = [Fraction(0), Fraction(1), Fraction(0), Fraction(0)]
     out = [sum(x * src[c] for c, x in row.items()) for row in low]
@@ -208,25 +158,25 @@ def test_commutator_detects_noncommuting():
 
 
 def test_represented_image_is_scaled_hamiltonian():
-    # the reindexed trig element, represented on the chain, equals
-    # -z_k times the k-th trig matrix, exactly
+    # the reindexed trig element, represented on the chain, equals -z_k
+    # times the k-th trig matrix; scaled to integers at x, twice the image
+    # times P_k is minus 2 x_k P_k H_k, exactly
     field = CyclotomicField(6)
     rng = random.Random(99)
     for n in (2, 3):
         src = TrigSource(n)
         tgt = RationalTarget(n)
         for seed in (0, 1):
-            z = sample_z(n, seed)
+            x = integer_point(sample_z(n, seed))
             theta = [[field.coerce(Fraction(rng.randint(-9, 9))), field.zero()],
                      [field.zero(), field.coerce(Fraction(rng.randint(-9, 9)))]]
             for k in range(1, n + 1):
-                img = reindex_map(src, tgt, src.bethe(z, k))
-                rep = combination(
-                    pair_vector_terms(tgt.pairs, img, theta, n), n)
-                ham = trig_hamiltonian(theta, z, k, n)
-                want = [{c: -z[k - 1] * x for c, x in row.items()}
-                        for row in ham]
-                assert rep == want
+                img = reindex_map(src, tgt, src.bethe(x, k))
+                terms = pair_vector_terms(tgt.pairs, img, theta, n)
+                ham = trig_hamiltonian(theta, x, k, n)
+                assert combination(terms, n) == \
+                    [{c: -v for c, v in row.items()} for row in ham]
+                assert cancels(terms + spin.hamiltonian_terms(theta, x, k, n))
 
 
 def test_represented_gaudin_elements_commute():
@@ -250,38 +200,50 @@ def test_twist_at_places_single_slot():
     assert m[0][0] == 2 and m[1][1] == 5 and m[2][2] == 2 and m[3][3] == 5
 
 
+def entries_to_dense(entries, n):
+    out = [[0] * 2 ** n for _ in range(2 ** n)]
+    for r, c, x in entries:
+        out[r][c] += x
+    return out
+
+
 def test_chain_operators_match_dense_reference():
-    # the constant integer operators, and H_k assembled from them with
-    # cleared denominators, entry by entry against Kronecker products
-    units = {(a, b): [[int((r, c) == (a, b)) for c in (0, 1)] for r in (0, 1)]
-             for a in (0, 1) for b in (0, 1)}
+    # the constant integer operators, stored as their nonzero entries, and
+    # H_k assembled from them at integer points, entry by entry against
+    # Kronecker products
     rng = random.Random(4)
     for n in (1, 2, 3, 4, 5):
         ops = spin.chain_operators(n)
         assert spin.chain_operators(n) is ops
         assert len(ops) == 4 * n + n * (n - 1) + n * (n - 1) // 2
-        assert all(isinstance(x, int) for op in ops.values()
-                   for row in op for x in row.values())
-        for i in range(1, n + 1):
-            for (a, b), unit in units.items():
-                assert to_dense(ops["unit", i, a, b]) == dense_place({i: unit}, n)
-            for j in range(1, n + 1):
-                if j != i:
-                    assert to_dense(ops["lower", i, j]) == \
-                        dense_lowering_pair(i, j, n)
-                if j > i:
-                    assert to_dense(ops["omega2", i, j]) == \
-                        dense_scale(dense_casimir_pair(i, j, n), 2)
+        assert all(isinstance(x, int) and x != 0 for op in ops.values()
+                   for _, _, x in op)
+        for key, op in ops.items():
+            assert len({(r, c) for r, c, _ in op}) == len(op), key
+            assert entries_to_dense(op, n) == \
+                [list(row) for row in dense_chain_operator(key, n)], key
         for seed in range(3):
-            z = list(sample_z(n, seed))
+            x = integer_point(sample_z(n, seed))
             theta = [[rng.randint(-9, 9), 0], [0, rng.randint(-9, 9)]]
             for k in range(1, n + 1):
-                terms = spin.hamiltonian_terms(theta, z, k, n)
-                scale = lcm(*(c.denominator for c, _ in terms))
-                assert to_dense(spin.integer_combination(terms, n)) == \
-                    dense_scale(dense_trig_hamiltonian(theta, z, k, n), scale)
-                assert to_dense(trig_hamiltonian(theta, z, k, n)) == \
-                    dense_trig_hamiltonian(theta, z, k, n)
+                ham = trig_hamiltonian(theta, x, k, n)
+                assert all(isinstance(v, int) for row in ham
+                           for v in row.values())
+                assert to_dense(ham) == dense_scale(
+                    dense_trig_hamiltonian(theta, x, k, n), scale_of(x, k))
+
+
+def test_cancelling_terms_certify_a_zero_operator_and_not_conversely():
+    n = 2
+    same = [(3, ("omega2", 1, 2)), (-5, ("lower", 1, 2)),
+            (-3, ("omega2", 1, 2)), (5, ("lower", 1, 2))]
+    assert cancels(same) and not any(combination(same, n))
+    # the identity in slot 1 minus the identity in slot 2: zero, although
+    # no key cancels, so the operator must be built to see it
+    identities = [(1, ("unit", 1, 0, 0)), (1, ("unit", 1, 1, 1)),
+                  (-1, ("unit", 2, 0, 0)), (-1, ("unit", 2, 1, 1))]
+    assert not cancels(identities) and not any(combination(identities, n))
+    assert not cancels(same[:3]) and any(combination(same[:3], n))
 
 
 def test_commutativity_check_detects_flipped_lowering_sign(capsys,

@@ -1,12 +1,14 @@
 """The reindexing onto the rational family with a marked origin."""
 
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+from trigbethe import typea
 from trigbethe.typea import (RationalTarget, TrigSource, check_sample,
-                             marked_points, reindex_map, sample_z,
-                             spans_match)
+                             integer_point, marked_points, reindex_map,
+                             sample_z, spans_match, sums_to_zero)
 
 
 def fracs(*vals):
@@ -16,7 +18,7 @@ def fracs(*vals):
 def tau(src, k):
     """The source vector tau_k."""
     vec = src.zero()
-    vec[len(src.pairs) + k - 1] = Fraction(1)
+    vec[len(src.pairs) + k - 1] = 1
     return vec
 
 
@@ -35,22 +37,27 @@ def test_reindex_n1():
 def test_reindex_fixture_n2():
     src = TrigSource(2)
     tgt = RationalTarget(2)
-    z = fracs(2, 3)
-    # u = z1/z2 = 2/3, weight -u/(u-1) = 2, so B_1 = tau_1 + 2 t_{12}
-    b1 = src.bethe(z, 1)
+    x = (2, 3)
+    # u = x1/x2 = 2/3, weight -u/(u-1) = 2, so B_1 = tau_1 + 2 t_{12},
+    # times P_1 = x1 - x2 = -1
+    b1 = src.bethe(x, 1)
     expected = src.zero()
-    expected[src._index[(1, 2)]] = Fraction(2)
-    expected[len(src.pairs)] = Fraction(1)
+    expected[src._index[(1, 2)]] = -2
+    expected[len(src.pairs)] = -1
     assert b1 == expected
-    # image: -t_{01} + 2 t_{12}
+    # image: t_{01} - 2 t_{12}
     img = reindex_map(src, tgt, b1)
     vec = tgt.zero()
-    tgt.add_pair(vec, 0, 1, -1)
-    tgt.add_pair(vec, 1, 2, 2)
+    tgt.add_pair(vec, 0, 1, 1)
+    tgt.add_pair(vec, 1, 2, -2)
     assert img == vec
-    # and that equals -z_1 times the rational element at (0, 2, 3)
-    g1 = tgt.gaudin(marked_points(z), 1)
-    assert img == [-(z[0] * c) for c in g1]
+    # the rational element at (0, 2, 3), t_{01}/2 - t_{12}, times its
+    # scale (2 - 0)(2 - 3) = -2 = x_1 P_1; the image is minus that
+    points = marked_points(x)
+    g1 = tgt.gaudin(points, 1)
+    assert tgt.scale(points, 1) == -2
+    assert g1 == [-1, 0, 2]
+    assert img == [-c for c in g1]
 
 
 def test_identity_all_indices_n2_n3():
@@ -58,19 +65,21 @@ def test_identity_all_indices_n2_n3():
         src = TrigSource(n)
         tgt = RationalTarget(n)
         for seed in range(6):
-            z = sample_z(n, seed)
-            assert check_sample(src, tgt, z) == ([], True)
-            assert spans_match(src, tgt, z)
+            tally = Counter()
+            assert check_sample(src, tgt, sample_z(n, seed), tally) == \
+                ([], True)
+            assert tally == {"span_certified": 1}
 
 
 def test_identity_fails_without_marked_point_scaling():
     src = TrigSource(2)
     tgt = RationalTarget(2)
-    z = fracs(2, 3)
-    img = reindex_map(src, tgt, src.bethe(z, 1))
-    g1 = tgt.gaudin(marked_points(z), 1)
-    assert img != g1                       # unscaled comparison is false
-    assert img != [z[0] * c for c in g1]   # positive scaling is false too
+    x = (2, 3)
+    img = reindex_map(src, tgt, src.bethe(x, 1))
+    g1 = tgt.gaudin(marked_points(x), 1)
+    assert img == [-c for c in g1]
+    assert img != g1                              # the sign is needed
+    assert img != [-x[0] * c for c in g1]         # and no further z_k
 
 
 def test_check_sample_names_the_failing_index():
@@ -117,17 +126,73 @@ def test_size_mismatch_rejected():
         reindex_map(src, tgt, tau(src, 1))
 
 
-def test_int_and_fraction_input_give_fraction_entries():
+def test_integer_point_clears_denominators_and_keeps_ratios():
+    assert integer_point((Fraction(1, 2), Fraction(2, 3), 5)) == (3, 4, 30)
+    assert integer_point((2, 3, 5)) == (2, 3, 5)
+    assert integer_point((Fraction(-4, 6), Fraction(1, 9))) == (-6, 1)
+    for n in (2, 3):
+        for seed in range(10):
+            z = sample_z(n, seed)
+            x = integer_point(z)
+            assert all(type(v) is int for v in x)
+            assert len({Fraction(v) / z[i] for i, v in enumerate(x)}) == 1
+
+
+def test_vectors_are_integer_and_verdicts_scale_free():
+    # the identities are homogeneous of degree 0: the same verdicts for
+    # int, Fraction and rescaled input, on integer vectors throughout
     src, tgt = TrigSource(3), RationalTarget(3)
     outs = []
-    for z in ((2, 3, 5), fracs(2, 3, 5), (Fraction(2), 3, Fraction(5))):
-        out = [src.bethe(z, k) for k in (1, 2, 3)]
+    for z in ((2, 3, 5), fracs(2, 3, 5), (Fraction(2), 3, Fraction(5)),
+              fracs(Fraction(2, 7), Fraction(3, 7), Fraction(5, 7))):
+        x = integer_point(z)
+        out = [src.bethe(x, k) for k in (1, 2, 3)]
         out += [reindex_map(src, tgt, v) for v in out]
-        out += tgt.gaudin_span(marked_points(z)) + [tau(src, 2), tgt.zero()]
-        assert all(type(c) is Fraction for v in out for c in v), z
+        out += tgt.gaudin_span(marked_points(x)) + [tau(src, 2), tgt.zero()]
+        assert all(type(c) is int for v in out for c in v), z
         assert check_sample(src, tgt, z) == ([], True)
         outs.append(out)
-    assert outs[0] == outs[1] == outs[2]
-    # 1/d stays exact for int marked points too
-    assert tgt.gaudin((0, 2, 3, 5), 1)[tgt._index[(1, 2)]] == Fraction(-1)
+    assert outs[0] == outs[1] == outs[2] == outs[3]
     assert all(type(v) is Fraction for v in sample_z(3, 0))
+
+
+def test_rational_elements_sum_to_zero():
+    tgt = RationalTarget(3)
+    points = marked_points(integer_point(sample_z(3, 4)))
+    elements = tgt.gaudin_span(points)
+    scales = [tgt.scale(points, k) for k in tgt.indices]
+    assert sums_to_zero(elements, scales)
+    # a wrong scale or a changed entry breaks the sum
+    assert not sums_to_zero(elements, [2 * scales[0], *scales[1:]])
+    broken = [list(v) for v in elements]
+    broken[2][0] += 1
+    assert not sums_to_zero(broken, scales)
+
+
+def test_span_equality_falls_back_to_integer_ranks():
+    src, tgt = TrigSource(3), RationalTarget(3)
+    x = integer_point(sample_z(3, 2))
+    points = marked_points(x)
+    images = [reindex_map(src, tgt, src.bethe(x, k)) for k in (1, 2, 3)]
+    elements = tgt.gaudin_span(points)
+    scales = [tgt.scale(points, k) for k in tgt.indices]
+    tally = Counter()
+    assert spans_match(images, elements, scales, True, tally)
+    # identities not known: the ranks decide, and the spans still match
+    assert spans_match(images, elements, scales, False, tally)
+    # twice an image is the same span; a lost image is not
+    assert spans_match([[2 * c for c in images[0]], *images[1:]], elements,
+                       scales, False, tally)
+    assert not spans_match(images[:2], elements, scales, False, tally)
+    assert tally == {"span_certified": 1, "span_fallback": 3}
+
+
+def test_certificate_miss_takes_the_fallback(monkeypatch):
+    monkeypatch.setattr(typea, "sums_to_zero", lambda vectors, scales: False)
+    for n in (2, 3):
+        src, tgt = TrigSource(n), RationalTarget(n)
+        tally = Counter()
+        for seed in range(4):
+            assert check_sample(src, tgt, sample_z(n, seed), tally) == \
+                ([], True)
+        assert tally == {"span_fallback": 4}
