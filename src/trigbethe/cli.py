@@ -271,7 +271,7 @@ def _cmd_subspace(args) -> int:
 # check
 
 
-def _check_commutativity(args, stream: PointStream, tally: Counter) -> dict:
+def _check_commutativity(args, stream: PointStream) -> dict:
     """Spin-chain identities on integer operators at the integer point of
     each sample (see the spin module and _spin_failures)."""
     bad = []
@@ -283,7 +283,7 @@ def _check_commutativity(args, stream: PointStream, tally: Counter) -> dict:
             rng = random.Random(f"spin-check-{n}-{args.seed}-{s}")
             x = typea.integer_point(typea.sample_z(n, args.seed * 1009 + s))
             a, b = rng.randint(-9, 9), rng.randint(-9, 9)
-            failed = _spin_failures(src, tgt, x, [[a, 0], [0, b]], tally)
+            failed = _spin_failures(src, tgt, x, [[a, 0], [0, b]])
             bad += [f"n={n} s={s} {f}" for f in failed]
             total += n * (n - 1) // 2 + n
     return {"name": "commutativity", "passed": not bad,
@@ -293,11 +293,9 @@ def _check_commutativity(args, stream: PointStream, tally: Counter) -> dict:
 
 
 def _spin_failures(src: typea.TrigSource, tgt: typea.RationalTarget, x,
-                   theta, tally: Counter) -> list[str]:
+                   theta) -> list[str]:
     """The identities that fail at the integer point x: [H_i, H_j] = 0 for
-    i < j, then image + x_k H_k = 0 for each k, certified when its terms
-    cancel key by key and otherwise decided on the built operator; tally
-    counts image_certified and image_fallback."""
+    i < j, then image + x_k H_k = 0 for each k, on the built operator."""
     n = src.n
     hams = [spin.trig_hamiltonian(theta, x, k, n) for k in range(1, n + 1)]
     failed = [f"[H{i + 1},H{j + 1}] != 0"
@@ -308,16 +306,12 @@ def _spin_failures(src: typea.TrigSource, tgt: typea.RationalTarget, x,
         # 2 P_k (image + x_k H_k), P_k = prod_{j != k} (x_k - x_j)
         terms = (spin.pair_vector_terms(tgt.pairs, img, theta, n)
                  + spin.hamiltonian_terms(theta, x, k, n))
-        if spin.cancels(terms):
-            tally["image_certified"] += 1
-            continue
-        tally["image_fallback"] += 1
         if any(spin.combination(terms, n)):
             failed.append(f"image(k={k}) != -z_k H_k")
     return failed
 
 
-def _check_rank(args, stream: PointStream, tally: Counter) -> dict:
+def _check_rank(args, stream: PointStream) -> dict:
     rs = stream.rs
     pts = sample_xpoints(stream, args.samples)
     dims = [len(stream.reduced(x)) for x in pts]
@@ -328,7 +322,7 @@ def _check_rank(args, stream: PointStream, tally: Counter) -> dict:
             if not bad else f"dimensions {sorted(set(dims))}, want {rs.rank}"}
 
 
-def _check_injectivity(args, stream: PointStream, tally: Counter) -> dict:
+def _check_injectivity(args, stream: PointStream) -> dict:
     pts = injectivity_pool(stream, args.samples)
     seen: dict[tuple, int] = {}
     collisions = []
@@ -344,7 +338,7 @@ def _check_injectivity(args, stream: PointStream, tally: Counter) -> dict:
             if not collisions else f"collisions at {collisions[:4]}"}
 
 
-def _check_triangularity(args, stream: PointStream, tally: Counter) -> dict:
+def _check_triangularity(args, stream: PointStream) -> dict:
     rs = stream.rs
     base = list(rs.simple_roots)
     edges = rs.nonorthogonal_edges(base)
@@ -364,7 +358,7 @@ def _check_triangularity(args, stream: PointStream, tally: Counter) -> dict:
             if not bad else f"{len(bad)} charts fail"}
 
 
-def _check_hecke(args, stream: PointStream, tally: Counter) -> dict:
+def _check_hecke(args, stream: PointStream) -> dict:
     rs = stream.rs
     pairs = rs.rank * (rs.rank - 1) // 2
     entry = {"name": "hecke", "exhaustive": True, "pairs": pairs}
@@ -385,14 +379,14 @@ def _check_hecke(args, stream: PointStream, tally: Counter) -> dict:
             if not failures else "; ".join(failures[:4])}
 
 
-def _check_typea(args, stream: PointStream, tally: Counter) -> dict:
+def _check_typea(args, stream: PointStream) -> dict:
     bad = []
     for n in SPIN_SIZES:
         src = typea.TrigSource(n)
         tgt = typea.RationalTarget(n)
         for s in range(args.samples):
             z = typea.sample_z(n, args.seed * 577 + s)
-            scaled_bad, spans_ok = typea.check_sample(src, tgt, z, tally)
+            scaled_bad, spans_ok = typea.check_sample(src, tgt, z)
             bad += [f"n={n} s={s} k={k} scaled identity" for k in scaled_bad]
             if not spans_ok:
                 bad.append(f"n={n} s={s} span equality")
@@ -402,7 +396,7 @@ def _check_typea(args, stream: PointStream, tally: Counter) -> dict:
             if not bad else "; ".join(bad[:4])}
 
 
-def _check_weyl(args, stream: PointStream, tally: Counter) -> dict:
+def _check_weyl(args, stream: PointStream) -> dict:
     report = weyl_action_report(stream.rs, stream.field, args.seed,
                                 args.samples)
     failed = [k for k in ("group_law", "delta_transport", "bethe_transport",
@@ -418,8 +412,7 @@ def _check_weyl(args, stream: PointStream, tally: Counter) -> dict:
             if not failed else f"failed: {', '.join(failed)}"}
 
 
-# each check reads the parsed arguments and the request's PointStream,
-# and counts how its identities were settled in the request's tally
+# each check reads the parsed arguments and the request's PointStream
 _CHECKS = {
     "commutativity": _check_commutativity,
     "rank": _check_rank,
@@ -440,11 +433,9 @@ def _cmd_check(args) -> int:
     # one point stream per request: rank and injectivity read its prefix
     stream = PointStream(rs, field, args.seed)
     results, seconds = [], {}
-    tally = Counter(image_certified=0, image_fallback=0, span_certified=0,
-                    span_fallback=0)
     for name in names:
         start = time.perf_counter()
-        results.append(_CHECKS[name](args, stream, tally))
+        results.append(_CHECKS[name](args, stream))
         seconds[name] = round(time.perf_counter() - start, 6)
     payload = {
         "schema": SCHEMA,
@@ -458,8 +449,7 @@ def _cmd_check(args) -> int:
     _emit(args, payload)
     if args.stats:
         print(json.dumps({"check_seconds": seconds, "points": stream.built,
-                          "reductions": stream.reductions, **tally}),
-              file=sys.stderr)
+                          "reductions": stream.reductions}), file=sys.stderr)
     return 0 if payload["passed"] else 1
 
 
@@ -512,10 +502,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--samples", type=int, default=6)
     p_check.add_argument("--stats", action="store_true",
                          help="write the wall seconds of each check, the "
-                              "points sampled, the subspaces row-reduced and "
-                              "the image and span identities settled by "
-                              "their certificate or by the fallback as one "
-                              "JSON line to stderr")
+                              "points sampled and the subspaces row-reduced "
+                              "as one JSON line to stderr")
     out(p_check)
     return parser
 

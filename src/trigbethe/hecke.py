@@ -73,8 +73,6 @@ class HeckeAlgebra:
         self._x_comms: dict[tuple[int, int], HeckeElem] = {}
         self._reflections = {a: rs.reflection_in_root(a)
                              for a in rs.positive_roots}
-        # s_a s_b per pair of positive-root indices, see reflection_product
-        self._products: dict[tuple[int, int], IntMatrix] = {}
 
     # ------------------------------------------------------------------
     # basic elements
@@ -106,16 +104,6 @@ class HeckeAlgebra:
     def reflection(self, beta: Sequence[int]) -> IntMatrix:
         """s_beta for a positive root beta, from one table per algebra."""
         return self._reflections[tuple(beta)]
-
-    def reflection_product(self, a: int, b: int) -> IntMatrix:
-        """s_a s_b for the a-th and b-th positive roots, from one table per
-        algebra, filled as the products are first asked for."""
-        key = (a, b)
-        if key not in self._products:
-            pos = self.rs.positive_roots
-            self._products[key] = int_mat_mul(self.reflection(pos[a]),
-                                              self.reflection(pos[b]))
-        return self._products[key]
 
     def x_times(self, k: int, a: HeckeElem) -> HeckeElem:
         """x_k * a in normal form, by the exchange formula: for each term
@@ -225,14 +213,15 @@ class HeckeAlgebra:
                 for w, p in self.x_reflection_commutator(k, b).items():
                     for e, c in p.terms.items():
                         bump(w, e[:self.n] + (e[self.n] + 1,), (b,), weight * c)
+        refl = [self.reflection(a) for a in pos]
         t2 = (0,) * self.n + (2,)
         for a, alpha in enumerate(pos):
             for b in range(a + 1, len(pos)):
                 d = alpha[i] * pos[b][j] - alpha[j] * pos[b][i]
                 if not d:
                     continue
-                ab = self.reflection_product(a, b)
-                ba = self.reflection_product(b, a)
+                ab = int_mat_mul(refl[a], refl[b])
+                ba = int_mat_mul(refl[b], refl[a])
                 if ab != ba:
                     bump(ab, t2, (a, b), d)
                     bump(ba, t2, (a, b), -d)

@@ -103,17 +103,6 @@ def combination(terms: Sequence[tuple], n: int) -> Mat:
     return [{col: v for col, v in row.items() if not v == 0} for row in out]
 
 
-def cancels(terms: Sequence[tuple]) -> bool:
-    """Whether the coefficients of each operator key sum to zero, which
-    makes the combination of the terms zero whatever the operators are.
-    The converse fails (the operators are not independent), so a False
-    leaves the combination to be built."""
-    total: dict = {}
-    for c, key in terms:
-        total[key] = total.get(key, 0) + c
-    return all(v == 0 for v in total.values())
-
-
 def hamiltonian_terms(theta: Local, x: Sequence, k: int, n: int) -> list[tuple]:
     """The k-th trigonometric element at the point x times
     2 x_k prod_{j != k} (x_k - x_j), as (coefficient, operator key) terms.

@@ -25,7 +25,6 @@ rational element k), entry by entry in integers.
 
 from __future__ import annotations
 
-from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 from math import lcm, prod
@@ -71,6 +70,8 @@ class TrigSource(PairSpace):
         """
         if not 1 <= k <= self.n:
             raise ValueError("index out of range")
+        if any(v.denominator != 1 for v in x):
+            raise ValueError("coordinates must be integers, see integer_point")
         xk = x[k - 1]
         scale = prod(xk - x[j - 1] for j in self.indices if j != k)
         if scale == 0:
@@ -145,15 +146,14 @@ def marked_points(z: Sequence) -> list:
     return [0, *z]
 
 
-def check_sample(source: TrigSource, target: RationalTarget, z: Sequence,
-                 tally: Counter | None = None) -> tuple[list[int], bool]:
+def check_sample(source: TrigSource, target: RationalTarget,
+                 z: Sequence) -> tuple[list[int], bool]:
     """Both pinned identities at the torus point z, on one set of integer
     vectors at integer_point(z).
 
     Returns the k (1..n) for which the image of the k-th trig element is
     not -z_k times the k-th rational element at (0, z), and whether the
     image of the whole trig span equals the rational span at (0, z).
-    tally counts how the span equality was settled (see spans_match).
     """
     x = integer_point(z)
     imgs = [reindex_map(source, target, source.bethe(x, k))
@@ -164,26 +164,25 @@ def check_sample(source: TrigSource, target: RationalTarget, z: Sequence,
     bad = [k for k, img in enumerate(imgs, start=1)
            if img != [-c for c in gspan[k]]]
     scales = [target.scale(points, k) for k in target.indices]
-    return bad, spans_match(imgs, gspan, scales, not bad,
-                            Counter() if tally is None else tally)
+    return bad, spans_match(imgs, gspan, scales)
 
 
 def spans_match(images: list[list[int]], elements: list[list[int]],
-                scales: Sequence[int], identities: bool,
-                tally: Counter) -> bool:
+                scales: Sequence[int]) -> bool:
     """Whether the images span what the elements span, the elements being
     the rational elements at every index 0..n, each times its scale.
 
-    The certificate: every identity holds (identities), so images[k-1]
-    is -elements[k] and the images span elements[1:]; and the rational
-    elements sum to zero, so elements[0] lies in that span too.  When it
+    The certificate: images[k-1] is -elements[k] for every k >= 1, so the
+    images span elements[1:]; and the elements over their (nonzero)
+    scales sum to zero, so elements[0] lies in that span too.  When it
     does not apply, the integer ranks of the images, the elements and of
-    both together decide.  tally counts span_certified or span_fallback.
+    both together decide.
     """
-    if identities and sums_to_zero(elements, scales):
-        tally["span_certified"] += 1
+    if len(images) + 1 == len(elements) == len(scales) and all(scales) \
+            and all(img == [-c for c in el]
+                    for img, el in zip(images, elements[1:])) \
+            and sums_to_zero(elements, scales):
         return True
-    tally["span_fallback"] += 1
     both = len(hermite_normal_form(images + elements))
     return len(hermite_normal_form(images)) == both == \
         len(hermite_normal_form(elements))

@@ -296,23 +296,6 @@ def test_check_stats_counts_points_and_reductions(capsys):
         assert (stats["points"], stats["reductions"]) == counts
 
 
-def test_check_stats_counts_identities_settled_by_certificate(capsys):
-    # n = 2 and 3 give 5 image identities and 2 span equalities per sample,
-    # all certified on a correct tree; the other checks count none
-    keys = ("image_certified", "image_fallback", "span_certified",
-            "span_fallback")
-    for argv, counts in [
-            (["check", "all", "--type", "A2", "--seed", "1"], (30, 0, 12, 0)),
-            (["check", "commutativity", "--samples", "3"], (15, 0, 0, 0)),
-            (["check", "typea", "--samples", "9"], (0, 0, 18, 0)),
-            (["check", "rank", "--type", "B2"], (0, 0, 0, 0))]:
-        code, out, err = run(capsys, *argv)
-        code_s, out_s, err_s = run(capsys, *argv, "--stats")
-        assert (code_s, out_s) == (code, out) and err == ""
-        stats = json.loads(err_s)
-        assert tuple(stats[k] for k in keys) == counts, argv
-
-
 def test_check_all_shares_its_points_with_the_single_checks(capsys):
     for label in ["A2", "B2", "G2", "A3"]:
         for seed in range(10):
