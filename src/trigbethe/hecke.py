@@ -15,24 +15,33 @@ reduced word it gives one closed exchange formula for any Weyl element v:
 
 b over the inversion set of v (the positive roots sent negative by
 v^{-1}, RootSystem.inversion_set, the tables that HolonomySpace.rho
-reads too) and s_b from one reflection table per algebra.  x_times
-applies it term by term; move_across_word starts each monomial of p at
-w, the matrix of the word, and lets its x factors enter from the left;
-multiply moves p_1 across a reduced word of w_2 (RootSystem.word_of,
-from right descents), so no product enumerates the Weyl group.
+reads too).  x_times applies it term by term and is its one
+implementation; the reflections s_b and the products s_b v come from
+the root system's tables, shared by every algebra of a type.
+
+The commuting degree-one family (bmo, family) weights the reflection in
+each positive root by the Bethe weight u/(1-u) of bethe.bethe_weight, u
+the root's power of the torus point.  check hecke proves that it
+commutes for every q at once, in two parts on integer tables:
+
+1. commutator_table writes [Q_i, Q_j] as a polynomial in indeterminate
+   weights c_a, from the commutators [x_k, s_b] and the products
+   s_a s_b.  x_reflection_commutator reads [x_k, s_b] straight off the
+   exchange formula: x_times(k, s_b) minus s_b x_k, which is already in
+   normal form.  Its x-degree is at most one, so nothing grows in x.
+2. exact_commutator_check substitutes c_a = u_a/(1-u_a), clears the
+   denominators and tests each coefficient as a polynomial in q
+   (cleared_numerator).  Its factors u_b and 1 - u_b are multiplied on
+   Kronecker-packed integer exponents, as a shift, or a shift and a
+   subtraction, of an {int: coefficient} dict, unpacked once at the end.
+
 Coefficients are ints throughout the normal forms and the commutator
-table; Fractions enter only with a given q (bmo, family) or a numeric
-t (holonomy_image).  The commuting degree-one family (bmo,
-family) weights the reflection in each positive root by the Bethe
-weight u/(1-u) of bethe.bethe_weight, u the root's power of the torus
-point.  Its commutators are checked for every q at once:
-commutator_table writes [Q_i, Q_j] as a polynomial in indeterminate
-weights c_a, from the products [x_k, s_a] and s_a s_b, and
-exact_commutator_check substitutes c_a = u_a/(1-u_a), clears the
-denominators and tests each coefficient as a polynomial in q
-(cleared_numerator).  Every product check hecke forms is a
-commutator [x_k, s_b], whose x-degree is at most one, so the normal
-forms never grow in x.
+table; Fractions enter only with a given q (bmo, family) or a numeric t
+(holonomy_image).  The general product (multiply, move_across_word:
+p_1 moved across a reduced word of w_2, RootSystem.word_of, so no
+product enumerates the Weyl group) and commutator stay for the tests,
+which take them as the oracle of part 1, and for the commutators of
+the family at a given q.
 """
 
 from __future__ import annotations
@@ -71,8 +80,6 @@ class HeckeAlgebra:
                        for j in range(self.n)]
         # [x_k, s_a] per (k, positive-root index), see x_reflection_commutator
         self._x_comms: dict[tuple[int, int], HeckeElem] = {}
-        self._reflections = {a: rs.reflection_in_root(a)
-                             for a in rs.positive_roots}
 
     # ------------------------------------------------------------------
     # basic elements
@@ -101,10 +108,6 @@ class HeckeAlgebra:
     # ------------------------------------------------------------------
     # the exchange move
 
-    def reflection(self, beta: Sequence[int]) -> IntMatrix:
-        """s_beta for a positive root beta, from one table per algebra."""
-        return self._reflections[tuple(beta)]
-
     def x_times(self, k: int, a: HeckeElem) -> HeckeElem:
         """x_k * a in normal form, by the exchange formula: for each term
         v * q of a, x_k v = v x_{row k of v} + sign t sum_b b_k s_b v over
@@ -115,11 +118,12 @@ class HeckeAlgebra:
             moved = Poly(self.nvars, {self._units[j]: c
                                       for j, c in enumerate(v[k]) if c}) * q
             out[v] = out.get(v, zero) + moved
-            tq = self.tvar * q * self.relation_sign
+            tq = self.tvar * q
             for beta in self.rs.inversion_set(v):
                 if beta[k]:
-                    u = int_mat_mul(self.reflection(beta), v)
-                    out[u] = out.get(u, zero) + tq * beta[k]
+                    u = self.rs.product(self.rs.reflection_in_root(beta), v)
+                    out[u] = out.get(u, zero) + \
+                        tq * (self.relation_sign * beta[k])
         return self._prune(out)
 
     def move_across_word(self, p: Poly, word: Sequence[int]) -> HeckeElem:
@@ -171,7 +175,8 @@ class HeckeAlgebra:
                 continue
             c = bethe_weight(q_power(qvals, a))
             coeff = self.tvar * (c * ah)
-            out = self.add(out, {self.reflection(a): coeff, self.ident: -coeff})
+            out = self.add(out, {self.rs.reflection_in_root(a): coeff,
+                                 self.ident: -coeff})
         return out
 
     def family(self, qvals: Sequence[Fraction]) -> list[HeckeElem]:
@@ -185,8 +190,13 @@ class HeckeAlgebra:
         positive root; computed once per algebra."""
         key = (k, b)
         if key not in self._x_comms:
-            refl = self.reflection(self.rs.positive_roots[b])
-            self._x_comms[key] = self.commutator(self.x(k), self.group(refl))
+            refl = self.rs.reflection_in_root(self.rs.positive_roots[b])
+            # x_k s_b by the exchange formula, minus s_b x_k, which is
+            # already in normal form
+            out = self.x_times(k, self.group(refl))
+            out[refl] = out.get(refl, Poly(self.nvars)) - \
+                Poly.variable(self.nvars, k)
+            self._x_comms[key] = self._prune(out)
         return self._x_comms[key]
 
     def commutator_table(self, i: int, j: int) -> CommutatorTable:
@@ -213,15 +223,15 @@ class HeckeAlgebra:
                 for w, p in self.x_reflection_commutator(k, b).items():
                     for e, c in p.terms.items():
                         bump(w, e[:self.n] + (e[self.n] + 1,), (b,), weight * c)
-        refl = [self.reflection(a) for a in pos]
+        refl = [self.rs.reflection_in_root(a) for a in pos]
         t2 = (0,) * self.n + (2,)
         for a, alpha in enumerate(pos):
             for b in range(a + 1, len(pos)):
                 d = alpha[i] * pos[b][j] - alpha[j] * pos[b][i]
                 if not d:
                     continue
-                ab = int_mat_mul(refl[a], refl[b])
-                ba = int_mat_mul(refl[b], refl[a])
+                ab = self.rs.product(refl[a], refl[b])
+                ba = self.rs.product(refl[b], refl[a])
                 if ab != ba:
                     bump(ab, t2, (a, b), d)
                     bump(ba, t2, (a, b), -d)
@@ -247,7 +257,7 @@ class HeckeAlgebra:
             if c == 0:
                 continue
             cf = c.as_rational() if hasattr(c, "as_rational") else Fraction(c)
-            bump((self.reflection(a), zero_e), cf)
+            bump((self.rs.reflection_in_root(a), zero_e), cf)
             bump((self.ident, zero_e), -cf)
         for i in range(self.n):
             c = vec[space.npos + i]
@@ -268,17 +278,41 @@ def cleared_numerator(rs: RootSystem, coeff: dict[tuple[int, ...], int]
     result is multiplied by prod (1 - u_g) over the roots g that occur in
     coeff.  The coefficient vanishes at every q off the arrangement
     exactly when this polynomial is zero.
+
+    The products run on Kronecker-packed exponents: q^e becomes T^e(K),
+    e(K) = sum_i e_i K^i, with K one more than the largest sum of the
+    involved roots in any coordinate.  No exponent a product reaches
+    exceeds that sum, so the packing is injective on them; a factor u_b
+    is a shift by u_b(K), a factor 1 - u_b a shift and a subtraction.
     """
+    pos = rs.positive_roots
     involved = sorted({b for mono in coeff for b in mono})
-    one = Poly.constant(rs.rank, 1)
-    u = {b: Poly(rs.rank, {rs.positive_roots[b]: 1}) for b in involved}
-    out = Poly(rs.rank)
+    base = 1 + max((sum(pos[b][i] for b in involved)
+                    for i in range(rs.rank)), default=0)
+    shift = {b: sum(c * base ** i for i, c in enumerate(pos[b]))
+             for b in involved}
+    packed: dict[int, object] = {}
     for mono, val in coeff.items():
-        term = Poly.constant(rs.rank, val)
+        term = {sum(shift[b] for b in involved if b in mono): val}
         for b in involved:
-            term = term * (u[b] if b in mono else one - u[b])
-        out = out + term
-    return out
+            if b in mono:
+                continue
+            s = shift[b]
+            moved = dict(term)
+            for e, c in term.items():
+                moved[e + s] = moved.get(e + s, 0) - c
+            term = moved
+        for e, c in term.items():
+            packed[e] = packed.get(e, 0) + c
+    terms = {}
+    for e, c in packed.items():
+        if c:
+            exps = []
+            for _ in range(rs.rank):
+                e, r = divmod(e, base)
+                exps.append(r)
+            terms[tuple(exps)] = c
+    return Poly(rs.rank, terms)
 
 
 def exact_commutator_check(alg: HeckeAlgebra, first_only: bool = False

@@ -163,6 +163,9 @@ class Chart:
                 v: (c, [q for q, p in enumerate(self.sets)
                         if member[v] <= p < top])
                 for v, c in enumerate(coords) if c}
+        # the chart point the residuals are of, and r_value per root
+        self._point: tuple | None = None
+        self._residuals: dict[Coords, object] = {}
 
     # ------------------------------------------------------------------
     # evaluation at a coordinate tuple (aligned with self.sets)
@@ -182,8 +185,20 @@ class Chart:
         return sum(self._term(term, tvals)
                    for term in self._terms[tuple(root)].values())
 
+    def residuals(self, tvals: Sequence) -> dict[Coords, object]:
+        """r_value of every root at tvals.  The genericity test and each
+        member of the chart family read them at the same point, so those
+        of the last point are kept (the point compared entry by entry by
+        identity, so equal values of another type are not confused)."""
+        if self._point is None or len(tvals) != len(self._point) or \
+                any(a is not b for a, b in zip(tvals, self._point)):
+            self._point = tuple(tvals)
+            self._residuals = {r: self.r_value(r, tvals)
+                               for r in self.pos_roots}
+        return self._residuals
+
     def is_generic(self, tvals: Sequence) -> bool:
-        return all(not self.r_value(r, tvals) == 0 for r in self.pos_roots)
+        return all(not r == 0 for r in self.residuals(tvals).values())
 
     def hamiltonian_coeffs(self, v: int, tvals: Sequence) -> dict[Coords, object]:
         """Coefficients {root: weight} of the chart family member at vertex v:
@@ -196,7 +211,8 @@ class Chart:
         M(v) <= Q < A(root), and the weight stays finite as boundary
         coordinates vanish.
         """
-        return {r: self._term(terms[v], tvals) / self.r_value(r, tvals)
+        residuals = self.residuals(tvals)
+        return {r: self._term(terms[v], tvals) / residuals[r]
                 for r, terms in self._terms.items() if v in terms}
 
     def chain_matrix(self) -> list[list[int]]:

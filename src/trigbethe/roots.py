@@ -163,6 +163,10 @@ class RootSystem:
         # reduced words, filled on demand by word_of
         self._words: dict[IntMatrix, tuple[int, ...]] = {self.identity: ()}
         self._elements: dict[IntMatrix, WeylElement] = {}
+        # reflections and products of two elements, filled on demand by
+        # reflection_in_root and product
+        self._reflections: dict[Coords, IntMatrix] = {}
+        self._products: dict[tuple[IntMatrix, IntMatrix], IntMatrix] = {}
 
     # ------------------------------------------------------------------
     # pairing
@@ -190,12 +194,18 @@ class RootSystem:
         return tuple(tuple(r) for r in rows)
 
     def reflection_in_root(self, alpha: Sequence[int]) -> IntMatrix:
-        n = self.rank
-        cols = []
-        for j in range(n):
-            k = self.pairing(self.simple_roots[j], alpha)
-            cols.append([int(i == j) - k * alpha[i] for i in range(n)])
-        return tuple(tuple(cols[j][i] for j in range(n)) for i in range(n))
+        """s_alpha, cached per root."""
+        alpha = tuple(alpha)
+        cached = self._reflections.get(alpha)
+        if cached is None:
+            n = self.rank
+            cols = []
+            for j in range(n):
+                k = self.pairing(self.simple_roots[j], alpha)
+                cols.append([int(i == j) - k * alpha[i] for i in range(n)])
+            cached = self._reflections[alpha] = tuple(
+                tuple(cols[j][i] for j in range(n)) for i in range(n))
+        return cached
 
     def act(self, w: IntMatrix, coords: Sequence[int]) -> Coords:
         return tuple(sum(w[i][j] * coords[j] for j in range(self.rank))
@@ -245,6 +255,14 @@ class RootSystem:
             r = row[i]
             out.append(tuple(x - c * r for x, c in zip(row, a)) if r else row)
         return tuple(out)
+
+    def product(self, v: IntMatrix, w: IntMatrix) -> IntMatrix:
+        """v w, cached per pair: check hecke forms the same products of
+        reflections for every pair of family members and both signs."""
+        cached = self._products.get((v, w))
+        if cached is None:
+            cached = self._products[v, w] = int_mat_mul(v, w)
+        return cached
 
     def weyl_elements(self) -> dict[IntMatrix, tuple[int, ...]]:
         """Every group element, mapped to one shortest word in the generators."""

@@ -59,6 +59,9 @@ class TrigSource(PairSpace):
         super().__init__(range(1, n + 1))
         self.n = n
         self.dim += n
+        # the point the weights are of, and bethe_weight(x_i/x_j) per pair
+        self._point: tuple[int, ...] | None = None
+        self._weights: dict[tuple[int, int], Fraction] = {}
 
     def bethe(self, x: Sequence[int], k: int) -> list[int]:
         """P_k (tau_k plus Bethe-weighted pairs) at the integer point x,
@@ -66,7 +69,9 @@ class TrigSource(PairSpace):
 
         Pair (i,j) evaluates to u = x_i/x_j; its coefficient in the k-th
         element is (h_i - h_j applied to e_k) times bethe_weight(u), whose
-        denominator divides x_i - x_j and so P_k.
+        denominator divides x_i - x_j and so P_k.  The elements at one
+        point read each pair twice, so the weights of the last point are
+        kept.
         """
         if not 1 <= k <= self.n:
             raise ValueError("index out of range")
@@ -76,13 +81,18 @@ class TrigSource(PairSpace):
         scale = prod(xk - x[j - 1] for j in self.indices if j != k)
         if scale == 0:
             raise ZeroDivisionError("coordinates must be pairwise distinct")
+        if self._point != tuple(x):
+            self._point, self._weights = tuple(x), {}
         vec = self.zero()
         vec[len(self.pairs) + k - 1] = scale
         for (i, j) in self.pairs:
             sign = (1 if i == k else 0) - (1 if j == k else 0)
             if sign == 0:
                 continue
-            w = bethe_weight(Fraction(x[i - 1], x[j - 1]))
+            w = self._weights.get((i, j))
+            if w is None:
+                w = self._weights[i, j] = bethe_weight(
+                    Fraction(x[i - 1], x[j - 1]))
             self.add_pair(vec, i, j,
                           sign * w.numerator * (scale // w.denominator))
         return vec

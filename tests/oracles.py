@@ -10,7 +10,10 @@
   elimination; row_space_equal: equal row spaces, by comparing rrefs; batch_hermite_form: the Hermite form of a whole integer
   matrix, column by column; evaluate: a Poly at a point.
 - sample_q: a seeded torus point off the arrangement, for the Hecke
-  family; hecke_is_zero: whether a Hecke element is zero.
+  family; hecke_is_zero: whether a Hecke element is zero;
+  product_cleared_numerator: a commutator-table coefficient cleared of
+  its denominators by Poly products, the reference of the packed
+  hecke.cleared_numerator.
 - bethe_rows and gaudin: the Bethe family of a holonomy space at an
   interior torus point, read through bethe_family, and the rational
   Gaudin family.
@@ -138,6 +141,22 @@ def sample_q(rs: RootSystem, seed: int) -> tuple[Fraction, ...]:
 def hecke_is_zero(a: dict) -> bool:
     """Whether a Hecke element {group element: Poly} is zero."""
     return all(p.is_zero() for p in a.values())
+
+
+def product_cleared_numerator(rs: RootSystem, coeff: dict) -> Poly:
+    """sum over the monomials of coeff of its value times u_b or 1 - u_b
+    for each involved root b (u_b = q^b, as the monomial holds b or not),
+    one Poly product per factor."""
+    involved = sorted({b for mono in coeff for b in mono})
+    one = Poly.constant(rs.rank, 1)
+    u = {b: Poly(rs.rank, {rs.positive_roots[b]: 1}) for b in involved}
+    out = Poly(rs.rank)
+    for mono, val in coeff.items():
+        term = Poly.constant(rs.rank, val)
+        for b in involved:
+            term = term * (u[b] if b in mono else one - u[b])
+        out = out + term
+    return out
 
 
 def bethe_rows(space: HolonomySpace, point, hs) -> list[list]:

@@ -14,7 +14,8 @@ from trigbethe.linalg import rank
 from trigbethe.poly import Poly
 from trigbethe.roots import RootSystem, int_mat_mul, root_system
 
-from oracles import bethe_rows, hecke_is_zero, row_space_equal, sample_q
+from oracles import (bethe_rows, hecke_is_zero, product_cleared_numerator,
+                     row_space_equal, sample_q)
 
 
 # coefficient profiles c(u) of the root power u = q^a.  The library family
@@ -284,6 +285,78 @@ def test_cleared_numerator_fixture():
     # c_a alone: u_a
     assert cleared_numerator(rs, {(0,): Fraction(3)}) == \
         Poly(2, {(0, 1): Fraction(3)})
+
+
+ORACLE_TYPES = ["A1", "A2", "A3", "B2", "B3", "C3", "D4", "G2"]
+
+
+@pytest.mark.parametrize("sign", (1, -1))
+@pytest.mark.parametrize("label", ORACLE_TYPES)
+def test_x_reflection_commutator_matches_the_product(label, sign):
+    # [x_k, s_b] read off the exchange formula equals the normal-form
+    # product x_k s_b - s_b x_k
+    rs = root_system(label)
+    alg = HeckeAlgebra(rs, relation_sign=sign)
+    nonzero = 0
+    for k in range(rs.rank):
+        for b, beta in enumerate(rs.positive_roots):
+            s_b = rs.reflection_in_root(beta)
+            want = alg.commutator(alg.x(k), alg.group(s_b))
+            assert alg.x_reflection_commutator(k, b) == want, (k, b)
+            nonzero += not hecke_is_zero(want)
+    # and on these types [x_k, s_b] = 0 exactly when b_k = 0
+    assert nonzero == sum(1 for beta in rs.positive_roots
+                          for k in range(rs.rank) if beta[k])
+
+
+def same_poly(got, want):
+    """Equal terms with coefficients of the same types."""
+    return got.nvars == want.nvars and got.terms == want.terms and all(
+        type(got.terms[e]) is type(c) for e, c in want.terms.items())
+
+
+@pytest.mark.parametrize("label", ORACLE_TYPES)
+def test_packed_cleared_numerator_matches_products_on_the_tables(label):
+    rs = root_system(label)
+    for sign in (1, -1):
+        alg = HeckeAlgebra(rs, relation_sign=sign)
+        for i in range(rs.rank):
+            for j in range(i + 1, rs.rank):
+                for coeff in alg.commutator_table(i, j).values():
+                    assert same_poly(cleared_numerator(rs, coeff),
+                                     product_cleared_numerator(rs, coeff))
+
+
+def test_packed_cleared_numerator_matches_products_at_random():
+    # square-free c-monomials of degree at most 2, as the table's, with
+    # int or Fraction values
+    rng = random.Random(20261019)
+    systems = [root_system(label) for label in ("A2", "B2", "G2", "A3", "B3")]
+    nonzero = 0
+    for trial in range(1200):
+        rs = rng.choice(systems)
+        npos = len(rs.positive_roots)
+        coeff = {}
+        for _ in range(rng.randint(1, 4)):
+            mono = tuple(sorted(rng.sample(range(npos), rng.randint(0, 2))))
+            val = rng.choice([-3, -2, -1, 1, 2, 3])
+            coeff[mono] = val if trial % 2 else Fraction(val, rng.randint(1, 5))
+        got = cleared_numerator(rs, coeff)
+        assert same_poly(got, product_cleared_numerator(rs, coeff)), coeff
+        nonzero += not got.is_zero()
+    assert nonzero >= 1000
+
+
+def test_packed_cleared_numerator_reaches_the_top_digit():
+    # two G2 roots whose first coordinates sum to K - 1 = 5: the product
+    # of u_a (1 - u_b) and u_b (1 - u_a) reaches q^(a+b), its exponent
+    # the largest the packing must keep apart from the others
+    rs = root_system("G2")
+    a, b = rs.positive_roots.index((3, 1)), rs.positive_roots.index((2, 1))
+    coeff = {(a,): 1, (b,): 2}
+    got = cleared_numerator(rs, coeff)
+    assert got == Poly(2, {(3, 1): 1, (2, 1): 2, (5, 2): -3})
+    assert same_poly(got, product_cleared_numerator(rs, coeff))
 
 
 def test_integer_path_has_int_coefficients():

@@ -138,6 +138,32 @@ def test_hamiltonian_fixture_interior():
     assert h0b == {(1, 0): Fraction(1), (1, 1): Fraction(2, 3)}
 
 
+def test_residuals_are_evaluated_once_per_point(monkeypatch):
+    chart = a2_chart([{0}, {0, 1}])
+    calls = []
+    r_value = Chart.r_value
+
+    def counted(self, root, tvals):
+        calls.append(root)
+        return r_value(self, root, tvals)
+    monkeypatch.setattr(Chart, "r_value", counted)
+    t = (Fraction(2), Fraction(3))
+    assert chart.is_generic(t)
+    h = [chart.hamiltonian_coeffs(v, t) for v in (0, 1)]
+    assert len(calls) == len(chart.pos_roots)
+    # the same values as new objects, and in another field: evaluated
+    # again, to the same weights, of the type of the point
+    t2 = (Fraction(2), Fraction(3))
+    assert [chart.hamiltonian_coeffs(v, t2) for v in (0, 1)] == h
+    field = CyclotomicField(6)
+    tf = tuple(field.from_rational(c) for c in t)
+    assert [chart.hamiltonian_coeffs(v, tf) for v in (0, 1)] == h
+    assert len(calls) == 3 * len(chart.pos_roots)
+    assert type(chart.residuals(tf)[(1, 1)]) is type(tf[0])
+    assert chart.residuals(t) == {(0, 1): 1, (1, 0): 1, (1, 1): 3}
+    assert type(chart.residuals(t)[(1, 1)]) is Fraction
+
+
 def test_hamiltonian_fixture_boundary():
     chart = a2_chart([{0}, {0, 1}])
     t = (Fraction(0), Fraction(1))

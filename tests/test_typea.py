@@ -92,6 +92,27 @@ def test_check_sample_names_the_failing_index():
     assert check_sample(src, tgt, sample_z(3, 0)) == ([3], False)
 
 
+def test_each_pair_weight_is_computed_once_per_point(monkeypatch):
+    calls = []
+
+    def counted(u):
+        calls.append(u)
+        return typea_weight(u)
+    typea_weight = typea.bethe_weight
+    monkeypatch.setattr(typea, "bethe_weight", counted)
+    src = TrigSource(4)
+    points = [integer_point(sample_z(4, seed)) for seed in range(3)]
+    fresh = [[TrigSource(4).bethe(x, k) for k in range(1, 5)] for x in points]
+    calls.clear()
+    # back and forth between points: the kept weights follow the point
+    for x, want in zip(points + points[:1], fresh + fresh[:1]):
+        assert [src.bethe(x, k) for k in range(1, 5)] == want
+    assert len(calls) == 4 * len(src.pairs)
+    assert sorted(calls) == sorted(Fraction(x[i - 1], x[j - 1])
+                                   for x in points + points[:1]
+                                   for i, j in src.pairs)
+
+
 def test_bethe_coincident_coordinates_rejected():
     src = TrigSource(2)
     with pytest.raises(ZeroDivisionError):
