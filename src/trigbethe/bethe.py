@@ -34,6 +34,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
 from operator import mul
 from typing import Collection, Iterable, Sequence
@@ -306,7 +307,9 @@ class XPoint:
     indices cut out by the ambient stratum; point: torus coordinates
     aligned with subset; chart: maximal nested family on the base of the
     centralizer; tvals: chart coordinates (zeros mark boundary divisors);
-    root_values, centralized: as centralizer() returns them.
+    root_values, centralized: as centralizer() returns them.  What is
+    computed from the point lives on it, each evaluated on first use:
+    its chart residuals and the rref rows of its subspace.
     """
 
     rs: RootSystem
@@ -355,12 +358,23 @@ class XPoint:
         # the chart lists its members in canonical order; t follows them
         by_member = dict(zip(members, tvals))
         tvals = tuple(by_member[s] for s in chart.sets)
-        if not chart.is_generic(tvals):
+        x = cls(rs, field, tuple(word), tuple(subset), tuple(point), chart,
+                tvals, values, centralized)
+        if any(r == 0 for r in x.residuals.values()):
             raise ValueError("chart coordinates hit a residual hypersurface")
-        return cls(rs, field, tuple(word), tuple(subset), tuple(point), chart,
-                   tvals, values, centralized)
+        return x
 
     # ------------------------------------------------------------------
+
+    @cached_property
+    def residuals(self) -> dict[Coords, object]:
+        """The chart residual of every centralized root at tvals."""
+        return self.chart.residuals(self.tvals)
+
+    @cached_property
+    def reduced(self) -> list[list[FieldElement]]:
+        """The rref rows of subspace()."""
+        return rref(self.subspace())[0]
 
     def untwisted_generators(self) -> list[list[FieldElement]]:
         """tau-carrying generators for h killing the centralizer, plus the
@@ -370,7 +384,8 @@ class XPoint:
         gens = self.space.bethe_family(
             {a: u for a, u in self.root_values.items() if a not in cen}, h_basis)
         for v in range(len(self.chart.base)):
-            coeffs = self.chart.hamiltonian_coeffs(v, self.tvals)
+            coeffs = self.chart.hamiltonian_coeffs(v, self.tvals,
+                                                   self.residuals)
             gens.append(self.space.vector(coeffs))
         return gens
 
@@ -500,7 +515,6 @@ def xpoint_from_dict(data: dict) -> XPoint:
 @dataclass
 class RecoveredData:
     centralized_pos: tuple[Coords, ...]
-    weight_profile: dict[Coords, FieldElement]   # g_alpha, one per readable root
     unit_values: dict[Coords, FieldElement]      # recovered e^alpha where g != 0
     vanishing: tuple[Coords, ...]                # roots with g_alpha = 0
 
@@ -532,7 +546,6 @@ def recover_data(space: HolonomySpace, vectors: Sequence[Sequence[FieldElement]]
         d = lcm(*(c.denominator for c in block))
         scaled_h.append((tuple(c.numerator * (d // c.denominator)
                                for c in block), d))
-    profile: dict[Coords, FieldElement] = {}
     units: dict[Coords, FieldElement] = {}
     vanishing = []
     for k, a in enumerate(space.pos):
@@ -550,12 +563,11 @@ def recover_data(space: HolonomySpace, vectors: Sequence[Sequence[FieldElement]]
                 raise ValueError(f"inconsistent weight profile at root {a}")
         if g is None:
             continue
-        profile[a] = g
-        if profile[a].is_zero():
+        if g.is_zero():
             vanishing.append(a)
         else:
-            units[a] = profile[a] / (profile[a] - 1)
-    return RecoveredData(cen, profile, units, tuple(vanishing))
+            units[a] = g / (g - 1)
+    return RecoveredData(cen, units, tuple(vanishing))
 
 
 # ----------------------------------------------------------------------
@@ -576,9 +588,9 @@ class PointStream:
     twists.  Chart coordinates are normalized so every maximal member
     carries 1.
 
-    reduced(x) row-reduces a point's subspace once.  built counts the
-    XPoints constructed (a repeat of an earlier point included) and
-    reductions the subspaces row-reduced.
+    built counts the XPoints constructed (a repeat of an earlier point
+    included) and reductions the points whose subspace was row-reduced
+    (XPoint.reduced).
     """
 
     def __init__(self, rs: RootSystem, field: CyclotomicField, seed: int):
@@ -589,8 +601,6 @@ class PointStream:
         self.built = 0
         self._rng = random.Random(f"xpoints-{rs.label}-{seed}")
         self._drawn_at: list[int] = []     # attempts spent when points[k] came
-        self._index: dict[int, int] = {}   # id(points[k]) -> k
-        self._rows: dict[int, list[list[FieldElement]]] = {}
         self._seen: set[tuple] = set()
         n = rs.rank
         self._subsets = sorted(
@@ -604,7 +614,8 @@ class PointStream:
 
     @property
     def reductions(self) -> int:
-        return len(self._rows)
+        # a cached_property keeps its value in the instance dict
+        return sum("reduced" in vars(x) for x in self.points)
 
     def point(self, k: int, max_attempts: int) -> XPoint | None:
         """The k-th point (from 0), or None when the stream does not reach
@@ -614,15 +625,6 @@ class PointStream:
         if k < len(self.points) and self._drawn_at[k] <= max_attempts:
             return self.points[k]
         return None
-
-    def reduced(self, x: XPoint) -> list[list[FieldElement]]:
-        """The rref rows of x.subspace() for a point x of this stream,
-        row-reduced on first use only."""
-        k = self._index[id(x)]
-        rows = self._rows.get(k)
-        if rows is None:
-            rows = self._rows[k] = rref(x.subspace())[0]
-        return rows
 
     def sub_arrangement(self, subset: tuple[int, ...]
                         ) -> tuple[RootAmbient, list]:
@@ -678,7 +680,6 @@ class PointStream:
         if sig in self._seen:
             return
         self._seen.add(sig)
-        self._index[id(x)] = len(self.points)
         self.points.append(x)
         self._drawn_at.append(self.attempts)
 
@@ -703,16 +704,15 @@ def sample_xpoints(stream: PointStream, count: int) -> list[XPoint]:
 def chart_only(x: XPoint) -> bool:
     """True when the centralizer has full rank: the tau-carrying part of
     the subspace is empty, so the subspace cannot see the torus point."""
-    rows = [[Fraction(c) for c in a] for a in x.centralized]
-    return bool(rows) and mat_rank(rows) == x.rs.rank
+    return mat_rank(x.centralized) == x.rs.rank
 
 
 def injectivity_pool(stream: PointStream, count: int) -> list[XPoint]:
     """Pool for distinctness checks, read from the first 3 * count points
-    of a PointStream and drawn only as far as it needs.  Points whose
-    subspace provably ignores the torus coordinate are deduped by their
-    visible data (twist, centralizer, chart) instead of by the coordinate
-    itself.
+    of a PointStream and drawn only as far as it needs.  The stream's
+    points are pairwise distinct already; those whose subspace provably
+    ignores the torus coordinate are deduped by their visible data
+    (twist, centralizer, chart) instead of by the coordinate itself.
 
     RuntimeError when fewer than count points are distinct, or when the
     stream runs out of its 3 * count * 40 draws before the pool is full.
@@ -725,14 +725,12 @@ def injectivity_pool(stream: PointStream, count: int) -> list[XPoint]:
         if x is None:
             raise RuntimeError(f"could only sample {k} points")
         if chart_only(x):
-            key = ("chart-only", x.word, tuple(x.centralized),
+            key = (x.word, tuple(x.centralized),
                    tuple(tuple(sorted(s)) for s in x.chart.sets),
                    tuple(str(t) for t in x.tvals))
-        else:
-            key = x.signature()
-        if key in seen:
-            continue
-        seen.add(key)
+            if key in seen:
+                continue
+            seen.add(key)
         out.append(x)
         if len(out) == count:
             break

@@ -301,8 +301,8 @@ def _spin_failures(src: typea.TrigSource, tgt: typea.RationalTarget, x,
     failed = [f"[H{i + 1},H{j + 1}] != 0"
               for i in range(n) for j in range(i + 1, n)
               if not spin.commute(hams[i], hams[j])]
-    for k in range(1, n + 1):
-        img = typea.reindex_map(src, tgt, src.bethe(x, k))
+    for k, vec in enumerate(src.bethe_span(x), start=1):
+        img = typea.reindex_map(src, tgt, vec)
         # 2 P_k (image + x_k H_k), P_k = prod_{j != k} (x_k - x_j)
         terms = (spin.pair_vector_terms(tgt.pairs, img, theta, n)
                  + spin.hamiltonian_terms(theta, x, k, n))
@@ -314,7 +314,7 @@ def _spin_failures(src: typea.TrigSource, tgt: typea.RationalTarget, x,
 def _check_rank(args, stream: PointStream) -> dict:
     rs = stream.rs
     pts = sample_xpoints(stream, args.samples)
-    dims = [len(stream.reduced(x)) for x in pts]
+    dims = [len(x.reduced) for x in pts]
     bad = [d for d in dims if d != rs.rank]
     return {"name": "rank", "passed": not bad, "points": len(pts),
             "exhaustive": False,
@@ -327,7 +327,7 @@ def _check_injectivity(args, stream: PointStream) -> dict:
     seen: dict[tuple, int] = {}
     collisions = []
     for i, x in enumerate(pts):
-        key = tuple(tuple(str(c) for c in row) for row in stream.reduced(x))
+        key = tuple(tuple(str(c) for c in row) for row in x.reduced)
         if key in seen:
             collisions.append((seen[key], i))
         else:

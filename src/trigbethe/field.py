@@ -407,12 +407,3 @@ class FieldElement:
     def __repr__(self) -> str:
         return f"<{self} in Q(zeta_{self.field.order})>"
 
-
-def char_value(field: CyclotomicField, point, coords) -> FieldElement:
-    """prod_i point[i] ** coords[i]: the character e^coords at a torus point."""
-    out = None
-    for y, k in zip(point, coords):
-        if k:
-            term = y if k == 1 else y ** k
-            out = term if out is None else out * term
-    return field.one() if out is None else out

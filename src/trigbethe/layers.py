@@ -9,7 +9,9 @@ giving the constant values e^v takes on the layer.
 Every character value is a root of unity zeta_N^e of Q(zeta_N), so a
 character is kept as integer exponents mod N: chi(v) = 1 is a dot
 product mod N, and field elements are built only for the stored values
-(char_values) when a caller asks for them.
+(char_values) when a caller asks for them, and for the coordinates of a
+point on a layer, each zeta_N to one exponent sum times a rational
+(point_on_layer).
 
 Enumeration visits every lattice <B> spanned by a linearly independent
 set B of positive roots, each exactly once.  The lattices are grown
@@ -48,10 +50,11 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import prod
 from operator import add, mod, mul
 from typing import Iterable, Sequence
 
-from .field import CyclotomicField, FieldElement, char_value
+from .field import CyclotomicField, FieldElement
 from .lattice import (hermite_coordinates, hermite_insert,
                       hermite_normal_form, smith_normal_form)
 from .nested import components
@@ -152,13 +155,6 @@ class Layer:
         if coords is None:
             return None
         return sum(map(mul, coords, self.char_exps)) % self.field.order
-
-    def char_eval(self, vec: Sequence[int]) -> FieldElement:
-        """The constant value of e^vec on the layer; vec must lie in the lattice."""
-        e = self.char_exponent(vec)
-        if e is None:
-            raise ValueError(f"{vec} is not in the layer lattice")
-        return self.field.zeta(e)
 
     def sort_key(self):
         return (self.codim, self.basis,
@@ -324,32 +320,31 @@ def poset_relations(layers: Sequence[Layer], stats: Counter | None = None
 # points on layers
 
 
-def _extension_data(layer: Layer):
-    """Smith data of the (saturated) lattice basis, for building points."""
-    sf = smith_normal_form([list(r) for r in layer.basis],
-                           ncols=layer.ambient_dim)
-    assert all(d == 1 for d in sf.divisors), "layer lattice must be saturated"
-    return sf
-
-
-def point_on_layer(layer: Layer, params: Sequence[FieldElement] | None = None
+def point_on_layer(layer: Layer, params: Sequence[Fraction] | None = None
                    ) -> Point:
     """A point of the layer: character values extended by free parameters.
 
-    params supplies the values on a complement basis of the lattice (one
-    per layer dimension); omitted parameters default to 1, giving a
-    canonical representative.
+    params supplies the rational values on a complement basis of the
+    lattice (one per layer dimension); omitted parameters default to 1,
+    giving a canonical representative.  With U B V = [I 0] the Smith form
+    of the saturated basis, the rows Vinv[i] are a basis of Z^n: e^Vinv[i]
+    is zeta_N^(e_i), e_i its char_exponent, for i < r, and params[i - r]
+    beyond.  Coordinate j, e^(e_j) with e_j = sum_i V[j][i] Vinv[i], is
+    zeta_N^(sum_{i<r} e_i V[j][i]) times prod_i params[i] ** V[j][r + i].
     """
-    field = layer.field
     n = layer.ambient_dim
-    sf = _extension_data(layer)
+    sf = smith_normal_form([list(r) for r in layer.basis], ncols=n)
     r = sf.rank
+    exps = [layer.char_exponent(sf.Vinv[i]) for i in range(r)]
+    if None in exps:
+        raise ValueError("layer lattice must be saturated")
     params = list(params or [])
     if len(params) > n - r:
         raise ValueError("too many parameters for layer dimension")
-    params += [field.one()] * (n - r - len(params))
-    basis_vals = [layer.char_eval(sf.Vinv[i]) for i in range(r)] + params
-    return tuple(char_value(field, basis_vals, sf.V[j]) for j in range(n))
+    params += [Fraction(1)] * (n - r - len(params))
+    return tuple(layer.field.zeta(sum(map(mul, exps, row)))
+                 * prod(map(pow, params, row[r:]))
+                 for row in sf.V)
 
 
 def generic_point(amb: RootAmbient, layer: Layer, seed: int = 0) -> Point:
@@ -360,9 +355,8 @@ def generic_point(amb: RootAmbient, layer: Layer, seed: int = 0) -> Point:
     avoid = [a for a in amb.positive_roots if a not in on_layer]
     free = layer.dim
     for _ in range(64):
-        params = [amb.field.from_rational(
-            Fraction(rng.randint(2, 97), rng.randint(2, 97)))
-            for _ in range(free)]
+        params = [Fraction(rng.randint(2, 97), rng.randint(2, 97))
+                  for _ in range(free)]
         pt = point_on_layer(layer, params)
         values = chain_values(amb.chain, pt)
         if all(not values[a].is_one() for a in avoid):

@@ -16,7 +16,10 @@ prod(t_Q : Q >= A(r)), A(r) its minimal member, times a residual r(t):
 the sum over the vertices v of its support of one term, its coefficient
 at v times t_Q over the members between v's member M(v) and A(r).  A
 chart fixes these terms when it is built, reading each root's integer
-coordinates in the base along its height chain.
+coordinates in the base along its height chain.  It holds no point: the
+residuals at a point are evaluated once (Chart.residuals), by the point
+that owns them, and read by the genericity test and by every member of
+the chart family (Chart.hamiltonian_coeffs).
 """
 
 from __future__ import annotations
@@ -163,9 +166,6 @@ class Chart:
                 v: (c, [q for q, p in enumerate(self.sets)
                         if member[v] <= p < top])
                 for v, c in enumerate(coords) if c}
-        # the chart point the residuals are of, and r_value per root
-        self._point: tuple | None = None
-        self._residuals: dict[Coords, object] = {}
 
     # ------------------------------------------------------------------
     # evaluation at a coordinate tuple (aligned with self.sets)
@@ -186,24 +186,16 @@ class Chart:
                    for term in self._terms[tuple(root)].values())
 
     def residuals(self, tvals: Sequence) -> dict[Coords, object]:
-        """r_value of every root at tvals.  The genericity test and each
-        member of the chart family read them at the same point, so those
-        of the last point are kept (the point compared entry by entry by
-        identity, so equal values of another type are not confused)."""
-        if self._point is None or len(tvals) != len(self._point) or \
-                any(a is not b for a, b in zip(tvals, self._point)):
-            self._point = tuple(tvals)
-            self._residuals = {r: self.r_value(r, tvals)
-                               for r in self.pos_roots}
-        return self._residuals
+        """r_value of every root at tvals: the point is generic when none
+        is zero, and every member of the chart family reads them."""
+        return {r: self.r_value(r, tvals) for r in self.pos_roots}
 
-    def is_generic(self, tvals: Sequence) -> bool:
-        return all(not r == 0 for r in self.residuals(tvals).values())
-
-    def hamiltonian_coeffs(self, v: int, tvals: Sequence) -> dict[Coords, object]:
+    def hamiltonian_coeffs(self, v: int, tvals: Sequence,
+                           residuals: dict[Coords, object]
+                           ) -> dict[Coords, object]:
         """Coefficients {root: weight} of the chart family member at vertex v:
-        each root's term at v over its residual; roots not involving v drop
-        out.
+        each root's term at v over its residual (residuals(tvals)); roots
+        not involving v drop out.
 
         The weight is (base root at v) / root times the root's coefficient
         at v.  The base root at v has the residual 1, since its minimal
@@ -211,7 +203,6 @@ class Chart:
         M(v) <= Q < A(root), and the weight stays finite as boundary
         coordinates vanish.
         """
-        residuals = self.residuals(tvals)
         return {r: self._term(terms[v], tvals) / residuals[r]
                 for r, terms in self._terms.items() if v in terms}
 

@@ -17,10 +17,12 @@ element at (0, z) is unchanged when z is scaled, and span equality does
 not depend on scale.  So a sample z is replaced by the integer point
 x = D z, D the lcm of its denominators (integer_point), and every
 vector by an integer multiple of itself: the k-th trigonometric element
-by P_k = prod_{j != k} (x_k - x_j), the rational element at index k of
-points p by prod_{j != k} (p_k - p_j) (scale).  At p = (0, x) that
-scale is x_k P_k, so the first identity reads image_k = -(scaled
-rational element k), entry by entry in integers.
+by P_k = prod_{j != k} (x_k - x_j) (TrigSource.bethe_span builds all n
+of them at one point, each pair's Bethe weight computed once), the
+rational element at index k of points p by prod_{j != k} (p_k - p_j)
+(scale).  At p = (0, x) that scale is x_k P_k, so the first identity
+reads image_k = -(scaled rational element k), entry by entry in
+integers.
 """
 
 from __future__ import annotations
@@ -59,43 +61,33 @@ class TrigSource(PairSpace):
         super().__init__(range(1, n + 1))
         self.n = n
         self.dim += n
-        # the point the weights are of, and bethe_weight(x_i/x_j) per pair
-        self._point: tuple[int, ...] | None = None
-        self._weights: dict[tuple[int, int], Fraction] = {}
 
-    def bethe(self, x: Sequence[int], k: int) -> list[int]:
-        """P_k (tau_k plus Bethe-weighted pairs) at the integer point x,
-        P_k = prod_{j != k} (x_k - x_j).
+    def bethe_span(self, x: Sequence[int]) -> list[list[int]]:
+        """The n elements at the integer point x, the k-th (k = 1..n) being
+        P_k (tau_k plus Bethe-weighted pairs), P_k = prod_{j != k} (x_k - x_j).
 
         Pair (i,j) evaluates to u = x_i/x_j; its coefficient in the k-th
         element is (h_i - h_j applied to e_k) times bethe_weight(u), whose
-        denominator divides x_i - x_j and so P_k.  The elements at one
-        point read each pair twice, so the weights of the last point are
-        kept.
+        denominator divides x_i - x_j and so P_k.  It enters the i-th and
+        the j-th element, and its weight is computed once for both.
         """
-        if not 1 <= k <= self.n:
-            raise ValueError("index out of range")
         if any(v.denominator != 1 for v in x):
             raise ValueError("coordinates must be integers, see integer_point")
-        xk = x[k - 1]
-        scale = prod(xk - x[j - 1] for j in self.indices if j != k)
-        if scale == 0:
+        scales = [prod(x[k - 1] - x[j - 1] for j in self.indices if j != k)
+                  for k in self.indices]
+        if 0 in scales:
             raise ZeroDivisionError("coordinates must be pairwise distinct")
-        if self._point != tuple(x):
-            self._point, self._weights = tuple(x), {}
-        vec = self.zero()
-        vec[len(self.pairs) + k - 1] = scale
+        span = []
+        for k, scale in zip(self.indices, scales):
+            vec = self.zero()
+            vec[len(self.pairs) + k - 1] = scale
+            span.append(vec)
         for (i, j) in self.pairs:
-            sign = (1 if i == k else 0) - (1 if j == k else 0)
-            if sign == 0:
-                continue
-            w = self._weights.get((i, j))
-            if w is None:
-                w = self._weights[i, j] = bethe_weight(
-                    Fraction(x[i - 1], x[j - 1]))
-            self.add_pair(vec, i, j,
-                          sign * w.numerator * (scale // w.denominator))
-        return vec
+            w = bethe_weight(Fraction(x[i - 1], x[j - 1]))
+            for k, sign in ((i, 1), (j, -1)):
+                self.add_pair(span[k - 1], i, j, sign * w.numerator
+                              * (scales[k - 1] // w.denominator))
+        return span
 
 
 class RationalTarget(PairSpace):
@@ -166,8 +158,7 @@ def check_sample(source: TrigSource, target: RationalTarget,
     image of the whole trig span equals the rational span at (0, z).
     """
     x = integer_point(z)
-    imgs = [reindex_map(source, target, source.bethe(x, k))
-            for k in range(1, source.n + 1)]
+    imgs = [reindex_map(source, target, vec) for vec in source.bethe_span(x)]
     points = marked_points(x)
     # gspan[k] is the scaled rational element at index k of {0..n}
     gspan = target.gaudin_span(points)

@@ -17,6 +17,9 @@
 - bethe_rows and gaudin: the Bethe family of a holonomy space at an
   interior torus point, read through bethe_family, and the rational
   Gaudin family.
+- char_value: a character at a torus point, by powers of field
+  elements; powered_point_on_layer: a point of a layer built from them,
+  the reference of layers.point_on_layer, which reads exponents.
 - The spin chain and the type-A identities over Q, the reference of the
   integer checks: dense chain operators from Kronecker products of the
   one-site matrices (dense_place, dense_casimir_pair, ...), the k-th
@@ -37,7 +40,10 @@ from math import lcm
 from typing import Sequence
 
 from trigbethe.bethe import HolonomySpace, stratum_values
+from trigbethe.field import CyclotomicField, FieldElement
 from trigbethe.hecke import q_power
+from trigbethe.lattice import smith_normal_form
+from trigbethe.layers import Layer
 from trigbethe.linalg import nullspace, rref
 from trigbethe.poly import Poly
 from trigbethe.roots import RootSystem
@@ -163,6 +169,32 @@ def bethe_rows(space: HolonomySpace, point, hs) -> list[list]:
     """The Bethe vectors at an interior torus point, one per h in hs."""
     rank = space.rs.rank
     return space.bethe_family(stratum_values(space.rs, range(rank), point), hs)
+
+
+def char_value(field: CyclotomicField, point, coords) -> FieldElement:
+    """prod_i point[i] ** coords[i]: the character e^coords at a torus point."""
+    out = None
+    for y, k in zip(point, coords):
+        if k:
+            term = y if k == 1 else y ** k
+            out = term if out is None else out * term
+    return field.one() if out is None else out
+
+
+def powered_point_on_layer(layer: Layer, params: Sequence[Fraction] = ()
+                           ) -> tuple[FieldElement, ...]:
+    """point_on_layer as first written: with U B V = [I 0] the Smith form
+    of the saturated basis, every value on the basis Vinv of Z^n is lifted
+    into Q(zeta_N), a character value for i < r and a parameter (default
+    1) beyond, and coordinate j is their product to the powers V[j]."""
+    field, n = layer.field, layer.ambient_dim
+    sf = smith_normal_form([list(r) for r in layer.basis], ncols=n)
+    assert all(d == 1 for d in sf.divisors), "layer lattice must be saturated"
+    r = sf.rank
+    values = [field.zeta(layer.char_exponent(sf.Vinv[i])) for i in range(r)]
+    values += [field.from_rational(p) for p in params]
+    values += [field.one()] * (n - len(values))
+    return tuple(char_value(field, values, sf.V[j]) for j in range(n))
 
 
 def gaudin(space: HolonomySpace, chi: Sequence, h_coords: Sequence) -> list:

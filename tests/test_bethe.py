@@ -16,13 +16,13 @@ from trigbethe.bethe import (HolonomySpace, PointStream, XPoint, bethe_weight,
                              integer_kernel, recover_data, sample_xpoints,
                              stratum_values, weyl_action_report,
                              xpoint_from_dict)
-from trigbethe.field import CyclotomicField, char_value, default_field_order
+from trigbethe.field import CyclotomicField, default_field_order
 from trigbethe.layers import RootAmbient, enumerate_layers, generic_point
 from trigbethe.linalg import mat_inverse, nullspace, rank, rref
 from trigbethe.nested import maximal_nested_sets
 from trigbethe.roots import RootSystem, int_mat_mul, root_system
 
-from oracles import RatFunc, bethe_rows, gaudin, row_space_equal
+from oracles import RatFunc, bethe_rows, char_value, gaudin, row_space_equal
 
 F6 = CyclotomicField(6)
 
@@ -479,7 +479,7 @@ def test_recovery_weighs_exactly_the_roots_off_the_centralizer_span(label):
         cen = [[Fraction(c) for c in a] for a in rec.centralized_pos]
         outside = {a for a in rs.positive_roots
                    if rank(cen + [[Fraction(c) for c in a]]) > rank(cen)}
-        assert set(rec.weight_profile) == outside
+        assert {*rec.unit_values, *rec.vanishing} == outside
     assert seen
 
 
@@ -557,11 +557,12 @@ def test_point_stream_is_shared_and_drawn_on_demand():
     # the pool reads the same point objects and draws no more than it needs
     assert all(any(x is y for y in stream.points) for x in pool)
     assert len(stream.points) == 6
-    rows = stream.reduced(pts[0])
-    assert stream.reduced(pts[0]) is rows and stream.reductions == 1
+    rows = pts[0].reduced
+    assert pts[0].reduced is rows and stream.reductions == 1
     assert rows == rref(pts[0].subspace())[0]
-    with pytest.raises(KeyError):
-        stream.reduced(sample_xpoints(PointStream(rs, F6, 1), 1)[0])
+    # a point of another stream is reduced on its own
+    assert sample_xpoints(PointStream(rs, F6, 1), 1)[0].reduced == rows
+    assert stream.reductions == 1
 
 
 def test_sampling_budgets_are_per_call(monkeypatch):

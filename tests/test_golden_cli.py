@@ -290,7 +290,7 @@ def test_whole_pool_matches_reference(capsys, monkeypatch):
 
 def _count_point_work(monkeypatch) -> Counter:
     """Count the calls that build a point: e^alpha, the centralizer base,
-    the chart and its genericity test."""
+    the chart and its residuals, which the genericity test reads."""
     counts: Counter = Counter()
 
     def counting(owner, name):
@@ -304,7 +304,7 @@ def _count_point_work(monkeypatch) -> Counter:
     counting(RootSystem, "base_of")
     counting(bethe, "stratum_values")
     counting(Chart, "__init__")
-    counting(Chart, "is_generic")
+    counting(Chart, "residuals")
     return counts
 
 
@@ -315,9 +315,10 @@ def test_each_point_is_built_once(capsys, monkeypatch):
     for entry in entries:
         monkeypatch.setattr("sys.stdin", io.StringIO(entry["spec"]))
         assert run(capsys, ["subspace", "-"]) == (0, entry["sha256"])
-    # XPoint.at tests genericity of outside input once per request
+    # XPoint.at tests genericity of outside input once per request, on
+    # the residuals that the chart family reads too
     assert counts == {name: 12 for name in
-                      ("base_of", "stratum_values", "__init__", "is_generic")}
+                      ("base_of", "stratum_values", "__init__", "residuals")}
 
     streams: list[bethe.PointStream] = []
     init = bethe.PointStream.__init__
@@ -334,12 +335,18 @@ def test_each_point_is_built_once(capsys, monkeypatch):
         built = sum(s.built for s in streams)
         assert built > 0
         # check triangularity builds one chart per maximal nested set of
-        # the simple roots, and no point; a drawn t is generic unasked
+        # the simple roots, and no point; a drawn t is generic unasked,
+        # so the residuals are evaluated once per point whose chart family
+        # is built (a cached_property keeps them in the instance dict)
         rs = root_system(label)
         charts = len(maximal_nested_sets(
             rs.rank, rs.nonorthogonal_edges(rs.simple_roots)))
+        points = [x for s in streams for x in s.points]
+        holding = sum("residuals" in vars(x) for x in points)
+        assert 0 < holding <= sum(s.reductions for s in streams) \
+            <= len(points) <= built
         assert counts == {"base_of": built, "stratum_values": built,
-                          "__init__": built + charts}
+                          "__init__": built + charts, "residuals": holding}
 
 
 @pytest.mark.parametrize("argv", ENUMERATE, ids=" ".join)

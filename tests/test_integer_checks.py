@@ -65,13 +65,14 @@ def test_a_missed_certificate_leaves_the_verdict_to_the_fallback(
 
 
 def _drop_tau(monkeypatch):
-    bethe = typea.TrigSource.bethe
+    bethe_span = typea.TrigSource.bethe_span
 
-    def dropped(self, x, k):
-        vec = bethe(self, x, k)
-        vec[len(self.pairs) + k - 1] = 0
-        return vec
-    monkeypatch.setattr(typea.TrigSource, "bethe", dropped)
+    def dropped(self, x):
+        span = bethe_span(self, x)
+        for k, vec in enumerate(span):
+            vec[len(self.pairs) + k] = 0
+        return span
+    monkeypatch.setattr(typea.TrigSource, "bethe_span", dropped)
 
 
 def _rescale_terms(kind, factor):

@@ -4,12 +4,13 @@ import functools
 import itertools
 import random
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 
 from trigbethe import layers as layers_module
 from trigbethe.bethe import PointStream
-from trigbethe.field import CyclotomicField, char_value
+from trigbethe.field import CyclotomicField
 from trigbethe.lattice import hermite_normal_form, int_rank, smith_normal_form
 from trigbethe.layers import (Layer, RootAmbient, building_set,
                               enumerate_layers, gamma_divisors, generic_point,
@@ -18,6 +19,8 @@ from trigbethe.layers import (Layer, RootAmbient, building_set,
                               subset_layers)
 from trigbethe.nested import adjacency, components
 from trigbethe.roots import nonorthogonal_edges, root_system
+
+from oracles import char_value, powered_point_on_layer
 
 F6 = CyclotomicField(6)
 
@@ -157,21 +160,45 @@ def test_point_on_layer_extends_character():
             assert evaluate(pt, row) == val
 
 
-def test_char_eval_rejects_vectors_outside_lattice():
+@pytest.mark.parametrize("label,order", [
+    *((label, 6) for label in ("A2", "B2", "G2", "A3", "B3", "C3", "D4")),
+    ("F4", 12)])
+def test_point_on_layer_matches_field_powers(label, order):
+    # every layer, at the default parameters and three seeded draws of
+    # nonzero rationals, some negative, against the field-power oracle
+    amb = ambient(label, CyclotomicField(order))
+    for k, l in enumerate(enumerate_layers(amb)):
+        rng = random.Random(f"point-on-layer-{label}-{k}")
+        draws = [()] + [
+            [Fraction(rng.choice((-1, 1)) * rng.randint(1, 97),
+                      rng.randint(1, 97)) for _ in range(l.dim)]
+            for _ in range(3)]
+        for params in draws:
+            pt = point_on_layer(l, params)
+            want = powered_point_on_layer(l, params)
+            assert [str(y) for y in pt] == [str(y) for y in want], (l, params)
+
+
+def test_point_on_layer_rejects_bad_input():
+    # a lattice that is not saturated, and more parameters than dimensions
+    with pytest.raises(ValueError, match="saturated"):
+        point_on_layer(Layer(2, ((2, 0),), (0,), F6, ()))
+    line = [l for l in enumerate_layers(ambient("B2")) if l.codim == 1][0]
+    with pytest.raises(ValueError, match="too many"):
+        point_on_layer(line, [Fraction(2), Fraction(3)])
+
+
+def test_char_exponent_rejects_vectors_outside_lattice():
     amb = ambient("B2")
     torsion = [l for l in enumerate_layers(amb)
                if l.codim == 2 and l.roots_pos == ((1, 0), (1, 2))]
-    # the torsion layer has a saturated basis, so everything evaluates;
-    # a codim-1 layer must reject transverse vectors
+    # the torsion layer has a saturated basis of Z^2, so every vector has
+    # an exponent; a codim-1 layer must reject transverse vectors
     assert torsion
+    assert all(t.char_exponent(v) is not None
+               for t in torsion for v in [(1, 0), (0, 1)])
     line = [l for l in enumerate_layers(amb) if l.codim == 1][0]
-    off = None
-    for v in [(1, 0), (0, 1)]:
-        if line.char_exponent(v) is None:
-            off = v
-    assert off is not None
-    with pytest.raises(ValueError):
-        line.char_eval(off)
+    assert [v for v in [(1, 0), (0, 1)] if line.char_exponent(v) is None]
 
 
 def scanning_char_exponent(layer, vec):

@@ -7,7 +7,7 @@ from math import prod
 
 import pytest
 
-from trigbethe.bethe import PointStream
+from trigbethe.bethe import PointStream, XPoint
 from trigbethe.field import CyclotomicField, default_field_order
 from trigbethe.nested import Chart, adjacency, is_nested, maximal_nested_sets
 from trigbethe.poly import Poly
@@ -82,6 +82,11 @@ def a2_chart(sets):
     return Chart(rs.simple_roots, rs.positive_roots, sets)
 
 
+def member(chart, v, tvals):
+    """The chart family member at vertex v, on the residuals at tvals."""
+    return chart.hamiltonian_coeffs(v, tvals, chart.residuals(tvals))
+
+
 def test_chart_validation():
     with pytest.raises(ValueError):
         a2_chart([{0, 1}])                      # too few members
@@ -126,20 +131,19 @@ def test_base_value_and_r_value_a2():
     assert base_value(chart, 1, t) == 3
     # alpha1+alpha2 has coordinates (1,1): r = 1*t1... chain from {0} to {0,1}
     assert chart.r_value((1, 1), t) == 2 * 1 + 1  # t0-chain contributes t0
-    assert chart.is_generic(t)
-    assert not chart.is_generic((Fraction(-1), Fraction(3)))
+    assert all(r != 0 for r in chart.residuals(t).values())
+    assert 0 in chart.residuals((Fraction(-1), Fraction(3))).values()
 
 
 def test_hamiltonian_fixture_interior():
     chart = a2_chart([{0}, {0, 1}])
-    h0 = chart.hamiltonian_coeffs(0, (Fraction(1), Fraction(1)))
+    h0 = member(chart, 0, (Fraction(1), Fraction(1)))
     assert h0 == {(1, 0): Fraction(1), (1, 1): Fraction(1, 2)}
-    h0b = chart.hamiltonian_coeffs(0, (Fraction(2), Fraction(3)))
+    h0b = member(chart, 0, (Fraction(2), Fraction(3)))
     assert h0b == {(1, 0): Fraction(1), (1, 1): Fraction(2, 3)}
 
 
 def test_residuals_are_evaluated_once_per_point(monkeypatch):
-    chart = a2_chart([{0}, {0, 1}])
     calls = []
     r_value = Chart.r_value
 
@@ -147,28 +151,34 @@ def test_residuals_are_evaluated_once_per_point(monkeypatch):
         calls.append(root)
         return r_value(self, root, tvals)
     monkeypatch.setattr(Chart, "r_value", counted)
-    t = (Fraction(2), Fraction(3))
-    assert chart.is_generic(t)
-    h = [chart.hamiltonian_coeffs(v, t) for v in (0, 1)]
-    assert len(calls) == len(chart.pos_roots)
-    # the same values as new objects, and in another field: evaluated
-    # again, to the same weights, of the type of the point
-    t2 = (Fraction(2), Fraction(3))
-    assert [chart.hamiltonian_coeffs(v, t2) for v in (0, 1)] == h
+    # A2 at y = 1: every root is centralized, on the chart {1} < {1,2};
+    # XPoint.at tests genericity on the residuals the point keeps, and
+    # each member of the chart family reads them
     field = CyclotomicField(6)
+    t = (Fraction(2), Fraction(3))
+    x = XPoint.at(root_system("A2"), field, (), (0, 1),
+                  (field.one(), field.one()), [{0}, {0, 1}], t)
+    chart = x.chart
+    assert len(calls) == len(chart.pos_roots) == 3
+    assert x.subspace() == x.subspace() and x.reduced
+    assert len(calls) == len(chart.pos_roots)
+    assert x.residuals == {(0, 1): 1, (1, 0): 1, (1, 1): 3}
+    assert type(x.residuals[(1, 1)]) is Fraction
+    # the chart keeps no point: residuals in another field are evaluated
+    # again, of the type of the point, to the same weights
+    h = [chart.hamiltonian_coeffs(v, t, x.residuals) for v in (0, 1)]
     tf = tuple(field.from_rational(c) for c in t)
-    assert [chart.hamiltonian_coeffs(v, tf) for v in (0, 1)] == h
-    assert len(calls) == 3 * len(chart.pos_roots)
-    assert type(chart.residuals(tf)[(1, 1)]) is type(tf[0])
-    assert chart.residuals(t) == {(0, 1): 1, (1, 0): 1, (1, 1): 3}
-    assert type(chart.residuals(t)[(1, 1)]) is Fraction
+    residuals = chart.residuals(tf)
+    assert type(residuals[(1, 1)]) is type(tf[0])
+    assert [chart.hamiltonian_coeffs(v, tf, residuals) for v in (0, 1)] == h
+    assert len(calls) == 2 * len(chart.pos_roots)
 
 
 def test_hamiltonian_fixture_boundary():
     chart = a2_chart([{0}, {0, 1}])
     t = (Fraction(0), Fraction(1))
-    h0 = chart.hamiltonian_coeffs(0, t)
-    h1 = chart.hamiltonian_coeffs(1, t)
+    h0 = member(chart, 0, t)
+    h1 = member(chart, 1, t)
     assert h0 == {(1, 0): Fraction(1), (1, 1): Fraction(0)}
     assert h1 == {(0, 1): Fraction(1), (1, 1): Fraction(1)}
 

@@ -170,8 +170,8 @@ def test_represented_image_is_scaled_hamiltonian():
             x = integer_point(sample_z(n, seed))
             theta = [[field.coerce(Fraction(rng.randint(-9, 9))), field.zero()],
                      [field.zero(), field.coerce(Fraction(rng.randint(-9, 9)))]]
-            for k in range(1, n + 1):
-                img = reindex_map(src, tgt, src.bethe(x, k))
+            for k, vec in enumerate(src.bethe_span(x), start=1):
+                img = reindex_map(src, tgt, vec)
                 terms = pair_vector_terms(tgt.pairs, img, theta, n)
                 ham = trig_hamiltonian(theta, x, k, n)
                 assert combination(terms, n) == \

@@ -39,7 +39,7 @@ def test_reindex_fixture_n2():
     x = (2, 3)
     # u = x1/x2 = 2/3, weight -u/(u-1) = 2, so B_1 = tau_1 + 2 t_{12},
     # times P_1 = x1 - x2 = -1
-    b1 = src.bethe(x, 1)
+    b1 = src.bethe_span(x)[0]
     expected = src.zero()
     expected[src._index[(1, 2)]] = -2
     expected[len(src.pairs)] = -1
@@ -71,7 +71,7 @@ def test_identity_fails_without_marked_point_scaling():
     src = TrigSource(2)
     tgt = RationalTarget(2)
     x = (2, 3)
-    img = reindex_map(src, tgt, src.bethe(x, 1))
+    img = reindex_map(src, tgt, src.bethe_span(x)[0])
     g1 = tgt.gaudin(marked_points(x), 1)
     assert img == [-c for c in g1]
     assert img != g1                              # the sign is needed
@@ -81,11 +81,10 @@ def test_identity_fails_without_marked_point_scaling():
 def test_check_sample_names_the_failing_index():
     class Shifted(TrigSource):
         # the third element loses its tau entry, so neither identity holds
-        def bethe(self, z, k):
-            vec = super().bethe(z, k)
-            if k == 3:
-                vec[len(self.pairs) + 2] = Fraction(0)
-            return vec
+        def bethe_span(self, z):
+            span = super().bethe_span(z)
+            span[2][len(self.pairs) + 2] = Fraction(0)
+            return span
 
     src = Shifted(3)
     tgt = RationalTarget(3)
@@ -102,11 +101,11 @@ def test_each_pair_weight_is_computed_once_per_point(monkeypatch):
     monkeypatch.setattr(typea, "bethe_weight", counted)
     src = TrigSource(4)
     points = [integer_point(sample_z(4, seed)) for seed in range(3)]
-    fresh = [[TrigSource(4).bethe(x, k) for k in range(1, 5)] for x in points]
+    fresh = [TrigSource(4).bethe_span(x) for x in points]
     calls.clear()
-    # back and forth between points: the kept weights follow the point
+    # back and forth between points: each span is its point's alone
     for x, want in zip(points + points[:1], fresh + fresh[:1]):
-        assert [src.bethe(x, k) for k in range(1, 5)] == want
+        assert src.bethe_span(x) == want
     assert len(calls) == 4 * len(src.pairs)
     assert sorted(calls) == sorted(Fraction(x[i - 1], x[j - 1])
                                    for x in points + points[:1]
@@ -116,12 +115,12 @@ def test_each_pair_weight_is_computed_once_per_point(monkeypatch):
 def test_bethe_coincident_coordinates_rejected():
     src = TrigSource(2)
     with pytest.raises(ZeroDivisionError):
-        src.bethe(fracs(5, 5), 1)
-    with pytest.raises(ValueError):
-        src.bethe(fracs(2, 3), 0)
+        src.bethe_span(fracs(5, 5))
+    # one element per index 1..n
+    assert len(src.bethe_span(fracs(2, 3))) == 2
     # rational coordinates are cleared by integer_point first
     with pytest.raises(ValueError):
-        src.bethe((Fraction(1, 2), Fraction(1, 3)), 1)
+        src.bethe_span((Fraction(1, 2), Fraction(1, 3)))
 
 
 def test_gaudin_distinct_points_required():
@@ -166,7 +165,7 @@ def test_vectors_are_integer_and_verdicts_scale_free():
     for z in ((2, 3, 5), fracs(2, 3, 5), (Fraction(2), 3, Fraction(5)),
               fracs(Fraction(2, 7), Fraction(3, 7), Fraction(5, 7))):
         x = integer_point(z)
-        out = [src.bethe(x, k) for k in (1, 2, 3)]
+        out = src.bethe_span(x)
         out += [reindex_map(src, tgt, v) for v in out]
         out += tgt.gaudin_span(marked_points(x)) + [tau(src, 2), tgt.zero()]
         assert all(type(c) is int for v in out for c in v), z
@@ -206,7 +205,7 @@ def test_span_equality_falls_back_to_integer_ranks(monkeypatch):
     src, tgt = TrigSource(3), RationalTarget(3)
     x = integer_point(sample_z(3, 2))
     points = marked_points(x)
-    images = [reindex_map(src, tgt, src.bethe(x, k)) for k in (1, 2, 3)]
+    images = [reindex_map(src, tgt, vec) for vec in src.bethe_span(x)]
     elements = tgt.gaudin_span(points)
     scales = [tgt.scale(points, k) for k in tgt.indices]
     calls = count_hermite_forms(monkeypatch)
