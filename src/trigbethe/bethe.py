@@ -176,8 +176,8 @@ def weyl_action_report(rs: RootSystem, field: CyclotomicField,
     coordinate basis; by induction on length they hold for every w.
     twist_formula: the inversion-set matrix rho(w) equals the product of
     the generator matrices along word_of(w), for the longest element and
-    `samples` seeded random twists.  control: the same generator checks
-    on rho(s_1) with its correction term sign-flipped must fail.
+    `samples` seeded random twists.  control: the generator checks of
+    rho(s_1) alone, with its correction term sign-flipped, must fail.
     """
     import random
     rng = random.Random(f"weyl-twists-{rs.label}-{seed}")
@@ -194,7 +194,7 @@ def weyl_action_report(rs: RootSystem, field: CyclotomicField,
     for c in range(space.npos, space.dim):
         flipped[c] = {r: -x if r < space.npos else x
                       for r, x in flipped[c].items()}
-    control = _generator_checks(space, [flipped] + gens[1:])
+    control = _generator_checks(space, [flipped])
     return {
         "elements": rs.weyl_order,
         "products": rs.weyl_order * n,
@@ -238,7 +238,7 @@ def _word_product(gens: Sequence[SparseColumns], word: Sequence[int],
 def _generator_checks(space: HolonomySpace, gens: Sequence[SparseColumns]
                       ) -> dict[str, bool]:
     """group_law, delta_transport and bethe_transport of candidate
-    generator matrices gens[i] for s_i (see weyl_action_report).
+    generator matrices gens[i] for s_i, i < len(gens) (see weyl_action_report).
 
     Delta is checked doubled, 2 delta(h) = 2 tau(h) - sum alpha(h) t_alpha,
     so every entry is an integer.  For Bethe transport the weight
@@ -248,7 +248,7 @@ def _generator_checks(space: HolonomySpace, gens: Sequence[SparseColumns]
     _weight_inversion_holds.  Both sides are then integer linear forms
     in 1 and the W_delta, equal exactly when their coefficients are.
     """
-    rs, npos, n = space.rs, space.npos, space.rs.rank
+    rs, npos, n = space.rs, space.npos, len(gens)
     unit = [{k: 1} for k in range(space.dim)]
     group_law = all(
         _word_product(gens, (i, j) * rs.coxeter_order(i, j), space.dim) == unit

@@ -295,18 +295,18 @@ def _check_commutativity(args, stream: PointStream) -> dict:
 def _spin_failures(src: typea.TrigSource, tgt: typea.RationalTarget, x,
                    theta) -> list[str]:
     """The identities that fail at the integer point x: [H_i, H_j] = 0 for
-    i < j, then image + x_k H_k = 0 for each k, on the built operator."""
+    i < j, then image + x_k H_k = 0 for each k, on the built operators."""
     n = src.n
     hams = [spin.trig_hamiltonian(theta, x, k, n) for k in range(1, n + 1)]
     failed = [f"[H{i + 1},H{j + 1}] != 0"
               for i in range(n) for j in range(i + 1, n)
               if not spin.commute(hams[i], hams[j])]
-    for k, vec in enumerate(src.bethe_span(x), start=1):
+    for k, (vec, ham) in enumerate(zip(src.bethe_span(x), hams), start=1):
         img = typea.reindex_map(src, tgt, vec)
-        # 2 P_k (image + x_k H_k), P_k = prod_{j != k} (x_k - x_j)
-        terms = (spin.pair_vector_terms(tgt.pairs, img, theta, n)
-                 + spin.hamiltonian_terms(theta, x, k, n))
-        if any(spin.combination(terms, n)):
+        # 2 P_k image = -(2 x_k P_k H_k), P_k = prod_{j != k} (x_k - x_j)
+        image = spin.combination(
+            spin.pair_vector_terms(tgt.pairs, img, theta, n), n)
+        if image != [{c: -v for c, v in row.items()} for row in ham]:
             failed.append(f"image(k={k}) != -z_k H_k")
     return failed
 

@@ -503,6 +503,27 @@ def test_injectivity_pool_distinct_subspaces():
     assert len(set(reduced)) == 10
 
 
+def test_injectivity_pool_skips_a_chart_only_repeat():
+    # two G2 torsion points that share the centralizer {(0,1), (3,1),
+    # (3,2)}: both chart-only, with one chart and t, so one subspace
+    def torsion(y):
+        return xpoint_from_dict({"type": "G2", "field_order": 6, "w": [],
+                                 "I": [1, 2], "y": y, "S": [[2], [1, 2]],
+                                 "t": ["0", "1"]})
+
+    first, repeat = torsion(["-1 + z", "1"]), torsion(["-z", "1"])
+    assert chart_only(first) and chart_only(repeat)
+    assert first.centralized == repeat.centralized == [(0, 1), (3, 1), (3, 2)]
+    assert first.reduced == repeat.reduced
+    other = interior_xpoint("G2", 2, 3)
+
+    class Stream:
+        def point(self, k, max_attempts):
+            return [first, repeat, other][k]
+
+    assert injectivity_pool(Stream(), 2) == [first, other]
+
+
 def _sampled_then_deduped(rs, field, seed, count):
     """injectivity_pool as first written, the oracle for the lazy pool:
     sample 3 * count points, then dedup them."""

@@ -1,59 +1,93 @@
-"""Every src/ function and method runs in a fixed CLI sweep, or is listed.
+"""Every src/ definition runs or is read in a fixed CLI sweep, or is listed.
 
-test_reachability reads the source and cannot see a method that is
-reachable by name yet never called, nor a dunder method, which it
-counts as reached with its class.  This test runs the requests and
-records what executes: a fresh interpreter (so no cache of an earlier
-test hides a call) runs the sweep under sys.setprofile, and every
-module-level function and class method of src/ must appear among the
-code objects called, unless it is on the reachability test's ALLOWED
-list or on UNEXECUTED below.
+The library is what the CLI runs: a definition that no request runs or
+reads belongs next to the tests that call it, unless an open ROADMAP
+item is about to give it a caller.  A fresh interpreter (so no cache of
+an earlier test hides a call) runs the sweep under sys.setprofile.  It
+records the src/ code objects called and the names that code reads as a
+global, an attribute or an import (read with dis).  The parent adds the
+reads of import-time code, the module and class bodies compiled from
+each source file, and the names in the type hints of executed functions
+and of those bodies.
+
+Every module-level function and every method must run.  Every
+module-level class and value (the package's own dunders aside) must be
+read; a name in a hint counts for a value, such as a type alias, and not
+for a class, since a hint runs nothing.  Reads match by name alone.  A
+definition that does neither is on ALLOWED, with the open ROADMAP item
+that decides it, or as a debugging display.
 
 The sweep: check all on A2, B2, G2 and A3 at seed 1; every enumerate
 target on G2 in json and dot; enumerate layers --format dot on B3, whose
 poset runs layer_contains; every 40th point of the frozen subspace pool.
 One request of each verb adds --stats.  Run this file as a script to
-print what the sweep leaves unexecuted.
+print each definition the sweep neither runs nor reads, with its kind or
+its reason.
 """
 
 import ast
 import contextlib
+import dis
+import inspect
 import io
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
+from types import CodeType
 
-from test_reachability import ALLOWED, PACKAGE, Package
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "trigbethe"
 
-ROOT = PACKAGE.parents[1]
-
-# never executed on purpose: definition -> why it stays
-UNEXECUTED = {
+# neither run nor read on purpose: definition -> the ROADMAP item that
+# decides it, or debugging display
+ALLOWED = {
     "field.CyclotomicField.__repr__": "debugging display",
     "field.FieldElement.__repr__": "debugging display",
     "nested.Chart.__repr__": "debugging display",
     "poly.Poly.__repr__": "debugging display",
     "roots.RootSystem.__repr__": "debugging display",
-    # the rational functions of tests/oracles.py lift and subtract field
-    # elements through these; ROADMAP item 7 brings that code to src/
-    "field.FieldElement.coeffs": "item 7",
-    "field.FieldElement.__rsub__": "item 7",
-    # bmo sums its members with it (item 9); the reachability scan counts
-    # it reached through the name add of other receivers
-    "hecke.HeckeAlgebra.add": "item 9",
+    # item 1: perfbench/tracer.py wraps these names
+    "linalg.mat_inverse": "item 1",
+    "linalg.nullspace": "item 1",
+    "linalg._unit_like": "item 1",
+    "field.CyclotomicField.element": "item 1",
+    "lattice.int_rank": "item 1",
     # no request raises a field element to a power since points on layers
-    # are read off character exponents, but perfbench/tracer.py wraps
-    # __pow__ as field.pow (item 1); the scan reaches it as a dunder of a
-    # reached class, and one, the field's unit, through it; the tests and
-    # their oracles call both
+    # are read off character exponents, but the tracer wraps __pow__ as
+    # field.pow; the tests and their oracles call it and the field's unit
     "field.FieldElement.__pow__": "item 1",
     "field.CyclotomicField.one": "item 1",
+    # the tracer wraps the normal-form product, which check hecke no
+    # longer forms (it reads [x_k, s_b] off the exchange formula); the
+    # tests take it as their oracle, and item 9 needs it to test whether
+    # the images of the BMO family commute
+    "hecke.HeckeAlgebra.multiply": "item 1",
+    "hecke.HeckeAlgebra.move_across_word": "item 1",
+    "hecke.HeckeAlgebra.commutator": "item 1",
+    # the rational functions of tests/oracles.py lift and subtract field
+    # elements through these; item 7 brings that code to src/
+    "field.FieldElement.coeffs": "item 7",
+    "field.FieldElement.__rsub__": "item 7",
+    # item 9: the degree-one quantum side is their caller, or they move
+    "hecke.HeckeAlgebra.holonomy_image": "item 9",
+    "hecke.HeckeAlgebra.bmo": "item 9",
+    "hecke.HeckeAlgebra.family": "item 9",
+    "hecke.HeckeAlgebra.x": "item 9",
+    "hecke.HeckeAlgebra.add": "item 9",
+    "hecke.HeckeAlgebra.sub": "item 9",
+    "hecke.HeckeAlgebra.scale": "item 9",
+    "hecke.q_power": "item 9",
 }
 
 ENUMERATE_TARGETS = ["roots", "layers", "building-set", "nested-sets",
                      "boundary-strata"]
+
+# the opcodes that read a name as a global, an attribute or an import
+READS = {"LOAD_GLOBAL", "LOAD_NAME", "LOAD_ATTR", "LOAD_METHOD",
+         "LOAD_SUPER_ATTR", "IMPORT_FROM"}
 
 
 def sweep_requests() -> list[tuple[list[str], str | None]]:
@@ -74,10 +108,17 @@ def sweep_requests() -> list[tuple[list[str], str | None]]:
     return runs
 
 
-def executed() -> set[str]:
-    """module.qualname of every src/ function and method the sweep calls."""
+def names_read(code: CodeType) -> set[str]:
+    return {ins.argval for ins in dis.get_instructions(code)
+            if ins.opname in READS}
+
+
+def sweep() -> dict[str, list[str]]:
+    """module.qualname of every package code object the sweep calls, and
+    the names that code reads."""
     from trigbethe import cli
 
+    package = Path(cli.__file__).resolve().parent
     called = set()
 
     def profile(frame, event, arg):
@@ -94,33 +135,134 @@ def executed() -> set[str]:
                 cli.main(argv)
             finally:
                 sys.setprofile(None)
-    return {f"{Path(code.co_filename).stem}.{code.co_qualname}"
-            for code in called
-            if Path(code.co_filename).resolve().parent == PACKAGE}
+    ours = [code for code in called
+            if Path(code.co_filename).resolve().parent == package]
+    return {"executed": sorted({f"{Path(code.co_filename).stem}."
+                                f"{code.co_qualname}" for code in ours}),
+            "reads": sorted(set().union(*map(names_read, ours)))}
 
 
-def unexecuted() -> set[str]:
-    """The functions and methods of src/ the sweep, run in a fresh
-    interpreter, never calls."""
+def hint_names(node) -> set[str]:
+    """The names a type hint mentions, in a string hint too."""
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        node = ast.parse(node.value, mode="eval")
+    return {sub.id if isinstance(sub, ast.Name) else sub.attr
+            for sub in ast.walk(node)
+            if isinstance(sub, (ast.Name, ast.Attribute))}
+
+
+def hints(*nodes) -> set[str]:
+    """The names in the type hints of the nodes and of what they hold."""
+    out = set()
+    for sub in (sub for node in nodes for sub in ast.walk(node)):
+        if isinstance(sub, (ast.arg, ast.AnnAssign)) and sub.annotation:
+            out |= hint_names(sub.annotation)
+        elif isinstance(sub, ast.FunctionDef) and sub.returns:
+            out |= hint_names(sub.returns)
+    return out
+
+
+def definitions(mod: str, tree: ast.Module):
+    """(module.qualname, kind, node) of every module-level function, class
+    and value (the package's own dunders aside) and every method."""
+    for top in tree.body:
+        if isinstance(top, ast.ClassDef):
+            yield f"{mod}.{top.name}", "class", top
+            for item in top.body:
+                if isinstance(item, ast.FunctionDef):
+                    yield f"{mod}.{top.name}.{item.name}", "function", item
+        elif isinstance(top, ast.FunctionDef):
+            yield f"{mod}.{top.name}", "function", top
+        elif isinstance(top, ast.Assign) or \
+                isinstance(top, ast.AnnAssign) and top.value:
+            targets = top.targets if isinstance(top, ast.Assign) \
+                else [top.target]
+            for t in targets:
+                if isinstance(t, ast.Name) and not t.id.startswith("__"):
+                    yield f"{mod}.{t.id}", "value", top
+
+
+def flagged(package: Path = PACKAGE) -> dict[str, str]:
+    """kind of every definition of the package that the sweep, run on it
+    in a fresh interpreter, neither runs nor reads."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [str(PACKAGE.parent), env.get("PYTHONPATH")]))
+        filter(None, [str(package.parent), env.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, __file__, "--json"], env=env,
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    ran = set(json.loads(proc.stdout))
-    defs = {key for key, node in Package(PACKAGE).defs.items()
-            if isinstance(node, ast.FunctionDef)}
-    return defs - ran
+    ran = json.loads(proc.stdout)
+    executed, reads = set(ran["executed"]), set(ran["reads"])
+    kinds, hinted = {}, set()
+    for path in sorted(package.glob("*.py")):
+        source = path.read_text(encoding="utf-8")
+        # import-time code: the module body and the class bodies in it
+        todo = [compile(source, str(path), "exec")]
+        while todo:
+            code = todo.pop()
+            reads |= names_read(code)
+            todo += [c for c in code.co_consts if isinstance(c, CodeType)
+                     and not c.co_flags & inspect.CO_OPTIMIZED]
+        for key, kind, node in definitions(path.stem, ast.parse(source)):
+            kinds[key] = kind
+            if kind == "class":
+                hinted |= hints(*(item for item in node.body
+                                  if isinstance(item, ast.AnnAssign)))
+            elif kind == "value" or key in executed:
+                hinted |= hints(node)
+    seen = {"function": executed, "class": reads, "value": reads | hinted}
+    return {key: kind for key, kind in kinds.items()
+            if (key if kind == "function" else key.rpartition(".")[2])
+            not in seen[kind]}
 
 
 def test_every_function_runs_in_the_sweep_or_is_listed():
-    assert unexecuted() == set(ALLOWED) | set(UNEXECUTED)
+    assert set(flagged()) == set(ALLOWED)
+
+
+def test_allowed_entries_name_an_open_roadmap_item():
+    roadmap = (ROOT / "ROADMAP.md").read_text(encoding="utf-8")
+    for key, reason in ALLOWED.items():
+        if reason != "debugging display":
+            assert reason in ("item 1", "item 7", "item 9"), key
+            assert f"\n{reason.split()[1]}. **" in roadmap, (key, reason)
+
+
+def test_guard_flags_seeded_dead_definitions(tmp_path):
+    # seven definitions that no request runs or reads, in a copy of the
+    # package: a constant, a class and its method, a class named only in
+    # a hint of executed code, a function, an alias named only in the
+    # hint of that function, and a constant read only by the listed
+    # hecke.q_power; an alias named in a hint of executed code is read
+    package = shutil.copytree(PACKAGE, tmp_path / "trigbethe",
+                              ignore=shutil.ignore_patterns("__pycache__"))
+    for name, old, new, added in [
+            ("spin.py", "def commute(a: Mat, b: Mat) -> bool:",
+             "def commute(a: LiveAlias, b: Mat) -> Hinted:",
+             "LiveAlias = list\nDeadAlias = list\nDEAD = 1\n"
+             "class Dead:\n    def method(self):\n        return 2\n"
+             "class Hinted:\n    pass\n"
+             "def dead(x: DeadAlias):\n    return x\n"),
+            ("hecke.py", "    out = Fraction(1)\n", "    out = Fraction(ONE)\n",
+             "ONE = 1\n")]:
+        path = package / name
+        source = path.read_text(encoding="utf-8")
+        assert old in source
+        path.write_text(source.replace(old, new) + added, encoding="utf-8")
+    want = {"spin.DEAD": "value", "spin.Dead": "class",
+            "spin.Dead.method": "function", "spin.Hinted": "class",
+            "spin.dead": "function", "spin.DeadAlias": "value",
+            "hecke.ONE": "value"}
+    found = flagged(package)
+    assert set(found) == set(ALLOWED) | set(want)
+    assert {key: found[key] for key in want} == want
 
 
 if __name__ == "__main__":
     if sys.argv[1:] == ["--json"]:
-        print(json.dumps(sorted(executed())))
+        print(json.dumps(sweep()))
     else:
-        for key in sorted(unexecuted()):
-            print(key, ALLOWED.get(key) or UNEXECUTED.get(key, ""))
+        found = flagged()
+        for key in sorted(set(found) | set(ALLOWED)):
+            print(key, ALLOWED.get(key, f"{found.get(key)}, unlisted")
+                  + ("" if key in found else ", runs or is read now"))
