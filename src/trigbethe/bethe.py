@@ -52,10 +52,13 @@ from .spin import mat_mul
 def bethe_weight(u):
     """-u/(u-1): the weight of t_alpha per unit of alpha(h) where e^alpha = u.
 
-    u is a Fraction or a field element; u = 1 raises ZeroDivisionError.
+    u is a Fraction or a field element, whose u/(u-1) is one fused
+    FieldElement.over_minus_one; u = 1 raises ZeroDivisionError.
     """
     if u == 1:
         raise ZeroDivisionError("Bethe weight at e^alpha = 1")
+    if isinstance(u, FieldElement):
+        return -u.over_minus_one()
     return -(u / (u - 1))
 
 
@@ -530,6 +533,9 @@ def recover_data(space: HolonomySpace, vectors: Sequence[Sequence[FieldElement]]
     built from an integer h has a rational tau block, so each reduced
     tau row's block is read once as h/d with h integral and alpha(h) is
     an integer dot product (an irrational tau block raises ValueError).
+    A row's entry at t_alpha, scaled by the integers -d/alpha(h), is the
+    candidate g = u/(u-1), and u is read back as g/(g-1) through the
+    field's fused quotient (the map is its own inverse).
     """
     n = space.rs.rank
     perm = list(range(space.npos, space.npos + n)) + list(range(space.npos))
@@ -556,7 +562,7 @@ def recover_data(space: HolonomySpace, vectors: Sequence[Sequence[FieldElement]]
             ah = space.alpha_of_h(a, h)   # d * alpha(block)
             if not ah:
                 continue
-            cand = r[n + k] * Fraction(-d, ah)
+            cand = r[n + k].scale(-d, ah)
             if g is None:
                 g = cand
             elif not g == cand:
@@ -566,7 +572,7 @@ def recover_data(space: HolonomySpace, vectors: Sequence[Sequence[FieldElement]]
         if g.is_zero():
             vanishing.append(a)
         else:
-            units[a] = g / (g - 1)
+            units[a] = g.over_minus_one()
     return RecoveredData(cen, units, tuple(vanishing))
 
 

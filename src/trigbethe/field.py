@@ -7,17 +7,20 @@ canonical: the denominator is coprime to the numerators and zero has
 denominator 1, so equality is a tuple comparison.
 
 Each field stores, once, the integer coordinates of zeta^j reduced
-modulo the cyclotomic polynomial for every j < N, and from them a
-bilinear product table: for each coordinate k, the (i, j, c) with
-zeta^i * zeta^j contributing c * zeta^k.  A product is one pass over
-that table or, when an operand is rational, a scaling of the other's
+modulo the cyclotomic polynomial for every j < N, and from them compiles
+its product into one straight-line function of the 2*phi(N) numerators:
+the convolution c_s = sum_{i+j=s} a_i b_j, with each c_s of s >= phi(N)
+folded into the coordinates of zeta^s.  A product is one call of that
+function or, when an operand is rational, a scaling of the other's
 numerators.  A Galois conjugate sigma_k (zeta -> zeta^k) is the power
 table read at the exponents i*k mod N, so the inverse
-x^{-1} = prod_{k != 1} sigma_k(x) / N(x) needs integer products and one
-rational division.  int and Fraction operands are used as they are,
-never lifted to field elements.  All operations are exact; there are
-no floats here.  Elements are unhashable: a rational one equals its
-int or Fraction, whose hash it cannot match.
+x^{-1} = prod_{k != 1} sigma_k(x) / N(x) needs integer products, a
+constant term for the norm N(x), and one rational division; x/(x - 1),
+the Bethe weight's ratio, is nums/(nums - den) by the same steps.  int
+and Fraction operands are used as they are, never lifted to field
+elements.  All operations are exact; there are no floats here.  Elements
+are unhashable: a rational one equals its int or Fraction, whose hash it
+cannot match.
 """
 
 from __future__ import annotations
@@ -32,8 +35,9 @@ Rat = Union[int, Fraction]
 
 DEFAULT_FIELD_ORDER = 6
 
-# building Q(zeta_N) costs time and memory growing faster than N (about 2 s
-# at N = 5000), so orders from outside input are bounded; E8 needs N = 60
+# building Q(zeta_N) compiles its product, phi(N)^2 terms, so its cost grows
+# faster than N (cold: 22 ms at N = 105, 52 ms at the prime N = 113), and
+# orders from outside input are bounded; E8 needs N = 60
 MAX_FIELD_ORDER = 120
 
 
@@ -113,14 +117,13 @@ class CyclotomicField:
             if top:
                 vec = [v - top * m for v, m in zip(vec, self.modulus)]
         self._powers = powers
-        # table[k]: the (i, j, c) with zeta^i * zeta^j contributing c * zeta^k
-        table: list[list[tuple[int, int, int]]] = [[] for _ in range(phi)]
-        for i in range(phi):
-            for j in range(phi):
-                for k, c in powers[(i + j) % order]:
-                    table[k].append((i, j, c))
-        self._table = table
-        self._conjugates = [k for k in range(2, order) if gcd(k, order) == 1]
+        # the product of numerator tuples, and its constant term alone
+        self._product = _straight_line(powers, phi)
+        self._constant_term = _straight_line(powers, phi, 0)
+        # sigma_k for each k != 1 coprime to N, as the exponents i*k mod N
+        # that zeta^i goes to
+        self._conjugates = [[i * k % order for i in range(phi)]
+                            for k in range(2, order) if gcd(k, order) == 1]
         self._one = (1,) + (0,) * (phi - 1)
         self._zero = FieldElement(self, (0,) * phi, 1)
         self.order = order
@@ -146,15 +149,14 @@ class CyclotomicField:
                     out[i] += c * p
         return out
 
-    def _mul_nums(self, a, b) -> list[int]:
-        """Integer coordinates of the product of numerator tuples a and b."""
-        out = []
-        for terms in self._table:
-            s = 0
-            for i, j, c in terms:
-                s += c * a[i] * b[j]
-            out.append(s)
-        return out
+    def _conjugate_product(self, nums) -> list[int]:
+        """prod of sigma_k(nums) over the k != 1 coprime to N (phi(N) > 1):
+        nums times it is the integer norm of nums."""
+        prod = None
+        for exponents in self._conjugates:
+            conj = self._fold(zip(exponents, nums))
+            prod = conj if prod is None else self._product(prod, conj)
+        return prod
 
     def zero(self) -> FieldElement:
         """The field's zero; elements are immutable, so it is shared."""
@@ -230,12 +232,55 @@ class CyclotomicField:
 
 def _canonical(field: CyclotomicField, nums, den: int) -> "FieldElement":
     """nums/den with the common factor and the sign moved out of den."""
+    if den == 1:
+        return FieldElement(field, tuple(nums), 1)
     g = gcd(den, *nums)
     if den < 0:
         g = -g
     if g != 1:
         return FieldElement(field, tuple(n // g for n in nums), den // g)
     return FieldElement(field, tuple(nums), den)
+
+
+def _straight_line(powers, phi: int, coord: int | None = None):
+    """Compile the product of two numerator tuples a and b into one
+    function of a and b: its coordinates as a tuple or, given coord, that
+    coordinate alone as an integer.
+
+    c_s = sum_{i+j=s} a_i b_j adds to coordinate k with the coefficient
+    of zeta^k in zeta^s (powers[s mod N]); a c_s that feeds one
+    coordinate with coefficient +-1 is written out in place, any other
+    is computed once.
+    """
+    order = len(powers)
+    coords = range(phi) if coord is None else [coord]
+    terms = [[f"a{i}*b{s - i}" for i in range(max(0, s - phi + 1),
+                                              min(s, phi - 1) + 1)]
+             for s in range(2 * phi - 1)]
+    wanted = set(coords)
+    uses = [[(k, c) for k, c in powers[s % order] if k in wanted]
+            for s in range(2 * phi - 1)]
+    lines, out = [], {k: [] for k in coords}
+    for s, (products, use) in enumerate(zip(terms, uses)):
+        if len(use) == 1 and abs(use[0][1]) == 1:
+            sign = "+" if use[0][1] == 1 else "-"
+            out[use[0][0]] += [f"{sign} {t}" for t in products]
+        elif use:
+            lines.append(f"c{s} = {' + '.join(products)}")
+            for k, c in use:
+                out[k].append(f"{'+' if c > 0 else '-'} "
+                              f"{'' if abs(c) == 1 else f'{abs(c)}*'}c{s}")
+    sums = [" ".join(out[k]).lstrip("+ ") or "0" for k in coords]
+    a_names = "".join(f"a{i}, " for i in range(phi))
+    b_names = a_names.replace("a", "b")
+    body = [f"{a_names}= a", f"{b_names}= b", *lines,
+            "return " + (sums[0] if coord is not None else
+                         "(" + ", ".join(sums) + ",)")]
+    source = "def product(a, b):\n" + "".join(f"    {line}\n"
+                                              for line in body)
+    namespace: dict = {}
+    exec(compile(source, f"<Q(zeta_{order}) product>", "exec"), namespace)
+    return namespace["product"]
 
 
 class FieldElement:
@@ -259,7 +304,9 @@ class FieldElement:
 
     def __add__(self, other):
         if isinstance(other, FieldElement):
-            self._check(other)
+            if other.field is not self.field and \
+                    other.field.order != self.field.order:
+                raise ValueError("field order mismatch")
             a, b = self.den, other.den
             if a == b:
                 return _canonical(self.field, [x + y for x, y in
@@ -280,7 +327,9 @@ class FieldElement:
 
     def __sub__(self, other):
         if isinstance(other, FieldElement):
-            self._check(other)
+            if other.field is not self.field and \
+                    other.field.order != self.field.order:
+                raise ValueError("field order mismatch")
             a, b = self.den, other.den
             if a == b:
                 return _canonical(self.field, [x - y for x, y in
@@ -298,7 +347,9 @@ class FieldElement:
 
     def __mul__(self, other):
         if isinstance(other, FieldElement):
-            self._check(other)
+            if other.field is not self.field and \
+                    other.field.order != self.field.order:
+                raise ValueError("field order mismatch")
             a, b = self.nums, other.nums
             # a rational operand scales the other's numerators
             if not any(b[1:]):
@@ -306,12 +357,10 @@ class FieldElement:
             elif not any(a[1:]):
                 nums = [a[0] * y for y in b]
             else:
-                nums = self.field._mul_nums(a, b)
+                nums = self.field._product(a, b)
             return _canonical(self.field, nums, self.den * other.den)
         if isinstance(other, (int, Fraction)):
-            p, q = other.numerator, other.denominator
-            return _canonical(self.field, [x * p for x in self.nums],
-                              self.den * q)
+            return self.scale(other.numerator, other.denominator)
         return NotImplemented
 
     __rmul__ = __mul__
@@ -324,21 +373,35 @@ class FieldElement:
         if not any(nums[1:]):
             return _canonical(field, (self.den,) + (0,) * (field.degree - 1),
                               nums[0])
-        prod = None
-        for k in field._conjugates:
-            # sigma_k: zeta^i -> zeta^(i*k mod N)
-            conj = field._fold((i * k, x) for i, x in enumerate(nums))
-            prod = conj if prod is None else field._mul_nums(prod, conj)
+        prod = field._conjugate_product(nums)
         # nums * prod is the norm of nums: an integer in coordinate 0
-        norm = sum(c * nums[i] * prod[j] for i, j, c in field._table[0])
+        norm = field._constant_term(nums, prod)
         return _canonical(field, [x * self.den for x in prod], norm)
 
-    def __truediv__(self, other):
-        if isinstance(other, FieldElement):
-            return self * other.inverse()
-        if isinstance(other, (int, Fraction)):
-            return self * (1 / Fraction(other))
-        return NotImplemented
+    def over_minus_one(self) -> "FieldElement":
+        """x/(x - 1), as nums/(nums - den) for x = nums/den.
+
+        With m = nums - den (den taken off the constant coordinate) and
+        prod the product of the conjugates of m,
+        nums * prod = (m + den) * prod = N(m) + den * prod, so the
+        quotient takes one conjugate product, the constant term N(m) and
+        one canonical form.  x = 1 raises ZeroDivisionError.
+        """
+        field, nums, den = self.field, self.nums, self.den
+        m = (nums[0] - den,) + nums[1:]
+        if not any(nums[1:]):
+            if not m[0]:
+                raise ZeroDivisionError("x/(x - 1) at x = 1")
+            return _canonical(field, nums, m[0])
+        prod = field._conjugate_product(m)
+        norm = field._constant_term(m, prod)
+        return _canonical(field, [norm + den * prod[0]]
+                          + [den * x for x in prod[1:]], norm)
+
+    def scale(self, p: int, q: int) -> "FieldElement":
+        """x * p/q for integers p and q != 0, with no Fraction built."""
+        return _canonical(self.field, [x * p for x in self.nums],
+                          self.den * q)
 
     def __rtruediv__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -391,8 +454,11 @@ class FieldElement:
         for i, n in enumerate(self.nums):
             if not n:
                 continue
-            g = gcd(n, den)
-            mag = abs(n) // g if den == g else f"{abs(n) // g}/{den // g}"
+            if den == 1:
+                mag = abs(n)
+            else:
+                g = gcd(n, den)
+                mag = abs(n) // g if den == g else f"{abs(n) // g}/{den // g}"
             if i == 0:
                 parts.append(f"-{mag}" if n < 0 else str(mag))
                 continue

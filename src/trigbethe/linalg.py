@@ -1,7 +1,7 @@
 """Exact linear algebra over any field-like scalar type.
 
 Works with Fraction, cyclotomic field elements, and rational functions:
-anything supporting +, -, *, / and == 0 exactly.  Plain int entries are
+anything supporting +, -, *, 1/x and == 0 exactly.  Plain int entries are
 accepted too: an int pivot is inverted as a Fraction, so results are
 exact.  Matrices are lists of row lists; nothing here ever touches
 floating point.
@@ -91,7 +91,7 @@ def nullspace(rows: Sequence[Sequence[S]]) -> Matrix:
 def _unit_like(sample: S) -> S:
     if sample == 0:
         raise ValueError("need a nonzero sample to build a unit")
-    return Fraction(1) if isinstance(sample, int) else sample / sample
+    return sample * _inverse(sample)
 
 
 def mat_inverse(a: Sequence[Sequence[S]]) -> Matrix:

@@ -203,7 +203,7 @@ class Chart:
         M(v) <= Q < A(root), and the weight stays finite as boundary
         coordinates vanish.
         """
-        return {r: self._term(terms[v], tvals) / residuals[r]
+        return {r: self._term(terms[v], tvals) * (1 / residuals[r])
                 for r, terms in self._terms.items() if v in terms}
 
     def chain_matrix(self) -> list[list[int]]:

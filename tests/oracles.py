@@ -17,6 +17,9 @@
 - bethe_rows and gaudin: the Bethe family of a holonomy space at an
   interior torus point, read through bethe_family, and the rational
   Gaudin family.
+- table_product: the product of two numerator tuples of Q(zeta_N) by one
+  pass over the bilinear table (i, j, c), zeta^i * zeta^j contributing
+  c * zeta^k, the reference of the field's compiled product.
 - char_value: a character at a torus point, by powers of field
   elements; powered_point_on_layer: a point of a layer built from them,
   the reference of layers.point_on_layer, which reads exponents.
@@ -171,6 +174,25 @@ def bethe_rows(space: HolonomySpace, point, hs) -> list[list]:
     return space.bethe_family(stratum_values(space.rs, range(rank), point), hs)
 
 
+@cache
+def _product_table(field: CyclotomicField) -> list[list[tuple[int, int, int]]]:
+    """table[k]: the (i, j, c) with zeta^i * zeta^j contributing c * zeta^k,
+    read off the field's power table."""
+    phi, order = field.degree, field.order
+    table: list[list[tuple[int, int, int]]] = [[] for _ in range(phi)]
+    for i in range(phi):
+        for j in range(phi):
+            for k, c in field._powers[(i + j) % order]:
+                table[k].append((i, j, c))
+    return table
+
+
+def table_product(field: CyclotomicField, a, b) -> list[int]:
+    """Integer coordinates of the product of numerator tuples a and b."""
+    return [sum(c * a[i] * b[j] for i, j, c in terms)
+            for terms in _product_table(field)]
+
+
 def char_value(field: CyclotomicField, point, coords) -> FieldElement:
     """prod_i point[i] ** coords[i]: the character e^coords at a torus point."""
     out = None
@@ -255,11 +277,12 @@ class UPoly:
         if den.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
         num = list(self.coeffs)
-        lead = den.coeffs[-1]
+        # a field element has no quotient operator: scale by 1/lead
+        inv = 1 / den.coeffs[-1]
         dd = den.degree
         q = [num[0] - num[0]] * max(1, len(num) - dd)
         for shift in range(len(num) - dd - 1, -1, -1):
-            c = num[shift + dd] / lead
+            c = num[shift + dd] * inv
             q[shift] = c
             if not c == 0:
                 for i, d in enumerate(den.coeffs):
@@ -276,7 +299,8 @@ class UPoly:
         lead = self.coeffs[-1]
         if lead == 0:
             return self
-        return UPoly([c / lead for c in self.coeffs])
+        inv = 1 / lead
+        return UPoly([c * inv for c in self.coeffs])
 
     def evaluate(self, x):
         total = self.coeffs[-1]
@@ -307,9 +331,9 @@ class RatFunc:
         if not g.is_zero() and g.degree > 0:
             num = num.divmod(g)[0]
             den = den.divmod(g)[0]
-        lead = den.coeffs[-1]
-        num = UPoly([c / lead for c in num.coeffs])
-        den = UPoly([c / lead for c in den.coeffs])
+        inv = 1 / den.coeffs[-1]
+        num = UPoly([c * inv for c in num.coeffs])
+        den = UPoly([c * inv for c in den.coeffs])
         self.num = num
         self.den = den
 
@@ -394,13 +418,13 @@ class RatFunc:
         d = self.den.evaluate(x)
         if d == 0:
             raise ZeroDivisionError("pole at evaluation point")
-        return self.num.evaluate(x) / d
+        return self.num.evaluate(x) * (1 / d)
 
     def at_zero(self):
         """Value at the origin; raises on a pole there."""
         if self.den.coeffs[0] == 0:
             raise ZeroDivisionError("pole at 0")
-        return self.num.coeffs[0] / self.den.coeffs[0]
+        return self.num.coeffs[0] * (1 / self.den.coeffs[0])
 
     def __repr__(self) -> str:
         if self.den.degree == 0 and self.den.coeffs[0] == 1:
@@ -415,7 +439,7 @@ def _scalar_one(s):
         if fld is not None:
             return fld.one()
         raise ValueError("cannot derive a unit from zero scalar")
-    return s / s
+    return s * (1 / s)
 
 
 def _ord_at_zero(p: UPoly) -> int:

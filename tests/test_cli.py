@@ -147,6 +147,29 @@ def test_bad_type_is_usage_error(capsys):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["enumerate", "roots", "--type", "A99999"],
+    ["enumerate", "layers", "--type", "B17"],
+    ["check", "all", "--type", "A99999"],
+    ["check", "rank", "--type", "D0017"],
+])
+def test_oversized_rank_is_usage_error(capsys, argv):
+    # refused before the root system is built, which at rank 99999 would
+    # not finish
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: rank ") and err.count("\n") == 1
+    assert err.endswith("exceeds the maximum 16\n")
+
+
+def test_subspace_refuses_oversized_rank(capsys, monkeypatch):
+    for label in ("A99999", "C17", "A" + "9" * 5000):
+        text = json.dumps({"type": label})
+        code, out, err = run_stdin(capsys, monkeypatch, text)
+        assert_rejected(code, out, err, text)
+        assert err.startswith("bad point description: rank ")
+
+
 def test_each_verb_takes_only_the_options_it_reads(capsys):
     removed = [["subspace", "-", "--type", "B2"],
                ["subspace", "-", "--field-order", "12"],

@@ -4,18 +4,21 @@ The library is what the CLI runs: a definition that no request runs or
 reads belongs next to the tests that call it, unless an open ROADMAP
 item is about to give it a caller.  A fresh interpreter (so no cache of
 an earlier test hides a call) runs the sweep under sys.setprofile.  It
-records the src/ code objects called and the names that code reads as a
-global, an attribute or an import (read with dis).  The parent adds the
-reads of import-time code, the module and class bodies compiled from
-each source file, and the names in the type hints of executed functions
-and of those bodies.
+records the src/ code objects called and the module-level names that
+code reads (read with dis): a global as module.name in the module of its
+code object, an import from a module as that module.name, and an
+attribute of a global, such as spin.mat_mul, as global.attribute.  The
+parent adds the reads of import-time code, the module and class bodies
+compiled from each source file, and the names in the type hints of
+executed functions and of those bodies, in the module of the hint.
 
 Every module-level function and every method must run.  Every
 module-level class and value (the package's own dunders aside) must be
 read; a name in a hint counts for a value, such as a type alias, and not
-for a class, since a hint runs nothing.  Reads match by name alone.  A
-definition that does neither is on ALLOWED, with the open ROADMAP item
-that decides it, or as a debugging display.
+for a class, since a hint runs nothing.  Any other attribute read, such
+as .rank, reads no module-level name.  A definition that does neither is
+on ALLOWED, with the open ROADMAP item that decides it, or as a
+debugging display.
 
 The sweep: check all on A2, B2, G2 and A3 at seed 1; every enumerate
 target on G2 in json and dot; enumerate layers --format dot on B3, whose
@@ -85,9 +88,9 @@ ALLOWED = {
 ENUMERATE_TARGETS = ["roots", "layers", "building-set", "nested-sets",
                      "boundary-strata"]
 
-# the opcodes that read a name as a global, an attribute or an import
-READS = {"LOAD_GLOBAL", "LOAD_NAME", "LOAD_ATTR", "LOAD_METHOD",
-         "LOAD_SUPER_ATTR", "IMPORT_FROM"}
+# the opcodes that read a global, and those that read an attribute
+GLOBALS = {"LOAD_GLOBAL", "LOAD_NAME"}
+ATTRIBUTES = {"LOAD_ATTR", "LOAD_METHOD", "LOAD_SUPER_ATTR"}
 
 
 def sweep_requests() -> list[tuple[list[str], str | None]]:
@@ -109,8 +112,22 @@ def sweep_requests() -> list[tuple[list[str], str | None]]:
 
 
 def names_read(code: CodeType) -> set[str]:
-    return {ins.argval for ins in dis.get_instructions(code)
-            if ins.opname in READS}
+    """module.name of each module-level name code reads: a global in the
+    module of code, a name imported from a module, an attribute of a
+    global (a module's attribute, if the global is a module)."""
+    module = Path(code.co_filename).stem
+    out, previous, source = set(), None, None
+    for ins in dis.get_instructions(code):
+        if ins.opname in GLOBALS:
+            out.add(f"{module}.{ins.argval}")
+        elif ins.opname == "IMPORT_NAME":
+            source = ins.argval.rpartition(".")[2]
+        elif ins.opname == "IMPORT_FROM":
+            out.add(f"{source}.{ins.argval}")
+        elif ins.opname in ATTRIBUTES and previous.opname in GLOBALS:
+            out.add(f"{previous.argval}.{ins.argval}")
+        previous = ins
+    return out
 
 
 def sweep() -> dict[str, list[str]]:
@@ -146,20 +163,19 @@ def hint_names(node) -> set[str]:
     """The names a type hint mentions, in a string hint too."""
     if isinstance(node, ast.Constant) and isinstance(node.value, str):
         node = ast.parse(node.value, mode="eval")
-    return {sub.id if isinstance(sub, ast.Name) else sub.attr
-            for sub in ast.walk(node)
-            if isinstance(sub, (ast.Name, ast.Attribute))}
+    return {sub.id for sub in ast.walk(node) if isinstance(sub, ast.Name)}
 
 
-def hints(*nodes) -> set[str]:
-    """The names in the type hints of the nodes and of what they hold."""
+def hints(module: str, *nodes) -> set[str]:
+    """module.name of the names in the type hints of the nodes and of
+    what they hold."""
     out = set()
     for sub in (sub for node in nodes for sub in ast.walk(node)):
         if isinstance(sub, (ast.arg, ast.AnnAssign)) and sub.annotation:
             out |= hint_names(sub.annotation)
         elif isinstance(sub, ast.FunctionDef) and sub.returns:
             out |= hint_names(sub.returns)
-    return out
+    return {f"{module}.{name}" for name in out}
 
 
 def definitions(mod: str, tree: ast.Module):
@@ -206,14 +222,14 @@ def flagged(package: Path = PACKAGE) -> dict[str, str]:
         for key, kind, node in definitions(path.stem, ast.parse(source)):
             kinds[key] = kind
             if kind == "class":
-                hinted |= hints(*(item for item in node.body
-                                  if isinstance(item, ast.AnnAssign)))
+                hinted |= hints(path.stem, *(
+                    item for item in node.body
+                    if isinstance(item, ast.AnnAssign)))
             elif kind == "value" or key in executed:
-                hinted |= hints(node)
+                hinted |= hints(path.stem, node)
     seen = {"function": executed, "class": reads, "value": reads | hinted}
     return {key: kind for key, kind in kinds.items()
-            if (key if kind == "function" else key.rpartition(".")[2])
-            not in seen[kind]}
+            if key not in seen[kind]}
 
 
 def test_every_function_runs_in_the_sweep_or_is_listed():
@@ -229,11 +245,13 @@ def test_allowed_entries_name_an_open_roadmap_item():
 
 
 def test_guard_flags_seeded_dead_definitions(tmp_path):
-    # seven definitions that no request runs or reads, in a copy of the
+    # eight definitions that no request runs or reads, in a copy of the
     # package: a constant, a class and its method, a class named only in
     # a hint of executed code, a function, an alias named only in the
-    # hint of that function, and a constant read only by the listed
-    # hecke.q_power; an alias named in a hint of executed code is read
+    # hint of that function, a constant read only by the listed
+    # hecke.q_power, and a constant named like an attribute that
+    # requests read everywhere (.rank); an alias named in a hint of
+    # executed code is read
     package = shutil.copytree(PACKAGE, tmp_path / "trigbethe",
                               ignore=shutil.ignore_patterns("__pycache__"))
     for name, old, new, added in [
@@ -242,7 +260,7 @@ def test_guard_flags_seeded_dead_definitions(tmp_path):
              "LiveAlias = list\nDeadAlias = list\nDEAD = 1\n"
              "class Dead:\n    def method(self):\n        return 2\n"
              "class Hinted:\n    pass\n"
-             "def dead(x: DeadAlias):\n    return x\n"),
+             "def dead(x: DeadAlias):\n    return x\nrank = 3\n"),
             ("hecke.py", "    out = Fraction(1)\n", "    out = Fraction(ONE)\n",
              "ONE = 1\n")]:
         path = package / name
@@ -252,7 +270,7 @@ def test_guard_flags_seeded_dead_definitions(tmp_path):
     want = {"spin.DEAD": "value", "spin.Dead": "class",
             "spin.Dead.method": "function", "spin.Hinted": "class",
             "spin.dead": "function", "spin.DeadAlias": "value",
-            "hecke.ONE": "value"}
+            "hecke.ONE": "value", "spin.rank": "value"}
     found = flagged(package)
     assert set(found) == set(ALLOWED) | set(want)
     assert {key: found[key] for key in want} == want

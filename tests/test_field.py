@@ -6,8 +6,11 @@ from math import gcd
 
 import pytest
 
+from trigbethe.bethe import bethe_weight
 from trigbethe.field import (DEFAULT_FIELD_ORDER, MAX_FIELD_ORDER,
                              CyclotomicField, cyclotomic_polynomial)
+
+from oracles import table_product
 
 
 # ----------------------------------------------------------------------
@@ -140,7 +143,7 @@ def test_int_and_fraction_mixing():
     z = F.zeta()
     assert 1 + z == z + 1
     assert 2 * z - z == z
-    assert (z / 2) * 2 == z
+    assert (z * Fraction(1, 2)) * 2 == z
     assert Fraction(1, 2) + z == z + Fraction(1, 2)
     assert sum([z, z, F.one()]) == 2 * z + 1
 
@@ -228,7 +231,7 @@ def test_cross_field_operations_rejected():
         a = CyclotomicField(n).zeta()
         b = CyclotomicField(m).zeta()
         for op in (lambda x, y: x + y, lambda x, y: x - y,
-                   lambda x, y: x * y, lambda x, y: x / y,
+                   lambda x, y: x * y, lambda x, y: x * y.inverse(),
                    lambda x, y: x == y):
             with pytest.raises(ValueError):
                 op(a, b)
@@ -285,14 +288,14 @@ def test_field_matches_fraction_reference():
                 assert (a * s).coeffs == (s * a).coeffs == ref_mul(ra, rs, n)
                 assert (a == s) == (ra == rs) and (s == a) == (ra == rs)
                 if s:
-                    assert_canonical(a / s)
-                    assert ref_mul((a / s).coeffs, rs, n) == ra
+                    assert_canonical(a * (1 / Fraction(s)))
+                    assert ref_mul((a * (1 / Fraction(s))).coeffs, rs, n) == ra
                 if not a.is_zero():
                     assert_canonical(s / a)
                     assert ref_mul((s / a).coeffs, ra, n) == rs
             if b.is_zero():
                 continue
-            q = a / b
+            q = a * b.inverse()
             assert_canonical(q)
             assert ref_mul(q.coeffs, rb, n) == ra
             inv = b.inverse()
@@ -377,3 +380,55 @@ def test_product_table_matches_schoolbook_product():
         # more than 50 dense conjugates
         if not a[2].is_zero():
             assert (a[2] * a[2].inverse()).is_one(), n
+
+
+def test_compiled_product_matches_table_oracle():
+    # every order up to the bound: seeded dense operands through the
+    # compiled product and the table loop, and one inverse
+    rng = random.Random(20261020)
+    for n in range(1, MAX_FIELD_ORDER + 1):
+        F = CyclotomicField(n)
+        a, b = ([rng.choice([-3, -2, -1, 1, 2, 3]) for _ in range(F.degree)]
+                for _ in range(2))
+        assert list(F._product(a, b)) == table_product(F, a, b), n
+        assert F._constant_term(a, b) == table_product(F, a, b)[0], n
+        x = F.element([Fraction(v, rng.randint(1, 4)) for v in a])
+        assert (x * x.inverse()).is_one(), n
+
+
+def test_fused_quotient_matches_product_by_inverse():
+    rng = random.Random(11)
+    for n in (1, 2, 3, 4, 5, 6, 8, 12, 15, 60):
+        F = CyclotomicField(n)
+        for density in (1.0, 0.5, 0.0):
+            for _ in range(8):
+                x = F.element([Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+                               if k == 0 or rng.random() < density else 0
+                               for k in range(F.degree)])
+                if x == 1:
+                    continue
+                q = x.over_minus_one()
+                assert_canonical(q)
+                assert q == x * (x - 1).inverse(), (n, x)
+                # x -> x/(x - 1) is its own inverse
+                assert q.over_minus_one() == x, (n, x)
+
+
+def test_fused_quotient_at_one_raises():
+    for n in (1, 6, 12):
+        F = CyclotomicField(n)
+        for one in (F.one(), F.element([Fraction(3, 3)])):
+            with pytest.raises(ZeroDivisionError):
+                one.over_minus_one()
+            with pytest.raises(ZeroDivisionError):
+                bethe_weight(one)
+        assert F.zero().over_minus_one().is_zero()
+
+
+def test_scale_matches_fraction_product():
+    F = CyclotomicField(12)
+    x = F.element([Fraction(1, 2), -3, 0, Fraction(5, 7)])
+    for p, q in [(1, 1), (-4, 6), (3, -9), (0, 5), (-7, -2)]:
+        y = x.scale(p, q)
+        assert_canonical(y)
+        assert y.coeffs == tuple(c * Fraction(p, q) for c in x.coeffs)

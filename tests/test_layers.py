@@ -34,7 +34,7 @@ def evaluate(pt, row):
     out = pt[0].field.one()
     for y, k in zip(pt, row):
         for _ in range(abs(k)):
-            out = out * y if k > 0 else out / y
+            out = out * (y if k > 0 else y.inverse())
     return out
 
 

@@ -6,7 +6,7 @@ from itertools import combinations
 
 import pytest
 
-from trigbethe.field import CyclotomicField
+from trigbethe.field import CyclotomicField, FieldElement
 from trigbethe.linalg import mat_inverse, nullspace, rank, rref
 
 from oracles import RatFunc, det, mat_mul, row_space_equal
@@ -129,7 +129,8 @@ def test_works_over_cyclotomic_scalars():
 
 
 def reference_rref(rows):
-    """Row reduction that divides the pivot row entry by entry."""
+    """Row reduction that divides the pivot row entry by entry (a field
+    element, which has no quotient operator, by its inverse)."""
     mat = [list(r) for r in rows]
     pivots, r = [], 0
     for c in range(len(mat[0]) if mat else 0):
@@ -138,7 +139,8 @@ def reference_rref(rows):
             continue
         mat[r], mat[pr] = mat[pr], mat[r]
         head = mat[r][c]
-        mat[r] = [x / head for x in mat[r]]
+        mat[r] = [x * head.inverse() if isinstance(head, FieldElement)
+                  else x / head for x in mat[r]]
         for i in range(len(mat)):
             if i != r and not mat[i][c] == 0:
                 f = mat[i][c]

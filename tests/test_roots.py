@@ -7,8 +7,8 @@ from fractions import Fraction
 import pytest
 
 from trigbethe.linalg import mat_inverse
-from trigbethe.roots import (RootSystem, chain_values, int_mat_mul,
-                             root_chain, root_system)
+from trigbethe.roots import (MAX_RANK, RootSystem, chain_values,
+                             int_mat_mul, root_chain, root_system)
 
 # |W| per type (Bourbaki, Groupes et algebres de Lie IV-VI, planches)
 WEYL_ORDERS = {
@@ -290,6 +290,14 @@ def test_abs_root_and_support():
 def test_unknown_label_rejected():
     for bad in ["E6", "A0", "B1", "D3", "G3", "zzz"]:
         with pytest.raises(ValueError):
+            root_system(bad)
+
+
+def test_rank_bound():
+    assert root_system(f"A{MAX_RANK}").rank == MAX_RANK
+    assert root_system("a02").label == "A2"
+    for bad in [f"B{MAX_RANK + 1}", "A99999", "A" + "9" * 5000]:
+        with pytest.raises(ValueError, match="exceeds the maximum"):
             root_system(bad)
 
 
