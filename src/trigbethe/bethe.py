@@ -617,6 +617,7 @@ class PointStream:
         # one walk; per subset drawn: the restricted ambient and its layers
         self._walk: tuple[list, dict[tuple[int, ...], list[int]]] | None = None
         self._layers: dict[tuple[int, ...], tuple[RootAmbient, list]] = {}
+        self.spin_samples: list[tuple] | None = None    # cli._spin_samples
 
     @property
     def reductions(self) -> int:

@@ -271,38 +271,53 @@ def _cmd_subspace(args) -> int:
 # check
 
 
+def _spin_samples(args, stream: PointStream) -> list[tuple]:
+    """(n, s, x, images) for each chain size n and s < --samples: x the
+    integer point of a seeded torus point, images the reindexed
+    trigonometric elements at x.  Both type-independent checks read them,
+    drawn once per request and kept on its stream."""
+    if stream.spin_samples is None:
+        stream.spin_samples = []
+        for n in SPIN_SIZES:
+            src, tgt = typea.TrigSource(n), typea.RationalTarget(n)
+            for s in range(args.samples):
+                x = typea.integer_point(
+                    typea.sample_z(n, args.seed * 1009 + s))
+                images = [typea.reindex_map(src, tgt, vec)
+                          for vec in src.bethe_span(x)]
+                stream.spin_samples.append((n, s, x, images))
+    return stream.spin_samples
+
+
 def _check_commutativity(args, stream: PointStream) -> dict:
     """Spin-chain identities on integer operators at the integer point of
     each sample (see the spin module and _spin_failures)."""
     bad = []
     total = 0
-    for n in SPIN_SIZES:
-        src = typea.TrigSource(n)
-        tgt = typea.RationalTarget(n)
-        for s in range(args.samples):
-            rng = random.Random(f"spin-check-{n}-{args.seed}-{s}")
-            x = typea.integer_point(typea.sample_z(n, args.seed * 1009 + s))
-            a, b = rng.randint(-9, 9), rng.randint(-9, 9)
-            failed = _spin_failures(src, tgt, x, [[a, 0], [0, b]])
-            bad += [f"n={n} s={s} {f}" for f in failed]
-            total += n * (n - 1) // 2 + n
+    for n, s, x, images in _spin_samples(args, stream):
+        rng = random.Random(f"spin-check-{n}-{args.seed}-{s}")
+        a, b = rng.randint(-9, 9), rng.randint(-9, 9)
+        failed = _spin_failures(typea.RationalTarget(n), x, images,
+                                [[a, 0], [0, b]])
+        bad += [f"n={n} s={s} {f}" for f in failed]
+        total += n * (n - 1) // 2 + n
     return {"name": "commutativity", "passed": not bad,
             "type_independent": True, "n": list(SPIN_SIZES),
             "detail": f"{total} spin identities exact" if not bad
             else "; ".join(bad[:4])}
 
 
-def _spin_failures(src: typea.TrigSource, tgt: typea.RationalTarget, x,
+def _spin_failures(tgt: typea.RationalTarget, x, images,
                    theta) -> list[str]:
-    """The identities that fail at the integer point x: [H_i, H_j] = 0 for
-    i < j, then image + x_k H_k = 0 for each k, on the built operators."""
-    n = src.n
+    """The identities that fail at the integer point x, images its reindexed
+    elements: [H_i, H_j] = 0 for i < j, then image + x_k H_k = 0 for each
+    k, on the built operators."""
+    n = tgt.n
     hams = [spin.trig_hamiltonian(theta, x, k, n) for k in range(1, n + 1)]
     failed = [f"[H{i + 1},H{j + 1}] != 0"
               for i in range(n) for j in range(i + 1, n)
               if not spin.commute(hams[i], hams[j])]
-    for k, (vec, ham) in enumerate(zip(src.bethe_span(x), hams), start=1):
-        img = typea.reindex_map(src, tgt, vec)
+    for k, (img, ham) in enumerate(zip(images, hams), start=1):
         # 2 P_k image = -(2 x_k P_k H_k), P_k = prod_{j != k} (x_k - x_j)
         image = spin.combination(
             spin.pair_vector_terms(tgt.pairs, img, theta, n), n)
@@ -381,15 +396,12 @@ def _check_hecke(args, stream: PointStream) -> dict:
 
 def _check_typea(args, stream: PointStream) -> dict:
     bad = []
-    for n in SPIN_SIZES:
-        src = typea.TrigSource(n)
-        tgt = typea.RationalTarget(n)
-        for s in range(args.samples):
-            z = typea.sample_z(n, args.seed * 577 + s)
-            scaled_bad, spans_ok = typea.check_sample(src, tgt, z)
-            bad += [f"n={n} s={s} k={k} scaled identity" for k in scaled_bad]
-            if not spans_ok:
-                bad.append(f"n={n} s={s} span equality")
+    for n, s, x, images in _spin_samples(args, stream):
+        scaled_bad, spans_ok = typea.check_sample(typea.RationalTarget(n), x,
+                                                  images)
+        bad += [f"n={n} s={s} k={k} scaled identity" for k in scaled_bad]
+        if not spans_ok:
+            bad.append(f"n={n} s={s} span equality")
     return {"name": "typea", "passed": not bad,
             "type_independent": True, "n": list(SPIN_SIZES),
             "detail": "images equal scaled rational elements; spans equal"

@@ -36,12 +36,11 @@ commutes for every q at once, in two parts on integer tables:
    subtraction, of an {int: coefficient} dict, unpacked once at the end.
 
 Coefficients are ints throughout the normal forms and the commutator
-table; Fractions enter only with a given q (bmo, family) or a numeric t
-(holonomy_image).  The general product (multiply, move_across_word:
-p_1 moved across a reduced word of w_2, RootSystem.word_of, so no
-product enumerates the Weyl group) and commutator stay for the tests,
-which take them as the oracle of part 1, and for the commutators of
-the family at a given q.
+table; Fractions enter only with a given q (bmo, family).  The general
+product (multiply, move_across_word: p_1 moved across a reduced word of
+w_2, RootSystem.word_of, so no product enumerates the Weyl group) and
+commutator stay for the tests, which take them as the oracle of part 1,
+and for the commutators of the family at a given q.
 """
 
 from __future__ import annotations
@@ -241,33 +240,6 @@ class HeckeAlgebra:
             if coeff:
                 out[key] = coeff
         return out
-
-    def holonomy_image(self, space, vec, tval: Fraction
-                       ) -> dict[tuple[IntMatrix, tuple[int, ...]], Fraction]:
-        """Degree-one correspondence at numeric t: each t_alpha becomes
-        (reflection - identity), each tau block -1/t times an x."""
-        out: dict[tuple[IntMatrix, tuple[int, ...]], Fraction] = {}
-        zero_e = (0,) * self.n
-
-        def bump(key, val):
-            out[key] = out.get(key, Fraction(0)) + val
-
-        for idx, a in enumerate(space.pos):
-            c = vec[idx]
-            if c == 0:
-                continue
-            cf = c.as_rational() if hasattr(c, "as_rational") else Fraction(c)
-            bump((self.rs.reflection_in_root(a), zero_e), cf)
-            bump((self.ident, zero_e), -cf)
-        for i in range(self.n):
-            c = vec[space.npos + i]
-            if c == 0:
-                continue
-            cf = c.as_rational() if hasattr(c, "as_rational") else Fraction(c)
-            e = [0] * self.n
-            e[i] = 1
-            bump((self.ident, tuple(e)), -cf / Fraction(tval))
-        return {k: v for k, v in out.items() if v != 0}
 
 
 def cleared_numerator(rs: RootSystem, coeff: dict[tuple[int, ...], int]

@@ -17,9 +17,9 @@ element at (0, z) is unchanged when z is scaled, and span equality does
 not depend on scale.  So a sample z is replaced by the integer point
 x = D z, D the lcm of its denominators (integer_point), and every
 vector by an integer multiple of itself: the k-th trigonometric element
-by P_k = prod_{j != k} (x_k - x_j) (TrigSource.bethe_span builds all n
-of them at one point, each pair's Bethe weight computed once), the
-rational element at index k of points p by prod_{j != k} (p_k - p_j)
+by P_k = prod_{j != k} (x_k - x_j) (TrigSource.bethe_span reads all n
+of them off the engine's rows, HolonomySpace.bethe_family on A_{n-1}),
+the rational element at index k of points p by prod_{j != k} (p_k - p_j)
 (scale).  At p = (0, x) that scale is x_k P_k, so the first identity
 reads image_k = -(scaled rational element k), entry by entry in
 integers.
@@ -28,12 +28,15 @@ integers.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from itertools import combinations
 from math import lcm, prod
 from typing import Sequence
 
-from .bethe import bethe_weight
+from .bethe import HolonomySpace
+from .field import CyclotomicField
 from .lattice import hermite_normal_form
+from .roots import root_system
 
 
 class PairSpace:
@@ -66,28 +69,38 @@ class TrigSource(PairSpace):
         """The n elements at the integer point x, the k-th (k = 1..n) being
         P_k (tau_k plus Bethe-weighted pairs), P_k = prod_{j != k} (x_k - x_j).
 
-        Pair (i,j) evaluates to u = x_i/x_j; its coefficient in the k-th
-        element is (h_i - h_j applied to e_k) times bethe_weight(u), whose
-        denominator divides x_i - x_j and so P_k.  It enters the i-th and
-        the j-th element, and its weight is computed once for both.
+        The pairs are the engine's Bethe rows of A_{n-1} over Q at
+        e^{alpha_i} = x_i/x_{i+1}, the k-th for h = e_k (_type_a_rows): the
+        entry of root e_i - e_j, read as pair (i,j), has a denominator that
+        divides x_i - x_j and so P_k.
         """
         if any(v.denominator != 1 for v in x):
             raise ValueError("coordinates must be integers, see integer_point")
         scales = [prod(x[k - 1] - x[j - 1] for j in self.indices if j != k)
                   for k in self.indices]
-        if 0 in scales:
-            raise ZeroDivisionError("coordinates must be pairwise distinct")
-        span = []
-        for k, scale in zip(self.indices, scales):
-            vec = self.zero()
-            vec[len(self.pairs) + k - 1] = scale
-            span.append(vec)
-        for (i, j) in self.pairs:
-            w = bethe_weight(Fraction(x[i - 1], x[j - 1]))
-            for k, sign in ((i, 1), (j, -1)):
-                self.add_pair(span[k - 1], i, j, sign * w.numerator
-                              * (scales[k - 1] // w.denominator))
+        span = [[0] * len(self.pairs) + [scale * (k == j) for j in self.indices]
+                for k, scale in zip(self.indices, scales)]
+        if self.n == 1:
+            return span
+        space, pairs, hs = _type_a_rows(self.n)
+        values = {a: space.field.from_rational(Fraction(x[i - 1], x[j - 1]))
+                  for a, (i, j) in zip(space.pos, pairs)}
+        for vec, scale, row in zip(span, scales,
+                                   space.bethe_family(values, hs)):
+            for pair, c in zip(pairs, row):
+                vec[self._index[pair]] = int(c.as_rational() * scale)
         return span
+
+
+@cache
+def _type_a_rows(n: int) -> tuple[HolonomySpace, list, list[list[int]]]:
+    """The holonomy space of A_{n-1} over Q, the pair (i,j) of each of its
+    positive roots e_i - e_j = alpha_i + ... + alpha_{j-1}, and h_1..h_n,
+    the simple-root values alpha_i(e_k) = delta_{ik} - delta_{i+1,k}."""
+    space = HolonomySpace(root_system(f"A{n - 1}"), CyclotomicField(1))
+    pairs = [(a.index(1) + 1, a.index(1) + 1 + sum(a)) for a in space.pos]
+    return space, pairs, [[(i == k) - (i + 1 == k) for i in range(1, n)]
+                          for k in range(1, n + 1)]
 
 
 class RationalTarget(PairSpace):
@@ -148,24 +161,22 @@ def marked_points(z: Sequence) -> list:
     return [0, *z]
 
 
-def check_sample(source: TrigSource, target: RationalTarget,
-                 z: Sequence) -> tuple[list[int], bool]:
-    """Both pinned identities at the torus point z, on one set of integer
-    vectors at integer_point(z).
+def check_sample(target: RationalTarget, x: Sequence[int],
+                 images: list[list[int]]) -> tuple[list[int], bool]:
+    """Both pinned identities at the integer point x, on images, the
+    reindexed vectors of TrigSource.bethe_span(x).
 
     Returns the k (1..n) for which the image of the k-th trig element is
-    not -z_k times the k-th rational element at (0, z), and whether the
-    image of the whole trig span equals the rational span at (0, z).
+    not -x_k times the k-th rational element at (0, x), and whether the
+    image of the whole trig span equals the rational span at (0, x).
     """
-    x = integer_point(z)
-    imgs = [reindex_map(source, target, vec) for vec in source.bethe_span(x)]
     points = marked_points(x)
     # gspan[k] is the scaled rational element at index k of {0..n}
     gspan = target.gaudin_span(points)
-    bad = [k for k, img in enumerate(imgs, start=1)
+    bad = [k for k, img in enumerate(images, start=1)
            if img != [-c for c in gspan[k]]]
     scales = [target.scale(points, k) for k in target.indices]
-    return bad, spans_match(imgs, gspan, scales)
+    return bad, spans_match(images, gspan, scales)
 
 
 def spans_match(images: list[list[int]], elements: list[list[int]],

@@ -13,7 +13,9 @@
   family; hecke_is_zero: whether a Hecke element is zero;
   product_cleared_numerator: a commutator-table coefficient cleared of
   its denominators by Poly products, the reference of the packed
-  hecke.cleared_numerator.
+  hecke.cleared_numerator; holonomy_image: the degree-one map into the
+  Hecke algebra at a numeric t with the old -x/t sign on the tau block,
+  kept as the known-wrong variant that a test pins.
 - bethe_rows and gaudin: the Bethe family of a holonomy space at an
   interior torus point, read through bethe_family, and the rational
   Gaudin family.
@@ -44,12 +46,12 @@ from typing import Sequence
 
 from trigbethe.bethe import HolonomySpace, stratum_values
 from trigbethe.field import CyclotomicField, FieldElement
-from trigbethe.hecke import q_power
+from trigbethe.hecke import HeckeAlgebra, q_power
 from trigbethe.lattice import smith_normal_form
 from trigbethe.layers import Layer
 from trigbethe.linalg import nullspace, rref
 from trigbethe.poly import Poly
-from trigbethe.roots import RootSystem
+from trigbethe.roots import IntMatrix, RootSystem
 
 
 def mat_mul(a, b):
@@ -166,6 +168,30 @@ def product_cleared_numerator(rs: RootSystem, coeff: dict) -> Poly:
             term = term * (u[b] if b in mono else one - u[b])
         out = out + term
     return out
+
+
+def holonomy_image(alg: HeckeAlgebra, space: HolonomySpace, vec, tval
+                   ) -> dict[tuple[IntMatrix, tuple[int, ...]], Fraction]:
+    """Degree-one correspondence at numeric t: each t_alpha becomes
+    (reflection - identity), each tau block -1/t times an x."""
+    out: dict[tuple[IntMatrix, tuple[int, ...]], Fraction] = {}
+    zero_e = (0,) * alg.n
+
+    def bump(key, val):
+        out[key] = out.get(key, Fraction(0)) + val
+
+    for idx, a in enumerate(space.pos):
+        c = vec[idx].as_rational()
+        if c:
+            bump((alg.rs.reflection_in_root(a), zero_e), c)
+            bump((alg.ident, zero_e), -c)
+    for i in range(alg.n):
+        c = vec[space.npos + i].as_rational()
+        if c:
+            e = [0] * alg.n
+            e[i] = 1
+            bump((alg.ident, tuple(e)), -c / Fraction(tval))
+    return {k: v for k, v in out.items() if v != 0}
 
 
 def bethe_rows(space: HolonomySpace, point, hs) -> list[list]:

@@ -181,7 +181,10 @@ def test_criterion_04_type_a_identification():
         tgt = typea.RationalTarget(n)
         for seed in range(10):
             z = typea.sample_z(n, seed)
-            ok = ok and typea.check_sample(src, tgt, z) == ([], True) \
+            x = typea.integer_point(z)
+            images = [typea.reindex_map(src, tgt, vec)
+                      for vec in src.bethe_span(x)]
+            ok = ok and typea.check_sample(tgt, x, images) == ([], True) \
                 == typea_verdicts(z)
     record(4, "reindexed span equals rational span", ok,
            "n=2,3 x 10 seeds, in integers and RREF-equal over Q")

@@ -75,7 +75,6 @@ ALLOWED = {
     "field.FieldElement.coeffs": "item 7",
     "field.FieldElement.__rsub__": "item 7",
     # item 9: the degree-one quantum side is their caller, or they move
-    "hecke.HeckeAlgebra.holonomy_image": "item 9",
     "hecke.HeckeAlgebra.bmo": "item 9",
     "hecke.HeckeAlgebra.family": "item 9",
     "hecke.HeckeAlgebra.x": "item 9",

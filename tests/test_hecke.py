@@ -14,8 +14,8 @@ from trigbethe.linalg import rank
 from trigbethe.poly import Poly
 from trigbethe.roots import RootSystem, int_mat_mul, root_system
 
-from oracles import (bethe_rows, hecke_is_zero, product_cleared_numerator,
-                     row_space_equal, sample_q)
+from oracles import (bethe_rows, hecke_is_zero, holonomy_image,
+                     product_cleared_numerator, row_space_equal, sample_q)
 
 
 # coefficient profiles c(u) of the root power u = q^a.  The library family
@@ -212,7 +212,7 @@ def test_holonomy_image_matches_bethe_weight_span():
         q = sample_q(rs, seed)
         point = tuple(field.from_rational(v) for v in q)
         space = HolonomySpace(rs, field)
-        imgs = [alg.holonomy_image(space, v, tval)
+        imgs = [holonomy_image(alg, space, v, tval)
                 for v in bethe_rows(space, point, rs.identity)]
         bethe = [at_numeric_t(alg, el, tval)
                  for el in profile_family(alg, q, "bethe")]

@@ -15,7 +15,7 @@ import random
 
 import pytest
 
-from trigbethe import cli, spin, typea
+from trigbethe import bethe, cli, spin, typea
 from trigbethe.cli import main
 
 from oracles import spin_failures, typea_verdicts
@@ -29,15 +29,16 @@ def test_every_sample_agrees_with_the_rational_reference(n):
     src, tgt = typea.TrigSource(n), typea.RationalTarget(n)
     for seed in SEEDS:
         for s in range(SAMPLES):
-            # the samples of check commutativity, drawn as it draws them
+            # the samples both checks read, drawn as the request draws them
             rng = random.Random(f"spin-check-{n}-{seed}-{s}")
             z = typea.sample_z(n, seed * 1009 + s)
+            x = typea.integer_point(z)
+            images = [typea.reindex_map(src, tgt, vec)
+                      for vec in src.bethe_span(x)]
             theta = [[rng.randint(-9, 9), 0], [0, rng.randint(-9, 9)]]
-            got = cli._spin_failures(src, tgt, typea.integer_point(z), theta)
+            got = cli._spin_failures(tgt, x, images, theta)
             assert got == spin_failures(z, theta) == [], (seed, s)
-            # and those of check typea
-            z = typea.sample_z(n, seed * 577 + s)
-            assert typea.check_sample(src, tgt, z) == \
+            assert typea.check_sample(tgt, x, images) == \
                 typea_verdicts(z) == ([], True), (seed, s)
 
 
@@ -64,6 +65,28 @@ def test_a_missed_certificate_leaves_the_verdict_to_the_fallback(
     assert len(calls) == 3 * 2 * len(cli.SPIN_SIZES)
 
 
+def test_one_request_builds_each_sample_once(capsys, monkeypatch):
+    # commutativity and typea read one list of samples per request, and a
+    # second request in the same process draws its own
+    bethe_span = typea.TrigSource.bethe_span
+    calls = []
+
+    def counted(self, x):
+        calls.append((self.n, x))
+        return bethe_span(self, x)
+    monkeypatch.setattr(typea.TrigSource, "bethe_span", counted)
+    samples = cli.build_parser().parse_args(["check", "all"]).samples
+    assert run(capsys, ["check", "all"])[0] == 0
+    first = calls[:]
+    assert len(first) == len(cli.SPIN_SIZES) * samples == 12
+    calls.clear()
+    assert run(capsys, ["check", "all"])[0] == 0
+    assert calls == first
+    calls.clear()
+    assert run(capsys, ["check", "all", "--seed", "1"])[0] == 0
+    assert len(calls) == len(first) and calls != first
+
+
 def _drop_tau(monkeypatch):
     bethe_span = typea.TrigSource.bethe_span
 
@@ -73,6 +96,20 @@ def _drop_tau(monkeypatch):
             vec[len(self.pairs) + k] = 0
         return span
     monkeypatch.setattr(typea.TrigSource, "bethe_span", dropped)
+
+
+def _reweight_rows(weight):
+    """HolonomySpace.bethe_family with another weight of e^alpha = u in
+    place of the Bethe weight -u/(u-1); nothing else reads it."""
+    def apply(monkeypatch):
+        family = bethe.HolonomySpace.bethe_family
+
+        def reweighted(self, values, hs):
+            with monkeypatch.context() as m:
+                m.setattr(bethe, "bethe_weight", weight)
+                return family(self, values, hs)
+        monkeypatch.setattr(bethe.HolonomySpace, "bethe_family", reweighted)
+    return apply
 
 
 def _rescale_terms(kind, factor):
@@ -91,6 +128,12 @@ MUTATIONS = {
     "doubled omega2 coefficient": (_rescale_terms("omega2", 2),
                                    {"commutativity"}),
     "flipped lowering sign": (_rescale_terms("lower", -1), {"commutativity"}),
+    "engine rows weighted +u/(u-1)": (
+        _reweight_rows(lambda u: u.over_minus_one()),
+        {"commutativity", "typea"}),
+    "engine rows weighted -1/(u-1)": (
+        _reweight_rows(lambda u: -(u - 1).inverse()),
+        {"commutativity", "typea"}),
 }
 
 

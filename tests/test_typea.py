@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from trigbethe import typea
+from trigbethe import bethe, typea
 from trigbethe.typea import (RationalTarget, TrigSource, check_sample,
                              integer_point, marked_points, reindex_map,
                              sample_z, spans_match, sums_to_zero)
@@ -12,6 +12,14 @@ from trigbethe.typea import (RationalTarget, TrigSource, check_sample,
 
 def fracs(*vals):
     return tuple(Fraction(v) for v in vals)
+
+
+def verdicts(src, tgt, z):
+    """check_sample at the integer point of z, on the images of src's
+    span there."""
+    x = integer_point(z)
+    return check_sample(tgt, x, [reindex_map(src, tgt, vec)
+                                 for vec in src.bethe_span(x)])
 
 
 def tau(src, k):
@@ -30,7 +38,7 @@ def test_reindex_n1():
     tgt.add_pair(vec, 0, 1, -1)
     assert img == vec
     z = fracs(7)
-    assert check_sample(src, tgt, z) == ([], True)
+    assert verdicts(src, tgt, z) == ([], True)
 
 
 def test_reindex_fixture_n2():
@@ -64,7 +72,7 @@ def test_identity_all_indices_n2_n3():
         src = TrigSource(n)
         tgt = RationalTarget(n)
         for seed in range(6):
-            assert check_sample(src, tgt, sample_z(n, seed)) == ([], True)
+            assert verdicts(src, tgt, sample_z(n, seed)) == ([], True)
 
 
 def test_identity_fails_without_marked_point_scaling():
@@ -88,17 +96,20 @@ def test_check_sample_names_the_failing_index():
 
     src = Shifted(3)
     tgt = RationalTarget(3)
-    assert check_sample(src, tgt, sample_z(3, 0)) == ([3], False)
+    assert verdicts(src, tgt, sample_z(3, 0)) == ([3], False)
 
 
 def test_each_pair_weight_is_computed_once_per_point(monkeypatch):
+    # the weights are the engine's: bethe_family calls bethe.bethe_weight
+    # once per root of A3 at each point
     calls = []
 
     def counted(u):
-        calls.append(u)
-        return typea_weight(u)
-    typea_weight = typea.bethe_weight
-    monkeypatch.setattr(typea, "bethe_weight", counted)
+        calls.append(u.as_rational())
+        return engine_weight(u)
+    engine_weight = bethe.bethe_weight
+    monkeypatch.setattr(bethe, "bethe_weight", counted)
+    assert not hasattr(typea, "bethe_weight")
     src = TrigSource(4)
     points = [integer_point(sample_z(4, seed)) for seed in range(3)]
     fresh = [TrigSource(4).bethe_span(x) for x in points]
@@ -169,7 +180,7 @@ def test_vectors_are_integer_and_verdicts_scale_free():
         out += [reindex_map(src, tgt, v) for v in out]
         out += tgt.gaudin_span(marked_points(x)) + [tau(src, 2), tgt.zero()]
         assert all(type(c) is int for v in out for c in v), z
-        assert check_sample(src, tgt, z) == ([], True)
+        assert verdicts(src, tgt, z) == ([], True)
         outs.append(out)
     assert outs[0] == outs[1] == outs[2] == outs[3]
     assert all(type(v) is Fraction for v in sample_z(3, 0))
@@ -238,5 +249,5 @@ def test_certificate_miss_takes_the_fallback(monkeypatch):
     for n in (2, 3):
         src, tgt = TrigSource(n), RationalTarget(n)
         for seed in range(4):
-            assert check_sample(src, tgt, sample_z(n, seed)) == ([], True)
+            assert verdicts(src, tgt, sample_z(n, seed)) == ([], True)
     assert len(calls) == 3 * 8
