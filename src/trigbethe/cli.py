@@ -113,7 +113,7 @@ def _cmd_enumerate(args) -> int:
         print("dot output is only available for layers and nested-sets",
               file=sys.stderr)
         return 2
-    stats = Counter(walks=0, lattices=0, inserts=0, layers=0)
+    stats = Counter(walks=0, lattices=0, inserts=0, smith_forms=0, layers=0)
     _emit(args, _enumeration(args, rs, field, stats))
     if args.stats:
         print(json.dumps(stats, sort_keys=True), file=sys.stderr)

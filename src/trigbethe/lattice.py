@@ -1,11 +1,16 @@
 """Integer lattice computations: Smith and Hermite normal forms.
 
 Lattices are row spans of integer matrices inside Z^n.  Smith form
-provides saturations and torsion quotients.  It tracks its unimodular
-column transform V, and V^{-1} alongside it: every column operation
-applied to V is matched by the inverse row operation on V^{-1}, so the
-whole computation stays in integers.  The row transform U is not kept:
-saturations, torsion and coordinates u V all read V alone.  Row-style
+provides saturations (the first rank rows of V^{-1}) and torsion
+quotients.  It tracks its unimodular column transform V, and V^{-1}
+alongside it: every column operation applied to V is matched by the
+inverse row operation on V^{-1}, so the whole computation stays in
+integers.  The row transform U is not kept: saturations, torsion and
+coordinates u V read V and V^{-1} alone.  A Smith form is one diagonal
+form L = span(d_i V^{-1}[i]); diagonal_insert grows such a form, its d
+in any order, by one vector with extended-gcd column operations on the
+columns of V past the rank, when the vector's first coordinates u V are
+multiples of the d_i.  Row-style
 Hermite form provides a canonical basis used to deduplicate lattices.
 It is built by insertion only: hermite_insert adds one vector to a
 lattice already in Hermite form, clearing the vector with one gcd step
@@ -20,6 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
+from operator import mod
 from typing import Sequence
 
 IntRows = list[list[int]]
@@ -41,10 +47,6 @@ class SmithForm:
     @property
     def rank(self) -> int:
         return len(self.divisors)
-
-    def saturation_basis(self) -> IntRows:
-        """Basis of (Q-span of the rows) intersected with Z^n."""
-        return [list(self.Vinv[i]) for i in range(self.rank)]
 
     def torsion_divisors(self) -> list[int]:
         """Elementary divisors > 1 of saturation / lattice."""
@@ -191,6 +193,57 @@ def hermite_insert(hnf: Sequence[Sequence[int]], vec: Sequence[int]
             if q:
                 rows[i] = [a - q * b for a, b in zip(rows[i], row)]
     return tuple(map(tuple, rows))
+
+
+def diagonal_insert(divisors: Sequence[int], vcols: IntRows, vinv: IntRows,
+                    image: Sequence[int]
+                    ) -> tuple[list[int], IntRows, IntRows] | None:
+    """The diagonal form of L + <a> from that of L, or None.
+
+    L = span(d_i vinv[i], i < k), k = len(divisors), where vinv holds the
+    rows of the inverse of a unimodular V and vcols its columns; image is
+    a V for a vector a outside the Q-span of L.  Column operations on the
+    columns k.. of V, one extended-gcd step (Cohen 2.4) per nonzero entry
+    of the tail of image past the first, with the inverse row operations
+    on vinv, turn that tail into (g, 0, ..., 0), g > 0; they leave L's
+    form alone.  When each head entry image[i], i < k, is a multiple of
+    d_i, subtracting those multiples of d_i vinv[i] leaves g vinv[k], so
+    L + <a> = span(d_i vinv[i], i < k, and g vinv[k]).  Otherwise, which
+    never happens for a saturated L, None.  The inputs are not modified.
+    """
+    k = len(divisors)
+    if any(map(mod, image, divisors)):
+        return None
+    vcols, vinv = vcols[:], vinv[:]
+    x = image[k]
+    for j in range(k + 1, len(image)):
+        y = image[j]
+        if not y:
+            continue
+        if not x:
+            vcols[k], vcols[j] = vcols[j], vcols[k]
+            vinv[k], vinv[j] = vinv[j], vinv[k]
+            x = y
+            continue
+        ck, cj, rk, rj = vcols[k], vcols[j], vinv[k], vinv[j]
+        q, rem = divmod(y, x)
+        if rem:
+            # (col_k, col_j) times [[s, -y/g], [t, x/g]], of determinant 1
+            g, s, t = _extended_gcd(x, y)
+            xg, yg = x // g, y // g
+            vcols[k] = [s * p + t * r for p, r in zip(ck, cj)]
+            vcols[j] = [xg * r - yg * p for p, r in zip(ck, cj)]
+            vinv[k] = [xg * p + yg * r for p, r in zip(rk, rj)]
+            vinv[j] = [s * r - t * p for p, r in zip(rk, rj)]
+            x = g
+        else:
+            vcols[j] = [r - q * p for p, r in zip(ck, cj)]
+            vinv[k] = [p + q * r for p, r in zip(rk, rj)]
+    if x < 0:
+        vcols[k] = [-p for p in vcols[k]]
+        vinv[k] = [-p for p in vinv[k]]
+        x = -x
+    return [*divisors, x], vcols, vinv
 
 
 def _extended_gcd(a: int, b: int) -> tuple[int, int, int]:

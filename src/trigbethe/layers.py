@@ -19,17 +19,24 @@ breadth-first by rank: the rank-(k+1) lattices are the Hermite forms of
 L + <a> for a rank-k lattice L and a positive root a outside the Q-span
 of L, deduplicated by that Hermite form.  Each is obtained by inserting
 a into the Hermite form of L (lattice.hermite_insert), never by
-recomputing the form of L + <a>.  A visit saturates L through its Smith
-form U L V = diag(d), reads every positive root's coordinates u V (one
-vector addition each, from a lower root), decides which roots lie in the
-Q-span of the saturation, and then records each character of sat(L)/L
-as a layer.  No candidate needs a rank test: a character of sat(L)/L is
-trivial on L (for u in L, d_i divides (u V)_i), L is generated by the
-positive roots inserted to build it, and those lie in the span, so the
-roots a candidate centralizes hold L's generators and have rank k.
-Every layer arises this way from the lattice of any independent spanning
-subset of its centralized roots, so the walk is complete, and candidates
-are deduplicated by their canonical encoding.
+recomputing the form of L + <a>.  Each lattice also carries a diagonal
+form: a unimodular V with L = span(d_i Vinv[i], i < k), d in any order
+(sat(L)/L is prod Z/d_i either way).  The child L + <a> grows it from
+its parent's (lattice.diagonal_insert): column operations past k turn
+the tail of a V into (g, 0, ..., 0), and when the head of a V is 0 mod
+d, which always holds for a saturated parent, the child's diagonal is
+d + [g].  Otherwise the child takes its Smith form.  A visit reads every
+positive root's coordinates u V (one vector addition each, from a lower
+root), decides which roots lie in the Q-span of the saturation, spanned
+by Vinv[:k], and then records each character of sat(L)/L as a layer; a
+saturated L has only the trivial one.  No candidate needs a rank test:
+a character of sat(L)/L is trivial on L (for u in L, d_i divides
+(u V)_i), L is generated by the positive roots inserted to build it,
+and those lie in the span, so the roots a candidate centralizes hold
+L's generators and have rank k.  Every layer arises this way from the
+lattice of any independent spanning subset of its centralized roots, so
+the walk is complete, and candidates are deduplicated by their canonical
+encoding.
 
 - One walk, every sub-arrangement: Z^I is a coordinate summand, so the
   layers on T_I are the layers whose lattice is supported on I, with the
@@ -37,6 +44,12 @@ are deduplicated by their canonical encoding.
 - One insertion per class: L + <a> = L + <a'> iff a and a' have the same
   image in Z^n/L up to sign, the subgroup they generate being infinite
   cyclic, so one root of each class is inserted.
+- Roots that span: a layer's roots span its lattice exactly when it is
+  the trivial-character layer of a saturated lattice the walk visits.
+  Its roots form a closed subsystem, whose root lattice is spanned by
+  its simple roots, positive and independent, so the walk visits it;
+  that lattice is saturated and the character trivial on it.  The walk
+  records the flag there (Layer.roots_span_lattice).
 - Poset shortcut: a layer whose lattice is spanned by its own roots
   contains every layer centralizing those roots, so layer_contains runs
   only on candidates whose lattice is not.
@@ -50,12 +63,12 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import prod
+from math import gcd, prod
 from operator import add, mod, mul
 from typing import Iterable, Sequence
 
 from .field import CyclotomicField, FieldElement
-from .lattice import (hermite_coordinates, hermite_insert,
+from .lattice import (diagonal_insert, hermite_coordinates, hermite_insert,
                       hermite_normal_form, smith_normal_form)
 from .nested import components
 from .roots import Coords, RootSystem, chain_values, gram_inner, root_chain
@@ -121,6 +134,7 @@ class Layer:
     field: CyclotomicField
     roots_pos: tuple[Coords, ...]   # positive roots constant 1 on the layer,
                                     # in the ambient's order
+    roots_span_lattice: bool        # whether roots_pos spans the lattice
 
     @property
     def codim(self) -> int:
@@ -134,21 +148,6 @@ class Layer:
     def char_values(self) -> tuple[FieldElement, ...]:
         return tuple(self.field.zeta(e) for e in self.char_exps)
 
-    @cached_property
-    def roots_span_lattice(self) -> bool:
-        """Whether the layer's roots span its lattice, computed once.
-
-        The roots lie in the saturated lattice the basis spans, so their
-        Hermite form, folded root by root, cannot change once it equals
-        the basis; the fold stops there.
-        """
-        hnf: tuple[Coords, ...] = ()
-        for a in self.roots_pos:
-            if hnf == self.basis:
-                break
-            hnf = hermite_insert(hnf, a)
-        return hnf == self.basis
-
     def char_exponent(self, vec: Sequence[int]) -> int | None:
         """e with e^vec = zeta_N^e on the layer; None if vec is outside the lattice."""
         coords = hermite_coordinates(self.basis, vec)
@@ -161,87 +160,115 @@ class Layer:
                 tuple(self.field.zeta(e).nums for e in self.char_exps))
 
 
+# A lattice L of the walk with its diagonal form (basis, d, vcols, vinv):
+# basis is the Hermite form of L, vcols the columns of a unimodular V,
+# vinv the rows of its integer inverse, and L = span(d[i] vinv[i], i < k)
+# with k = len(d).  d need not be in Smith order.
+Form = tuple[tuple[Coords, ...], list[int], list[list[int]], list[list[int]]]
+
+
 def enumerate_layers(amb: RootAmbient, stats: Counter | None = None
                      ) -> list[Layer]:
     """All layers of the arrangement, canonically ordered.
 
     stats, when given, gains the walk's counts: walks (1), lattices
-    visited, inserts (Hermite insertions made) and layers found.
+    visited, inserts (Hermite insertions made), smith_forms (lattices
+    whose diagonal form is a full Smith form) and layers found.
     """
-    field = amb.field
-    order = field.order
     n = amb.dim
-    pos = list(amb.positive_roots)
     found: dict[tuple, Layer] = {}
-
-    def visit(lattice: tuple[Coords, ...]) -> list[Coords]:
-        """Record the layers of one lattice; return one positive root of
-        each class of Z^n/L, up to sign, met outside its Q-span."""
-        sf = smith_normal_form(lattice, ncols=n)
-        k = sf.rank
-        divisors = sf.divisors
-        # a saturated L is its own saturation, and already in Hermite form
-        hnf = hermite_normal_form(sf.saturation_basis()) \
-            if sf.torsion_divisors() else lattice
-
-        # u V by one vector addition per root: e_i V is row i of V
-        image: dict[Coords, list[int]] = {(0,) * n: [0] * n}
-        for a, b, i in amb.chain:
-            image[a] = list(map(add, image[b], sf.V[i]))
-
-        # u = sum_i (u V)_i Vinv[i] and the saturation is spanned by
-        # Vinv[:k], so u lies in its Q-span iff (u V)_i = 0 for i >= k.
-        # Outside it, the class of u in Z^n/L is (u V)_i mod d_i for i < k
-        # and (u V)_i for i >= k; it is read up to sign, the first nonzero
-        # tail entry made positive
-        in_span = []
-        classes: dict[tuple, Coords] = {}
-        for a in pos:
-            uv = image[a]
-            lead = next(filter(None, uv[k:]), 0)
-            if not lead:
-                in_span.append((a, uv[:k]))
-                continue
-            if lead < 0:
-                uv = [-x for x in uv]
-            classes.setdefault((*map(mod, uv, divisors), *uv[k:]), a)
-        vcols = list(zip(*sf.V))[:k]
-        hnf_coords = [[sum(map(mul, row, col)) for col in vcols]
-                      for row in hnf]
-        # characters of sat/L: a d_i-th root of unity on each saturation
-        # basis vector Vinv[i], each a layer (see above).  A character
-        # already recorded on this saturation is that layer
-        steps = [field.root_exponent(d) for d in divisors]
-        for choice in itertools.product(*(range(d) for d in divisors)):
-            exps = [s * j for s, j in zip(steps, choice)]
-
-            def chi(c: Sequence[int]) -> int:
-                return sum(map(mul, exps, c)) % order
-
-            key = (hnf, tuple(chi(c) for c in hnf_coords))
-            if key in found:
-                continue
-            found[key] = Layer(n, hnf, key[1], field, tuple(
-                a for a, c in in_span if chi(c) == 0))
-        return list(classes.values())
-
+    identity = [[int(i == j) for j in range(n)] for i in range(n)]
     seen: set[tuple[Coords, ...]] = {()}
-    frontier: list[tuple[Coords, ...]] = [()]
-    inserts = 0
+    frontier: list[Form] = [((), [], identity, identity)]
+    inserts = smith_forms = 0
     while frontier:
         grown = []
-        for lattice in frontier:
-            for a in visit(lattice):
+        for form in frontier:
+            for a, image in _visit(amb, form, found):
                 inserts += 1
-                cand = hermite_insert(lattice, a)
-                if cand not in seen:
-                    seen.add(cand)
-                    grown.append(cand)
+                cand = hermite_insert(form[0], a)
+                if cand in seen:
+                    continue
+                seen.add(cand)
+                child = diagonal_insert(*form[1:], image)
+                if child is None:
+                    smith_forms += 1
+                    sf = smith_normal_form(cand, ncols=n)
+                    child = sf.divisors, list(map(list, zip(*sf.V))), sf.Vinv
+                grown.append((cand, *child))
         frontier = grown
     if stats is not None:
         stats.update(walks=1, lattices=len(seen), inserts=inserts,
-                     layers=len(found))
+                     smith_forms=smith_forms, layers=len(found))
     return sorted(found.values(), key=Layer.sort_key)
+
+
+def _visit(amb: RootAmbient, form: Form, found: dict[tuple, Layer]
+           ) -> list[tuple[Coords, list[int]]]:
+    """Record the layers of one lattice in found; return (a, a V) for one
+    positive root a of each class of Z^n/L, up to sign, met outside its
+    Q-span."""
+    lattice, divisors, vcols, vinv = form
+    field, n, k = amb.field, amb.dim, len(divisors)
+    order = field.order
+
+    # u V by one vector addition per root: e_i V is row i of V
+    vrows = list(zip(*vcols))
+    image: dict[Coords, list[int]] = {(0,) * n: [0] * n}
+    for a, b, i in amb.chain:
+        image[a] = list(map(add, image[b], vrows[i]))
+
+    # u = sum_i (u V)_i vinv[i] and the saturation is spanned by vinv[:k],
+    # so u lies in its Q-span iff (u V)_i = 0 for i >= k.  Outside it, the
+    # class of u in Z^n/L is (u V)_i mod d_i for i < k and (u V)_i for
+    # i >= k; it is read up to sign, the first nonzero tail entry positive
+    in_span = []
+    classes: dict[tuple, tuple[Coords, list[int]]] = {}
+    for a in amb.positive_roots:
+        uv = image[a]
+        lead = next(filter(None, uv[k:]), 0)
+        if not lead:
+            in_span.append((a, uv[:k]))
+        else:
+            signed = uv if lead > 0 else [-x for x in uv]
+            classes.setdefault((*map(mod, signed, divisors), *signed[k:]),
+                               (a, uv))
+    if not any(d > 1 for d in divisors):
+        # L is saturated: its one character is trivial, and its roots,
+        # which include L's generators, span it.  The same layer may have
+        # been recorded from a lattice of which L is the saturation
+        key = (lattice, (0,) * k)
+        found[key] = Layer(n, lattice, key[1], field,
+                           tuple(a for a, _ in in_span), True)
+        return list(classes.values())
+
+    hnf = hermite_normal_form(vinv[:k])
+    hnf_coords = [[sum(map(mul, row, col)) for col in vcols[:k]]
+                  for row in hnf]
+    if any(order % d for d in divisors):
+        # the field lacks a root of unity: name the first Smith invariant
+        # factor of sat/L = prod Z/d_i it lacks, gcd and lcm pairwise
+        factors = list(divisors)
+        for i, j in itertools.combinations(range(k), 2):
+            g = gcd(factors[i], factors[j])
+            factors[i], factors[j] = g, factors[i] // g * factors[j]
+        for f in factors:
+            field.root_exponent(f)
+    # characters of sat/L: a d_i-th root of unity on each saturation basis
+    # vector vinv[i], each a layer (see above).  A character already
+    # recorded on this saturation is that layer
+    steps = [field.root_exponent(d) for d in divisors]
+    for choice in itertools.product(*(range(d) for d in divisors)):
+        exps = [s * j for s, j in zip(steps, choice)]
+
+        def chi(c: Sequence[int]) -> int:
+            return sum(map(mul, exps, c)) % order
+
+        key = (hnf, tuple(chi(c) for c in hnf_coords))
+        if key not in found:
+            found[key] = Layer(n, hnf, key[1], field, tuple(
+                a for a, c in in_span if chi(c) == 0), False)
+    return list(classes.values())
 
 
 def is_indecomposable(amb: RootAmbient, layer: Layer) -> bool:
@@ -282,7 +309,7 @@ def poset_relations(layers: Sequence[Layer], stats: Counter | None = None
     whose lattice is not spanned by their own roots: when it is, every
     lattice vector is an integer sum of roots that are 1 on both layers,
     so root-set inclusion already forces containment (roots_span_lattice,
-    computed once per layer).  stats, when given, gains poset_candidates,
+    recorded by the walk).  stats, when given, gains poset_candidates,
     contains_tests and relations.
     """
     holders: dict[Coords, int] = {}      # root -> bitset of layers holding it
@@ -399,7 +426,8 @@ def restrict(layer: Layer, subset: Sequence[int]) -> Layer:
     def drop(v: Coords) -> Coords:
         return tuple(v[j] for j in subset)
     return Layer(len(subset), tuple(map(drop, layer.basis)), layer.char_exps,
-                 layer.field, tuple(map(drop, layer.roots_pos)))
+                 layer.field, tuple(map(drop, layer.roots_pos)),
+                 layer.roots_span_lattice)
 
 
 def layer_to_dict(layer: Layer) -> dict:

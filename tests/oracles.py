@@ -25,6 +25,9 @@
 - char_value: a character at a torus point, by powers of field
   elements; powered_point_on_layer: a point of a layer built from them,
   the reference of layers.point_on_layer, which reads exponents.
+- roots_span_by_fold: whether a layer's roots span its lattice, by
+  Hermite insertions root by root, the reference of the flag the layer
+  walk records (Layer.roots_span_lattice).
 - The spin chain and the type-A identities over Q, the reference of the
   integer checks: dense chain operators from Kronecker products of the
   one-site matrices (dense_place, dense_casimir_pair, ...), the k-th
@@ -47,7 +50,7 @@ from typing import Sequence
 from trigbethe.bethe import HolonomySpace, stratum_values
 from trigbethe.field import CyclotomicField, FieldElement
 from trigbethe.hecke import HeckeAlgebra, q_power
-from trigbethe.lattice import smith_normal_form
+from trigbethe.lattice import hermite_insert, smith_normal_form
 from trigbethe.layers import Layer
 from trigbethe.linalg import nullspace, rref
 from trigbethe.poly import Poly
@@ -243,6 +246,19 @@ def powered_point_on_layer(layer: Layer, params: Sequence[Fraction] = ()
     values += [field.from_rational(p) for p in params]
     values += [field.one()] * (n - len(values))
     return tuple(char_value(field, values, sf.V[j]) for j in range(n))
+
+
+def roots_span_by_fold(layer: Layer) -> bool:
+    """Whether the layer's roots span its lattice.  The roots lie in the
+    saturated lattice the basis spans, so their Hermite form, folded root
+    by root, cannot change once it equals the basis; the fold stops
+    there."""
+    hnf: tuple = ()
+    for a in layer.roots_pos:
+        if hnf == layer.basis:
+            break
+        hnf = hermite_insert(hnf, a)
+    return hnf == layer.basis
 
 
 def gaudin(space: HolonomySpace, chi: Sequence, h_coords: Sequence) -> list:

@@ -94,15 +94,16 @@ def test_dot_output(capsys):
 
 def test_enumerate_stats_leave_stdout_and_exit_code_alone(capsys):
     # one walk per request; the counts are those of the lattice walk
-    # (lattices visited, Hermite insertions, layers) and of the poset
+    # (lattices visited, Hermite insertions, full Smith forms, layers) and
+    # of the poset
     pinned = [
         (["enumerate", "layers", "--type", "A2"],
          {"walks": 1, "lattices": 5, "inserts": 6, "layers": 5}),
         (["enumerate", "layers", "--type", "B2"],
          {"walks": 1, "lattices": 7, "inserts": 10, "layers": 7}),
         (["enumerate", "layers", "--type", "B4", "--format", "dot"],
-         {"walks": 1, "lattices": 164, "inserts": 648, "layers": 161,
-          "poset_candidates": 1456, "contains_tests": 192,
+         {"walks": 1, "lattices": 164, "inserts": 648, "smith_forms": 7,
+          "layers": 161, "poset_candidates": 1456, "contains_tests": 192,
           "relations": 1380}),
         (["enumerate", "boundary-strata", "--type", "C4"], {"walks": 1}),
         (["enumerate", "building-set", "--type", "B2"], {"walks": 1}),
@@ -458,6 +459,20 @@ def test_exit_2_messages_name_the_fault_in_the_input(capsys, monkeypatch):
     assert (code, out) == (2, "")
     assert err == ("error: Q(zeta_4) has no primitive root of unity of order "
                    "3; enlarge the field order to a multiple of 3\n")
+
+
+@pytest.mark.parametrize("label,order,missing", [
+    ("F4", 2, 3), ("F4", 3, 2), ("F4", 4, 3), ("B4", 3, 2)])
+def test_field_too_small_names_the_first_smith_invariant_factor(
+        capsys, label, order, missing):
+    # the walk's first lattice whose torsion the field cannot see names
+    # the first Smith invariant factor of sat/L that the field lacks
+    code, out, err = run(capsys, "enumerate", "layers", "--type", label,
+                         "--field-order", str(order))
+    assert (code, out) == (2, "")
+    assert err == (f"error: Q(zeta_{order}) has no primitive root of unity "
+                   f"of order {missing}; enlarge the field order to a "
+                   f"multiple of {missing}\n")
 
 
 def test_field_order_flag(capsys):

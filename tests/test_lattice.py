@@ -4,8 +4,8 @@ import random
 from fractions import Fraction
 
 from trigbethe.field import CyclotomicField
-from trigbethe.lattice import (hermite_coordinates, hermite_insert,
-                               hermite_normal_form, int_rank,
+from trigbethe.lattice import (diagonal_insert, hermite_coordinates,
+                               hermite_insert, hermite_normal_form, int_rank,
                                smith_normal_form)
 from trigbethe.layers import RootAmbient, enumerate_layers
 from trigbethe.roots import root_system
@@ -71,7 +71,7 @@ def test_saturation_contains_lattice_with_right_index():
         n = rng.randint(m, 4)
         a = rand_int_matrix(rng, m, n, -6, 6)
         sf = smith_normal_form(a)
-        sat = sf.saturation_basis()
+        sat = sf.Vinv[:sf.rank]
         assert len(sat) == sf.rank
         # d_i times the i-th saturation vector lies in the original lattice
         for d, v in zip([d for d in sf.divisors if d], sat):
@@ -174,6 +174,61 @@ def test_hermite_insert_cases():
     assert hermite_insert((), (0, -2, 7)) == ((0, 2, -7),)
 
 
+def test_diagonal_insert_grows_the_form_of_the_lattice():
+    # L = span(d_i Vinv[i], i < k) for a random unimodular V and random
+    # divisors, grown by a random vector outside its Q-span
+    rng = random.Random(23)
+    grown = fallbacks = 0
+    for _ in range(1500):
+        n = rng.randint(1, 5)
+        sf = smith_normal_form(rand_int_matrix(rng, n, n, -3, 3), ncols=n)
+        vcols = [list(c) for c in zip(*sf.V)]
+        vinv = [list(r) for r in sf.Vinv]
+        k = rng.randrange(n)
+        divisors = [rng.choice([1, 1, 2, 3, 4, 6]) for _ in range(k)]
+        a = [rng.randint(-6, 6) for _ in range(n)]
+        image = [sum(x * y for x, y in zip(a, col)) for col in vcols]
+        if not any(image[k:]):
+            continue
+        before = [c[:] for c in vcols], [r[:] for r in vinv]
+        lattice = [[d * x for x in vinv[i]] for i, d in enumerate(divisors)]
+        out = diagonal_insert(divisors, vcols, vinv, image)
+        assert (vcols, vinv) == before
+        if out is None:
+            fallbacks += 1
+            assert any(x % d for x, d in zip(image, divisors))
+            continue
+        grown += 1
+        d2, vcols2, vinv2 = out
+        assert d2[:k] == divisors and d2[k] > 0
+        assert vcols2[:k] == vcols[:k] and vinv2[:k] == vinv[:k]
+        assert mat_mul(list(map(list, zip(*vcols2))), vinv2) == [
+            [int(i == j) for j in range(n)] for i in range(n)]
+        assert batch_hermite_form(
+            [[d * x for x in vinv2[i]] for i, d in enumerate(d2)]) == \
+            batch_hermite_form(lattice + [a])
+    assert grown > 500 and fallbacks > 100
+
+
+def test_diagonal_insert_cases():
+    e = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    # a saturated lattice always grows, whatever the head of the image;
+    # a zero tail entry first swaps the columns, and a negative g is
+    # negated
+    swap = [[1, 0, 0], [0, 0, -1], [0, 1, 0]]
+    assert diagonal_insert([1], e, e, [5, 0, -3]) == ([1, 3], swap, swap)
+    # a head entry that is a multiple of its divisor: 2 | 4
+    swap = [[1, 0, 0], [0, 0, 1], [0, 1, 0]]
+    assert diagonal_insert([2], e, e, [4, 0, 6]) == ([2, 6], swap, swap)
+    # two tail entries, neither dividing the other: one gcd step,
+    # 2 = -1 * 4 + 1 * 6, so 2 (2, 3, 0) = (4, 6, 0)
+    assert diagonal_insert([], e, e, [4, 6, 0]) == (
+        [2], [[-1, 1, 0], [-3, 2, 0], [0, 0, 1]],
+        [[2, 3, 0], [-1, -1, 0], [0, 0, 1]])
+    # the head is not a multiple of the divisor: no diagonal form
+    assert diagonal_insert([2], e, e, [1, 1, 0]) is None
+
+
 def test_hermite_normal_form_matches_batch_oracle_on_integer_matrices():
     # the fold of hermite_insert from the empty form, zero rows included
     rng = random.Random(19)
@@ -219,7 +274,7 @@ def test_hermite_coordinates_reject_off_lattice_vectors():
         inside = hermite_insert(h, v) == h
         assert (hermite_coordinates(h, v) is not None) == inside
         sf = smith_normal_form(a, ncols=n)
-        for d, w in zip(sf.divisors, sf.saturation_basis()):
+        for d, w in zip(sf.divisors, sf.Vinv):
             if d > 1:   # in the saturation, not in the lattice
                 assert hermite_coordinates(h, w) is None
 

@@ -20,7 +20,7 @@ from trigbethe.layers import (Layer, RootAmbient, building_set,
 from trigbethe.nested import adjacency, components
 from trigbethe.roots import nonorthogonal_edges, root_system
 
-from oracles import char_value, powered_point_on_layer
+from oracles import char_value, powered_point_on_layer, roots_span_by_fold
 
 F6 = CyclotomicField(6)
 
@@ -49,7 +49,7 @@ def centralizer(amb, pt):
 
 
 def full_torus(amb):
-    return Layer(amb.dim, (), (), amb.field, ())
+    return Layer(amb.dim, (), (), amb.field, (), True)
 
 
 def covering_relations(layers):
@@ -182,7 +182,7 @@ def test_point_on_layer_matches_field_powers(label, order):
 def test_point_on_layer_rejects_bad_input():
     # a lattice that is not saturated, and more parameters than dimensions
     with pytest.raises(ValueError, match="saturated"):
-        point_on_layer(Layer(2, ((2, 0),), (0,), F6, ()))
+        point_on_layer(Layer(2, ((2, 0),), (0,), F6, (), False))
     line = [l for l in enumerate_layers(ambient("B2")) if l.codim == 1][0]
     with pytest.raises(ValueError, match="too many"):
         point_on_layer(line, [Fraction(2), Fraction(3)])
@@ -395,7 +395,7 @@ def subset_walk_layers(amb):
     def visit(rows):
         sf = smith_normal_form(rows, ncols=n)
         k = sf.rank
-        hnf = hermite_normal_form(sf.saturation_basis())
+        hnf = hermite_normal_form(sf.Vinv[:k])
 
         def coords(u):
             return [sum(u[a] * sf.V[a][i] for a in range(n)) for i in range(n)]
@@ -428,7 +428,8 @@ def subset_walk_layers(amb):
                 extend(i + 1, cand, cand_lattice)
 
     extend(0, [], ())
-    layers = [Layer(n, hnf, char, field, roots)
+    layers = [Layer(n, hnf, char, field, roots,
+                    hermite_normal_form(roots) == hnf)
               for (hnf, char), roots in found.items()]
     return sorted(layers, key=Layer.sort_key)
 
@@ -438,9 +439,7 @@ def subset_walk_layers(amb):
     ("C3", 6), ("C4", 6), ("D4", 6), ("G2", 6), ("F4", 12)])
 def test_lattice_walk_matches_subset_walk(label, order):
     amb = ambient(label, CyclotomicField(order))
-    got = [(l.basis, l.char_exps, l.roots_pos) for l in enumerate_layers(amb)]
-    want = [(l.basis, l.char_exps, l.roots_pos) for l in subset_walk_layers(amb)]
-    assert got == want
+    assert enumerate_layers(amb) == subset_walk_layers(amb)
 
 
 @pytest.mark.parametrize("label,order", [
@@ -509,16 +508,18 @@ FACT_TYPES = [("A2", 6), ("A3", 6), ("A4", 6), ("B2", 6), ("B3", 6),
 
 @pytest.mark.parametrize("label,order", FACT_TYPES)
 def test_layer_facts_match_their_direct_expressions(label, order):
-    # roots_span_lattice stops its Hermite fold early and is_indecomposable
-    # reads one root graph per ambient: both against the whole fold and the
-    # per-layer graph of every pair of the layer's roots
+    # the walk records whether the roots span the lattice and
+    # is_indecomposable reads one root graph per ambient: both against the
+    # Hermite fold, early stop and whole, and the per-layer graph of every
+    # pair of the layer's roots
     amb = ambient(label, CyclotomicField(order))
     layers = enumerate_layers(amb)
     spanned = indecomposable = 0
     for layer in layers:
         roots = layer.roots_pos
         want = hermite_normal_form(roots) == layer.basis
-        assert layer.roots_span_lattice == want, layer
+        assert layer.roots_span_lattice == roots_span_by_fold(layer) == want, \
+            layer
         adj = adjacency(len(roots), nonorthogonal_edges(amb.gram, roots))
         connected = len(components(frozenset(adj), adj)) == 1
         assert is_indecomposable(amb, layer) == connected, layer
@@ -604,20 +605,60 @@ def all_roots_growth(amb):
     return seen
 
 
+def recorded_forms(amb, monkeypatch):
+    """The diagonal form of every lattice the walk visits, in visit order,
+    and the walk's stats."""
+    forms = []
+
+    def recording_visit(amb, form, found):
+        forms.append(form)
+        return visit(amb, form, found)
+
+    visit = layers_module._visit
+    monkeypatch.setattr(layers_module, "_visit", recording_visit)
+    stats = Counter()
+    enumerate_layers(amb, stats)
+    return forms, stats
+
+
 @pytest.mark.parametrize("label,order", [("B4", 6), ("F4", 12)])
 def test_walk_visits_the_all_roots_growth(label, order, monkeypatch):
     # one Hermite insertion per class of Z^n/L loses no lattice: each
-    # visit starts with one Smith form of the lattice visited
-    visited = []
-
-    def recording_smith(rows, ncols=None):
-        visited.append(tuple(rows))
-        return smith_normal_form(rows, ncols)
-
-    monkeypatch.setattr(layers_module, "smith_normal_form", recording_smith)
+    # lattice is visited once, with its Hermite form
     amb = ambient(label, CyclotomicField(order))
-    stats = Counter()
-    enumerate_layers(amb, stats)
+    forms, stats = recorded_forms(amb, monkeypatch)
+    visited = [form[0] for form in forms]
     want = all_roots_growth(amb)
     assert len(visited) == len(set(visited)) == stats["lattices"]
     assert set(visited) == want
+
+
+@pytest.mark.parametrize("label,order", [
+    ("A2", 6), ("A4", 6), ("B3", 6), ("B4", 6), ("C4", 6), ("D4", 6),
+    ("G2", 6), ("F4", 12)])
+def test_walk_forms_are_diagonal_forms_of_their_lattices(label, order,
+                                                         monkeypatch):
+    # the lattice is span(d_i Vinv[i]) with V and Vinv inverse to each other,
+    # whether its form was grown from its parent's or is a Smith form
+    forms, _ = recorded_forms(ambient(label, CyclotomicField(order)),
+                              monkeypatch)
+    for basis, divisors, vcols, vinv in forms:
+        n = len(vcols)
+        assert [[sum(x * y for x, y in zip(r, c)) for c in vcols]
+                for r in vinv] == [[int(i == j) for j in range(n)]
+                                   for i in range(n)]
+        assert all(d > 0 for d in divisors)
+        rows = [[d * x for x in vinv[i]] for i, d in enumerate(divisors)]
+        assert hermite_normal_form(rows) == basis
+
+
+@pytest.mark.parametrize("label,fallbacks", [
+    ("A4", False), ("D4", False), ("B3", True), ("B4", True)])
+def test_walk_takes_the_smith_fallback_on_b_and_not_on_a_or_d(label,
+                                                             fallbacks):
+    # a lattice grown from a parent whose diagonal form does not extend
+    # takes a full Smith form; on A4 and D4 every form extends
+    stats = Counter()
+    enumerate_layers(ambient(label), stats)
+    assert (stats["smith_forms"] > 0) == fallbacks
+    assert stats["smith_forms"] < stats["lattices"]
