@@ -20,10 +20,15 @@ it carries Bethe vectors at y to Bethe vectors at w.y for every y (the
 Points of the degenerate family (XPoint) are stored untwisted plus a
 Weyl twist; their limit subspaces are built from the tau-carrying Bethe
 generators of the ambient stratum and the chart family of the point's
-centralizer.  XPoint.at builds one from its description (w, I, y, S, t)
-with e^alpha (one product per root along the height chain), the
-centralizer, its base and the chart each computed once, and a generator
-carries no t-term where alpha(h) = 0.  recover_data reads
+centralizer.  Of a point (w, I, y, S, t) only y and t are continuous;
+everything else is finite data of the root system, which keeps it in
+tables built once per process (RootSystem.memo): the height chain of
+the stratum I, the base and the integer kernel of the centralized roots,
+the chart of S with its nestedness verdict, and the holonomy space of
+the field, with its rho(w) and, per h, the columns a Bethe row fills.
+XPoint.at and a PointStream draw read those tables, so a point itself
+costs e^alpha (one product per root along the height chain), its chart
+residuals and its Bethe weights.  recover_data reads
 the stratum data back off an untwisted subspace.  The checks sample
 points from a PointStream, one seeded sequence drawn on demand, so that
 one request builds and row-reduces each sampled point once.
@@ -66,8 +71,18 @@ def bethe_weight(u):
 SparseColumns = list[dict[int, int]]
 
 
+# the tau entries of tau(h), and (column, root, alpha(h)) for every
+# positive root with alpha(h) != 0: what a Bethe row at h fills
+BethePattern = tuple[list[FieldElement], tuple[tuple[int, Coords, int], ...]]
+
+
 class HolonomySpace:
-    """Exact vectors over the basis [t_alpha ..., tau_1 ... tau_n]."""
+    """Exact vectors over the basis [t_alpha ..., tau_1 ... tau_n].
+
+    HolonomySpace.of gives the one space of a root system and field, kept
+    in the root system's tables, so its labels, its rho(w) and its Bethe
+    pattern per h are computed once and read by every point.
+    """
 
     def __init__(self, rs: RootSystem, field: CyclotomicField):
         self.rs = rs
@@ -76,7 +91,16 @@ class HolonomySpace:
         self.npos = len(self.pos)
         self.dim = self.npos + rs.rank
         self._t_index = {a: i for i, a in enumerate(self.pos)}
+        self._labels = [f"t({','.join(map(str, a))})" for a in self.pos] + \
+            [f"tau({i + 1})" for i in range(rs.rank)]
+        self._t_zeros = [field.zero()] * self.npos
         self._rho: dict[IntMatrix, SparseColumns] = {}
+        self._patterns: dict[tuple, BethePattern] = {}
+
+    @classmethod
+    def of(cls, rs: RootSystem, field: CyclotomicField) -> HolonomySpace:
+        """The space of rs over field, built once and kept by rs."""
+        return rs.memo("space", field, lambda: cls(rs, field))
 
     # ------------------------------------------------------------------
     # construction
@@ -100,8 +124,7 @@ class HolonomySpace:
         return v
 
     def labels(self) -> list[str]:
-        return [f"t({','.join(map(str, a))})" for a in self.pos] + \
-               [f"tau({i + 1})" for i in range(self.rs.rank)]
+        return self._labels
 
     def alpha_of_h(self, alpha: Sequence[int], h_coords: Sequence) -> object:
         """alpha(h) for integer or Fraction coordinates h."""
@@ -115,13 +138,34 @@ class HolonomySpace:
         """tau(h) plus alpha(h) * bethe_weight(e^alpha) t_alpha, per h.
 
         values maps each root that carries a t-term to e^alpha at the
-        point; the weights are computed once for all h, and a root with
-        alpha(h) = 0 gets no term.  A value 1 raises ZeroDivisionError.
+        point; the weights are computed once for all h, and each h's
+        pattern once per space (bethe_pattern), so a root with alpha(h) = 0
+        gets no term and a weight times alpha(h) = 1 is the weight itself.
+        A value 1 raises ZeroDivisionError.
         """
         weights = {a: bethe_weight(u) for a, u in values.items()}
-        return [self.vector({a: g * ah for a, g in weights.items()
-                             if (ah := self.alpha_of_h(a, h)) != 0}, h)
-                for h in hs]
+        rows = []
+        for h in hs:
+            tau, terms = self.bethe_pattern(h)
+            row = self._t_zeros + tau
+            for k, a, ah in terms:
+                g = weights.get(a)
+                if g is not None:
+                    row[k] = g if ah == 1 else g * ah
+            rows.append(row)
+        return rows
+
+    def bethe_pattern(self, h: Sequence[int]) -> BethePattern:
+        """The tau entries of tau(h) and the t-columns a Bethe row at the
+        integer h fills, computed once per h."""
+        key = tuple(h)
+        pattern = self._patterns.get(key)
+        if pattern is None:
+            pattern = self._patterns[key] = (
+                [self.field.coerce(c) for c in key],
+                tuple((k, a, ah) for k, a in enumerate(self.pos)
+                      if (ah := self.alpha_of_h(a, key)) != 0))
+        return pattern
 
     # ------------------------------------------------------------------
     # Weyl action
@@ -184,7 +228,7 @@ def weyl_action_report(rs: RootSystem, field: CyclotomicField,
     """
     import random
     rng = random.Random(f"weyl-twists-{rs.label}-{seed}")
-    space = HolonomySpace(rs, field)
+    space = HolonomySpace.of(rs, field)
     n = rs.rank
     gens = [space.rho(rs.simple_reflection(i)) for i in range(n)]
     twists = [rs.longest_element()]
@@ -328,7 +372,7 @@ class XPoint:
 
     def __post_init__(self):
         self.w = self.rs.matrix_of_word(self.word)
-        self.space = HolonomySpace(self.rs, self.field)
+        self.space = HolonomySpace.of(self.rs, self.field)
 
     @classmethod
     def at(cls, rs: RootSystem, field: CyclotomicField, word, subset, point,
@@ -352,9 +396,8 @@ class XPoint:
             k = len(base)
             raise ValueError(f"S must list {k} member{'s' * (k != 1)}, one per "
                              f"root of the centralizer's base, not {len(members)}")
-        chart = Chart(base, centralized, members)
-        adj = adjacency(len(base), rs.nonorthogonal_edges(base))
-        if not is_nested(chart.sets, adj):
+        chart, nested = chart_of(rs, base, centralized, members)
+        if not nested:
             raise ValueError("S is not a maximal nested set: members must be "
                              "connected, nested or disjoint, and disjoint "
                              "members not adjacent")
@@ -382,8 +425,10 @@ class XPoint:
     def untwisted_generators(self) -> list[list[FieldElement]]:
         """tau-carrying generators for h killing the centralizer, plus the
         chart family of the centralizer; together always rank-many."""
-        h_basis = integer_kernel(self.centralized, self.rs.rank)
-        cen = set(self.centralized)
+        rs, key = self.rs, tuple(self.centralized)
+        h_basis = rs.memo("kernel", key,
+                          lambda: tuple(integer_kernel(key, rs.rank)))
+        cen = set(key)
         gens = self.space.bethe_family(
             {a: u for a, u in self.root_values.items() if a not in cen}, h_basis)
         for v in range(len(self.chart.base)):
@@ -421,8 +466,10 @@ def stratum_values(rs: RootSystem, subset: Sequence[int],
     """e^alpha at a point of the stratum torus, per root supported on subset,
     where point[k] is e^{alpha_i} for i = subset[k]: one product per root
     of height two or more, along the height chain."""
-    return chain_values(root_chain(rs.roots_with_support_in(subset),
-                                   rs.simple_roots), dict(zip(subset, point)))
+    subset = tuple(subset)
+    chain = rs.memo("chain", subset, lambda: tuple(root_chain(
+        rs.roots_with_support_in(subset), rs.simple_roots)))
+    return chain_values(chain, dict(zip(subset, point)))
 
 
 def centralizer(rs: RootSystem, subset: Sequence[int],
@@ -430,11 +477,31 @@ def centralizer(rs: RootSystem, subset: Sequence[int],
                 ) -> tuple[dict[Coords, FieldElement], list[Coords], list[Coords]]:
     """(e^alpha per root supported on subset, the centralized roots, their
     base) at a point of the stratum torus: the roots with e^alpha = 1, in
-    positive-root order, and the simple system of the subsystem they form.
+    positive-root order, and the simple system of the subsystem they form
+    (read from rs's "base" table).
     """
     values = stratum_values(rs, subset, point)
     centralized = [a for a, u in values.items() if u.is_one()]
-    return values, centralized, rs.base_of(centralized)
+    key = tuple(centralized)
+    return values, centralized, list(
+        rs.memo("base", key, lambda: tuple(rs.base_of(key))))
+
+
+def chart_of(rs: RootSystem, base: Sequence[Coords],
+             centralized: Sequence[Coords],
+             members: Iterable[Collection[int]]) -> tuple[Chart, bool]:
+    """(the Chart of members on base, whether the members form a nested
+    family on the diagram of base), base being the base of the centralized
+    roots.  Kept in rs's "chart" table per (centralized roots, members),
+    since the roots determine their base; a ValueError of Chart is raised
+    again on every call, not kept."""
+    members = frozenset(map(frozenset, members))
+
+    def build():
+        chart = Chart(base, centralized, members)
+        adj = adjacency(len(chart.base), rs.nonorthogonal_edges(chart.base))
+        return chart, is_nested(chart.sets, adj)
+    return rs.memo("chart", (tuple(centralized), members), build)
 
 
 def integer_kernel(rows: Sequence[Sequence[int]], n: int) -> list[Coords]:
@@ -670,7 +737,7 @@ class PointStream:
         values, cen, base = centralizer(rs, subset, y)
         families = maximal_nested_sets(len(base), rs.nonorthogonal_edges(base))
         sets = families[rng.randrange(len(families))]
-        chart = Chart(base, cen, sets)
+        chart, _ = chart_of(rs, base, cen, sets)
         tops = [s for s in chart.sets
                 if not any(s < q for q in chart.sets)]
         tvals = tuple(Fraction(1) if s in tops

@@ -31,7 +31,7 @@ from .layers import (RootAmbient, building_set, enumerate_layers,
                      poset_relations, restrict, subset_layers)
 from .linalg import rref
 from .nested import Chart, maximal_nested_sets
-from .roots import RootSystem, root_system
+from .roots import MAX_WEYL_ORDER, RootSystem, root_system
 
 SCHEMA = 1
 
@@ -424,6 +424,9 @@ def _check_weyl(args, stream: PointStream) -> dict:
             if not failed else f"failed: {', '.join(failed)}"}
 
 
+# the checks that draw points, for which the PointStream tables all of W
+_DRAWING = ("rank", "injectivity")
+
 # each check reads the parsed arguments and the request's PointStream
 _CHECKS = {
     "commutativity": _check_commutativity,
@@ -442,6 +445,10 @@ def _cmd_check(args) -> int:
     rs = root_system(args.type)
     field = _field_for(rs, args.field_order)
     names = list(_CHECKS) if args.what == "all" else [args.what]
+    if any(n in _DRAWING for n in names) and rs.weyl_order > MAX_WEYL_ORDER:
+        raise ValueError(f"check {args.what} tables the Weyl group of "
+                         f"{rs.label}, |W| = {rs.weyl_order}, which exceeds "
+                         f"the maximum {MAX_WEYL_ORDER}")
     # one point stream per request: rank and injectivity read its prefix
     stream = PointStream(rs, field, args.seed)
     results, seconds = [], {}

@@ -12,14 +12,15 @@ from __future__ import annotations
 
 import math
 import re
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from operator import sub
-from typing import Iterable, NamedTuple, Sequence
+from typing import Callable, Hashable, Iterable, NamedTuple, Sequence, TypeVar
 
 from .lattice import smith_normal_form
 
 Coords = tuple[int, ...]
 IntMatrix = tuple[tuple[int, ...], ...]
+T = TypeVar("T")
 
 
 def _chain_cartan(n: int) -> list[list[int]]:
@@ -133,6 +134,13 @@ _LABEL = re.compile(r"^([ABCDGF])(\d+)$")
 # tables alone take 7 s at B32), so ranks from outside input are bounded
 MAX_RANK = 16
 
+# tabling the whole Weyl group (weyl_elements, from which a point stream
+# draws its twists) costs time and memory linear in |W|: in process,
+# 0.7 s and 33 MB at D6 (|W| = 23,040), 1.6 s and 42 MB at A7 (40,320),
+# 1.8 s and 48 MB at B6 (46,080), while a cold A8 check all (362,880) took
+# 37 s; requests that table W are refused above this order
+MAX_WEYL_ORDER = 50_000
+
 
 @lru_cache(maxsize=None)
 def root_system(label: str) -> "RootSystem":
@@ -148,7 +156,25 @@ def root_system(label: str) -> "RootSystem":
 
 
 class RootSystem:
-    """All roots, the pairing, and the full Weyl group of one type."""
+    """All roots, the pairing, and the full Weyl group of one type.
+
+    Besides its Weyl-group caches (reduced words, element tables,
+    reflections, products) a root system keeps the finite data that
+    building a point of the wonderful model reads, in tables filled on
+    first use through memo() and keyed by type-level data only, never by
+    a point's y or t or by a seed (see bethe):
+    - "chain": the height chain of the roots supported on a subset of
+      the simple roots, per subset;
+    - "base" and "kernel": base_of and the integer kernel of a tuple of
+      centralized roots, per tuple;
+    - "chart": the Chart of a maximal nested family on a centralizer's
+      base, with whether the family is nested, per (roots, members);
+    - "space": the HolonomySpace over a field, per field, which keeps its
+      labels, its rho(w) and its Bethe-row pattern per h.
+    Every entry is immutable or never changed once built, so every point
+    and request of the process shares it; the tables die with the root
+    system, and nothing is built at import time.
+    """
 
     def __init__(self, family: str, n: int):
         self.family = family
@@ -177,6 +203,20 @@ class RootSystem:
         # reflection_in_root and product
         self._reflections: dict[Coords, IntMatrix] = {}
         self._products: dict[tuple[IntMatrix, IntMatrix], IntMatrix] = {}
+        # the point-construction tables, by name (see memo)
+        self.tables: dict[str, dict] = {}
+
+    def memo(self, table: str, key: Hashable, build: Callable[[], T]) -> T:
+        """The entry under key of the named table, build() on first use."""
+        entries = self.tables.get(table)
+        if entries is None:
+            entries = self.tables[table] = {}
+        try:
+            return entries[key]
+        except KeyError:
+            pass
+        value = entries[key] = build()
+        return value
 
     # ------------------------------------------------------------------
     # pairing
@@ -310,7 +350,7 @@ class RootSystem:
                 return w
             w = self.times_generator(w, i)
 
-    @property
+    @cached_property
     def weyl_order(self) -> int:
         """|W| = n! * det(Cartan) * the product of the highest root's coefficients.
 

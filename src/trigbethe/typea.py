@@ -28,7 +28,6 @@ integers.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cache
 from itertools import combinations
 from math import lcm, prod
 from typing import Sequence
@@ -70,9 +69,10 @@ class TrigSource(PairSpace):
         P_k (tau_k plus Bethe-weighted pairs), P_k = prod_{j != k} (x_k - x_j).
 
         The pairs are the engine's Bethe rows of A_{n-1} over Q at
-        e^{alpha_i} = x_i/x_{i+1}, the k-th for h = e_k (_type_a_rows): the
-        entry of root e_i - e_j, read as pair (i,j), has a denominator that
-        divides x_i - x_j and so P_k.
+        e^{alpha_i} = x_i/x_{i+1}, the k-th for h = e_k, the simple-root
+        values alpha_i(e_k) = delta_{ik} - delta_{i+1,k}: the entry of root
+        e_i - e_j = alpha_i + ... + alpha_{j-1}, read as pair (i,j), has a
+        denominator that divides x_i - x_j and so P_k.
         """
         if any(v.denominator != 1 for v in x):
             raise ValueError("coordinates must be integers, see integer_point")
@@ -82,7 +82,11 @@ class TrigSource(PairSpace):
                 for k, scale in zip(self.indices, scales)]
         if self.n == 1:
             return span
-        space, pairs, hs = _type_a_rows(self.n)
+        space = HolonomySpace.of(root_system(f"A{self.n - 1}"),
+                                 CyclotomicField(1))
+        pairs = [(a.index(1) + 1, a.index(1) + 1 + sum(a)) for a in space.pos]
+        hs = [[(i == k) - (i + 1 == k) for i in range(1, self.n)]
+              for k in self.indices]
         values = {a: space.field.from_rational(Fraction(x[i - 1], x[j - 1]))
                   for a, (i, j) in zip(space.pos, pairs)}
         for vec, scale, row in zip(span, scales,
@@ -90,17 +94,6 @@ class TrigSource(PairSpace):
             for pair, c in zip(pairs, row):
                 vec[self._index[pair]] = int(c.as_rational() * scale)
         return span
-
-
-@cache
-def _type_a_rows(n: int) -> tuple[HolonomySpace, list, list[list[int]]]:
-    """The holonomy space of A_{n-1} over Q, the pair (i,j) of each of its
-    positive roots e_i - e_j = alpha_i + ... + alpha_{j-1}, and h_1..h_n,
-    the simple-root values alpha_i(e_k) = delta_{ik} - delta_{i+1,k}."""
-    space = HolonomySpace(root_system(f"A{n - 1}"), CyclotomicField(1))
-    pairs = [(a.index(1) + 1, a.index(1) + 1 + sum(a)) for a in space.pos]
-    return space, pairs, [[(i == k) - (i + 1 == k) for i in range(1, n)]
-                          for k in range(1, n + 1)]
 
 
 class RationalTarget(PairSpace):

@@ -163,6 +163,25 @@ def test_oversized_rank_is_usage_error(capsys, argv):
     assert err.endswith("exceeds the maximum 16\n")
 
 
+@pytest.mark.parametrize("what", ["rank", "injectivity", "all"])
+def test_oversized_weyl_table_is_usage_error(capsys, monkeypatch, what):
+    # |W(A8)| = 9! is read off the Cartan matrix, and the request is
+    # refused before any check runs
+    def refuse(*args):
+        raise AssertionError("a check ran")
+    for name in cli._CHECKS:
+        monkeypatch.setitem(cli._CHECKS, name, refuse)
+    code, out, err = run(capsys, "check", what, "--type", "A8")
+    assert code == 2 and out == ""
+    assert err == (f"error: check {what} tables the Weyl group of A8, "
+                   "|W| = 362880, which exceeds the maximum 50000\n")
+
+
+def test_checks_that_draw_no_point_run_above_the_weyl_bound(capsys):
+    code, out, _ = run(capsys, "check", "typea", "--type", "A8")
+    assert code == 0 and json.loads(out)["passed"]
+
+
 def test_subspace_refuses_oversized_rank(capsys, monkeypatch):
     for label in ("A99999", "C17", "A" + "9" * 5000):
         text = json.dumps({"type": label})

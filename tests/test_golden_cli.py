@@ -33,10 +33,11 @@ from pathlib import Path
 
 import pytest
 
-from trigbethe import bethe, cli
+from trigbethe import bethe, cli, roots, typea
+from trigbethe.bethe import HolonomySpace, integer_kernel
 from trigbethe.cli import main
 from trigbethe.nested import Chart, maximal_nested_sets
-from trigbethe.roots import RootSystem, root_system
+from trigbethe.roots import RootSystem, root_chain, root_system
 
 REFERENCE = json.loads((Path(__file__).resolve().parents[1] / "perfbench"
                         / "data" / "reference.json").read_text(encoding="utf-8"))
@@ -288,6 +289,21 @@ def test_whole_pool_matches_reference(capsys, monkeypatch):
     assert not wrong, (len(wrong), wrong[:3])
 
 
+def _fresh_root_systems(monkeypatch) -> dict[str, RootSystem]:
+    """Look every type up in a new cache, wherever the CLI looks one up,
+    so each starts with empty tables; returns the root systems made."""
+    make = root_system.__wrapped__
+    made: dict[str, RootSystem] = {}
+
+    def fresh(label: str) -> RootSystem:
+        if label not in made:
+            made[label] = make(label)
+        return made[label]
+    for module in (roots, cli, typea):
+        monkeypatch.setattr(module, "root_system", fresh)
+    return made
+
+
 def _count_point_work(monkeypatch) -> Counter:
     """Count the calls that build a point: e^alpha, the centralizer base,
     the chart and its residuals, which the genericity test reads."""
@@ -308,17 +324,28 @@ def _count_point_work(monkeypatch) -> Counter:
     return counts
 
 
+def _tabled(made: dict[str, RootSystem], table: str) -> int:
+    return sum(len(rs.tables.get(table, {})) for rs in made.values())
+
+
 def test_each_point_is_built_once(capsys, monkeypatch):
+    made = _fresh_root_systems(monkeypatch)
     counts = _count_point_work(monkeypatch)
     entries = REFERENCE["pool"][::107]
     assert len(entries) == 12
-    for entry in entries:
-        monkeypatch.setattr("sys.stdin", io.StringIO(entry["spec"]))
-        assert run(capsys, ["subspace", "-"]) == (0, entry["sha256"])
-    # XPoint.at tests genericity of outside input once per request, on
-    # the residuals that the chart family reads too
-    assert counts == {name: 12 for name in
-                      ("base_of", "stratum_values", "__init__", "residuals")}
+    for requests in (12, 24):
+        for entry in entries:
+            monkeypatch.setattr("sys.stdin", io.StringIO(entry["spec"]))
+            assert run(capsys, ["subspace", "-"]) == (0, entry["sha256"])
+        # XPoint.at tests genericity of outside input once per request, on
+        # the residuals that the chart family reads too
+        assert counts["stratum_values"] == counts["residuals"] == requests
+        # each distinct centralizer base and chart is built once, into its
+        # root system's tables, so the replay builds nothing new
+        assert 0 < counts["base_of"] == _tabled(made, "base") <= 12
+        assert 0 < counts["__init__"] == _tabled(made, "chart") <= 12
+    assert set(counts) == {"base_of", "stratum_values", "__init__",
+                           "residuals"}
 
     streams: list[bethe.PointStream] = []
     init = bethe.PointStream.__init__
@@ -328,6 +355,7 @@ def test_each_point_is_built_once(capsys, monkeypatch):
         streams.append(self)
     monkeypatch.setattr(bethe.PointStream, "__init__", recorded)
     for label in ("A2", "B2", "G2", "A3"):
+        made = _fresh_root_systems(monkeypatch)
         counts.clear()
         streams.clear()
         assert main(["check", "all", "--type", label, "--seed", "1"]) == 0
@@ -338,15 +366,70 @@ def test_each_point_is_built_once(capsys, monkeypatch):
         # the simple roots, and no point; a drawn t is generic unasked,
         # so the residuals are evaluated once per point whose chart family
         # is built (a cached_property keeps them in the instance dict)
-        rs = root_system(label)
+        rs = made[label]
         charts = len(maximal_nested_sets(
             rs.rank, rs.nonorthogonal_edges(rs.simple_roots)))
         points = [x for s in streams for x in s.points]
         holding = sum("residuals" in vars(x) for x in points)
         assert 0 < holding <= sum(s.reductions for s in streams) \
             <= len(points) <= built
-        assert counts == {"base_of": built, "stratum_values": built,
-                          "__init__": built + charts, "residuals": holding}
+        # a drawn point reads its base and chart from the tables, which
+        # hold one entry per distinct centralizer and chart drawn
+        distinct = {tuple(x.centralized) for x in points}
+        assert counts["base_of"] == len(rs.tables["base"]) == len(distinct)
+        assert counts["__init__"] == len(rs.tables["chart"]) + charts
+        assert len(rs.tables["chart"]) <= built
+        assert counts["stratum_values"] == built
+        assert counts["residuals"] == holding
+
+
+def test_pool_replays_forward_then_reversed(capsys, monkeypatch):
+    # on new root systems each request reads the tables the earlier ones
+    # filled; in either order every point prints its reference digest
+    _fresh_root_systems(monkeypatch)
+    pool = REFERENCE["pool"]
+    wrong = []
+    for entry in pool + pool[::-1]:
+        monkeypatch.setattr("sys.stdin", io.StringIO(entry["spec"]))
+        if run(capsys, ["subspace", "-"]) != (0, entry["sha256"]):
+            wrong.append(entry["spec"])
+    assert not wrong, (len(wrong), wrong[:3])
+
+
+def test_requests_leave_the_shared_tables_as_built(capsys, monkeypatch):
+    # check all runs the weyl report, whose sign control flips columns of
+    # rho(s_1), on the space the twisted subspace then reads: every entry
+    # must still equal one built on a new root system
+    made = _fresh_root_systems(monkeypatch)
+    assert main(["check", "all", "--type", "B3", "--seed", "1"]) == 0
+    capsys.readouterr()
+    entry = next(e for e in REFERENCE["pool"] if e["group"] == "B3/6/twisted")
+    monkeypatch.setattr("sys.stdin", io.StringIO(entry["spec"]))
+    assert run(capsys, ["subspace", "-"]) == (0, entry["sha256"])
+    tables, new = made["B3"].tables, RootSystem("B", 3)
+    assert set(tables) == {"chain", "base", "kernel", "chart", "space"}
+    for subset, chain in tables["chain"].items():
+        assert chain == tuple(root_chain(new.roots_with_support_in(subset),
+                                         new.simple_roots))
+    for cen, base in tables["base"].items():
+        assert base == tuple(new.base_of(cen))
+    for cen, kernel in tables["kernel"].items():
+        assert kernel == tuple(integer_kernel(cen, new.rank))
+    for (cen, members), (chart, nested) in tables["chart"].items():
+        fresh, fresh_nested = bethe.chart_of(new, tables["base"][cen], cen,
+                                             members)
+        assert vars(chart) == vars(fresh) and nested == fresh_nested
+    twisted = 0
+    for field, space in tables["space"].items():
+        fresh = HolonomySpace.of(new, field)
+        assert space.labels() == fresh.labels()
+        for w, cols in space._rho.items():
+            assert cols == fresh.rho(w)
+            twisted += w != new.identity
+        for h, pattern in space._patterns.items():
+            assert pattern == fresh.bethe_pattern(h)
+        assert space._patterns
+    assert twisted > new.rank
 
 
 @pytest.mark.parametrize("argv", ENUMERATE, ids=" ".join)
