@@ -9,13 +9,13 @@ it carries.
 The Weyl group acts on this space by integer matrices rho(w) (see
 HolonomySpace.rho): t_alpha goes to t_|w alpha|, and tau(h) goes to
 tau(w.h) corrected by alpha(w.h) t_alpha over the inversion set of w.
-The tables behind rho (w^{-1}, the positive-root permutation, the
-inversion set) are cached per element by RootSystem.element, so acting
-by one element never enumerates the group.  weyl_action_report checks,
-from the Coxeter presentation and the generators alone, that this is a
-representation, that it intertwines the canonical shift delta, and that
-it carries Bethe vectors at y to Bethe vectors at w.y for every y (the
-`check weyl` command).
+rho(w) and the tables behind it (w^{-1}, the positive-root permutation,
+the inversion set) are kept per element in the root system's tables, so
+acting by one element never enumerates the group.  weyl_action_report
+checks, from the Coxeter presentation and the generators alone, that
+this is a representation, that it intertwines the canonical shift
+delta, and that it carries Bethe vectors at y to Bethe vectors at w.y
+for every y (the `check weyl` command).
 
 Points of the degenerate family (XPoint) are stored untwisted plus a
 Weyl twist; their limit subspaces are built from the tau-carrying Bethe
@@ -24,8 +24,8 @@ centralizer.  Of a point (w, I, y, S, t) only y and t are continuous;
 everything else is finite data of the root system, which keeps it in
 tables built once per process (RootSystem.memo): the height chain of
 the stratum I, the base and the integer kernel of the centralized roots,
-the chart of S with its nestedness verdict, and the holonomy space of
-the field, with its rho(w) and, per h, the columns a Bethe row fills.
+the chart of S with its nestedness verdict, the holonomy space of the
+field, rho(w), and per field and h the columns a Bethe row fills.
 XPoint.at and a PointStream draw read those tables, so a point itself
 costs e^alpha (one product per root along the height chain), its chart
 residuals and its Bethe weights.  recover_data reads
@@ -80,8 +80,8 @@ class HolonomySpace:
     """Exact vectors over the basis [t_alpha ..., tau_1 ... tau_n].
 
     HolonomySpace.of gives the one space of a root system and field, kept
-    in the root system's tables, so its labels, its rho(w) and its Bethe
-    pattern per h are computed once and read by every point.
+    in the root system's tables like its rho(w) and its Bethe pattern per
+    h, so each is computed once and read by every point.
     """
 
     def __init__(self, rs: RootSystem, field: CyclotomicField):
@@ -94,8 +94,6 @@ class HolonomySpace:
         self._labels = [f"t({','.join(map(str, a))})" for a in self.pos] + \
             [f"tau({i + 1})" for i in range(rs.rank)]
         self._t_zeros = [field.zero()] * self.npos
-        self._rho: dict[IntMatrix, SparseColumns] = {}
-        self._patterns: dict[tuple, BethePattern] = {}
 
     @classmethod
     def of(cls, rs: RootSystem, field: CyclotomicField) -> HolonomySpace:
@@ -157,15 +155,12 @@ class HolonomySpace:
 
     def bethe_pattern(self, h: Sequence[int]) -> BethePattern:
         """The tau entries of tau(h) and the t-columns a Bethe row at the
-        integer h fills, computed once per h."""
-        key = tuple(h)
-        pattern = self._patterns.get(key)
-        if pattern is None:
-            pattern = self._patterns[key] = (
-                [self.field.coerce(c) for c in key],
-                tuple((k, a, ah) for k, a in enumerate(self.pos)
-                      if (ah := self.alpha_of_h(a, key)) != 0))
-        return pattern
+        integer h fills, computed once per field and h."""
+        h = tuple(h)
+        return self.rs.memo("pattern", (self.field, h), lambda: (
+            [self.field.coerce(c) for c in h],
+            tuple((k, a, ah) for k, a in enumerate(self.pos)
+                  if (ah := self.alpha_of_h(a, h)) != 0)))
 
     # ------------------------------------------------------------------
     # Weyl action
@@ -184,21 +179,19 @@ class HolonomySpace:
         t_alpha goes to t_|w alpha|; tau(h) goes to tau(w.h) minus
         alpha(w.h) t_alpha for every alpha in the inversion set of w.
         """
-        cols = self._rho.get(w)
-        if cols is not None:
+        def build():
+            cols = [{j: 1} for j in self.rs.element(w).perm]
+            inversions = self.rs.inversion_set(w)
+            for e in self.rs.identity:
+                h = self.h_transport(w, e)
+                col = {self.npos + k: c for k, c in enumerate(h) if c}
+                for a in inversions:
+                    ah = self.alpha_of_h(a, h)
+                    if ah:
+                        col[self._t_index[a]] = -ah
+                cols.append(col)
             return cols
-        cols = [{j: 1} for j in self.rs.element(w).perm]
-        inversions = self.rs.inversion_set(w)
-        for e in self.rs.identity:
-            h = self.h_transport(w, e)
-            col = {self.npos + k: c for k, c in enumerate(h) if c}
-            for a in inversions:
-                ah = self.alpha_of_h(a, h)
-                if ah:
-                    col[self._t_index[a]] = -ah
-            cols.append(col)
-        self._rho[w] = cols
-        return cols
+        return self.rs.memo("rho", w, build)
 
     def act(self, w: IntMatrix, vec: Sequence[FieldElement]) -> list[FieldElement]:
         """rho(w) applied to vec."""
@@ -663,7 +656,7 @@ class PointStream:
 
     built counts the XPoints constructed (a repeat of an earlier point
     included) and reductions the points whose subspace was row-reduced
-    (XPoint.reduced).
+    (XPoint.reduced).  What a draw reads of the type is in rs.tables.
     """
 
     def __init__(self, rs: RootSystem, field: CyclotomicField, seed: int):
@@ -675,15 +668,6 @@ class PointStream:
         self._rng = random.Random(f"xpoints-{rs.label}-{seed}")
         self._drawn_at: list[int] = []     # attempts spent when points[k] came
         self._seen: set[tuple] = set()
-        n = rs.rank
-        self._subsets = sorted(
-            (tuple(i for i in range(n) if m >> i & 1) for m in range(1 << n)),
-            key=lambda s: -len(s))
-        self._words: list[tuple[int, ...]] | None = None
-        # the full arrangement's layers and subset_layers of them, from
-        # one walk; per subset drawn: the restricted ambient and its layers
-        self._walk: tuple[list, dict[tuple[int, ...], list[int]]] | None = None
-        self._layers: dict[tuple[int, ...], tuple[RootAmbient, list]] = {}
         self.spin_samples: list[tuple] | None = None    # cli._spin_samples
 
     @property
@@ -703,29 +687,30 @@ class PointStream:
     def sub_arrangement(self, subset: tuple[int, ...]
                         ) -> tuple[RootAmbient, list]:
         """The ambient and the layers of the sub-arrangement on a subset of
-        the simple roots, read from one walk of the full arrangement."""
+        the simple roots, read from one walk of the full arrangement (the
+        "walk" and "layers" tables)."""
         from .layers import enumerate_layers, restrict, subset_layers
+        rs, field = self.rs, self.field
 
-        if subset not in self._layers:
-            if self._walk is None:
-                layers = enumerate_layers(
-                    RootAmbient.from_root_system(self.rs, self.field))
-                self._walk = layers, subset_layers(layers)
-            layers, by_subset = self._walk
-            self._layers[subset] = (
-                RootAmbient.restricted(self.rs, subset, self.field),
-                [restrict(layers[k], subset) for k in by_subset[subset]])
-        return self._layers[subset]
+        def walk():
+            layers = enumerate_layers(RootAmbient.from_root_system(rs, field))
+            return layers, subset_layers(layers)
+
+        def build():
+            layers, by_subset = rs.memo("walk", field, walk)
+            return (RootAmbient.restricted(rs, subset, field),
+                    [restrict(layers[k], subset) for k in by_subset[subset]])
+        return rs.memo("layers", (field, subset), build)
 
     def _draw(self) -> None:
         from .layers import generic_point
 
         rs, rng, n = self.rs, self._rng, self.rs.rank
         self.attempts += 1
-        if self._words is None:
-            # already in shortlex order: the table is built breadth first
-            self._words = list(rs.weyl_elements().values())
-        subsets = self._subsets
+        subsets, words = rs.memo("draw", None, lambda: (
+            sorted((tuple(i for i in range(n) if m >> i & 1)
+                    for m in range(1 << n)), key=lambda s: -len(s)),
+            list(rs.weyl_elements().values())))
         subset = subsets[rng.randrange(len(subsets))] if rng.random() < 0.5 \
             else tuple(range(n))
         amb, layers = self.sub_arrangement(subset)
@@ -735,7 +720,8 @@ class PointStream:
         except RuntimeError:
             return
         values, cen, base = centralizer(rs, subset, y)
-        families = maximal_nested_sets(len(base), rs.nonorthogonal_edges(base))
+        families = rs.memo("families", tuple(base), lambda: (
+            maximal_nested_sets(len(base), rs.nonorthogonal_edges(base))))
         sets = families[rng.randrange(len(families))]
         chart, _ = chart_of(rs, base, cen, sets)
         tops = [s for s in chart.sets
@@ -745,7 +731,6 @@ class PointStream:
                       else Fraction(rng.randint(1, 40), rng.randint(1, 40))
                       for s in chart.sets)
         # generic: at t >= 0 the term of A(r)'s missing vertex is c_v >= 1
-        words = self._words
         word = words[rng.randrange(len(words))] if rng.random() < 0.4 else ()
         # the draws make XPoint.at's checks
         x = XPoint(rs, self.field, word, subset, y, chart, tvals, values, cen)

@@ -77,8 +77,6 @@ class HeckeAlgebra:
         # exponent of x_j, j < n
         self._units = [tuple(int(i == j) for i in range(self.nvars))
                        for j in range(self.n)]
-        # [x_k, s_a] per (k, positive-root index), see x_reflection_commutator
-        self._x_comms: dict[tuple[int, int], HeckeElem] = {}
 
     # ------------------------------------------------------------------
     # basic elements
@@ -186,17 +184,16 @@ class HeckeAlgebra:
 
     def x_reflection_commutator(self, k: int, b: int) -> HeckeElem:
         """[x_k, s_b] in normal form, s_b the reflection in the b-th
-        positive root; computed once per algebra."""
-        key = (k, b)
-        if key not in self._x_comms:
+        positive root; computed once per type and relation sign."""
+        def build():
             refl = self.rs.reflection_in_root(self.rs.positive_roots[b])
             # x_k s_b by the exchange formula, minus s_b x_k, which is
             # already in normal form
             out = self.x_times(k, self.group(refl))
             out[refl] = out.get(refl, Poly(self.nvars)) - \
                 Poly.variable(self.nvars, k)
-            self._x_comms[key] = self._prune(out)
-        return self._x_comms[key]
+            return self._prune(out)
+        return self.rs.memo("x_comm", (self.relation_sign, k, b), build)
 
     def commutator_table(self, i: int, j: int) -> CommutatorTable:
         """[Q_i, Q_j] of the family with each weight c_a an indeterminate.

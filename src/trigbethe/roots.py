@@ -142,8 +142,8 @@ MAX_RANK = 16
 MAX_WEYL_ORDER = 50_000
 
 
-@lru_cache(maxsize=None)
 def root_system(label: str) -> "RootSystem":
+    """The one RootSystem of a type, however spelled ("a02" is "A2")."""
     m = _LABEL.match(label.strip().upper())
     if not m:
         raise ValueError(f"bad type label {label!r}; expected e.g. A2, B3, G2")
@@ -152,28 +152,47 @@ def root_system(label: str) -> "RootSystem":
     if len(digits.lstrip("0")) > len(str(MAX_RANK)) or int(digits) > MAX_RANK:
         raise ValueError(f"rank {digits} of type {family} exceeds the "
                          f"maximum {MAX_RANK}")
-    return RootSystem(family, int(digits))
+    return _of_type(family, int(digits))
+
+
+@lru_cache(maxsize=None)
+def _of_type(family: str, n: int) -> "RootSystem":
+    return RootSystem(family, n)
 
 
 class RootSystem:
     """All roots, the pairing, and the full Weyl group of one type.
 
-    Besides its Weyl-group caches (reduced words, element tables,
-    reflections, products) a root system keeps the finite data that
-    building a point of the wonderful model reads, in tables filled on
-    first use through memo() and keyed by type-level data only, never by
-    a point's y or t or by a seed (see bethe):
-    - "chain": the height chain of the roots supported on a subset of
-      the simple roots, per subset;
-    - "base" and "kernel": base_of and the integer kernel of a tuple of
-      centralized roots, per tuple;
-    - "chart": the Chart of a maximal nested family on a centralizer's
-      base, with whether the family is nested, per (roots, members);
-    - "space": the HolonomySpace over a field, per field, which keeps its
-      labels, its rho(w) and its Bethe-row pattern per h.
-    Every entry is immutable or never changed once built, so every point
-    and request of the process shares it; the tables die with the root
-    system, and nothing is built at import time.
+    A root system is the one cache of the finite data of its type: tables
+    filled on first use by memo(), in rs.tables.  Name, key and reader:
+    - "weyl", None: all of W with shortest words (weyl_elements);
+    - "word", w: a reduced word of w (word_of);
+    - "element", w: its WeylElement (element, inverse_matrix, inversion_set);
+    - "reflection", alpha: s_alpha (reflection_in_root);
+    - "product", (v, w): v w (product);
+    - "chain", a subset of the simple roots: the height chain of the roots
+      supported on it (bethe.stratum_values);
+    - "base", centralized roots: their base (bethe.centralizer);
+    - "kernel", centralized roots: the integer h they kill
+      (XPoint.untwisted_generators);
+    - "chart", (centralized roots, members): the Chart and whether the
+      members are nested (bethe.chart_of);
+    - "families", a base: its maximal nested sets (PointStream._draw);
+    - "space", field: the HolonomySpace (HolonomySpace.of);
+    - "rho", w: rho(w), integer, so one for every field (HolonomySpace.rho);
+    - "pattern", (field, h): what a Bethe row at h fills (bethe_pattern);
+    - "x_comm", (relation sign, k, b): [x_k, s_b]
+      (HeckeAlgebra.x_reflection_commutator);
+    - "walk", field: the layers of the full arrangement with their
+      subset_layers (PointStream.sub_arrangement);
+    - "layers", (field, subset): the ambient and the layers of the
+      sub-arrangement on a subset (PointStream.sub_arrangement);
+    - "draw", None: the subsets of the simple roots, largest first, and
+      the shortlex words of W (PointStream._draw).
+    No key is a point's y or t or a seed.  Every entry is immutable or
+    never changed once built, so every point and request of the process
+    shares it; the tables die with the root system, and nothing is built
+    at import time.
     """
 
     def __init__(self, family: str, n: int):
@@ -195,15 +214,6 @@ class RootSystem:
             (r for r in self.roots if min(r) >= 0),
             key=lambda c: (sum(c), c))
         self._pos_index = {a: k for k, a in enumerate(self.positive_roots)}
-        self._weyl: dict[IntMatrix, tuple[int, ...]] | None = None
-        # reduced words, filled on demand by word_of
-        self._words: dict[IntMatrix, tuple[int, ...]] = {self.identity: ()}
-        self._elements: dict[IntMatrix, WeylElement] = {}
-        # reflections and products of two elements, filled on demand by
-        # reflection_in_root and product
-        self._reflections: dict[Coords, IntMatrix] = {}
-        self._products: dict[tuple[IntMatrix, IntMatrix], IntMatrix] = {}
-        # the point-construction tables, by name (see memo)
         self.tables: dict[str, dict] = {}
 
     def memo(self, table: str, key: Hashable, build: Callable[[], T]) -> T:
@@ -244,18 +254,17 @@ class RootSystem:
         return tuple(tuple(r) for r in rows)
 
     def reflection_in_root(self, alpha: Sequence[int]) -> IntMatrix:
-        """s_alpha, cached per root."""
+        """s_alpha, kept per root."""
         alpha = tuple(alpha)
-        cached = self._reflections.get(alpha)
-        if cached is None:
+
+        def build():
             n = self.rank
             cols = []
             for j in range(n):
                 k = self.pairing(self.simple_roots[j], alpha)
                 cols.append([int(i == j) - k * alpha[i] for i in range(n)])
-            cached = self._reflections[alpha] = tuple(
-                tuple(cols[j][i] for j in range(n)) for i in range(n))
-        return cached
+            return tuple(tuple(cols[j][i] for j in range(n)) for i in range(n))
+        return self.memo("reflection", alpha, build)
 
     def act(self, w: IntMatrix, coords: Sequence[int]) -> Coords:
         return tuple(sum(w[i][j] * coords[j] for j in range(self.rank))
@@ -307,16 +316,13 @@ class RootSystem:
         return tuple(out)
 
     def product(self, v: IntMatrix, w: IntMatrix) -> IntMatrix:
-        """v w, cached per pair: check hecke forms the same products of
+        """v w, kept per pair: check hecke forms the same products of
         reflections for every pair of family members and both signs."""
-        cached = self._products.get((v, w))
-        if cached is None:
-            cached = self._products[v, w] = int_mat_mul(v, w)
-        return cached
+        return self.memo("product", (v, w), lambda: int_mat_mul(v, w))
 
     def weyl_elements(self) -> dict[IntMatrix, tuple[int, ...]]:
         """Every group element, mapped to one shortest word in the generators."""
-        if self._weyl is None:
+        def build():
             table: dict[IntMatrix, tuple[int, ...]] = {self.identity: ()}
             frontier = [self.identity]
             while frontier:
@@ -329,8 +335,8 @@ class RootSystem:
                             table[m] = word + (i,)
                             nxt.append(m)
                 frontier = nxt
-            self._weyl = table
-        return self._weyl
+            return table
+        return self.memo("weyl", None, build)
 
     def coxeter_order(self, i: int, j: int) -> int:
         """m_ij, the order of s_i s_j: 1 if i = j, else 2, 3, 4, 6 for
@@ -372,29 +378,28 @@ class RootSystem:
 
     def word_of(self, w: IntMatrix) -> tuple[int, ...]:
         """A reduced word of w, from right descents: if w sends the i-th
-        simple root negative, word(w) = word(w s_i) + (i,).  Cached per
+        simple root negative, word(w) = word(w s_i) + (i,).  Kept per
         element; the group is never enumerated.
 
         Each step shortens an element of W by one, so w is in W exactly
         when the reduction reaches the identity within |positive roots|
         steps; otherwise ValueError.
         """
-        start, path = w, []
-        while w not in self._words:
-            i = next((i for i in range(self.rank) if any(row[i] < 0 for row in w)),
-                     None)
-            if i is None or len(path) == len(self.positive_roots):
-                raise ValueError(f"{start} is not in the Weyl group of {self.label}")
-            path.append((w, i))
-            w = self.times_generator(w, i)
-        word = self._words[w]
-        for v, i in reversed(path):
-            word = word + (i,)
-            self._words[v] = word
-        return word
+        def build():
+            v, word = w, []
+            while v != self.identity:
+                i = next((i for i in range(self.rank)
+                          if any(row[i] < 0 for row in v)), None)
+                if i is None or len(word) == len(self.positive_roots):
+                    raise ValueError(
+                        f"{w} is not in the Weyl group of {self.label}")
+                word.append(i)
+                v = self.times_generator(v, i)
+            return tuple(reversed(word))
+        return self.memo("word", w, build)
 
     def element(self, w: IntMatrix) -> WeylElement:
-        """The integer tables of one group element, cached on first use.
+        """The integer tables of one group element, kept on first use.
 
         Membership in W is decided by word_of; ValueError outside W.  A
         word s_{i_1} ... s_{i_k} of w gives w^{-1} = s_{i_k} ... s_{i_1},
@@ -402,21 +407,18 @@ class RootSystem:
         permutation and the inversion set come from one pass of w over the
         positive roots.
         """
-        cached = self._elements.get(w)
-        if cached is not None:
-            return cached
-        inverse = self.matrix_of_word(self.word_of(w)[::-1])
-        perm, flipped = [], set()
-        for a in self.positive_roots:
-            image = self.act(w, a)
-            if min(image) < 0:
-                image = tuple(-c for c in image)
-                flipped.add(image)
-            perm.append(self._pos_index[image])
-        cached = WeylElement(inverse, tuple(perm), tuple(
-            a for a in self.positive_roots if a in flipped))
-        self._elements[w] = cached
-        return cached
+        def build():
+            inverse = self.matrix_of_word(self.word_of(w)[::-1])
+            perm, flipped = [], set()
+            for a in self.positive_roots:
+                image = self.act(w, a)
+                if min(image) < 0:
+                    image = tuple(-c for c in image)
+                    flipped.add(image)
+                perm.append(self._pos_index[image])
+            return WeylElement(inverse, tuple(perm), tuple(
+                a for a in self.positive_roots if a in flipped))
+        return self.memo("element", w, build)
 
     def inverse_matrix(self, w: IntMatrix) -> IntMatrix:
         return self.element(w).inverse

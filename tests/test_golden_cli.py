@@ -28,14 +28,18 @@ before those two checks moved from rational to integer arithmetic.
 import hashlib
 import io
 import json
+import re
 from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from trigbethe import bethe, cli, roots, typea
-from trigbethe.bethe import HolonomySpace, integer_kernel
+from trigbethe import bethe, cli, roots
+from trigbethe.bethe import HolonomySpace, PointStream, integer_kernel
 from trigbethe.cli import main
+from trigbethe.field import CyclotomicField
+from trigbethe.hecke import HeckeAlgebra
+from trigbethe.layers import RootAmbient, enumerate_layers, subset_layers
 from trigbethe.nested import Chart, maximal_nested_sets
 from trigbethe.roots import RootSystem, root_chain, root_system
 
@@ -289,24 +293,16 @@ def test_whole_pool_matches_reference(capsys, monkeypatch):
     assert not wrong, (len(wrong), wrong[:3])
 
 
-def _fresh_root_systems(monkeypatch) -> dict[str, RootSystem]:
-    """Look every type up in a new cache, wherever the CLI looks one up,
-    so each starts with empty tables; returns the root systems made."""
-    make = root_system.__wrapped__
-    made: dict[str, RootSystem] = {}
-
-    def fresh(label: str) -> RootSystem:
-        if label not in made:
-            made[label] = make(label)
-        return made[label]
-    for module in (roots, cli, typea):
-        monkeypatch.setattr(module, "root_system", fresh)
-    return made
+def _fresh_root_systems() -> None:
+    """Empty the one per-type cache, so every type looked up next is a new
+    root system whose tables start empty."""
+    roots._of_type.cache_clear()
 
 
 def _count_point_work(monkeypatch) -> Counter:
     """Count the calls that build a point: e^alpha, the centralizer base,
-    the chart and its residuals, which the genericity test reads."""
+    the nested families a draw picks from, the chart and its residuals,
+    which the genericity test reads."""
     counts: Counter = Counter()
 
     def counting(owner, name):
@@ -318,21 +314,24 @@ def _count_point_work(monkeypatch) -> Counter:
         monkeypatch.setattr(owner, name, counted)
 
     counting(RootSystem, "base_of")
+    counting(bethe, "maximal_nested_sets")
     counting(bethe, "stratum_values")
     counting(Chart, "__init__")
     counting(Chart, "residuals")
     return counts
 
 
-def _tabled(made: dict[str, RootSystem], table: str) -> int:
-    return sum(len(rs.tables.get(table, {})) for rs in made.values())
+def _tabled(labels: set[str], table: str) -> int:
+    return sum(len(root_system(label).tables.get(table, {}))
+               for label in labels)
 
 
 def test_each_point_is_built_once(capsys, monkeypatch):
-    made = _fresh_root_systems(monkeypatch)
+    _fresh_root_systems()
     counts = _count_point_work(monkeypatch)
     entries = REFERENCE["pool"][::107]
     assert len(entries) == 12
+    labels = {json.loads(entry["spec"])["type"] for entry in entries}
     for requests in (12, 24):
         for entry in entries:
             monkeypatch.setattr("sys.stdin", io.StringIO(entry["spec"]))
@@ -342,8 +341,8 @@ def test_each_point_is_built_once(capsys, monkeypatch):
         assert counts["stratum_values"] == counts["residuals"] == requests
         # each distinct centralizer base and chart is built once, into its
         # root system's tables, so the replay builds nothing new
-        assert 0 < counts["base_of"] == _tabled(made, "base") <= 12
-        assert 0 < counts["__init__"] == _tabled(made, "chart") <= 12
+        assert 0 < counts["base_of"] == _tabled(labels, "base") <= 12
+        assert 0 < counts["__init__"] == _tabled(labels, "chart") <= 12
     assert set(counts) == {"base_of", "stratum_values", "__init__",
                            "residuals"}
 
@@ -355,7 +354,7 @@ def test_each_point_is_built_once(capsys, monkeypatch):
         streams.append(self)
     monkeypatch.setattr(bethe.PointStream, "__init__", recorded)
     for label in ("A2", "B2", "G2", "A3"):
-        made = _fresh_root_systems(monkeypatch)
+        _fresh_root_systems()
         counts.clear()
         streams.clear()
         assert main(["check", "all", "--type", label, "--seed", "1"]) == 0
@@ -366,17 +365,21 @@ def test_each_point_is_built_once(capsys, monkeypatch):
         # the simple roots, and no point; a drawn t is generic unasked,
         # so the residuals are evaluated once per point whose chart family
         # is built (a cached_property keeps them in the instance dict)
-        rs = made[label]
+        rs = root_system(label)
         charts = len(maximal_nested_sets(
             rs.rank, rs.nonorthogonal_edges(rs.simple_roots)))
         points = [x for s in streams for x in s.points]
         holding = sum("residuals" in vars(x) for x in points)
         assert 0 < holding <= sum(s.reductions for s in streams) \
             <= len(points) <= built
-        # a drawn point reads its base and chart from the tables, which
-        # hold one entry per distinct centralizer and chart drawn
+        # a drawn point reads its base, its nested families and its chart
+        # from the tables, which hold one entry per distinct centralizer,
+        # base and chart drawn (a repeated draw repeats its point's base)
         distinct = {tuple(x.centralized) for x in points}
         assert counts["base_of"] == len(rs.tables["base"]) == len(distinct)
+        bases = {rs.tables["base"][cen] for cen in distinct}
+        assert counts["maximal_nested_sets"] == len(rs.tables["families"]) \
+            == len(bases)
         assert counts["__init__"] == len(rs.tables["chart"]) + charts
         assert len(rs.tables["chart"]) <= built
         assert counts["stratum_values"] == built
@@ -386,7 +389,7 @@ def test_each_point_is_built_once(capsys, monkeypatch):
 def test_pool_replays_forward_then_reversed(capsys, monkeypatch):
     # on new root systems each request reads the tables the earlier ones
     # filled; in either order every point prints its reference digest
-    _fresh_root_systems(monkeypatch)
+    _fresh_root_systems()
     pool = REFERENCE["pool"]
     wrong = []
     for entry in pool + pool[::-1]:
@@ -398,16 +401,29 @@ def test_pool_replays_forward_then_reversed(capsys, monkeypatch):
 
 def test_requests_leave_the_shared_tables_as_built(capsys, monkeypatch):
     # check all runs the weyl report, whose sign control flips columns of
-    # rho(s_1), on the space the twisted subspace then reads: every entry
-    # must still equal one built on a new root system
-    made = _fresh_root_systems(monkeypatch)
+    # rho(s_1), and check hecke for both relation signs, on the tables
+    # the twisted subspace then reads: every entry of every table must
+    # still equal one built on a new root system
+    _fresh_root_systems()
     assert main(["check", "all", "--type", "B3", "--seed", "1"]) == 0
     capsys.readouterr()
     entry = next(e for e in REFERENCE["pool"] if e["group"] == "B3/6/twisted")
     monkeypatch.setattr("sys.stdin", io.StringIO(entry["spec"]))
     assert run(capsys, ["subspace", "-"]) == (0, entry["sha256"])
-    tables, new = made["B3"].tables, RootSystem("B", 3)
-    assert set(tables) == {"chain", "base", "kernel", "chart", "space"}
+    tables, new = root_system("B3").tables, RootSystem("B", 3)
+    assert new.tables == {}
+    listed = re.findall(r'^    - "(\w+)"', RootSystem.__doc__, re.M)
+    assert set(tables) == set(listed) and len(listed) == 17
+    assert list(tables["weyl"][None].items()) == \
+        list(new.weyl_elements().items())
+    for w, word in tables["word"].items():
+        assert word == new.word_of(w)
+    for w, element in tables["element"].items():
+        assert element == new.element(w)
+    for alpha, refl in tables["reflection"].items():
+        assert refl == new.reflection_in_root(alpha)
+    for (v, w), vw in tables["product"].items():
+        assert vw == new.product(v, w)
     for subset, chain in tables["chain"].items():
         assert chain == tuple(root_chain(new.roots_with_support_in(subset),
                                          new.simple_roots))
@@ -419,17 +435,33 @@ def test_requests_leave_the_shared_tables_as_built(capsys, monkeypatch):
         fresh, fresh_nested = bethe.chart_of(new, tables["base"][cen], cen,
                                              members)
         assert vars(chart) == vars(fresh) and nested == fresh_nested
-    twisted = 0
+    for base, families in tables["families"].items():
+        assert families == maximal_nested_sets(
+            len(base), new.nonorthogonal_edges(base))
     for field, space in tables["space"].items():
-        fresh = HolonomySpace.of(new, field)
-        assert space.labels() == fresh.labels()
-        for w, cols in space._rho.items():
+        assert space.labels() == HolonomySpace.of(new, field).labels()
+    # rho(w) is kept once for every field: each entry is what a new root
+    # system builds over either field
+    twisted = 0
+    for w, cols in tables["rho"].items():
+        for order in (6, 12):
+            fresh = HolonomySpace(RootSystem("B", 3), CyclotomicField(order))
             assert cols == fresh.rho(w)
-            twisted += w != new.identity
-        for h, pattern in space._patterns.items():
-            assert pattern == fresh.bethe_pattern(h)
-        assert space._patterns
+        twisted += w != new.identity
     assert twisted > new.rank
+    for (field, h), pattern in tables["pattern"].items():
+        assert pattern == HolonomySpace.of(new, field).bethe_pattern(h)
+    assert {sign for sign, _, _ in tables["x_comm"]} == {1, -1}
+    for (sign, k, b), comm in tables["x_comm"].items():
+        assert comm == HeckeAlgebra(new, sign).x_reflection_commutator(k, b)
+    for field, (layers, by_subset) in tables["walk"].items():
+        walked = enumerate_layers(RootAmbient.from_root_system(new, field))
+        assert layers == walked and by_subset == subset_layers(walked)
+    for (field, subset), restricted in tables["layers"].items():
+        assert restricted == PointStream(new, field, 0).sub_arrangement(subset)
+    # the first draw of a stream on the new root system fills its draw table
+    PointStream(new, CyclotomicField(6), 0).point(0, 40)
+    assert tables["draw"] == new.tables["draw"]
 
 
 @pytest.mark.parametrize("argv", ENUMERATE, ids=" ".join)

@@ -301,6 +301,14 @@ def test_rank_bound():
             root_system(bad)
 
 
+def test_every_spelling_names_one_root_system():
+    # one root system, and so one set of tables, per type
+    rs = root_system("A2")
+    assert all(root_system(label) is rs
+               for label in ("a2", " A2 ", "A02", "a002"))
+    assert root_system("B3") is root_system("b03") is not rs
+
+
 def test_times_generator_is_the_matrix_product():
     # W is enumerated here by full matrix products, independently of
     # weyl_elements (which steps by times_generator), and the column
