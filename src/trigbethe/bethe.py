@@ -26,12 +26,13 @@ tables built once per process (RootSystem.memo): the height chain of
 the stratum I, the base and the integer kernel of the centralized roots,
 the chart of S with its nestedness verdict, the holonomy space of the
 field, rho(w), and per field and h the columns a Bethe row fills.
-XPoint.at and a PointStream draw read those tables, so a point itself
-costs e^alpha (one product per root along the height chain), its chart
-residuals and its Bethe weights.  recover_data reads
-the stratum data back off an untwisted subspace.  The checks sample
-points from a PointStream, one seeded sequence drawn on demand, so that
-one request builds and row-reduces each sampled point once.
+XPoint.at, through which a PointStream draw builds its point too, reads
+those tables, so a point itself costs e^alpha (one product per root
+along the height chain), its chart residuals and its Bethe weights.
+recover_data reads the stratum data back off an untwisted subspace.
+The checks sample points from a PointStream, one seeded sequence drawn
+on demand, so that one request builds and row-reduces each sampled point
+once.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ from .layers import RootAmbient
 from .linalg import rank as mat_rank, rref
 from .nested import Chart, adjacency, is_nested, maximal_nested_sets
 from .poly import Poly
-from .roots import Coords, IntMatrix, RootSystem, chain_values, root_chain
+from .roots import Coords, IntMatrix, RootSystem, chain_values
 from .spin import mat_mul
 
 
@@ -341,7 +342,7 @@ def _weight_inversion_holds() -> bool:
 @dataclass
 class XPoint:
     """A point (w, I, y, S, t) of the degenerate family, stored untwisted
-    plus a twist; built by XPoint.at, or by a PointStream draw.
+    plus a twist; built by XPoint.at, for a PointStream draw too.
 
     word: Weyl twist applied after everything else; subset: simple-root
     indices cut out by the ambient stratum; point: torus coordinates
@@ -389,7 +390,7 @@ class XPoint:
             k = len(base)
             raise ValueError(f"S must list {k} member{'s' * (k != 1)}, one per "
                              f"root of the centralizer's base, not {len(members)}")
-        chart, nested = chart_of(rs, base, centralized, members)
+        chart, nested = chart_of(rs, centralized, members)
         if not nested:
             raise ValueError("S is not a maximal nested set: members must be "
                              "connected, nested or disjoint, and disjoint "
@@ -459,10 +460,7 @@ def stratum_values(rs: RootSystem, subset: Sequence[int],
     """e^alpha at a point of the stratum torus, per root supported on subset,
     where point[k] is e^{alpha_i} for i = subset[k]: one product per root
     of height two or more, along the height chain."""
-    subset = tuple(subset)
-    chain = rs.memo("chain", subset, lambda: tuple(root_chain(
-        rs.roots_with_support_in(subset), rs.simple_roots)))
-    return chain_values(chain, dict(zip(subset, point)))
+    return chain_values(rs.chain(subset), dict(zip(subset, point)))
 
 
 def centralizer(rs: RootSystem, subset: Sequence[int],
@@ -475,26 +473,31 @@ def centralizer(rs: RootSystem, subset: Sequence[int],
     """
     values = stratum_values(rs, subset, point)
     centralized = [a for a, u in values.items() if u.is_one()]
+    return values, centralized, list(centralized_base(rs, centralized))
+
+
+def centralized_base(rs: RootSystem, centralized: Sequence[Coords]
+                     ) -> tuple[Coords, ...]:
+    """The base of the centralized roots, kept in rs's "base" table."""
     key = tuple(centralized)
-    return values, centralized, list(
-        rs.memo("base", key, lambda: tuple(rs.base_of(key))))
+    return rs.memo("base", key, lambda: tuple(rs.base_of(key)))
 
 
-def chart_of(rs: RootSystem, base: Sequence[Coords],
-             centralized: Sequence[Coords],
+def chart_of(rs: RootSystem, centralized: Sequence[Coords],
              members: Iterable[Collection[int]]) -> tuple[Chart, bool]:
-    """(the Chart of members on base, whether the members form a nested
-    family on the diagram of base), base being the base of the centralized
-    roots.  Kept in rs's "chart" table per (centralized roots, members),
-    since the roots determine their base; a ValueError of Chart is raised
-    again on every call, not kept."""
+    """(the Chart of members on the base of the centralized roots, whether
+    the members form a nested family on the diagram of that base).  Kept
+    in rs's "chart" table per (centralized roots, members), the base read
+    from its "base" table; a ValueError of Chart is raised again on every
+    call, not kept."""
     members = frozenset(map(frozenset, members))
+    key = tuple(centralized)
 
     def build():
-        chart = Chart(base, centralized, members)
+        chart = Chart(centralized_base(rs, key), key, members)
         adj = adjacency(len(chart.base), rs.nonorthogonal_edges(chart.base))
         return chart, is_nested(chart.sets, adj)
-    return rs.memo("chart", (tuple(centralized), members), build)
+    return rs.memo("chart", (key, members), build)
 
 
 def integer_kernel(rows: Sequence[Sequence[int]], n: int) -> list[Coords]:
@@ -654,9 +657,10 @@ class PointStream:
     twists.  Chart coordinates are normalized so every maximal member
     carries 1.
 
-    built counts the XPoints constructed (a repeat of an earlier point
-    included) and reductions the points whose subspace was row-reduced
-    (XPoint.reduced).  What a draw reads of the type is in rs.tables.
+    A draw builds its point by XPoint.at; built counts those points (a
+    repeat of an earlier point included) and reductions the points whose
+    subspace was row-reduced (XPoint.reduced).  What a draw reads of the
+    type is in rs.tables.
     """
 
     def __init__(self, rs: RootSystem, field: CyclotomicField, seed: int):
@@ -684,28 +688,10 @@ class PointStream:
             return self.points[k]
         return None
 
-    def sub_arrangement(self, subset: tuple[int, ...]
-                        ) -> tuple[RootAmbient, list]:
-        """The ambient and the layers of the sub-arrangement on a subset of
-        the simple roots, read from one walk of the full arrangement (the
-        "walk" and "layers" tables)."""
-        from .layers import enumerate_layers, restrict, subset_layers
-        rs, field = self.rs, self.field
-
-        def walk():
-            layers = enumerate_layers(RootAmbient.from_root_system(rs, field))
-            return layers, subset_layers(layers)
-
-        def build():
-            layers, by_subset = rs.memo("walk", field, walk)
-            return (RootAmbient.restricted(rs, subset, field),
-                    [restrict(layers[k], subset) for k in by_subset[subset]])
-        return rs.memo("layers", (field, subset), build)
-
     def _draw(self) -> None:
-        from .layers import generic_point
+        from .layers import enumerate_layers, generic_point, subset_layers
 
-        rs, rng, n = self.rs, self._rng, self.rs.rank
+        rs, field, rng, n = self.rs, self.field, self._rng, self.rs.rank
         self.attempts += 1
         subsets, words = rs.memo("draw", None, lambda: (
             sorted((tuple(i for i in range(n) if m >> i & 1)
@@ -713,27 +699,30 @@ class PointStream:
             list(rs.weyl_elements().values())))
         subset = subsets[rng.randrange(len(subsets))] if rng.random() < 0.5 \
             else tuple(range(n))
-        amb, layers = self.sub_arrangement(subset)
-        layer = layers[rng.randrange(len(layers))]
+
+        def walk():
+            layers = enumerate_layers(RootAmbient.from_root_system(rs, field))
+            return layers, subset_layers(layers)
+        layers, by_subset = rs.memo("walk", field, walk)
+        on_subset = by_subset[subset]
+        layer = layers[on_subset[rng.randrange(len(on_subset))]]
         try:
-            y = generic_point(amb, layer, seed=rng.randrange(10 ** 6))
+            y = generic_point(rs, subset, layer, seed=rng.randrange(10 ** 6))
         except RuntimeError:
             return
-        values, cen, base = centralizer(rs, subset, y)
-        families = rs.memo("families", tuple(base), lambda: (
+        # at a generic point of a layer the centralized roots are its own
+        base = centralized_base(rs, layer.roots_pos)
+        families = rs.memo("families", base, lambda: (
             maximal_nested_sets(len(base), rs.nonorthogonal_edges(base))))
+        # a family lists its members in canonical order, as its chart does
         sets = families[rng.randrange(len(families))]
-        chart, _ = chart_of(rs, base, cen, sets)
-        tops = [s for s in chart.sets
-                if not any(s < q for q in chart.sets)]
-        tvals = tuple(Fraction(1) if s in tops
+        tvals = tuple(Fraction(1) if not any(s < q for q in sets)
                       else Fraction(0) if rng.random() < 0.35
                       else Fraction(rng.randint(1, 40), rng.randint(1, 40))
-                      for s in chart.sets)
+                      for s in sets)
         # generic: at t >= 0 the term of A(r)'s missing vertex is c_v >= 1
         word = words[rng.randrange(len(words))] if rng.random() < 0.4 else ()
-        # the draws make XPoint.at's checks
-        x = XPoint(rs, self.field, word, subset, y, chart, tvals, values, cen)
+        x = XPoint.at(rs, field, word, subset, y, sets, tvals)
         self.built += 1
         sig = x.signature()
         if sig in self._seen:

@@ -65,7 +65,7 @@ from fractions import Fraction
 from functools import cached_property
 from math import gcd, prod
 from operator import add, mod, mul
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .field import CyclotomicField, FieldElement
 from .lattice import (diagonal_insert, hermite_coordinates, hermite_insert,
@@ -80,7 +80,7 @@ Point = tuple[FieldElement, ...]
 class RootAmbient:
     """Positive roots with their pairing, living in a fixed torus Z^m; the
     roots are in positive-root order (height, then coordinates), which
-    both constructors inherit from RootSystem.positive_roots."""
+    from_root_system inherits from RootSystem.positive_roots."""
 
     dim: int
     positive_roots: tuple[Coords, ...]
@@ -92,16 +92,6 @@ class RootAmbient:
                          ) -> "RootAmbient":
         return cls(rs.rank, tuple(rs.positive_roots),
                    tuple(tuple(row) for row in rs.gram), field)
-
-    @classmethod
-    def restricted(cls, rs: RootSystem, subset: Iterable[int],
-                   field: CyclotomicField) -> "RootAmbient":
-        """The sub-arrangement of roots supported on a set of simple roots."""
-        idx = sorted(subset)
-        pos = tuple(tuple(r[i] for i in idx)
-                    for r in rs.roots_with_support_in(idx))
-        gram = tuple(tuple(rs.gram[i][j] for j in idx) for i in idx)
-        return cls(len(idx), pos, gram, field)
 
     @cached_property
     def neighbours(self) -> dict[Coords, set[Coords]]:
@@ -374,18 +364,25 @@ def point_on_layer(layer: Layer, params: Sequence[Fraction] | None = None
                  for row in sf.V)
 
 
-def generic_point(amb: RootAmbient, layer: Layer, seed: int = 0) -> Point:
-    """A point of the layer avoiding every hypersurface it does not lie in."""
-    rng = random.Random(("layer-point", seed, layer.basis,
-                         tuple(str(v) for v in layer.char_values)).__repr__())
+def generic_point(rs: RootSystem, subset: Sequence[int], layer: Layer,
+                  seed: int = 0) -> Point:
+    """A point of the stratum torus T_I, I = subset, coordinate k at simple
+    root subset[k], on a layer of the full arrangement whose lattice is
+    supported on I, avoiding every hypersurface e^alpha = 1, alpha
+    supported on I, that the layer does not lie in.  e^alpha is read along
+    the stratum's height chain (RootSystem.chain); the rng is seeded by
+    the layer of the sub-arrangement on I (restrict)."""
+    sub = restrict(layer, subset)
+    rng = random.Random(("layer-point", seed, sub.basis,
+                         tuple(str(v) for v in sub.char_values)).__repr__())
+    chain = rs.chain(subset)
     on_layer = set(layer.roots_pos)
-    avoid = [a for a in amb.positive_roots if a not in on_layer]
-    free = layer.dim
+    avoid = [a for a, _, _ in chain if a not in on_layer]
     for _ in range(64):
         params = [Fraction(rng.randint(2, 97), rng.randint(2, 97))
-                  for _ in range(free)]
-        pt = point_on_layer(layer, params)
-        values = chain_values(amb.chain, pt)
+                  for _ in range(sub.dim)]
+        pt = point_on_layer(sub, params)
+        values = chain_values(chain, dict(zip(subset, pt)))
         if all(not values[a].is_one() for a in avoid):
             return pt
     raise RuntimeError("no generic point found in 64 tries")

@@ -171,8 +171,8 @@ class RootSystem:
     - "reflection", alpha: s_alpha (reflection_in_root);
     - "product", (v, w): v w (product);
     - "chain", a subset of the simple roots: the height chain of the roots
-      supported on it (bethe.stratum_values);
-    - "base", centralized roots: their base (bethe.centralizer);
+      supported on it (chain);
+    - "base", centralized roots: their base (bethe.centralized_base);
     - "kernel", centralized roots: the integer h they kill
       (XPoint.untwisted_generators);
     - "chart", (centralized roots, members): the Chart and whether the
@@ -184,9 +184,7 @@ class RootSystem:
     - "x_comm", (relation sign, k, b): [x_k, s_b]
       (HeckeAlgebra.x_reflection_commutator);
     - "walk", field: the layers of the full arrangement with their
-      subset_layers (PointStream.sub_arrangement);
-    - "layers", (field, subset): the ambient and the layers of the
-      sub-arrangement on a subset (PointStream.sub_arrangement);
+      subset_layers (PointStream._draw);
     - "draw", None: the subsets of the simple roots, largest first, and
       the shortlex words of W (PointStream._draw).
     No key is a point's y or t or a seed.  Every entry is immutable or
@@ -440,6 +438,13 @@ class RootSystem:
                 if s in pos:
                     sums.add(s)
         return sorted(pos - sums, key=lambda c: (sum(c), c))
+
+    def chain(self, subset: Iterable[int]) -> tuple[tuple[Coords, Coords, int], ...]:
+        """The height chain (root_chain) over the simple roots of the
+        positive roots supported on a subset of them, kept per subset."""
+        subset = tuple(subset)
+        return self.memo("chain", subset, lambda: tuple(root_chain(
+            self.roots_with_support_in(subset), self.simple_roots)))
 
     def nonorthogonal_edges(self, roots: Sequence[Coords]) -> list[tuple[int, int]]:
         return nonorthogonal_edges(self.gram, roots)

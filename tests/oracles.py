@@ -28,6 +28,9 @@
 - roots_span_by_fold: whether a layer's roots span its lattice, by
   Hermite insertions root by root, the reference of the flag the layer
   walk records (Layer.roots_span_lattice).
+- restricted_ambient: the sub-arrangement of the roots supported on a
+  set of simple roots, in that set's coordinates, whose own walk is the
+  reference of the sub-arrangements read from one walk (subset_layers).
 - The spin chain and the type-A identities over Q, the reference of the
   integer checks: dense chain operators from Kronecker products of the
   one-site matrices (dense_place, dense_casimir_pair, ...), the k-th
@@ -51,7 +54,7 @@ from trigbethe.bethe import HolonomySpace, stratum_values
 from trigbethe.field import CyclotomicField, FieldElement
 from trigbethe.hecke import HeckeAlgebra, q_power
 from trigbethe.lattice import hermite_insert, smith_normal_form
-from trigbethe.layers import Layer
+from trigbethe.layers import Layer, RootAmbient
 from trigbethe.linalg import nullspace, rref
 from trigbethe.poly import Poly
 from trigbethe.roots import IntMatrix, RootSystem
@@ -246,6 +249,16 @@ def powered_point_on_layer(layer: Layer, params: Sequence[Fraction] = ()
     values += [field.from_rational(p) for p in params]
     values += [field.one()] * (n - len(values))
     return tuple(char_value(field, values, sf.V[j]) for j in range(n))
+
+
+def restricted_ambient(rs: RootSystem, subset: Sequence[int],
+                       field: CyclotomicField) -> RootAmbient:
+    """The sub-arrangement of the roots supported on a set of simple roots."""
+    idx = sorted(subset)
+    pos = tuple(tuple(r[i] for i in idx)
+                for r in rs.roots_with_support_in(idx))
+    gram = tuple(tuple(rs.gram[i][j] for j in idx) for i in idx)
+    return RootAmbient(len(idx), pos, gram, field)
 
 
 def roots_span_by_fold(layer: Layer) -> bool:

@@ -227,7 +227,7 @@ def _g2_omega_pair():
             if l.codim == 2 and gamma_divisors(l.roots_pos, 2) == [3]]
     out = []
     for l in cube:
-        y = generic_point(amb, l, seed=0)
+        y = generic_point(rs, (0, 1), l, seed=0)
         cen = list(l.roots_pos)
         base = rs.base_of(cen)
         edges = [(i, j) for i in range(len(base))

@@ -17,7 +17,8 @@ from trigbethe.bethe import (HolonomySpace, PointStream, XPoint, bethe_weight,
                              stratum_values, weyl_action_report,
                              xpoint_from_dict)
 from trigbethe.field import CyclotomicField, default_field_order
-from trigbethe.layers import RootAmbient, enumerate_layers, generic_point
+from trigbethe.layers import (RootAmbient, enumerate_layers, generic_point,
+                              subset_layers)
 from trigbethe.linalg import mat_inverse, nullspace, rank, rref
 from trigbethe.nested import maximal_nested_sets
 from trigbethe.roots import RootSystem, int_mat_mul, root_system
@@ -670,24 +671,19 @@ CENTRALIZER_CASES = [(label, 6) for label in
 
 @pytest.mark.parametrize("label,order", CENTRALIZER_CASES)
 def test_centralizer_at_a_generic_point_is_the_layer_roots(label, order):
-    # the point stream reads the centralizer off a generic point of a
-    # layer; it must be the layer's own root set, in ambient coordinates
+    # the point stream reads the base and the nested families off the
+    # roots of a layer of the walk, before XPoint.at reads the centralizer
+    # off a generic point of it: both must be the same roots
     rs = root_system(label)
-    stream = PointStream(rs, CyclotomicField(order), 0)
-    n = rs.rank
+    layers = enumerate_layers(
+        RootAmbient.from_root_system(rs, CyclotomicField(order)))
     points = 0
-    for mask in range(1 << n):
-        subset = tuple(i for i in range(n) if mask >> i & 1)
-        amb, layers = stream.sub_arrangement(subset)
-        for layer in layers:
-            want = []
-            for a in layer.roots_pos:
-                full = [0] * n
-                for c, i in zip(a, subset):
-                    full[i] = c
-                want.append(tuple(full))
+    for subset, on_subset in subset_layers(layers).items():
+        for k in on_subset:
+            layer = layers[k]
+            want = list(layer.roots_pos)
             for seed in (0, 1):
-                y = generic_point(amb, layer, seed=seed)
+                y = generic_point(rs, subset, layer, seed=seed)
                 _, cen, base = centralizer(rs, subset, y)
                 assert cen == want, (subset, layer.basis, seed)
                 assert base == rs.base_of(want)

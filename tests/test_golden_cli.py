@@ -35,7 +35,7 @@ from pathlib import Path
 import pytest
 
 from trigbethe import bethe, cli, roots
-from trigbethe.bethe import HolonomySpace, PointStream, integer_kernel
+from trigbethe.bethe import HolonomySpace, PointStream, XPoint, integer_kernel
 from trigbethe.cli import main
 from trigbethe.field import CyclotomicField
 from trigbethe.hecke import HeckeAlgebra
@@ -300,9 +300,9 @@ def _fresh_root_systems() -> None:
 
 
 def _count_point_work(monkeypatch) -> Counter:
-    """Count the calls that build a point: e^alpha, the centralizer base,
-    the nested families a draw picks from, the chart and its residuals,
-    which the genericity test reads."""
+    """Count the calls that build a point: XPoint.at, e^alpha, the
+    centralizer base, the nested families a draw picks from, the chart and
+    its residuals, which the genericity test reads."""
     counts: Counter = Counter()
 
     def counting(owner, name):
@@ -313,6 +313,7 @@ def _count_point_work(monkeypatch) -> Counter:
             return original(*args, **kwargs)
         monkeypatch.setattr(owner, name, counted)
 
+    counting(XPoint, "at")
     counting(RootSystem, "base_of")
     counting(bethe, "maximal_nested_sets")
     counting(bethe, "stratum_values")
@@ -338,12 +339,13 @@ def test_each_point_is_built_once(capsys, monkeypatch):
             assert run(capsys, ["subspace", "-"]) == (0, entry["sha256"])
         # XPoint.at tests genericity of outside input once per request, on
         # the residuals that the chart family reads too
-        assert counts["stratum_values"] == counts["residuals"] == requests
+        assert counts["at"] == counts["stratum_values"] \
+            == counts["residuals"] == requests
         # each distinct centralizer base and chart is built once, into its
         # root system's tables, so the replay builds nothing new
         assert 0 < counts["base_of"] == _tabled(labels, "base") <= 12
         assert 0 < counts["__init__"] == _tabled(labels, "chart") <= 12
-    assert set(counts) == {"base_of", "stratum_values", "__init__",
+    assert set(counts) == {"at", "base_of", "stratum_values", "__init__",
                            "residuals"}
 
     streams: list[bethe.PointStream] = []
@@ -362,16 +364,15 @@ def test_each_point_is_built_once(capsys, monkeypatch):
         built = sum(s.built for s in streams)
         assert built > 0
         # check triangularity builds one chart per maximal nested set of
-        # the simple roots, and no point; a drawn t is generic unasked,
-        # so the residuals are evaluated once per point whose chart family
-        # is built (a cached_property keeps them in the instance dict)
+        # the simple roots, and no point; every drawn point is built by
+        # XPoint.at, whose genericity test evaluates its residuals once (a
+        # cached_property keeps them in the instance dict)
         rs = root_system(label)
         charts = len(maximal_nested_sets(
             rs.rank, rs.nonorthogonal_edges(rs.simple_roots)))
         points = [x for s in streams for x in s.points]
-        holding = sum("residuals" in vars(x) for x in points)
-        assert 0 < holding <= sum(s.reductions for s in streams) \
-            <= len(points) <= built
+        assert all("residuals" in vars(x) for x in points)
+        assert 0 < sum(s.reductions for s in streams) <= len(points) <= built
         # a drawn point reads its base, its nested families and its chart
         # from the tables, which hold one entry per distinct centralizer,
         # base and chart drawn (a repeated draw repeats its point's base)
@@ -382,8 +383,8 @@ def test_each_point_is_built_once(capsys, monkeypatch):
             == len(bases)
         assert counts["__init__"] == len(rs.tables["chart"]) + charts
         assert len(rs.tables["chart"]) <= built
-        assert counts["stratum_values"] == built
-        assert counts["residuals"] == holding
+        assert counts["at"] == counts["stratum_values"] \
+            == counts["residuals"] == built
 
 
 def test_pool_replays_forward_then_reversed(capsys, monkeypatch):
@@ -399,6 +400,23 @@ def test_pool_replays_forward_then_reversed(capsys, monkeypatch):
     assert not wrong, (len(wrong), wrong[:3])
 
 
+def _documented_tables() -> list[str]:
+    """The table names the RootSystem docstring lists, in its order."""
+    return re.findall(r'^    - "(\w+)"', RootSystem.__doc__, re.M)
+
+
+def test_readme_lists_the_documented_tables():
+    # README "Library API" lists the tables of the RootSystem docstring,
+    # each bullet naming one or more before its first comma
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(
+        encoding="utf-8")
+    section = readme.split("Table, key and reader:\n", 1)[1]
+    bullets = re.findall(r'^  - (.*)', section.split("\n\n", 1)[0], re.M)
+    named = [name for bullet in bullets
+             for name in re.findall(r'"(\w+)"', bullet.split(",", 1)[0])]
+    assert sorted(named) == sorted(_documented_tables())
+
+
 def test_requests_leave_the_shared_tables_as_built(capsys, monkeypatch):
     # check all runs the weyl report, whose sign control flips columns of
     # rho(s_1), and check hecke for both relation signs, on the tables
@@ -412,8 +430,8 @@ def test_requests_leave_the_shared_tables_as_built(capsys, monkeypatch):
     assert run(capsys, ["subspace", "-"]) == (0, entry["sha256"])
     tables, new = root_system("B3").tables, RootSystem("B", 3)
     assert new.tables == {}
-    listed = re.findall(r'^    - "(\w+)"', RootSystem.__doc__, re.M)
-    assert set(tables) == set(listed) and len(listed) == 17
+    listed = _documented_tables()
+    assert set(tables) == set(listed) and len(listed) == 16
     assert list(tables["weyl"][None].items()) == \
         list(new.weyl_elements().items())
     for w, word in tables["word"].items():
@@ -432,8 +450,10 @@ def test_requests_leave_the_shared_tables_as_built(capsys, monkeypatch):
     for cen, kernel in tables["kernel"].items():
         assert kernel == tuple(integer_kernel(cen, new.rank))
     for (cen, members), (chart, nested) in tables["chart"].items():
-        fresh, fresh_nested = bethe.chart_of(new, tables["base"][cen], cen,
-                                             members)
+        # the key names all a chart is built from: its base is the base
+        # of the key's roots, whatever order a caller had them in
+        assert chart.base == tuple(new.base_of(cen))
+        fresh, fresh_nested = bethe.chart_of(new, cen, members)
         assert vars(chart) == vars(fresh) and nested == fresh_nested
     for base, families in tables["families"].items():
         assert families == maximal_nested_sets(
@@ -457,8 +477,6 @@ def test_requests_leave_the_shared_tables_as_built(capsys, monkeypatch):
     for field, (layers, by_subset) in tables["walk"].items():
         walked = enumerate_layers(RootAmbient.from_root_system(new, field))
         assert layers == walked and by_subset == subset_layers(walked)
-    for (field, subset), restricted in tables["layers"].items():
-        assert restricted == PointStream(new, field, 0).sub_arrangement(subset)
     # the first draw of a stream on the new root system fills its draw table
     PointStream(new, CyclotomicField(6), 0).point(0, 40)
     assert tables["draw"] == new.tables["draw"]

@@ -42,3 +42,50 @@ def test_foreign_imports_flags_third_party_and_escaping_imports():
               "def f():\n    import sympy\n")
     assert foreign_imports(source, 1) == ["numpy.linalg", "..other", "sympy"]
     assert foreign_imports(source, 2) == ["numpy.linalg", "sympy"]
+
+
+def unused_imports(source: str) -> list[str]:
+    """The names a module imports, at any depth, and never reads.  A name
+    is read where it appears as an identifier anywhere in the module,
+    inside a string that parses as an expression (a string type hint)
+    too; __future__ imports and star imports bind nothing to read."""
+    tree = ast.parse(source)
+    bound = []
+    read = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound += [alias.asname or alias.name.split(".")[0]
+                      for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound += [alias.asname or alias.name for alias in node.names
+                      if alias.name != "*"]
+        elif isinstance(node, ast.Name):
+            read.add(node.id)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            try:
+                hint = ast.parse(node.value.strip(), mode="eval")
+            except SyntaxError:
+                continue
+            read.update(n.id for n in ast.walk(hint) if isinstance(n, ast.Name))
+    return [name for name in bound if name not in read]
+
+
+def test_package_modules_read_every_import():
+    # a package __init__ imports to re-export
+    modules = sorted(p for p in PACKAGE.rglob("*.py") if p.name != "__init__.py")
+    assert len(modules) > 10
+    for path in modules:
+        assert unused_imports(path.read_text(encoding="utf-8")) == [], path
+
+
+def test_unused_imports_flags_a_seeded_import():
+    source = ("from __future__ import annotations\nimport os.path, re as regex\n"
+              "from typing import Iterable, Sequence\n"
+              "def f(x: 'Sequence[int]') -> None:\n"
+              "    from fractions import Fraction\n    import json\n"
+              "    return os.sep, Fraction\n")
+    assert unused_imports(source) == ["regex", "Iterable", "json"]
+    # the same guard, on a package module with one import seeded into it
+    layers = (PACKAGE / "layers.py").read_text(encoding="utf-8")
+    assert unused_imports(layers) == []
+    assert unused_imports("import heapq\n" + layers) == ["heapq"]

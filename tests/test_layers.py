@@ -20,7 +20,8 @@ from trigbethe.layers import (Layer, RootAmbient, building_set,
 from trigbethe.nested import adjacency, components
 from trigbethe.roots import nonorthogonal_edges, root_system
 
-from oracles import char_value, powered_point_on_layer, roots_span_by_fold
+from oracles import (char_value, powered_point_on_layer, restricted_ambient,
+                     roots_span_by_fold)
 
 F6 = CyclotomicField(6)
 
@@ -147,7 +148,7 @@ def test_generic_point_realizes_exact_centralizer():
     for label in ["A2", "B2", "G2"]:
         amb = ambient(label)
         for l in enumerate_layers(amb):
-            pt = generic_point(amb, l, seed=3)
+            pt = generic_point(root_system(label), range(amb.dim), l, seed=3)
             assert tuple(sorted(centralizer(amb, pt))) == \
                 tuple(sorted(l.roots_pos))
 
@@ -373,7 +374,7 @@ def test_poset_relations_match_field_containment():
         layers = enumerate_layers(amb)
         expected = []
         for i, small in enumerate(layers):
-            pt = generic_point(amb, small)
+            pt = generic_point(root_system(label), range(amb.dim), small)
             for j, big in enumerate(layers):
                 if i != j and all(evaluate(pt, row) == val for row, val
                                   in zip(big.basis, big.char_values)):
@@ -547,7 +548,7 @@ def per_subset_walks(label, order):
     subsets = sorted((tuple(i for i in range(rs.rank) if m >> i & 1)
                       for m in range(1 << rs.rank)),
                      key=lambda s: (len(s), s))
-    return {s: enumerate_layers(RootAmbient.restricted(rs, s, field))
+    return {s: enumerate_layers(restricted_ambient(rs, s, field))
             for s in subsets}
 
 
@@ -561,7 +562,7 @@ def test_layer_roots_in_positive_root_order(label, order):
 
     rs, field = root_system(label), CyclotomicField(order)
     for subset, layers in per_subset_walks(label, order).items():
-        pos = RootAmbient.restricted(rs, subset, field).positive_roots
+        pos = restricted_ambient(rs, subset, field).positive_roots
         assert list(pos) == sorted(pos, key=key)
         for layer in layers:
             assert list(layer.roots_pos) == sorted(layer.roots_pos, key=key)
@@ -579,13 +580,18 @@ def test_boundary_strata_match_per_subset_walks(label, order):
 
 @pytest.mark.parametrize("label,order", STRATA_TYPES)
 def test_point_stream_subsets_match_per_subset_walks(label, order):
-    field = CyclotomicField(order)
-    stream = PointStream(root_system(label), field, seed=0)
+    # a draw reads its layers from the walk table and e^alpha along the
+    # stratum's height chain: on every subset, the walk's layers there and
+    # the chain's roots are those of the subset's own ambient
+    rs, field = root_system(label), CyclotomicField(order)
+    PointStream(rs, field, seed=0).point(0, 1)
+    layers, by_subset = rs.tables["walk"][field]
     for subset, want in per_subset_walks(label, order).items():
-        amb, got = stream.sub_arrangement(subset)
-        assert amb == RootAmbient.restricted(root_system(label), subset,
-                                             field)
-        assert got == want
+        assert [restrict(layers[k], subset) for k in by_subset[subset]] \
+            == want
+        chained = tuple(tuple(a[i] for i in subset)
+                        for a, _, _ in rs.chain(subset))
+        assert chained == restricted_ambient(rs, subset, field).positive_roots
 
 
 def all_roots_growth(amb):
