@@ -17,9 +17,9 @@ from .field import (DEFAULT_FIELD_ORDER, CyclotomicField, FieldElement,
 from .hecke import HeckeAlgebra
 from .lattice import (SmithForm, hermite_coordinates, hermite_normal_form,
                       int_rank, smith_normal_form)
-from .layers import (Layer, RootAmbient, building_set, enumerate_layers,
-                     gamma_divisors, generic_point, is_indecomposable,
-                     layer_contains, point_on_layer, poset_relations)
+from .layers import (Layer, building_set, enumerate_layers, gamma_divisors,
+                     generic_point, is_indecomposable, layer_contains,
+                     point_on_layer, poset_relations)
 from .nested import Chart, maximal_nested_sets
 from .poly import Poly
 from .roots import RootSystem, cartan_matrix, root_system, symmetrizers
@@ -32,7 +32,7 @@ __all__ = [
     "RootSystem", "root_system", "cartan_matrix", "symmetrizers",
     "SmithForm", "smith_normal_form", "hermite_normal_form", "int_rank",
     "hermite_coordinates",
-    "RootAmbient", "Layer", "enumerate_layers", "building_set",
+    "Layer", "enumerate_layers", "building_set",
     "generic_point", "point_on_layer", "gamma_divisors",
     "is_indecomposable", "layer_contains", "poset_relations",
     "Chart", "maximal_nested_sets",

@@ -24,7 +24,7 @@ centralizer.  Of a point (w, I, y, S, t) only y and t are continuous;
 everything else is finite data of the root system, which keeps it in
 tables built once per process (RootSystem.memo): the height chain of
 the stratum I, the base and the integer kernel of the centralized roots,
-the chart of S with its nestedness verdict, the holonomy space of the
+the chart of S (None when S is not nested), the holonomy space of the
 field, rho(w), and per field and h the columns a Bethe row fills.
 XPoint.at, through which a PointStream draw builds its point too, reads
 those tables, so a point itself costs e^alpha (one product per root
@@ -47,7 +47,6 @@ from typing import Collection, Iterable, Sequence
 
 from .field import CyclotomicField, FieldElement, default_field_order
 from .lattice import smith_normal_form
-from .layers import RootAmbient
 from .linalg import rank as mat_rank, rref
 from .nested import Chart, adjacency, is_nested, maximal_nested_sets
 from .poly import Poly
@@ -91,7 +90,6 @@ class HolonomySpace:
         self.pos = list(rs.positive_roots)
         self.npos = len(self.pos)
         self.dim = self.npos + rs.rank
-        self._t_index = {a: i for i, a in enumerate(self.pos)}
         self._labels = [f"t({','.join(map(str, a))})" for a in self.pos] + \
             [f"tau({i + 1})" for i in range(rs.rank)]
         self._t_zeros = [field.zero()] * self.npos
@@ -108,7 +106,7 @@ class HolonomySpace:
         return [self.field.zero()] * self.dim
 
     def t_index(self, alpha: Sequence[int]) -> int:
-        return self._t_index[self.rs.abs_root(alpha)]
+        return self.rs.positive_index[self.rs.abs_root(alpha)]
 
     def vector(self, t_terms: dict | None = None,
                h_coords: Sequence | None = None) -> list[FieldElement]:
@@ -181,6 +179,7 @@ class HolonomySpace:
         alpha(w.h) t_alpha for every alpha in the inversion set of w.
         """
         def build():
+            index = self.rs.positive_index
             cols = [{j: 1} for j in self.rs.element(w).perm]
             inversions = self.rs.inversion_set(w)
             for e in self.rs.identity:
@@ -189,7 +188,7 @@ class HolonomySpace:
                 for a in inversions:
                     ah = self.alpha_of_h(a, h)
                     if ah:
-                        col[self._t_index[a]] = -ah
+                        col[index[a]] = -ah
                 cols.append(col)
             return cols
         return self.rs.memo("rho", w, build)
@@ -390,8 +389,8 @@ class XPoint:
             k = len(base)
             raise ValueError(f"S must list {k} member{'s' * (k != 1)}, one per "
                              f"root of the centralizer's base, not {len(members)}")
-        chart, nested = chart_of(rs, centralized, members)
-        if not nested:
+        chart = chart_of(rs, centralized, members)
+        if chart is None:
             raise ValueError("S is not a maximal nested set: members must be "
                              "connected, nested or disjoint, and disjoint "
                              "members not adjacent")
@@ -484,19 +483,22 @@ def centralized_base(rs: RootSystem, centralized: Sequence[Coords]
 
 
 def chart_of(rs: RootSystem, centralized: Sequence[Coords],
-             members: Iterable[Collection[int]]) -> tuple[Chart, bool]:
-    """(the Chart of members on the base of the centralized roots, whether
-    the members form a nested family on the diagram of that base).  Kept
-    in rs's "chart" table per (centralized roots, members), the base read
-    from its "base" table; a ValueError of Chart is raised again on every
-    call, not kept."""
+             members: Iterable[Collection[int]]) -> Chart | None:
+    """The Chart of members on the base of the centralized roots, or None
+    when the members are not a nested family on the diagram of that base,
+    which is decided first.  Kept in rs's "chart" table per (centralized
+    roots, members), the base read from its "base" table.  A nested family
+    with one member per base root is maximal, so its Chart builds; a
+    ValueError of Chart on any other family is raised again on every call,
+    not kept."""
     members = frozenset(map(frozenset, members))
     key = tuple(centralized)
 
     def build():
-        chart = Chart(centralized_base(rs, key), key, members)
-        adj = adjacency(len(chart.base), rs.nonorthogonal_edges(chart.base))
-        return chart, is_nested(chart.sets, adj)
+        base = centralized_base(rs, key)
+        adj = adjacency(len(base), rs.nonorthogonal_edges(base))
+        return Chart(base, key, members) if is_nested(tuple(members), adj) \
+            else None
     return rs.memo("chart", (key, members), build)
 
 
@@ -701,7 +703,7 @@ class PointStream:
             else tuple(range(n))
 
         def walk():
-            layers = enumerate_layers(RootAmbient.from_root_system(rs, field))
+            layers = enumerate_layers(rs, field)
             return layers, subset_layers(layers)
         layers, by_subset = rs.memo("walk", field, walk)
         on_subset = by_subset[subset]

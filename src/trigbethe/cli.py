@@ -26,9 +26,9 @@ from .bethe import (PointStream, injectivity_pool, recover_data,
                     sample_xpoints, weyl_action_report, xpoint_from_dict)
 from .field import CyclotomicField, default_field_order
 from .hecke import HeckeAlgebra, exact_commutator_check
-from .layers import (RootAmbient, building_set, enumerate_layers,
-                     gamma_divisors, is_indecomposable, layer_to_dict,
-                     poset_relations, restrict, subset_layers)
+from .layers import (building_set, enumerate_layers, gamma_divisors,
+                     is_indecomposable, layer_to_dict, poset_relations,
+                     restrict, subset_layers)
 from .linalg import rref
 from .nested import Chart, maximal_nested_sets
 from .roots import MAX_WEYL_ORDER, RootSystem, root_system
@@ -92,13 +92,13 @@ def _write_json(obj, newline: str, out: list[str]) -> None:
         out.append(json.dumps(obj))   # bool, None, float, or json's TypeError
 
 
-def _layer_facts(amb: RootAmbient, layer, indecomposable: bool) -> dict:
+def _layer_facts(layer, indecomposable: bool) -> dict:
     """The entries of a layer that dropping coordinates outside its
     lattice's support leaves unchanged.  The layer's basis spans a
     saturated lattice, so when the roots span it too gamma is empty and
     the Smith form is not needed."""
     return {"gamma": [] if layer.roots_span_lattice
-            else gamma_divisors(layer.roots_pos, amb.dim),
+            else gamma_divisors(layer.roots_pos, layer.ambient_dim),
             "indecomposable": indecomposable}
 
 
@@ -152,13 +152,11 @@ def _enumeration(args, rs: RootSystem, field: CyclotomicField,
                          for fam in families],
         }
 
-    amb = RootAmbient.from_root_system(rs, field)
     if args.target == "boundary-strata":
         # one walk of the full arrangement: every sub-arrangement's layers
         # are read from it, and gamma and indecomposability computed once
-        layers = enumerate_layers(amb, stats)
-        facts = [_layer_facts(amb, l, is_indecomposable(amb, l))
-                 for l in layers]
+        layers = enumerate_layers(rs, field, stats)
+        facts = [_layer_facts(l, is_indecomposable(rs, l)) for l in layers]
         strata = [{**layer_to_dict(restrict(layers[k], subset)), **facts[k],
                    "I": [i + 1 for i in subset]}
                   for subset, ks in subset_layers(layers).items()
@@ -172,7 +170,8 @@ def _enumeration(args, rs: RootSystem, field: CyclotomicField,
         }
     # the building set is the indecomposable layers, so it is not asked twice
     chosen = args.target == "building-set"
-    layers = building_set(amb, stats) if chosen else enumerate_layers(amb, stats)
+    layers = building_set(rs, field, stats) if chosen \
+        else enumerate_layers(rs, field, stats)
     if args.format == "dot":
         return _layers_dot(layers, stats)
     return {
@@ -181,7 +180,7 @@ def _enumeration(args, rs: RootSystem, field: CyclotomicField,
         "field_order": field.order,
         "count": len(layers),
         "layers": [{**layer_to_dict(l), **_layer_facts(
-            amb, l, chosen or is_indecomposable(amb, l))} for l in layers],
+            l, chosen or is_indecomposable(rs, l))} for l in layers],
     }
 
 

@@ -36,7 +36,11 @@ and those lie in the span, so the roots a candidate centralizes hold
 L's generators and have rank k.  Every layer arises this way from the
 lattice of any independent spanning subset of its centralized roots, so
 the walk is complete, and candidates are deduplicated by their canonical
-encoding.
+encoding.  The walk reads the root system itself: its positive roots, in
+positive-root order, and the height chain over all simple roots
+(RootSystem.chain, the one bethe.stratum_values reads at the full
+stratum); indecomposability reads one graph of the positive roots, kept
+in the root system's "graph" table.  The module keeps no cache of its own.
 
 - One walk, every sub-arrangement: Z^I is a coordinate summand, so the
   layers on T_I are the layers whose lattice is supported on I, with the
@@ -62,7 +66,6 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from math import gcd, prod
 from operator import add, mod, mul
 from typing import Sequence
@@ -70,44 +73,10 @@ from typing import Sequence
 from .field import CyclotomicField, FieldElement
 from .lattice import (diagonal_insert, hermite_coordinates, hermite_insert,
                       hermite_normal_form, smith_normal_form)
-from .nested import components
-from .roots import Coords, RootSystem, chain_values, gram_inner, root_chain
+from .nested import adjacency, components
+from .roots import Coords, RootSystem, chain_values
 
 Point = tuple[FieldElement, ...]
-
-
-@dataclass(frozen=True)
-class RootAmbient:
-    """Positive roots with their pairing, living in a fixed torus Z^m; the
-    roots are in positive-root order (height, then coordinates), which
-    from_root_system inherits from RootSystem.positive_roots."""
-
-    dim: int
-    positive_roots: tuple[Coords, ...]
-    gram: tuple[tuple[int, ...], ...]
-    field: CyclotomicField
-
-    @classmethod
-    def from_root_system(cls, rs: RootSystem, field: CyclotomicField
-                         ) -> "RootAmbient":
-        return cls(rs.rank, tuple(rs.positive_roots),
-                   tuple(tuple(row) for row in rs.gram), field)
-
-    @cached_property
-    def neighbours(self) -> dict[Coords, set[Coords]]:
-        """The non-orthogonality graph of the positive roots, built once:
-        each root's neighbours are the other roots it pairs nontrivially
-        with."""
-        pos = self.positive_roots
-        return {a: {b for b in pos if b != a and gram_inner(self.gram, a, b)}
-                for a in pos}
-
-    @cached_property
-    def chain(self) -> list[tuple[Coords, Coords, int]]:
-        """The positive roots' height chain over the coordinate vectors."""
-        n = self.dim
-        return list(root_chain(self.positive_roots, [
-            tuple(int(i == j) for j in range(n)) for i in range(n)]))
 
 
 @dataclass(frozen=True)
@@ -123,7 +92,7 @@ class Layer:
     char_exps: tuple[int, ...]
     field: CyclotomicField
     roots_pos: tuple[Coords, ...]   # positive roots constant 1 on the layer,
-                                    # in the ambient's order
+                                    # in positive-root order
     roots_span_lattice: bool        # whether roots_pos spans the lattice
 
     @property
@@ -157,15 +126,15 @@ class Layer:
 Form = tuple[tuple[Coords, ...], list[int], list[list[int]], list[list[int]]]
 
 
-def enumerate_layers(amb: RootAmbient, stats: Counter | None = None
-                     ) -> list[Layer]:
-    """All layers of the arrangement, canonically ordered.
+def enumerate_layers(rs: RootSystem, field: CyclotomicField,
+                     stats: Counter | None = None) -> list[Layer]:
+    """All layers of the arrangement of rs over field, canonically ordered.
 
     stats, when given, gains the walk's counts: walks (1), lattices
     visited, inserts (Hermite insertions made), smith_forms (lattices
     whose diagonal form is a full Smith form) and layers found.
     """
-    n = amb.dim
+    n = rs.rank
     found: dict[tuple, Layer] = {}
     identity = [[int(i == j) for j in range(n)] for i in range(n)]
     seen: set[tuple[Coords, ...]] = {()}
@@ -174,7 +143,7 @@ def enumerate_layers(amb: RootAmbient, stats: Counter | None = None
     while frontier:
         grown = []
         for form in frontier:
-            for a, image in _visit(amb, form, found):
+            for a, image in _visit(rs, field, form, found):
                 inserts += 1
                 cand = hermite_insert(form[0], a)
                 if cand in seen:
@@ -193,19 +162,20 @@ def enumerate_layers(amb: RootAmbient, stats: Counter | None = None
     return sorted(found.values(), key=Layer.sort_key)
 
 
-def _visit(amb: RootAmbient, form: Form, found: dict[tuple, Layer]
-           ) -> list[tuple[Coords, list[int]]]:
+def _visit(rs: RootSystem, field: CyclotomicField, form: Form,
+           found: dict[tuple, Layer]) -> list[tuple[Coords, list[int]]]:
     """Record the layers of one lattice in found; return (a, a V) for one
     positive root a of each class of Z^n/L, up to sign, met outside its
     Q-span."""
     lattice, divisors, vcols, vinv = form
-    field, n, k = amb.field, amb.dim, len(divisors)
+    n, k = rs.rank, len(divisors)
     order = field.order
 
-    # u V by one vector addition per root: e_i V is row i of V
+    # u V by one vector addition per root along the height chain over the
+    # simple roots: e_i V is row i of V
     vrows = list(zip(*vcols))
     image: dict[Coords, list[int]] = {(0,) * n: [0] * n}
-    for a, b, i in amb.chain:
+    for a, b, i in rs.chain(range(n)):
         image[a] = list(map(add, image[b], vrows[i]))
 
     # u = sum_i (u V)_i vinv[i] and the saturation is spanned by vinv[:k],
@@ -214,7 +184,7 @@ def _visit(amb: RootAmbient, form: Form, found: dict[tuple, Layer]
     # i >= k; it is read up to sign, the first nonzero tail entry positive
     in_span = []
     classes: dict[tuple, tuple[Coords, list[int]]] = {}
-    for a in amb.positive_roots:
+    for a in rs.positive_roots:
         uv = image[a]
         lead = next(filter(None, uv[k:]), 0)
         if not lead:
@@ -261,16 +231,21 @@ def _visit(amb: RootAmbient, form: Form, found: dict[tuple, Layer]
     return list(classes.values())
 
 
-def is_indecomposable(amb: RootAmbient, layer: Layer) -> bool:
-    """Nonempty centralized set whose non-orthogonality graph is connected."""
-    return len(components(frozenset(layer.roots_pos), amb.neighbours)) == 1
+def is_indecomposable(rs: RootSystem, layer: Layer) -> bool:
+    """Nonempty centralized set whose non-orthogonality graph is connected,
+    read on the graph of all positive roots in rs's "graph" table."""
+    pos, index = rs.positive_roots, rs.positive_index
+    graph = rs.memo("graph", None, lambda: adjacency(
+        len(pos), rs.nonorthogonal_edges(pos)))
+    return len(components(frozenset(index[a] for a in layer.roots_pos),
+                          graph)) == 1
 
 
-def building_set(amb: RootAmbient, stats: Counter | None = None
-                 ) -> list[Layer]:
+def building_set(rs: RootSystem, field: CyclotomicField,
+                 stats: Counter | None = None) -> list[Layer]:
     """The indecomposable layers; stats as for enumerate_layers."""
-    return [l for l in enumerate_layers(amb, stats)
-            if is_indecomposable(amb, l)]
+    return [l for l in enumerate_layers(rs, field, stats)
+            if is_indecomposable(rs, l)]
 
 
 def gamma_divisors(roots: Sequence[Coords], ambient_dim: int) -> list[int]:

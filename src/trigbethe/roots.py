@@ -171,18 +171,20 @@ class RootSystem:
     - "reflection", alpha: s_alpha (reflection_in_root);
     - "product", (v, w): v w (product);
     - "chain", a subset of the simple roots: the height chain of the roots
-      supported on it (chain);
+      supported on it (chain; the layer walk reads the full set's);
     - "base", centralized roots: their base (bethe.centralized_base);
     - "kernel", centralized roots: the integer h they kill
       (XPoint.untwisted_generators);
-    - "chart", (centralized roots, members): the Chart and whether the
-      members are nested (bethe.chart_of);
+    - "chart", (centralized roots, members): the Chart of the members, or
+      None when they are not nested on the base's diagram (bethe.chart_of);
     - "families", a base: its maximal nested sets (PointStream._draw);
     - "space", field: the HolonomySpace (HolonomySpace.of);
     - "rho", w: rho(w), integer, so one for every field (HolonomySpace.rho);
     - "pattern", (field, h): what a Bethe row at h fills (bethe_pattern);
     - "x_comm", (relation sign, k, b): [x_k, s_b]
       (HeckeAlgebra.x_reflection_commutator);
+    - "graph", None: the non-orthogonality graph of the positive roots,
+      by index in positive_index (layers.is_indecomposable);
     - "walk", field: the layers of the full arrangement with their
       subset_layers (PointStream._draw);
     - "draw", None: the subsets of the simple roots, largest first, and
@@ -190,7 +192,8 @@ class RootSystem:
     No key is a point's y or t or a seed.  Every entry is immutable or
     never changed once built, so every point and request of the process
     shares it; the tables die with the root system, and nothing is built
-    at import time.
+    at import time.  positive_index numbers the positive roots in their
+    order, once, for every reader.
     """
 
     def __init__(self, family: str, n: int):
@@ -211,7 +214,7 @@ class RootSystem:
         self.positive_roots: list[Coords] = sorted(
             (r for r in self.roots if min(r) >= 0),
             key=lambda c: (sum(c), c))
-        self._pos_index = {a: k for k, a in enumerate(self.positive_roots)}
+        self.positive_index = {a: k for k, a in enumerate(self.positive_roots)}
         self.tables: dict[str, dict] = {}
 
     def memo(self, table: str, key: Hashable, build: Callable[[], T]) -> T:
@@ -413,7 +416,7 @@ class RootSystem:
                 if min(image) < 0:
                     image = tuple(-c for c in image)
                     flipped.add(image)
-                perm.append(self._pos_index[image])
+                perm.append(self.positive_index[image])
             return WeylElement(inverse, tuple(perm), tuple(
                 a for a in self.positive_roots if a in flipped))
         return self.memo("element", w, build)

@@ -30,7 +30,11 @@
   walk records (Layer.roots_span_lattice).
 - restricted_ambient: the sub-arrangement of the roots supported on a
   set of simple roots, in that set's coordinates, whose own walk is the
-  reference of the sub-arrangements read from one walk (subset_layers).
+  reference of the sub-arrangements read from one walk (subset_layers);
+  it stands in for the root system with what the walk reads of it.
+- root_neighbours: each positive root's neighbours in the
+  non-orthogonality graph, by the pairing of every pair, the reference
+  of the graph is_indecomposable reads from the root system's tables.
 - The spin chain and the type-A identities over Q, the reference of the
   integer checks: dense chain operators from Kronecker products of the
   one-site matrices (dense_place, dense_casimir_pair, ...), the k-th
@@ -48,16 +52,17 @@ from fractions import Fraction
 from functools import cache
 from itertools import combinations
 from math import lcm
-from typing import Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from trigbethe.bethe import HolonomySpace, stratum_values
 from trigbethe.field import CyclotomicField, FieldElement
 from trigbethe.hecke import HeckeAlgebra, q_power
 from trigbethe.lattice import hermite_insert, smith_normal_form
-from trigbethe.layers import Layer, RootAmbient
+from trigbethe.layers import Layer
 from trigbethe.linalg import nullspace, rref
 from trigbethe.poly import Poly
-from trigbethe.roots import IntMatrix, RootSystem
+from trigbethe.roots import (Coords, IntMatrix, RootSystem, gram_inner,
+                             root_chain)
 
 
 def mat_mul(a, b):
@@ -251,14 +256,36 @@ def powered_point_on_layer(layer: Layer, params: Sequence[Fraction] = ()
     return tuple(char_value(field, values, sf.V[j]) for j in range(n))
 
 
-def restricted_ambient(rs: RootSystem, subset: Sequence[int],
-                       field: CyclotomicField) -> RootAmbient:
+class SubArrangement(NamedTuple):
+    """Positive roots in positive-root order in Z^rank, with what the
+    layer walk reads of a root system: rank, positive_roots and chain."""
+
+    rank: int
+    positive_roots: tuple[Coords, ...]
+
+    def chain(self, subset: Iterable[int]) -> tuple:
+        """The height chain over the coordinate vectors, built afresh on
+        every call; the walk reads it over all of them."""
+        assert tuple(subset) == tuple(range(self.rank))
+        units = [tuple(int(i == j) for j in range(self.rank))
+                 for i in range(self.rank)]
+        return tuple(root_chain(self.positive_roots, units))
+
+
+def restricted_ambient(rs: RootSystem, subset: Sequence[int]
+                       ) -> SubArrangement:
     """The sub-arrangement of the roots supported on a set of simple roots."""
     idx = sorted(subset)
-    pos = tuple(tuple(r[i] for i in idx)
-                for r in rs.roots_with_support_in(idx))
-    gram = tuple(tuple(rs.gram[i][j] for j in idx) for i in idx)
-    return RootAmbient(len(idx), pos, gram, field)
+    return SubArrangement(len(idx), tuple(
+        tuple(r[i] for i in idx) for r in rs.roots_with_support_in(idx)))
+
+
+def root_neighbours(rs: RootSystem) -> dict[Coords, set[Coords]]:
+    """Each positive root's neighbours: the other positive roots it pairs
+    nontrivially with."""
+    pos = rs.positive_roots
+    return {a: {b for b in pos if b != a and gram_inner(rs.gram, a, b)}
+            for a in pos}
 
 
 def roots_span_by_fold(layer: Layer) -> bool:

@@ -17,8 +17,8 @@ from trigbethe.bethe import (HolonomySpace, PointStream, XPoint, chart_only,
 from trigbethe.field import CyclotomicField
 from trigbethe.hecke import HeckeAlgebra, exact_commutator_check
 from trigbethe.lattice import int_rank, smith_normal_form
-from trigbethe.layers import (RootAmbient, enumerate_layers, gamma_divisors,
-                              generic_point, is_indecomposable)
+from trigbethe.layers import (enumerate_layers, gamma_divisors, generic_point,
+                              is_indecomposable)
 from trigbethe.linalg import rank, rref
 from trigbethe.nested import Chart, maximal_nested_sets
 from trigbethe.roots import root_system
@@ -192,22 +192,20 @@ def test_criterion_04_type_a_identification():
 
 def test_criterion_05_torsion_component_fixtures():
     rs = root_system("B2")
-    amb = RootAmbient.from_root_system(rs, F6)
-    top = [l for l in enumerate_layers(amb) if l.codim == 2]
+    top = [l for l in enumerate_layers(rs, F6) if l.codim == 2]
     ok = len(top) == 2
     by_char = {tuple(str(v) for v in l.char_values): l for l in top}
     ident = by_char.get(("1", "1"))
     other = by_char.get(("1", "-1"))
     ok = ok and ident is not None and other is not None
-    ok = ok and is_indecomposable(amb, ident)
-    ok = ok and not is_indecomposable(amb, other)
+    ok = ok and is_indecomposable(rs, ident)
+    ok = ok and not is_indecomposable(rs, other)
     ok = ok and gamma_divisors([(1, 0), (1, 2)], 2) == [2]
 
     rs = root_system("G2")
-    amb = RootAmbient.from_root_system(rs, F6)
     long_triple = [(0, 1), (3, 1), (3, 2)]
     ok = ok and gamma_divisors(long_triple, 2) == [3]
-    cube = [l for l in enumerate_layers(amb)
+    cube = [l for l in enumerate_layers(rs, F6)
             if l.codim == 2 and gamma_divisors(l.roots_pos, 2) == [3]]
     ok = ok and len(cube) == 2
     for l in cube:
@@ -222,8 +220,7 @@ def test_criterion_05_torsion_component_fixtures():
 
 def _g2_omega_pair():
     rs = root_system("G2")
-    amb = RootAmbient.from_root_system(rs, F6)
-    cube = [l for l in enumerate_layers(amb)
+    cube = [l for l in enumerate_layers(rs, F6)
             if l.codim == 2 and gamma_divisors(l.roots_pos, 2) == [3]]
     out = []
     for l in cube:

@@ -17,8 +17,7 @@ from trigbethe.bethe import (HolonomySpace, PointStream, XPoint, bethe_weight,
                              stratum_values, weyl_action_report,
                              xpoint_from_dict)
 from trigbethe.field import CyclotomicField, default_field_order
-from trigbethe.layers import (RootAmbient, enumerate_layers, generic_point,
-                              subset_layers)
+from trigbethe.layers import enumerate_layers, generic_point, subset_layers
 from trigbethe.linalg import mat_inverse, nullspace, rank, rref
 from trigbethe.nested import maximal_nested_sets
 from trigbethe.roots import RootSystem, int_mat_mul, root_system
@@ -675,8 +674,7 @@ def test_centralizer_at_a_generic_point_is_the_layer_roots(label, order):
     # roots of a layer of the walk, before XPoint.at reads the centralizer
     # off a generic point of it: both must be the same roots
     rs = root_system(label)
-    layers = enumerate_layers(
-        RootAmbient.from_root_system(rs, CyclotomicField(order)))
+    layers = enumerate_layers(rs, CyclotomicField(order))
     points = 0
     for subset, on_subset in subset_layers(layers).items():
         for k in on_subset:
@@ -756,10 +754,9 @@ def test_integer_kernel_matches_fraction_nullspace(label):
     # vectors spanning the kernel that Fraction row reduction finds
     rs = root_system(label)
     n = rs.rank
-    amb = RootAmbient.from_root_system(
-        rs, CyclotomicField(default_field_order(rs.family)))
     seen = set()
-    for layer in enumerate_layers(amb):
+    for layer in enumerate_layers(
+            rs, CyclotomicField(default_field_order(rs.family))):
         rows = layer.roots_pos
         if rows in seen:
             continue

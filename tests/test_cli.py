@@ -591,13 +591,18 @@ def test_subspace_t_pairs_with_s_as_listed(capsys, monkeypatch):
 
 def test_subspace_rejects_s_that_is_not_maximal_nested(capsys, monkeypatch):
     # on A3 at y = (1, 1, 1) the base is the simple roots; each S below
-    # has three members and passes the chart's one-missing-vertex rule
+    # lists one member per base root, and nestedness is decided before a
+    # chart is built, so the message names S whether or not the members
+    # pass the chart's one-missing-vertex rule or cover every root
     a3 = {"type": "A3", "I": [1, 2, 3], "y": ["1", "1", "1"],
           "t": ["2", "3", "1"]}
     a2 = {"type": "A2", "I": [1, 2], "y": ["1", "1"], "t": ["2", "1"]}
     cases = [
         ({**a3, "S": [[1], [2], [1, 2, 3]]}, "maximal nested"),  # adjacent
         ({**a3, "S": [[1], [1, 3], [1, 2, 3]]}, "maximal nested"),  # {1,3}
+        ({**a3, "S": [[1, 2], [2, 3], [1, 2, 3]]}, "maximal nested"),
+        ({**a3, "S": [[1], [3], [1, 3]]}, "maximal nested"),
+        ({**a2, "S": [[1], [2]]}, "maximal nested"),
         ({**a2, "S": [[1, 1], [1, 2]]}, "vertex repeats"),
         ({**a2, "S": [[1], [1]]}, "member repeats"),
     ]
@@ -661,15 +666,14 @@ def test_layer_gamma_certificate_matches_smith_form(label):
     # layer's (saturated) basis; the Smith form decides every layer here
     from trigbethe.cli import _layer_facts
     from trigbethe.field import CyclotomicField, default_field_order
-    from trigbethe.layers import RootAmbient, enumerate_layers, gamma_divisors
+    from trigbethe.layers import enumerate_layers, gamma_divisors
     from trigbethe.roots import root_system
     rs = root_system(label)
-    amb = RootAmbient.from_root_system(
-        rs, CyclotomicField(default_field_order(rs.family)))
     torsion = 0
-    for layer in enumerate_layers(amb):
-        gamma = gamma_divisors(layer.roots_pos, amb.dim)
-        assert _layer_facts(amb, layer, False)["gamma"] == gamma, layer
+    for layer in enumerate_layers(
+            rs, CyclotomicField(default_field_order(rs.family))):
+        gamma = gamma_divisors(layer.roots_pos, rs.rank)
+        assert _layer_facts(layer, False)["gamma"] == gamma, layer
         torsion += bool(gamma)
     # non-empty gamma occurs, so the Smith branch is exercised
     assert torsion > 0 or label in ("A4", "G2")

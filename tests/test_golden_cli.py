@@ -39,7 +39,7 @@ from trigbethe.bethe import HolonomySpace, PointStream, XPoint, integer_kernel
 from trigbethe.cli import main
 from trigbethe.field import CyclotomicField
 from trigbethe.hecke import HeckeAlgebra
-from trigbethe.layers import RootAmbient, enumerate_layers, subset_layers
+from trigbethe.layers import building_set, enumerate_layers, subset_layers
 from trigbethe.nested import Chart, maximal_nested_sets
 from trigbethe.roots import RootSystem, root_chain, root_system
 
@@ -420,10 +420,12 @@ def test_readme_lists_the_documented_tables():
 def test_requests_leave_the_shared_tables_as_built(capsys, monkeypatch):
     # check all runs the weyl report, whose sign control flips columns of
     # rho(s_1), and check hecke for both relation signs, on the tables
-    # the twisted subspace then reads: every entry of every table must
-    # still equal one built on a new root system
+    # the twisted subspace then reads, and the building set reads the
+    # root graph: every entry of every table must still equal one built
+    # on a new root system
     _fresh_root_systems()
     assert main(["check", "all", "--type", "B3", "--seed", "1"]) == 0
+    assert main(["enumerate", "building-set", "--type", "B3"]) == 0
     capsys.readouterr()
     entry = next(e for e in REFERENCE["pool"] if e["group"] == "B3/6/twisted")
     monkeypatch.setattr("sys.stdin", io.StringIO(entry["spec"]))
@@ -431,7 +433,7 @@ def test_requests_leave_the_shared_tables_as_built(capsys, monkeypatch):
     tables, new = root_system("B3").tables, RootSystem("B", 3)
     assert new.tables == {}
     listed = _documented_tables()
-    assert set(tables) == set(listed) and len(listed) == 16
+    assert set(tables) == set(listed) and len(listed) == 17
     assert list(tables["weyl"][None].items()) == \
         list(new.weyl_elements().items())
     for w, word in tables["word"].items():
@@ -449,12 +451,16 @@ def test_requests_leave_the_shared_tables_as_built(capsys, monkeypatch):
         assert base == tuple(new.base_of(cen))
     for cen, kernel in tables["kernel"].items():
         assert kernel == tuple(integer_kernel(cen, new.rank))
-    for (cen, members), (chart, nested) in tables["chart"].items():
+    for (cen, members), chart in tables["chart"].items():
         # the key names all a chart is built from: its base is the base
-        # of the key's roots, whatever order a caller had them in
+        # of the key's roots, whatever order a caller had them in; members
+        # that are not nested have no chart
+        fresh = bethe.chart_of(new, cen, members)
+        if chart is None:
+            assert fresh is None
+            continue
         assert chart.base == tuple(new.base_of(cen))
-        fresh, fresh_nested = bethe.chart_of(new, cen, members)
-        assert vars(chart) == vars(fresh) and nested == fresh_nested
+        assert vars(chart) == vars(fresh)
     for base, families in tables["families"].items():
         assert families == maximal_nested_sets(
             len(base), new.nonorthogonal_edges(base))
@@ -475,8 +481,10 @@ def test_requests_leave_the_shared_tables_as_built(capsys, monkeypatch):
     for (sign, k, b), comm in tables["x_comm"].items():
         assert comm == HeckeAlgebra(new, sign).x_reflection_commutator(k, b)
     for field, (layers, by_subset) in tables["walk"].items():
-        walked = enumerate_layers(RootAmbient.from_root_system(new, field))
+        walked = enumerate_layers(new, field)
         assert layers == walked and by_subset == subset_layers(walked)
+    building_set(new, CyclotomicField(6))
+    assert tables["graph"] == new.tables["graph"]
     # the first draw of a stream on the new root system fills its draw table
     PointStream(new, CyclotomicField(6), 0).point(0, 40)
     assert tables["draw"] == new.tables["draw"]

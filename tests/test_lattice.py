@@ -7,7 +7,7 @@ from trigbethe.field import CyclotomicField
 from trigbethe.lattice import (diagonal_insert, hermite_coordinates,
                                hermite_insert, hermite_normal_form, int_rank,
                                smith_normal_form)
-from trigbethe.layers import RootAmbient, enumerate_layers
+from trigbethe.layers import enumerate_layers
 from trigbethe.roots import root_system
 from trigbethe.linalg import rank
 
@@ -243,9 +243,8 @@ def test_hermite_normal_form_matches_batch_oracle_on_integer_matrices():
 def test_hermite_normal_form_matches_batch_oracle_on_layer_roots():
     # every layer's centralized roots, in the order the layer stores them
     for label, order in [("B4", 6), ("F4", 12)]:
-        amb = RootAmbient.from_root_system(root_system(label),
-                                           CyclotomicField(order))
-        for layer in enumerate_layers(amb):
+        for layer in enumerate_layers(root_system(label),
+                                      CyclotomicField(order)):
             rows = layer.roots_pos
             assert hermite_normal_form(rows) == batch_hermite_form(rows)
             if rows:

@@ -12,22 +12,18 @@ from trigbethe import layers as layers_module
 from trigbethe.bethe import PointStream
 from trigbethe.field import CyclotomicField
 from trigbethe.lattice import hermite_normal_form, int_rank, smith_normal_form
-from trigbethe.layers import (Layer, RootAmbient, building_set,
-                              enumerate_layers, gamma_divisors, generic_point,
+from trigbethe.layers import (Layer, building_set, enumerate_layers,
+                              gamma_divisors, generic_point,
                               is_indecomposable, layer_contains, layer_to_dict,
                               point_on_layer, poset_relations, restrict,
                               subset_layers)
 from trigbethe.nested import adjacency, components
-from trigbethe.roots import nonorthogonal_edges, root_system
+from trigbethe.roots import RootSystem, nonorthogonal_edges, root_system
 
 from oracles import (char_value, powered_point_on_layer, restricted_ambient,
-                     roots_span_by_fold)
+                     root_neighbours, roots_span_by_fold)
 
 F6 = CyclotomicField(6)
-
-
-def ambient(label, field=F6):
-    return RootAmbient.from_root_system(root_system(label), field)
 
 
 def evaluate(pt, row):
@@ -43,14 +39,13 @@ def chars(layer):
     return tuple(str(v) for v in layer.char_values)
 
 
-def centralizer(amb, pt):
+def centralizer(rs, field, pt):
     """Positive roots whose character equals 1 at the point."""
-    return [a for a in amb.positive_roots
-            if char_value(amb.field, pt, a).is_one()]
+    return [a for a in rs.positive_roots if char_value(field, pt, a).is_one()]
 
 
-def full_torus(amb):
-    return Layer(amb.dim, (), (), amb.field, (), True)
+def full_torus(rs, field):
+    return Layer(rs.rank, (), (), field, (), True)
 
 
 def covering_relations(layers):
@@ -64,7 +59,7 @@ def covering_relations(layers):
 def boundary_strata(rs, field):
     """(subset, layer) for every layer of every sub-arrangement, ordered by
     subset size, subset and layer, from one walk of the full arrangement."""
-    layers = enumerate_layers(RootAmbient.from_root_system(rs, field))
+    layers = enumerate_layers(rs, field)
     return [(s, restrict(layers[k], s))
             for s, ks in subset_layers(layers).items() for k in ks]
 
@@ -72,15 +67,13 @@ def boundary_strata(rs, field):
 def test_layer_census_counts():
     expected = {"A2": (5, 4), "B2": (7, 5), "G2": (13, 9), "A3": (15, 11)}
     for label, (total, indec) in expected.items():
-        amb = ambient(label)
-        layers = enumerate_layers(amb)
-        assert len(layers) == total
-        assert len(building_set(amb)) == indec
+        rs = root_system(label)
+        assert len(enumerate_layers(rs, F6)) == total
+        assert len(building_set(rs, F6)) == indec
 
 
 def test_a3_codim_split_and_no_torsion():
-    amb = ambient("A3")
-    layers = enumerate_layers(amb)
+    layers = enumerate_layers(root_system("A3"), F6)
     split = [sum(1 for l in layers if l.codim == c) for c in range(4)]
     assert split == [1, 6, 7, 1]
     for l in layers:
@@ -89,22 +82,21 @@ def test_a3_codim_split_and_no_torsion():
 
 
 def test_b2_codim2_layers():
-    amb = ambient("B2")
-    top = [l for l in enumerate_layers(amb) if l.codim == 2]
+    rs = root_system("B2")
+    top = [l for l in enumerate_layers(rs, F6) if l.codim == 2]
     assert len(top) == 2
     by_roots = {l.roots_pos: l for l in top}
     torsion = by_roots[((1, 0), (1, 2))]
     assert chars(torsion) == ("1", "-1")
     assert gamma_divisors(torsion.roots_pos, 2) == [2]
-    ident = by_roots[tuple(sorted(amb.positive_roots,
+    ident = by_roots[tuple(sorted(rs.positive_roots,
                                   key=lambda c: (sum(c), c)))]
     assert chars(ident) == ("1", "1")
     assert gamma_divisors(ident.roots_pos, 2) == []
 
 
 def test_g2_codim2_layers():
-    amb = ambient("G2")
-    top = [l for l in enumerate_layers(amb) if l.codim == 2]
+    top = [l for l in enumerate_layers(root_system("G2"), F6) if l.codim == 2]
     assert len(top) == 6
     gammas = sorted(tuple(gamma_divisors(l.roots_pos, 2)) for l in top)
     assert gammas == [(), (2,), (2,), (2,), (3,), (3,)]
@@ -128,9 +120,9 @@ def test_codim2_layers_match_torus_point_scan():
     # point whose centralizer has full rank; scan mu_12 x mu_12 directly
     f12 = CyclotomicField(12)
     for label in ["A2", "B2", "G2"]:
-        amb = ambient(label, f12)
+        rs = root_system(label)
         enumerated = set()
-        for l in enumerate_layers(amb):
+        for l in enumerate_layers(rs, f12):
             if l.codim != 2:
                 continue
             assert l.basis == ((1, 0), (0, 1))
@@ -138,7 +130,7 @@ def test_codim2_layers_match_torus_point_scan():
         scanned = set()
         for i, j in itertools.product(range(12), repeat=2):
             y = (f12.zeta(i), f12.zeta(j))
-            cent = centralizer(amb, y)
+            cent = centralizer(rs, f12, y)
             if int_rank(cent) == 2:
                 scanned.add((str(y[0]), str(y[1])))
         assert enumerated == scanned
@@ -146,16 +138,15 @@ def test_codim2_layers_match_torus_point_scan():
 
 def test_generic_point_realizes_exact_centralizer():
     for label in ["A2", "B2", "G2"]:
-        amb = ambient(label)
-        for l in enumerate_layers(amb):
-            pt = generic_point(root_system(label), range(amb.dim), l, seed=3)
-            assert tuple(sorted(centralizer(amb, pt))) == \
+        rs = root_system(label)
+        for l in enumerate_layers(rs, F6):
+            pt = generic_point(rs, range(rs.rank), l, seed=3)
+            assert tuple(sorted(centralizer(rs, F6, pt))) == \
                 tuple(sorted(l.roots_pos))
 
 
 def test_point_on_layer_extends_character():
-    amb = ambient("B2")
-    for l in enumerate_layers(amb):
+    for l in enumerate_layers(root_system("B2"), F6):
         pt = point_on_layer(l)
         for row, val in zip(l.basis, l.char_values):
             assert evaluate(pt, row) == val
@@ -167,8 +158,8 @@ def test_point_on_layer_extends_character():
 def test_point_on_layer_matches_field_powers(label, order):
     # every layer, at the default parameters and three seeded draws of
     # nonzero rationals, some negative, against the field-power oracle
-    amb = ambient(label, CyclotomicField(order))
-    for k, l in enumerate(enumerate_layers(amb)):
+    layers = enumerate_layers(root_system(label), CyclotomicField(order))
+    for k, l in enumerate(layers):
         rng = random.Random(f"point-on-layer-{label}-{k}")
         draws = [()] + [
             [Fraction(rng.choice((-1, 1)) * rng.randint(1, 97),
@@ -184,21 +175,22 @@ def test_point_on_layer_rejects_bad_input():
     # a lattice that is not saturated, and more parameters than dimensions
     with pytest.raises(ValueError, match="saturated"):
         point_on_layer(Layer(2, ((2, 0),), (0,), F6, (), False))
-    line = [l for l in enumerate_layers(ambient("B2")) if l.codim == 1][0]
+    line = [l for l in enumerate_layers(root_system("B2"), F6)
+            if l.codim == 1][0]
     with pytest.raises(ValueError, match="too many"):
         point_on_layer(line, [Fraction(2), Fraction(3)])
 
 
 def test_char_exponent_rejects_vectors_outside_lattice():
-    amb = ambient("B2")
-    torsion = [l for l in enumerate_layers(amb)
+    layers = enumerate_layers(root_system("B2"), F6)
+    torsion = [l for l in layers
                if l.codim == 2 and l.roots_pos == ((1, 0), (1, 2))]
     # the torsion layer has a saturated basis of Z^2, so every vector has
     # an exponent; a codim-1 layer must reject transverse vectors
     assert torsion
     assert all(t.char_exponent(v) is not None
                for t in torsion for v in [(1, 0), (0, 1)])
-    line = [l for l in enumerate_layers(amb) if l.codim == 1][0]
+    line = [l for l in layers if l.codim == 1][0]
     assert [v for v in [(1, 0), (0, 1)] if line.char_exponent(v) is None]
 
 
@@ -222,10 +214,10 @@ def scanning_char_exponent(layer, vec):
 
 @pytest.mark.parametrize("label,order", [("B4", 6), ("F4", 12)])
 def test_char_exponent_matches_pivot_scan(label, order):
-    amb = ambient(label, CyclotomicField(order))
+    rs = root_system(label)
     outcomes = Counter()
-    for layer in enumerate_layers(amb):
-        for a in amb.positive_roots:
+    for layer in enumerate_layers(rs, CyclotomicField(order)):
+        for a in rs.positive_roots:
             e = layer.char_exponent(a)
             assert e == scanning_char_exponent(layer, a)
             outcomes[e is None] += 1
@@ -239,7 +231,7 @@ def test_sort_key_orders_as_fraction_coefficients(label, order):
     def fraction_key(l):
         return (l.codim, l.basis, tuple(cv.coeffs for cv in l.char_values))
 
-    layers = enumerate_layers(ambient(label, CyclotomicField(order)))
+    layers = enumerate_layers(root_system(label), CyclotomicField(order))
     shuffled = list(layers)
     random.Random(order).shuffle(shuffled)
     assert sorted(shuffled, key=fraction_key) == layers
@@ -247,8 +239,7 @@ def test_sort_key_orders_as_fraction_coefficients(label, order):
 
 
 def test_poset_and_covering_relations_a2():
-    amb = ambient("A2")
-    layers = enumerate_layers(amb)
+    layers = enumerate_layers(root_system("A2"), F6)
     rel = poset_relations(layers)
     cov = covering_relations(layers)
     assert len(rel) == 7
@@ -260,17 +251,17 @@ def test_poset_and_covering_relations_a2():
         assert layer_contains(layers[j], layers[i])
         assert not layer_contains(layers[i], layers[j])
     with pytest.raises(ValueError):   # exponents mod 6 and mod 12 do not compare
-        layer_contains(full_torus(ambient("A2", CyclotomicField(12))),
+        layer_contains(full_torus(root_system("A2"), CyclotomicField(12)),
                        layers[-1])
 
 
 def test_full_torus_layer_is_top():
-    amb = ambient("A2")
-    layers = enumerate_layers(amb)
-    top = full_torus(amb)
+    rs = root_system("A2")
+    layers = enumerate_layers(rs, F6)
+    top = full_torus(rs, F6)
     assert top in layers
     assert top.codim == 0 and top.dim == 2
-    assert not is_indecomposable(amb, top)
+    assert not is_indecomposable(rs, top)
     for l in layers:
         assert layer_contains(top, l)
 
@@ -287,8 +278,7 @@ def test_boundary_strata_a2():
 
 
 def test_layer_to_dict_shape():
-    amb = ambient("B2")
-    l = [x for x in enumerate_layers(amb) if x.codim == 2
+    l = [x for x in enumerate_layers(root_system("B2"), F6) if x.codim == 2
          and x.roots_pos == ((1, 0), (1, 2))][0]
     d = layer_to_dict(l)
     assert d == {
@@ -345,8 +335,8 @@ def test_characteristic_polynomial_counts_points_mod_13():
     # the complement of the arrangement in (F_13^*)^n
     for label in ["A2", "B2", "G2", "A3", "B3", "C3"]:
         rs = root_system(label)
-        amb = ambient(label, CyclotomicField(12))
-        chi = characteristic_polynomial(enumerate_layers(amb))
+        layers = enumerate_layers(rs, CyclotomicField(12))
+        chi = characteristic_polynomial(layers)
         assert evaluate_polynomial(chi, 12) == \
             complement_count(rs.positive_roots, rs.rank)
 
@@ -360,8 +350,8 @@ def test_characteristic_polynomial_rank_four():
         "A4": [24, -50, 35, -10, 1],
     }
     for label, coeffs in pinned.items():
-        amb = ambient(label, CyclotomicField(12))
-        assert characteristic_polynomial(enumerate_layers(amb)) == coeffs
+        layers = enumerate_layers(root_system(label), CyclotomicField(12))
+        assert characteristic_polynomial(layers) == coeffs
     for label in ["B4", "F4"]:
         rs = root_system(label)
         assert evaluate_polynomial(pinned[label], 12) == \
@@ -370,11 +360,11 @@ def test_characteristic_polynomial_rank_four():
 
 def test_poset_relations_match_field_containment():
     for label in ["A1", "A2", "B2", "C2", "G2", "A3", "B3", "C3"]:
-        amb = ambient(label)
-        layers = enumerate_layers(amb)
+        rs = root_system(label)
+        layers = enumerate_layers(rs, F6)
         expected = []
         for i, small in enumerate(layers):
-            pt = generic_point(root_system(label), range(amb.dim), small)
+            pt = generic_point(rs, range(rs.rank), small)
             for j, big in enumerate(layers):
                 if i != j and all(evaluate(pt, row) == val for row, val
                                   in zip(big.basis, big.char_values)):
@@ -388,9 +378,9 @@ def test_poset_relations_match_field_containment():
 # the subset's Hermite form), and the unfiltered all-pairs poset scan
 
 
-def subset_walk_layers(amb):
-    field, order, n = amb.field, amb.field.order, amb.dim
-    pos = list(amb.positive_roots)
+def subset_walk_layers(rs, field):
+    order, n = field.order, rs.rank
+    pos = list(rs.positive_roots)
     found = {}
 
     def visit(rows):
@@ -439,8 +429,8 @@ def subset_walk_layers(amb):
     ("A2", 6), ("A3", 6), ("A4", 6), ("B2", 6), ("B3", 6), ("B4", 6),
     ("C3", 6), ("C4", 6), ("D4", 6), ("G2", 6), ("F4", 12)])
 def test_lattice_walk_matches_subset_walk(label, order):
-    amb = ambient(label, CyclotomicField(order))
-    assert enumerate_layers(amb) == subset_walk_layers(amb)
+    rs, field = root_system(label), CyclotomicField(order)
+    assert enumerate_layers(rs, field) == subset_walk_layers(rs, field)
 
 
 @pytest.mark.parametrize("label,order", [
@@ -450,13 +440,13 @@ def test_every_candidate_centralizes_a_spanning_set(label, order):
     # the walk records every character of sat(L)/L without a rank test:
     # each is trivial on L, whose generators are roots in the span, so the
     # roots it centralizes have the lattice's rank
-    for layer in enumerate_layers(ambient(label, CyclotomicField(order))):
+    for layer in enumerate_layers(root_system(label), CyclotomicField(order)):
         assert int_rank(layer.roots_pos) == layer.codim, layer
 
 
 @pytest.mark.parametrize("label", ["G2", "B3", "C3", "A4", "D4", "B4", "C4"])
 def test_poset_relations_match_all_pairs_scan(label):
-    layers = enumerate_layers(ambient(label))
+    layers = enumerate_layers(root_system(label), F6)
     scan = [(i, j) for i, small in enumerate(layers)
             for j, big in enumerate(layers)
             if i != j and layer_contains(big, small)]
@@ -476,7 +466,7 @@ def covers_by_intermediates(layers):
 def test_covering_relations_match_definition(label):
     # the poset is ranked by codimension, so covers are the relations
     # whose codimensions differ by one; kept in poset_relations order
-    layers = enumerate_layers(ambient(label))
+    layers = enumerate_layers(root_system(label), F6)
     rel = poset_relations(layers)
     cov = covering_relations(layers)
     assert set(cov) == covers_by_intermediates(layers)
@@ -489,7 +479,7 @@ def test_layers_spanned_by_their_roots_contain_every_candidate(label, order):
     # the premise of the poset shortcut: when a layer's lattice is spanned
     # by its own roots, every layer of larger codimension centralizing
     # those roots lies inside it
-    layers = enumerate_layers(ambient(label, CyclotomicField(order)))
+    layers = enumerate_layers(root_system(label), CyclotomicField(order))
     shortcuts = 0
     for big in layers:
         if hermite_normal_form(big.roots_pos) != big.basis:
@@ -508,25 +498,52 @@ FACT_TYPES = [("A2", 6), ("A3", 6), ("A4", 6), ("B2", 6), ("B3", 6),
 
 
 @pytest.mark.parametrize("label,order", FACT_TYPES)
+def test_walk_and_building_set_fill_one_chain_and_one_graph(label, order):
+    # on a new root system the walk fills only the height chain over all
+    # simple roots; the building set, whose own walk reads that chain
+    # again, adds only one graph of the positive roots
+    rs, field = RootSystem(label[0], int(label[1:])), CyclotomicField(order)
+    full = tuple(range(rs.rank))
+    layers = enumerate_layers(rs, field)
+    assert list(rs.tables) == ["chain"] and list(rs.tables["chain"]) == [full]
+    chain = rs.tables["chain"][full]
+    assert building_set(rs, field) == [l for l in layers
+                                       if is_indecomposable(rs, l)]
+    assert list(rs.tables) == ["chain", "graph"]
+    assert list(rs.tables["graph"]) == [None]
+    assert list(rs.tables["chain"]) == [full]
+    assert rs.tables["chain"][full] is chain
+    # the graph, by index in positive_index, is the pairing's on every
+    # pair of positive roots
+    index = rs.positive_index
+    assert list(index) == rs.positive_roots
+    assert rs.tables["graph"][None] == {
+        index[a]: {index[b] for b in near}
+        for a, near in root_neighbours(rs).items()}
+
+
+@pytest.mark.parametrize("label,order", FACT_TYPES)
 def test_layer_facts_match_their_direct_expressions(label, order):
     # the walk records whether the roots span the lattice and
-    # is_indecomposable reads one root graph per ambient: both against the
-    # Hermite fold, early stop and whole, and the per-layer graph of every
-    # pair of the layer's roots
-    amb = ambient(label, CyclotomicField(order))
-    layers = enumerate_layers(amb)
+    # is_indecomposable reads one root graph per root system: both against
+    # the Hermite fold, early stop and whole, and the per-layer graph of
+    # every pair of the layer's roots
+    rs = root_system(label)
+    layers = enumerate_layers(rs, CyclotomicField(order))
     spanned = indecomposable = 0
     for layer in layers:
         roots = layer.roots_pos
         want = hermite_normal_form(roots) == layer.basis
         assert layer.roots_span_lattice == roots_span_by_fold(layer) == want, \
             layer
-        adj = adjacency(len(roots), nonorthogonal_edges(amb.gram, roots))
+        adj = adjacency(len(roots), nonorthogonal_edges(rs.gram, roots))
         connected = len(components(frozenset(adj), adj)) == 1
-        assert is_indecomposable(amb, layer) == connected, layer
+        assert is_indecomposable(rs, layer) == connected, layer
         spanned += want
         indecomposable += connected
-    assert amb.neighbours is amb.neighbours
+    graph = rs.tables["graph"][None]
+    is_indecomposable(rs, layers[-1])
+    assert rs.tables["graph"][None] is graph
     # both answers occur (beyond type A for the lattice), so neither
     # assertion holds vacuously
     assert 0 < indecomposable < len(layers) and 0 < spanned
@@ -548,7 +565,7 @@ def per_subset_walks(label, order):
     subsets = sorted((tuple(i for i in range(rs.rank) if m >> i & 1)
                       for m in range(1 << rs.rank)),
                      key=lambda s: (len(s), s))
-    return {s: enumerate_layers(restricted_ambient(rs, s, field))
+    return {s: enumerate_layers(restricted_ambient(rs, s), field)
             for s in subsets}
 
 
@@ -562,7 +579,7 @@ def test_layer_roots_in_positive_root_order(label, order):
 
     rs, field = root_system(label), CyclotomicField(order)
     for subset, layers in per_subset_walks(label, order).items():
-        pos = restricted_ambient(rs, subset, field).positive_roots
+        pos = restricted_ambient(rs, subset).positive_roots
         assert list(pos) == sorted(pos, key=key)
         for layer in layers:
             assert list(layer.roots_pos) == sorted(layer.roots_pos, key=key)
@@ -591,13 +608,13 @@ def test_point_stream_subsets_match_per_subset_walks(label, order):
             == want
         chained = tuple(tuple(a[i] for i in subset)
                         for a, _, _ in rs.chain(subset))
-        assert chained == restricted_ambient(rs, subset, field).positive_roots
+        assert chained == restricted_ambient(rs, subset).positive_roots
 
 
-def all_roots_growth(amb):
+def all_roots_growth(rs):
     """Every lattice spanned by independent positive roots, grown by
     every positive root outside the span, each Hermite form from scratch."""
-    pos = list(amb.positive_roots)
+    pos = list(rs.positive_roots)
     seen, frontier = {()}, [()]
     while frontier:
         grown = []
@@ -611,19 +628,19 @@ def all_roots_growth(amb):
     return seen
 
 
-def recorded_forms(amb, monkeypatch):
+def recorded_forms(rs, field, monkeypatch):
     """The diagonal form of every lattice the walk visits, in visit order,
     and the walk's stats."""
     forms = []
 
-    def recording_visit(amb, form, found):
+    def recording_visit(rs, field, form, found):
         forms.append(form)
-        return visit(amb, form, found)
+        return visit(rs, field, form, found)
 
     visit = layers_module._visit
     monkeypatch.setattr(layers_module, "_visit", recording_visit)
     stats = Counter()
-    enumerate_layers(amb, stats)
+    enumerate_layers(rs, field, stats)
     return forms, stats
 
 
@@ -631,10 +648,10 @@ def recorded_forms(amb, monkeypatch):
 def test_walk_visits_the_all_roots_growth(label, order, monkeypatch):
     # one Hermite insertion per class of Z^n/L loses no lattice: each
     # lattice is visited once, with its Hermite form
-    amb = ambient(label, CyclotomicField(order))
-    forms, stats = recorded_forms(amb, monkeypatch)
+    rs = root_system(label)
+    forms, stats = recorded_forms(rs, CyclotomicField(order), monkeypatch)
     visited = [form[0] for form in forms]
-    want = all_roots_growth(amb)
+    want = all_roots_growth(rs)
     assert len(visited) == len(set(visited)) == stats["lattices"]
     assert set(visited) == want
 
@@ -646,7 +663,7 @@ def test_walk_forms_are_diagonal_forms_of_their_lattices(label, order,
                                                          monkeypatch):
     # the lattice is span(d_i Vinv[i]) with V and Vinv inverse to each other,
     # whether its form was grown from its parent's or is a Smith form
-    forms, _ = recorded_forms(ambient(label, CyclotomicField(order)),
+    forms, _ = recorded_forms(root_system(label), CyclotomicField(order),
                               monkeypatch)
     for basis, divisors, vcols, vinv in forms:
         n = len(vcols)
@@ -665,6 +682,6 @@ def test_walk_takes_the_smith_fallback_on_b_and_not_on_a_or_d(label,
     # a lattice grown from a parent whose diagonal form does not extend
     # takes a full Smith form; on A4 and D4 every form extends
     stats = Counter()
-    enumerate_layers(ambient(label), stats)
+    enumerate_layers(root_system(label), F6, stats)
     assert (stats["smith_forms"] > 0) == fallbacks
     assert stats["smith_forms"] < stats["lattices"]
