@@ -28,7 +28,9 @@ the chart of S (None when S is not nested), the holonomy space of the
 field, rho(w), and per field and h the columns a Bethe row fills.
 XPoint.at, through which a PointStream draw builds its point too, reads
 those tables, so a point itself costs e^alpha (one product per root
-along the height chain), its chart residuals and its Bethe weights.
+along the height chain), its chart residuals and its Bethe weights; a
+drawn point evaluates e^alpha a second time, in generic_point's
+genericity test.
 recover_data reads the stratum data back off an untwisted subspace.
 The checks sample points from a PointStream, one seeded sequence drawn
 on demand, so that one request builds and row-reduces each sampled point
@@ -177,15 +179,16 @@ class HolonomySpace:
 
         t_alpha goes to t_|w alpha|; tau(h) goes to tau(w.h) minus
         alpha(w.h) t_alpha for every alpha in the inversion set of w.
+        w.e_i, the h of column tau_i, is row i of w^{-1} (h_transport), so
+        the tables of w are read once, from rs.element(w).
         """
         def build():
             index = self.rs.positive_index
-            cols = [{j: 1} for j in self.rs.element(w).perm]
-            inversions = self.rs.inversion_set(w)
-            for e in self.rs.identity:
-                h = self.h_transport(w, e)
+            element = self.rs.element(w)
+            cols = [{j: 1} for j in element.perm]
+            for h in element.inverse:
                 col = {self.npos + k: c for k, c in enumerate(h) if c}
-                for a in inversions:
+                for a in element.inversions:
                     ah = self.alpha_of_h(a, h)
                     if ah:
                         col[index[a]] = -ah
@@ -418,10 +421,8 @@ class XPoint:
     def untwisted_generators(self) -> list[list[FieldElement]]:
         """tau-carrying generators for h killing the centralizer, plus the
         chart family of the centralizer; together always rank-many."""
-        rs, key = self.rs, tuple(self.centralized)
-        h_basis = rs.memo("kernel", key,
-                          lambda: tuple(integer_kernel(key, rs.rank)))
-        cen = set(key)
+        _, h_basis = centralizer_entry(self.rs, self.centralized)
+        cen = set(self.centralized)
         gens = self.space.bethe_family(
             {a: u for a, u in self.root_values.items() if a not in cen}, h_basis)
         for v in range(len(self.chart.base)):
@@ -468,18 +469,20 @@ def centralizer(rs: RootSystem, subset: Sequence[int],
     """(e^alpha per root supported on subset, the centralized roots, their
     base) at a point of the stratum torus: the roots with e^alpha = 1, in
     positive-root order, and the simple system of the subsystem they form
-    (read from rs's "base" table).
+    (read from rs's "centralizer" table).
     """
     values = stratum_values(rs, subset, point)
     centralized = [a for a, u in values.items() if u.is_one()]
-    return values, centralized, list(centralized_base(rs, centralized))
+    return values, centralized, list(centralizer_entry(rs, centralized)[0])
 
 
-def centralized_base(rs: RootSystem, centralized: Sequence[Coords]
-                     ) -> tuple[Coords, ...]:
-    """The base of the centralized roots, kept in rs's "base" table."""
+def centralizer_entry(rs: RootSystem, centralized: Sequence[Coords]
+                      ) -> tuple[tuple[Coords, ...], tuple[Coords, ...]]:
+    """(the base of the centralized roots, a basis of the integer h they
+    kill), kept in rs's "centralizer" table."""
     key = tuple(centralized)
-    return rs.memo("base", key, lambda: tuple(rs.base_of(key)))
+    return rs.memo("centralizer", key, lambda: (
+        tuple(rs.base_of(key)), tuple(integer_kernel(key, rs.rank))))
 
 
 def chart_of(rs: RootSystem, centralized: Sequence[Coords],
@@ -487,15 +490,15 @@ def chart_of(rs: RootSystem, centralized: Sequence[Coords],
     """The Chart of members on the base of the centralized roots, or None
     when the members are not a nested family on the diagram of that base,
     which is decided first.  Kept in rs's "chart" table per (centralized
-    roots, members), the base read from its "base" table.  A nested family
-    with one member per base root is maximal, so its Chart builds; a
-    ValueError of Chart on any other family is raised again on every call,
-    not kept."""
+    roots, members), the base read from its "centralizer" table.  A nested
+    family with one member per base root is maximal, so its Chart builds;
+    a ValueError of Chart on any other family is raised again on every
+    call, not kept."""
     members = frozenset(map(frozenset, members))
     key = tuple(centralized)
 
     def build():
-        base = centralized_base(rs, key)
+        base = centralizer_entry(rs, key)[0]
         adj = adjacency(len(base), rs.nonorthogonal_edges(base))
         return Chart(base, key, members) if is_nested(tuple(members), adj) \
             else None
@@ -695,17 +698,16 @@ class PointStream:
 
         rs, field, rng, n = self.rs, self.field, self._rng, self.rs.rank
         self.attempts += 1
-        subsets, words = rs.memo("draw", None, lambda: (
-            sorted((tuple(i for i in range(n) if m >> i & 1)
-                    for m in range(1 << n)), key=lambda s: -len(s)),
-            list(rs.weyl_elements().values())))
+
+        def build():
+            layers = enumerate_layers(rs, field)
+            return (sorted((tuple(i for i in range(n) if m >> i & 1)
+                            for m in range(1 << n)), key=lambda s: -len(s)),
+                    list(rs.weyl_elements().values()),
+                    layers, subset_layers(layers))
+        subsets, words, layers, by_subset = rs.memo("draw", field, build)
         subset = subsets[rng.randrange(len(subsets))] if rng.random() < 0.5 \
             else tuple(range(n))
-
-        def walk():
-            layers = enumerate_layers(rs, field)
-            return layers, subset_layers(layers)
-        layers, by_subset = rs.memo("walk", field, walk)
         on_subset = by_subset[subset]
         layer = layers[on_subset[rng.randrange(len(on_subset))]]
         try:
@@ -713,7 +715,7 @@ class PointStream:
         except RuntimeError:
             return
         # at a generic point of a layer the centralized roots are its own
-        base = centralized_base(rs, layer.roots_pos)
+        base = centralizer_entry(rs, layer.roots_pos)[0]
         families = rs.memo("families", base, lambda: (
             maximal_nested_sets(len(base), rs.nonorthogonal_edges(base))))
         # a family lists its members in canonical order, as its chart does

@@ -122,6 +122,7 @@ def chain_values(chain, base_values) -> dict:
 class WeylElement(NamedTuple):
     """Integer tables of one Weyl group element w (see RootSystem.element)."""
 
+    word: tuple[int, ...]         # a reduced word of w
     inverse: IntMatrix            # w^{-1} in simple-root coordinates
     perm: tuple[int, ...]         # k -> index of |w(positive_roots[k])|
     inversions: tuple[Coords, ...]  # positive roots a with w^{-1}(a) < 0
@@ -166,15 +167,14 @@ class RootSystem:
     A root system is the one cache of the finite data of its type: tables
     filled on first use by memo(), in rs.tables.  Name, key and reader:
     - "weyl", None: all of W with shortest words (weyl_elements);
-    - "word", w: a reduced word of w (word_of);
-    - "element", w: its WeylElement (element, inverse_matrix, inversion_set);
+    - "element", w: its WeylElement, a reduced word included (element,
+      word_of, inverse_matrix, inversion_set);
     - "reflection", alpha: s_alpha (reflection_in_root);
     - "product", (v, w): v w (product);
     - "chain", a subset of the simple roots: the height chain of the roots
       supported on it (chain; the layer walk reads the full set's);
-    - "base", centralized roots: their base (bethe.centralized_base);
-    - "kernel", centralized roots: the integer h they kill
-      (XPoint.untwisted_generators);
+    - "centralizer", centralized roots: their base and the integer h
+      they kill (bethe.centralizer_entry);
     - "chart", (centralized roots, members): the Chart of the members, or
       None when they are not nested on the base's diagram (bethe.chart_of);
     - "families", a base: its maximal nested sets (PointStream._draw);
@@ -185,10 +185,9 @@ class RootSystem:
       (HeckeAlgebra.x_reflection_commutator);
     - "graph", None: the non-orthogonality graph of the positive roots,
       by index in positive_index (layers.is_indecomposable);
-    - "walk", field: the layers of the full arrangement with their
-      subset_layers (PointStream._draw);
-    - "draw", None: the subsets of the simple roots, largest first, and
-      the shortlex words of W (PointStream._draw).
+    - "draw", field: the subsets of the simple roots, largest first, the
+      shortlex words of W, and the layers of the full arrangement with
+      their subset_layers (PointStream._draw).
     No key is a point's y or t or a seed.  Every entry is immutable or
     never changed once built, so every point and request of the process
     shares it; the tables die with the root system, and nothing is built
@@ -377,39 +376,30 @@ class RootSystem:
             m = self.times_generator(m, i)
         return m
 
-    def word_of(self, w: IntMatrix) -> tuple[int, ...]:
-        """A reduced word of w, from right descents: if w sends the i-th
-        simple root negative, word(w) = word(w s_i) + (i,).  Kept per
-        element; the group is never enumerated.
+    def element(self, w: IntMatrix) -> WeylElement:
+        """The integer tables of one group element, kept on first use; the
+        group is never enumerated.
 
-        Each step shortens an element of W by one, so w is in W exactly
-        when the reduction reaches the identity within |positive roots|
-        steps; otherwise ValueError.
+        A reduced word comes from right descents: if w sends the i-th
+        simple root negative, word(w) = word(w s_i) + (i,).  Each step
+        shortens an element of W by one, so w is in W exactly when the
+        reduction reaches the identity within |positive roots| steps;
+        otherwise ValueError.  The descents s_{i_1}, s_{i_2}, ... taken
+        from w give w^{-1} = s_{i_1} s_{i_2} ..., in integers, in the same
+        pass.  The positive-root permutation and the inversion set come
+        from one pass of w over the positive roots.
         """
         def build():
-            v, word = w, []
+            v, inverse, descents = w, self.identity, []
             while v != self.identity:
                 i = next((i for i in range(self.rank)
                           if any(row[i] < 0 for row in v)), None)
-                if i is None or len(word) == len(self.positive_roots):
+                if i is None or len(descents) == len(self.positive_roots):
                     raise ValueError(
                         f"{w} is not in the Weyl group of {self.label}")
-                word.append(i)
+                descents.append(i)
                 v = self.times_generator(v, i)
-            return tuple(reversed(word))
-        return self.memo("word", w, build)
-
-    def element(self, w: IntMatrix) -> WeylElement:
-        """The integer tables of one group element, kept on first use.
-
-        Membership in W is decided by word_of; ValueError outside W.  A
-        word s_{i_1} ... s_{i_k} of w gives w^{-1} = s_{i_k} ... s_{i_1},
-        the matrix of the reversed word, in integers.  The positive-root
-        permutation and the inversion set come from one pass of w over the
-        positive roots.
-        """
-        def build():
-            inverse = self.matrix_of_word(self.word_of(w)[::-1])
+                inverse = self.times_generator(inverse, i)
             perm, flipped = [], set()
             for a in self.positive_roots:
                 image = self.act(w, a)
@@ -417,9 +407,14 @@ class RootSystem:
                     image = tuple(-c for c in image)
                     flipped.add(image)
                 perm.append(self.positive_index[image])
-            return WeylElement(inverse, tuple(perm), tuple(
-                a for a in self.positive_roots if a in flipped))
+            return WeylElement(tuple(reversed(descents)), inverse, tuple(perm),
+                               tuple(a for a in self.positive_roots
+                                     if a in flipped))
         return self.memo("element", w, build)
+
+    def word_of(self, w: IntMatrix) -> tuple[int, ...]:
+        """A reduced word of w: element(w).word."""
+        return self.element(w).word
 
     def inverse_matrix(self, w: IntMatrix) -> IntMatrix:
         return self.element(w).inverse

@@ -35,6 +35,11 @@
 - root_neighbours: each positive root's neighbours in the
   non-orthogonality graph, by the pairing of every pair, the reference
   of the graph is_indecomposable reads from the root system's tables.
+- ModularRing and Mod: the prime field F_p with zeta_N sent to a
+  primitive N-th root mod p, which provides the scalar protocol the point
+  construction reads (the ring's zero and coerce; +, -, *, /, 1/x, ==,
+  is_zero, is_one, over_minus_one and scale on an element); its image
+  reduces Q(zeta_N) into it.  modular_reduced rebuilds a point over it.
 - The spin chain and the type-A identities over Q, the reference of the
   integer checks: dense chain operators from Kronecker products of the
   one-site matrices (dense_place, dense_casimir_pair, ...), the k-th
@@ -54,7 +59,7 @@ from itertools import combinations
 from math import lcm
 from typing import Iterable, NamedTuple, Sequence
 
-from trigbethe.bethe import HolonomySpace, stratum_values
+from trigbethe.bethe import HolonomySpace, XPoint, stratum_values
 from trigbethe.field import CyclotomicField, FieldElement
 from trigbethe.hecke import HeckeAlgebra, q_power
 from trigbethe.lattice import hermite_insert, smith_normal_form
@@ -310,6 +315,124 @@ def gaudin(space: HolonomySpace, chi: Sequence, h_coords: Sequence) -> list:
             raise ZeroDivisionError(f"direction chi vanishes on root {a}")
         terms[a] = space.alpha_of_h(a, h_coords) / achi
     return space.vector(terms)
+
+
+def root_of_unity_mod(p: int, order: int) -> int:
+    """An element of multiplicative order exactly `order` mod the prime p,
+    which needs order | p - 1."""
+    assert (p - 1) % order == 0
+    primes = [q for q in range(2, order + 1)
+              if order % q == 0 and all(q % d for d in range(2, q))]
+    for g in range(2, p):
+        z = pow(g, (p - 1) // order, p)
+        if all(pow(z, order // q, p) != 1 for q in primes):
+            return z
+    raise ValueError(f"no root of unity of order {order} mod {p}")
+
+
+class ModularRing(NamedTuple):
+    """F_p, with zeta_N sent to z: image is a ring map from Q(zeta_N)
+    exactly when z is a primitive N-th root of unity mod p, and a value
+    whose denominator p divides (a bad reduction) raises ZeroDivisionError."""
+
+    p: int
+    order: int
+    z: int
+
+    def zero(self) -> Mod:
+        return Mod(self, 0)
+
+    def coerce(self, value) -> Mod:
+        value = Fraction(value)
+        return Mod(self, value.numerator) / value.denominator
+
+    def image(self, x: FieldElement) -> Mod:
+        """x = sum nums[i] zeta^i / den, with zeta sent to z."""
+        return Mod(self, sum(c * pow(self.z, i, self.p)
+                             for i, c in enumerate(x.nums))) / x.den
+
+
+class Mod:
+    """A residue mod ring.p; int and Fraction operands are reduced too."""
+
+    __slots__ = ("ring", "v")
+    __hash__ = None
+
+    def __init__(self, ring: ModularRing, v: int):
+        self.ring = ring
+        self.v = v % ring.p
+
+    def _value(self, other) -> int | None:
+        if isinstance(other, Mod):
+            assert other.ring == self.ring
+            return other.v
+        if isinstance(other, int):
+            return other
+        if isinstance(other, Fraction):
+            return other.numerator * self._inverse(other.denominator)
+        return None
+
+    def _inverse(self, v: int) -> int:
+        if v % self.ring.p == 0:
+            raise ZeroDivisionError(f"{v} is 0 mod {self.ring.p}")
+        return pow(v, -1, self.ring.p)
+
+    def __add__(self, other):
+        o = self._value(other)
+        return NotImplemented if o is None else Mod(self.ring, self.v + o)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return Mod(self.ring, -self.v)
+
+    def __sub__(self, other):
+        o = self._value(other)
+        return NotImplemented if o is None else Mod(self.ring, self.v - o)
+
+    def __rsub__(self, other):
+        o = self._value(other)
+        return NotImplemented if o is None else Mod(self.ring, o - self.v)
+
+    def __mul__(self, other):
+        o = self._value(other)
+        return NotImplemented if o is None else Mod(self.ring, self.v * o)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        o = self._value(other)
+        return NotImplemented if o is None \
+            else Mod(self.ring, self.v * self._inverse(o))
+
+    def __rtruediv__(self, other):
+        o = self._value(other)
+        return NotImplemented if o is None \
+            else Mod(self.ring, o * self._inverse(self.v))
+
+    def __eq__(self, other):
+        o = self._value(other)
+        return NotImplemented if o is None else (self.v - o) % self.ring.p == 0
+
+    def is_zero(self) -> bool:
+        return self.v == 0
+
+    def is_one(self) -> bool:
+        return self.v == 1
+
+    def over_minus_one(self) -> Mod:
+        return self / (self - 1)
+
+    def scale(self, p: int, q: int) -> Mod:
+        return self * p / q
+
+
+def modular_reduced(rs: RootSystem, ring: ModularRing, x: XPoint) -> list:
+    """The rref rows of x rebuilt over ring on rs by XPoint.at, its torus
+    point y reduced into ring."""
+    y = tuple(map(ring.image, x.point))
+    return XPoint.at(rs, ring, x.word, x.subset, y, x.chart.sets,
+                     x.tvals).reduced
 
 
 class UPoly:

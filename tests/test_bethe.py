@@ -22,7 +22,8 @@ from trigbethe.linalg import mat_inverse, nullspace, rank, rref
 from trigbethe.nested import maximal_nested_sets
 from trigbethe.roots import RootSystem, int_mat_mul, root_system
 
-from oracles import RatFunc, bethe_rows, char_value, gaudin, row_space_equal
+from oracles import (ModularRing, RatFunc, bethe_rows, char_value, gaudin,
+                     modular_reduced, root_of_unity_mod, row_space_equal)
 
 F6 = CyclotomicField(6)
 
@@ -611,6 +612,59 @@ def test_twisted_point_subspace_matches_acted_span():
         m = rs.matrix_of_word(word)
         assert row_space_equal(x.subspace(),
                                sp.act_span(m, x0.subspace()))
+
+
+# a prime with 12 | p - 1, so F_p holds the roots of unity of every
+# default field order
+PRIME = 10 ** 9 + 9
+
+
+@lru_cache(maxsize=None)
+def modular_samples() -> tuple:
+    """The first 12 stream points at seeds 0-7 of each type of rank <= 3."""
+    out = []
+    for label in ("A1", "A2", "B2", "G2", "A3", "B3", "C3"):
+        rs = root_system(label)
+        field = CyclotomicField(default_field_order(rs.family))
+        for seed in range(8):
+            out += sample_xpoints(PointStream(rs, field, seed), 12)
+    return tuple(out)
+
+
+def modular_verdicts(ring: ModularRing) -> list:
+    """Per sample: whether its rows rebuilt over ring equal its exact rows
+    reduced into ring; the error a rebuild raised."""
+    # rebuilt on root systems of their own, so no F_p entry enters the
+    # shared tables
+    own: dict[str, RootSystem] = {}
+    verdicts = []
+    for x in modular_samples():
+        rs = own.setdefault(x.rs.label, RootSystem(x.rs.family, x.rs.rank))
+        want = [[ring.image(c) for c in row] for row in x.reduced]
+        try:
+            verdicts.append(modular_reduced(rs, ring, x) == want)
+        except (ValueError, ZeroDivisionError) as error:
+            verdicts.append(error)
+    return verdicts
+
+
+def test_point_construction_runs_over_a_prime_field():
+    # ROADMAP item 18's scalar protocol: XPoint.at, the subspace and its
+    # rref run unchanged over F_p, and give the exact rows reduced mod p;
+    # a bad reduction fails here too
+    assert {x.field.order for x in modular_samples()} == {6}
+    verdicts = modular_verdicts(
+        ModularRing(PRIME, 6, root_of_unity_mod(PRIME, 6)))
+    assert verdicts == [True] * 672
+
+
+def test_prime_field_oracle_needs_a_primitive_root():
+    # zeta_6 sent to -1, a root of unity but not a primitive 6th one: the
+    # reduction is no ring map, and a point whose y needs zeta rebuilds
+    # to other rows or fails
+    verdicts = modular_verdicts(ModularRing(PRIME, 6, PRIME - 1))
+    assert False in verdicts
+    assert 0 < verdicts.count(True) < len(verdicts)
 
 
 def test_bethe_weight_values():

@@ -322,6 +322,23 @@ def _count_point_work(monkeypatch) -> Counter:
     return counts
 
 
+def _count_table_work(monkeypatch) -> tuple[Counter, Counter]:
+    """Count, per table, the reads of RootSystem.memo and the builds those
+    reads start."""
+    reads, builds = Counter(), Counter()
+    memo = RootSystem.memo
+
+    def counted(self, table, key, build):
+        reads[table] += 1
+
+        def counted_build():
+            builds[table] += 1
+            return build()
+        return memo(self, table, key, counted_build)
+    monkeypatch.setattr(RootSystem, "memo", counted)
+    return reads, builds
+
+
 def _tabled(labels: set[str], table: str) -> int:
     return sum(len(root_system(label).tables.get(table, {}))
                for label in labels)
@@ -343,7 +360,7 @@ def test_each_point_is_built_once(capsys, monkeypatch):
             == counts["residuals"] == requests
         # each distinct centralizer base and chart is built once, into its
         # root system's tables, so the replay builds nothing new
-        assert 0 < counts["base_of"] == _tabled(labels, "base") <= 12
+        assert 0 < counts["base_of"] == _tabled(labels, "centralizer") <= 12
         assert 0 < counts["__init__"] == _tabled(labels, "chart") <= 12
     assert set(counts) == {"at", "base_of", "stratum_values", "__init__",
                            "residuals"}
@@ -377,14 +394,25 @@ def test_each_point_is_built_once(capsys, monkeypatch):
         # from the tables, which hold one entry per distinct centralizer,
         # base and chart drawn (a repeated draw repeats its point's base)
         distinct = {tuple(x.centralized) for x in points}
-        assert counts["base_of"] == len(rs.tables["base"]) == len(distinct)
-        bases = {rs.tables["base"][cen] for cen in distinct}
+        assert counts["base_of"] == len(rs.tables["centralizer"]) \
+            == len(distinct)
+        bases = {rs.tables["centralizer"][cen][0] for cen in distinct}
         assert counts["maximal_nested_sets"] == len(rs.tables["families"]) \
             == len(bases)
         assert counts["__init__"] == len(rs.tables["chart"]) + charts
         assert len(rs.tables["chart"]) <= built
         assert counts["at"] == counts["stratum_values"] \
             == counts["residuals"] == built
+
+    # rho(w) reads the tables of w once: over the pool's twisted points,
+    # the "element" table is read once per rho(w) built, and by no other
+    _fresh_root_systems()
+    reads, builds = _count_table_work(monkeypatch)
+    for entry in REFERENCE["pool"]:
+        if entry["group"].endswith("/twisted"):
+            monkeypatch.setattr("sys.stdin", io.StringIO(entry["spec"]))
+            assert run(capsys, ["subspace", "-"]) == (0, entry["sha256"])
+    assert 0 < builds["rho"] == reads["element"] == builds["element"]
 
 
 def test_pool_replays_forward_then_reversed(capsys, monkeypatch):
@@ -433,12 +461,11 @@ def test_requests_leave_the_shared_tables_as_built(capsys, monkeypatch):
     tables, new = root_system("B3").tables, RootSystem("B", 3)
     assert new.tables == {}
     listed = _documented_tables()
-    assert set(tables) == set(listed) and len(listed) == 17
+    assert set(tables) == set(listed) and len(listed) == 14
     assert list(tables["weyl"][None].items()) == \
         list(new.weyl_elements().items())
-    for w, word in tables["word"].items():
-        assert word == new.word_of(w)
     for w, element in tables["element"].items():
+        assert element.word == new.word_of(w)
         assert element == new.element(w)
     for alpha, refl in tables["reflection"].items():
         assert refl == new.reflection_in_root(alpha)
@@ -447,9 +474,8 @@ def test_requests_leave_the_shared_tables_as_built(capsys, monkeypatch):
     for subset, chain in tables["chain"].items():
         assert chain == tuple(root_chain(new.roots_with_support_in(subset),
                                          new.simple_roots))
-    for cen, base in tables["base"].items():
+    for cen, (base, kernel) in tables["centralizer"].items():
         assert base == tuple(new.base_of(cen))
-    for cen, kernel in tables["kernel"].items():
         assert kernel == tuple(integer_kernel(cen, new.rank))
     for (cen, members), chart in tables["chart"].items():
         # the key names all a chart is built from: its base is the base
@@ -480,7 +506,7 @@ def test_requests_leave_the_shared_tables_as_built(capsys, monkeypatch):
     assert {sign for sign, _, _ in tables["x_comm"]} == {1, -1}
     for (sign, k, b), comm in tables["x_comm"].items():
         assert comm == HeckeAlgebra(new, sign).x_reflection_commutator(k, b)
-    for field, (layers, by_subset) in tables["walk"].items():
+    for field, (_, _, layers, by_subset) in tables["draw"].items():
         walked = enumerate_layers(new, field)
         assert layers == walked and by_subset == subset_layers(walked)
     building_set(new, CyclotomicField(6))

@@ -597,12 +597,12 @@ def test_boundary_strata_match_per_subset_walks(label, order):
 
 @pytest.mark.parametrize("label,order", STRATA_TYPES)
 def test_point_stream_subsets_match_per_subset_walks(label, order):
-    # a draw reads its layers from the walk table and e^alpha along the
+    # a draw reads its layers from the draw table and e^alpha along the
     # stratum's height chain: on every subset, the walk's layers there and
     # the chain's roots are those of the subset's own ambient
     rs, field = root_system(label), CyclotomicField(order)
     PointStream(rs, field, seed=0).point(0, 1)
-    layers, by_subset = rs.tables["walk"][field]
+    _, _, layers, by_subset = rs.tables["draw"][field]
     for subset, want in per_subset_walks(label, order).items():
         assert [restrict(layers[k], subset) for k in by_subset[subset]] \
             == want

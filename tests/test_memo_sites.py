@@ -2,11 +2,17 @@
 
 Finite data of a type lives in its RootSystem's tables (RootSystem.memo);
 a decorator that keeps values elsewhere is a second cache, so each one
-the package has is named below and a new one fails the guard.
+the package has is named below and a new one fails the guard.  Each
+table the RootSystem docstring lists is filled at exactly one
+rs.memo("<table>", ...) call, and no call fills a table it does not list.
 """
 
 import ast
+import re
+from collections import Counter
 from pathlib import Path
+
+from trigbethe.roots import RootSystem
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "trigbethe"
 
@@ -103,3 +109,50 @@ def test_memo_sites_flags_every_spelling():
         "    @cached_property\n    def seeded(self):\n        return 1\n", 1)
     assert seeded != layers
     assert memo_sites(seeded, "layers") == ["layers.Layer.seeded"]
+
+
+def memo_tables(source: str) -> list:
+    """The table every .memo(...) call names, in source order; None for a
+    call whose table is not a string literal."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) \
+                and node.func.attr == "memo":
+            table = node.args[0] if node.args else None
+            out.append(table.value if isinstance(table, ast.Constant)
+                       and isinstance(table.value, str) else None)
+    return out
+
+
+def table_faults(sources: dict[str, str]) -> list[str]:
+    """The tables, by name, that the RootSystem docstring lists but that
+    are not filled at exactly one memo call of sources, or that a call
+    fills but the docstring does not list."""
+    listed = re.findall(r'^    - "(\w+)"', RootSystem.__doc__, re.M)
+    sites = Counter(table for source in sources.values()
+                    for table in memo_tables(source))
+    return sorted(str(table) for table in set(sites) | set(listed)
+                  if sites[table] != 1 or table not in listed)
+
+
+def _package_sources() -> dict[str, str]:
+    return {path.name: path.read_text(encoding="utf-8")
+            for path in sorted(PACKAGE.rglob("*.py"))}
+
+
+def test_each_listed_table_has_one_memo_site():
+    sources = _package_sources()
+    assert sum(len(memo_tables(source)) for source in sources.values()) == 14
+    assert table_faults(sources) == []
+
+
+def test_table_faults_flags_a_second_or_unlisted_site():
+    sources = _package_sources()
+    roots = sources["roots.py"]
+    # a second site of a listed table, or a site of a table not listed
+    for seeded, fault in (('rs.memo("chain", (), tuple)', "chain"),
+                          ('rs.memo("word", (), tuple)', "word"),
+                          ('rs.memo(name, (), tuple)', "None")):
+        sources["roots.py"] = \
+            f"{roots}\n\ndef seeded(rs):\n    return {seeded}\n"
+        assert table_faults(sources) == [fault]
