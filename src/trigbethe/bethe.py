@@ -40,12 +40,11 @@ once.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
 from operator import mul
-from typing import Collection, Iterable, Sequence
+from typing import Collection, Iterable, NamedTuple, Sequence
 
 from .field import CyclotomicField, FieldElement, default_field_order
 from .lattice import smith_normal_form
@@ -341,7 +340,6 @@ def _weight_inversion_holds() -> bool:
 # points of the compactified family and their limit subspaces
 
 
-@dataclass
 class XPoint:
     """A point (w, I, y, S, t) of the degenerate family, stored untwisted
     plus a twist; built by XPoint.at, for a PointStream draw too.
@@ -355,20 +353,17 @@ class XPoint:
     its chart residuals and the rref rows of its subspace.
     """
 
-    rs: RootSystem
-    field: CyclotomicField
-    word: tuple[int, ...]
-    subset: tuple[int, ...]
-    point: tuple[FieldElement, ...]
-    chart: Chart
-    tvals: tuple[Fraction, ...]
-    root_values: dict[Coords, FieldElement] = dc_field(repr=False,
-                                                       compare=False)
-    centralized: list[Coords] = dc_field(repr=False, compare=False)
-
-    def __post_init__(self):
-        self.w = self.rs.matrix_of_word(self.word)
-        self.space = HolonomySpace.of(self.rs, self.field)
+    def __init__(self, rs: RootSystem, field: CyclotomicField,
+                 word: tuple[int, ...], subset: tuple[int, ...],
+                 point: tuple[FieldElement, ...], chart: Chart,
+                 tvals: tuple[Fraction, ...],
+                 root_values: dict[Coords, FieldElement],
+                 centralized: list[Coords]):
+        self.rs, self.field, self.word, self.subset = rs, field, word, subset
+        self.point, self.chart, self.tvals = point, chart, tvals
+        self.root_values, self.centralized = root_values, centralized
+        self.w = rs.matrix_of_word(word)
+        self.space = HolonomySpace.of(rs, field)
 
     @classmethod
     def at(cls, rs: RootSystem, field: CyclotomicField, word, subset, point,
@@ -583,8 +578,7 @@ def xpoint_from_dict(data: dict) -> XPoint:
 # reading the data back off a limit subspace (untwisted points)
 
 
-@dataclass
-class RecoveredData:
+class RecoveredData(NamedTuple):
     centralized_pos: tuple[Coords, ...]
     unit_values: dict[Coords, FieldElement]      # recovered e^alpha where g != 0
     vanishing: tuple[Coords, ...]                # roots with g_alpha = 0

@@ -23,10 +23,9 @@ one pass over the pivots.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import reduce
 from operator import mod
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 IntRows = list[list[int]]
 
@@ -35,8 +34,7 @@ def _identity(n: int) -> IntRows:
     return [[int(i == j) for j in range(n)] for i in range(n)]
 
 
-@dataclass
-class SmithForm:
+class SmithForm(NamedTuple):
     """U @ M @ V = diag(divisors) padded with zeros, for a unimodular U
     that is not kept; V unimodular."""
 

@@ -64,11 +64,10 @@ from __future__ import annotations
 import itertools
 import random
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, prod
 from operator import add, mod, mul
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .field import CyclotomicField, FieldElement
 from .lattice import (diagonal_insert, hermite_coordinates, hermite_insert,
@@ -79,8 +78,7 @@ from .roots import Coords, RootSystem, chain_values
 Point = tuple[FieldElement, ...]
 
 
-@dataclass(frozen=True)
-class Layer:
+class Layer(NamedTuple):
     """One layer: vanishing lattice basis (Hermite rows) plus character.
 
     The character is stored as exponents: e^basis[i] takes the constant

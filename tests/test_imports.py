@@ -1,10 +1,18 @@
-"""The package imports only the standard library and its own modules."""
+"""The package imports only the standard library and its own modules,
+and its command line starts without the introspection modules."""
 
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "trigbethe"
+SRC = Path(__file__).resolve().parents[1] / "src"
+PACKAGE = SRC / "trigbethe"
+
+# modules that no request needs and that cost start-up time:
+# dataclasses imports inspect, which imports ast, dis and tokenize
+INTROSPECTION = ("dataclasses", "inspect", "ast", "dis", "tokenize")
 
 
 def foreign_imports(source: str, depth: int) -> list[str]:
@@ -89,3 +97,23 @@ def test_unused_imports_flags_a_seeded_import():
     layers = (PACKAGE / "layers.py").read_text(encoding="utf-8")
     assert unused_imports(layers) == []
     assert unused_imports("import heapq\n" + layers) == ["heapq"]
+
+
+def introspection_at_start_up(statement: str) -> list[str]:
+    """The INTROSPECTION modules that running statement adds to a fresh
+    interpreter started with PYTHONPATH=src."""
+    script = ("import sys\nbare = set(sys.modules)\n" + statement +
+              "\nprint(*sorted(set(sys.modules) - bare))")
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                         capture_output=True, text=True).stdout.split()
+    return [name for name in INTROSPECTION if name in out]
+
+
+def test_cli_start_up_loads_no_introspection_module():
+    assert introspection_at_start_up("import trigbethe.cli") == []
+
+
+def test_introspection_at_start_up_flags_a_seeded_import():
+    assert "dataclasses" in introspection_at_start_up(
+        "import trigbethe.cli, dataclasses")

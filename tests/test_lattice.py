@@ -42,6 +42,12 @@ def test_smith_fixture_divisor_three():
     assert sf.torsion_divisors() == [3]
 
 
+def test_smith_forms_of_the_same_rows_are_equal():
+    rows = [[0, 1], [3, 1], [3, 2]]
+    assert smith_normal_form(rows) == smith_normal_form([r[:] for r in rows])
+    assert smith_normal_form(rows) != smith_normal_form([[1, 0], [1, 2]])
+
+
 def test_smith_factorization_random():
     rng = random.Random(101)
     for _ in range(500):

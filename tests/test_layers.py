@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 from trigbethe import layers as layers_module
-from trigbethe.bethe import PointStream
+from trigbethe.bethe import PointStream, XPoint, recover_data
 from trigbethe.field import CyclotomicField
 from trigbethe.lattice import hermite_normal_form, int_rank, smith_normal_form
 from trigbethe.layers import (Layer, building_set, enumerate_layers,
@@ -143,6 +143,38 @@ def test_generic_point_realizes_exact_centralizer():
             pt = generic_point(rs, range(rs.rank), l, seed=3)
             assert tuple(sorted(centralizer(rs, F6, pt))) == \
                 tuple(sorted(l.roots_pos))
+
+
+def test_layers_of_independent_walks_are_equal_values():
+    # two walks on two RootSystems of one type build equal layers that
+    # hash equal, so a set of both walks holds each layer once
+    first = enumerate_layers(RootSystem("B", 3), F6)
+    second = enumerate_layers(RootSystem("B", 3), F6)
+    assert first == second
+    assert all(a is not b for a, b in zip(first, second))
+    assert [hash(l) for l in first] == [hash(l) for l in second]
+    assert len(set(first + second)) == len(first)
+
+
+def test_layer_fields_are_read_only():
+    layer = enumerate_layers(root_system("B2"), F6)[1]
+    with pytest.raises(AttributeError):
+        layer.char_exps = (0,)
+    with pytest.raises(AttributeError):
+        layer.roots_span_lattice = False
+
+
+def test_recover_data_twice_on_one_point_gives_equal_records():
+    # an untwisted point on a layer with one root constant 1
+    rs = root_system("B2")
+    layer = next(l for l in enumerate_layers(rs, F6) if len(l.roots_pos) == 1)
+    pt = generic_point(rs, range(rs.rank), layer, seed=3)
+    x = XPoint.at(rs, F6, (), range(rs.rank), pt, [[0]], (Fraction(2),))
+    first = recover_data(x.space, x.subspace())
+    second = recover_data(x.space, x.subspace())
+    assert first is not second and first == second
+    assert first.centralized_pos == layer.roots_pos
+    assert first.unit_values
 
 
 def test_point_on_layer_extends_character():

@@ -103,9 +103,9 @@ def test_memo_sites_flags_every_spelling():
     layers = (PACKAGE / "layers.py").read_text(encoding="utf-8")
     assert memo_sites(layers, "layers") == []
     seeded = layers.replace(
-        "@dataclass(frozen=True)\nclass Layer:",
+        "class Layer(NamedTuple):",
         "from functools import cached_property\n\n\n"
-        "@dataclass(frozen=True)\nclass Layer:\n"
+        "class Layer(NamedTuple):\n"
         "    @cached_property\n    def seeded(self):\n        return 1\n", 1)
     assert seeded != layers
     assert memo_sites(seeded, "layers") == ["layers.Layer.seeded"]
