@@ -58,14 +58,13 @@ from .spin import mat_mul
 def bethe_weight(u):
     """-u/(u-1): the weight of t_alpha per unit of alpha(h) where e^alpha = u.
 
-    u is a Fraction or a field element, whose u/(u-1) is one fused
-    FieldElement.over_minus_one; u = 1 raises ZeroDivisionError.
+    u is an element of any ring of the scalar protocol, whose u/(u-1) is
+    its over_minus_one (one fused step in Q(zeta_N)); a rational u is an
+    element of Q = CyclotomicField(1).  u = 1 raises ZeroDivisionError.
     """
     if u == 1:
         raise ZeroDivisionError("Bethe weight at e^alpha = 1")
-    if isinstance(u, FieldElement):
-        return -u.over_minus_one()
-    return -(u / (u - 1))
+    return -u.over_minus_one()
 
 
 # integer matrices on the holonomy space, stored as columns {row: entry}
@@ -330,10 +329,11 @@ def _weight_inversion_holds() -> bool:
     over the common denominator of the two weights the difference of the
     sides has a numerator of degree at most 2.  It vanishes identically
     exactly when it vanishes at three distinct rationals away from the
-    poles u = 0 and u = 1.
+    poles u = 0 and u = 1, taken in Q = CyclotomicField(1).
     """
+    rationals = CyclotomicField(1)
     return all(bethe_weight(u) + bethe_weight(1 / u) == -1
-               for u in (Fraction(2), Fraction(3), Fraction(5)))
+               for u in map(rationals.coerce, (2, 3, 5)))
 
 
 # ----------------------------------------------------------------------

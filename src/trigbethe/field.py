@@ -18,9 +18,9 @@ x^{-1} = prod_{k != 1} sigma_k(x) / N(x) needs integer products, a
 constant term for the norm N(x), and one rational division; x/(x - 1),
 the Bethe weight's ratio, is nums/(nums - den) by the same steps.  int
 and Fraction operands are used as they are, never lifted to field
-elements.  All operations are exact; there are no floats here.  Elements
-are unhashable: a rational one equals its int or Fraction, whose hash it
-cannot match.
+elements.  Q itself is CyclotomicField(1).  All operations are exact;
+there are no floats here.  Elements are unhashable: a rational one
+equals its int or Fraction, whose hash it cannot match.
 """
 
 from __future__ import annotations
@@ -293,11 +293,6 @@ class FieldElement:
         self.nums = nums
         self.den = den
 
-    @property
-    def coeffs(self) -> tuple[Fraction, ...]:
-        """The coordinates in 1, zeta, ..., zeta^(phi-1) as fractions."""
-        return tuple(Fraction(n, self.den) for n in self.nums)
-
     def _check(self, other: "FieldElement") -> None:
         if other.field is not self.field and other.field.order != self.field.order:
             raise ValueError("field order mismatch")
@@ -338,11 +333,6 @@ class FieldElement:
                                            zip(self.nums, other.nums)], a * b)
         if isinstance(other, (int, Fraction)):
             return self + (-other)
-        return NotImplemented
-
-    def __rsub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return -self + other
         return NotImplemented
 
     def __mul__(self, other):

@@ -36,7 +36,8 @@ commutes for every q at once, in two parts on integer tables:
    subtraction, of an {int: coefficient} dict, unpacked once at the end.
 
 Coefficients are ints throughout the normal forms and the commutator
-table; Fractions enter only with a given q (bmo, family).  The general
+table; rationals enter only with a given q (bmo, family), whose root
+powers are read in Q = CyclotomicField(1) for the Bethe weight.  The general
 product (multiply, move_across_word: p_1 moved across a reduced word of
 w_2, RootSystem.word_of, so no product enumerates the Weyl group) and
 commutator stay for the tests, which take them as the oracle of part 1,
@@ -49,6 +50,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .bethe import bethe_weight
+from .field import CyclotomicField
 from .poly import Poly
 from .roots import IntMatrix, RootSystem, int_mat_mul
 
@@ -163,14 +165,15 @@ class HeckeAlgebra:
 
         Each positive root a with u = q^a contributes t * c * a_k times
         (reflection in a minus identity), with c = bethe_weight(u) =
-        u/(1-u).
+        u/(1-u), u read in Q = CyclotomicField(1).
         """
         out = self.x(k)
+        rationals = CyclotomicField(1)
         for a in self.rs.positive_roots:
             ah = a[k]
             if not ah:
                 continue
-            c = bethe_weight(q_power(qvals, a))
+            c = bethe_weight(rationals.coerce(q_power(qvals, a)))
             coeff = self.tvar * (c * ah)
             out = self.add(out, {self.rs.reflection_in_root(a): coeff,
                                  self.ident: -coeff})

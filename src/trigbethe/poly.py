@@ -1,16 +1,16 @@
 """Exact multivariate polynomials.
 
-Coefficients may be int, Fraction or cyclotomic field elements; all
-support the arithmetic protocol Poly relies on.  Poly never converts a
-coefficient: variables, constants and their sums and products built
-from ints keep int coefficients, so the Hecke normal forms and the
-symbolic transports, which only add and multiply, run on plain integers.
-There is no power operator, and no hash, as a constant equals its value.
+Coefficients may be int, Fraction or the elements of any ring of the
+scalar protocol (Q(zeta_N) in this package); Poly reads only +, -, *
+and == on them.  Every operand that is not a Poly is lifted as a
+constant, with no test of its type.  Poly never converts a coefficient:
+variables, constants and their sums and products built from ints keep
+int coefficients, so the Hecke normal forms and the symbolic
+transports, which only add and multiply, run on plain integers.  There
+is no power operator, and no hash, as a constant equals its value.
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
 
 
 class Poly:
@@ -32,21 +32,16 @@ class Poly:
         e[i] = 1
         return cls(nvars, {tuple(e): coeff})
 
-    def _lift(self, other) -> "Poly | None":
+    def _lift(self, other) -> "Poly":
         if isinstance(other, Poly):
             if other.nvars != self.nvars:
                 raise ValueError("variable count mismatch")
             return other
-        if isinstance(other, (int, Fraction)) or hasattr(other, "coeffs"):
-            return Poly.constant(self.nvars, other)
-        return None
+        return Poly.constant(self.nvars, other)
 
     def __add__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
         out = dict(self.terms)
-        for e, c in o.terms.items():
+        for e, c in self._lift(other).terms.items():
             out[e] = out.get(e, 0) + c
         return Poly(self.nvars, out)
 
@@ -56,22 +51,13 @@ class Poly:
         return Poly(self.nvars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
+        return self + (-self._lift(other))
 
     def __rsub__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return o + (-self)
+        return self._lift(other) + (-self)
 
     def __mul__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        out: dict = {}
+        o, out = self._lift(other), {}
         for e1, c1 in self.terms.items():
             for e2, c2 in o.terms.items():
                 e = tuple(a + b for a, b in zip(e1, e2))
@@ -81,10 +67,7 @@ class Poly:
     __rmul__ = __mul__
 
     def __eq__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return self.terms == o.terms
+        return self.terms == self._lift(other).terms
 
     def is_zero(self) -> bool:
         return not self.terms

@@ -4,8 +4,10 @@
   an exact field.  Rational functions are kept normalized (monic
   denominator, common factors cancelled), so equality is structural, and
   they obey the scalar protocol of trigbethe.linalg, so matrices of them
-  row-reduce exactly.  valuation_at_zero and epsilon_limit_span take the
-  exact limit at 0 of a row span along a symbolic path.
+  row-reduce exactly.  They lift int, Fraction and field elements by
+  type, and RatFunc has over_minus_one, so bethe_weight takes it.
+  valuation_at_zero and epsilon_limit_span take the exact limit at 0 of
+  a row span along a symbolic path.
 - mat_mul: the dense matrix product; det: the determinant, by
   elimination; row_space_equal: equal row spaces, by comparing rrefs; batch_hermite_form: the Hermite form of a whole integer
   matrix, column by column; evaluate: a Poly at a point.
@@ -546,8 +548,7 @@ class RatFunc:
     def from_scalar(cls, s) -> "RatFunc":
         if isinstance(s, int):
             s = Fraction(s)
-        one = s - s + 1 if isinstance(s, Fraction) else _scalar_one(s)
-        return cls(UPoly([s]), UPoly([one]))
+        return cls(UPoly([s]), UPoly([_scalar_one(s)]))
 
     @classmethod
     def variable(cls, one=Fraction(1)) -> "RatFunc":
@@ -557,7 +558,7 @@ class RatFunc:
     def _lift(self, other) -> "RatFunc | None":
         if isinstance(other, RatFunc):
             return other
-        if isinstance(other, (int, Fraction)) or hasattr(other, "coeffs"):
+        if isinstance(other, (int, Fraction, FieldElement)):
             return RatFunc.from_scalar(other)
         return None
 
@@ -619,6 +620,9 @@ class RatFunc:
     def is_zero(self) -> bool:
         return self.num.is_zero()
 
+    def over_minus_one(self) -> "RatFunc":
+        return self / (self - 1)
+
     def evaluate(self, x):
         d = self.den.evaluate(x)
         if d == 0:
@@ -638,13 +642,8 @@ class RatFunc:
 
 
 def _scalar_one(s):
-    if s == 0:
-        # derive a unit from the element's own field when available
-        fld = getattr(s, "field", None)
-        if fld is not None:
-            return fld.one()
-        raise ValueError("cannot derive a unit from zero scalar")
-    return s * (1 / s)
+    """The unit of the ring of s: Q(zeta_N) for a field element, else Q."""
+    return s.field.one() if isinstance(s, FieldElement) else Fraction(1)
 
 
 def _ord_at_zero(p: UPoly) -> int:

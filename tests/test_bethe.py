@@ -26,6 +26,7 @@ from oracles import (ModularRing, RatFunc, bethe_rows, char_value, gaudin,
                      modular_reduced, root_of_unity_mod, row_space_equal)
 
 F6 = CyclotomicField(6)
+Q = CyclotomicField(1)
 
 
 def space_of(label):
@@ -253,7 +254,8 @@ def whole_group_oracle(rs, seed=0):
         point = [Fraction(rng.randint(2, 50), rng.randint(2, 50)) for _ in range(n)]
         if all(char(point, a) != 1 for a in space.pos):
             break
-    weights = {r: bethe_weight(char(point, r)) for r in rs.roots}
+    weights = {r: bethe_weight(Q.coerce(char(point, r))).as_rational()
+               for r in rs.roots}
     scale = lcm(*(g.denominator for g in weights.values()))
     scaled = {r: int(g * scale) for r, g in weights.items()}
 
@@ -617,6 +619,8 @@ def test_twisted_point_subspace_matches_acted_span():
 # a prime with 12 | p - 1, so F_p holds the roots of unity of every
 # default field order
 PRIME = 10 ** 9 + 9
+POOL = (Path(__file__).resolve().parents[1] / "perfbench" / "data"
+        / "reference.json")
 
 
 @lru_cache(maxsize=None)
@@ -631,15 +635,27 @@ def modular_samples() -> tuple:
     return tuple(out)
 
 
-def modular_verdicts(ring: ModularRing) -> list:
-    """Per sample: whether its rows rebuilt over ring equal its exact rows
-    reduced into ring; the error a rebuild raised."""
+@lru_cache(maxsize=None)
+def pool_samples() -> tuple:
+    """Every 4th point of the frozen subspace pool: its eight type/field
+    pairs, orders 6 and 12, and all four kinds of point."""
+    pool = json.loads(POOL.read_text(encoding="utf-8"))["pool"]
+    return tuple(xpoint_from_dict(json.loads(entry["spec"]))
+                 for entry in pool[::4])
+
+
+def modular_verdicts(samples, root_of) -> list:
+    """Per sample: whether its rows rebuilt over F_PRIME, with zeta_N sent
+    to root_of(N), equal its exact rows reduced into that ring; the error
+    a rebuild raised."""
     # rebuilt on root systems of their own, so no F_p entry enters the
     # shared tables
     own: dict[str, RootSystem] = {}
     verdicts = []
-    for x in modular_samples():
+    for x in samples:
         rs = own.setdefault(x.rs.label, RootSystem(x.rs.family, x.rs.rank))
+        order = x.field.order
+        ring = ModularRing(PRIME, order, root_of(order))
         want = [[ring.image(c) for c in row] for row in x.reduced]
         try:
             verdicts.append(modular_reduced(rs, ring, x) == want)
@@ -648,32 +664,59 @@ def modular_verdicts(ring: ModularRing) -> list:
     return verdicts
 
 
+def primitive_root(order: int) -> int:
+    return root_of_unity_mod(PRIME, order)
+
+
 def test_point_construction_runs_over_a_prime_field():
     # ROADMAP item 18's scalar protocol: XPoint.at, the subspace and its
-    # rref run unchanged over F_p, and give the exact rows reduced mod p;
-    # a bad reduction fails here too
+    # rref run unchanged over F_p, and give the exact rows reduced mod p,
+    # on stream points and on the frozen pool; a bad reduction fails here
+    # too
     assert {x.field.order for x in modular_samples()} == {6}
-    verdicts = modular_verdicts(
-        ModularRing(PRIME, 6, root_of_unity_mod(PRIME, 6)))
-    assert verdicts == [True] * 672
+    assert {x.field.order for x in pool_samples()} == {6, 12}
+    assert {x.rs.label for x in pool_samples()} == {
+        "A3", "B3", "C3", "A4", "D4", "G2"}
+    assert modular_verdicts(modular_samples(), primitive_root) == [True] * 672
+    assert modular_verdicts(pool_samples(), primitive_root) == [True] * 320
 
 
 def test_prime_field_oracle_needs_a_primitive_root():
-    # zeta_6 sent to -1, a root of unity but not a primitive 6th one: the
+    # zeta_N sent to -1, a root of unity but not a primitive N-th one: the
     # reduction is no ring map, and a point whose y needs zeta rebuilds
     # to other rows or fails
-    verdicts = modular_verdicts(ModularRing(PRIME, 6, PRIME - 1))
-    assert False in verdicts
-    assert 0 < verdicts.count(True) < len(verdicts)
+    for samples in (modular_samples(), pool_samples()):
+        verdicts = modular_verdicts(samples, lambda order: PRIME - 1)
+        assert False in verdicts
+        assert 0 < verdicts.count(True) < len(verdicts)
 
 
 def test_bethe_weight_values():
-    assert bethe_weight(Fraction(2)) == -2
-    assert bethe_weight(Fraction(3)) == Fraction(3, -2) == 3 / (1 - Fraction(3))
+    # one path over every ring of the scalar protocol: Q = Q(zeta_1),
+    # Q(zeta_6), Q(zeta_12), F_p and the rational functions Q(u); the
+    # reference -u * (1/(u - 1)) takes the ring's own inverse
+    def reference(u):
+        return -(u * (1 / (u - 1)))
+
+    assert bethe_weight(Q.coerce(2)) == -2
+    assert bethe_weight(Q.coerce(3)) == Fraction(3, -2) == 3 / (1 - Fraction(3))
+    assert bethe_weight(F6.from_rational(5)) == Fraction(-5, 4)
     z = F6.zeta()
     assert bethe_weight(z) == -(z * (z - 1).inverse())
-    assert bethe_weight(F6.from_rational(5)) == Fraction(-5, 4)
-    for one in (Fraction(1), F6.one()):
+    u = RatFunc.variable()
+    assert bethe_weight(u) * (u - 1) == -u
+    F12 = CyclotomicField(12)
+    mod = ModularRing(PRIME, 12, primitive_root(12))
+    rings = {"Q": (Q.one(), [Q.coerce(c) for c in (2, -1, Fraction(3, 7))]),
+             "Q(zeta_6)": (F6.one(), [z, F6.zeta(2) + 3, F6.coerce(-4)]),
+             "Q(zeta_12)": (F12.one(), [F12.zeta(), F12.zeta(5) - F12.zeta(3),
+                                        F12.coerce(Fraction(1, 2))]),
+             "F_p": (mod.coerce(1), [mod.image(F12.zeta()), mod.coerce(2),
+                                     mod.coerce(Fraction(-5, 3))]),
+             "Q(u)": (RatFunc.from_scalar(1), [u, u * u + 1, 1 / u])}
+    for name, (one, values) in rings.items():
+        for v in values:
+            assert bethe_weight(v) == reference(v), (name, v)
         with pytest.raises(ZeroDivisionError):
             bethe_weight(one)
 
@@ -686,7 +729,7 @@ def test_weight_inversion_proof_at_three_points(monkeypatch):
     assert bethe_weight(u) + bethe_weight(1 / u) == -1
 
     def wrong(v):
-        return v / (v - 1)
+        return v.over_minus_one()
 
     assert not wrong(u) + wrong(1 / u) == -1
     monkeypatch.setattr(bethe_module, "bethe_weight", wrong)

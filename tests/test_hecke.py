@@ -30,13 +30,14 @@ PROFILES = {
 
 def at_numeric_t(alg, a, tval):
     """A Hecke element flattened to exact coordinates over (group
-    element, x-monomial) at the numeric value tval of t."""
+    element, x-monomial) at the numeric value tval of t; a coefficient
+    stays in its ring (int, or Q(zeta_1) in a family member)."""
     out = {}
     for w, p in a.items():
         for e, c in p.terms.items():
             key = (w, e[:alg.n])
-            val = Fraction(c) * Fraction(tval) ** e[alg.n]
-            out[key] = out.get(key, Fraction(0)) + val
+            val = c * Fraction(tval) ** e[alg.n]
+            out[key] = out.get(key, 0) + val
     return {k: v for k, v in out.items() if v != 0}
 
 
@@ -189,10 +190,12 @@ def test_at_numeric_t_fixture():
 
 
 def span_vectors(keyed):
-    """Dense rational rows over the union of all keys, for span tests."""
+    """Dense rows over Q = Q(zeta_1) on the union of all keys, for span
+    tests."""
     keys = sorted({k for d in keyed for k in d},
                   key=lambda kv: (kv[0], kv[1]))
-    return [[d.get(k, Fraction(0)) for k in keys] for d in keyed]
+    rationals = CyclotomicField(1)
+    return [[rationals.coerce(d.get(k, 0)) for k in keys] for d in keyed]
 
 
 def split_spans(alg, keyed_a, keyed_b):

@@ -1,5 +1,6 @@
 """The package imports only the standard library and its own modules,
-and its command line starts without the introspection modules."""
+its command line starts without the introspection modules, and its
+scalar protocol has no type branches."""
 
 import ast
 import os
@@ -117,3 +118,54 @@ def test_cli_start_up_loads_no_introspection_module():
 def test_introspection_at_start_up_flags_a_seeded_import():
     assert "dataclasses" in introspection_at_start_up(
         "import trigbethe.cli, dataclasses")
+
+
+def type_branches(source: str, name: str) -> list[str]:
+    """name:line and construct of each type branch in the module source
+    called name: a hasattr call anywhere, and outside field.py an
+    isinstance test against FieldElement (bare, dotted or in a tuple).
+    The point construction reads any ring through its scalar protocol,
+    so only the field itself may ask whether a value is one of its
+    elements."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)):
+            continue
+        if node.func.id == "hasattr":
+            out.append((node.lineno, "hasattr"))
+        elif node.func.id == "isinstance" and name != "field.py" and \
+                len(node.args) == 2:
+            named = {sub.id if isinstance(sub, ast.Name) else sub.attr
+                     for sub in ast.walk(node.args[1])
+                     if isinstance(sub, (ast.Name, ast.Attribute))}
+            if "FieldElement" in named:
+                out.append((node.lineno, "isinstance FieldElement"))
+    return [f"{name}:{line} {what}" for line, what in sorted(out)]
+
+
+def test_package_makes_no_type_branch():
+    modules = sorted(PACKAGE.rglob("*.py"))
+    assert len(modules) > 10
+    for path in modules:
+        assert type_branches(path.read_text(encoding="utf-8"), path.name) == []
+
+
+def test_type_branches_flags_seeded_constructs():
+    source = ("from . import field\nfrom .field import FieldElement\n"
+              "def f(u, v):\n    if hasattr(u, 'coeffs'):\n        return 1\n"
+              "    if isinstance(u, FieldElement):\n        return 2\n"
+              "    if isinstance(v, (int, field.FieldElement)):\n"
+              "        return 3\n    return isinstance(u, int)\n")
+    assert type_branches(source, "bethe.py") == [
+        "bethe.py:4 hasattr", "bethe.py:6 isinstance FieldElement",
+        "bethe.py:8 isinstance FieldElement"]
+    # field.py may test for its own elements, never probe with hasattr
+    assert type_branches(source, "field.py") == ["field.py:4 hasattr"]
+    # the same guard, on a package module with one branch seeded into it
+    poly = (PACKAGE / "poly.py").read_text(encoding="utf-8")
+    seeded = poly.replace("        return Poly.constant(self.nvars, other)",
+                          "        if hasattr(other, 'coeffs'):\n"
+                          "            return Poly.constant(self.nvars, other)")
+    line = 1 + poly.count("\n", 0, poly.index("Poly.constant(self.nvars, other)"))
+    assert type_branches(poly, "poly.py") == []
+    assert type_branches(seeded, "poly.py") == [f"poly.py:{line} hasattr"]

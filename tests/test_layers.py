@@ -261,7 +261,9 @@ def test_sort_key_orders_as_fraction_coefficients(label, order):
     # every zeta power has denominator 1, so its integer numerators order
     # the layers as its Fraction coefficients do
     def fraction_key(l):
-        return (l.codim, l.basis, tuple(cv.coeffs for cv in l.char_values))
+        return (l.codim, l.basis, tuple(
+            tuple(Fraction(n, cv.den) for n in cv.nums)
+            for cv in l.char_values))
 
     layers = enumerate_layers(root_system(label), CyclotomicField(order))
     shuffled = list(layers)
