@@ -68,13 +68,19 @@ def _emit(args, payload) -> None:
 def _write_json(obj, newline: str, out: list[str]) -> None:
     """Append json.dumps(obj, indent=2, sort_keys=True) to out, newline
     being a line break plus the current indent; dict keys are strings,
-    lists and tuples both arrays.  json.dumps, pure Python on 3.11 when
-    it indents, is left only scalars other than strings and ints."""
+    lists and tuples both arrays.  A nonempty array whose items are all
+    exactly int, not bool, is written as one join.  json.dumps, pure
+    Python on 3.11 when it indents, is left only floats and what it
+    refuses with a TypeError."""
     if isinstance(obj, str):
         out.append(encode_basestring_ascii(obj))
     elif isinstance(obj, (dict, list, tuple)):
         keyed = isinstance(obj, dict)
         inner = newline + "  "
+        if not keyed and set(map(type, obj)) == {int}:
+            out.append("[" + inner + ("," + inner).join(map(int.__repr__, obj))
+                       + newline + "]")
+            return
         sep = ("{" if keyed else "[") + inner
         for item in sorted(obj) if keyed else obj:
             if keyed:
@@ -88,8 +94,14 @@ def _write_json(obj, newline: str, out: list[str]) -> None:
                    else "{}" if keyed else "[]")
     elif obj.__class__ is int:
         out.append(int.__repr__(obj))
+    elif obj is True:
+        out.append("true")
+    elif obj is False:
+        out.append("false")
+    elif obj is None:
+        out.append("null")
     else:
-        out.append(json.dumps(obj))   # bool, None, float, or json's TypeError
+        out.append(json.dumps(obj))   # float, or json's TypeError
 
 
 def _layer_facts(layer, indecomposable: bool) -> dict:
@@ -173,7 +185,7 @@ def _enumeration(args, rs: RootSystem, field: CyclotomicField,
     layers = building_set(rs, field, stats) if chosen \
         else enumerate_layers(rs, field, stats)
     if args.format == "dot":
-        return _layers_dot(layers, stats)
+        return _layers_dot(layers, field, stats)
     return {
         "schema": SCHEMA,
         "type": rs.label,
@@ -184,11 +196,12 @@ def _enumeration(args, rs: RootSystem, field: CyclotomicField,
     }
 
 
-def _layers_dot(layers, stats: Counter) -> str:
+def _layers_dot(layers, field: CyclotomicField, stats: Counter) -> str:
     lines = ["digraph layers {", "  rankdir=BT;"]
+    table = field.zeta_table
     for i, l in enumerate(layers):
         basis = "; ".join(",".join(map(str, r)) for r in l.basis) or "torus"
-        chars = ", ".join(str(v) for v in l.char_values)
+        chars = ", ".join([table[e][1] for e in l.char_exps])
         label = f"dim {l.dim}\\n{basis}"
         if chars:
             label += f"\\nchi = {chars}"

@@ -7,15 +7,16 @@ canonical: the denominator is coprime to the numerators and zero has
 denominator 1, so equality is a tuple comparison.
 
 Each field stores, once, the integer coordinates of zeta^j reduced
-modulo the cyclotomic polynomial for every j < N, and from them compiles
-its product into one straight-line function of the 2*phi(N) numerators:
-the convolution c_s = sum_{i+j=s} a_i b_j, with each c_s of s >= phi(N)
-folded into the coordinates of zeta^s.  A product is one call of that
-function or, when an operand is rational, a scaling of the other's
-numerators.  A Galois conjugate sigma_k (zeta -> zeta^k) is the power
-table read at the exponents i*k mod N, so the inverse
-x^{-1} = prod_{k != 1} sigma_k(x) / N(x) needs integer products, a
-constant term for the norm N(x), and one rational division; x/(x - 1),
+modulo the cyclotomic polynomial for every j < N, keeps the numerators
+and the string of each zeta^j in one table (zeta_table), and from the
+coordinates compiles its product into one straight-line function of the
+2*phi(N) numerators: the convolution c_s = sum_{i+j=s} a_i b_j, with
+each c_s of s >= phi(N) folded into the coordinates of zeta^s.  A
+product is one call of that function or, when an operand is rational, a
+scaling of the other's numerators.  A Galois conjugate sigma_k (zeta ->
+zeta^k) is the power table read at the exponents i*k mod N, so the
+inverse x^{-1} = prod_{k != 1} sigma_k(x) / N(x) needs integer products,
+a constant term for the norm N(x), and one rational division; x/(x - 1),
 the Bethe weight's ratio, is nums/(nums - den) by the same steps.  int
 and Fraction operands are used as they are, never lifted to field
 elements.  Q itself is CyclotomicField(1).  All operations are exact;
@@ -117,6 +118,16 @@ class CyclotomicField:
             if top:
                 vec = [v - top * m for v, m in zip(vec, self.modulus)]
         self._powers = powers
+        # zeta_table[e]: the numerators and the string of zeta^e, e < N,
+        # read by zeta and by the layers' characters
+        table = []
+        for power in powers:
+            nums = [0] * phi
+            for i, c in power:
+                nums[i] = c
+            nums = tuple(nums)
+            table.append((nums, str(FieldElement(self, nums, 1))))
+        self.zeta_table: tuple[tuple[tuple[int, ...], str], ...] = tuple(table)
         # the product of numerator tuples, and its constant term alone
         self._product = _straight_line(powers, phi)
         self._constant_term = _straight_line(powers, phi, 0)
@@ -171,11 +182,8 @@ class CyclotomicField:
                             q.denominator)
 
     def zeta(self, power: int = 1) -> FieldElement:
-        """zeta_N ** power, for any integer power, read off the power table."""
-        nums = [0] * self.degree
-        for i, c in self._powers[power % self.order]:
-            nums[i] = c
-        return FieldElement(self, tuple(nums), 1)
+        """zeta_N ** power, for any integer power, read off zeta_table."""
+        return FieldElement(self, self.zeta_table[power % self.order][0], 1)
 
     def root_exponent(self, k: int) -> int:
         """e with zeta_N ** e a primitive k-th root of unity; needs k | N."""

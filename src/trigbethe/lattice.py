@@ -140,48 +140,53 @@ def hermite_normal_form(rows: Sequence[Sequence[int]]) -> tuple[tuple[int, ...],
     return reduce(hermite_insert, rows, ())
 
 
-def hermite_insert(hnf: Sequence[Sequence[int]], vec: Sequence[int]
+def hermite_insert(hnf: tuple[tuple[int, ...], ...], vec: Sequence[int]
                    ) -> tuple[tuple[int, ...], ...]:
-    """The Hermite form of the lattice of hnf and vec, hnf in Hermite form.
+    """The Hermite form of the lattice of hnf and vec, hnf in Hermite form
+    as returned here: a tuple of integer tuples.
 
     vec is cleared column by column, one step per pivot column where it
     is nonzero: a multiple of the pivot row is subtracted when the pivot
     p divides the entry x, and otherwise the pivot row and vec are
     replaced by the unimodular combination g = s row + t vec and
     (p/g) vec - (x/g) row, from the extended gcd g = s p + t x (Cohen,
-    A Course in Computational Algebraic Number Theory, 2.4).  At the
-    first nonzero entry outside the pivot columns, what is left of vec
-    becomes a new row.  Entries above the pivots are then reduced again
-    from the first changed row on.
+    A Course in Computational Algebraic Number Theory, 2.4).  Each entry
+    is read from the current vec, since a gcd step can make a later one
+    nonzero.  At the first nonzero entry outside the pivot columns, what
+    is left of vec becomes a new row.  Entries above the pivots are then
+    reduced again from the first changed row on.  Rows stay tuples, and
+    only the rows that change are rebuilt.
     """
-    rows = list(map(tuple, hnf))
+    rows = list(hnf)
     pivots, c = [], 0
     for row in rows:  # echelon form: pivot columns increase
         while not row[c]:
             c += 1
         pivots.append(c)
-    v = list(map(int, vec))
-    changed = len(rows)
+    v = vec
+    changed = count = len(rows)
     r = 0
     for c in range(len(v)):
-        while r < len(rows) and pivots[r] < c:
-            r += 1
         x = v[c]
         if not x:
             continue
-        if r == len(rows) or pivots[r] != c:
-            rows.insert(r, v if x > 0 else [-b for b in v])
+        while r < count and pivots[r] < c:
+            r += 1
+        if r == count or pivots[r] != c:
+            rows.insert(r, tuple(v) if x > 0 else tuple([-b for b in v]))
             pivots.insert(r, c)
-            changed = min(changed, r)
+            if r < changed:
+                changed = r
             break
         row = rows[r]
         p = row[c]
         q, rem = divmod(x, p)
         if rem:
             g, s, t = _extended_gcd(p, x)
-            rows[r] = [s * a + t * b for a, b in zip(row, v)]
+            rows[r] = tuple([s * a + t * b for a, b in zip(row, v)])
             v = [(p // g) * b - (x // g) * a for a, b in zip(row, v)]
-            changed = min(changed, r)
+            if r < changed:
+                changed = r
         else:
             v = [b - q * a for a, b in zip(row, v)]
     for k in range(changed, len(rows)):  # entries above a pivot into [0, pivot)
@@ -189,8 +194,8 @@ def hermite_insert(hnf: Sequence[Sequence[int]], vec: Sequence[int]
         for i in range(k):
             q = rows[i][c] // row[c]
             if q:
-                rows[i] = [a - q * b for a, b in zip(rows[i], row)]
-    return tuple(map(tuple, rows))
+                rows[i] = tuple([a - q * b for a, b in zip(rows[i], row)])
+    return tuple(rows)
 
 
 def diagonal_insert(divisors: Sequence[int], vcols: IntRows, vinv: IntRows,

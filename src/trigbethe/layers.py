@@ -27,20 +27,22 @@ the tail of a V into (g, 0, ..., 0), and when the head of a V is 0 mod
 d, which always holds for a saturated parent, the child's diagonal is
 d + [g].  Otherwise the child takes its Smith form.  A visit reads every
 positive root's coordinates u V (one vector addition each, from a lower
-root), decides which roots lie in the Q-span of the saturation, spanned
-by Vinv[:k], and then records each character of sat(L)/L as a layer; a
-saturated L has only the trivial one.  No candidate needs a rank test:
-a character of sat(L)/L is trivial on L (for u in L, d_i divides
-(u V)_i), L is generated by the positive roots inserted to build it,
-and those lie in the span, so the roots a candidate centralizes hold
-L's generators and have rank k.  Every layer arises this way from the
+root, into one list by positive-root index), decides which roots lie in
+the Q-span of the saturation, spanned by Vinv[:k], and then records each
+character of sat(L)/L as a layer; a saturated L has only the trivial
+one, and there a root's class in Z^n/L is its tail (u V)[k:] up to
+sign.  No candidate needs a rank test: a character of sat(L)/L is
+trivial on L (for u in L, d_i divides (u V)_i), L is generated by the
+positive roots inserted to build it, and those lie in the span, so the
+roots a candidate centralizes hold L's generators and have rank k.  Every layer arises this way from the
 lattice of any independent spanning subset of its centralized roots, so
 the walk is complete, and candidates are deduplicated by their canonical
 encoding.  The walk reads the root system itself: its positive roots, in
-positive-root order, and the height chain over all simple roots
-(RootSystem.chain, the one bethe.stratum_values reads at the full
-stratum); indecomposability reads one graph of the positive roots, kept
-in the root system's "graph" table.  The module keeps no cache of its own.
+positive-root order, their positive_index, and the height chain over all
+simple roots (RootSystem.chain, the one bethe.stratum_values reads at
+the full stratum), turned into index triples once per walk;
+indecomposability reads one graph of the positive roots, kept in the
+root system's "graph" table.  The module keeps no cache of its own.
 
 - One walk, every sub-arrangement: Z^I is a coordinate summand, so the
   layers on T_I are the layers whose lattice is supported on I, with the
@@ -113,8 +115,9 @@ class Layer(NamedTuple):
         return sum(map(mul, coords, self.char_exps)) % self.field.order
 
     def sort_key(self):
+        table = self.field.zeta_table
         return (self.codim, self.basis,
-                tuple(self.field.zeta(e).nums for e in self.char_exps))
+                tuple([table[e][0] for e in self.char_exps]))
 
 
 # A lattice L of the walk with its diagonal form (basis, d, vcols, vinv):
@@ -133,6 +136,11 @@ def enumerate_layers(rs: RootSystem, field: CyclotomicField,
     whose diagonal form is a full Smith form) and layers found.
     """
     n = rs.rank
+    # the height chain over the simple roots by positive-root index: the
+    # image of root ka is that of root kb plus row i of V, or row i
+    # itself when kb is None (ka is the i-th simple root)
+    index = rs.positive_index
+    chain = [(index[a], index.get(b), i) for a, b, i in rs.chain(range(n))]
     found: dict[tuple, Layer] = {}
     identity = [[int(i == j) for j in range(n)] for i in range(n)]
     seen: set[tuple[Coords, ...]] = {()}
@@ -141,7 +149,7 @@ def enumerate_layers(rs: RootSystem, field: CyclotomicField,
     while frontier:
         grown = []
         for form in frontier:
-            for a, image in _visit(rs, field, form, found):
+            for a, image in _visit(rs, field, form, found, chain):
                 inserts += 1
                 cand = hermite_insert(form[0], a)
                 if cand in seen:
@@ -161,43 +169,55 @@ def enumerate_layers(rs: RootSystem, field: CyclotomicField,
 
 
 def _visit(rs: RootSystem, field: CyclotomicField, form: Form,
-           found: dict[tuple, Layer]) -> list[tuple[Coords, list[int]]]:
+           found: dict[tuple, Layer],
+           chain: Sequence[tuple[int, int | None, int]]
+           ) -> list[tuple[Coords, Coords]]:
     """Record the layers of one lattice in found; return (a, a V) for one
     positive root a of each class of Z^n/L, up to sign, met outside its
-    Q-span."""
+    Q-span.  chain is the height chain by positive-root index (see
+    enumerate_layers)."""
     lattice, divisors, vcols, vinv = form
     n, k = rs.rank, len(divisors)
     order = field.order
+    saturated = not any(d > 1 for d in divisors)
 
     # u V by one vector addition per root along the height chain over the
     # simple roots: e_i V is row i of V
     vrows = list(zip(*vcols))
-    image: dict[Coords, list[int]] = {(0,) * n: [0] * n}
-    for a, b, i in rs.chain(range(n)):
-        image[a] = list(map(add, image[b], vrows[i]))
+    images: list = [None] * len(chain)
+    for ka, kb, i in chain:
+        images[ka] = vrows[i] if kb is None \
+            else tuple(map(add, images[kb], vrows[i]))
 
     # u = sum_i (u V)_i vinv[i] and the saturation is spanned by vinv[:k],
     # so u lies in its Q-span iff (u V)_i = 0 for i >= k.  Outside it, the
     # class of u in Z^n/L is (u V)_i mod d_i for i < k and (u V)_i for
-    # i >= k; it is read up to sign, the first nonzero tail entry positive
+    # i >= k; it is read up to sign, the first nonzero tail entry positive.
+    # On a saturated L every d_i is 1, and the tail alone is the class
+    # (tuples compare lexicographically, so a tail is above the zero tail
+    # exactly when its first nonzero entry is positive)
     in_span = []
-    classes: dict[tuple, tuple[Coords, list[int]]] = {}
-    for a in rs.positive_roots:
-        uv = image[a]
-        lead = next(filter(None, uv[k:]), 0)
-        if not lead:
-            in_span.append((a, uv[:k]))
+    classes: dict[tuple, tuple[Coords, Coords]] = {}
+    zero = (0,) * (n - k)
+    for a, uv in zip(rs.positive_roots, images):
+        tail = uv[k:]
+        if tail == zero:
+            in_span.append((a, uv))
+            continue
+        if saturated:
+            key = tail if tail > zero else tuple([-x for x in tail])
         else:
-            signed = uv if lead > 0 else [-x for x in uv]
-            classes.setdefault((*map(mod, signed, divisors), *signed[k:]),
-                               (a, uv))
-    if not any(d > 1 for d in divisors):
+            signed = uv if tail > zero else [-x for x in uv]
+            key = (*map(mod, signed, divisors), *signed[k:])
+        if key not in classes:
+            classes[key] = (a, uv)
+    if saturated:
         # L is saturated: its one character is trivial, and its roots,
         # which include L's generators, span it.  The same layer may have
         # been recorded from a lattice of which L is the saturation
         key = (lattice, (0,) * k)
         found[key] = Layer(n, lattice, key[1], field,
-                           tuple(a for a, _ in in_span), True)
+                           tuple([a for a, _ in in_span]), True)
         return list(classes.values())
 
     hnf = hermite_normal_form(vinv[:k])
@@ -214,7 +234,8 @@ def _visit(rs: RootSystem, field: CyclotomicField, form: Form,
             field.root_exponent(f)
     # characters of sat/L: a d_i-th root of unity on each saturation basis
     # vector vinv[i], each a layer (see above).  A character already
-    # recorded on this saturation is that layer
+    # recorded on this saturation is that layer.  chi reads the first k
+    # coordinates of c, so an in-span root's whole image u V will do
     steps = [field.root_exponent(d) for d in divisors]
     for choice in itertools.product(*(range(d) for d in divisors)):
         exps = [s * j for s, j in zip(steps, choice)]
@@ -401,11 +422,12 @@ def restrict(layer: Layer, subset: Sequence[int]) -> Layer:
 
 
 def layer_to_dict(layer: Layer) -> dict:
+    table = layer.field.zeta_table
     return {
         "ambient_dim": layer.ambient_dim,
         "codim": layer.codim,
         "dim": layer.dim,
         "lattice_basis": [list(r) for r in layer.basis],
-        "character": [str(v) for v in layer.char_values],
+        "character": [table[e][1] for e in layer.char_exps],
         "roots": [list(r) for r in layer.roots_pos],
     }

@@ -265,10 +265,15 @@ def powered_point_on_layer(layer: Layer, params: Sequence[Fraction] = ()
 
 class SubArrangement(NamedTuple):
     """Positive roots in positive-root order in Z^rank, with what the
-    layer walk reads of a root system: rank, positive_roots and chain."""
+    layer walk reads of a root system: rank, positive_roots,
+    positive_index and chain."""
 
     rank: int
     positive_roots: tuple[Coords, ...]
+
+    @property
+    def positive_index(self) -> dict[Coords, int]:
+        return {a: k for k, a in enumerate(self.positive_roots)}
 
     def chain(self, subset: Iterable[int]) -> tuple:
         """The height chain over the coordinate vectors, built afresh on

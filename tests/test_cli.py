@@ -2,6 +2,7 @@
 
 import io
 import json
+from typing import NamedTuple
 
 import pytest
 
@@ -642,6 +643,11 @@ def test_subspace_stats_leave_stdout_and_exit_code_alone(capsys, monkeypatch):
     assert_rejected(*run(capsys, "subspace", "-", "--stats"), "[]")
 
 
+class IntPair(NamedTuple):
+    x: int
+    y: int
+
+
 def test_json_writer_matches_json_dumps():
     from trigbethe.cli import _write_json
     cases = [
@@ -653,6 +659,10 @@ def test_json_writer_matches_json_dumps():
         "tab\tnew\nline\x00", {"\u00e9": "\u00e9", "a": "z^2"},
         {"b": 1, "a": 2, "B": 3, "_": [1, {"z": [], "y": {}}]},
         [1.5, -0.0, 1e300], {"k": 2.0},
+        # runs of exact ints are joined at once; bool is an int subclass
+        # and still prints true
+        [1, True], [True, 1], (7,), [0, 2 ** 64, -1], [[1, 2], [True], []],
+        IntPair(3, -4), {"p": IntPair(0, 0)},
     ]
     for obj in cases:
         out: list[str] = []

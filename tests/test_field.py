@@ -113,6 +113,23 @@ def test_roots_of_unity_by_divisor():
     assert (F12.zeta(F12.root_exponent(4)) ** 4).is_one()
 
 
+@pytest.mark.parametrize("n", [1, 6, 12, 60])
+def test_zeta_table_holds_numerators_and_strings(n):
+    # entry e is zeta^e as a running product of zeta and as a folded
+    # coefficient vector: the same numerators, and str of that element
+    F = CyclotomicField(n)
+    assert len(F.zeta_table) == n
+    z, power = F.element([0, 1]), F.one()
+    for e in range(n):
+        nums, text = F.zeta_table[e]
+        assert power == F.element([0] * e + [1])
+        assert power.den == 1 and nums == power.nums == F.zeta(e).nums
+        assert text == str(power) == str(F.zeta(e))
+        assert F.zeta(e - n) == F.zeta(e + n) == power
+        power = power * z
+    assert power.is_one()
+
+
 def test_field_axioms_random():
     F = CyclotomicField(6)
     rng = random.Random(20260814)

@@ -240,6 +240,12 @@ ENUMERATE_LITERAL = {
         "c24ff7a059710a378ea09f3f2ea9a6ec937f9ea050bcaf153c0a61cdeb0aa505",
     "enumerate layers --type F4 --format dot":
         "b16d1c897aa11f2233d8ffd6577e636ccbc01a0e85dd4bce2fe00ea993e43f73",
+    "enumerate layers --type A6":
+        "660414f3349aab4446b0e9460fc7a2af0e1cc630468ae8279b7acfe5658b1fd4",
+    "enumerate boundary-strata --type B5":
+        "904ef56de624d13548b8aac9125fad5d13c315f965987e8cb7fab63925eed065",
+    "enumerate layers --type B5 --format dot":
+        "09b97dd2fc04157b7c6bff62211c9541f4a64d4d73f39674cd71cfec9e24e244",
 }
 
 

@@ -178,6 +178,9 @@ def test_hermite_insert_cases():
     # a negative leading entry becomes a positive pivot
     assert hermite_insert(((0, 1),), (-3, 5)) == ((3, 0), (0, 1))
     assert hermite_insert((), (0, -2, 7)) == ((0, 2, -7),)
+    # a gcd step makes a later entry of the vector nonzero: (2, 0) becomes
+    # (0, 2) against the pivot row, so that entry must be read afresh
+    assert hermite_insert(((4, -2),), (2, 0)) == ((2, 0), (0, 2))
 
 
 def test_diagonal_insert_grows_the_form_of_the_lattice():

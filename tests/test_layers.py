@@ -272,6 +272,22 @@ def test_sort_key_orders_as_fraction_coefficients(label, order):
     assert sorted(shuffled, key=Layer.sort_key) == layers
 
 
+@pytest.mark.parametrize("label,order", [("B4", 6), ("F4", 12)])
+def test_sort_key_reads_the_zeta_table_as_the_folded_powers(label, order):
+    # the key's character part, read off the field's zeta table, is the
+    # numerators of zeta^e built from its coefficient vector, so the walk
+    # orders the layers as it did when it built each zeta^e
+    field = CyclotomicField(order)
+
+    def folded_key(l):
+        return (l.codim, l.basis, tuple(field.element([0] * e + [1]).nums
+                                        for e in l.char_exps))
+
+    layers = enumerate_layers(root_system(label), field)
+    assert [l.sort_key() for l in layers] == list(map(folded_key, layers))
+    assert sorted(layers, key=folded_key) == layers
+
+
 def test_poset_and_covering_relations_a2():
     layers = enumerate_layers(root_system("A2"), F6)
     rel = poset_relations(layers)
@@ -667,9 +683,9 @@ def recorded_forms(rs, field, monkeypatch):
     and the walk's stats."""
     forms = []
 
-    def recording_visit(rs, field, form, found):
+    def recording_visit(rs, field, form, found, chain):
         forms.append(form)
-        return visit(rs, field, form, found)
+        return visit(rs, field, form, found, chain)
 
     visit = layers_module._visit
     monkeypatch.setattr(layers_module, "_visit", recording_visit)
