@@ -108,16 +108,11 @@ class HolonomySpace:
     def t_index(self, alpha: Sequence[int]) -> int:
         return self.rs.positive_index[self.rs.abs_root(alpha)]
 
-    def vector(self, t_terms: dict | None = None,
-               h_coords: Sequence | None = None) -> list[FieldElement]:
-        """sum c t_alpha over t_terms (each root once, read up to sign)
-        plus tau(h) for h_coords."""
+    def vector(self, t_terms: dict) -> list[FieldElement]:
+        """sum c t_alpha over t_terms, each root once, read up to sign."""
         v = self.zero()
-        for alpha, c in (t_terms or {}).items():
+        for alpha, c in t_terms.items():
             v[self.t_index(alpha)] = self.field.coerce(c)
-        if h_coords is not None:
-            for i, c in enumerate(h_coords):
-                v[self.npos + i] = self.field.coerce(c)
         return v
 
     def labels(self) -> list[str]:
@@ -204,7 +199,7 @@ class HolonomySpace:
 
 
 def weyl_action_report(rs: RootSystem, field: CyclotomicField,
-                       seed: int = 0, samples: int = 6) -> dict:
+                       seed: int, samples: int) -> dict:
     """Checks that HolonomySpace.act is the equivariant action, from the
     Coxeter presentation of W (Humphreys, Reflection Groups and Coxeter
     Groups, 1.9).

@@ -70,8 +70,8 @@ def _write_json(obj, newline: str, out: list[str]) -> None:
     being a line break plus the current indent; dict keys are strings,
     lists and tuples both arrays.  A nonempty array whose items are all
     exactly int, not bool, is written as one join.  json.dumps, pure
-    Python on 3.11 when it indents, is left only floats and what it
-    refuses with a TypeError."""
+    Python on 3.11 when it indents, is left only floats, None (which no
+    payload holds) and what it refuses with a TypeError."""
     if isinstance(obj, str):
         out.append(encode_basestring_ascii(obj))
     elif isinstance(obj, (dict, list, tuple)):
@@ -98,10 +98,8 @@ def _write_json(obj, newline: str, out: list[str]) -> None:
         out.append("true")
     elif obj is False:
         out.append("false")
-    elif obj is None:
-        out.append("null")
     else:
-        out.append(json.dumps(obj))   # float, or json's TypeError
+        out.append(json.dumps(obj))   # float, None, or json's TypeError
 
 
 def _layer_facts(layer, indecomposable: bool) -> dict:

@@ -86,12 +86,15 @@ _TERM = re.compile(r"\s*([+-])?\s*(?:(\d+(?:/\d+)?)(\s*\*\s*z(?:\^(\d+))?)?"
 class CyclotomicField:
     """The field Q(zeta_N), with zeta_N a primitive N-th root of unity.
 
-    Instances are interned by order, so identical orders share one object.
+    Instances are interned by order, so each order has one object and
+    elements test their fields by identity.  The order is a required
+    argument, so copy and pickle, which rebuild an instance with no
+    arguments, raise TypeError instead of overwriting an interned field.
     """
 
     _cache: dict[int, "CyclotomicField"] = {}
 
-    def __new__(cls, order: int = DEFAULT_FIELD_ORDER):
+    def __new__(cls, order: int):
         inst = cls._cache.get(order)
         if inst is None:
             if order < 1:
@@ -103,7 +106,7 @@ class CyclotomicField:
             cls._cache[order] = inst
         return inst
 
-    def __init__(self, order: int = DEFAULT_FIELD_ORDER):
+    def __init__(self, order: int):
         if getattr(self, "order", None) == order:
             return
         self.modulus = cyclotomic_polynomial(order)
@@ -181,7 +184,7 @@ class CyclotomicField:
         return FieldElement(self, (q.numerator,) + (0,) * (self.degree - 1),
                             q.denominator)
 
-    def zeta(self, power: int = 1) -> FieldElement:
+    def zeta(self, power: int) -> FieldElement:
         """zeta_N ** power, for any integer power, read off zeta_table."""
         return FieldElement(self, self.zeta_table[power % self.order][0], 1)
 
@@ -195,7 +198,7 @@ class CyclotomicField:
 
     def coerce(self, value) -> FieldElement:
         if isinstance(value, FieldElement):
-            if value.field.order != self.order:
+            if value.field is not self:
                 raise ValueError("field order mismatch")
             return value
         if isinstance(value, int):
@@ -301,14 +304,9 @@ class FieldElement:
         self.nums = nums
         self.den = den
 
-    def _check(self, other: "FieldElement") -> None:
-        if other.field is not self.field and other.field.order != self.field.order:
-            raise ValueError("field order mismatch")
-
     def __add__(self, other):
         if isinstance(other, FieldElement):
-            if other.field is not self.field and \
-                    other.field.order != self.field.order:
+            if other.field is not self.field:
                 raise ValueError("field order mismatch")
             a, b = self.den, other.den
             if a == b:
@@ -330,8 +328,7 @@ class FieldElement:
 
     def __sub__(self, other):
         if isinstance(other, FieldElement):
-            if other.field is not self.field and \
-                    other.field.order != self.field.order:
+            if other.field is not self.field:
                 raise ValueError("field order mismatch")
             a, b = self.den, other.den
             if a == b:
@@ -345,8 +342,7 @@ class FieldElement:
 
     def __mul__(self, other):
         if isinstance(other, FieldElement):
-            if other.field is not self.field and \
-                    other.field.order != self.field.order:
+            if other.field is not self.field:
                 raise ValueError("field order mismatch")
             a, b = self.nums, other.nums
             # a rational operand scales the other's numerators
@@ -424,7 +420,8 @@ class FieldElement:
             nums = self.nums
             return self.den == 1 and nums[0] == other and not any(nums[1:])
         if isinstance(other, FieldElement):
-            self._check(other)
+            if other.field is not self.field:
+                raise ValueError("field order mismatch")
             return self.den == other.den and self.nums == other.nums
         if isinstance(other, (int, Fraction)):
             return (self.den == other.denominator

@@ -51,12 +51,11 @@ class SmithForm(NamedTuple):
         return [d for d in self.divisors if d > 1]
 
 
-def smith_normal_form(rows: Sequence[Sequence[int]], ncols: int | None = None
+def smith_normal_form(rows: Sequence[Sequence[int]], ncols: int
                       ) -> SmithForm:
     M = [list(map(int, r)) for r in rows]
-    m = len(M)
-    n = len(M[0]) if M else (ncols if ncols is not None else 0)
-    if ncols is not None and n != ncols:
+    m, n = len(M), ncols
+    if M and len(M[0]) != n:
         raise ValueError("column count mismatch")
     V = _identity(n)
     Vinv = _identity(n)  # kept equal to V^{-1}: M @ E pairs with E^{-1} @ Vinv

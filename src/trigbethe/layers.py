@@ -8,9 +8,9 @@ giving the constant values e^v takes on the layer.
 
 Every character value is a root of unity zeta_N^e of Q(zeta_N), so a
 character is kept as integer exponents mod N: chi(v) = 1 is a dot
-product mod N, and field elements are built only for the stored values
-(char_values) when a caller asks for them, and for the coordinates of a
-point on a layer, each zeta_N to one exponent sum times a rational
+product mod N, the printed values are read off the field's zeta_table,
+and field elements are built only for the coordinates of a point on a
+layer, each zeta_N to one exponent sum times a rational
 (point_on_layer).
 
 Enumeration visits every lattice <B> spanned by a linearly independent
@@ -102,10 +102,6 @@ class Layer(NamedTuple):
     @property
     def dim(self) -> int:
         return self.ambient_dim - len(self.basis)
-
-    @property
-    def char_values(self) -> tuple[FieldElement, ...]:
-        return tuple(self.field.zeta(e) for e in self.char_exps)
 
     def char_exponent(self, vec: Sequence[int]) -> int | None:
         """e with e^vec = zeta_N^e on the layer; None if vec is outside the lattice."""
@@ -261,7 +257,7 @@ def is_indecomposable(rs: RootSystem, layer: Layer) -> bool:
 
 
 def building_set(rs: RootSystem, field: CyclotomicField,
-                 stats: Counter | None = None) -> list[Layer]:
+                 stats: Counter | None) -> list[Layer]:
     """The indecomposable layers; stats as for enumerate_layers."""
     return [l for l in enumerate_layers(rs, field, stats)
             if is_indecomposable(rs, l)]
@@ -281,7 +277,7 @@ def layer_contains(big: Layer, small: Layer) -> bool:
                for row, e in zip(big.basis, big.char_exps))
 
 
-def poset_relations(layers: Sequence[Layer], stats: Counter | None = None
+def poset_relations(layers: Sequence[Layer], stats: Counter
                     ) -> list[tuple[int, int]]:
     """Pairs (i, j) with layers[i] a proper subvariety of layers[j].
 
@@ -293,8 +289,8 @@ def poset_relations(layers: Sequence[Layer], stats: Counter | None = None
     whose lattice is not spanned by their own roots: when it is, every
     lattice vector is an integer sum of roots that are 1 on both layers,
     so root-set inclusion already forces containment (roots_span_lattice,
-    recorded by the walk).  stats, when given, gains poset_candidates,
-    contains_tests and relations.
+    recorded by the walk).  stats gains poset_candidates, contains_tests
+    and relations.
     """
     holders: dict[Coords, int] = {}      # root -> bitset of layers holding it
     for j, l in enumerate(layers):
@@ -321,9 +317,8 @@ def poset_relations(layers: Sequence[Layer], stats: Counter | None = None
             if spanned or layer_contains(big, small):
                 out.append((i, j))
             j = bits.find("1", j + 1)
-    if stats is not None:
-        stats.update(poset_candidates=candidates, contains_tests=tests,
-                     relations=len(out))
+    stats.update(poset_candidates=candidates, contains_tests=tests,
+                 relations=len(out))
     return out
 
 
@@ -331,35 +326,33 @@ def poset_relations(layers: Sequence[Layer], stats: Counter | None = None
 # points on layers
 
 
-def point_on_layer(layer: Layer, params: Sequence[Fraction] | None = None
-                   ) -> Point:
+def point_on_layer(layer: Layer, params: Sequence[Fraction]) -> Point:
     """A point of the layer: character values extended by free parameters.
 
     params supplies the rational values on a complement basis of the
-    lattice (one per layer dimension); omitted parameters default to 1,
-    giving a canonical representative.  With U B V = [I 0] the Smith form
-    of the saturated basis, the rows Vinv[i] are a basis of Z^n: e^Vinv[i]
-    is zeta_N^(e_i), e_i its char_exponent, for i < r, and params[i - r]
-    beyond.  Coordinate j, e^(e_j) with e_j = sum_i V[j][i] Vinv[i], is
-    zeta_N^(sum_{i<r} e_i V[j][i]) times prod_i params[i] ** V[j][r + i].
+    lattice, exactly one per layer dimension.  With U B V = [I 0] the
+    Smith form of the saturated basis, the rows Vinv[i] are a basis of
+    Z^n: e^Vinv[i] is zeta_N^(e_i), e_i its char_exponent, for i < r, and
+    params[i - r] beyond.  Coordinate j, e^(e_j) with e_j = sum_i V[j][i]
+    Vinv[i], is zeta_N^(sum_{i<r} e_i V[j][i]) times
+    prod_i params[i] ** V[j][r + i].
     """
-    n = layer.ambient_dim
-    sf = smith_normal_form([list(r) for r in layer.basis], ncols=n)
+    if len(params) != layer.dim:
+        raise ValueError(f"point_on_layer takes one parameter per layer "
+                         f"dimension ({layer.dim}), got {len(params)}")
+    sf = smith_normal_form([list(r) for r in layer.basis],
+                           ncols=layer.ambient_dim)
     r = sf.rank
     exps = [layer.char_exponent(sf.Vinv[i]) for i in range(r)]
     if None in exps:
         raise ValueError("layer lattice must be saturated")
-    params = list(params or [])
-    if len(params) > n - r:
-        raise ValueError("too many parameters for layer dimension")
-    params += [Fraction(1)] * (n - r - len(params))
     return tuple(layer.field.zeta(sum(map(mul, exps, row)))
                  * prod(map(pow, params, row[r:]))
                  for row in sf.V)
 
 
 def generic_point(rs: RootSystem, subset: Sequence[int], layer: Layer,
-                  seed: int = 0) -> Point:
+                  seed: int) -> Point:
     """A point of the stratum torus T_I, I = subset, coordinate k at simple
     root subset[k], on a layer of the full arrangement whose lattice is
     supported on I, avoiding every hypersurface e^alpha = 1, alpha
@@ -367,8 +360,10 @@ def generic_point(rs: RootSystem, subset: Sequence[int], layer: Layer,
     the stratum's height chain (RootSystem.chain); the rng is seeded by
     the layer of the sub-arrangement on I (restrict)."""
     sub = restrict(layer, subset)
+    table = layer.field.zeta_table
     rng = random.Random(("layer-point", seed, sub.basis,
-                         tuple(str(v) for v in sub.char_values)).__repr__())
+                         tuple([table[e][1] for e in sub.char_exps])
+                         ).__repr__())
     chain = rs.chain(subset)
     on_layer = set(layer.roots_pos)
     avoid = [a for a, _, _ in chain if a not in on_layer]

@@ -27,10 +27,10 @@ class Poly:
         return cls(nvars, {(0,) * nvars: c})
 
     @classmethod
-    def variable(cls, nvars: int, i: int, coeff=1) -> "Poly":
+    def variable(cls, nvars: int, i: int) -> "Poly":
         e = [0] * nvars
         e[i] = 1
-        return cls(nvars, {tuple(e): coeff})
+        return cls(nvars, {tuple(e): 1})
 
     def _lift(self, other) -> "Poly":
         if isinstance(other, Poly):

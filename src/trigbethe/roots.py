@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import re
+from fractions import Fraction
 from functools import cached_property, lru_cache
 from operator import sub
 from typing import Callable, Hashable, Iterable, NamedTuple, Sequence, TypeVar
@@ -57,19 +58,24 @@ def cartan_matrix(family: str, n: int) -> IntMatrix:
     return tuple(tuple(r) for r in a)
 
 
-def symmetrizers(family: str, n: int) -> tuple[int, ...]:
-    """d_i = (a_i, a_i)/2 making diag(d) @ cartan symmetric."""
-    if family in ("A", "D"):
-        return (1,) * n
-    if family == "B":
-        return (2,) * (n - 1) + (1,)
-    if family == "C":
-        return (1,) * (n - 1) + (2,)
-    if family == "G":
-        return (1, 3)
-    if family == "F":
-        return (2, 2, 1, 1)
-    raise ValueError(f"unsupported family {family}")
+def symmetrizers(cartan: Sequence[Sequence[int]]) -> tuple[int, ...]:
+    """The smallest positive integers d_i making diag(d) @ cartan symmetric.
+
+    d_i a_ij = d_j a_ji is solved along the Dynkin graph from d_0 = 1, the
+    diagram being connected, and scaled by the lcm of the denominators,
+    which d_0 = 1 makes the smallest scale; then d_i = (a_i, a_i)/2 with
+    the short roots of length 2.
+    """
+    d = {0: Fraction(1)}
+    todo = [0]
+    while todo:
+        i = todo.pop()
+        for j, a in enumerate(cartan[i]):
+            if a and j not in d:
+                d[j] = d[i] * a / cartan[j][i]
+                todo.append(j)
+    scale = math.lcm(*(x.denominator for x in d.values()))
+    return tuple(int(d[i] * scale) for i in range(len(cartan)))
 
 
 def gram_inner(gram: Sequence[Sequence[int]], a: Sequence[int],
@@ -200,7 +206,7 @@ class RootSystem:
         self.rank = n
         self.label = f"{family}{n}"
         self.cartan = cartan_matrix(family, n)
-        self.sym = symmetrizers(family, n)
+        self.sym = symmetrizers(self.cartan)
         self.gram: list[list[int]] = [
             [self.sym[i] * self.cartan[i][j] for j in range(n)]
             for i in range(n)]
@@ -365,7 +371,8 @@ class RootSystem:
         root is the unique positive root of greatest height.
         """
         return (math.factorial(self.rank)
-                * math.prod(smith_normal_form(self.cartan).divisors)
+                * math.prod(smith_normal_form(self.cartan,
+                                               ncols=self.rank).divisors)
                 * math.prod(self.positive_roots[-1]))
 
     def matrix_of_word(self, word: Sequence[int]) -> IntMatrix:

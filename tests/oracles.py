@@ -247,6 +247,11 @@ def char_value(field: CyclotomicField, point, coords) -> FieldElement:
     return field.one() if out is None else out
 
 
+def char_values(layer: Layer) -> tuple[FieldElement, ...]:
+    """The layer's character values: zeta_N^e for each e in char_exps."""
+    return tuple(layer.field.zeta(e) for e in layer.char_exps)
+
+
 def powered_point_on_layer(layer: Layer, params: Sequence[Fraction] = ()
                            ) -> tuple[FieldElement, ...]:
     """point_on_layer as first written: with U B V = [I 0] the Smith form

@@ -1,5 +1,6 @@
 """Cyclotomic field: exact arithmetic, inversion, parsing."""
 
+import copy
 import random
 from fractions import Fraction
 from math import gcd
@@ -9,6 +10,7 @@ import pytest
 from trigbethe.bethe import bethe_weight
 from trigbethe.field import (DEFAULT_FIELD_ORDER, MAX_FIELD_ORDER,
                              CyclotomicField, cyclotomic_polynomial)
+from trigbethe.layers import Layer
 
 from oracles import table_product
 
@@ -81,6 +83,20 @@ def test_field_is_interned():
     assert isinstance(CyclotomicField(6), CyclotomicField)
 
 
+def test_a_copy_raises_and_leaves_the_interned_fields_intact():
+    # copy rebuilds a field with no arguments; the order is required, so
+    # it raises instead of handing back an interned field to overwrite
+    F6, F12 = CyclotomicField(6), CyclotomicField(12)
+    layer = Layer(2, ((1, 0),), (2,), F12, (), False)
+    for obj in (F12.zeta(1), F6.zeta(1), F12, layer):
+        with pytest.raises(TypeError):
+            copy.deepcopy(obj)
+    assert CyclotomicField(6) is F6 and CyclotomicField(6).degree == 2
+    assert CyclotomicField(12) is F12 and CyclotomicField(12).degree == 4
+    assert F6.zeta(1) * F6.zeta(1) == F6.zeta(2)
+    assert F12.zeta(1) * F12.zeta(1) == F12.zeta(2)
+
+
 def test_field_order_is_bounded():
     assert CyclotomicField(MAX_FIELD_ORDER).order == MAX_FIELD_ORDER
     for order in (0, -3, MAX_FIELD_ORDER + 1, 20000):
@@ -91,7 +107,7 @@ def test_field_order_is_bounded():
 
 def test_default_order_six_identities():
     F = CyclotomicField(DEFAULT_FIELD_ORDER)
-    z = F.zeta()
+    z = F.zeta(1)
     assert (z ** 6).is_one()
     for k in range(1, 6):
         assert not (z ** k).is_one()
@@ -154,16 +170,16 @@ def test_rational_detection_and_coercion():
     F = CyclotomicField(6)
     x = F.from_rational(Fraction(-7, 3))
     assert x.is_rational() and x.as_rational() == Fraction(-7, 3)
-    assert not F.zeta().is_rational()
+    assert not F.zeta(1).is_rational()
     with pytest.raises(ValueError):
-        F.zeta().as_rational()
+        F.zeta(1).as_rational()
     assert F.coerce(5) == F.from_rational(Fraction(5))
-    assert F.coerce(F.zeta()) is F.zeta() or F.coerce(F.zeta()) == F.zeta()
+    assert F.coerce(F.zeta(1)) is F.zeta(1) or F.coerce(F.zeta(1)) == F.zeta(1)
 
 
 def test_int_and_fraction_mixing():
     F = CyclotomicField(6)
-    z = F.zeta()
+    z = F.zeta(1)
     assert 1 + z == z + 1
     assert 2 * z - z == z
     assert (z * Fraction(1, 2)) * 2 == z
@@ -181,7 +197,8 @@ def test_str_parse_roundtrip_random():
                            for _ in range(F.degree)])
             assert F.parse(str(x)) == x
     F = CyclotomicField(6)
-    assert F.parse("1/2 - 3*z") == F.from_rational(Fraction(1, 2)) - 3 * F.zeta()
+    assert F.parse("1/2 - 3*z") == \
+        F.from_rational(Fraction(1, 2)) - 3 * F.zeta(1)
     assert F.parse("0") == F.zero()
 
 
@@ -243,7 +260,7 @@ def test_str_and_parse_match_fraction_oracle(n):
 def test_pow_modulus_reduction():
     # z^2 reduces to z - 1 at order 6: coefficients stay in degree < 2
     F = CyclotomicField(6)
-    z = F.zeta()
+    z = F.zeta(1)
     assert z ** 2 == z - 1
     assert F.zeta(2) == z - 1
     assert len(coeffs(z)) == len(z.nums) == F.degree
@@ -251,8 +268,8 @@ def test_pow_modulus_reduction():
 
 def test_cross_field_operations_rejected():
     for n, m in [(6, 12), (3, 6), (4, 12), (1, 2), (5, 8)]:
-        a = CyclotomicField(n).zeta()
-        b = CyclotomicField(m).zeta()
+        a = CyclotomicField(n).zeta(1)
+        b = CyclotomicField(m).zeta(1)
         for op in (lambda x, y: x + y, lambda x, y: x - y,
                    lambda x, y: x * y, lambda x, y: x * y.inverse(),
                    lambda x, y: x == y):
@@ -264,7 +281,7 @@ def test_cross_field_operations_rejected():
 
 def test_unhashable_and_equal():
     F = CyclotomicField(6)
-    z = F.zeta()
+    z = F.zeta(1)
     assert z == z + 0 == z * 1
     assert F.one() == F.from_rational(Fraction(1)) == 1
     # equal to the int 1, so a hash would have to be hash(1)
@@ -348,9 +365,9 @@ def test_parse_rejects_malformed_text():
             F.parse(value)
     # accepted spellings beyond the str() form: spacing, a leading sign,
     # repeated and high powers (reduced mod N)
-    assert F.parse(" -z+ 2 * z ") == F.zeta()
+    assert F.parse(" -z+ 2 * z ") == F.zeta(1)
     assert F.parse("+3") == 3
-    assert F.parse("z^7") == F.zeta()
+    assert F.parse("z^7") == F.zeta(1)
     assert F.parse("z^0") == 1
 
 

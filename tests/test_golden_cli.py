@@ -515,7 +515,7 @@ def test_requests_leave_the_shared_tables_as_built(capsys, monkeypatch):
     for field, (_, _, layers, by_subset) in tables["draw"].items():
         walked = enumerate_layers(new, field)
         assert layers == walked and by_subset == subset_layers(walked)
-    building_set(new, CyclotomicField(6))
+    building_set(new, CyclotomicField(6), None)
     assert tables["graph"] == new.tables["graph"]
     # the first draw of a stream on the new root system fills its draw table
     PointStream(new, CyclotomicField(6), 0).point(0, 40)

@@ -88,8 +88,8 @@ def test_defining_relation_elementwise():
             subst = Poly(alg.nvars)
             for k in range(rs.rank):
                 if m[j][k]:
-                    subst = subst + Poly.variable(alg.nvars, k,
-                                                  Fraction(m[j][k]))
+                    subst = subst + Poly.variable(alg.nvars, k) \
+                        * Fraction(m[j][k])
             rhs = {gen: subst}
             if i == j:
                 rhs = alg.add(rhs, {alg.ident: alg.tvar})
@@ -100,7 +100,7 @@ def test_normal_form_word_independent():
     rs = root_system("A2")
     alg = HeckeAlgebra(rs)
     p = Poly.variable(alg.nvars, 0) * Poly.variable(alg.nvars, 1) + \
-        Poly.variable(alg.nvars, 0, Fraction(3))
+        Poly.variable(alg.nvars, 0) * Fraction(3)
     for w in rs.weyl_elements():
         words = all_reduced_words(rs, w)
         forms = [alg.move_across_word(p, word) for word in words]
@@ -401,7 +401,7 @@ def folded_exchange(alg, k, word):
         consts = shifted
         g = [sum(g[l] * m[l][j] for l in range(n)) for j in range(n)]
         u = int_mat_mul(u, m)
-    out = {u: sum((Poly.variable(alg.nvars, j, c) for j, c in enumerate(g)),
+    out = {u: sum((Poly.variable(alg.nvars, j) * c for j, c in enumerate(g)),
                   Poly(alg.nvars))}
     for z, c in consts.items():
         out = alg.add(out, {z: alg.tvar * c})

@@ -3,6 +3,8 @@
 import random
 from fractions import Fraction
 
+import pytest
+
 from trigbethe.field import CyclotomicField
 from trigbethe.lattice import (diagonal_insert, hermite_coordinates,
                                hermite_insert, hermite_normal_form, int_rank,
@@ -30,22 +32,33 @@ def rand_int_matrix(rng, rows, cols, lo=-9, hi=9):
 
 def test_smith_fixture_divisor_two():
     # two long roots of the rank-2 short-long system span index 2
-    sf = smith_normal_form([[1, 0], [1, 2]])
+    sf = smith_normal_form([[1, 0], [1, 2]], ncols=2)
     assert sf.divisors == [1, 2]
     assert sf.torsion_divisors() == [2]
 
 
 def test_smith_fixture_divisor_three():
     # the long triple of the rank-2 hexagonal system spans index 3
-    sf = smith_normal_form([[0, 1], [3, 1], [3, 2]])
+    sf = smith_normal_form([[0, 1], [3, 1], [3, 2]], ncols=2)
     assert sf.divisors == [1, 3]
     assert sf.torsion_divisors() == [3]
 
 
 def test_smith_forms_of_the_same_rows_are_equal():
     rows = [[0, 1], [3, 1], [3, 2]]
-    assert smith_normal_form(rows) == smith_normal_form([r[:] for r in rows])
-    assert smith_normal_form(rows) != smith_normal_form([[1, 0], [1, 2]])
+    assert smith_normal_form(rows, ncols=2) == \
+        smith_normal_form([r[:] for r in rows], ncols=2)
+    assert smith_normal_form(rows, ncols=2) != \
+        smith_normal_form([[1, 0], [1, 2]], ncols=2)
+
+
+def test_smith_form_takes_the_column_count():
+    # no rows: the zero lattice of Z^3, whose V is the identity
+    sf = smith_normal_form([], ncols=3)
+    assert sf.divisors == [] and sf.V == sf.Vinv == [
+        [1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    with pytest.raises(ValueError, match="column count"):
+        smith_normal_form([[1, 2]], ncols=3)
 
 
 def test_smith_factorization_random():
@@ -54,7 +67,7 @@ def test_smith_factorization_random():
         m = rng.randint(1, 4)
         n = rng.randint(1, 5)
         a = rand_int_matrix(rng, m, n)
-        sf = smith_normal_form(a)
+        sf = smith_normal_form(a, ncols=n)
         # a unimodular U with U @ A @ V = diag(divisors) exists: A @ V and
         # the diagonal have one row lattice, so one Hermite form
         diag = [[sf.divisors[i] if i == j and i < sf.rank else 0
@@ -76,7 +89,7 @@ def test_saturation_contains_lattice_with_right_index():
         m = rng.randint(1, 3)
         n = rng.randint(m, 4)
         a = rand_int_matrix(rng, m, n, -6, 6)
-        sf = smith_normal_form(a)
+        sf = smith_normal_form(a, ncols=n)
         sat = sf.Vinv[:sf.rank]
         assert len(sat) == sf.rank
         # d_i times the i-th saturation vector lies in the original lattice
@@ -98,7 +111,7 @@ def test_in_lattice_roundtrip_random():
             combo = [x + c * y for x, y in zip(combo, row)]
         assert in_lattice(combo, a)
         # shifting off-lattice breaks membership when the shift escapes
-        sf = smith_normal_form(a)
+        sf = smith_normal_form(a, ncols=n)
         if sf.rank < n:
             # add a vector outside the rational span
             outside = list(sf.Vinv[sf.rank])

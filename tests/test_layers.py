@@ -20,8 +20,8 @@ from trigbethe.layers import (Layer, building_set, enumerate_layers,
 from trigbethe.nested import adjacency, components
 from trigbethe.roots import RootSystem, nonorthogonal_edges, root_system
 
-from oracles import (char_value, powered_point_on_layer, restricted_ambient,
-                     root_neighbours, roots_span_by_fold)
+from oracles import (char_value, char_values, powered_point_on_layer,
+                     restricted_ambient, root_neighbours, roots_span_by_fold)
 
 F6 = CyclotomicField(6)
 
@@ -36,7 +36,7 @@ def evaluate(pt, row):
 
 
 def chars(layer):
-    return tuple(str(v) for v in layer.char_values)
+    return tuple(str(v) for v in char_values(layer))
 
 
 def centralizer(rs, field, pt):
@@ -52,7 +52,7 @@ def covering_relations(layers):
     """The covers among poset_relations, in its order: the layer poset is
     ranked by codimension (Moci, Trans. AMS 2012), so (i, j) is a cover
     exactly when the codimensions differ by one."""
-    return [(i, j) for i, j in poset_relations(layers)
+    return [(i, j) for i, j in poset_relations(layers, Counter())
             if layers[i].codim - layers[j].codim == 1]
 
 
@@ -69,7 +69,7 @@ def test_layer_census_counts():
     for label, (total, indec) in expected.items():
         rs = root_system(label)
         assert len(enumerate_layers(rs, F6)) == total
-        assert len(building_set(rs, F6)) == indec
+        assert len(building_set(rs, F6, None)) == indec
 
 
 def test_a3_codim_split_and_no_torsion():
@@ -126,7 +126,7 @@ def test_codim2_layers_match_torus_point_scan():
             if l.codim != 2:
                 continue
             assert l.basis == ((1, 0), (0, 1))
-            enumerated.add(tuple(str(v) for v in l.char_values))
+            enumerated.add(chars(l))
         scanned = set()
         for i, j in itertools.product(range(12), repeat=2):
             y = (f12.zeta(i), f12.zeta(j))
@@ -179,8 +179,8 @@ def test_recover_data_twice_on_one_point_gives_equal_records():
 
 def test_point_on_layer_extends_character():
     for l in enumerate_layers(root_system("B2"), F6):
-        pt = point_on_layer(l)
-        for row, val in zip(l.basis, l.char_values):
+        pt = point_on_layer(l, [Fraction(1)] * l.dim)
+        for row, val in zip(l.basis, char_values(l)):
             assert evaluate(pt, row) == val
 
 
@@ -188,12 +188,12 @@ def test_point_on_layer_extends_character():
     *((label, 6) for label in ("A2", "B2", "G2", "A3", "B3", "C3", "D4")),
     ("F4", 12)])
 def test_point_on_layer_matches_field_powers(label, order):
-    # every layer, at the default parameters and three seeded draws of
-    # nonzero rationals, some negative, against the field-power oracle
+    # every layer, at parameters all 1 and three seeded draws of nonzero
+    # rationals, some negative, against the field-power oracle
     layers = enumerate_layers(root_system(label), CyclotomicField(order))
     for k, l in enumerate(layers):
         rng = random.Random(f"point-on-layer-{label}-{k}")
-        draws = [()] + [
+        draws = [[Fraction(1)] * l.dim] + [
             [Fraction(rng.choice((-1, 1)) * rng.randint(1, 97),
                       rng.randint(1, 97)) for _ in range(l.dim)]
             for _ in range(3)]
@@ -204,13 +204,17 @@ def test_point_on_layer_matches_field_powers(label, order):
 
 
 def test_point_on_layer_rejects_bad_input():
-    # a lattice that is not saturated, and more parameters than dimensions
+    # a lattice that is not saturated, and other than one parameter per
+    # dimension: there is no padding with 1s
     with pytest.raises(ValueError, match="saturated"):
-        point_on_layer(Layer(2, ((2, 0),), (0,), F6, (), False))
+        point_on_layer(Layer(2, ((2, 0),), (0,), F6, (), False),
+                       [Fraction(1)])
     line = [l for l in enumerate_layers(root_system("B2"), F6)
             if l.codim == 1][0]
-    with pytest.raises(ValueError, match="too many"):
-        point_on_layer(line, [Fraction(2), Fraction(3)])
+    for params in ([], [Fraction(2), Fraction(3)]):
+        with pytest.raises(ValueError, match="one parameter per layer "
+                                             "dimension"):
+            point_on_layer(line, params)
 
 
 def test_char_exponent_rejects_vectors_outside_lattice():
@@ -263,7 +267,7 @@ def test_sort_key_orders_as_fraction_coefficients(label, order):
     def fraction_key(l):
         return (l.codim, l.basis, tuple(
             tuple(Fraction(n, cv.den) for n in cv.nums)
-            for cv in l.char_values))
+            for cv in char_values(l)))
 
     layers = enumerate_layers(root_system(label), CyclotomicField(order))
     shuffled = list(layers)
@@ -290,7 +294,7 @@ def test_sort_key_reads_the_zeta_table_as_the_folded_powers(label, order):
 
 def test_poset_and_covering_relations_a2():
     layers = enumerate_layers(root_system("A2"), F6)
-    rel = poset_relations(layers)
+    rel = poset_relations(layers, Counter())
     cov = covering_relations(layers)
     assert len(rel) == 7
     assert len(cov) == 6
@@ -349,7 +353,7 @@ def test_layer_to_dict_shape():
 def characteristic_polynomial(layers):
     """Coefficients, by dimension, of chi(t) = sum_L mu(T, L) t^dim L."""
     above = {i: [] for i in range(len(layers))}
-    for i, j in poset_relations(layers):
+    for i, j in poset_relations(layers, Counter()):
         above[i].append(j)
     mu = {}
     for i in sorted(range(len(layers)), key=lambda i: layers[i].codim):
@@ -414,12 +418,12 @@ def test_poset_relations_match_field_containment():
         layers = enumerate_layers(rs, F6)
         expected = []
         for i, small in enumerate(layers):
-            pt = generic_point(rs, range(rs.rank), small)
+            pt = generic_point(rs, range(rs.rank), small, seed=0)
             for j, big in enumerate(layers):
                 if i != j and all(evaluate(pt, row) == val for row, val
-                                  in zip(big.basis, big.char_values)):
+                                  in zip(big.basis, char_values(big))):
                     expected.append((i, j))
-        assert sorted(poset_relations(layers)) == expected
+        assert sorted(poset_relations(layers, Counter())) == expected
 
 
 # ----------------------------------------------------------------------
@@ -500,12 +504,12 @@ def test_poset_relations_match_all_pairs_scan(label):
     scan = [(i, j) for i, small in enumerate(layers)
             for j, big in enumerate(layers)
             if i != j and layer_contains(big, small)]
-    assert poset_relations(layers) == scan
+    assert poset_relations(layers, Counter()) == scan
 
 
 def covers_by_intermediates(layers):
     """Covers by definition: relations with no layer strictly between."""
-    rel = set(poset_relations(layers))
+    rel = set(poset_relations(layers, Counter()))
     return {(i, j) for i, j in rel
             if not any((i, k) in rel and (k, j) in rel
                        for k in range(len(layers)))}
@@ -517,7 +521,7 @@ def test_covering_relations_match_definition(label):
     # the poset is ranked by codimension, so covers are the relations
     # whose codimensions differ by one; kept in poset_relations order
     layers = enumerate_layers(root_system(label), F6)
-    rel = poset_relations(layers)
+    rel = poset_relations(layers, Counter())
     cov = covering_relations(layers)
     assert set(cov) == covers_by_intermediates(layers)
     assert cov == [p for p in rel if p in set(cov)]
@@ -557,8 +561,8 @@ def test_walk_and_building_set_fill_one_chain_and_one_graph(label, order):
     layers = enumerate_layers(rs, field)
     assert list(rs.tables) == ["chain"] and list(rs.tables["chain"]) == [full]
     chain = rs.tables["chain"][full]
-    assert building_set(rs, field) == [l for l in layers
-                                       if is_indecomposable(rs, l)]
+    assert building_set(rs, field, None) == [l for l in layers
+                                             if is_indecomposable(rs, l)]
     assert list(rs.tables) == ["chain", "graph"]
     assert list(rs.tables["graph"]) == [None]
     assert list(rs.tables["chain"]) == [full]

@@ -29,8 +29,8 @@ def test_poly_scalar_lifting_and_zero_pruning():
     p = Fraction(1, 2) * x + 1
     assert p.terms == {(1,): Fraction(1, 2), (0,): Fraction(1)}
     F = CyclotomicField(6)
-    q = x * F.zeta()
-    assert q.terms[(1,)] == F.zeta()
+    q = x * F.zeta(1)
+    assert q.terms[(1,)] == F.zeta(1)
 
 
 def test_poly_unhashable():
@@ -116,7 +116,7 @@ def test_limit_span_handles_poles_and_dependence():
 
 def test_limit_span_over_cyclotomic_scalars():
     F = CyclotomicField(6)
-    z = F.zeta()
+    z = F.zeta(1)
     one = RatFunc.from_scalar(F.one())
     x = RatFunc.variable(F.one())
     rows = [[one * z, x * z]]

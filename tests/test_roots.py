@@ -7,8 +7,9 @@ from fractions import Fraction
 import pytest
 
 from trigbethe.linalg import mat_inverse
-from trigbethe.roots import (MAX_RANK, RootSystem, chain_values,
-                             int_mat_mul, root_chain, root_system)
+from trigbethe.roots import (MAX_RANK, RootSystem, cartan_matrix,
+                             chain_values, int_mat_mul, root_chain,
+                             root_system, symmetrizers)
 
 # |W| per type (Bourbaki, Groupes et algebres de Lie IV-VI, planches)
 WEYL_ORDERS = {
@@ -32,6 +33,29 @@ def test_cartan_pins():
     # the branch node of D4 is adjacent to the other three
     d4 = root_system("D4").cartan
     assert d4[1][0] == d4[1][2] == d4[1][3] == -1
+
+
+def table_symmetrizers(family, n):
+    """d_i = (a_i, a_i)/2 per family, short roots of length 2 (Bourbaki,
+    planches): the table the library derives from the Cartan matrix."""
+    return {"A": (1,) * n, "D": (1,) * n, "B": (2,) * (n - 1) + (1,),
+            "C": (1,) * (n - 1) + (2,), "G": (1, 3), "F": (2, 2, 1, 1)}[family]
+
+
+SUPPORTED_TYPES = ([f"A{n}" for n in range(1, MAX_RANK + 1)]
+                   + [f"{f}{n}" for f in "BC" for n in range(2, MAX_RANK + 1)]
+                   + [f"D{n}" for n in range(4, MAX_RANK + 1)] + ["G2", "F4"])
+
+
+def test_symmetrizers_derived_from_the_cartan_matrix_match_the_table():
+    assert len(SUPPORTED_TYPES) == 61
+    for label in SUPPORTED_TYPES:
+        family, n = label[0], int(label[1:])
+        cartan = cartan_matrix(family, n)
+        d = symmetrizers(cartan)
+        assert d == table_symmetrizers(family, n), label
+        assert all(d[i] * cartan[i][j] == d[j] * cartan[j][i]
+                   for i in range(n) for j in range(n))
 
 
 def test_symmetrizers_and_gram():
